@@ -20,7 +20,6 @@ import numpy as np
 import yaml
 
 from . import analysis, io_formats, langevin, mirror_optics, photon_emitter
-from . import trap_mechanics
 from .config import (
     ExperimentConfig,
     default_config_yaml,
@@ -46,51 +45,24 @@ DATASET_ARTIFACTS = (
 )
 
 
-def _cluster_physics(config: ExperimentConfig) -> dict:
-    """Derived quantities of the configured cluster at the configured trap."""
-    cluster = config.cluster
-    alpha = trap_mechanics.polarizability(config.rod, config.material,
-                                          n_rods=cluster.n_rods)
-    mass = trap_mechanics.cluster_mass(cluster)
-    depth = trap_mechanics.trap_depth(alpha, config.trap)
-    damping = trap_mechanics.cluster_damping_rate(cluster, config.gas)
-    stiffness = langevin.TrapStiffness.from_trap_depth(depth, w_z=config.axial_width)
-    return {
-        "alpha": alpha,
-        "mass": mass,
-        "trap_depth": depth,
-        "gamma": damping.rad_per_s,
-        "p_min": trap_mechanics.min_power(alpha, config.gas.temperature,
-                                          config.trap.field_factor),
-        "stiffness": stiffness,
-        "omega": float(np.sqrt(stiffness.k_z / mass)),
-    }
-
-
 def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
     """Generate the full synthetic dataset; manifest.json is written last."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    physics = _cluster_physics(config)
+    physics = config.cluster_physics()
 
     # motion readout
-    sim_cfg = langevin.SimConfig(
-        time_step=config.simulation.time_step,
-        duration=config.simulation.duration,
-        seed=config.seed,
-        detector_gain=config.simulation.detector_gain,
-        detector_noise_floor=config.simulation.detector_noise_floor)
-    z = langevin.simulate_axial_motion(physics["stiffness"], physics["gamma"],
-                                       physics["mass"], config.gas.temperature,
-                                       sim_cfg)
-    detector = langevin.detector_signal(z, sim_cfg)
+    z = langevin.simulate_axial_motion(physics.stiffness, physics.gamma,
+                                       physics.mass, config.gas.temperature,
+                                       config.simulation)
+    detector = langevin.detector_signal(z, config.simulation)
     io_formats.write_time_series(out_dir / "detector.ts", detector)
 
     # photon stream
     stream = photon_emitter.generate_time_tags(
         config.excitation, config.emitter, config.detection,
-        config.acquisition_duration, seed=config.seed)
+        config.acquisition.duration, seed=config.seed)
     io_formats.write_time_tags(out_dir / "tags.bin", stream,
                                configs={"a_pi": config.detection.a_pi,
                                         "n_rods": config.cluster.n_rods})
@@ -98,13 +70,13 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
     # aperture images at the configured mixture, with camera noise
     mix = mirror_optics.DipoleMix(a_pi=config.detection.a_pi)
     total = mirror_optics.mix_image(mix, config.mirror,
-                                    n_pixels=config.image_n_pixels,
-                                    half_extent=config.image_half_extent)
+                                    n_pixels=config.image.n_pixels,
+                                    half_extent=config.image.half_extent)
     vertical = mirror_optics.polarized_projection(total, mix, "vertical")
     horizontal = mirror_optics.polarized_projection(total, mix, "horizontal")
-    if config.image_noise_fraction > 0:
+    if config.image.noise_rms_fraction > 0:
         rng = rng_for(config.seed, "image-noise")
-        scale = config.image_noise_fraction * float(total.pixels.max())
+        scale = config.image.noise_rms_fraction * float(total.pixels.max())
         for img in (total, vertical, horizontal):
             img.pixels = np.clip(
                 img.pixels + rng.normal(0.0, scale, img.pixels.shape), 0.0, None)
@@ -117,9 +89,9 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
     return {
         "out_dir": str(out_dir),
         "n_events": len(stream),
-        "gamma_over_2pi_hz": physics["gamma"] / (2 * np.pi),
-        "omega_over_2pi_hz": physics["omega"] / (2 * np.pi),
-        "p_min_w": physics["p_min"],
+        "gamma_over_2pi_hz": physics.gamma / (2 * np.pi),
+        "omega_over_2pi_hz": physics.omega / (2 * np.pi),
+        "p_min_w": physics.p_min,
         "config_hash": manifest.config_hash,
     }
 
@@ -137,8 +109,11 @@ def _profile_in_aperture(image: mirror_optics.ApertureImage) -> mirror_optics.Ra
         variances=None if profile.variances is None else profile.variances[keep])
 
 
-def analyze_dataset(dataset_dir, out_dir=None) -> dict:
-    """Run the measurement pipeline on a simulated dataset directory."""
+def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
+    """Run the measurement pipeline on a simulated dataset directory.
+
+    ``max_lag`` is the side-peak pulse-lag range that normalizes g2(0).
+    """
     dataset_dir = Path(dataset_dir)
     out_dir = dataset_dir if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,7 +121,7 @@ def analyze_dataset(dataset_dir, out_dir=None) -> dict:
 
     stream = io_formats.read_time_tags(dataset_dir / "tags.bin")
     rep_rate = stream.metadata.get("repetition_rate", 1e6)
-    g2 = analysis.g2_zero(stream, 1.0 / rep_rate)
+    g2 = analysis.g2_zero(stream, 1.0 / rep_rate, max_lag=max_lag)
     blink = analysis.blink_analysis(stream)
 
     detector = io_formats.read_time_series(dataset_dir / "detector.ts")
@@ -233,7 +208,6 @@ def main(argv=None) -> int:
     p_sim.add_argument("--config", help="YAML config file (default: built-in)")
     p_sim.add_argument("--seed", type=int, help="override the root seed")
     p_sim.add_argument("--out", help="dataset directory")
-    p_sim.add_argument("--threads", type=int, default=1)
 
     p_ana = sub.add_parser("analyze", help="run the measurement pipeline")
     p_ana.add_argument("dataset", help="dataset directory with manifest.json")
@@ -266,7 +240,7 @@ def main(argv=None) -> int:
             info = simulate_dataset(config, out_dir)
             print(json.dumps(info, sort_keys=True, indent=2))
         elif args.command == "analyze":
-            results = analyze_dataset(args.dataset, args.out)
+            results = analyze_dataset(args.dataset, args.out, args.max_lag)
             print(json.dumps(results, sort_keys=True, indent=2))
         elif args.command == "reproduce":
             config = _load_config_arg(args)
@@ -275,7 +249,7 @@ def main(argv=None) -> int:
             summaries = {}
             for name in names:
                 summaries[name] = run_target(name, config, out_dir,
-                                             seed=args.seed, threads=args.threads)
+                                             threads=args.threads)
             print(json.dumps(summaries if len(names) > 1 else summaries[names[0]],
                              sort_keys=True, indent=2))
         elif args.command == "validate-config":

@@ -1,10 +1,16 @@
 """Experiment configuration: YAML schema, validation, run manifests.
 
-The config file is a nested key-value YAML document (comments allowed).  Every
-sub-section maps onto one of the domain parameter types and is validated by
-that type's own invariants; unknown keys are rejected with field-level
-diagnostics.  ``field_factor: null`` selects the calibrated value (a single
-bare rod escapes at 41 mW and 296 K).
+The config file is a nested key-value YAML document (comments allowed).  The
+domain dataclasses are the single source of the schema: each section is one
+dataclass, its keys are the dataclass fields renamed only by the unit suffix
+in ``_UNIT_SUFFIX`` (``focal_length`` -> ``focal_length_m``), and its defaults
+are the dataclass defaults except for the experiment-level values in
+``_EXPERIMENT_DEFAULTS``.  Every section is validated by its type's own
+invariants; unknown keys are rejected with field-level diagnostics.
+``field_factor: null`` selects the calibrated value (a single bare rod
+escapes at 41 mW and 296 K) and ``auger_pair_prob: null`` the cluster-size
+law.  ``mirror.reflectivity`` is the only reflectivity knob; the detection
+chain takes its mirror reflectivity from the mirror section.
 
 Schema (defaults shown by ``default_config_yaml()``):
 
@@ -24,8 +30,8 @@ Schema (defaults shown by ``default_config_yaml()``):
                          burst_dwell_s, dark_dwell_s
     excitation           repetition_rate_hz, pulse_duration_s,
                          average_power_w, saturation_power_w
-    detection            apd_quantum_efficiency, mirror_reflectivity,
-                         setup_transmission, a_pi, splitter_ratio
+    detection            apd_quantum_efficiency, setup_transmission, a_pi,
+                         splitter_ratio
     simulation           time_step_s, duration_s, detector_gain_v_per_m,
                          detector_noise_floor, axial_width_m
     acquisition          duration_s (time-tag stream length)
@@ -34,19 +40,23 @@ Schema (defaults shown by ``default_config_yaml()``):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
 from .errors import ConfigError, MissingArtifactError
 from .io_formats import sha256_file
-from .langevin import SimConfig
-from .mirror_optics import MirrorGeometry
+from .langevin import SimConfig, TrapStiffness
+from .mirror_optics import DEFAULT_HALF_EXTENT, DEFAULT_N_PIXELS, MirrorGeometry
 from .photon_emitter import DetectionChain, EmitterModel, ExcitationConfig
 from .trap_mechanics import (
     ClusterSample,
@@ -54,10 +64,18 @@ from .trap_mechanics import (
     MaterialParams,
     RodGeometry,
     TrapParams,
+    cluster_damping_rate,
+    cluster_mass,
+    min_power,
+    polarizability,
+    trap_depth,
 )
 
 __all__ = [
+    "AcquisitionConfig",
+    "ClusterPhysics",
     "ExperimentConfig",
+    "ImageConfig",
     "RunManifest",
     "default_config_yaml",
     "load_config",
@@ -66,70 +84,50 @@ __all__ = [
     "verify_manifest",
 ]
 
-_DEFAULTS = {
-    "seed": 12345,
-    "output_dir": "runs/default",
-    "mirror": {
-        "focal_length_m": 2.1e-3,
-        "aperture_radius_m": 10e-3,
-        "bore_radius_m": 0.75e-3,
-        "reflectivity": 0.72,
-    },
-    "rod": {
-        "length_m": 35e-9,
-        "diameter_m": 7e-9,
-        "core_diameter_m": 2.7e-9,
-        "shell_thickness_m": 1.6e-9,
-    },
-    "material": {"refractive_index": 2.34, "density_kg_m3": 4826.0},
-    "gas": {"viscosity_pa_s": 1.82e-5, "mean_free_path_m": 68e-9,
-            "temperature_k": 296.0},
-    "trap": {"wavelength_m": 1064e-9, "power_w": 0.36, "field_factor": None},
-    "cluster": {"n_rods": 64, "packing": "parallel_close_packed"},
-    "emitter": {
-        "quantum_yield": 0.7,
-        "auger_pair_prob": None,
-        "independent_emitters": False,
-        "blink_mode": "two_state",
-        "grey_attenuation": 3.0,
-        "bright_dwell_s": 5e-3,
-        "grey_dwell_s": 15e-3,
-        "dark_attenuation": 0.0,
-        "burst_dwell_s": 1.67e-4,
-        "dark_dwell_s": 5e-3,
-    },
-    "excitation": {
-        "repetition_rate_hz": 1e6,
-        "pulse_duration_s": 82e-9,
-        "average_power_w": 2e-6,
-        "saturation_power_w": 2.63e-6,
-    },
-    "detection": {
-        "apd_quantum_efficiency": 0.69,
-        "mirror_reflectivity": 0.72,
-        "setup_transmission": 0.83,
-        "a_pi": 0.31,
-        "splitter_ratio": 0.5,
-    },
-    "simulation": {
-        "time_step_s": 4e-9,
-        "duration_s": 0.01,
-        "detector_gain_v_per_m": 1e6,
-        "detector_noise_floor": 1e-6,
-        "axial_width_m": 532e-9,
-    },
-    "acquisition": {"duration_s": 10.0},
-    "image": {"n_pixels": 256, "half_extent_f": 5.0,
-              "noise_rms_fraction": 0.02},
-}
+
+@dataclass(frozen=True)
+class AcquisitionConfig:
+    """Length of the simulated time-tag stream."""
+
+    duration: float = 10.0  # s
+
+    def __post_init__(self):
+        if self.duration <= 0:
+            raise ValueError("duration must be > 0")
+
+
+@dataclass(frozen=True)
+class ImageConfig:
+    """Synthetic aperture images: grid, extent and camera noise."""
+
+    n_pixels: int = DEFAULT_N_PIXELS
+    half_extent: float = DEFAULT_HALF_EXTENT  # units of the focal length
+    noise_rms_fraction: float = 0.02          # of the noiseless image maximum
+
+    def __post_init__(self):
+        if self.n_pixels < 16:
+            raise ValueError("n_pixels must be >= 16")
+        if self.half_extent <= 0:
+            raise ValueError("half_extent must be > 0")
+        if not 0 <= self.noise_rms_fraction < 1:
+            raise ValueError("noise_rms_fraction must be in [0, 1)")
+
+
+class ClusterPhysics(typing.NamedTuple):
+    """Trap physics of one cluster at the configured trap and gas."""
+
+    alpha: float                # polarizability, C m^2 / V
+    mass: float                 # kg
+    gamma: float                # gas damping rate, rad/s
+    p_min: float                # escape power, W
+    stiffness: TrapStiffness
+    omega: float                # axial trap frequency, rad/s
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment configuration; fields mirror the YAML sections."""
 
-    seed: int
-    output_dir: str
     mirror: MirrorGeometry
     rod: RodGeometry
     material: MaterialParams
@@ -140,36 +138,131 @@ class ExperimentConfig:
     excitation: ExcitationConfig
     detection: DetectionChain
     simulation: SimConfig
-    acquisition_duration: float
-    image_n_pixels: int
-    image_half_extent: float
-    image_noise_fraction: float
-    axial_width: float
+    acquisition: AcquisitionConfig
+    image: ImageConfig
+    seed: int = 12345
+    output_dir: str = "runs/default"
     raw: dict = field(compare=False, repr=False, default_factory=dict)
+
+    def cluster_physics(self, n_rods: int | None = None,
+                        w_z: float | None = None) -> ClusterPhysics:
+        """Polarizability -> escape power, damping and stiffness of a cluster.
+
+        ``n_rods`` defaults to the configured cluster and ``w_z`` to
+        ``simulation.axial_width``.
+        """
+        cluster = (self.cluster if n_rods is None
+                   else dataclasses.replace(self.cluster, n_rods=n_rods))
+        alpha = polarizability(self.rod, self.material, n_rods=cluster.n_rods)
+        mass = cluster_mass(cluster)
+        stiffness = TrapStiffness.from_trap_depth(
+            trap_depth(alpha, self.trap),
+            w_z=self.simulation.axial_width if w_z is None else w_z)
+        return ClusterPhysics(
+            alpha=alpha, mass=mass,
+            gamma=cluster_damping_rate(cluster, self.gas).rad_per_s,
+            p_min=min_power(alpha, self.gas.temperature, self.trap.field_factor),
+            stiffness=stiffness, omega=float(np.sqrt(stiffness.k_z / mass)))
+
+
+# YAML key = dataclass field name + unit suffix; the only renaming rule.
+_UNIT_SUFFIX = {
+    "focal_length": "_m", "aperture_radius": "_m", "bore_radius": "_m",
+    "length": "_m", "diameter": "_m", "core_diameter": "_m",
+    "shell_thickness": "_m", "mean_free_path": "_m", "wavelength": "_m",
+    "axial_width": "_m",
+    "density": "_kg_m3", "viscosity": "_pa_s", "temperature": "_k",
+    "power": "_w", "average_power": "_w", "saturation_power": "_w",
+    "repetition_rate": "_hz", "detector_gain": "_v_per_m",
+    "pulse_duration": "_s", "bright_dwell": "_s", "grey_dwell": "_s",
+    "burst_dwell": "_s", "dark_dwell": "_s", "time_step": "_s",
+    "duration": "_s",
+    "half_extent": "_f",
+}
+
+# Where the modeled experiment differs from the library defaults.
+_EXPERIMENT_DEFAULTS = {
+    ("cluster", "n_rods"): 64,
+    ("emitter", "auger_pair_prob"): None,  # cluster-size law
+    ("emitter", "blink_mode"): "two_state",
+}
+
+# Fields set from another section instead of a YAML key of their own:
+# (section, field) -> (source section or None for the root, attribute or
+# None for the whole section).
+_LINKED = {
+    ("cluster", "rod"): ("rod", None),
+    ("cluster", "material"): ("material", None),
+    ("emitter", "n_rods"): ("cluster", "n_rods"),
+    ("detection", "mirror_reflectivity"): ("mirror", "reflectivity"),
+    ("simulation", "seed"): (None, "seed"),
+}
+
+# Library-only fields: always their dataclass default, no YAML key.
+_LIBRARY_ONLY = {("detection", "collection_linear"),
+                 ("detection", "collection_circular")}
+
+
+class _Leaf(typing.NamedTuple):
+    field: str
+    type: object
+    default: object
+
+
+def _leaves(section: str | None, cls) -> dict:
+    """YAML key -> leaf for the configurable fields of one dataclass."""
+    hints = typing.get_type_hints(cls)
+    leaves = {}
+    for f in dataclasses.fields(cls):
+        key = (section, f.name)
+        if (key in _LINKED or key in _LIBRARY_ONLY or f.name in _SECTIONS
+                or f.name == "raw"):
+            continue
+        leaves[f.name + _UNIT_SUFFIX.get(f.name, "")] = _Leaf(
+            f.name, hints[f.name], _EXPERIMENT_DEFAULTS.get(key, f.default))
+    return leaves
+
+
+_SECTIONS = {name: tp for name, tp in typing.get_type_hints(ExperimentConfig).items()
+             if dataclasses.is_dataclass(tp)}
+_ROOT = _leaves(None, ExperimentConfig)
+_SCHEMA = {name: _leaves(name, cls) for name, cls in _SECTIONS.items()}
+
+
+def _defaults() -> dict:
+    defaults = {key: leaf.default for key, leaf in _ROOT.items()}
+    for name, leaves in _SCHEMA.items():
+        defaults[name] = {key: leaf.default for key, leaf in leaves.items()}
+    return defaults
 
 
 def default_config_yaml() -> str:
     """The documented default configuration, serialized to YAML."""
-    return yaml.safe_dump(_DEFAULTS, sort_keys=True, default_flow_style=False)
+    return yaml.safe_dump(_defaults(), sort_keys=True, default_flow_style=False)
 
 
-def _check_unknown(section: str, data: dict, allowed: set, errors: list) -> None:
+def _check_unknown(section: str, data: dict, allowed, errors: list) -> None:
     for key in data:
         if key not in allowed:
             errors.append(f"{section}: unknown key {key!r}")
 
 
-def _section(raw: dict, name: str, errors: list) -> dict:
-    value = raw.get(name, {})
-    if value is None:
-        value = {}
-    if not isinstance(value, dict):
-        errors.append(f"{name}: expected a mapping")
-        return {}
-    merged = dict(_DEFAULTS[name])
-    _check_unknown(name, value, set(merged), errors)
-    merged.update({k: v for k, v in value.items() if k in merged})
-    return merged
+def _typed(where: str, leaf: _Leaf, value, errors: list):
+    """Check a YAML value against its field type; ints pass as floats."""
+    if leaf.type is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            errors.append(f"{where} must be an integer")
+        return value
+    if leaf.type in (float, float | None):
+        if value is None and leaf.type is not float:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            errors.append(f"{where} must be a number")
+            return value
+        return float(value)
+    if leaf.type is str:
+        return str(value)
+    return value
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -180,129 +273,52 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping", ["root: not a mapping"])
     errors: list[str] = []
-    _check_unknown("root", raw, set(_DEFAULTS), errors)
+    canonical = _defaults()
+    _check_unknown("root", raw, set(canonical), errors)
+    for name in _ROOT:
+        canonical[name] = raw.get(name, canonical[name])
+    for name in _SECTIONS:
+        value = raw.get(name)
+        if value is None:
+            continue
+        if not isinstance(value, dict):
+            errors.append(f"{name}: expected a mapping")
+            continue
+        _check_unknown(name, value, set(_SCHEMA[name]), errors)
+        canonical[name].update({k: v for k, v in value.items() if k in _SCHEMA[name]})
 
-    sections = {name: _section(raw, name, errors) for name in _DEFAULTS
-                if isinstance(_DEFAULTS[name], dict)}
-
-    def build(section, ctor, mapping):
-        data = sections[section]
-        kwargs = {dst: data[src] for src, dst in mapping.items()}
+    root = types.SimpleNamespace(**{
+        leaf.field: _typed(f"{key}:", leaf, canonical[key], errors)
+        for key, leaf in _ROOT.items()})
+    built = {}
+    for name, cls in _SECTIONS.items():
+        built[name] = None
+        n_errors = len(errors)
+        values = {leaf.field: _typed(f"{name}: {key}", leaf, canonical[name][key], errors)
+                  for key, leaf in _SCHEMA[name].items()}
+        linked = _linked(name, built, root)
+        if linked is None or len(errors) > n_errors:
+            continue  # already diagnosed here or in a source section
         try:
-            return ctor(**kwargs)
+            built[name] = cls(**values, **linked)
         except (ValueError, TypeError) as exc:
-            errors.append(f"{section}: {exc}")
-            return None
-
-    mirror = build("mirror", MirrorGeometry, {
-        "focal_length_m": "focal_length", "aperture_radius_m": "aperture_radius",
-        "bore_radius_m": "bore_radius", "reflectivity": "reflectivity"})
-    rod = build("rod", RodGeometry, {
-        "length_m": "length", "diameter_m": "diameter",
-        "core_diameter_m": "core_diameter", "shell_thickness_m": "shell_thickness"})
-    material = build("material", MaterialParams, {
-        "refractive_index": "refractive_index", "density_kg_m3": "density"})
-    gas = build("gas", GasParams, {
-        "viscosity_pa_s": "viscosity", "mean_free_path_m": "mean_free_path",
-        "temperature_k": "temperature"})
-    trap = build("trap", TrapParams, {
-        "wavelength_m": "wavelength", "power_w": "power",
-        "field_factor": "field_factor"})
-
-    cluster = None
-    if rod is not None and material is not None:
-        try:
-            cluster = ClusterSample(n_rods=sections["cluster"]["n_rods"],
-                                    rod=rod, material=material,
-                                    packing=sections["cluster"]["packing"])
-        except (ValueError, TypeError) as exc:
-            errors.append(f"cluster: {exc}")
-
-    emitter = None
-    if cluster is not None:
-        e = sections["emitter"]
-        pair_prob = e["auger_pair_prob"]
-        if pair_prob is None:
-            from .photon_emitter import auger_prob_for_cluster
-            pair_prob = auger_prob_for_cluster(cluster.n_rods)
-        try:
-            emitter = EmitterModel(
-                n_rods=cluster.n_rods, quantum_yield=e["quantum_yield"],
-                auger_pair_prob=pair_prob,
-                independent_emitters=e["independent_emitters"],
-                blink_mode=e["blink_mode"],
-                grey_attenuation=e["grey_attenuation"],
-                bright_dwell=e["bright_dwell_s"], grey_dwell=e["grey_dwell_s"],
-                dark_attenuation=e["dark_attenuation"],
-                burst_dwell=e["burst_dwell_s"], dark_dwell=e["dark_dwell_s"])
-        except (ValueError, TypeError) as exc:
-            errors.append(f"emitter: {exc}")
-
-    excitation = build("excitation", ExcitationConfig, {
-        "repetition_rate_hz": "repetition_rate",
-        "pulse_duration_s": "pulse_duration",
-        "average_power_w": "average_power",
-        "saturation_power_w": "saturation_power"})
-    detection = build("detection", DetectionChain, {
-        "apd_quantum_efficiency": "apd_quantum_efficiency",
-        "mirror_reflectivity": "mirror_reflectivity",
-        "setup_transmission": "setup_transmission",
-        "a_pi": "a_pi", "splitter_ratio": "splitter_ratio"})
-
-    seed = raw.get("seed", _DEFAULTS["seed"])
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
-    simulation = None
-    sim = sections["simulation"]
-    try:
-        simulation = SimConfig(time_step=sim["time_step_s"],
-                               duration=sim["duration_s"], seed=seed,
-                               detector_gain=sim["detector_gain_v_per_m"],
-                               detector_noise_floor=sim["detector_noise_floor"])
-    except (ValueError, TypeError) as exc:
-        errors.append(f"simulation: {exc}")
-
-    acq = sections["acquisition"]
-    img = sections["image"]
-    if not (isinstance(acq["duration_s"], (int, float)) and acq["duration_s"] > 0):
-        errors.append("acquisition: duration_s must be > 0")
-    if not (isinstance(img["n_pixels"], int) and img["n_pixels"] >= 16):
-        errors.append("image: n_pixels must be an integer >= 16")
-    if not (isinstance(img["half_extent_f"], (int, float)) and img["half_extent_f"] > 0):
-        errors.append("image: half_extent_f must be > 0")
-    if not (isinstance(img["noise_rms_fraction"], (int, float))
-            and 0 <= img["noise_rms_fraction"] < 1):
-        errors.append("image: noise_rms_fraction must be in [0, 1)")
-    if sim["axial_width_m"] <= 0:
-        errors.append("simulation: axial_width_m must be > 0")
+            errors.append(f"{name}: {exc}")
 
     if errors:
         raise ConfigError(f"{len(errors)} config error(s)", errors)
-
-    canonical = _merge_canonical(raw)
-    return ExperimentConfig(
-        seed=seed, output_dir=str(raw.get("output_dir", _DEFAULTS["output_dir"])),
-        mirror=mirror, rod=rod, material=material, gas=gas, trap=trap,
-        cluster=cluster, emitter=emitter, excitation=excitation,
-        detection=detection, simulation=simulation,
-        acquisition_duration=float(acq["duration_s"]),
-        image_n_pixels=int(img["n_pixels"]),
-        image_half_extent=float(img["half_extent_f"]),
-        image_noise_fraction=float(img["noise_rms_fraction"]),
-        axial_width=float(sim["axial_width_m"]),
-        raw=canonical)
+    return ExperimentConfig(**built, **vars(root), raw=canonical)
 
 
-def _merge_canonical(raw: dict) -> dict:
-    merged = {}
-    for name, default in _DEFAULTS.items():
-        if isinstance(default, dict):
-            merged[name] = dict(default)
-            merged[name].update({k: v for k, v in (raw.get(name) or {}).items()})
-        else:
-            merged[name] = raw.get(name, default)
-    return merged
+def _linked(name: str, built: dict, root) -> dict | None:
+    """The linked fields of section ``name``; None if a source section failed."""
+    values = {}
+    for (section, fname), (source, attr) in _LINKED.items():
+        if section == name:
+            obj = root if source is None else built[source]
+            if obj is None:
+                return None
+            values[fname] = obj if attr is None else getattr(obj, attr)
+    return values
 
 
 def load_config(path) -> ExperimentConfig:

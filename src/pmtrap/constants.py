@@ -1,39 +1,9 @@
-"""Physical constants and shared default parameter values (SI units)."""
+"""Physical constants and defaults shared across modules (SI units)."""
 
 # CODATA 2018
 BOLTZMANN = 1.380649e-23        # J/K (exact)
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
-# Ambient defaults
 ROOM_TEMPERATURE = 296.0        # K
-AIR_VISCOSITY = 1.82e-5         # Pa s
-AIR_MEAN_FREE_PATH = 68e-9      # m
-
-# Trapped-rod defaults
-ROD_LENGTH = 35e-9              # m
-ROD_DIAMETER = 7e-9             # m
-ROD_CORE_DIAMETER = 2.7e-9      # m (informational)
-ROD_SHELL_THICKNESS = 1.6e-9    # m, alkyl chains padding the drag cross-section
-CDS_REFRACTIVE_INDEX = 2.34     # at the 1064 nm trap wavelength
-CDS_DENSITY = 4826.0            # kg/m^3, bulk CdS
-
-# Trap defaults
-TRAP_WAVELENGTH = 1064e-9       # m
 SINGLE_ROD_ESCAPE_POWER = 0.041  # W, calibration point for the field factor
-
-# Mirror defaults
-MIRROR_FOCAL_LENGTH = 2.1e-3    # m
-MIRROR_APERTURE_RADIUS = 10e-3  # m
-MIRROR_BORE_RADIUS = 0.75e-3    # m
-MIRROR_REFLECTIVITY = 0.72
-
-# Detection / excitation defaults
-APD_QUANTUM_EFFICIENCY = 0.69
-SETUP_TRANSMISSION = 0.83
-QUANTUM_YIELD = 0.7
-EXCITATION_REP_RATE = 1e6       # 1/s
-EXCITATION_PULSE_DURATION = 82e-9  # s (informational; unresolved by the analysis)
-EXCITATION_POWER = 2e-6         # W
-SATURATION_POWER = 2.63e-6      # W
-COLLECTION_LINEAR = 0.94        # mirror collection fraction, on-axis linear dipole
-COLLECTION_CIRCULAR = 0.76      # mirror collection fraction, circular dipole
+MIRROR_REFLECTIVITY = 0.72      # mirror geometry and detection chain

@@ -45,6 +45,17 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".json")
 
 
+def _json_header(blob: bytes, path: Path) -> dict:
+    """Decode a UTF-8 JSON mapping; anything else marks a corrupt artifact."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MissingArtifactError(f"artifact corrupt (bad header): {path}: {exc}")
+    if not isinstance(header, dict):
+        raise MissingArtifactError(f"artifact corrupt (header not a mapping): {path}")
+    return header
+
+
 def write_image_csv(path, image: ApertureImage) -> None:
     path = Path(path)
     np.savetxt(path, image.pixels, delimiter=",", fmt="%.17g")
@@ -63,7 +74,7 @@ def read_image_csv(path) -> ApertureImage:
     sidecar = _sidecar(path)
     if not path.exists() or not sidecar.exists():
         raise MissingArtifactError(f"image artifact incomplete: {path}")
-    meta = json.loads(sidecar.read_text())
+    meta = _json_header(sidecar.read_bytes(), sidecar)
     pixels = np.loadtxt(path, delimiter=",", ndmin=2)
     return ApertureImage(pixels=pixels, pixel_pitch=meta["pixel_pitch_f"],
                          channel=meta["channel"],
@@ -109,8 +120,7 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
     (n,) = struct.unpack("<I", raw[4:8])
     if len(raw) < 8 + n:
         raise MissingArtifactError(f"artifact truncated: {path}")
-    header = json.loads(raw[8: 8 + n].decode("utf-8"))
-    return header, raw[8 + n:]
+    return _json_header(raw[8: 8 + n], path), raw[8 + n:]
 
 
 def write_time_series(path, series: TimeSeries) -> None:

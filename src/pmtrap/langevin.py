@@ -68,10 +68,13 @@ class SimConfig:
     seed: int = 0
     detector_gain: float = 1e6       # V/m
     detector_noise_floor: float = 1e-6  # V/sqrt(Hz), one-sided
+    axial_width: float = 532e-9      # m, trap width w_z setting the stiffness
 
     def __post_init__(self):
         if self.time_step <= 0 or self.duration <= 0:
             raise ValueError("time_step and duration must be > 0")
+        if self.axial_width <= 0:
+            raise ValueError("axial_width must be > 0")
         if self.duration < self.time_step:
             raise ValueError("duration shorter than one step")
         if self.detector_gain < 0 or self.detector_noise_floor < 0:

@@ -30,6 +30,7 @@ import numpy as np
 from scipy import integrate, linalg
 from scipy.optimize import nnls
 
+from . import constants as const
 from .errors import FitError, InsufficientDataError, InvalidGeometryError
 
 __all__ = [
@@ -80,7 +81,7 @@ class MirrorGeometry:
     focal_length: float = 2.1e-3
     aperture_radius: float = 10e-3
     bore_radius: float = 0.75e-3
-    reflectivity: float = 0.72
+    reflectivity: float = const.MIRROR_REFLECTIVITY
 
     def __post_init__(self):
         if self.focal_length <= 0:

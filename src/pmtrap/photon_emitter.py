@@ -38,10 +38,10 @@ __all__ = [
 class ExcitationConfig:
     """Pulsed excitation: rate, pulse length (informational), power levels."""
 
-    repetition_rate: float = const.EXCITATION_REP_RATE     # 1/s
-    pulse_duration: float = const.EXCITATION_PULSE_DURATION  # s
-    average_power: float = const.EXCITATION_POWER           # W
-    saturation_power: float = const.SATURATION_POWER        # W
+    repetition_rate: float = 1e6       # 1/s
+    pulse_duration: float = 82e-9      # s (unresolved by the analysis)
+    average_power: float = 2e-6        # W
+    saturation_power: float = 2.63e-6  # W
 
     def __post_init__(self):
         if self.repetition_rate <= 0:
@@ -72,8 +72,8 @@ class EmitterModel:
     """
 
     n_rods: int = 1
-    quantum_yield: float = const.QUANTUM_YIELD
-    auger_pair_prob: float = 1.0
+    quantum_yield: float = 0.7
+    auger_pair_prob: float | None = 1.0  # None -> auger_prob_for_cluster
     independent_emitters: bool = False
     blink_mode: str = "steady"
     grey_attenuation: float = 3.0
@@ -86,6 +86,9 @@ class EmitterModel:
     def __post_init__(self):
         if self.n_rods < 1:
             raise ValueError("n_rods must be >= 1")
+        if self.auger_pair_prob is None:
+            object.__setattr__(self, "auger_pair_prob",
+                               auger_prob_for_cluster(self.n_rods))
         for name in ("quantum_yield", "auger_pair_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -104,13 +107,13 @@ class EmitterModel:
 class DetectionChain:
     """Multiplicative detection budget from emitter to APD click."""
 
-    apd_quantum_efficiency: float = const.APD_QUANTUM_EFFICIENCY
+    apd_quantum_efficiency: float = 0.69
     mirror_reflectivity: float = const.MIRROR_REFLECTIVITY
-    setup_transmission: float = const.SETUP_TRANSMISSION
+    setup_transmission: float = 0.83
     a_pi: float = 0.31
     splitter_ratio: float = 0.5
-    collection_linear: float = const.COLLECTION_LINEAR
-    collection_circular: float = const.COLLECTION_CIRCULAR
+    collection_linear: float = 0.94    # mirror collection, on-axis linear dipole
+    collection_circular: float = 0.76  # mirror collection, circular dipole
 
     def __post_init__(self):
         for name in ("apd_quantum_efficiency", "mirror_reflectivity",

@@ -58,18 +58,13 @@ def target_appA_efficiency(config: ExperimentConfig, out_dir: Path,
 
 def target_appB_pmin(config: ExperimentConfig, out_dir: Path,
                      seed: int, threads: int = 1) -> dict:
-    alpha1 = trap_mechanics.polarizability(config.rod, config.material)
-    kappa = config.trap.field_factor
-    temperature = config.gas.temperature
-    rows = []
-    for n in (1, 2, 4, 8, 16, 27, 32, 64):
-        p = trap_mechanics.min_power(n * alpha1, temperature, kappa)
-        rows.append((n, p * 1e3))
-    _write_csv(out_dir / "appB_pmin.csv", "n_rods,p_min_mW", rows)
-    p1 = trap_mechanics.min_power(alpha1, temperature, kappa)
-    summary = {"P_min_mW": p1 * 1e3,
-               "P_min_mW_16_rods": trap_mechanics.min_power(16 * alpha1, temperature, kappa) * 1e3,
-               "polarizability_Cm2_per_V": alpha1}
+    physics = {n: config.cluster_physics(n_rods=n)
+               for n in (1, 2, 4, 8, 16, 27, 32, 64)}
+    _write_csv(out_dir / "appB_pmin.csv", "n_rods,p_min_mW",
+               [(n, ph.p_min * 1e3) for n, ph in physics.items()])
+    summary = {"P_min_mW": physics[1].p_min * 1e3,
+               "P_min_mW_16_rods": physics[16].p_min * 1e3,
+               "polarizability_Cm2_per_V": physics[1].alpha}
     _write_summary(out_dir, "appB_pmin", summary)
     return summary
 
@@ -137,23 +132,15 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path,
 
 def _fig1b_cell(args):
     (n, config, seed) = args
-    alpha1 = trap_mechanics.polarizability(config.rod, config.material)
-    cluster = trap_mechanics.ClusterSample(n_rods=n, rod=config.rod,
-                                           material=config.material)
-    p_min = trap_mechanics.min_power(n * alpha1, config.gas.temperature,
-                                     config.trap.field_factor)
-    gamma_model = trap_mechanics.cluster_damping_rate(cluster, config.gas).rad_per_s
-    mass = trap_mechanics.cluster_mass(cluster)
-    depth = trap_mechanics.trap_depth(n * alpha1, config.trap)
     # campaign trap width: keep the smallest clusters underdamped
-    stiffness = langevin.TrapStiffness.from_trap_depth(depth, w_z=120e-9)
+    physics = config.cluster_physics(n_rods=n, w_z=120e-9)
     cfg = langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9,
                              seed=int(rng_for(seed, "fig1b", n).integers(2**31)))
-    series = langevin.simulate_axial_motion(stiffness, gamma_model, mass,
-                                            config.gas.temperature, cfg)
+    series = langevin.simulate_axial_motion(physics.stiffness, physics.gamma,
+                                            physics.mass, config.gas.temperature, cfg)
     spectrum = analysis.power_spectral_density(series, segment_length=2**15)
     fit = analysis.fit_lorentzian(spectrum)
-    return (n, p_min, fit.gamma, gamma_model, fit.width_ci95)
+    return (n, physics.p_min, fit.gamma, physics.gamma, fit.width_ci95)
 
 
 def target_fig1b(config: ExperimentConfig, out_dir: Path,
@@ -187,15 +174,13 @@ def target_fig1b(config: ExperimentConfig, out_dir: Path,
 
 def target_fig1a(config: ExperimentConfig, out_dir: Path,
                  seed: int, threads: int = 1) -> dict:
-    alpha1 = trap_mechanics.polarizability(config.rod, config.material)
     rng = rng_for(seed, "fig1a")
     sizes = np.unique(np.round(np.exp(
         rng.uniform(np.log(2), np.log(80), 24)))).astype(int)
     rows = []
     class_counts = {"symmetric": 0, "asymmetric": 0, "inconclusive": 0}
     for n in sizes:
-        p_min = trap_mechanics.min_power(int(n) * alpha1, config.gas.temperature,
-                                         config.trap.field_factor)
+        p_min = config.cluster_physics(n_rods=int(n)).p_min
         emitter = photon_emitter.EmitterModel(
             n_rods=int(n), quantum_yield=config.emitter.quantum_yield,
             auger_pair_prob=photon_emitter.auger_prob_for_cluster(int(n)),

@@ -49,10 +49,10 @@ __all__ = [
 class RodGeometry:
     """Single-rod geometry (meters)."""
 
-    length: float = const.ROD_LENGTH
-    diameter: float = const.ROD_DIAMETER
-    core_diameter: float = const.ROD_CORE_DIAMETER  # informational
-    shell_thickness: float = const.ROD_SHELL_THICKNESS
+    length: float = 35e-9
+    diameter: float = 7e-9
+    core_diameter: float = 2.7e-9    # informational
+    shell_thickness: float = 1.6e-9  # alkyl chains padding the drag cross-section
 
     def __post_init__(self):
         for name in ("length", "diameter", "core_diameter", "shell_thickness"):
@@ -74,8 +74,8 @@ class RodGeometry:
 
 @dataclass(frozen=True)
 class MaterialParams:
-    refractive_index: float = const.CDS_REFRACTIVE_INDEX  # at the trap wavelength
-    density: float = const.CDS_DENSITY                    # kg/m^3
+    refractive_index: float = 2.34  # CdS at the trap wavelength
+    density: float = 4826.0         # kg/m^3, bulk CdS
 
     def __post_init__(self):
         if self.refractive_index <= 1:
@@ -86,9 +86,9 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class GasParams:
-    viscosity: float = const.AIR_VISCOSITY          # Pa s
-    mean_free_path: float = const.AIR_MEAN_FREE_PATH  # m
-    temperature: float = const.ROOM_TEMPERATURE      # K
+    viscosity: float = 1.82e-5                   # Pa s, air
+    mean_free_path: float = 68e-9                # m, air
+    temperature: float = const.ROOM_TEMPERATURE  # K
 
     def __post_init__(self):
         for name in ("viscosity", "mean_free_path", "temperature"):
@@ -100,7 +100,7 @@ class GasParams:
 class TrapParams:
     """Trap beam parameters; ``field_factor`` maps power to peak squared field."""
 
-    wavelength: float = const.TRAP_WAVELENGTH  # m
+    wavelength: float = 1064e-9                # m
     power: float = 0.36                        # W
     field_factor: float | None = None          # V^2 m^-2 W^-1; None -> calibrated
 

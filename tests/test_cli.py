@@ -151,6 +151,19 @@ class TestAnalyze:
         (broken / "manifest.json").write_text("{broken")
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
 
+    def test_max_lag_sets_histogram_range(self, dataset, tmp_path, capsys):
+        _, out, _ = dataset
+        res = tmp_path / "lag10"
+        assert main(["analyze", str(out), "--out", str(res),
+                     "--max-lag", "10"]) == EXIT_OK
+        rows = (res / "g2_histogram.csv").read_text().strip().split("\n")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(-10, 11))
+
+    def test_max_lag_zero_exits_2(self, dataset, tmp_path):
+        _, out, _ = dataset
+        assert main(["analyze", str(out), "--out", str(tmp_path / "lag0"),
+                     "--max-lag", "0"]) == EXIT_CONFIG
+
     def test_no_manifest_exits_4(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -200,6 +213,11 @@ class TestDefaultConfig:
 
 
 class TestSimulateErrors:
+    def test_threads_flag_removed(self, tmp_path):
+        assert main(["simulate", "--threads", "2",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("cluster:\n  n_rods: 0\n")

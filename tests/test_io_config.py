@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmtrap import io_formats as io
 from pmtrap import mirror_optics as mo
@@ -31,6 +33,16 @@ class TestImageIO:
         assert back.channel == img.channel
         assert back.center == img.center
 
+    @pytest.mark.parametrize("byte", [b"\xff", b"X"], ids=["non_utf8", "non_json"])
+    def test_corrupt_sidecar(self, tmp_path, byte):
+        img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
+        path = tmp_path / "img.csv"
+        io.write_image_csv(path, img)
+        sidecar = tmp_path / "img.csv.json"
+        sidecar.write_bytes(byte + sidecar.read_bytes()[1:])
+        with pytest.raises(MissingArtifactError, match="header"):
+            io.read_image_csv(path)
+
     def test_missing_sidecar(self, tmp_path):
         img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
         path = tmp_path / "img.csv"
@@ -51,6 +63,26 @@ class TestProfileIO:
         assert np.array_equal(back.radii, profile.radii)
         assert np.array_equal(back.intensities, profile.intensities)
         assert np.array_equal(back.counts, profile.counts)
+
+
+def _flip_first_header_byte(path, byte: bytes) -> None:
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + byte + raw[9:])  # magic, u32 length, JSON
+
+
+@pytest.mark.parametrize("byte", [b"\xff", b"X"], ids=["non_utf8", "non_json"])
+@pytest.mark.parametrize("kind", ["time_series", "time_tags"])
+def test_corrupt_container_header(tmp_path, kind, byte):
+    path = tmp_path / "artifact.bin"
+    if kind == "time_series":
+        io.write_time_series(path, TimeSeries(sample_interval=1e-6,
+                                              samples=np.arange(100.0)))
+    else:
+        io.write_time_tags(path, TimeTagStream(channels=[0, 1],
+                                               timestamps=[0.1, 0.2], duration=1.0))
+    _flip_first_header_byte(path, byte)
+    with pytest.raises(MissingArtifactError, match="header"):
+        getattr(io, f"read_{kind}")(path)
 
 
 class TestTimeSeriesIO:
@@ -110,6 +142,112 @@ class TestTimeTagIO:
         assert float(t) == stream.timestamps[0]
 
 
+def _yaml_leaves(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _yaml_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+DEFAULT_LEAVES = dict(_yaml_leaves(yaml.safe_load(default_config_yaml())))
+
+# Leaves that feed no model output.
+INFORMATIONAL = {
+    "rod.core_diameter_m": "only checked against the rod diameter",
+    "excitation.pulse_duration_s": "below the pulse-lag resolution of the analysis",
+    "cluster.packing": "a single packing model exists",
+    "output_dir": "names the dataset directory",
+}
+
+# Valid changes for leaves whose default has no generic one.
+CHANGED = {
+    "trap.field_factor": 3.0e15,
+    "emitter.auger_pair_prob": 0.5,
+    "emitter.blink_mode": "bursts",
+}
+
+
+def _with_leaf(name: str, value) -> dict:
+    raw = yaml.safe_load(default_config_yaml())
+    *sections, key = name.split(".")
+    node = raw
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    return raw
+
+
+def _changed(name: str, value):
+    if name in CHANGED:
+        return CHANGED[name]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value - 1
+    return 0.5 if value == 0 else 0.9 * value
+
+
+class TestConfigLeaves:
+    def test_leaf_count(self):
+        assert len(DEFAULT_LEAVES) == 47
+        assert set(INFORMATIONAL) <= set(DEFAULT_LEAVES)
+        assert set(CHANGED) <= set(DEFAULT_LEAVES)
+
+    @pytest.mark.parametrize("name", sorted(set(DEFAULT_LEAVES) - set(INFORMATIONAL)))
+    def test_every_leaf_is_honoured(self, name):
+        default = parse_config(yaml.safe_load(default_config_yaml()))
+        changed = parse_config(_with_leaf(name, _changed(name, DEFAULT_LEAVES[name])))
+        assert changed != default
+
+    def test_reflectivity_reaches_detection(self):
+        default = parse_config({})
+        dimmer = parse_config({"mirror": {"reflectivity": 0.36}})
+        assert dimmer.detection.mirror_reflectivity == 0.36
+        assert dimmer.detection.detection_probability == pytest.approx(
+            default.detection.detection_probability / 2)
+
+    def test_detection_reflectivity_key_rejected(self):
+        with pytest.raises(ConfigError, match="config error") as err:
+            parse_config({"detection": {"mirror_reflectivity": 0.5}})
+        assert "mirror_reflectivity" in " ".join(err.value.details)
+
+    @pytest.mark.parametrize("raw", [{"seed": True},
+                                     {"cluster": {"n_rods": True}},
+                                     {"image": {"n_pixels": True}}],
+                             ids=["seed", "cluster.n_rods", "image.n_pixels"])
+    def test_boolean_integer_rejected(self, raw):
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert "must be an integer" in " ".join(err.value.details)
+
+
+def _optional(**leaves):
+    return st.fixed_dictionaries({}, optional=leaves)
+
+
+PARTIAL_OVERRIDES = _optional(
+    seed=st.integers(0, 2**32 - 1),
+    output_dir=st.text(alphabet="abc/_-", min_size=1, max_size=12),
+    mirror=_optional(reflectivity=st.floats(0.05, 1.0),
+                     bore_radius_m=st.floats(0.1e-3, 2e-3)),
+    gas=_optional(temperature_k=st.floats(100.0, 400.0)),
+    trap=_optional(power_w=st.floats(0.0, 1.0),
+                   field_factor=st.none() | st.floats(1e14, 1e16)),
+    cluster=_optional(n_rods=st.integers(1, 500)),
+    emitter=_optional(auger_pair_prob=st.none() | st.floats(0.0, 1.0),
+                      blink_mode=st.sampled_from(["steady", "two_state", "bursts"]),
+                      independent_emitters=st.booleans()),
+    detection=_optional(a_pi=st.floats(0.0, 1.0),
+                        splitter_ratio=st.floats(0.01, 0.99)),
+    simulation=_optional(duration_s=st.floats(1e-3, 1.0),
+                         axial_width_m=st.floats(1e-7, 1e-6)),
+    acquisition=_optional(duration_s=st.floats(0.1, 100.0) | st.integers(1, 100)),
+    image=_optional(n_pixels=st.integers(16, 512),
+                    noise_rms_fraction=st.floats(0.0, 0.5)),
+)
+
+
 class TestConfig:
     def test_default_parses(self):
         config = parse_config(yaml.safe_load(default_config_yaml()))
@@ -134,13 +272,14 @@ class TestConfig:
             parse_config(raw)
         assert len(err.value.details) >= 3
 
-    def test_round_trip_identity(self, tmp_path):
-        raw = yaml.safe_load(default_config_yaml())
-        raw["seed"] = 321
-        raw["cluster"]["n_rods"] = 8
+    @settings(max_examples=60, deadline=None)
+    @given(PARTIAL_OVERRIDES)
+    @example({"seed": 321, "cluster": {"n_rods": 8}})
+    def test_round_trip_identity(self, raw):
         config = parse_config(raw)
         config2 = parse_config(yaml.safe_load(dump_config(config)))
         assert config2 == config
+        assert dump_config(config2) == dump_config(config)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
