@@ -45,14 +45,21 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".json")
 
 
-def _json_header(blob: bytes, path: Path) -> dict:
-    """Decode a UTF-8 JSON mapping; anything else marks a corrupt artifact."""
+def _json_header(blob: bytes, path: Path, required: tuple[str, ...]) -> dict:
+    """Decode a UTF-8 JSON mapping holding the ``required`` keys.
+
+    Anything else marks a corrupt artifact.
+    """
     try:
         header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MissingArtifactError(f"artifact corrupt (bad header): {path}: {exc}")
     if not isinstance(header, dict):
         raise MissingArtifactError(f"artifact corrupt (header not a mapping): {path}")
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise MissingArtifactError(
+            f"artifact corrupt (header lacks {', '.join(missing)}): {path}")
     return header
 
 
@@ -74,8 +81,12 @@ def read_image_csv(path) -> ApertureImage:
     sidecar = _sidecar(path)
     if not path.exists() or not sidecar.exists():
         raise MissingArtifactError(f"image artifact incomplete: {path}")
-    meta = _json_header(sidecar.read_bytes(), sidecar)
-    pixels = np.loadtxt(path, delimiter=",", ndmin=2)
+    meta = _json_header(sidecar.read_bytes(), sidecar,
+                        ("pixel_pitch_f", "channel", "center_px"))
+    try:
+        pixels = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise MissingArtifactError(f"artifact corrupt (pixels): {path}: {exc}")
     return ApertureImage(pixels=pixels, pixel_pitch=meta["pixel_pitch_f"],
                          channel=meta["channel"],
                          center=tuple(meta["center_px"]),
@@ -111,7 +122,8 @@ def _write_container(path: Path, magic: bytes, header: dict, payload: bytes) -> 
         fh.write(payload)
 
 
-def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
+def _read_container(path: Path, magic: bytes,
+                    required: tuple[str, ...]) -> tuple[dict, bytes]:
     if not path.exists():
         raise MissingArtifactError(f"artifact missing: {path}")
     raw = path.read_bytes()
@@ -120,7 +132,7 @@ def _read_container(path: Path, magic: bytes) -> tuple[dict, bytes]:
     (n,) = struct.unpack("<I", raw[4:8])
     if len(raw) < 8 + n:
         raise MissingArtifactError(f"artifact truncated: {path}")
-    return _json_header(raw[8: 8 + n], path), raw[8 + n:]
+    return _json_header(raw[8: 8 + n], path, required), raw[8 + n:]
 
 
 def write_time_series(path, series: TimeSeries) -> None:
@@ -135,7 +147,8 @@ def write_time_series(path, series: TimeSeries) -> None:
 
 
 def read_time_series(path) -> TimeSeries:
-    header, payload = _read_container(Path(path), _SERIES_MAGIC)
+    header, payload = _read_container(Path(path), _SERIES_MAGIC,
+                                      ("n_samples", "sample_interval_s"))
     samples = np.frombuffer(payload, dtype="<f8")
     if len(samples) != header["n_samples"]:
         raise MissingArtifactError(f"time series payload truncated: {path}")
@@ -159,7 +172,8 @@ def write_time_tags(path, stream: TimeTagStream, configs: dict | None = None) ->
 
 
 def read_time_tags(path) -> TimeTagStream:
-    header, payload = _read_container(Path(path), _TAGS_MAGIC)
+    header, payload = _read_container(Path(path), _TAGS_MAGIC,
+                                      ("n_events", "duration_s"))
     records = np.frombuffer(payload, dtype=_TAG_DTYPE)
     if len(records) != header["n_events"]:
         raise MissingArtifactError(f"time-tag payload truncated: {path}")

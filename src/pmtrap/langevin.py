@@ -9,10 +9,10 @@ exact Hamiltonian flow, hence symplectic) around an exact Ornstein-Uhlenbeck
 damping/noise sub-step.  Both sub-steps leave the Boltzmann distribution of
 the harmonic trap invariant, so equipartition holds without time-step bias,
 and the scheme is unconditionally stable for any damping.  The one-step map
-is linear, so it is evaluated as an exact ARMA recurrence (scipy lfilter)
-plus an eigendecomposition for the deterministic transient; this is
-bit-deterministic per seed and orders of magnitude faster than stepping in
-Python.
+is linear, so its z component obeys an exact ARMA(2, 1) recurrence (by
+Cayley-Hamilton) that one scipy lfilter pass evaluates, with the initial
+state (z0, v0) entering as the filter state; this is bit-deterministic per
+seed and orders of magnitude faster than stepping in Python.
 
 Rod alignment is modeled by its stationary statistics: tilt angles beta
 follow the Boltzmann weight exp(-dU sin^2(beta)/kB T) sin(beta) on
@@ -119,32 +119,6 @@ def _one_step_map(omega: float, gamma: float, mass: float,
     return A, w
 
 
-def _deterministic_response(A: np.ndarray, z0: float, v0: float,
-                            n: int) -> np.ndarray:
-    """z component of A^k (z0, v0) for k = 0..n-1.
-
-    Uses the eigendecomposition of the one-step map; falls back to explicit
-    stepping if the map is (numerically) defective, e.g. exactly at critical
-    damping.
-    """
-    if z0 == 0.0 and v0 == 0.0:
-        return np.zeros(n)
-    eigvals, V = np.linalg.eig(A.astype(complex))
-    x0 = np.array([z0, v0], dtype=complex)
-    steps = np.arange(n)
-    if np.linalg.cond(V) < 1e8:
-        coeffs = V[0, :] * np.linalg.solve(V, x0)
-        z = coeffs[0] * np.exp(steps * np.log(eigvals[0]))
-        z += coeffs[1] * np.exp(steps * np.log(eigvals[1]))
-        return z.real
-    out = np.empty(n)
-    state = np.array([z0, v0])
-    for k in range(n):
-        out[k] = state[0]
-        state = A @ state
-    return out
-
-
 def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
                           temperature: float, cfg: SimConfig,
                           initial_state: tuple[float, float] | None = None) -> TimeSeries:
@@ -190,27 +164,23 @@ def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
         z0, v0 = float(initial_state[0]), float(initial_state[1])
 
     A, w = _one_step_map(omega, gamma, mass, temperature, dt)
-    z_det = _deterministic_response(A, z0, v0, n)
-
-    # Stochastic response from zero state: ARMA recurrence
-    # z[k] = trA z[k-1] - detA z[k-2] + w_z xi[k-1] + (a12 w_v - a22 w_z) xi[k-2]
+    # z[k] = trA z[k-1] - detA z[k-2] + w_z xi[k-1] + (a12 w_v - a22 w_z) xi[k-2];
+    # the filter state makes z[0] = z0 and z[1] = (A (z0, v0))_z + w_z xi[0].
+    # w = 0 without temperature or damping, so the input stays zero then.
+    e = np.zeros(n)
     if temperature > 0 and gamma > 0:
-        xi = rng.standard_normal(n)
-        e = np.concatenate(([0.0], xi[: n - 1]))
-        b = [w[0], A[0, 1] * w[1] - A[1, 1] * w[0]]
-        a = [1.0, -(A[0, 0] + A[1, 1]), A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]]
-        z_stoch = signal.lfilter(b, a, e)
-        z = z_det + z_stoch
-    else:
-        z = z_det
+        rng.standard_normal(out=e[1:])
+    b = [w[0], A[0, 1] * w[1] - A[1, 1] * w[0]]
+    a = [1.0, -(A[0, 0] + A[1, 1]), A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]]
+    zi = [z0, A[0, 1] * v0 - A[1, 1] * z0]
+    z, _ = signal.lfilter(b, a, e, zi=zi)
 
     return TimeSeries(sample_interval=dt, samples=z, units="m", seed=cfg.seed,
                       metadata={"omega": float(omega), "gamma": float(gamma),
                                 "mass": mass, "temperature": temperature})
 
 
-def detector_signal(z: TimeSeries, cfg: SimConfig,
-                    seed: int | None = None) -> TimeSeries:
+def detector_signal(z: TimeSeries, cfg: SimConfig) -> TimeSeries:
     """Linearized interferometric readout: s(t) = gain*z(t) + white noise.
 
     The noise floor is the one-sided amplitude spectral density in V/sqrt(Hz);
@@ -218,7 +188,7 @@ def detector_signal(z: TimeSeries, cfg: SimConfig,
     """
     fs = 1.0 / z.sample_interval
     sigma = cfg.detector_noise_floor * np.sqrt(fs / 2.0)
-    rng = rng_for(cfg.seed if seed is None else seed, "detector-noise")
+    rng = rng_for(cfg.seed, "detector-noise")
     noise = rng.standard_normal(len(z.samples)) * sigma if sigma > 0 else 0.0
     samples = cfg.detector_gain * z.samples + noise
     return TimeSeries(sample_interval=z.sample_interval, samples=samples,

@@ -180,46 +180,34 @@ def excitons_per_pulse(power: float, saturation_power: float,
     return rng.poisson(mean, size=size)
 
 
-def auger_reduce(k: int, pair_prob: float, rng: np.random.Generator) -> int:
+def auger_reduce(k, pair_prob: float, rng: np.random.Generator):
     """Photons surviving the pairwise Auger-annihilation chain.
 
     While at least two excitons remain, one pair either merges into a single
     exciton (probability ``pair_prob``) or both leave the pool and radiate.
-    pair_prob = 1 yields min(k, 1) photons; pair_prob = 0 yields k.
+    pair_prob = 1 yields min(k, 1) photons; pair_prob = 0 yields k.  ``k`` is
+    an int, which gives an int, or a 1-D array of per-pulse exciton numbers,
+    which gives an int64 array with one independent chain per element.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if not 0.0 <= pair_prob <= 1.0:
         raise ValueError("pair_prob must be in [0, 1]")
-    pool = int(k)
-    radiated = 0
-    while pool >= 2:
-        if rng.random() < pair_prob:
-            pool -= 1
-        else:
-            pool -= 2
-            radiated += 2
-    return radiated + pool
-
-
-def _auger_reduce_array(k: np.ndarray, pair_prob: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Vectorized pairwise reduction across pulses (same chain per pulse)."""
-    pool = k.astype(np.int64).copy()
-    radiated = np.zeros_like(pool)
+    pool = np.array(k, dtype=np.int64, ndmin=1)
+    if np.any(pool < 0):
+        raise ValueError("k must be >= 0")
     if pair_prob >= 1.0:
-        return np.minimum(pool, 1)
-    if pair_prob <= 0.0:
-        return pool
-    active = pool >= 2
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        merge = rng.random(idx.size) < pair_prob
-        pool[idx[merge]] -= 1
-        pool[idx[~merge]] -= 2
-        radiated[idx[~merge]] += 2
-        active[idx] = pool[idx] >= 2
-    return radiated + pool
+        np.minimum(pool, 1, out=pool)
+    elif pair_prob > 0.0:
+        radiated = np.zeros_like(pool)
+        active = pool >= 2
+        while np.any(active):
+            idx = np.nonzero(active)[0]
+            merge = rng.random(idx.size) < pair_prob
+            pool[idx[merge]] -= 1
+            pool[idx[~merge]] -= 2
+            radiated[idx[~merge]] += 2
+            active[idx] = pool[idx] >= 2
+        pool += radiated
+    return int(pool[0]) if np.ndim(k) == 0 else pool
 
 
 def auger_prob_for_cluster(n_rods: int, p0: float = 0.97, n0: float = 400.0) -> float:
@@ -296,17 +284,12 @@ def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
     period = 1.0 / excitation.repetition_rate
     rng = rng_for(seed, "time-tags")
 
-    if emitter.independent_emitters and emitter.n_rods > 1:
-        photons = np.zeros(n_pulses, dtype=np.int64)
-        for _ in range(emitter.n_rods):
-            k = excitons_per_pulse(excitation.average_power,
-                                   excitation.saturation_power, rng,
-                                   size=n_pulses)
-            photons += _auger_reduce_array(k, emitter.auger_pair_prob, rng)
-    else:
-        k = excitons_per_pulse(excitation.average_power,
-                               excitation.saturation_power, rng, size=n_pulses)
-        photons = _auger_reduce_array(k, emitter.auger_pair_prob, rng)
+    photons = np.zeros(n_pulses, dtype=np.int64)
+    for _ in range(emitter.n_rods if emitter.independent_emitters else 1):
+        photons += auger_reduce(
+            excitons_per_pulse(excitation.average_power,
+                               excitation.saturation_power, rng, size=n_pulses),
+            emitter.auger_pair_prob, rng)
 
     trajectory = blink_trajectory(duration, emitter, rng)
     pulse_times = np.arange(n_pulses) * period

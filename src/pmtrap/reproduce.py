@@ -81,13 +81,8 @@ def target_appC_gamma(config: ExperimentConfig, out_dir: Path,
         rows.append((n, geo.hz, full.hz))
     _write_csv(out_dir / "appC_gamma.csv",
                "n_rods,gamma_over_2pi_hz_geometric,gamma_over_2pi_hz_full_slip", rows)
-    single = trap_mechanics.damping_rate(
-        config.rod.padded_radius,
-        trap_mechanics.cluster_mass(
-            trap_mechanics.ClusterSample(n_rods=1, rod=config.rod,
-                                         material=config.material)),
-        config.gas)
-    summary = {"gamma_over_2pi_hz": single.hz, "gamma_rad_per_s": single.rad_per_s,
+    gamma = config.cluster_physics(n_rods=1).gamma
+    summary = {"gamma_over_2pi_hz": gamma / (2.0 * np.pi), "gamma_rad_per_s": gamma,
                "reference_hz": 2.0e6}
     _write_summary(out_dir, "appC_gamma", summary)
     return summary
@@ -183,7 +178,7 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path,
         p_min = config.cluster_physics(n_rods=int(n)).p_min
         emitter = photon_emitter.EmitterModel(
             n_rods=int(n), quantum_yield=config.emitter.quantum_yield,
-            auger_pair_prob=photon_emitter.auger_prob_for_cluster(int(n)),
+            auger_pair_prob=None,
             blink_mode="steady")
         stream = photon_emitter.generate_time_tags(
             config.excitation, emitter, config.detection, duration=1.0,

@@ -1,13 +1,15 @@
 """Independent reference computations for the test suite.
 
 Everything here is derived by a different route than the package code:
-closed-form antiderivatives, exact enumeration, dense-grid quadrature.
+closed-form antiderivatives, exact enumeration, dense-grid quadrature,
+explicit stepping of matrix exponentials.
 """
 
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import expm
 
 KB = 1.380649e-23
 
@@ -101,3 +103,21 @@ def mean_cos2_grid(depth_over_kt, n=200001):
     u = np.linspace(0.0, 1.0, n)
     w = np.exp(-depth_over_kt * (1.0 - u**2))
     return np.trapezoid(u**2 * w, u) / np.trapezoid(w, u)
+
+
+# --- noise-free Langevin splitting, explicit stepping -----------------------
+
+def splitting_transient(omega, gamma, dt, z0, v0, n):
+    """z after k = 0..n-1 steps of half-harmonic / velocity decay / half-harmonic.
+
+    The half step is expm of the harmonic generator [[0, 1], [-omega^2, 0]]
+    over dt/2; the damping step multiplies v by exp(-gamma dt).
+    """
+    half = expm(np.array([[0.0, 1.0], [-omega**2, 0.0]]) * (dt / 2.0))
+    step = half @ np.diag([1.0, np.exp(-gamma * dt)]) @ half
+    state = np.array([z0, v0], dtype=float)
+    out = np.empty(n)
+    for k in range(n):
+        out[k] = state[0]
+        state = step @ state
+    return out

@@ -151,6 +151,21 @@ class TestAnalyze:
         (broken / "manifest.json").write_text("{broken")
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
 
+    def test_corrupt_image_exits_4(self, dataset, tmp_path, capsys):
+        # checksum updated, so the pixel parser itself must reject the file
+        _, out, _ = dataset
+        broken = tmp_path / "pixels"
+        broken.mkdir()
+        for p in out.iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        image = broken / "image_total.csv"
+        image.write_bytes(b"zz" + image.read_bytes()[2:])
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["artifacts"]["image_total.csv"]["sha256"] = io.sha256_file(image)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        assert "image_total.csv" in capsys.readouterr().err
+
     def test_max_lag_sets_histogram_range(self, dataset, tmp_path, capsys):
         _, out, _ = dataset
         res = tmp_path / "lag10"

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ from pmtrap.photon_emitter import TimeTagStream
 from pmtrap.seeding import rng_for
 
 
+# header corruptions: first byte not UTF-8, first byte not JSON, a valid JSON
+# mapping without the keys the reader needs
+CORRUPT_HEADERS = [lambda blob: b"\xff" + blob[1:], lambda blob: b"X" + blob[1:],
+                   lambda blob: b"{}"]
+CORRUPT_IDS = ["non_utf8", "non_json", "empty_mapping"]
+
+
 class TestImageIO:
     def test_round_trip(self, tmp_path):
         img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]))
@@ -33,14 +41,22 @@ class TestImageIO:
         assert back.channel == img.channel
         assert back.center == img.center
 
-    @pytest.mark.parametrize("byte", [b"\xff", b"X"], ids=["non_utf8", "non_json"])
-    def test_corrupt_sidecar(self, tmp_path, byte):
+    @pytest.mark.parametrize("corrupt", CORRUPT_HEADERS, ids=CORRUPT_IDS)
+    def test_corrupt_sidecar(self, tmp_path, corrupt):
         img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
         path = tmp_path / "img.csv"
         io.write_image_csv(path, img)
         sidecar = tmp_path / "img.csv.json"
-        sidecar.write_bytes(byte + sidecar.read_bytes()[1:])
+        sidecar.write_bytes(corrupt(sidecar.read_bytes()))
         with pytest.raises(MissingArtifactError, match="header"):
+            io.read_image_csv(path)
+
+    def test_corrupt_pixels(self, tmp_path):
+        img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
+        path = tmp_path / "img.csv"
+        io.write_image_csv(path, img)
+        path.write_bytes(b"zz" + path.read_bytes()[2:])
+        with pytest.raises(MissingArtifactError, match="pixels"):
             io.read_image_csv(path)
 
     def test_missing_sidecar(self, tmp_path):
@@ -65,14 +81,16 @@ class TestProfileIO:
         assert np.array_equal(back.counts, profile.counts)
 
 
-def _flip_first_header_byte(path, byte: bytes) -> None:
-    raw = path.read_bytes()
-    path.write_bytes(raw[:8] + byte + raw[9:])  # magic, u32 length, JSON
+def _replace_header(path, corrupt) -> None:
+    raw = path.read_bytes()  # magic, u32 length, JSON header, payload
+    (n,) = struct.unpack("<I", raw[4:8])
+    header = corrupt(raw[8: 8 + n])
+    path.write_bytes(raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + n:])
 
 
-@pytest.mark.parametrize("byte", [b"\xff", b"X"], ids=["non_utf8", "non_json"])
+@pytest.mark.parametrize("corrupt", CORRUPT_HEADERS, ids=CORRUPT_IDS)
 @pytest.mark.parametrize("kind", ["time_series", "time_tags"])
-def test_corrupt_container_header(tmp_path, kind, byte):
+def test_corrupt_container_header(tmp_path, kind, corrupt):
     path = tmp_path / "artifact.bin"
     if kind == "time_series":
         io.write_time_series(path, TimeSeries(sample_interval=1e-6,
@@ -80,7 +98,7 @@ def test_corrupt_container_header(tmp_path, kind, byte):
     else:
         io.write_time_tags(path, TimeTagStream(channels=[0, 1],
                                                timestamps=[0.1, 0.2], duration=1.0))
-    _flip_first_header_byte(path, byte)
+    _replace_header(path, corrupt)
     with pytest.raises(MissingArtifactError, match="header"):
         getattr(io, f"read_{kind}")(path)
 

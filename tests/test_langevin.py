@@ -56,6 +56,21 @@ class TestSimulateAxialMotion:
             widths.append(analysis.fit_lorentzian(spec).gamma)
         assert np.median(widths) == pytest.approx(gamma, rel=0.05)
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 2.0, 10.0],
+                             ids=["undamped", "underdamped", "critical",
+                                  "overdamped"])
+    def test_transient_matches_stepped_oracle(self, ratio):
+        # T = 0: the trace is the deterministic response to (z0, v0) alone
+        gamma = ratio * OMEGA
+        dt = 1.0 / (20.0 * max(gamma, OMEGA))
+        n = 8000
+        cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=0)
+        series = lv.simulate_axial_motion(STIFFNESS, gamma, MASS, 0.0, cfg,
+                                          initial_state=(1e-9, 2e-3))
+        ref = oracles.splitting_transient(OMEGA, gamma, dt, 1e-9, 2e-3, n)
+        assert len(series.samples) == n
+        assert np.max(np.abs(series.samples - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_deterministic(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1e-3, seed=99)
         a = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)

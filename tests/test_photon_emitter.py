@@ -71,11 +71,19 @@ class TestAugerReduce:
     def test_vectorized_matches_scalar_stats(self):
         rng = np.random.default_rng(7)
         k = rng.poisson(0.76, 200_000)
-        out = pe._auger_reduce_array(k, 0.9, rng)
+        out = pe.auger_reduce(k, 0.9, rng)
         assert np.all(out <= k)
         pmf1 = oracles.auger_photon_pmf(3, 0.9)
         sel = out[k == 3]
         assert np.mean(sel == 1) == pytest.approx(pmf1[1], abs=0.02)
+
+    def test_int_in_int_out_array_in_array_out(self):
+        rng = np.random.default_rng(8)
+        assert type(pe.auger_reduce(5, 0.5, rng)) is int
+        out = pe.auger_reduce(np.array([0, 1, 5, 9]), 0.5, rng)
+        assert out.dtype == np.int64 and out.shape == (4,)
+        with pytest.raises(ValueError):
+            pe.auger_reduce(np.array([2, -1]), 0.5, rng)
 
     def test_oracle_normalized(self):
         for k in range(11):
