@@ -255,6 +255,10 @@ class G2Result:
         return int(self.coincidences[len(self.lags) // 2])
 
 
+# pulse-lag slots (channel-0 pulses x lags) expanded at once by g2_zero
+_G2_BLOCK_SLOTS = 1 << 22
+
+
 def _pulse_counts(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uniq, counts = np.unique(indices, return_counts=True)
     return uniq, counts.astype(np.int64)
@@ -264,12 +268,16 @@ def g2_zero(stream: TimeTagStream, pulse_period: float,
             max_lag: int = 50) -> G2Result:
     """Normalized zero-delay correlation from pulse-lag coincidences.
 
-    Events are assigned to pulse indices; cross-channel coincidences are
-    histogrammed by pulse-lag and g2(0) is the zero-lag count over the mean
-    side-peak count at lags 1..max_lag.  The error is Poissonian,
-    g2 * sqrt(1/N0 + 1/N_side); when N0 = 0 the one-count scale
-    1/mean(N_side) is reported instead.  Invariant under uniform time shifts
-    and channel swap.
+    Events are assigned to pulse indices and counted per pulse and channel.
+    Every pair of a channel-0 pulse and a channel-1 pulse at most ``max_lag``
+    pulses apart is listed once (two ``searchsorted`` calls bound each
+    channel-0 pulse's window, ``np.repeat`` expands it) and ``np.bincount``
+    histograms the pair lags weighted by the product of the two counts, in
+    blocks of about 2**22 pulse-lag slots, so memory stays bounded for any
+    ``max_lag``.  g2(0) is the zero-lag count over the mean side-peak count at
+    lags 1..max_lag.  The error is Poissonian, g2 * sqrt(1/N0 + 1/N_side);
+    when N0 = 0 the one-count scale 1/mean(N_side) is reported instead.
+    Invariant under uniform time shifts and channel swap.
     """
     if pulse_period <= 0:
         raise ValueError("pulse_period must be > 0")
@@ -288,12 +296,20 @@ def g2_zero(stream: TimeTagStream, pulse_period: float,
     idx1, cnt1 = _pulse_counts(pulses[stream.channels == 1])
 
     lags = np.arange(-max_lag, max_lag + 1)
+    first = np.searchsorted(idx1, idx0 - max_lag, side="left")
+    n_pairs = np.searchsorted(idx1, idx0 + max_lag, side="right") - first
     coincidences = np.zeros(len(lags), dtype=np.int64)
-    for i, lag in enumerate(lags):
-        pos = np.searchsorted(idx1, idx0 + lag)
-        pos = np.clip(pos, 0, len(idx1) - 1)
-        match = idx1[pos] == idx0 + lag
-        coincidences[i] = int(np.sum(cnt0[match] * cnt1[pos[match]]))
+    block = max(1, _G2_BLOCK_SLOTS // len(lags))
+    for a in range(0, len(idx0), block):
+        b = a + block
+        reps = n_pairs[a:b]
+        pair_start = np.cumsum(reps) - reps  # first pair of each channel-0 pulse
+        # channel-1 position of each pair: window start plus rank in the window
+        j1 = np.arange(int(reps.sum())) + np.repeat(first[a:b] - pair_start, reps)
+        lag = idx1[j1] - np.repeat(idx0[a:b] - max_lag, reps)
+        coincidences += np.bincount(
+            lag, weights=np.repeat(cnt0[a:b], reps) * cnt1[j1],
+            minlength=len(lags)).astype(np.int64)
 
     zero = int(coincidences[max_lag])
     side = np.concatenate([coincidences[:max_lag], coincidences[max_lag + 1:]])

@@ -43,6 +43,9 @@ DATASET_ARTIFACTS = (
     "image_vertical.csv", "image_vertical.csv.json",
     "image_horizontal.csv", "image_horizontal.csv.json",
 )
+# the artifacts analyze_dataset reads; its manifest must vouch for each
+ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts",
+                      "image_total.csv", "image_total.csv.json")
 
 
 def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
@@ -117,7 +120,7 @@ def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
     dataset_dir = Path(dataset_dir)
     out_dir = dataset_dir if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    verify_manifest(dataset_dir)
+    verify_manifest(dataset_dir, required=ANALYZED_ARTIFACTS)
 
     stream = io_formats.read_time_tags(dataset_dir / "tags.bin")
     rep_rate = stream.metadata.get("repetition_rate", 1e6)

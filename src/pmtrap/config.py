@@ -385,17 +385,29 @@ def write_manifest(directory, config: ExperimentConfig, artifact_names,
     return manifest
 
 
-def verify_manifest(directory) -> dict:
-    """Check manifest presence and artifact checksums; returns the manifest dict."""
+def verify_manifest(directory, required=()) -> dict:
+    """Check manifest presence, shape and artifact checksums; returns the manifest.
+
+    The manifest must be a JSON object whose ``artifacts`` mapping gives each
+    artifact a ``sha256`` string and lists every name in ``required``.
+    """
     directory = Path(directory)
     path = directory / "manifest.json"
     if not path.exists():
         raise MissingArtifactError(f"manifest.json missing in {directory}")
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise MissingArtifactError(f"manifest.json corrupt: {exc}")
-    for name, entry in manifest.get("artifacts", {}).items():
+    artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
+    if not isinstance(artifacts, dict):
+        raise MissingArtifactError("manifest.json corrupt: no artifacts mapping")
+    for name in required:
+        if name not in artifacts:
+            raise MissingArtifactError(f"manifest.json does not list {name}")
+    for name, entry in artifacts.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)):
+            raise MissingArtifactError(f"manifest.json corrupt: no sha256 for {name}")
         artifact = directory / name
         if not artifact.exists():
             raise MissingArtifactError(f"artifact missing: {name}")

@@ -1,12 +1,19 @@
-"""Monte Carlo photon emission from a trapped cluster under pulsed excitation.
+"""Photon emission from a trapped cluster under pulsed excitation.
 
 Per excitation pulse: the number of electron-hole pairs is Poissonian with
 mean P/P_sat (so the emission probability before losses follows
 1 - exp(-P/P_sat)); multi-excitons are thinned by a phenomenological pairwise
 Auger-annihilation chain with a single survival parameter p_A; surviving
-photons pass the quantum yield, the blinking attenuation, the collection and
-detection chain, and a 50/50 splitter onto two detector channels.  The result
-is a two-channel time-tag stream, deterministic per seed.
+photons pass the quantum yield, the blinking attenuation and the collection
+and detection chain, then a 50/50 splitter onto two detector channels.
+
+Within a blink segment the attenuation is constant, so the detected-photon
+number per pulse is i.i.d. with a pmf computed exactly
+(:func:`detected_photon_pmf`).  :func:`generate_time_tags` draws only the
+pulses that give a detection, so time and memory scale with the number of
+events, not of pulses.  :func:`excitons_per_pulse` and :func:`auger_reduce`
+are the per-pulse Monte Carlo of the same chain, kept as its reference.  The
+result is a two-channel time-tag stream, deterministic per seed.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "excitons_per_pulse",
     "auger_reduce",
     "auger_prob_for_cluster",
+    "detected_photon_pmf",
     "blink_trajectory",
     "generate_time_tags",
     "expected_count_rate",
@@ -221,6 +229,81 @@ def auger_prob_for_cluster(n_rods: int, p0: float = 0.97, n0: float = 400.0) -> 
     return p0 * np.exp(-(n_rods - 1) / n0)
 
 
+# A pmf tail holding less probability than this is dropped: it lies below
+# double precision even after weighting by n(n-1) in the g2 moments.
+_TAIL = np.finfo(float).eps ** 2
+
+
+def _trim_tail(pmf: np.ndarray) -> np.ndarray:
+    tail = np.cumsum(pmf[::-1])[::-1]
+    return pmf[: max(int(np.count_nonzero(tail >= _TAIL)), 1)]
+
+
+def _poisson_pmf(mean: float) -> np.ndarray:
+    if mean == 0:
+        return np.ones(1)
+    k = np.arange(1, int(np.ceil(mean + 15.0 * np.sqrt(mean) + 40.0)) + 1)
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(mean / k)))) - mean
+    return _trim_tail(np.exp(log_pmf))
+
+
+def _auger_pmf(excitons: np.ndarray, pair_prob: float) -> np.ndarray:
+    """Photon-number pmf after the pairwise Auger chain (see auger_reduce).
+
+    Forward DP over (pool, radiated), visiting pools from the largest down:
+    row j holds the probability of reaching pool j with r photons radiated.
+    Pool j >= 2 passes its row to j - 1 (merge, p) and, shifted by two
+    photons, to j - 2 (radiate, 1 - p); pools 0 and 1 end the chain with
+    r + j photons.
+    """
+    width = len(excitons)
+    above = np.zeros(width)   # row j + 1
+    above2 = np.zeros(width)  # row j + 2
+    for j in range(width - 1, -1, -1):
+        row = np.zeros(width)
+        row[0] = excitons[j]
+        if j >= 1:
+            row += pair_prob * above
+        row[2:] += (1.0 - pair_prob) * above2[:-2]
+        above, above2 = row, above
+    photons = above.copy()
+    photons[1:] += above2[:-1]
+    return photons
+
+
+def _thin(pmf: np.ndarray, keep: float) -> np.ndarray:
+    """pmf of Binomial(n, keep) for n ~ pmf.
+
+    Horner's rule on the generating function sum_n pmf[n] (1 - keep + keep z)^n.
+    """
+    out = np.zeros(len(pmf))
+    out[0] = pmf[-1]
+    for n in range(len(pmf) - 2, -1, -1):
+        out[1:] = (1.0 - keep) * out[1:] + keep * out[:-1]
+        out[0] = (1.0 - keep) * out[0] + pmf[n]
+    return out
+
+
+def detected_photon_pmf(excitation: ExcitationConfig, emitter: EmitterModel,
+                        chain: DetectionChain,
+                        attenuation: float = 1.0) -> np.ndarray:
+    """Exact pmf of the detected-photon number per pulse, both channels.
+
+    Poisson(P/P_sat) excitons, truncated where the tail is below double
+    precision, through the pairwise Auger chain; for ``independent_emitters``
+    the sum over n_rods such pools; then binomial thinning by quantum yield x
+    ``attenuation`` x detection probability.  Entry n is Pr(n detections).
+    """
+    photons = _auger_pmf(_poisson_pmf(excitation.mean_excitons),
+                         emitter.auger_pair_prob)
+    if emitter.independent_emitters:
+        single = photons
+        for _ in range(emitter.n_rods - 1):
+            photons = _trim_tail(np.convolve(photons, single))
+    keep = emitter.quantum_yield * attenuation * chain.detection_probability
+    return _trim_tail(_thin(photons, keep))
+
+
 @dataclass(frozen=True)
 class BlinkTrajectory:
     """Piecewise-constant emission attenuation: boundaries and per-segment values."""
@@ -266,17 +349,35 @@ def blink_trajectory(duration: float, model: EmitterModel,
                            attenuations=np.array(values), duration=duration)
 
 
+def _bernoulli_hits(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices in [0, n) of a Bernoulli(p) process, via geometric gaps."""
+    chunks = []
+    last = -1
+    while last < n:
+        expected = (n - 1 - last) * p
+        gaps = rng.geometric(p, size=int(expected + 5.0 * np.sqrt(expected)) + 16)
+        # a gap beyond n leaves the window; clipping keeps the sum from overflowing
+        steps = last + np.cumsum(np.minimum(gaps, n + 1))
+        last = int(steps[-1])
+        chunks.append(steps[steps < n])
+    return np.concatenate(chunks)
+
+
 def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
                        chain: DetectionChain, duration: float,
                        seed: int, jitter_scale: float = 0.0) -> TimeTagStream:
     """Simulate the detected two-channel time-tag stream.
 
-    Per pulse: excitons -> Auger reduction -> Bernoulli(quantum yield) ->
-    Bernoulli(blink attenuation) -> Bernoulli(detection chain) -> 50/50
-    splitter.  Timestamps sit on the pulse grid (index / repetition rate);
-    ``jitter_scale`` > 0 adds exponential emission-delay jitter (off by
-    default -- the analysis bins by pulse period and cannot resolve it).
-    Identical seeds give identical streams.
+    Pulse i fires at i / repetition rate and takes the blink attenuation of
+    the segment it falls in.  For each attenuation level the pulses of its
+    segments form one line of i.i.d. pulses: the pulses with at least one
+    detection are placed by geometric gaps at that level's hit probability
+    1 - pmf[0], and each draws its count from the pmf conditioned on n >= 1
+    (see :func:`detected_photon_pmf`).  Counts go through the 50/50
+    splitter, ch0 events before ch1 within a pulse.  Nothing of length
+    n_pulses is allocated.  ``jitter_scale`` > 0 adds exponential
+    emission-delay jitter (off by default -- the analysis bins by pulse
+    period and cannot resolve it).  Identical seeds give identical streams.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -284,26 +385,35 @@ def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
     period = 1.0 / excitation.repetition_rate
     rng = rng_for(seed, "time-tags")
 
-    photons = np.zeros(n_pulses, dtype=np.int64)
-    for _ in range(emitter.n_rods if emitter.independent_emitters else 1):
-        photons += auger_reduce(
-            excitons_per_pulse(excitation.average_power,
-                               excitation.saturation_power, rng, size=n_pulses),
-            emitter.auger_pair_prob, rng)
-
     trajectory = blink_trajectory(duration, emitter, rng)
-    pulse_times = np.arange(n_pulses) * period
-    attenuation = trajectory.attenuation_at(pulse_times)
+    first_pulse = np.minimum(
+        np.ceil(trajectory.boundaries / period).astype(np.int64), n_pulses)
+    lengths = np.diff(first_pulse, append=n_pulses)
 
-    p_detect = emitter.quantum_yield * attenuation * chain.detection_probability
-    detected = rng.binomial(photons, p_detect)
+    hit_pulses, n_hit = [], []
+    for level in np.unique(trajectory.attenuations):
+        pmf = detected_photon_pmf(excitation, emitter, chain, level)
+        if len(pmf) == 1:  # no detection at this level
+            continue
+        cdf = np.cumsum(pmf[1:])
+        segments = trajectory.attenuations == level
+        seg_first, seg_len = first_pulse[segments], lengths[segments]
+        line_start = np.cumsum(seg_len) - seg_len
+        hits = _bernoulli_hits(int(seg_len.sum()), float(cdf[-1]), rng)
+        owner = np.searchsorted(line_start, hits, side="right") - 1
+        hit_pulses.append(seg_first[owner] + hits - line_start[owner])
+        n_hit.append(1 + np.searchsorted(cdf, rng.random(len(hits)) * cdf[-1],
+                                         side="right"))
+    pulses = np.concatenate(hit_pulses or [np.zeros(0, dtype=np.int64)])
+    n_per_pulse = np.concatenate(n_hit or [np.zeros(0, dtype=np.int64)])
+    if len(hit_pulses) > 1:
+        order = np.argsort(pulses)
+        pulses, n_per_pulse = pulses[order], n_per_pulse[order]
 
-    hit = detected > 0
-    n_per_pulse = detected[hit]
     ch1 = rng.binomial(n_per_pulse, 1.0 - chain.splitter_ratio)
     ch0 = n_per_pulse - ch1
 
-    times = np.repeat(pulse_times[hit], n_per_pulse)
+    times = np.repeat(pulses * period, n_per_pulse)
     # ch0 events first within each pulse, then ch1 (stable, deterministic)
     offsets = np.concatenate(([0], np.cumsum(n_per_pulse)))
     within_pulse = np.arange(int(n_per_pulse.sum())) - np.repeat(offsets[:-1],

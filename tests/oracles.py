@@ -97,6 +97,26 @@ def independent_emitters_g2(n_emitters):
     return 1.0 - 1.0 / n_emitters
 
 
+# --- pulse-lag coincidences, dense brute force ------------------------------
+
+def pulse_lag_coincidences(pulses0, pulses1, max_lag):
+    """Cross-channel coincidences at pulse lags -max_lag..max_lag.
+
+    Dense per-pulse event counts for each channel (pulse indices >= 0), then
+    for every lag an explicit sum over all pulses of count(ch0, i) *
+    count(ch1, i + lag).
+    """
+    n = int(max(np.max(pulses0), np.max(pulses1))) + 1
+    dense0 = np.bincount(pulses0, minlength=n)
+    dense1 = np.bincount(pulses1, minlength=n)
+    out = np.zeros(2 * max_lag + 1, dtype=np.int64)
+    for k, lag in enumerate(range(-max_lag, max_lag + 1)):
+        for i in range(n):
+            if 0 <= i + lag < n:
+                out[k] += int(dense0[i]) * int(dense1[i + lag])
+    return out
+
+
 # --- alignment statistics, dense-grid quadrature ----------------------------
 
 def mean_cos2_grid(depth_over_kt, n=200001):

@@ -1,8 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pmtrap import analysis as an
 from pmtrap import photon_emitter as pe
+from pmtrap.config import default_config_yaml, parse_config
 from pmtrap.errors import (
     InsufficientDataError,
     NoPeakError,
@@ -192,6 +199,56 @@ class TestG2Zero:
         result = an.g2_zero(stream, 1e-6)
         assert result.error > 0
         assert result.coincidences.min() >= 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1)),
+                           min_size=2, max_size=80),
+           max_lag=st.integers(1, 60))
+    def test_coincidences_match_brute_force(self, events, max_lag):
+        # repeated (pulse, channel) tuples put several events on one channel
+        events.sort()
+        pulses = np.array([p for p, _ in events])
+        ch = np.array([c for _, c in events], dtype=np.uint8)
+        assume(ch.min() != ch.max())  # g2 needs both channels
+        stream = pe.TimeTagStream(channels=ch, timestamps=pulses * 1e-6,
+                                  duration=1.0)
+        first = pulses[0]
+        expected = oracles.pulse_lag_coincidences(
+            pulses[ch == 0] - first, pulses[ch == 1] - first, max_lag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            if expected.sum() == expected[max_lag]:  # no side-peak pairs
+                with pytest.raises(UndefinedResultError):
+                    an.g2_zero(stream, 1e-6, max_lag=max_lag)
+                return
+            result = an.g2_zero(stream, 1e-6, max_lag=max_lag)
+        assert np.array_equal(result.lags, np.arange(-max_lag, max_lag + 1))
+        assert result.coincidences.dtype == np.int64
+        assert np.array_equal(result.coincidences, expected)
+
+    def test_blocks_do_not_change_histogram(self, monkeypatch):
+        stream = poisson_stream(5e4, 1.0, seed=6)
+        whole = an.g2_zero(stream, 1e-6, max_lag=20)
+        monkeypatch.setattr(an, "_G2_BLOCK_SLOTS", 41 * 7 + 3)
+        blocked = an.g2_zero(stream, 1e-6, max_lag=20)
+        assert np.array_equal(whole.coincidences, blocked.coincidences)
+
+    def test_memory_bounded_at_long_lag(self):
+        # the default 10 s acquisition (~7e5 events); the pair expansion
+        # runs in blocks, so even max_lag 2000 stays small
+        config = parse_config(yaml.safe_load(default_config_yaml()))
+        stream = pe.generate_time_tags(
+            config.excitation, config.emitter, config.detection,
+            config.acquisition.duration, seed=config.seed)
+        tracemalloc.start()
+        try:
+            result = an.g2_zero(stream, 1.0 / config.excitation.repetition_rate,
+                                max_lag=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.coincidences) == 4001
+        assert peak < 64e6
 
 
 class TestBlinkAnalysis:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import pmtrap
 from pmtrap import io_formats as io
 from pmtrap.cli import (
     EXIT_CONFIG,
@@ -151,6 +156,28 @@ class TestAnalyze:
         (broken / "manifest.json").write_text("{broken")
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda m: b"[]",
+        lambda m: json.dumps({**m, "artifacts": {
+            name: {"bytes": entry["bytes"]}
+            for name, entry in m["artifacts"].items()}}).encode(),
+        lambda m: b"\xff\xfe" + json.dumps(m).encode(),
+        lambda m: b"{}",
+        lambda m: json.dumps({**m, "artifacts": {
+            name: entry for name, entry in m["artifacts"].items()
+            if name != "tags.bin"}}).encode(),
+    ], ids=["list", "no_sha256", "non_utf8", "empty_object", "unlisted_tags"])
+    def test_manifest_shape_exits_4(self, dataset, tmp_path, rewrite, capsys):
+        _, out, _ = dataset
+        broken = tmp_path / "shape"
+        broken.mkdir()
+        for p in out.iterdir():
+            (broken / p.name).write_bytes(p.read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        (broken / "manifest.json").write_bytes(rewrite(manifest))
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        assert "manifest.json" in capsys.readouterr().err
+
     def test_corrupt_image_exits_4(self, dataset, tmp_path, capsys):
         # checksum updated, so the pixel parser itself must reject the file
         _, out, _ = dataset
@@ -225,6 +252,15 @@ class TestDefaultConfig:
         assert main(["default-config"]) == EXIT_OK
         raw = yaml.safe_load(capsys.readouterr().out)
         assert raw["cluster"]["n_rods"] == 64
+
+    def test_python_dash_m(self, capsys):
+        src = str(Path(pmtrap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-m", "pmtrap", "default-config"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == EXIT_OK
+        main(["default-config"])
+        assert run.stdout == capsys.readouterr().out
 
 
 class TestSimulateErrors:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,68 @@ class TestAugerReduce:
             assert oracles.auger_photon_pmf(k, 0.63).sum() == pytest.approx(1.0)
 
 
+def pmf_g2(pmf):
+    n = np.arange(len(pmf))
+    return float(np.sum(pmf * n * (n - 1)) / np.sum(pmf * n) ** 2)
+
+
+class TestDetectedPhotonPmf:
+    @pytest.mark.parametrize("emitter", [
+        pe.EmitterModel(auger_pair_prob=0.0),
+        pe.EmitterModel(n_rods=64, auger_pair_prob=None),
+        pe.EmitterModel(n_rods=16, auger_pair_prob=0.4, independent_emitters=True),
+    ], ids=["poisson", "shared_pool", "independent"])
+    def test_normalized(self, emitter):
+        for exc in (EXC, pe.ExcitationConfig(average_power=2e-9),
+                    pe.ExcitationConfig(average_power=40e-6)):
+            pmf = pe.detected_photon_pmf(exc, emitter, CHAIN, 1.0 / 3.0)
+            assert np.all(pmf >= 0)
+            assert abs(pmf.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("pair_prob", [0.0, 0.3, 0.83, 1.0])
+    def test_g2_matches_enumeration_oracle(self, pair_prob):
+        pmf = pe.detected_photon_pmf(
+            EXC, pe.EmitterModel(auger_pair_prob=pair_prob), CHAIN)
+        expected = oracles.pulsed_g2_expected(EXC.mean_excitons, pair_prob)
+        assert abs(pmf_g2(pmf) - expected) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_independent_emitters_g2(self, n):
+        emitter = pe.EmitterModel(n_rods=n, auger_pair_prob=1.0,
+                                  independent_emitters=True)
+        pmf = pe.detected_photon_pmf(EXC, emitter, CHAIN)
+        assert abs(pmf_g2(pmf) - oracles.independent_emitters_g2(n)) < 1e-12
+
+    def test_no_detection_without_light(self):
+        dark = pe.detected_photon_pmf(EXC, pe.EmitterModel(), CHAIN, 0.0)
+        assert np.array_equal(dark, [1.0])
+        off = pe.detected_photon_pmf(pe.ExcitationConfig(average_power=0.0),
+                                     pe.EmitterModel(), CHAIN)
+        assert np.array_equal(off, [1.0])
+
+    @pytest.mark.parametrize("emitter,attenuation", [
+        (pe.EmitterModel(auger_pair_prob=0.5), 1.0),
+        (pe.EmitterModel(n_rods=3, auger_pair_prob=0.3,
+                         independent_emitters=True), 1.0 / 3.0),
+    ], ids=["shared_pool", "independent_grey"])
+    def test_matches_per_pulse_monte_carlo(self, emitter, attenuation):
+        n = 1_000_000
+        rng = np.random.default_rng(12)
+        photons = np.zeros(n, dtype=np.int64)
+        for _ in range(emitter.n_rods if emitter.independent_emitters else 1):
+            photons += pe.auger_reduce(
+                pe.excitons_per_pulse(EXC.average_power, EXC.saturation_power,
+                                      rng, size=n),
+                emitter.auger_pair_prob, rng)
+        keep = emitter.quantum_yield * attenuation * CHAIN.detection_probability
+        observed = np.bincount(rng.binomial(photons, keep))
+        pmf = pe.detected_photon_pmf(EXC, emitter, CHAIN, attenuation)
+        assert len(observed) <= len(pmf)
+        expected = n * pmf[: len(observed)]
+        sigma = np.sqrt(n * pmf[: len(observed)] * (1.0 - pmf[: len(observed)]))
+        assert np.all(np.abs(observed - expected) <= 5.0 * sigma)
+
+
 class TestBlinkTrajectory:
     def test_steady(self):
         rng = np.random.default_rng(0)
@@ -152,6 +216,21 @@ class TestGenerateTimeTags:
                                        jitter_scale=30e-9)
         assert np.all(np.diff(stream.timestamps) >= 0)
         assert stream.timestamps[-1] < 0.2
+
+    def test_memory_scales_with_events(self):
+        # 1e7 pulses but only ~1e3 detections: nothing per pulse is allocated
+        exc = pe.ExcitationConfig(average_power=2e-9)
+        emitter = pe.EmitterModel(n_rods=64, auger_pair_prob=None,
+                                  blink_mode="two_state")
+        tracemalloc.start()
+        try:
+            stream = pe.generate_time_tags(exc, emitter, CHAIN, 10.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.metadata["n_pulses"] == 10_000_000
+        assert 0 < len(stream) < 5000
+        assert peak < 5e6
 
     def test_channels_balanced(self):
         emitter = pe.EmitterModel(auger_pair_prob=1.0)
