@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import fft, optimize, signal
 
 from .errors import (
     FitError,
@@ -64,6 +64,26 @@ class Spectrum:
         return float(np.sum(self.densities) * df)
 
 
+# samples' worth of segments windowed and transformed at once by the Welch PSD
+_PSD_BLOCK_SAMPLES = 1 << 20
+
+
+def _periodogram_sum(segments: np.ndarray, mean: float,
+                     window: np.ndarray) -> np.ndarray:
+    """Sum over the rows of |rfft((segment - mean) * window)|^2.
+
+    A function of its own so that its temporaries are freed on return,
+    before the caller builds the next block.
+    """
+    block = segments - mean
+    block *= window
+    spec = fft.rfft(block, axis=-1)
+    del block
+    power = spec.real**2
+    power += spec.imag**2
+    return power.sum(axis=0)
+
+
 def power_spectral_density(series: TimeSeries, segment_length: int | None = None,
                            overlap: float = 0.5, window: str = "hann") -> Spectrum:
     """Averaged-periodogram (Welch) PSD estimate of a time series.
@@ -71,7 +91,11 @@ def power_spectral_density(series: TimeSeries, segment_length: int | None = None
     The series mean is removed once, globally; with density scaling the
     spectrum then integrates to the series variance (Parseval, ~1%).
     ``segment_length`` defaults to a power of two near len/8, clipped to
-    [256, 65536]; the series must contain at least 4 segments.
+    [256, 65536]; segments start every ``segment_length -
+    int(segment_length * overlap)`` samples and the series must contain at
+    least 4 of them.  The periodograms are summed over blocks of about
+    2^20 samples' worth of segments, so the working memory stays fixed
+    however long the series is; the sum is scaled once at the end.
     """
     x = series.samples
     if segment_length is None:
@@ -79,23 +103,30 @@ def power_spectral_density(series: TimeSeries, segment_length: int | None = None
         segment_length = int(2 ** np.clip(np.floor(np.log2(target)), 8, 16))
     if not 0 <= overlap < 1:
         raise ValueError("overlap must be in [0, 1)")
-    step = max(int(segment_length * (1 - overlap)), 1)
-    n_segments = 1 + (len(x) - segment_length) // step if len(x) >= segment_length else 0
-    if len(x) < 4 * segment_length * (1 - overlap) or n_segments < 4:
+    hop = segment_length - int(segment_length * overlap)
+    n_segments = 1 + (len(x) - segment_length) // hop if len(x) >= segment_length else 0
+    if n_segments < 4:
         raise InsufficientDataError(
             f"series too short: need >= 4 segments of {segment_length} samples"
         )
 
     fs = 1.0 / series.sample_interval
-    freqs, psd = signal.welch(
-        x - np.mean(x), fs=fs, window=window, nperseg=segment_length,
-        noverlap=int(segment_length * overlap), detrend=False,
-        scaling="density", return_onesided=True,
-    )
     w = signal.get_window(window, segment_length)
+    mean = np.mean(x)
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::hop]
+    per_block = max(1, _PSD_BLOCK_SAMPLES // segment_length)
+    psd = np.zeros(segment_length // 2 + 1)
+    for start in range(0, n_segments, per_block):
+        psd += _periodogram_sum(segments[start: start + per_block], mean, w)
+    psd /= fs * np.sum(w**2) * n_segments
+    # one-sided: fold the negative frequencies onto all bins but DC and,
+    # for an even segment length, Nyquist
+    last = -1 if segment_length % 2 == 0 else None
+    psd[1:last] *= 2.0
     enbw = fs * np.sum(w**2) / np.sum(w) ** 2
-    return Spectrum(frequencies=freqs, densities=psd,
-                    resolution_bandwidth=float(enbw), averages=int(n_segments))
+    return Spectrum(frequencies=fft.rfftfreq(segment_length, d=1.0 / fs),
+                    densities=psd, resolution_bandwidth=float(enbw),
+                    averages=int(n_segments))
 
 
 @dataclass(frozen=True)

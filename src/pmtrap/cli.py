@@ -1,7 +1,9 @@
 """Command-line entry points: simulate, analyze, reproduce, validate-config.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 I/O failure,
-4 missing or corrupt dataset artifact.  The default output root comes from
+4 missing or corrupt dataset artifact, 5 analysis failure (too little data
+for an estimate, an undefined statistic, or a fit that found no peak or did
+not converge).  The default output root comes from
 the PMTRAP_OUTPUT_ROOT environment variable (falling back to the current
 directory); dataset directories default to the config's ``output_dir``
 underneath it.
@@ -28,7 +30,14 @@ from .config import (
     verify_manifest,
     write_manifest,
 )
-from .errors import ConfigError, MissingArtifactError, PmtrapError
+from .errors import (
+    ConfigError,
+    FitError,
+    InsufficientDataError,
+    MissingArtifactError,
+    PmtrapError,
+    UndefinedResultError,
+)
 from .reproduce import REPRODUCE_TARGETS, run_target
 from .seeding import rng_for
 
@@ -36,6 +45,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MISSING_ARTIFACT = 4
+EXIT_ANALYSIS = 5
 
 DATASET_ARTIFACTS = (
     "tags.bin", "detector.ts",
@@ -268,6 +278,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (FitError, InsufficientDataError, UndefinedResultError) as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
     except ValueError as exc:
         # parameter combinations rejected by the physics layers
         print(f"error: {exc}", file=sys.stderr)

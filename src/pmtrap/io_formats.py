@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -38,6 +39,7 @@ __all__ = [
 
 _SERIES_MAGIC = b"PMS1"
 _TAGS_MAGIC = b"PMT1"
+_SERIES_DTYPE = np.dtype("<f8")
 _TAG_DTYPE = np.dtype([("channel", "u1"), ("time", "<f8")])
 
 
@@ -113,26 +115,45 @@ def read_profile_csv(path) -> RadialProfile:
     return RadialProfile(radii=data[:, 0], intensities=data[:, 1], counts=counts)
 
 
-def _write_container(path: Path, magic: bytes, header: dict, payload: bytes) -> None:
+def _write_container(path: Path, magic: bytes, header: dict,
+                     payload: np.ndarray) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(payload)
+        fh.write(memoryview(payload))
 
 
-def _read_container(path: Path, magic: bytes,
-                    required: tuple[str, ...]) -> tuple[dict, bytes]:
+def _read_container(path: Path, magic: bytes, required: tuple[str, ...],
+                    count_key: str, dtype: np.dtype) -> tuple[dict, np.ndarray]:
+    """Header and payload of a container whose ``count_key`` records follow.
+
+    Only the magic and the header are read before the payload size is
+    checked against the record count; the payload is then read once,
+    straight into the returned array.
+    """
     if not path.exists():
         raise MissingArtifactError(f"artifact missing: {path}")
-    raw = path.read_bytes()
-    if len(raw) < 8 or raw[:4] != magic:
-        raise MissingArtifactError(f"artifact corrupt (bad magic): {path}")
-    (n,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + n:
-        raise MissingArtifactError(f"artifact truncated: {path}")
-    return _json_header(raw[8: 8 + n], path, required), raw[8 + n:]
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != magic:
+            raise MissingArtifactError(f"artifact corrupt (bad magic): {path}")
+        (n,) = struct.unpack("<I", head[4:8])
+        blob = fh.read(n)
+        if len(blob) < n:
+            raise MissingArtifactError(f"artifact truncated: {path}")
+        header = _json_header(blob, path, required)
+        count = header[count_key]
+        if type(count) is not int or count < 0:
+            raise MissingArtifactError(
+                f"artifact corrupt (header {count_key} is not a count): {path}")
+        payload_bytes = os.fstat(fh.fileno()).st_size - (8 + n)
+        if payload_bytes != count * dtype.itemsize:
+            raise MissingArtifactError(
+                f"artifact truncated (payload holds {payload_bytes} bytes, "
+                f"header {count_key} needs {count * dtype.itemsize}): {path}")
+        return header, np.fromfile(fh, dtype=dtype, count=count)
 
 
 def write_time_series(path, series: TimeSeries) -> None:
@@ -142,18 +163,16 @@ def write_time_series(path, series: TimeSeries) -> None:
         "seed": series.seed,
         "n_samples": len(series.samples),
     }
-    payload = np.asarray(series.samples, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(series.samples, dtype=_SERIES_DTYPE)
     _write_container(Path(path), _SERIES_MAGIC, header, payload)
 
 
 def read_time_series(path) -> TimeSeries:
-    header, payload = _read_container(Path(path), _SERIES_MAGIC,
-                                      ("n_samples", "sample_interval_s"))
-    samples = np.frombuffer(payload, dtype="<f8")
-    if len(samples) != header["n_samples"]:
-        raise MissingArtifactError(f"time series payload truncated: {path}")
+    header, samples = _read_container(Path(path), _SERIES_MAGIC,
+                                      ("n_samples", "sample_interval_s"),
+                                      "n_samples", _SERIES_DTYPE)
     return TimeSeries(sample_interval=header["sample_interval_s"],
-                      samples=samples.copy(), units=header.get("units", ""),
+                      samples=samples, units=header.get("units", ""),
                       seed=header.get("seed"))
 
 
@@ -168,15 +187,13 @@ def write_time_tags(path, stream: TimeTagStream, configs: dict | None = None) ->
     records = np.empty(len(stream), dtype=_TAG_DTYPE)
     records["channel"] = stream.channels
     records["time"] = stream.timestamps
-    _write_container(Path(path), _TAGS_MAGIC, header, records.tobytes())
+    _write_container(Path(path), _TAGS_MAGIC, header, records)
 
 
 def read_time_tags(path) -> TimeTagStream:
-    header, payload = _read_container(Path(path), _TAGS_MAGIC,
-                                      ("n_events", "duration_s"))
-    records = np.frombuffer(payload, dtype=_TAG_DTYPE)
-    if len(records) != header["n_events"]:
-        raise MissingArtifactError(f"time-tag payload truncated: {path}")
+    header, records = _read_container(Path(path), _TAGS_MAGIC,
+                                      ("n_events", "duration_s"),
+                                      "n_events", _TAG_DTYPE)
     return TimeTagStream(channels=records["channel"].copy(),
                          timestamps=records["time"].copy(),
                          duration=header["duration_s"],

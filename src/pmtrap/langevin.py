@@ -10,9 +10,14 @@ damping/noise sub-step.  Both sub-steps leave the Boltzmann distribution of
 the harmonic trap invariant, so equipartition holds without time-step bias,
 and the scheme is unconditionally stable for any damping.  The one-step map
 is linear, so its z component obeys an exact ARMA(2, 1) recurrence (by
-Cayley-Hamilton) that one scipy lfilter pass evaluates, with the initial
-state (z0, v0) entering as the filter state; this is bit-deterministic per
-seed and orders of magnitude faster than stepping in Python.
+Cayley-Hamilton) that scipy's lfilter evaluates, with the initial state
+(z0, v0) entering as the filter state.  The recurrence runs over fixed-size
+blocks of samples: each block's final filter state seeds the next and the
+noise is drawn block by block from one generator, so the memory beyond the
+returned trace stays fixed and the result is bit-identical to one pass over
+the whole trace.  It is bit-deterministic per seed and orders of magnitude
+faster than stepping in Python.  The detector readout draws its noise
+straight into the output array and adds the scaled trace block by block.
 
 Rod alignment is modeled by its stationary statistics: tilt angles beta
 follow the Boltzmann weight exp(-dU sin^2(beta)/kB T) sin(beta) on
@@ -105,6 +110,10 @@ class TimeSeries:
         return len(self.samples) * self.sample_interval
 
 
+# samples per block of the Langevin recurrence and of the detector readout
+_BLOCK_SAMPLES = 1 << 20
+
+
 def _one_step_map(omega: float, gamma: float, mass: float,
                   temperature: float, dt: float):
     """One-step (A, w) of the half-rotation / OU / half-rotation splitting."""
@@ -167,13 +176,18 @@ def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
     # z[k] = trA z[k-1] - detA z[k-2] + w_z xi[k-1] + (a12 w_v - a22 w_z) xi[k-2];
     # the filter state makes z[0] = z0 and z[1] = (A (z0, v0))_z + w_z xi[0].
     # w = 0 without temperature or damping, so the input stays zero then.
-    e = np.zeros(n)
-    if temperature > 0 and gamma > 0:
-        rng.standard_normal(out=e[1:])
+    # Blocks carry the filter state and draw xi in stream order (e[0] = 0).
+    noisy = temperature > 0 and gamma > 0
     b = [w[0], A[0, 1] * w[1] - A[1, 1] * w[0]]
     a = [1.0, -(A[0, 0] + A[1, 1]), A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]]
     zi = [z0, A[0, 1] * v0 - A[1, 1] * z0]
-    z, _ = signal.lfilter(b, a, e, zi=zi)
+    z = np.empty(n)
+    e = np.zeros(min(n, _BLOCK_SAMPLES))
+    for start in range(0, n, _BLOCK_SAMPLES):
+        block = e[: min(n - start, _BLOCK_SAMPLES)]
+        if noisy:
+            rng.standard_normal(out=block[1:] if start == 0 else block)
+        z[start: start + len(block)], zi = signal.lfilter(b, a, block, zi=zi)
 
     return TimeSeries(sample_interval=dt, samples=z, units="m", seed=cfg.seed,
                       metadata={"omega": float(omega), "gamma": float(gamma),
@@ -188,9 +202,15 @@ def detector_signal(z: TimeSeries, cfg: SimConfig) -> TimeSeries:
     """
     fs = 1.0 / z.sample_interval
     sigma = cfg.detector_noise_floor * np.sqrt(fs / 2.0)
-    rng = rng_for(cfg.seed, "detector-noise")
-    noise = rng.standard_normal(len(z.samples)) * sigma if sigma > 0 else 0.0
-    samples = cfg.detector_gain * z.samples + noise
+    n = len(z.samples)
+    if sigma > 0:
+        samples = rng_for(cfg.seed, "detector-noise").standard_normal(n)
+        samples *= sigma
+    else:
+        samples = np.zeros(n)
+    for start in range(0, n, _BLOCK_SAMPLES):
+        samples[start: start + _BLOCK_SAMPLES] += (
+            cfg.detector_gain * z.samples[start: start + _BLOCK_SAMPLES])
     return TimeSeries(sample_interval=z.sample_interval, samples=samples,
                       units="V", seed=z.seed, metadata=dict(z.metadata))
 

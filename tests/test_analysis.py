@@ -6,6 +6,7 @@ import pytest
 import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from pmtrap import analysis as an
 from pmtrap import photon_emitter as pe
@@ -67,6 +68,60 @@ class TestPowerSpectralDensity:
         series = white_noise_series(n=512)
         with pytest.raises(InsufficientDataError):
             an.power_spectral_density(series, segment_length=512)
+
+    def test_averages_count_segments_used(self):
+        # hop 256 - int(25.6) = 231 fits 5 segments in 1406 samples, while
+        # int(256 * 0.9) = 230 would claim 6
+        series = white_noise_series(n=1406)
+        spec = an.power_spectral_density(series, segment_length=256, overlap=0.1)
+        assert spec.averages == 5
+        _, ref = signal.welch(series.samples - series.samples.mean(), fs=1e6,
+                              window="hann", nperseg=256, noverlap=25,
+                              detrend=False)
+        np.testing.assert_allclose(spec.densities, ref, rtol=1e-12)
+        # three segments of the same hop are too few
+        with pytest.raises(InsufficientDataError):
+            an.power_spectral_density(white_noise_series(n=256 + 2 * 231 + 230),
+                                      segment_length=256, overlap=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           segment_length=st.integers(8, 4096),
+           overlap=st.floats(0.0, 0.9),
+           extra=st.integers(0, 6),
+           tail=st.integers(0, 4095),
+           block_segments=st.integers(1, 7))
+    def test_matches_scipy_welch(self, seed, segment_length, overlap, extra,
+                                 tail, block_segments):
+        # scipy.signal.welch is the oracle; blocks of 1-7 segments rarely
+        # divide the 4-10 segments
+        hop = segment_length - int(segment_length * overlap)
+        n = segment_length + (3 + extra) * hop + tail % hop
+        x = np.random.default_rng(seed).normal(2.0, 1.5, n)
+        series = TimeSeries(sample_interval=1e-6, samples=x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(an, "_PSD_BLOCK_SAMPLES", block_segments * segment_length)
+            spec = an.power_spectral_density(series, segment_length=segment_length,
+                                             overlap=overlap)
+        freqs, ref = signal.welch(x - x.mean(), fs=1e6, window="hann",
+                                  nperseg=segment_length,
+                                  noverlap=segment_length - hop, detrend=False)
+        assert spec.averages == 4 + extra
+        np.testing.assert_array_equal(spec.frequencies, freqs)
+        np.testing.assert_allclose(spec.densities, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2**21, 2**23])
+    def test_memory_bounded(self, n):
+        # the segments are windowed and transformed a block at a time, so
+        # the working memory does not grow with the trace
+        series = white_noise_series(n=n)
+        tracemalloc.start()
+        try:
+            an.power_spectral_density(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def lorentzian(f, a, f0, hw, b):

@@ -11,6 +11,7 @@ import yaml
 import pmtrap
 from pmtrap import io_formats as io
 from pmtrap.cli import (
+    EXIT_ANALYSIS,
     EXIT_CONFIG,
     EXIT_MISSING_ARTIFACT,
     EXIT_OK,
@@ -19,6 +20,7 @@ from pmtrap.cli import (
     simulate_dataset,
 )
 from pmtrap.config import load_config
+from pmtrap.langevin import TimeSeries
 
 import oracles
 
@@ -103,6 +105,19 @@ class TestSimulate:
         assert res_a["g2"]["value"] != res_b["g2"]["value"]
         assert res_a["blink"]["classification"] == res_b["blink"]["classification"]
         assert res_a["asymmetry"]["classification"] == res_b["asymmetry"]["classification"]
+
+
+def _copy_dataset(out: Path, dest: Path) -> Path:
+    dest.mkdir()
+    for p in out.iterdir():
+        (dest / p.name).write_bytes(p.read_bytes())
+    return dest
+
+
+def _rehash(dataset_dir: Path, artifact: str) -> None:
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    manifest["artifacts"][artifact]["sha256"] = io.sha256_file(dataset_dir / artifact)
+    (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestAnalyze:
@@ -192,6 +207,35 @@ class TestAnalyze:
         (broken / "manifest.json").write_text(json.dumps(manifest))
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert "image_total.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [*range(1, 10), "header"])
+    @pytest.mark.parametrize("artifact", ["detector.ts", "tags.bin"])
+    def test_truncated_container_exits_4(self, dataset, tmp_path, artifact,
+                                         cut, capsys):
+        # checksum updated, so the container reader itself must reject the
+        # payload; "header" cuts inside the JSON header
+        _, out, _ = dataset
+        broken = _copy_dataset(out, tmp_path / "cut")
+        path = broken / artifact
+        raw = path.read_bytes()
+        end = 8 + int.from_bytes(raw[4:8], "little") // 2 if cut == "header" else -cut
+        path.write_bytes(raw[:end])
+        _rehash(broken, artifact)
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        assert artifact in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [
+        np.random.default_rng(1).normal(size=600),
+        np.random.default_rng(11).normal(size=2**17),
+    ], ids=["too_short_for_4_segments", "flat_spectrum"])
+    def test_analysis_failure_exits_5(self, dataset, tmp_path, samples, capsys):
+        _, out, _ = dataset
+        broken = _copy_dataset(out, tmp_path / "motion")
+        io.write_time_series(broken / "detector.ts",
+                             TimeSeries(sample_interval=1e-6, samples=samples))
+        _rehash(broken, "detector.ts")
+        assert main(["analyze", str(broken)]) == EXIT_ANALYSIS
+        assert "analysis error" in capsys.readouterr().err
 
     def test_max_lag_sets_histogram_range(self, dataset, tmp_path, capsys):
         _, out, _ = dataset

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ def test_corrupt_container_header(tmp_path, kind, corrupt):
         getattr(io, f"read_{kind}")(path)
 
 
+@pytest.mark.parametrize("count", ["2", 2.0, True, -1, None],
+                         ids=["string", "float", "boolean", "negative", "null"])
+@pytest.mark.parametrize("kind, key", [("time_series", "n_samples"),
+                                       ("time_tags", "n_events")])
+def test_container_count_not_a_count(tmp_path, kind, key, count):
+    # the reader sizes the payload from this field, so it must be an int >= 0
+    path = tmp_path / "artifact.bin"
+    if kind == "time_series":
+        io.write_time_series(path, TimeSeries(sample_interval=1e-6,
+                                              samples=np.arange(2.0)))
+    else:
+        io.write_time_tags(path, TimeTagStream(channels=[0, 1],
+                                               timestamps=[0.1, 0.2], duration=1.0))
+    _replace_header(path, lambda blob: json.dumps(
+        {**json.loads(blob), key: count}).encode())
+    with pytest.raises(MissingArtifactError, match=f"{key} is not a count"):
+        getattr(io, f"read_{kind}")(path)
+
+
 class TestTimeSeriesIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -124,6 +144,29 @@ class TestTimeSeriesIO:
         path.write_bytes(raw[:-16])
         with pytest.raises(MissingArtifactError):
             io.read_time_series(path)
+
+    def test_trailing_bytes_detected(self, tmp_path):
+        series = TimeSeries(sample_interval=1e-6, samples=np.arange(100.0))
+        path = tmp_path / "z.ts"
+        io.write_time_series(path, series)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(MissingArtifactError, match="payload"):
+            io.read_time_series(path)
+
+    def test_read_memory_bounded(self, tmp_path):
+        # 2^23 samples (64 MiB): the payload is read once, into the samples
+        path = tmp_path / "long.ts"
+        io.write_time_series(path, TimeSeries(sample_interval=1e-9,
+                                              samples=np.zeros(2**23)))
+        tracemalloc.start()
+        try:
+            back = io.read_time_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            path.unlink()
+        assert len(back.samples) == 2**23
+        assert peak < back.samples.nbytes + 16 * 2**20
 
 
 class TestTimeTagIO:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,77 @@ class TestSimulateAxialMotion:
         cfg = lv.SimConfig(time_step=1.2e-8, duration=5e-6, seed=0)
         with pytest.warns(UserWarning, match="duration"):
             lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+
+
+BLOCK_LENGTHS = pytest.mark.parametrize("n", [5, 21, 22, 2000, 2001])
+BLOCK_SIZES = pytest.mark.parametrize("block", [1, 7, 1000, "n"])
+# (gamma, temperature, initial state): thermal noise, then T = 0 and
+# Gamma = 0, whose noise input is zero
+BLOCK_PHYSICS = pytest.mark.parametrize("gamma, temperature, initial", [
+    (GAMMA, 296.0, None), (GAMMA, 0.0, (1e-9, 2e-3)), (0.0, 296.0, None),
+], ids=["thermal", "zero_temperature", "zero_damping"])
+
+
+def _blocked(monkeypatch, block, n, run):
+    """``run()`` with the default block size and with ``block`` samples."""
+    whole = run()
+    monkeypatch.setattr(lv, "_BLOCK_SAMPLES", n if block == "n" else block)
+    return whole, run()
+
+
+@pytest.mark.filterwarnings("ignore:duration below")
+class TestBlockInvariance:
+    @BLOCK_PHYSICS
+    @BLOCK_SIZES
+    @BLOCK_LENGTHS
+    def test_axial_motion_bit_identical(self, monkeypatch, n, block, gamma,
+                                        temperature, initial):
+        cfg = lv.SimConfig(time_step=1.2e-8, duration=n * 1.2e-8, seed=8)
+        whole, blocked = _blocked(
+            monkeypatch, block, n, lambda: lv.simulate_axial_motion(
+                STIFFNESS, gamma, MASS, temperature, cfg, initial_state=initial))
+        assert len(whole.samples) == n
+        assert np.array_equal(whole.samples, blocked.samples)
+
+    @pytest.mark.parametrize("noise_floor", [1e-6, 0.0])
+    @BLOCK_SIZES
+    @BLOCK_LENGTHS
+    def test_detector_bit_identical(self, monkeypatch, n, block, noise_floor):
+        cfg = lv.SimConfig(time_step=1.2e-8, duration=n * 1.2e-8, seed=8,
+                           detector_noise_floor=noise_floor)
+        z = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        whole, blocked = _blocked(monkeypatch, block, n,
+                                  lambda: lv.detector_signal(z, cfg))
+        assert np.array_equal(whole.samples, blocked.samples)
+        if noise_floor == 0:
+            assert np.array_equal(blocked.samples, cfg.detector_gain * z.samples)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBoundedMemory:
+    # 2^23 samples (64 MiB): beyond the trace itself only fixed-size blocks
+    # are held
+    CFG = lv.SimConfig(time_step=1.2e-8, duration=2**23 * 1.2e-8, seed=3)
+
+    def test_axial_motion(self):
+        z, peak = _traced_peak(lambda: lv.simulate_axial_motion(
+            STIFFNESS, GAMMA, MASS, 296.0, self.CFG))
+        assert len(z.samples) == 2**23
+        assert peak < z.samples.nbytes + 24 * 2**20
+
+    def test_detector_signal(self):
+        z = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, self.CFG)
+        out, peak = _traced_peak(lambda: lv.detector_signal(z, self.CFG))
+        assert peak < out.samples.nbytes + 16 * 2**20
 
 
 class TestDetectorSignal:
