@@ -31,6 +31,7 @@ __all__ = [
     "BlinkHistogram",
     "SaturationFit",
     "power_spectral_density",
+    "stream_power_spectral_density",
     "fit_lorentzian",
     "g2_zero",
     "blink_analysis",
@@ -98,26 +99,55 @@ def power_spectral_density(series: TimeSeries, segment_length: int | None = None
     however long the series is; the sum is scaled once at the end.
     """
     x = series.samples
+    return _welch(lambda start, stop: x[start:stop], lambda: np.mean(x), len(x),
+                  series.sample_interval, segment_length, overlap, window)
+
+
+def stream_power_spectral_density(source, segment_length: int | None = None,
+                                  overlap: float = 0.5,
+                                  window: str = "hann") -> Spectrum:
+    """``power_spectral_density`` of a series read range by range.
+
+    ``source`` has ``n_samples``, ``sample_interval``, ``read(start, stop)``
+    (samples [start, stop), used before the next read) and ``mean()``, as
+    ``io_formats.TimeSeriesReader`` does.  Each block of segments is read
+    as the one sample range it covers, so only that range is held; the
+    segments and the order of the sums are those of the in-memory estimate.
+    The mean comes from ``source.mean()``, which may differ from a
+    whole-array mean in the last digit.
+    """
+    return _welch(source.read, source.mean, source.n_samples,
+                  source.sample_interval, segment_length, overlap, window)
+
+
+def _welch(read, series_mean, n: int, sample_interval: float,
+           segment_length: int | None, overlap: float, window: str) -> Spectrum:
+    """Welch PSD of n samples given by ``read(start, stop)``.
+
+    ``series_mean()`` is called once, after the arguments are checked.
+    """
     if segment_length is None:
-        target = max(len(x) // 8, 2)
+        target = max(n // 8, 2)
         segment_length = int(2 ** np.clip(np.floor(np.log2(target)), 8, 16))
     if not 0 <= overlap < 1:
         raise ValueError("overlap must be in [0, 1)")
     hop = segment_length - int(segment_length * overlap)
-    n_segments = 1 + (len(x) - segment_length) // hop if len(x) >= segment_length else 0
+    n_segments = 1 + (n - segment_length) // hop if n >= segment_length else 0
     if n_segments < 4:
         raise InsufficientDataError(
             f"series too short: need >= 4 segments of {segment_length} samples"
         )
 
-    fs = 1.0 / series.sample_interval
+    fs = 1.0 / sample_interval
     w = signal.get_window(window, segment_length)
-    mean = np.mean(x)
-    segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::hop]
+    mean = series_mean()
     per_block = max(1, _PSD_BLOCK_SAMPLES // segment_length)
     psd = np.zeros(segment_length // 2 + 1)
-    for start in range(0, n_segments, per_block):
-        psd += _periodogram_sum(segments[start: start + per_block], mean, w)
+    for first in range(0, n_segments, per_block):
+        count = min(per_block, n_segments - first)
+        x = read(first * hop, (first + count - 1) * hop + segment_length)
+        segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::hop]
+        psd += _periodogram_sum(segments, mean, w)
     psd /= fs * np.sum(w**2) * n_segments
     # one-sided: fold the negative frequencies onto all bins but DC and,
     # for an even segment length, Nyquist

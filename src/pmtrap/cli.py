@@ -47,12 +47,6 @@ EXIT_IO = 3
 EXIT_MISSING_ARTIFACT = 4
 EXIT_ANALYSIS = 5
 
-DATASET_ARTIFACTS = (
-    "tags.bin", "detector.ts",
-    "image_total.csv", "image_total.csv.json",
-    "image_vertical.csv", "image_vertical.csv.json",
-    "image_horizontal.csv", "image_horizontal.csv.json",
-)
 # the artifacts analyze_dataset reads; its manifest must vouch for each
 ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts",
                       "image_total.csv", "image_total.csv.json")
@@ -65,20 +59,20 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
     started = time.time()
     physics = config.cluster_physics()
 
-    # motion readout
-    z = langevin.simulate_axial_motion(physics.stiffness, physics.gamma,
-                                       physics.mass, config.gas.temperature,
-                                       config.simulation)
-    detector = langevin.detector_signal(z, config.simulation)
-    io_formats.write_time_series(out_dir / "detector.ts", detector)
+    # motion readout, written block by block as it is integrated
+    motion = langevin.axial_motion_blocks(physics.stiffness, physics.gamma,
+                                          physics.mass, config.gas.temperature,
+                                          config.simulation)
+    digests = {"detector.ts": io_formats.write_time_series(
+        out_dir / "detector.ts", langevin.detector_blocks(motion, config.simulation))}
 
     # photon stream
     stream = photon_emitter.generate_time_tags(
         config.excitation, config.emitter, config.detection,
         config.acquisition.duration, seed=config.seed)
-    io_formats.write_time_tags(out_dir / "tags.bin", stream,
-                               configs={"a_pi": config.detection.a_pi,
-                                        "n_rods": config.cluster.n_rods})
+    digests["tags.bin"] = io_formats.write_time_tags(
+        out_dir / "tags.bin", stream,
+        configs={"a_pi": config.detection.a_pi, "n_rods": config.cluster.n_rods})
 
     # aperture images at the configured mixture, with camera noise
     mix = mirror_optics.DipoleMix(a_pi=config.detection.a_pi)
@@ -93,11 +87,12 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
         for img in (total, vertical, horizontal):
             img.pixels = np.clip(
                 img.pixels + rng.normal(0.0, scale, img.pixels.shape), 0.0, None)
-    io_formats.write_image_csv(out_dir / "image_total.csv", total)
-    io_formats.write_image_csv(out_dir / "image_vertical.csv", vertical)
-    io_formats.write_image_csv(out_dir / "image_horizontal.csv", horizontal)
+    for name, img in (("image_total.csv", total), ("image_vertical.csv", vertical),
+                      ("image_horizontal.csv", horizontal)):
+        digests[name], digests[name + ".json"] = io_formats.write_image_csv(
+            out_dir / name, img)
 
-    manifest = write_manifest(out_dir, config, DATASET_ARTIFACTS,
+    manifest = write_manifest(out_dir, config, digests,
                               elapsed_s=time.time() - started)
     return {
         "out_dir": str(out_dir),
@@ -122,6 +117,13 @@ def _profile_in_aperture(image: mirror_optics.ApertureImage) -> mirror_optics.Ra
         variances=None if profile.variances is None else profile.variances[keep])
 
 
+def _write_csv(path: Path, header: str, fmt: str, *columns) -> None:
+    """The bytes np.savetxt writes, from one ``%`` format over the whole table."""
+    table = np.column_stack(columns)
+    row = ",".join([fmt] * table.shape[1]) + "\n"
+    path.write_text(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
+
+
 def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
     """Run the measurement pipeline on a simulated dataset directory.
 
@@ -137,8 +139,8 @@ def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
     g2 = analysis.g2_zero(stream, 1.0 / rep_rate, max_lag=max_lag)
     blink = analysis.blink_analysis(stream)
 
-    detector = io_formats.read_time_series(dataset_dir / "detector.ts")
-    spectrum = analysis.power_spectral_density(detector)
+    with io_formats.TimeSeriesReader(dataset_dir / "detector.ts") as detector:
+        spectrum = analysis.stream_power_spectral_density(detector)
     lorentzian = analysis.fit_lorentzian(spectrum)
 
     image = io_formats.read_image_csv(dataset_dir / "image_total.csv")
@@ -173,17 +175,12 @@ def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
     (out_dir / "results.json").write_text(
         json.dumps(results, sort_keys=True, indent=2) + "\n")
 
-    np.savetxt(out_dir / "spectrum.csv",
-               np.column_stack([spectrum.frequencies, spectrum.densities]),
-               delimiter=",", header="frequency_hz,psd", comments="")
-    np.savetxt(out_dir / "g2_histogram.csv",
-               np.column_stack([g2.lags, g2.coincidences]),
-               delimiter=",", fmt="%d", header="pulse_lag,coincidences",
-               comments="")
-    np.savetxt(out_dir / "blink_histogram.csv",
-               np.column_stack([blink.count_values, blink.occurrences]),
-               delimiter=",", fmt="%d", header="counts_per_bin,occurrences",
-               comments="")
+    _write_csv(out_dir / "spectrum.csv", "frequency_hz,psd", "%.18e",
+               spectrum.frequencies, spectrum.densities)
+    _write_csv(out_dir / "g2_histogram.csv", "pulse_lag,coincidences", "%d",
+               g2.lags, g2.coincidences)
+    _write_csv(out_dir / "blink_histogram.csv", "counts_per_bin,occurrences", "%d",
+               blink.count_values, blink.occurrences)
     io_formats.write_profile_csv(out_dir / "radial_profile.csv", profile)
     return results
 

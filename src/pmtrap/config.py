@@ -356,17 +356,20 @@ class RunManifest:
     elapsed_s: float
 
 
-def write_manifest(directory, config: ExperimentConfig, artifact_names,
+def write_manifest(directory, config: ExperimentConfig, digests,
                    elapsed_s: float) -> RunManifest:
-    """Checksum the artifacts and write manifest.json (the completion marker)."""
+    """Write manifest.json (the completion marker) over written artifacts.
+
+    ``digests`` maps each artifact name to the sha256 its writer returned,
+    so no artifact is read again; only its size is taken from the file.
+    """
     directory = Path(directory)
     artifacts = {}
-    for name in artifact_names:
+    for name, sha256 in digests.items():
         path = directory / name
         if not path.exists():
             raise MissingArtifactError(f"cannot manifest missing artifact {name}")
-        artifacts[name] = {"sha256": sha256_file(path),
-                           "bytes": path.stat().st_size}
+        artifacts[name] = {"sha256": sha256, "bytes": path.stat().st_size}
     manifest = RunManifest(
         config_hash=config_hash(config), toolkit_version=__version__,
         seed=config.seed, artifacts=artifacts,

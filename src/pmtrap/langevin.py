@@ -11,13 +11,21 @@ the harmonic trap invariant, so equipartition holds without time-step bias,
 and the scheme is unconditionally stable for any damping.  The one-step map
 is linear, so its z component obeys an exact ARMA(2, 1) recurrence (by
 Cayley-Hamilton) that scipy's lfilter evaluates, with the initial state
-(z0, v0) entering as the filter state.  The recurrence runs over fixed-size
-blocks of samples: each block's final filter state seeds the next and the
-noise is drawn block by block from one generator, so the memory beyond the
-returned trace stays fixed and the result is bit-identical to one pass over
-the whole trace.  It is bit-deterministic per seed and orders of magnitude
-faster than stepping in Python.  The detector readout draws its noise
-straight into the output array and adds the scaled trace block by block.
+(z0, v0) entering as the filter state.
+
+Traces are produced as ``SeriesBlocks``: a sample count known up front and
+one pass over fixed-size blocks of samples.  ``axial_motion_blocks`` runs
+its argument checks and warnings before the first block; each block's final
+filter state seeds the next and the noise is drawn block by block from one
+generator, so the result is bit-identical to one pass over the whole trace.
+``detector_blocks`` is the readout as a per-block transform (white noise
+drawn per block from its own generator, in sample order, plus gain * z).
+A consumer such as ``io_formats.write_time_series`` can therefore take a
+trace of any length in fixed memory.  ``simulate_axial_motion`` collects the
+same blocks into a ``TimeSeries``, and ``detector_signal`` applies the same
+per-block transform to a whole trace, writing into its output array.  The
+recurrence is bit-deterministic per seed and orders of magnitude faster
+than stepping in Python.
 
 Rod alignment is modeled by its stationary statistics: tilt angles beta
 follow the Boltzmann weight exp(-dU sin^2(beta)/kB T) sin(beta) on
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy import integrate, signal
@@ -41,8 +49,11 @@ __all__ = [
     "TrapStiffness",
     "SimConfig",
     "TimeSeries",
+    "SeriesBlocks",
     "TiltSample",
+    "axial_motion_blocks",
     "simulate_axial_motion",
+    "detector_blocks",
     "detector_signal",
     "sample_tilt_distribution",
     "mean_cos2_tilt",
@@ -109,6 +120,43 @@ class TimeSeries:
     def duration(self) -> float:
         return len(self.samples) * self.sample_interval
 
+    def as_blocks(self) -> "SeriesBlocks":
+        """The samples as consecutive views of ``_BLOCK_SAMPLES``."""
+        n = len(self.samples)
+        views = (self.samples[start: start + _BLOCK_SAMPLES]
+                 for start in range(0, n, _BLOCK_SAMPLES))
+        return SeriesBlocks(self.sample_interval, n, views, self.units,
+                            self.seed, dict(self.metadata))
+
+
+@dataclass
+class SeriesBlocks:
+    """A uniformly sampled signal delivered once, as consecutive blocks.
+
+    ``n_samples`` is known before the first block; the lengths of the 1-D
+    float arrays that ``blocks`` yields sum to it.  Producers and consumers
+    drop their reference to a block before asking for the next one, so
+    that each stage holds one block at a time.
+    """
+
+    sample_interval: float
+    n_samples: int
+    blocks: Iterator[np.ndarray]
+    units: str = "m"
+    seed: int | None = None
+    metadata: dict = field(default_factory=dict)
+
+    def collect(self) -> TimeSeries:
+        """All blocks in one ``TimeSeries``."""
+        samples = np.empty(self.n_samples)
+        start = 0
+        for block in self.blocks:
+            samples[start: start + len(block)] = block
+            start += len(block)
+            del block
+        return TimeSeries(sample_interval=self.sample_interval, samples=samples,
+                          units=self.units, seed=self.seed, metadata=self.metadata)
+
 
 # samples per block of the Langevin recurrence and of the detector readout
 _BLOCK_SAMPLES = 1 << 20
@@ -128,10 +176,14 @@ def _one_step_map(omega: float, gamma: float, mass: float,
     return A, w
 
 
-def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
-                          temperature: float, cfg: SimConfig,
-                          initial_state: tuple[float, float] | None = None) -> TimeSeries:
-    """Integrate the axial Langevin equation; returns z(t) in meters.
+def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
+                        temperature: float, cfg: SimConfig,
+                        initial_state: tuple[float, float] | None = None
+                        ) -> SeriesBlocks:
+    """Integrate the axial Langevin equation; z(t) in meters, block by block.
+
+    The arguments are checked, and the short-duration warning given, before
+    the first block.
 
     Parameters
     ----------
@@ -180,37 +232,79 @@ def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
     noisy = temperature > 0 and gamma > 0
     b = [w[0], A[0, 1] * w[1] - A[1, 1] * w[0]]
     a = [1.0, -(A[0, 0] + A[1, 1]), A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]]
-    zi = [z0, A[0, 1] * v0 - A[1, 1] * z0]
-    z = np.empty(n)
-    e = np.zeros(min(n, _BLOCK_SAMPLES))
-    for start in range(0, n, _BLOCK_SAMPLES):
-        block = e[: min(n - start, _BLOCK_SAMPLES)]
-        if noisy:
-            rng.standard_normal(out=block[1:] if start == 0 else block)
-        z[start: start + len(block)], zi = signal.lfilter(b, a, block, zi=zi)
 
-    return TimeSeries(sample_interval=dt, samples=z, units="m", seed=cfg.seed,
-                      metadata={"omega": float(omega), "gamma": float(gamma),
-                                "mass": mass, "temperature": temperature})
+    def recurrence():
+        zi = [z0, A[0, 1] * v0 - A[1, 1] * z0]
+        e = np.zeros(min(n, _BLOCK_SAMPLES))
+        for start in range(0, n, _BLOCK_SAMPLES):
+            block = e[: min(n - start, _BLOCK_SAMPLES)]
+            if noisy:
+                rng.standard_normal(out=block[1:] if start == 0 else block)
+            z, zi = signal.lfilter(b, a, block, zi=zi)
+            yield z
+            del z
+
+    return SeriesBlocks(sample_interval=dt, n_samples=n, blocks=recurrence(),
+                        units="m", seed=cfg.seed,
+                        metadata={"omega": float(omega), "gamma": float(gamma),
+                                  "mass": mass, "temperature": temperature})
+
+
+def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
+                          temperature: float, cfg: SimConfig,
+                          initial_state: tuple[float, float] | None = None) -> TimeSeries:
+    """``axial_motion_blocks`` collected into one trace of z(t) in meters."""
+    return axial_motion_blocks(stiffness, gamma, mass, temperature, cfg,
+                               initial_state).collect()
+
+
+def _readout(z: np.ndarray, out: np.ndarray, rng: np.random.Generator | None,
+             sigma: float, gain: float) -> np.ndarray:
+    """Fill ``out`` with sigma * noise + gain * z for one block of z.
+
+    The noise continues ``rng``'s stream in sample order; without ``rng`` it
+    is zero.
+    """
+    if rng is None:
+        out[...] = 0.0
+    else:
+        rng.standard_normal(out=out)
+        out *= sigma
+    out += gain * z
+    return out
+
+
+def _readout_noise(sample_interval: float, cfg: SimConfig):
+    """Generator and per-sample sigma = floor * sqrt(fs/2) of the readout noise."""
+    fs = 1.0 / sample_interval
+    sigma = cfg.detector_noise_floor * np.sqrt(fs / 2.0)
+    rng = rng_for(cfg.seed, "detector-noise") if sigma > 0 else None
+    return rng, sigma
+
+
+def detector_blocks(z: SeriesBlocks, cfg: SimConfig) -> SeriesBlocks:
+    """Linearized interferometric readout s(t) = gain*z(t) + white noise.
+
+    One output block per block of ``z``.  The noise floor is the one-sided
+    amplitude spectral density in V/sqrt(Hz); per-sample
+    sigma = floor * sqrt(fs/2).
+    """
+    rng, sigma = _readout_noise(z.sample_interval, cfg)
+    blocks = (_readout(block, np.empty(len(block)), rng, sigma, cfg.detector_gain)
+              for block in z.blocks)
+    return SeriesBlocks(sample_interval=z.sample_interval, n_samples=z.n_samples,
+                        blocks=blocks, units="V", seed=z.seed,
+                        metadata=dict(z.metadata))
 
 
 def detector_signal(z: TimeSeries, cfg: SimConfig) -> TimeSeries:
-    """Linearized interferometric readout: s(t) = gain*z(t) + white noise.
-
-    The noise floor is the one-sided amplitude spectral density in V/sqrt(Hz);
-    per-sample sigma = floor * sqrt(fs/2).
-    """
-    fs = 1.0 / z.sample_interval
-    sigma = cfg.detector_noise_floor * np.sqrt(fs / 2.0)
-    n = len(z.samples)
-    if sigma > 0:
-        samples = rng_for(cfg.seed, "detector-noise").standard_normal(n)
-        samples *= sigma
-    else:
-        samples = np.zeros(n)
-    for start in range(0, n, _BLOCK_SAMPLES):
-        samples[start: start + _BLOCK_SAMPLES] += (
-            cfg.detector_gain * z.samples[start: start + _BLOCK_SAMPLES])
+    """``detector_blocks`` of a whole trace, written into one output array."""
+    rng, sigma = _readout_noise(z.sample_interval, cfg)
+    samples = np.empty(len(z.samples))
+    for start in range(0, len(samples), _BLOCK_SAMPLES):
+        stop = start + _BLOCK_SAMPLES
+        _readout(z.samples[start:stop], samples[start:stop], rng, sigma,
+                 cfg.detector_gain)
     return TimeSeries(sample_interval=z.sample_interval, samples=samples,
                       units="V", seed=z.seed, metadata=dict(z.metadata))
 

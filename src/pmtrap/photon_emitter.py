@@ -162,7 +162,7 @@ class TimeTagStream:
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
         if self.channels.shape != self.timestamps.shape:
             raise ValueError("channels and timestamps must align")
-        if np.any(np.diff(self.timestamps) < 0):
+        if np.any(self.timestamps[1:] < self.timestamps[:-1]):
             raise ValueError("timestamps must be non-decreasing")
         if len(self.timestamps) and (
             self.timestamps[0] < 0 or self.timestamps[-1] > self.duration

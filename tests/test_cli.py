@@ -1,7 +1,10 @@
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from pmtrap.cli import (
     main,
     simulate_dataset,
 )
-from pmtrap.config import load_config
+from pmtrap.config import load_config, parse_config
 from pmtrap.langevin import TimeSeries
 
 import oracles
@@ -107,10 +110,19 @@ class TestSimulate:
         assert res_a["asymmetry"]["classification"] == res_b["asymmetry"]["classification"]
 
 
-def _copy_dataset(out: Path, dest: Path) -> Path:
+def _copy_dataset(out: Path, dest: Path, rewrite=()) -> Path:
+    """A dataset copy whose files are hard links, except manifest.json and
+    the names in ``rewrite``, which are copied.
+
+    A test may write only to the copied files: the writers open with "wb",
+    which would truncate a linked file and with it the shared dataset.
+    """
     dest.mkdir()
     for p in out.iterdir():
-        (dest / p.name).write_bytes(p.read_bytes())
+        if p.name == "manifest.json" or p.name in rewrite:
+            shutil.copyfile(p, dest / p.name)
+        else:
+            os.link(p, dest / p.name)
     return dest
 
 
@@ -153,10 +165,7 @@ class TestAnalyze:
 
     def test_missing_artifact_exits_4(self, dataset, tmp_path, capsys):
         _, out, _ = dataset
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        for p in out.iterdir():
-            (broken / p.name).write_bytes(p.read_bytes())
+        broken = _copy_dataset(out, tmp_path / "broken")
         (broken / "tags.bin").unlink()
         code = main(["analyze", str(broken)])
         assert code == EXIT_MISSING_ARTIFACT
@@ -164,10 +173,7 @@ class TestAnalyze:
 
     def test_corrupt_manifest_exits_4(self, dataset, tmp_path):
         _, out, _ = dataset
-        broken = tmp_path / "corrupt"
-        broken.mkdir()
-        for p in out.iterdir():
-            (broken / p.name).write_bytes(p.read_bytes())
+        broken = _copy_dataset(out, tmp_path / "corrupt")
         (broken / "manifest.json").write_text("{broken")
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
 
@@ -184,10 +190,7 @@ class TestAnalyze:
     ], ids=["list", "no_sha256", "non_utf8", "empty_object", "unlisted_tags"])
     def test_manifest_shape_exits_4(self, dataset, tmp_path, rewrite, capsys):
         _, out, _ = dataset
-        broken = tmp_path / "shape"
-        broken.mkdir()
-        for p in out.iterdir():
-            (broken / p.name).write_bytes(p.read_bytes())
+        broken = _copy_dataset(out, tmp_path / "shape")
         manifest = json.loads((out / "manifest.json").read_text())
         (broken / "manifest.json").write_bytes(rewrite(manifest))
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
@@ -196,15 +199,10 @@ class TestAnalyze:
     def test_corrupt_image_exits_4(self, dataset, tmp_path, capsys):
         # checksum updated, so the pixel parser itself must reject the file
         _, out, _ = dataset
-        broken = tmp_path / "pixels"
-        broken.mkdir()
-        for p in out.iterdir():
-            (broken / p.name).write_bytes(p.read_bytes())
+        broken = _copy_dataset(out, tmp_path / "pixels", rewrite=("image_total.csv",))
         image = broken / "image_total.csv"
         image.write_bytes(b"zz" + image.read_bytes()[2:])
-        manifest = json.loads((broken / "manifest.json").read_text())
-        manifest["artifacts"]["image_total.csv"]["sha256"] = io.sha256_file(image)
-        (broken / "manifest.json").write_text(json.dumps(manifest))
+        _rehash(broken, "image_total.csv")
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert "image_total.csv" in capsys.readouterr().err
 
@@ -215,11 +213,36 @@ class TestAnalyze:
         # checksum updated, so the container reader itself must reject the
         # payload; "header" cuts inside the JSON header
         _, out, _ = dataset
-        broken = _copy_dataset(out, tmp_path / "cut")
+        broken = _copy_dataset(out, tmp_path / "cut", rewrite=(artifact,))
         path = broken / artifact
         raw = path.read_bytes()
         end = 8 + int.from_bytes(raw[4:8], "little") // 2 if cut == "header" else -cut
         path.write_bytes(raw[:end])
+        _rehash(broken, artifact)
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        assert artifact in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact, at, value", [
+        ("detector.ts", 8 * 1000, struct.pack("<d", np.nan)),
+        ("detector.ts", -8, struct.pack("<d", np.inf)),
+        ("tags.bin", 9 * 10 + 1, struct.pack("<d", np.nan)),
+        ("tags.bin", 9 * 10, b"\x02"),
+        ("tags.bin", 9 * 10 + 1, struct.pack("<d", 0.0)),
+        ("tags.bin", 1, struct.pack("<d", -1.0)),
+        ("tags.bin", -8, struct.pack("<d", 1e9)),
+    ], ids=["nan_sample", "inf_sample", "nan_timestamp", "channel_2", "unsorted",
+            "negative_timestamp", "after_window"])
+    def test_corrupt_payload_exits_4(self, dataset, tmp_path, artifact, at, value,
+                                     capsys):
+        # checksum updated: values the simulator cannot produce are a corrupt
+        # artifact; ``at`` is a byte offset into the payload, or from its end
+        _, out, _ = dataset
+        broken = _copy_dataset(out, tmp_path / "payload", rewrite=(artifact,))
+        path = broken / artifact
+        raw = bytearray(path.read_bytes())
+        start = 8 + int.from_bytes(raw[4:8], "little") + at if at >= 0 else len(raw) + at
+        raw[start: start + len(value)] = value
+        path.write_bytes(bytes(raw))
         _rehash(broken, artifact)
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert artifact in capsys.readouterr().err
@@ -230,7 +253,7 @@ class TestAnalyze:
     ], ids=["too_short_for_4_segments", "flat_spectrum"])
     def test_analysis_failure_exits_5(self, dataset, tmp_path, samples, capsys):
         _, out, _ = dataset
-        broken = _copy_dataset(out, tmp_path / "motion")
+        broken = _copy_dataset(out, tmp_path / "motion", rewrite=("detector.ts",))
         io.write_time_series(broken / "detector.ts",
                              TimeSeries(sample_interval=1e-6, samples=samples))
         _rehash(broken, "detector.ts")
@@ -254,6 +277,41 @@ class TestAnalyze:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["analyze", str(empty)]) == EXIT_MISSING_ARTIFACT
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    # the dataset path holds fixed-size blocks of the detector trace, never
+    # the trace: at 2^23 samples (64 MiB) the peaks stay below the trace's
+    # size and within 8 MiB of the same call at 2^21 samples; a short
+    # acquisition keeps the photon path small
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        peaks = {}
+        for n in (2**21, 2**23):
+            root = tmp_path_factory.mktemp(f"samples{n}")
+            config = parse_config({
+                "seed": 5, "acquisition": {"duration_s": 0.5},
+                "simulation": {"time_step_s": 4e-9, "duration_s": n * 4e-9}})
+            simulate = _traced_peak(lambda: simulate_dataset(config, root / "ds"))
+            assert (root / "ds" / "detector.ts").stat().st_size > 8 * n
+            analyze = _traced_peak(lambda: analyze_dataset(root / "ds", root / "res"))
+            peaks[n] = {"simulate": simulate, "analyze": analyze}
+            shutil.rmtree(root)
+        return peaks
+
+    @pytest.mark.parametrize("stage", ["simulate", "analyze"])
+    def test_peak_bounded(self, peaks, stage):
+        assert peaks[2**23][stage] < 64 * 2**20
+        assert peaks[2**23][stage] < peaks[2**21][stage] + 8 * 2**20
 
 
 class TestReproduceCli:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -8,7 +9,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pmtrap import analysis
 from pmtrap import io_formats as io
+from pmtrap import langevin as lv
 from pmtrap import mirror_optics as mo
 from pmtrap.config import (
     default_config_yaml,
@@ -123,6 +126,30 @@ def test_container_count_not_a_count(tmp_path, kind, key, count):
         getattr(io, f"read_{kind}")(path)
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("time_series", "sample_interval_s", "1e-6"),
+    ("time_series", "sample_interval_s", 0.0),
+    ("time_series", "sample_interval_s", None),
+    ("time_tags", "duration_s", "1.0"),
+    ("time_tags", "duration_s", None),
+    ("time_tags", "duration_s", float("nan")),
+    ("time_tags", "duration_s", -1.0),
+], ids=["interval_string", "interval_zero", "interval_null", "duration_string",
+        "duration_null", "duration_nan", "duration_negative"])
+def test_container_header_value_rejected(tmp_path, kind, key, value):
+    path = tmp_path / "artifact.bin"
+    if kind == "time_series":
+        io.write_time_series(path, TimeSeries(sample_interval=1e-6,
+                                              samples=np.arange(2.0)))
+    else:
+        io.write_time_tags(path, TimeTagStream(channels=[0, 1],
+                                               timestamps=[0.1, 0.2], duration=1.0))
+    _replace_header(path, lambda blob: json.dumps(
+        {**json.loads(blob), key: value}).encode())
+    with pytest.raises(MissingArtifactError, match="corrupt"):
+        getattr(io, f"read_{kind}")(path)
+
+
 class TestTimeSeriesIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -169,6 +196,91 @@ class TestTimeSeriesIO:
         assert peak < back.samples.nbytes + 16 * 2**20
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        samples = np.arange(100.0)
+        path = tmp_path / "z.ts"
+        io.write_time_series(path, TimeSeries(sample_interval=1e-6, samples=samples))
+        raw = bytearray(path.read_bytes())
+        raw[-8 * 37: -8 * 36] = struct.pack("<d", bad)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MissingArtifactError, match="non-finite"):
+            io.read_time_series(path)
+        with io.TimeSeriesReader(path) as reader:
+            assert np.array_equal(reader.read(0, 60), samples[:60])
+            with pytest.raises(MissingArtifactError, match="non-finite"):
+                reader.mean()
+
+    @pytest.mark.parametrize("block", [1 << 20, 4096, 1000])
+    def test_streamed_psd_matches_in_memory(self, tmp_path, monkeypatch, block):
+        # blocks of the mean pass and of the Welch segments both vary; only
+        # the mean's summation order may move the last digit
+        rng = np.random.default_rng(5)
+        series = TimeSeries(sample_interval=1e-6, samples=rng.normal(3.0, 1.0, 30001))
+        path = tmp_path / "z.ts"
+        io.write_time_series(path, series)
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
+        monkeypatch.setattr(analysis, "_PSD_BLOCK_SAMPLES", block)
+        whole = analysis.power_spectral_density(series, segment_length=1024)
+        with io.TimeSeriesReader(path) as reader:
+            assert reader.mean() == pytest.approx(np.mean(series.samples), rel=1e-14)
+            streamed = analysis.stream_power_spectral_density(reader,
+                                                              segment_length=1024)
+        assert np.array_equal(streamed.frequencies, whole.frequencies)
+        assert streamed.averages == whole.averages
+        np.testing.assert_allclose(streamed.densities, whole.densities, rtol=1e-12)
+
+    def test_reader_memory_bounded(self, tmp_path):
+        # a pass over 2^23 samples (64 MiB) holds one 2^20-sample buffer
+        path = tmp_path / "long.ts"
+        io.write_time_series(path, TimeSeries(sample_interval=1e-9,
+                                              samples=np.ones(2**23)))
+        tracemalloc.start()
+        try:
+            with io.TimeSeriesReader(path) as reader:
+                mean = reader.mean()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            path.unlink()
+        assert mean == 1.0
+        assert peak < 10 * 2**20
+
+
+class TestWriterDigests:
+    """Each artifact writer returns the sha256 of the file it wrote."""
+
+    @pytest.mark.parametrize("block", [1 << 20, 7])
+    def test_time_series(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(lv, "_BLOCK_SAMPLES", block)
+        series = TimeSeries(sample_interval=1e-6, samples=np.arange(100.0))
+        path = tmp_path / "z.ts"
+        assert io.write_time_series(path, series) == io.sha256_file(path)
+        assert io.write_time_series(path, series.as_blocks()) == io.sha256_file(path)
+
+    def test_time_series_block_count_must_match(self, tmp_path):
+        blocks = lv.SeriesBlocks(sample_interval=1e-6, n_samples=10,
+                                 blocks=iter([np.zeros(4)]))
+        with pytest.raises(ValueError, match="promised"):
+            io.write_time_series(tmp_path / "z.ts", blocks)
+
+    @pytest.mark.parametrize("block", [1 << 20, 7])
+    def test_time_tags(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
+        stream = TimeTagStream(channels=np.arange(100) % 2,
+                               timestamps=np.linspace(0.0, 1.0, 100), duration=1.0)
+        path = tmp_path / "tags.bin"
+        assert io.write_time_tags(path, stream) == io.sha256_file(path)
+
+    def test_image_csv(self, tmp_path):
+        image = mo.ApertureImage(pixels=np.arange(12.0).reshape(3, 4) / 7,
+                                 pixel_pitch=0.1, channel="total")
+        path = tmp_path / "image.csv"
+        pixels, sidecar = io.write_image_csv(path, image)
+        assert pixels == io.sha256_file(path)
+        assert sidecar == io.sha256_file(tmp_path / "image.csv.json")
+
+
 class TestTimeTagIO:
     def _stream(self):
         rng = np.random.default_rng(1)
@@ -184,6 +296,55 @@ class TestTimeTagIO:
         assert np.array_equal(back.timestamps, stream.timestamps)
         assert np.array_equal(back.channels, stream.channels)
         assert back.duration == stream.duration and back.seed == 3
+
+    @pytest.mark.parametrize("block", [1, 7, 4999, 5000])
+    def test_round_trip_in_blocks(self, tmp_path, monkeypatch, block):
+        stream = self._stream()
+        path = tmp_path / "tags.bin"
+        io.write_time_tags(path, stream)
+        whole = path.read_bytes()
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
+        io.write_time_tags(path, stream)
+        assert path.read_bytes() == whole
+        back = io.read_time_tags(path)
+        assert np.array_equal(back.timestamps, stream.timestamps)
+        assert np.array_equal(back.channels, stream.channels)
+
+    def test_read_memory_bounded(self, tmp_path):
+        # 2^22 events: the payload goes block by block into the two field
+        # arrays, with no record array of the whole stream
+        n = 2**22
+        path = tmp_path / "long.bin"
+        io.write_time_tags(path, TimeTagStream(channels=np.zeros(n, np.uint8),
+                                               timestamps=np.linspace(0, 1, n),
+                                               duration=1.0))
+        tracemalloc.start()
+        try:
+            back = io.read_time_tags(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            path.unlink()
+        assert len(back) == n
+        assert peak < back.channels.nbytes + back.timestamps.nbytes + 12 * 2**20
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("time", 3, np.nan), ("time", 4999, np.inf), ("channel", 3, 2),
+        ("time", 3, 0.0), ("time", 0, -1.0), ("time", 4999, 2.0),
+    ], ids=["nan", "inf", "channel_2", "unsorted", "negative", "after_window"])
+    def test_corrupt_payload_rejected(self, tmp_path, field, index, value):
+        stream = self._stream()
+        path = tmp_path / "tags.bin"
+        io.write_time_tags(path, stream)
+        raw = bytearray(path.read_bytes())
+        offset = len(raw) - 9 * len(stream) + 9 * index
+        if field == "channel":
+            raw[offset] = value
+        else:
+            raw[offset + 1: offset + 9] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MissingArtifactError, match="corrupt"):
+            io.read_time_tags(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "tags.bin"
@@ -357,12 +518,14 @@ class TestConfig:
 
 class TestManifest:
     def _dataset(self, tmp_path):
+        # name -> sha256 of the bytes written, as the artifact writers return
         config = parse_config({"seed": 1})
-        names = []
+        names = {}
         for i in range(3):
             name = f"artifact{i}.bin"
-            (tmp_path / name).write_bytes(bytes(range(10 * (i + 1))))
-            names.append(name)
+            data = bytes(range(10 * (i + 1)))
+            (tmp_path / name).write_bytes(data)
+            names[name] = hashlib.sha256(data).hexdigest()
         return config, names
 
     def test_write_and_verify(self, tmp_path):
@@ -374,14 +537,14 @@ class TestManifest:
     def test_corruption_detected(self, tmp_path):
         config, names = self._dataset(tmp_path)
         write_manifest(tmp_path, config, names, elapsed_s=0.1)
-        (tmp_path / names[1]).write_bytes(b"tampered")
+        (tmp_path / list(names)[1]).write_bytes(b"tampered")
         with pytest.raises(MissingArtifactError, match="checksum"):
             verify_manifest(tmp_path)
 
     def test_missing_artifact_detected(self, tmp_path):
         config, names = self._dataset(tmp_path)
         write_manifest(tmp_path, config, names, elapsed_s=0.1)
-        (tmp_path / names[0]).unlink()
+        (tmp_path / list(names)[0]).unlink()
         with pytest.raises(MissingArtifactError):
             verify_manifest(tmp_path)
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmtrap import analysis, constants as const, langevin as lv
+from pmtrap import analysis, constants as const, io_formats, langevin as lv
 from pmtrap import mirror_optics as mo
 
 import oracles
@@ -132,6 +132,36 @@ class TestBlockInvariance:
         assert np.array_equal(whole.samples, blocked.samples)
         if noise_floor == 0:
             assert np.array_equal(blocked.samples, cfg.detector_gain * z.samples)
+
+
+@pytest.mark.filterwarnings("ignore:duration below")
+class TestStreamedDetectorFile:
+    @pytest.mark.parametrize("noise_floor", [1e-6, 0.0])
+    @pytest.mark.parametrize("block", [2001, 1001, 1],
+                             ids=["1_block", "2_blocks", "n_blocks"])
+    def test_matches_collected_trace(self, tmp_path, monkeypatch, block,
+                                     noise_floor):
+        # the file written block by block from the generators equals the
+        # file of the collected traces, made with the default (one) block
+        cfg = lv.SimConfig(time_step=1.2e-8, duration=2001 * 1.2e-8, seed=8,
+                           detector_noise_floor=noise_floor)
+        args = (STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        collected = tmp_path / "collected.ts"
+        io_formats.write_time_series(collected, lv.detector_signal(
+            lv.simulate_axial_motion(*args), cfg))
+        monkeypatch.setattr(lv, "_BLOCK_SAMPLES", block)
+        streamed = tmp_path / "streamed.ts"
+        io_formats.write_time_series(streamed, lv.detector_blocks(
+            lv.axial_motion_blocks(*args), cfg))
+        assert streamed.read_bytes() == collected.read_bytes()
+
+    def test_checks_run_before_first_block(self):
+        cfg = lv.SimConfig(time_step=1e-6, duration=1e-2, seed=0)
+        with pytest.raises(ValueError, match="time step"):
+            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        cfg = lv.SimConfig(time_step=1.2e-8, duration=5e-6, seed=0)
+        with pytest.warns(UserWarning, match="duration"):
+            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
 
 
 def _traced_peak(run):
