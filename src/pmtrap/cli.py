@@ -253,6 +253,8 @@ def main(argv=None) -> int:
             results = analyze_dataset(args.dataset, args.out, args.max_lag)
             print(json.dumps(results, sort_keys=True, indent=2))
         elif args.command == "reproduce":
+            if args.threads < 1:
+                raise ValueError("--threads must be >= 1")
             config = _load_config_arg(args)
             out_dir = Path(args.out) if args.out else (_output_root() / "reproduce")
             names = sorted(REPRODUCE_TARGETS) if args.figure == "all" else [args.figure]

@@ -375,16 +375,8 @@ def write_manifest(directory, config: ExperimentConfig, digests,
         seed=config.seed, artifacts=artifacts,
         wall_clock_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         elapsed_s=elapsed_s)
-    payload = {
-        "config_hash": manifest.config_hash,
-        "toolkit_version": manifest.toolkit_version,
-        "seed": manifest.seed,
-        "artifacts": manifest.artifacts,
-        "wall_clock_utc": manifest.wall_clock_utc,
-        "elapsed_s": manifest.elapsed_s,
-    }
     (directory / "manifest.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n")
     return manifest
 
 

@@ -21,8 +21,9 @@ records into bounded buffers: ``TimeSeriesReader`` serves sample ranges of
 a time series through one reused buffer, and ``read_time_tags`` fills the
 channel and timestamp arrays directly.  Payload values that the models
 cannot have produced (non-finite samples or timestamps, channels other than
-0 and 1, unsorted or out-of-window tags) raise ``MissingArtifactError`` like
-any other corrupt artifact.
+0 and 1, unsorted or out-of-window tags), and header or sidecar values of
+the wrong type or range, raise ``MissingArtifactError`` like any other
+corrupt artifact.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def _json_header(blob: bytes, path: Path, required: tuple[str, ...]) -> dict:
     return header
 
 
+def _finite_number(value) -> bool:
+    """Whether a decoded JSON value is a finite number (not a bool)."""
+    return type(value) in (int, float) and -np.inf < value < np.inf
+
+
 def _write_bytes(path: Path, data: bytes) -> str:
     """Write ``data`` to ``path``; returns its sha256."""
     path.write_bytes(data)
@@ -111,14 +117,27 @@ def read_image_csv(path) -> ApertureImage:
         raise MissingArtifactError(f"image artifact incomplete: {path}")
     meta = _json_header(sidecar.read_bytes(), sidecar,
                         ("pixel_pitch_f", "channel", "center_px"))
+    center, metadata = meta["center_px"], meta.get("metadata", {})
+    if not _finite_number(meta["pixel_pitch_f"]):
+        raise MissingArtifactError(f"artifact corrupt (header pixel_pitch_f): {sidecar}")
+    if not (isinstance(center, list) and len(center) == 2
+            and all(map(_finite_number, center))):
+        raise MissingArtifactError(
+            f"artifact corrupt (header center_px is not two numbers): {sidecar}")
+    if not isinstance(metadata, dict) or not all(
+            _finite_number(metadata[key]) for key in ("bore_radius_f", "rim_radius_f")
+            if key in metadata):
+        raise MissingArtifactError(f"artifact corrupt (header metadata): {sidecar}")
     try:
         pixels = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise MissingArtifactError(f"artifact corrupt (pixels): {path}: {exc}")
-    return ApertureImage(pixels=pixels, pixel_pitch=meta["pixel_pitch_f"],
-                         channel=meta["channel"],
-                         center=tuple(meta["center_px"]),
-                         metadata=meta.get("metadata", {}))
+    try:
+        return ApertureImage(pixels=pixels, pixel_pitch=meta["pixel_pitch_f"],
+                             channel=meta["channel"], center=tuple(center),
+                             metadata=metadata)
+    except (ValueError, TypeError) as exc:
+        raise MissingArtifactError(f"artifact corrupt ({exc}): {path}")
 
 
 def write_profile_csv(path, profile: RadialProfile) -> None:
@@ -244,8 +263,7 @@ class TimeSeriesReader:
                 self._fh, self.path, _SERIES_MAGIC,
                 ("n_samples", "sample_interval_s"), "n_samples", _SERIES_DTYPE)
             self.sample_interval = header["sample_interval_s"]
-            if type(self.sample_interval) not in (int, float) or not (
-                    0 < self.sample_interval < np.inf):
+            if not (_finite_number(self.sample_interval) and self.sample_interval > 0):
                 raise MissingArtifactError(
                     f"artifact corrupt (header sample_interval_s): {self.path}")
         except BaseException:
@@ -336,9 +354,11 @@ def _unpack_tags(fh, path: Path, count: int) -> tuple[np.ndarray, np.ndarray]:
 def read_time_tags(path) -> TimeTagStream:
     """Read a time-tag container.
 
-    A header duration_s that is not a finite number >= 0, NaN or infinite
-    timestamps, channels other than 0 and 1, and streams that break a
-    ``TimeTagStream`` invariant raise ``MissingArtifactError``.
+    A header duration_s that is not a finite number >= 0, header metadata
+    that is not a mapping or whose repetition_rate is not a finite number
+    > 0, NaN or infinite timestamps, and streams that break a
+    ``TimeTagStream`` invariant (channels other than 0 and 1 among them)
+    raise ``MissingArtifactError``.
     """
     path = Path(path)
     with _open(path) as fh:
@@ -346,17 +366,18 @@ def read_time_tags(path) -> TimeTagStream:
                                      ("n_events", "duration_s"), "n_events",
                                      _TAG_DTYPE)
         channels, timestamps = _unpack_tags(fh, path, count)
-    duration = header["duration_s"]
-    if type(duration) not in (int, float) or not 0 <= duration < np.inf:
+    duration, metadata = header["duration_s"], header.get("metadata", {})
+    if not (_finite_number(duration) and duration >= 0):
         raise MissingArtifactError(f"artifact corrupt (header duration_s): {path}")
-    if np.any(channels > 1):
-        raise MissingArtifactError(f"artifact corrupt (channel not 0 or 1): {path}")
+    rate = metadata.get("repetition_rate", 1.0) if isinstance(metadata, dict) else None
+    if not (_finite_number(rate) and rate > 0):
+        raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
     if not np.isfinite(timestamps).all():
         raise MissingArtifactError(f"artifact corrupt (non-finite timestamp): {path}")
     try:
         return TimeTagStream(channels=channels, timestamps=timestamps,
                              duration=duration, seed=header.get("seed"),
-                             metadata=header.get("metadata", {}))
+                             metadata=metadata)
     except ValueError as exc:
         raise MissingArtifactError(f"artifact corrupt ({exc}): {path}")
 
@@ -381,6 +402,9 @@ def read_time_tags_csv(path, duration: float | None = None) -> TimeTagStream:
     if not path.exists():
         raise MissingArtifactError(f"time-tag CSV missing: {path}")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    # checked before the uint8 cast, which would truncate 0.5 to 0
+    if np.any(data[:, 0] != np.round(data[:, 0])):
+        raise ValueError(f"time-tag CSV channel is not an integer 0 or 1: {path}")
     channels = data[:, 0].astype(np.uint8)
     timestamps = data[:, 1]
     order = np.argsort(timestamps, kind="stable")

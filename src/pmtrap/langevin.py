@@ -18,26 +18,28 @@ one pass over fixed-size blocks of samples.  ``axial_motion_blocks`` runs
 its argument checks and warnings before the first block; each block's final
 filter state seeds the next and the noise is drawn block by block from one
 generator, so the result is bit-identical to one pass over the whole trace.
-``detector_blocks`` is the readout as a per-block transform (white noise
-drawn per block from its own generator, in sample order, plus gain * z).
-A consumer such as ``io_formats.write_time_series`` can therefore take a
-trace of any length in fixed memory.  ``simulate_axial_motion`` collects the
-same blocks into a ``TimeSeries``, and ``detector_signal`` applies the same
-per-block transform to a whole trace, writing into its output array.  The
-recurrence is bit-deterministic per seed and orders of magnitude faster
-than stepping in Python.
+``detector_blocks`` is the one detector readout, a per-block transform
+(white noise drawn per block from its own generator, in sample order, plus
+gain * z); a whole trace is read out as
+``detector_blocks(series.as_blocks(), cfg).collect()``.  A consumer such as
+``io_formats.write_time_series`` can therefore take a trace of any length
+in fixed memory.  ``simulate_axial_motion`` collects the same blocks into a
+``TimeSeries``.  The recurrence is bit-deterministic per seed and orders of
+magnitude faster than stepping in Python.
 
 Rod alignment is modeled by its stationary statistics: tilt angles beta
 follow the Boltzmann weight exp(-dU sin^2(beta)/kB T) sin(beta) on
 [0, pi/2], which maps trap power onto the apparent linear-dipole fraction
-a_pi(P) = intrinsic * <cos^2 beta>.
+a_pi(P) = intrinsic * <cos^2 beta>, evaluated by quadrature.  The rejection
+Monte Carlo of the same distribution, which checks that quadrature, lives
+with the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 from scipy import integrate, signal
@@ -50,12 +52,9 @@ __all__ = [
     "SimConfig",
     "TimeSeries",
     "SeriesBlocks",
-    "TiltSample",
     "axial_motion_blocks",
     "simulate_axial_motion",
     "detector_blocks",
-    "detector_signal",
-    "sample_tilt_distribution",
     "mean_cos2_tilt",
     "apparent_a_pi",
 ]
@@ -258,102 +257,30 @@ def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
                                initial_state).collect()
 
 
-def _readout(z: np.ndarray, out: np.ndarray, rng: np.random.Generator | None,
-             sigma: float, gain: float) -> np.ndarray:
-    """Fill ``out`` with sigma * noise + gain * z for one block of z.
-
-    The noise continues ``rng``'s stream in sample order; without ``rng`` it
-    is zero.
-    """
-    if rng is None:
-        out[...] = 0.0
-    else:
-        rng.standard_normal(out=out)
-        out *= sigma
-    out += gain * z
-    return out
-
-
-def _readout_noise(sample_interval: float, cfg: SimConfig):
-    """Generator and per-sample sigma = floor * sqrt(fs/2) of the readout noise."""
-    fs = 1.0 / sample_interval
-    sigma = cfg.detector_noise_floor * np.sqrt(fs / 2.0)
-    rng = rng_for(cfg.seed, "detector-noise") if sigma > 0 else None
-    return rng, sigma
-
-
 def detector_blocks(z: SeriesBlocks, cfg: SimConfig) -> SeriesBlocks:
     """Linearized interferometric readout s(t) = gain*z(t) + white noise.
 
-    One output block per block of ``z``.  The noise floor is the one-sided
-    amplitude spectral density in V/sqrt(Hz); per-sample
-    sigma = floor * sqrt(fs/2).
+    One output block per block of ``z``; the noise continues one generator's
+    stream in sample order.  The noise floor is the one-sided amplitude
+    spectral density in V/sqrt(Hz); per-sample sigma = floor * sqrt(fs/2).
     """
-    rng, sigma = _readout_noise(z.sample_interval, cfg)
-    blocks = (_readout(block, np.empty(len(block)), rng, sigma, cfg.detector_gain)
-              for block in z.blocks)
+    fs = 1.0 / z.sample_interval
+    sigma = cfg.detector_noise_floor * np.sqrt(fs / 2.0)
+    rng = rng_for(cfg.seed, "detector-noise") if sigma > 0 else None
+
+    def readout():
+        for block in z.blocks:
+            out = np.zeros(len(block))
+            if rng is not None:
+                rng.standard_normal(out=out)
+                out *= sigma
+            out += cfg.detector_gain * block
+            del block
+            yield out
+
     return SeriesBlocks(sample_interval=z.sample_interval, n_samples=z.n_samples,
-                        blocks=blocks, units="V", seed=z.seed,
+                        blocks=readout(), units="V", seed=z.seed,
                         metadata=dict(z.metadata))
-
-
-def detector_signal(z: TimeSeries, cfg: SimConfig) -> TimeSeries:
-    """``detector_blocks`` of a whole trace, written into one output array."""
-    rng, sigma = _readout_noise(z.sample_interval, cfg)
-    samples = np.empty(len(z.samples))
-    for start in range(0, len(samples), _BLOCK_SAMPLES):
-        stop = start + _BLOCK_SAMPLES
-        _readout(z.samples[start:stop], samples[start:stop], rng, sigma,
-                 cfg.detector_gain)
-    return TimeSeries(sample_interval=z.sample_interval, samples=samples,
-                      units="V", seed=z.seed, metadata=dict(z.metadata))
-
-
-class TiltSample(NamedTuple):
-    beta: np.ndarray
-    cos2_mean: float
-    cos2_std_error: float
-
-
-def sample_tilt_distribution(align_depth: float, temperature: float,
-                             n_samples: int, seed: int) -> TiltSample:
-    """Monte Carlo tilt angles from the alignment Boltzmann distribution.
-
-    Draws beta on [0, pi/2] from p(beta) ~ exp(-dU sin^2(beta)/kB T) sin(beta)
-    by exact rejection on u = cos(beta): the target ~ exp(s u^2) is dominated
-    by the analytically invertible envelope ~ exp(s u).  Returns the samples
-    and the Monte Carlo estimate of <cos^2 beta> with its standard error.
-    """
-    if align_depth < 0:
-        raise ValueError("align_depth must be >= 0")
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    s = align_depth / (const.BOLTZMANN * temperature)
-    rng = rng_for(seed, "tilt-sampler")
-
-    u_out = np.empty(n_samples)
-    filled = 0
-    while filled < n_samples:
-        m = max(n_samples - filled, 1024)
-        v = rng.random(m)
-        if s == 0:
-            u = v
-            accept = np.ones(m, dtype=bool)
-        else:
-            # inverse CDF of the envelope exp(s u) on [0, 1], overflow-safe
-            u = 1.0 + np.log(v + (1.0 - v) * np.exp(-s)) / s
-            accept = np.log(rng.random(m)) < s * (u**2 - u)
-        good = u[accept]
-        take = min(len(good), n_samples - filled)
-        u_out[filled: filled + take] = good[:take]
-        filled += take
-
-    cos2 = u_out**2
-    mean = float(np.mean(cos2))
-    se = float(np.std(cos2, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else float("nan")
-    return TiltSample(beta=np.arccos(u_out), cos2_mean=mean, cos2_std_error=se)
 
 
 def mean_cos2_tilt(align_depth: float, temperature: float) -> float:

@@ -16,9 +16,10 @@ dipoles) produces
     I_sigma(R) = (R^4/16 + 1) / (R^2/4 + 1)^4.
 
 This module synthesizes aperture images for arbitrary dipole orientations,
-projects them onto linear polarization states, integrates collection
-efficiencies over the mirror's solid angle, azimuthally averages images into
-radial profiles, and fits the linear/circular mixture fraction to profiles.
+projects them onto linear polarization states, gives the collection
+efficiencies over the mirror's solid angle in closed form, azimuthally
+averages images into radial profiles, and fits the linear/circular mixture
+fraction to profiles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 from scipy.optimize import nnls
 
 from . import constants as const
@@ -380,36 +381,27 @@ def polarized_projection(image: ApertureImage, mix: DipoleMix, axis: str) -> Ape
                          metadata=dict(image.metadata))
 
 
-def _angular_density(kind: str):
-    """Normalized dipole angular power density p(theta), integrating to 1 over 4pi."""
-    if kind == "linear":
-        return lambda t: (3.0 / (8.0 * np.pi)) * np.sin(t) ** 2
-    if kind == "circular":
-        return lambda t: (3.0 / (16.0 * np.pi)) * (1.0 + np.cos(t) ** 2)
-    raise ValueError(f"kind must be 'linear' or 'circular', got {kind!r}")
-
-
 def collection_efficiency(kind: str, geometry: MirrorGeometry | None = None) -> float:
     """Fraction of total dipole emission collected between bore and rim.
 
-    Numerically integrates the dipole angular pattern over
-    theta in [theta_bore, theta_rim] (adaptive quadrature, absolute error
-    < 1e-6).  With the reference geometry this gives 0.94 for a linear and
-    0.76 for a circular dipole.
+    The dipole pattern integrated over theta in [theta_bore, theta_rim], in
+    closed form with c_i = cos(theta_i) at the bore and the rim:
+
+        linear:   (3/4) [(c0 - c1) - (c0^3 - c1^3)/3]
+        circular: (3/8) [(c0 - c1) + (c0^3 - c1^3)/3]
+
+    With the reference geometry this gives 0.94 for a linear and 0.76 for a
+    circular dipole.
     """
     if geometry is None:
         geometry = MirrorGeometry()
-    t0, t1 = geometry.bore_angle, geometry.rim_angle
-    if t0 >= t1:
-        raise InvalidGeometryError("bore angle must be smaller than rim angle")
-    density = _angular_density(kind)
-    value, err = integrate.quad(
-        lambda t: density(t) * 2.0 * np.pi * np.sin(t), t0, t1,
-        epsabs=1e-10, epsrel=1e-10, limit=200,
-    )
-    if err > 1e-6:
-        raise RuntimeError(f"quadrature error {err:.2e} above tolerance")
-    return float(value)
+    c0, c1 = np.cos(geometry.bore_angle), np.cos(geometry.rim_angle)
+    cubes = (c0**3 - c1**3) / 3.0
+    if kind == "linear":
+        return float(0.75 * ((c0 - c1) - cubes))
+    if kind == "circular":
+        return float(0.375 * ((c0 - c1) + cubes))
+    raise ValueError(f"kind must be 'linear' or 'circular', got {kind!r}")
 
 
 def azimuthal_average(image: ApertureImage, bin_width: float | None = None) -> RadialProfile:

@@ -11,8 +11,8 @@ Within a blink segment the attenuation is constant, so the detected-photon
 number per pulse is i.i.d. with a pmf computed exactly
 (:func:`detected_photon_pmf`).  :func:`generate_time_tags` draws only the
 pulses that give a detection, so time and memory scale with the number of
-events, not of pulses.  :func:`excitons_per_pulse` and :func:`auger_reduce`
-are the per-pulse Monte Carlo of the same chain, kept as its reference.  The
+events, not of pulses.  The per-pulse Monte Carlo of the same chain, which
+checks that pmf, lives with the test oracles (``tests/oracles.py``).  The
 result is a two-channel time-tag stream, deterministic per seed.
 """
 
@@ -32,8 +32,6 @@ __all__ = [
     "TimeTagStream",
     "BlinkTrajectory",
     "RateEstimate",
-    "excitons_per_pulse",
-    "auger_reduce",
     "auger_prob_for_cluster",
     "detected_photon_pmf",
     "blink_trajectory",
@@ -158,7 +156,11 @@ class TimeTagStream:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.uint8)
+        channels = np.asarray(self.channels)
+        # checked before the uint8 cast, which would wrap 256 to 0
+        if channels.size and (channels.min() < 0 or channels.max() > 1):
+            raise ValueError("channels must be 0 or 1")
+        self.channels = channels.astype(np.uint8, copy=False)
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
         if self.channels.shape != self.timestamps.shape:
             raise ValueError("channels and timestamps must align")
@@ -175,47 +177,6 @@ class TimeTagStream:
     def counts_per_channel(self) -> tuple[int, int]:
         n1 = int(np.count_nonzero(self.channels))
         return len(self.channels) - n1, n1
-
-
-def excitons_per_pulse(power: float, saturation_power: float,
-                       rng: np.random.Generator, size=None):
-    """Poissonian exciton number(s) with mean P/P_sat."""
-    if power < 0 or saturation_power <= 0:
-        raise ValueError("require power >= 0 and saturation_power > 0")
-    mean = power / saturation_power
-    if mean == 0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
-    return rng.poisson(mean, size=size)
-
-
-def auger_reduce(k, pair_prob: float, rng: np.random.Generator):
-    """Photons surviving the pairwise Auger-annihilation chain.
-
-    While at least two excitons remain, one pair either merges into a single
-    exciton (probability ``pair_prob``) or both leave the pool and radiate.
-    pair_prob = 1 yields min(k, 1) photons; pair_prob = 0 yields k.  ``k`` is
-    an int, which gives an int, or a 1-D array of per-pulse exciton numbers,
-    which gives an int64 array with one independent chain per element.
-    """
-    if not 0.0 <= pair_prob <= 1.0:
-        raise ValueError("pair_prob must be in [0, 1]")
-    pool = np.array(k, dtype=np.int64, ndmin=1)
-    if np.any(pool < 0):
-        raise ValueError("k must be >= 0")
-    if pair_prob >= 1.0:
-        np.minimum(pool, 1, out=pool)
-    elif pair_prob > 0.0:
-        radiated = np.zeros_like(pool)
-        active = pool >= 2
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            merge = rng.random(idx.size) < pair_prob
-            pool[idx[merge]] -= 1
-            pool[idx[~merge]] -= 2
-            radiated[idx[~merge]] += 2
-            active[idx] = pool[idx] >= 2
-        pool += radiated
-    return int(pool[0]) if np.ndim(k) == 0 else pool
 
 
 def auger_prob_for_cluster(n_rods: int, p0: float = 0.97, n0: float = 400.0) -> float:
@@ -248,7 +209,7 @@ def _poisson_pmf(mean: float) -> np.ndarray:
 
 
 def _auger_pmf(excitons: np.ndarray, pair_prob: float) -> np.ndarray:
-    """Photon-number pmf after the pairwise Auger chain (see auger_reduce).
+    """Photon-number pmf after the pairwise Auger chain.
 
     Forward DP over (pool, radiated), visiting pools from the largest down:
     row j holds the probability of reaching pool j with r photons radiated.
@@ -450,17 +411,17 @@ def expected_count_rate(excitation: ExcitationConfig, emitter: EmitterModel,
                         a_pi_error: float = 0.03) -> RateEstimate:
     """Closed-form detected count rate for an always-bright single-photon emitter.
 
-    rate = rep_rate * QE_apd * T * R_pm * (1 - exp(-P/P_sat)) * QY
-           * [c_lin * a_pi + c_circ * (1 - a_pi)]
+    rate = rep_rate * (1 - exp(-P/P_sat)) * QY * chain.detection_probability
 
-    which evaluates to about 1.25e5 1/s with the default budget.  The
-    uncertainty is first-order in the saturation power and a_pi errors.
+    where the detection probability is [c_lin * a_pi + c_circ * (1 - a_pi)]
+    * R_pm * T * QE_apd.  The rate is about 1.25e5 1/s with the default
+    budget.  The uncertainty is first-order in the saturation power and a_pi
+    errors.
     """
     x = excitation.mean_excitons
     saturated = 1.0 - np.exp(-x)
-    rate = (excitation.repetition_rate * chain.apd_quantum_efficiency
-            * chain.setup_transmission * chain.mirror_reflectivity
-            * saturated * emitter.quantum_yield * chain.collection_efficiency)
+    rate = (excitation.repetition_rate * saturated * emitter.quantum_yield
+            * chain.detection_probability)
 
     rel_psat = 0.0
     if saturated > 0:

@@ -141,12 +141,8 @@ def _fig1b_cell(args):
 def target_fig1b(config: ExperimentConfig, out_dir: Path,
                  seed: int, threads: int = 1) -> dict:
     sizes = (4, 6, 8, 12, 16, 24, 32, 48, 64)
-    cells = [(n, config, seed) for n in sizes]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_fig1b_cell, cells))
-    else:
-        results = [_fig1b_cell(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(_fig1b_cell, [(n, config, seed) for n in sizes]))
 
     rows = [(n, p * 1e3, g / (2 * np.pi), gm / (2 * np.pi),
              ci[0], ci[1]) for (n, p, g, gm, ci) in results]

@@ -1,11 +1,14 @@
 """Independent reference computations for the test suite.
 
 Everything here is derived by a different route than the package code:
-closed-form antiderivatives, exact enumeration, dense-grid quadrature,
-explicit stepping of matrix exponentials.
+adaptive quadrature, exact enumeration, dense-grid quadrature, explicit
+stepping of matrix exponentials, and per-pulse or rejection Monte Carlo of
+the models the package evaluates exactly.  Nothing here imports ``pmtrap``.
 """
 
+import zlib
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -14,20 +17,22 @@ from scipy.linalg import expm
 KB = 1.380649e-23
 
 
-# --- mirror collection, closed form -----------------------------------------
-# linear dipole: integral of (3/8pi) sin^2atheta * 2pi sin(theta) dtheta
-#   = (3/4) * [-cos + cos^3/3]
-# circular dipole: (3/16pi)(1+cos^2 theta) * 2pi sin(theta) dtheta
-#   = (3/8) * [-cos - cos^3/3]
+# --- mirror collection, theta quadrature -----------------------------------
+# normalized dipole angular densities over 4 pi: linear (3/8pi) sin^2 theta,
+# circular (3/16pi)(1 + cos^2 theta); the collected fraction integrates
+# density * 2 pi sin(theta) over [theta0, theta1]
 
-def collection_linear_closed(theta0, theta1):
-    F = lambda t: 0.75 * (-np.cos(t) + np.cos(t) ** 3 / 3.0)
-    return F(theta1) - F(theta0)
+DIPOLE_DENSITY = {
+    "linear": lambda t: 3.0 / (8.0 * np.pi) * np.sin(t) ** 2,
+    "circular": lambda t: 3.0 / (16.0 * np.pi) * (1.0 + np.cos(t) ** 2),
+}
 
 
-def collection_circular_closed(theta0, theta1):
-    G = lambda t: 0.375 * (-np.cos(t) - np.cos(t) ** 3 / 3.0)
-    return G(theta1) - G(theta0)
+def collection_quad(kind, theta0, theta1):
+    density = DIPOLE_DENSITY[kind]
+    val, _ = integrate.quad(lambda t: density(t) * 2.0 * np.pi * np.sin(t),
+                            theta0, theta1, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return val
 
 
 # --- aperture-plane intensity integral --------------------------------------
@@ -97,6 +102,47 @@ def independent_emitters_g2(n_emitters):
     return 1.0 - 1.0 / n_emitters
 
 
+# --- exciton number and Auger chain, per-pulse Monte Carlo -----------------
+
+def excitons_per_pulse(power, saturation_power, rng, size=None):
+    """Poissonian exciton number(s) with mean P/P_sat."""
+    if power < 0 or saturation_power <= 0:
+        raise ValueError("require power >= 0 and saturation_power > 0")
+    mean = power / saturation_power
+    if mean == 0:
+        return 0 if size is None else np.zeros(size, dtype=np.int64)
+    return rng.poisson(mean, size=size)
+
+
+def auger_reduce(k, pair_prob, rng):
+    """Photons surviving the pairwise Auger-annihilation chain, drawn per pulse.
+
+    While at least two excitons remain, one pair either merges into a single
+    exciton (probability ``pair_prob``) or both leave the pool and radiate.
+    An int ``k`` gives an int; a 1-D array gives an int64 array with one
+    independent chain per element.
+    """
+    if not 0.0 <= pair_prob <= 1.0:
+        raise ValueError("pair_prob must be in [0, 1]")
+    pool = np.array(k, dtype=np.int64, ndmin=1)
+    if np.any(pool < 0):
+        raise ValueError("k must be >= 0")
+    if pair_prob >= 1.0:
+        np.minimum(pool, 1, out=pool)
+    elif pair_prob > 0.0:
+        radiated = np.zeros_like(pool)
+        active = pool >= 2
+        while np.any(active):
+            idx = np.nonzero(active)[0]
+            merge = rng.random(idx.size) < pair_prob
+            pool[idx[merge]] -= 1
+            pool[idx[~merge]] -= 2
+            radiated[idx[~merge]] += 2
+            active[idx] = pool[idx] >= 2
+        pool += radiated
+    return int(pool[0]) if np.ndim(k) == 0 else pool
+
+
 # --- pulse-lag coincidences, dense brute force ------------------------------
 
 def pulse_lag_coincidences(pulses0, pulses1, max_lag):
@@ -123,6 +169,44 @@ def mean_cos2_grid(depth_over_kt, n=200001):
     u = np.linspace(0.0, 1.0, n)
     w = np.exp(-depth_over_kt * (1.0 - u**2))
     return np.trapezoid(u**2 * w, u) / np.trapezoid(w, u)
+
+
+class TiltSample(NamedTuple):
+    beta: np.ndarray
+    cos2_mean: float
+    cos2_std_error: float
+
+
+def sample_tilt_distribution(align_depth, temperature, n_samples, seed):
+    """Rejection Monte Carlo of the alignment Boltzmann distribution of beta.
+
+    p(beta) ~ exp(-s sin^2 beta) sin(beta) on [0, pi/2] with s = dU / kB T;
+    on u = cos(beta) the target ~ exp(s u^2) is dominated by the invertible
+    envelope ~ exp(s u).  The generator is derived from ``seed`` and the
+    label "tilt-sampler" as the package's seeded streams are.
+    """
+    s = align_depth / (KB * temperature)
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(b"tilt-sampler")]))
+    u_out = np.empty(n_samples)
+    filled = 0
+    while filled < n_samples:
+        m = max(n_samples - filled, 1024)
+        v = rng.random(m)
+        if s == 0:
+            u = v
+            accept = np.ones(m, dtype=bool)
+        else:
+            # inverse CDF of the envelope exp(s u) on [0, 1], overflow-safe
+            u = 1.0 + np.log(v + (1.0 - v) * np.exp(-s)) / s
+            accept = np.log(rng.random(m)) < s * (u**2 - u)
+        good = u[accept]
+        take = min(len(good), n_samples - filled)
+        u_out[filled: filled + take] = good[:take]
+        filled += take
+    cos2 = u_out**2
+    return TiltSample(beta=np.arccos(u_out), cos2_mean=float(np.mean(cos2)),
+                      cos2_std_error=float(np.std(cos2, ddof=1) / np.sqrt(n_samples)))
 
 
 # --- noise-free Langevin splitting, explicit stepping -----------------------

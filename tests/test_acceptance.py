@@ -40,8 +40,8 @@ def test_criterion_01_collection_efficiencies():
         geom = mo.MirrorGeometry()
         lin = mo.collection_efficiency("linear", geom)
         cir = mo.collection_efficiency("circular", geom)
-        lin_ref = oracles.collection_linear_closed(geom.bore_angle, geom.rim_angle)
-        cir_ref = oracles.collection_circular_closed(geom.bore_angle, geom.rim_angle)
+        lin_ref = oracles.collection_quad("linear", geom.bore_angle, geom.rim_angle)
+        cir_ref = oracles.collection_quad("circular", geom.bore_angle, geom.rim_angle)
     assert abs(lin - 0.94) < 0.005
     assert abs(cir - 0.76) < 0.005
     assert abs(lin - lin_ref) < 1e-6

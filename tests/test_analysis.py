@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -204,24 +204,37 @@ class TestG2Zero:
         assert result.g2 == 0.0
         assert result.zero_lag_counts == 0
 
-    def test_time_shift_invariance(self):
-        stream = poisson_stream(5e4, 1.0, seed=2)
+    # properties over short Poisson streams (1e3 events, below the
+    # few-events warning), with the original 1 s streams as examples
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(0.0, 1e-3),
+           duration=st.just(0.02))
+    @example(seed=2, shift=0.37e-6, duration=1.0)
+    @pytest.mark.filterwarnings("ignore:fewer than 1e4 events")
+    def test_time_shift_invariance(self, seed, shift, duration):
+        stream = poisson_stream(5e4, duration, seed=seed)
         shifted = pe.TimeTagStream(channels=stream.channels,
-                                   timestamps=stream.timestamps + 0.37e-6,
-                                   duration=stream.duration + 1e-6)
+                                   timestamps=stream.timestamps + shift,
+                                   duration=stream.duration + shift + 1e-6)
         a = an.g2_zero(stream, 1e-6)
         b = an.g2_zero(shifted, 1e-6)
         assert a.g2 == b.g2
         assert np.array_equal(a.coincidences, b.coincidences)
 
-    def test_channel_swap_invariance(self):
-        stream = poisson_stream(5e4, 1.0, seed=3)
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), duration=st.just(0.02))
+    @example(seed=3, duration=1.0)
+    @pytest.mark.filterwarnings("ignore:fewer than 1e4 events")
+    def test_channel_swap_invariance(self, seed, duration):
+        stream = poisson_stream(5e4, duration, seed=seed)
         swapped = pe.TimeTagStream(channels=(1 - stream.channels).astype(np.uint8),
                                    timestamps=stream.timestamps,
                                    duration=stream.duration)
         a = an.g2_zero(stream, 1e-6)
         b = an.g2_zero(swapped, 1e-6)
         assert a.g2 == pytest.approx(b.g2, rel=1e-12)
+        # swapping the channels mirrors the pulse lags
+        assert np.array_equal(b.coincidences, a.coincidences[::-1])
 
     def test_merged_single_photon_streams(self):
         exc = pe.ExcitationConfig()

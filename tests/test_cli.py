@@ -132,6 +132,22 @@ def _rehash(dataset_dir: Path, artifact: str) -> None:
     (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _edit_tags_header(edit):
+    """A rewrite of tags.bin that passes its JSON header through ``edit``."""
+    def rewrite(raw: bytes) -> bytes:
+        (n,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8: 8 + n])
+        edit(header)
+        blob = json.dumps(header).encode()
+        return raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + n:]
+    return rewrite
+
+
+def _edit_sidecar(**values):
+    """A rewrite of an image sidecar with ``values`` set."""
+    return lambda raw: json.dumps({**json.loads(raw), **values}).encode()
+
+
 class TestAnalyze:
     def test_round_trip_recovery(self, dataset, tmp_path):
         config, out, info = dataset
@@ -247,6 +263,35 @@ class TestAnalyze:
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert artifact in capsys.readouterr().err
 
+    @pytest.mark.parametrize("artifact, rewrite", [
+        ("tags.bin", _edit_tags_header(lambda h: h.update(metadata=[]))),
+        ("tags.bin", _edit_tags_header(
+            lambda h: h["metadata"].update(repetition_rate="x"))),
+        ("tags.bin", _edit_tags_header(
+            lambda h: h["metadata"].update(repetition_rate=0))),
+        ("image_total.csv.json", _edit_sidecar(pixel_pitch_f="x")),
+        ("image_total.csv.json", _edit_sidecar(pixel_pitch_f=float("nan"))),
+        ("image_total.csv.json", _edit_sidecar(center_px=3)),
+        ("image_total.csv.json", _edit_sidecar(metadata=[])),
+        ("image_total.csv.json", _edit_sidecar(metadata={"bore_radius_f": "x"})),
+        ("image_total.csv.json", _edit_sidecar(pixel_pitch_f=-1)),
+        ("image_total.csv.json", _edit_sidecar(channel="diag")),
+        ("image_total.csv", lambda raw: b"-1" + raw[raw.index(b","):]),
+    ], ids=["tags_metadata_list", "rate_string", "rate_zero", "pitch_string",
+            "pitch_nan", "center_scalar", "image_metadata_list", "bore_string",
+            "pitch_negative", "channel_diag", "negative_pixel"])
+    def test_corrupt_header_value_exits_4(self, dataset, tmp_path, artifact,
+                                          rewrite, capsys):
+        # checksum updated: header and sidecar values of the wrong type or
+        # range are a corrupt artifact, not a traceback or a config error
+        _, out, _ = dataset
+        broken = _copy_dataset(out, tmp_path / "header", rewrite=(artifact,))
+        path = broken / artifact
+        path.write_bytes(rewrite(path.read_bytes()))
+        _rehash(broken, artifact)
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        assert artifact.removesuffix(".json") in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", [
         np.random.default_rng(1).normal(size=600),
         np.random.default_rng(11).normal(size=2**17),
@@ -341,6 +386,11 @@ class TestReproduceCli:
         assert code == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert summary["gamma_over_2pi_hz"] == pytest.approx(2.0e6, rel=0.10)
+
+    def test_threads_below_one_exits_2(self, tmp_path):
+        assert main(["reproduce", "--figure", "appB_pmin", "--threads", "0",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PMTRAP_OUTPUT_ROOT", str(tmp_path))

@@ -364,6 +364,50 @@ class TestTimeTagIO:
         assert float(t) == stream.timestamps[0]
 
 
+def _replace_file(path, data: bytes) -> None:
+    # a new file: truncating one in place can force a data flush (ext4's
+    # auto_da_alloc), tens of ms per example
+    path.unlink()
+    path.write_bytes(data)
+
+
+class TestReaderByteFlips:
+    """One flipped byte in a small artifact: the reader either parses the
+    file or raises ``MissingArtifactError``, never another exception."""
+
+    # flipped file -> reader; the sidecar is read through its image
+    READERS = {"series.ts": io.read_time_series, "tags.bin": io.read_time_tags,
+               "image.csv": io.read_image_csv, "image.csv.json": io.read_image_csv}
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("flips")
+        io.write_time_series(root / "series.ts", TimeSeries(
+            sample_interval=1e-6, samples=np.random.default_rng(0).normal(size=100)))
+        io.write_time_tags(root / "tags.bin", TimeTagStream(
+            channels=[0, 1, 1, 0, 1], timestamps=[0.1, 0.2, 0.2, 0.5, 0.9],
+            duration=1.0, seed=4, metadata={"repetition_rate": 1e6}))
+        io.write_image_csv(root / "image.csv", mo.general_dipole_image(
+            np.array([0.0, 0.0, 1.0]), n_pixels=8, half_extent=0.5))
+        return root, {name: (root / name).read_bytes() for name in self.READERS}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parses_or_raises_missing_artifact(self, artifacts, data):
+        root, pristine = artifacts
+        name = data.draw(st.sampled_from(sorted(pristine)), label="artifact")
+        raw = bytearray(pristine[name])
+        raw[data.draw(st.integers(0, len(raw) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="xor")
+        _replace_file(root / name, bytes(raw))
+        try:
+            self.READERS[name](root / name.removesuffix(".json"))
+        except MissingArtifactError:
+            pass
+        finally:
+            _replace_file(root / name, pristine[name])
+
+
 def _yaml_leaves(tree: dict, prefix: str = ""):
     for key, value in tree.items():
         if isinstance(value, dict):
@@ -598,3 +642,18 @@ class TestTimeTagCsvImport:
         back = io.read_time_tags_csv(path, duration=1.0)
         assert np.array_equal(back.timestamps, stream.timestamps)
         assert np.array_equal(back.channels, stream.channels)
+
+    @pytest.mark.parametrize("channels", [("0", "2", "1", "0.5"), ("0", "1", "-1")],
+                             ids=["two_and_half", "minus_one"])
+    def test_channel_not_0_or_1_rejected(self, tmp_path, channels):
+        # a uint8 cast would read 0.5 as 0
+        path = tmp_path / "tags.csv"
+        path.write_text("channel,timestamp_s\n" + "".join(
+            f"{ch},{0.1 * (i + 1)}\n" for i, ch in enumerate(channels)))
+        with pytest.raises(ValueError, match="0 or 1"):
+            io.read_time_tags_csv(path)
+
+    @pytest.mark.parametrize("channels", [[0, 2], [0, 256], [-1, 1]])
+    def test_stream_holds_channels_0_and_1(self, channels):
+        with pytest.raises(ValueError, match="0 or 1"):
+            TimeTagStream(channels=channels, timestamps=[0.1, 0.2], duration=1.0)

