@@ -86,8 +86,8 @@ def _periodogram_sum(segments: np.ndarray, mean: float,
 
 
 def power_spectral_density(series: TimeSeries, segment_length: int | None = None,
-                           overlap: float = 0.5, window: str = "hann") -> Spectrum:
-    """Averaged-periodogram (Welch) PSD estimate of a time series.
+                           overlap: float = 0.5) -> Spectrum:
+    """Averaged-periodogram (Welch) PSD estimate of a time series, Hann window.
 
     The series mean is removed once, globally; with density scaling the
     spectrum then integrates to the series variance (Parseval, ~1%).
@@ -100,12 +100,11 @@ def power_spectral_density(series: TimeSeries, segment_length: int | None = None
     """
     x = series.samples
     return _welch(lambda start, stop: x[start:stop], lambda: np.mean(x), len(x),
-                  series.sample_interval, segment_length, overlap, window)
+                  series.sample_interval, segment_length, overlap)
 
 
 def stream_power_spectral_density(source, segment_length: int | None = None,
-                                  overlap: float = 0.5,
-                                  window: str = "hann") -> Spectrum:
+                                  overlap: float = 0.5) -> Spectrum:
     """``power_spectral_density`` of a series read range by range.
 
     ``source`` has ``n_samples``, ``sample_interval``, ``read(start, stop)``
@@ -117,11 +116,11 @@ def stream_power_spectral_density(source, segment_length: int | None = None,
     whole-array mean in the last digit.
     """
     return _welch(source.read, source.mean, source.n_samples,
-                  source.sample_interval, segment_length, overlap, window)
+                  source.sample_interval, segment_length, overlap)
 
 
 def _welch(read, series_mean, n: int, sample_interval: float,
-           segment_length: int | None, overlap: float, window: str) -> Spectrum:
+           segment_length: int | None, overlap: float) -> Spectrum:
     """Welch PSD of n samples given by ``read(start, stop)``.
 
     ``series_mean()`` is called once, after the arguments are checked.
@@ -139,7 +138,7 @@ def _welch(read, series_mean, n: int, sample_interval: float,
         )
 
     fs = 1.0 / sample_interval
-    w = signal.get_window(window, segment_length)
+    w = signal.get_window("hann", segment_length)
     mean = series_mean()
     per_block = max(1, _PSD_BLOCK_SAMPLES // segment_length)
     psd = np.zeros(segment_length // 2 + 1)
@@ -208,41 +207,36 @@ def _fwhm_guess(f: np.ndarray, y: np.ndarray, peak_idx: int) -> float:
     return df * max(int(np.count_nonzero(y > half)), 1)
 
 
-def fit_lorentzian(spectrum: Spectrum,
-                   fit_window: tuple[float, float] | None = None,
-                   min_snr: float = 3.0) -> LorentzianFit:
+# peak SNR, in multiple-comparison-corrected robust sigmas, below which
+# fit_lorentzian reports no peak
+_MIN_SNR = 3.0
+
+
+def fit_lorentzian(spectrum: Spectrum) -> LorentzianFit:
     """Trust-region least squares of a Lorentzian peak plus flat background.
 
-    With no explicit ``fit_window`` the fit runs on the peak region
-    (center +- 4 estimated FWHM), where the Lorentzian approximation of the
-    damped-oscillator spectrum holds; the Jacobian is analytic and the fit is
-    performed in normalized units for conditioning.  Raises NoPeakError when
-    the peak does not stand above the spectrum's own fluctuations
-    (``min_snr`` in multiple-comparison-corrected robust sigmas) and FitError
-    on non-convergence (200 iteration cap).
+    The fit runs on the peak region (center +- 4 estimated FWHM), where the
+    Lorentzian approximation of the damped-oscillator spectrum holds; the
+    Jacobian is analytic and the fit is performed in normalized units for
+    conditioning.  Raises NoPeakError when the peak does not stand above the
+    spectrum's own fluctuations (``_MIN_SNR``) and FitError on
+    non-convergence (200 iteration cap).
     """
     f = spectrum.frequencies
     y = spectrum.densities
-    if fit_window is not None:
-        mask = (f >= fit_window[0]) & (f <= fit_window[1])
-        if mask.sum() < 8:
-            raise InsufficientDataError("fit window contains fewer than 8 bins")
-        f, y = f[mask], y[mask]
-
     peak_idx, snr = _peak_snr(y)
-    if snr < min_snr:
-        raise NoPeakError(f"peak SNR {snr:.2f} below {min_snr}")
+    if snr < _MIN_SNR:
+        raise NoPeakError(f"peak SNR {snr:.2f} below {_MIN_SNR}")
 
     df = f[1] - f[0]
     center0 = float(f[peak_idx])
     fwhm0 = _fwhm_guess(f, y, peak_idx)
 
-    if fit_window is None:
-        # restrict to the peak region, excluding the DC bin
-        mask = (np.abs(f - center0) <= 4.0 * fwhm0) & (f > 0)
-        if mask.sum() >= 8:
-            f, y = f[mask], y[mask]
-            peak_idx = int(np.argmax(y))
+    # restrict to the peak region, excluding the DC bin
+    mask = (np.abs(f - center0) <= 4.0 * fwhm0) & (f > 0)
+    if mask.sum() >= 8:
+        f, y = f[mask], y[mask]
+        peak_idx = int(np.argmax(y))
 
     # normalized units: TRF misbehaves when parameters sit ~1e-10 from a bound
     y_scale = float(np.max(y))
@@ -420,9 +414,13 @@ def _gaussian_peak_fit(counts: np.ndarray, hist: np.ndarray, peak: int):
         return float(counts[peak]), float(sigma0)
 
 
-def blink_analysis(stream: TimeTagStream, bin_width: float = 500e-6,
-                   prominence_sigmas: float = 3.0,
-                   burst_r2_threshold: float = 0.95) -> BlinkHistogram:
+# blink_analysis: a histogram peak counts when its prominence exceeds this
+# many Poisson sigmas, and a log-linear decay is a burst signature from this R^2
+_PEAK_PROMINENCE_SIGMAS = 3.0
+_BURST_MIN_R2 = 0.95
+
+
+def blink_analysis(stream: TimeTagStream, bin_width: float = 500e-6) -> BlinkHistogram:
     """Bin the stream into fixed intervals and classify the rate histogram.
 
     Classes: ``exponential_burst`` when the histogram decays monotonically
@@ -472,13 +470,14 @@ def blink_analysis(stream: TimeTagStream, bin_width: float = 500e-6,
     # (Poisson smear of the dark level puts the mode within a couple of
     # counts of the minimum) and the decay is log-linear
     decaying_from_lowest = mode <= occupied[0] + 2
-    if decaying_from_lowest and burst_r2 is not None and burst_r2 >= burst_r2_threshold:
+    if decaying_from_lowest and burst_r2 is not None and burst_r2 >= _BURST_MIN_R2:
         classification = "exponential_burst"
         peak_rates = np.array([])
     else:
         peaks, props = signal.find_peaks(smooth, prominence=0.0)
         keep = [int(p) for p, prom in zip(peaks, props["prominences"])
-                if p >= 1 and prom > prominence_sigmas * np.sqrt(max(smooth[p], 1.0))]
+                if p >= 1
+                and prom > _PEAK_PROMINENCE_SIGMAS * np.sqrt(max(smooth[p], 1.0))]
         peak_rates = np.array([counts[p] / bin_width for p in keep])
         if len(keep) >= 2:
             classification = "two_state"

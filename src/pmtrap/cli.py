@@ -274,9 +274,6 @@ def main(argv=None) -> int:
         for detail in exc.details:
             print(f"  - {detail}", file=sys.stderr)
         return EXIT_CONFIG
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (FitError, InsufficientDataError, UndefinedResultError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS

@@ -18,18 +18,17 @@ Schema (defaults shown by ``default_config_yaml()``):
     output_dir           default dataset directory
     mirror               focal_length_m, aperture_radius_m, bore_radius_m,
                          reflectivity
-    rod                  length_m, diameter_m, core_diameter_m,
-                         shell_thickness_m
+    rod                  length_m, diameter_m, shell_thickness_m
     material             refractive_index, density_kg_m3
     gas                  viscosity_pa_s, mean_free_path_m, temperature_k
-    trap                 wavelength_m, power_w, field_factor (null=calibrated)
-    cluster              n_rods, packing
+    trap                 power_w, field_factor (null=calibrated)
+    cluster              n_rods
     emitter              quantum_yield, auger_pair_prob (null=size law),
                          independent_emitters, blink_mode, grey_attenuation,
                          bright_dwell_s, grey_dwell_s, dark_attenuation,
                          burst_dwell_s, dark_dwell_s
-    excitation           repetition_rate_hz, pulse_duration_s,
-                         average_power_w, saturation_power_w
+    excitation           repetition_rate_hz, average_power_w,
+                         saturation_power_w
     detection            apd_quantum_efficiency, setup_transmission, a_pi,
                          splitter_ratio
     simulation           time_step_s, duration_s, detector_gain_v_per_m,
@@ -43,6 +42,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import stat
 import time
 import types
 import typing
@@ -168,13 +169,12 @@ class ExperimentConfig:
 # YAML key = dataclass field name + unit suffix; the only renaming rule.
 _UNIT_SUFFIX = {
     "focal_length": "_m", "aperture_radius": "_m", "bore_radius": "_m",
-    "length": "_m", "diameter": "_m", "core_diameter": "_m",
-    "shell_thickness": "_m", "mean_free_path": "_m", "wavelength": "_m",
-    "axial_width": "_m",
+    "length": "_m", "diameter": "_m", "shell_thickness": "_m",
+    "mean_free_path": "_m", "axial_width": "_m",
     "density": "_kg_m3", "viscosity": "_pa_s", "temperature": "_k",
     "power": "_w", "average_power": "_w", "saturation_power": "_w",
     "repetition_rate": "_hz", "detector_gain": "_v_per_m",
-    "pulse_duration": "_s", "bright_dwell": "_s", "grey_dwell": "_s",
+    "bright_dwell": "_s", "grey_dwell": "_s",
     "burst_dwell": "_s", "dark_dwell": "_s", "time_step": "_s",
     "duration": "_s",
     "half_extent": "_f",
@@ -380,11 +380,32 @@ def write_manifest(directory, config: ExperimentConfig, digests,
     return manifest
 
 
+def _artifact_path(directory: Path, name: str) -> Path:
+    """``directory / name`` if ``name`` is a plain file name of a regular file there.
+
+    A name with a path separator, ``.``, ``..`` or a symbolic link could
+    point outside the dataset, and a device or FIFO could be read forever.
+    """
+    if name in ("", ".", "..") or {os.sep, os.altsep, "\0"} & set(name):
+        raise MissingArtifactError(
+            f"manifest.json corrupt: artifact {name!r} is not a plain file name")
+    path = directory / name
+    try:
+        mode = path.lstat().st_mode
+    except FileNotFoundError:
+        raise MissingArtifactError(f"artifact missing: {name}")
+    if not stat.S_ISREG(mode):
+        raise MissingArtifactError(f"artifact is not a regular file: {name}")
+    return path
+
+
 def verify_manifest(directory, required=()) -> dict:
     """Check manifest presence, shape and artifact checksums; returns the manifest.
 
     The manifest must be a JSON object whose ``artifacts`` mapping gives each
-    artifact a ``sha256`` string and lists every name in ``required``.
+    artifact a ``sha256`` string and lists every name in ``required``.  Each
+    artifact name must be a plain file name of a regular file in
+    ``directory``.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -403,9 +424,7 @@ def verify_manifest(directory, required=()) -> dict:
     for name, entry in artifacts.items():
         if not (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)):
             raise MissingArtifactError(f"manifest.json corrupt: no sha256 for {name}")
-        artifact = directory / name
-        if not artifact.exists():
-            raise MissingArtifactError(f"artifact missing: {name}")
+        artifact = _artifact_path(directory, name)
         if sha256_file(artifact) != entry["sha256"]:
             raise MissingArtifactError(f"artifact checksum mismatch: {name}")
     return manifest

@@ -38,7 +38,7 @@ with the test oracles (``tests/oracles.py``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -65,15 +65,16 @@ class TrapStiffness:
     """Harmonic trap stiffness k_z = 2 U0 / w_z^2 with axial width w_z."""
 
     k_z: float
-    w_z: float = 532e-9
 
     def __post_init__(self):
-        if self.k_z <= 0 or self.w_z <= 0:
-            raise ValueError("k_z and w_z must be > 0")
+        if self.k_z <= 0:
+            raise ValueError("k_z must be > 0")
 
     @classmethod
-    def from_trap_depth(cls, trap_depth: float, w_z: float = 532e-9) -> "TrapStiffness":
-        return cls(k_z=2.0 * trap_depth / w_z**2, w_z=w_z)
+    def from_trap_depth(cls, trap_depth: float, w_z: float) -> "TrapStiffness":
+        if w_z <= 0:
+            raise ValueError("w_z must be > 0")
+        return cls(k_z=2.0 * trap_depth / w_z**2)
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class TimeSeries:
     samples: np.ndarray
     units: str = "m"
     seed: int | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -124,8 +124,7 @@ class TimeSeries:
         n = len(self.samples)
         views = (self.samples[start: start + _BLOCK_SAMPLES]
                  for start in range(0, n, _BLOCK_SAMPLES))
-        return SeriesBlocks(self.sample_interval, n, views, self.units,
-                            self.seed, dict(self.metadata))
+        return SeriesBlocks(self.sample_interval, n, views, self.units, self.seed)
 
 
 @dataclass
@@ -143,7 +142,6 @@ class SeriesBlocks:
     blocks: Iterator[np.ndarray]
     units: str = "m"
     seed: int | None = None
-    metadata: dict = field(default_factory=dict)
 
     def collect(self) -> TimeSeries:
         """All blocks in one ``TimeSeries``."""
@@ -154,7 +152,7 @@ class SeriesBlocks:
             start += len(block)
             del block
         return TimeSeries(sample_interval=self.sample_interval, samples=samples,
-                          units=self.units, seed=self.seed, metadata=self.metadata)
+                          units=self.units, seed=self.seed)
 
 
 # samples per block of the Langevin recurrence and of the detector readout
@@ -244,9 +242,7 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
             del z
 
     return SeriesBlocks(sample_interval=dt, n_samples=n, blocks=recurrence(),
-                        units="m", seed=cfg.seed,
-                        metadata={"omega": float(omega), "gamma": float(gamma),
-                                  "mass": mass, "temperature": temperature})
+                        units="m", seed=cfg.seed)
 
 
 def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
@@ -279,8 +275,7 @@ def detector_blocks(z: SeriesBlocks, cfg: SimConfig) -> SeriesBlocks:
             yield out
 
     return SeriesBlocks(sample_interval=z.sample_interval, n_samples=z.n_samples,
-                        blocks=readout(), units="V", seed=z.seed,
-                        metadata=dict(z.metadata))
+                        blocks=readout(), units="V", seed=z.seed)
 
 
 def mean_cos2_tilt(align_depth: float, temperature: float) -> float:

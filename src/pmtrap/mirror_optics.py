@@ -506,12 +506,11 @@ def asymmetry_metric(
     image: ApertureImage,
     symmetric_below: float = SYMMETRY_SCORE_MAX,
     asymmetric_above: float = ASYMMETRY_SCORE_MIN,
-    max_harmonic: int = 3,
 ) -> AsymmetryResult:
     """Azimuthal-asymmetry score of a centered aperture image.
 
     Per radial annulus (width = pixel pitch) the energy in azimuthal Fourier
-    components m = 1..max_harmonic is computed relative to the m = 0 power and
+    components m = 1..3 is computed relative to the m = 0 power and
     averaged over annuli weighted by their total intensity.  The trigonometric
     moments are evaluated from pixel coordinates, so on the fourfold-symmetric
     pixel grid they cancel exactly (to rounding) for any radially symmetric
@@ -521,8 +520,6 @@ def asymmetry_metric(
     Classification: symmetric below ``symmetric_below``, asymmetric above
     ``asymmetric_above``, inconclusive in between.
     """
-    if not 1 <= max_harmonic <= 3:
-        raise ValueError("max_harmonic must be 1..3 (m=4 aliases the pixel grid)")
     ny, nx = image.pixels.shape
     cx, cy = image.center
     # The exact-cancellation argument needs the center on the grid's symmetry
@@ -537,12 +534,8 @@ def asymmetry_metric(
         c1 = np.where(R > 0, x.ravel() / R, 0.0)
         s1 = np.where(R > 0, y.ravel() / R, 0.0)
     # exact multiple-angle forms built from (cos, sin) of each pixel
-    harmonics = {1: (c1, s1)}
-    if max_harmonic >= 2:
-        harmonics[2] = (c1 * c1 - s1 * s1, 2.0 * c1 * s1)
-    if max_harmonic >= 3:
-        c2, s2 = harmonics[2]
-        harmonics[3] = (c2 * c1 - s2 * s1, s2 * c1 + c2 * s1)
+    c2, s2 = c1 * c1 - s1 * s1, 2.0 * c1 * s1
+    harmonics = ((c1, s1), (c2, s2), (c2 * c1 - s2 * s1, s2 * c1 + c2 * s1))
 
     bin_width = image.pixel_pitch
     idx = np.floor(R / bin_width).astype(np.int64)
@@ -557,7 +550,7 @@ def asymmetry_metric(
     # ring energy in m>=1 harmonics: sum over m of 2*|c_m|^2 with
     # c_m = mean(I * exp(i m phi)) over the ring
     energy = np.zeros(n_bins)
-    for m, (cm, sm) in harmonics.items():
+    for cm, sm in harmonics:
         re = np.bincount(idx, weights=I * cm, minlength=n_bins)
         im = np.bincount(idx, weights=I * sm, minlength=n_bins)
         re[occupied] /= counts[occupied]

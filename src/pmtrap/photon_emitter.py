@@ -42,10 +42,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExcitationConfig:
-    """Pulsed excitation: rate, pulse length (informational), power levels."""
+    """Pulsed excitation: repetition rate and power levels."""
 
     repetition_rate: float = 1e6       # 1/s
-    pulse_duration: float = 82e-9      # s (unresolved by the analysis)
     average_power: float = 2e-6        # W
     saturation_power: float = 2.63e-6  # W
 
@@ -179,15 +178,16 @@ class TimeTagStream:
         return len(self.channels) - n1, n1
 
 
-def auger_prob_for_cluster(n_rods: int, p0: float = 0.97, n0: float = 400.0) -> float:
-    """Empirical size law p_A(N) = p0 * exp(-(N-1)/n0).
+def auger_prob_for_cluster(n_rods: int) -> float:
+    """Empirical size law p_A(N) = 0.97 * exp(-(N-1)/400).
 
     Larger clusters annihilate less efficiently, raising g2(0) with cluster
-    size; p0 and n0 are tuning knobs, not first-principles values.
+    size; 0.97 and 400 are fitted to the observed g2(0) band, not
+    first-principles values.
     """
     if n_rods < 1:
         raise ValueError("n_rods must be >= 1")
-    return p0 * np.exp(-(n_rods - 1) / n0)
+    return 0.97 * np.exp(-(n_rods - 1) / 400.0)
 
 
 # A pmf tail holding less probability than this is dropped: it lies below
@@ -326,7 +326,7 @@ def _bernoulli_hits(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
                        chain: DetectionChain, duration: float,
-                       seed: int, jitter_scale: float = 0.0) -> TimeTagStream:
+                       seed: int) -> TimeTagStream:
     """Simulate the detected two-channel time-tag stream.
 
     Pulse i fires at i / repetition rate and takes the blink attenuation of
@@ -336,9 +336,7 @@ def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
     1 - pmf[0], and each draws its count from the pmf conditioned on n >= 1
     (see :func:`detected_photon_pmf`).  Counts go through the 50/50
     splitter, ch0 events before ch1 within a pulse.  Nothing of length
-    n_pulses is allocated.  ``jitter_scale`` > 0 adds exponential
-    emission-delay jitter (off by default -- the analysis bins by pulse
-    period and cannot resolve it).  Identical seeds give identical streams.
+    n_pulses is allocated.  Identical seeds give identical streams.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -380,12 +378,6 @@ def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
     within_pulse = np.arange(int(n_per_pulse.sum())) - np.repeat(offsets[:-1],
                                                                  n_per_pulse)
     channels = (within_pulse >= np.repeat(ch0, n_per_pulse)).astype(np.uint8)
-    if jitter_scale > 0:
-        times = times + rng.exponential(jitter_scale, size=len(times))
-        order = np.argsort(times, kind="stable")
-        times, channels = times[order], channels[order]
-        keep = times < duration
-        times, channels = times[keep], channels[keep]
 
     return TimeTagStream(
         channels=channels, timestamps=times, duration=duration, seed=seed,
@@ -405,18 +397,21 @@ class RateEstimate:
     uncertainty: float  # 1/s, first order in (P_sat, a_pi)
 
 
+# measurement errors of the saturation power (W) and of a_pi
+_SATURATION_POWER_ERROR = 0.43e-6
+_A_PI_ERROR = 0.03
+
+
 def expected_count_rate(excitation: ExcitationConfig, emitter: EmitterModel,
-                        chain: DetectionChain,
-                        saturation_power_error: float = 0.43e-6,
-                        a_pi_error: float = 0.03) -> RateEstimate:
+                        chain: DetectionChain) -> RateEstimate:
     """Closed-form detected count rate for an always-bright single-photon emitter.
 
     rate = rep_rate * (1 - exp(-P/P_sat)) * QY * chain.detection_probability
 
     where the detection probability is [c_lin * a_pi + c_circ * (1 - a_pi)]
     * R_pm * T * QE_apd.  The rate is about 1.25e5 1/s with the default
-    budget.  The uncertainty is first-order in the saturation power and a_pi
-    errors.
+    budget.  The uncertainty is first-order in the measurement errors of the
+    saturation power (0.43 uW) and of a_pi (0.03).
     """
     x = excitation.mean_excitons
     saturated = 1.0 - np.exp(-x)
@@ -425,9 +420,9 @@ def expected_count_rate(excitation: ExcitationConfig, emitter: EmitterModel,
 
     rel_psat = 0.0
     if saturated > 0:
-        d_sat = np.exp(-x) * x * (saturation_power_error / excitation.saturation_power)
+        d_sat = np.exp(-x) * x * (_SATURATION_POWER_ERROR / excitation.saturation_power)
         rel_psat = d_sat / saturated
-    rel_api = ((chain.collection_linear - chain.collection_circular) * a_pi_error
+    rel_api = ((chain.collection_linear - chain.collection_circular) * _A_PI_ERROR
                / chain.collection_efficiency)
     err = rate * float(np.hypot(rel_psat, rel_api))
     return RateEstimate(rate=float(rate), uncertainty=err)

@@ -51,15 +51,12 @@ class RodGeometry:
 
     length: float = 35e-9
     diameter: float = 7e-9
-    core_diameter: float = 2.7e-9    # informational
     shell_thickness: float = 1.6e-9  # alkyl chains padding the drag cross-section
 
     def __post_init__(self):
-        for name in ("length", "diameter", "core_diameter", "shell_thickness"):
+        for name in ("length", "diameter", "shell_thickness"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.core_diameter >= self.diameter:
-            raise ValueError("core_diameter must be smaller than rod diameter")
 
     @property
     def volume(self) -> float:
@@ -100,13 +97,10 @@ class GasParams:
 class TrapParams:
     """Trap beam parameters; ``field_factor`` maps power to peak squared field."""
 
-    wavelength: float = 1064e-9                # m
     power: float = 0.36                        # W
     field_factor: float | None = None          # V^2 m^-2 W^-1; None -> calibrated
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be > 0")
         if self.power < 0:
             raise ValueError("power must be >= 0")
         if self.field_factor is None:
@@ -122,13 +116,10 @@ class ClusterSample:
     n_rods: int = 1
     rod: RodGeometry = RodGeometry()
     material: MaterialParams = MaterialParams()
-    packing: str = "parallel_close_packed"
 
     def __post_init__(self):
         if self.n_rods < 1:
             raise ValueError("n_rods must be >= 1")
-        if self.packing != "parallel_close_packed":
-            raise ValueError(f"unsupported packing model {self.packing!r}")
 
 
 def polarizability(rod: RodGeometry | None = None,
@@ -145,17 +136,15 @@ def polarizability(rod: RodGeometry | None = None,
     return n_rods * alpha1
 
 
-def calibrated_field_factor(rod: RodGeometry | None = None,
-                            material: MaterialParams | None = None,
-                            temperature: float = const.ROOM_TEMPERATURE,
-                            escape_power: float = const.SINGLE_ROD_ESCAPE_POWER) -> float:
-    """Field factor kappa fixed so one bare rod has U0 = kB*T at ``escape_power``.
+def calibrated_field_factor() -> float:
+    """Field factor kappa fixed so the reference bare rod has U0 = kB*T at
+    the single-rod escape power (41 mW) and room temperature (296 K).
 
     This is a calibration standing in for the focal-field computation, not a
-    first-principles constant; kappa ~ 3.7e15 V^2 m^-2 W^-1 with defaults.
+    first-principles constant; kappa ~ 3.7e15 V^2 m^-2 W^-1.
     """
-    alpha1 = polarizability(rod, material)
-    return 2.0 * const.BOLTZMANN * temperature / (alpha1 * escape_power)
+    return (2.0 * const.BOLTZMANN * const.ROOM_TEMPERATURE
+            / (polarizability() * const.SINGLE_ROD_ESCAPE_POWER))
 
 
 def trap_depth(alpha: float, trap: TrapParams) -> float:
@@ -167,21 +156,18 @@ def trap_depth(alpha: float, trap: TrapParams) -> float:
 
 def min_power(alpha: float,
               temperature: float = const.ROOM_TEMPERATURE,
-              field_factor: float | None = None,
-              escape_threshold: float = 1.0) -> float:
+              field_factor: float | None = None) -> float:
     """Escape power P_min = 2*kB*T/(alpha*kappa), inverse in alpha.
 
-    ``escape_threshold`` is the trap depth in units of kB*T at which the
-    particle is considered lost (default 1).
+    The particle is lost when the trap depth falls to kB*T.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     kappa = field_factor if field_factor is not None else calibrated_field_factor()
-    return escape_threshold * 2.0 * const.BOLTZMANN * temperature / (alpha * kappa)
+    return 2.0 * const.BOLTZMANN * temperature / (alpha * kappa)
 
 
-def rods_from_pmin(p_min: float,
-                   single_rod_p_min: float | None = None) -> float:
+def rods_from_pmin(p_min: float) -> float:
     """Cluster size inferred from the escape power: N = P_min(1 rod)/P_min.
 
     Exact inverse of ``min_power`` under the volume-additive polarizability
@@ -192,9 +178,7 @@ def rods_from_pmin(p_min: float,
     """
     if p_min <= 0:
         raise ValueError("p_min must be > 0")
-    if single_rod_p_min is None:
-        single_rod_p_min = min_power(polarizability())
-    n_est = single_rod_p_min / p_min
+    n_est = min_power(polarizability()) / p_min
     if n_est < 1.0:
         warnings.warn(
             f"P_min = {p_min:.3g} W exceeds the single-rod escape power; "
@@ -204,14 +188,12 @@ def rods_from_pmin(p_min: float,
     return n_est
 
 
-def effective_radius(cluster: ClusterSample, axis: str = "z") -> float:
-    """Radius of the disc with the cluster's drag cross-section along ``axis``.
+def effective_radius(cluster: ClusterSample) -> float:
+    """Radius of the disc with the cluster's axial (z) drag cross-section.
 
     For the parallel close-packed bundle viewed along z the cross-section is N
     shell-padded rod discs: r_z = (d/2 + shell) * sqrt(N).
     """
-    if axis != "z":
-        raise ValueError("only the axial (z) cross-section is modeled")
     return cluster.rod.padded_radius * np.sqrt(cluster.n_rods)
 
 

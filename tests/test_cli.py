@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import pmtrap
+from pmtrap import cli
 from pmtrap import io_formats as io
 from pmtrap.cli import (
     EXIT_ANALYSIS,
@@ -51,6 +52,19 @@ def dataset(small_config_path, tmp_path_factory):
     return config, out, info
 
 
+# for the tests that rewrite a container: a 5e4-sample detector trace
+# (400 kB instead of 20 MB) and the shortest acquisition blink_analysis takes
+SHORT_CONFIG = {"seed": 2024, "simulation": {"duration_s": 2e-4},
+                "acquisition": {"duration_s": 1.0}}
+
+
+@pytest.fixture(scope="module")
+def short_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("short") / "ds"
+    config = parse_config(SHORT_CONFIG)
+    return config, out, simulate_dataset(config, out)
+
+
 class TestValidateConfig:
     def test_ok(self, small_config_path, capsys):
         assert main(["validate-config", "--config", str(small_config_path)]) == EXIT_OK
@@ -66,6 +80,17 @@ class TestValidateConfig:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate-config", "--config",
                      str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("rod", "core_diameter_m", 2.7e-9), ("trap", "wavelength_m", 1064e-9),
+        ("cluster", "packing", "parallel_close_packed"),
+        ("excitation", "pulse_duration_s", 82e-9)])
+    def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):
+        # keys that fed no output are gone from the schema
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump({section: {key: value}}))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert f"{section}: unknown key {key!r}" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -212,6 +237,29 @@ class TestAnalyze:
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["absolute", "parent", "subdirectory",
+                                       "symlink", "dot"])
+    def test_artifact_outside_dataset_exits_4(self, dataset, tmp_path, entry,
+                                              capsys):
+        # a manifest name must be a plain file in the dataset: a path that
+        # leaves it is not read, even when its checksum matches
+        _, out, _ = dataset
+        broken = _copy_dataset(out, tmp_path / "ds")
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not a dataset artifact\n")
+        (broken / "sub").mkdir()
+        shutil.copyfile(outside, broken / "sub" / "outside.txt")
+        os.symlink(outside, broken / "link.txt")
+        name = {"absolute": str(outside), "parent": "../outside.txt",
+                "subdirectory": "sub/outside.txt", "symlink": "link.txt",
+                "dot": "."}[entry]
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["artifacts"][name] = {"sha256": io.sha256_file(outside)}
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(broken), "--out", str(tmp_path / "res")]) \
+            == EXIT_MISSING_ARTIFACT
+        assert name in capsys.readouterr().err
+
     def test_corrupt_image_exits_4(self, dataset, tmp_path, capsys):
         # checksum updated, so the pixel parser itself must reject the file
         _, out, _ = dataset
@@ -224,11 +272,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("cut", [*range(1, 10), "header"])
     @pytest.mark.parametrize("artifact", ["detector.ts", "tags.bin"])
-    def test_truncated_container_exits_4(self, dataset, tmp_path, artifact,
+    def test_truncated_container_exits_4(self, short_dataset, tmp_path, artifact,
                                          cut, capsys):
         # checksum updated, so the container reader itself must reject the
         # payload; "header" cuts inside the JSON header
-        _, out, _ = dataset
+        _, out, _ = short_dataset
         broken = _copy_dataset(out, tmp_path / "cut", rewrite=(artifact,))
         path = broken / artifact
         raw = path.read_bytes()
@@ -248,11 +296,11 @@ class TestAnalyze:
         ("tags.bin", -8, struct.pack("<d", 1e9)),
     ], ids=["nan_sample", "inf_sample", "nan_timestamp", "channel_2", "unsorted",
             "negative_timestamp", "after_window"])
-    def test_corrupt_payload_exits_4(self, dataset, tmp_path, artifact, at, value,
-                                     capsys):
+    def test_corrupt_payload_exits_4(self, short_dataset, tmp_path, artifact, at,
+                                     value, capsys):
         # checksum updated: values the simulator cannot produce are a corrupt
         # artifact; ``at`` is a byte offset into the payload, or from its end
-        _, out, _ = dataset
+        _, out, _ = short_dataset
         broken = _copy_dataset(out, tmp_path / "payload", rewrite=(artifact,))
         path = broken / artifact
         raw = bytearray(path.read_bytes())
@@ -397,6 +445,17 @@ class TestReproduceCli:
         code = main(["reproduce", "--figure", "appB_pmin"])
         assert code == EXIT_OK
         assert (tmp_path / "reproduce" / "appB_pmin.csv").exists()
+
+
+class TestInternalErrors:
+    def test_key_error_is_not_a_config_error(self, monkeypatch):
+        # an internal KeyError is a bug: it propagates instead of being
+        # reported as an invalid configuration (exit 2)
+        def broken():
+            raise KeyError("internal")
+        monkeypatch.setattr(cli, "default_config_yaml", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["default-config"])
 
 
 class TestDefaultConfig:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import shutil
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pmtrap import analysis
 from pmtrap import io_formats as io
 from pmtrap import langevin as lv
 from pmtrap import mirror_optics as mo
+from pmtrap.cli import simulate_dataset
 from pmtrap.config import (
     default_config_yaml,
     dump_config,
@@ -408,6 +411,80 @@ class TestReaderByteFlips:
             _replace_file(root / name, pristine[name])
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRoundTrips:
+    """Each writer's file reads back to what was written, and the digest
+    the writer returns is the sha256 of the file."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("round_trips")
+
+    @staticmethod
+    def _new(root, *names):
+        # writers truncate an existing file, which can force a data flush
+        # (see _replace_file); each example writes new files instead
+        for name in names:
+            (root / name).unlink(missing_ok=True)
+        return root / names[0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(samples=st.lists(FINITE, max_size=40),
+           interval=st.floats(1e-12, 1e3),
+           units=st.text(max_size=4),
+           seed=st.none() | st.integers(0, 2**63 - 1))
+    def test_time_series(self, root, samples, interval, units, seed):
+        series = TimeSeries(sample_interval=interval, samples=samples,
+                            units=units, seed=seed)
+        path = self._new(root, "series.ts")
+        assert io.write_time_series(path, series) == io.sha256_file(path)
+        back = io.read_time_series(path)
+        assert back.samples.tobytes() == series.samples.tobytes()
+        assert (back.sample_interval, back.units, back.seed) == (interval, units, seed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), duration=st.floats(0.0, 1e3),
+           rate=st.none() | st.floats(1e-3, 1e12),
+           seed=st.none() | st.integers(0, 2**63 - 1))
+    def test_time_tags(self, root, data, duration, rate, seed):
+        times = sorted(data.draw(st.lists(st.floats(0.0, duration), max_size=40),
+                                 label="timestamps"))
+        channels = data.draw(st.lists(st.integers(0, 1), min_size=len(times),
+                                      max_size=len(times)), label="channels")
+        metadata = {} if rate is None else {"repetition_rate": rate}
+        stream = TimeTagStream(channels=channels, timestamps=times,
+                               duration=duration, seed=seed, metadata=metadata)
+        path = self._new(root, "tags.bin")
+        assert io.write_time_tags(path, stream) == io.sha256_file(path)
+        back = io.read_time_tags(path)
+        assert np.array_equal(back.channels, stream.channels)
+        assert back.timestamps.tobytes() == stream.timestamps.tobytes()
+        assert (back.duration, back.seed, back.metadata) == (duration, seed, metadata)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           pitch=st.floats(1e-6, 1e3), center=st.tuples(FINITE, FINITE),
+           channel=st.sampled_from(["total", "vertical", "horizontal"]),
+           radii=st.fixed_dictionaries({}, optional={"bore_radius_f": FINITE,
+                                                     "rim_radius_f": FINITE}))
+    def test_image_csv(self, root, data, rows, cols, pitch, center, channel, radii):
+        pixels = data.draw(st.lists(st.lists(st.floats(0.0, 1e300), min_size=cols,
+                                             max_size=cols),
+                                    min_size=rows, max_size=rows), label="pixels")
+        image = mo.ApertureImage(pixels=pixels, pixel_pitch=pitch, channel=channel,
+                                 center=center, metadata=radii)
+        path = self._new(root, "image.csv", "image.csv.json")
+        assert io.write_image_csv(path, image) == (
+            io.sha256_file(path), io.sha256_file(root / "image.csv.json"))
+        back = io.read_image_csv(path)
+        assert back.pixels.tobytes() == image.pixels.tobytes()
+        assert back.pixels.shape == (rows, cols)
+        assert (back.pixel_pitch, back.channel, back.center, back.metadata) == (
+            pitch, channel, center, radii)
+
+
 def _yaml_leaves(tree: dict, prefix: str = ""):
     for key, value in tree.items():
         if isinstance(value, dict):
@@ -420,11 +497,15 @@ DEFAULT_LEAVES = dict(_yaml_leaves(yaml.safe_load(default_config_yaml())))
 
 # Leaves that feed no model output.
 INFORMATIONAL = {
-    "rod.core_diameter_m": "only checked against the rod diameter",
-    "excitation.pulse_duration_s": "below the pulse-lag resolution of the analysis",
-    "cluster.packing": "a single packing model exists",
     "output_dir": "names the dataset directory",
 }
+
+# A short dataset whose artifacts still depend on every other leaf.
+LEAF_BASE = {"simulation": {"duration_s": 2e-4}, "acquisition": {"duration_s": 0.2},
+             "image": {"n_pixels": 32}}
+# Leaves that act only in the "bursts" blink mode.
+BURST_LEAVES = {"emitter.burst_dwell_s", "emitter.dark_dwell_s",
+                "emitter.dark_attenuation"}
 
 # Valid changes for leaves whose default has no generic one.
 CHANGED = {
@@ -434,14 +515,30 @@ CHANGED = {
 }
 
 
-def _with_leaf(name: str, value) -> dict:
+def _leaf_base(bursts: bool) -> dict:
     raw = yaml.safe_load(default_config_yaml())
-    *sections, key = name.split(".")
-    node = raw
-    for section in sections:
-        node = node[section]
-    node[key] = value
+    for section, values in LEAF_BASE.items():
+        raw[section].update(values)
+    if bursts:
+        raw["emitter"]["blink_mode"] = "bursts"
     return raw
+
+
+def _leaf_node(raw: dict, name: str) -> tuple[dict, str]:
+    *sections, key = name.split(".")
+    for section in sections:
+        raw = raw[section]
+    return raw, key
+
+
+def _artifact_digests(raw: dict, out) -> dict:
+    """Artifact name -> sha256 of the dataset ``simulate_dataset`` writes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short-trace and coarse-pixel warnings
+        simulate_dataset(parse_config(raw), out)
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    shutil.rmtree(out)
+    return {name: entry["sha256"] for name, entry in artifacts.items()}
 
 
 def _changed(name: str, value):
@@ -456,15 +553,24 @@ def _changed(name: str, value):
 
 class TestConfigLeaves:
     def test_leaf_count(self):
-        assert len(DEFAULT_LEAVES) == 47
+        assert len(DEFAULT_LEAVES) == 43
         assert set(INFORMATIONAL) <= set(DEFAULT_LEAVES)
-        assert set(CHANGED) <= set(DEFAULT_LEAVES)
+        assert set(CHANGED) | BURST_LEAVES <= set(DEFAULT_LEAVES)
+
+    @pytest.fixture(scope="class")
+    def base_digests(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("leaf_base")
+        return {bursts: _artifact_digests(_leaf_base(bursts), root / str(bursts))
+                for bursts in (False, True)}
 
     @pytest.mark.parametrize("name", sorted(set(DEFAULT_LEAVES) - set(INFORMATIONAL)))
-    def test_every_leaf_is_honoured(self, name):
-        default = parse_config(yaml.safe_load(default_config_yaml()))
-        changed = parse_config(_with_leaf(name, _changed(name, DEFAULT_LEAVES[name])))
-        assert changed != default
+    def test_every_leaf_is_honoured(self, name, base_digests, tmp_path):
+        # changing the leaf changes at least one artifact simulate writes
+        bursts = name in BURST_LEAVES
+        raw = _leaf_base(bursts)
+        node, key = _leaf_node(raw, name)
+        node[key] = _changed(name, node[key])
+        assert _artifact_digests(raw, tmp_path / "changed") != base_digests[bursts]
 
     def test_reflectivity_reaches_detection(self):
         default = parse_config({})

@@ -210,13 +210,6 @@ class TestGenerateTimeTags:
         assert np.all(np.diff(stream.timestamps) >= 0)
         assert stream.timestamps[-1] <= 0.2
 
-    def test_jitter_keeps_order_and_window(self):
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 0.2, seed=6,
-                                       jitter_scale=30e-9)
-        assert np.all(np.diff(stream.timestamps) >= 0)
-        assert stream.timestamps[-1] < 0.2
-
     def test_memory_scales_with_events(self):
         # 1e7 pulses but only ~1e3 detections: nothing per pulse is allocated
         exc = pe.ExcitationConfig(average_power=2e-9)

@@ -93,14 +93,6 @@ class TestClusterGeometry:
         cluster = tm.ClusterSample(n_rods=n)
         assert tm.effective_radius(cluster) == pytest.approx(expected, rel=1e-9)
 
-    def test_unsupported_packing(self):
-        with pytest.raises(ValueError):
-            tm.ClusterSample(packing="random_aggregate")
-
-    def test_unsupported_axis(self):
-        with pytest.raises(ValueError):
-            tm.effective_radius(tm.ClusterSample(), axis="x")
-
     def test_single_rod_mass(self):
         assert tm.cluster_mass(tm.ClusterSample()) == pytest.approx(6.5e-21, rel=0.02)
 
