@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft, optimize, signal
+from scipy import fft, optimize
 
 from .errors import (
     FitError,
@@ -119,6 +119,13 @@ def stream_power_spectral_density(source, segment_length: int | None = None,
                   source.sample_interval, segment_length, overlap)
 
 
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of n samples (``[1.0]`` for n = 1)."""
+    if n == 1:
+        return np.ones(1)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+
+
 def _welch(read, series_mean, n: int, sample_interval: float,
            segment_length: int | None, overlap: float) -> Spectrum:
     """Welch PSD of n samples given by ``read(start, stop)``.
@@ -138,7 +145,7 @@ def _welch(read, series_mean, n: int, sample_interval: float,
         )
 
     fs = 1.0 / sample_interval
-    w = signal.get_window("hann", segment_length)
+    w = _hann(segment_length)
     mean = series_mean()
     per_block = max(1, _PSD_BLOCK_SAMPLES // segment_length)
     psd = np.zeros(segment_length // 2 + 1)
@@ -328,10 +335,13 @@ def g2_zero(stream: TimeTagStream, pulse_period: float,
     pulses apart is listed once (two ``searchsorted`` calls bound each
     channel-0 pulse's window, ``np.repeat`` expands it) and ``np.bincount``
     histograms the pair lags weighted by the product of the two counts, in
-    blocks of about 2**22 pulse-lag slots, so memory stays bounded for any
-    ``max_lag``.  g2(0) is the zero-lag count over the mean side-peak count at
-    lags 1..max_lag.  The error is Poissonian, g2 * sqrt(1/N0 + 1/N_side);
-    when N0 = 0 the one-count scale 1/mean(N_side) is reported instead.
+    blocks of about 2**22 pulse-lag slots; the histogram itself holds
+    2 max_lag + 1 counts.  A ``max_lag`` beyond the stream's pulse span
+    raises InsufficientDataError: those lags can hold no pair and would only
+    dilute the side-peak mean.  g2(0) is the zero-lag count over the mean
+    side-peak count at lags 1..max_lag.  The error is Poissonian,
+    g2 * sqrt(1/N0 + 1/N_side); when N0 = 0 the one-count scale
+    1/mean(N_side) is reported instead.
     Invariant under uniform time shifts and channel swap.
     """
     if pulse_period <= 0:
@@ -347,6 +357,10 @@ def g2_zero(stream: TimeTagStream, pulse_period: float,
 
     t0 = stream.timestamps[0]
     pulses = np.rint((stream.timestamps - t0) / pulse_period).astype(np.int64)
+    span = int(pulses[-1] - pulses[0])
+    if max_lag > span:
+        raise InsufficientDataError(
+            f"max_lag {max_lag} exceeds the stream's span of {span} pulses")
     idx0, cnt0 = _pulse_counts(pulses[stream.channels == 0])
     idx1, cnt1 = _pulse_counts(pulses[stream.channels == 1])
 
@@ -420,6 +434,41 @@ _PEAK_PROMINENCE_SIGMAS = 3.0
 _BURST_MIN_R2 = 0.95
 
 
+def _peaks(x: np.ndarray) -> tuple[list[int], list[float]]:
+    """Local maxima of ``x`` and their prominences.
+
+    A maximum is a sample, or a flat run of equal samples, with a lower
+    neighbour on each side; a flat run is reported at its midpoint, rounded
+    down, and the end samples never count.  The prominence is the height of
+    the maximum above the higher of two minima: the lowest sample reached
+    walking left, and walking right, until a higher sample or the end.
+    """
+    x = x.tolist()
+    n = len(x)
+    peaks = []
+    i = 1
+    while i < n - 1:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < n - 1 and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    prominences = []
+    for p in peaks:
+        bases = []
+        for step in (-1, 1):
+            j, low = p, x[p]
+            while 0 <= j < n and x[j] <= x[p]:
+                low = min(low, x[j])
+                j += step
+            bases.append(low)
+        prominences.append(x[p] - max(bases))
+    return peaks, prominences
+
+
 def blink_analysis(stream: TimeTagStream, bin_width: float = 500e-6) -> BlinkHistogram:
     """Bin the stream into fixed intervals and classify the rate histogram.
 
@@ -474,8 +523,7 @@ def blink_analysis(stream: TimeTagStream, bin_width: float = 500e-6) -> BlinkHis
         classification = "exponential_burst"
         peak_rates = np.array([])
     else:
-        peaks, props = signal.find_peaks(smooth, prominence=0.0)
-        keep = [int(p) for p, prom in zip(peaks, props["prominences"])
+        keep = [p for p, prom in zip(*_peaks(smooth))
                 if p >= 1
                 and prom > _PEAK_PROMINENCE_SIGMAS * np.sqrt(max(smooth[p], 1.0))]
         peak_rates = np.array([counts[p] / bin_width for p in keep])

@@ -10,14 +10,17 @@ damping/noise sub-step.  Both sub-steps leave the Boltzmann distribution of
 the harmonic trap invariant, so equipartition holds without time-step bias,
 and the scheme is unconditionally stable for any damping.  The one-step map
 is linear, so its z component obeys an exact ARMA(2, 1) recurrence (by
-Cayley-Hamilton) that scipy's lfilter evaluates, with the initial state
-(z0, v0) entering as the filter state.
+Cayley-Hamilton).  The recurrence is a unit lower-triangular banded linear
+system in the samples, solved in place by LAPACK's banded triangular solve
+(``dtbtrs``), with the initial state (z0, v0) folded into the first two
+right-hand sides.
 
 Traces are produced as ``SeriesBlocks``: a sample count known up front and
 one pass over fixed-size blocks of samples.  ``axial_motion_blocks`` runs
-its argument checks and warnings before the first block; each block's final
-filter state seeds the next and the noise is drawn block by block from one
-generator, so the result is bit-identical to one pass over the whole trace.
+its argument checks and warnings before the first block; each solve takes
+the two samples before it as known rows and the noise is drawn block by
+block from one generator, so the result is bit-identical to one pass over
+the whole trace.
 ``detector_blocks`` is the one detector readout, a per-block transform
 (white noise drawn per block from its own generator, in sample order, plus
 gain * z); a whole trace is read out as
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import integrate
+from scipy.linalg import lapack
 
 from . import constants as const
 from .seeding import rng_for
@@ -157,6 +161,8 @@ class SeriesBlocks:
 
 # samples per block of the Langevin recurrence and of the detector readout
 _BLOCK_SAMPLES = 1 << 20
+# rows per banded solve of the recurrence
+_SOLVE_ROWS = 1 << 16
 
 
 def _one_step_map(omega: float, gamma: float, mass: float,
@@ -222,23 +228,50 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
         z0, v0 = float(initial_state[0]), float(initial_state[1])
 
     A, w = _one_step_map(omega, gamma, mass, temperature, dt)
-    # z[k] = trA z[k-1] - detA z[k-2] + w_z xi[k-1] + (a12 w_v - a22 w_z) xi[k-2];
-    # the filter state makes z[0] = z0 and z[1] = (A (z0, v0))_z + w_z xi[0].
-    # w = 0 without temperature or damping, so the input stays zero then.
-    # Blocks carry the filter state and draw xi in stream order (e[0] = 0).
+    # z[k] + a1 z[k-1] + a2 z[k-2] = b0 e[k] + b1 e[k-1], with e = xi shifted
+    # by one step (e[0] = 0) and a1 = -trA, a2 = detA, b0 = w_z,
+    # b1 = a12 w_v - a22 w_z.  With zero history before z[0], adding zi to the
+    # first two right-hand sides makes z[0] = z0 and z[1] = (A (z0, v0))_z +
+    # w_z xi[0].  w = 0 without temperature or damping, so no noise is drawn.
     noisy = temperature > 0 and gamma > 0
-    b = [w[0], A[0, 1] * w[1] - A[1, 1] * w[0]]
-    a = [1.0, -(A[0, 0] + A[1, 1]), A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]]
+    b0, b1 = w[0], A[0, 1] * w[1] - A[1, 1] * w[0]
+    zi = (z0, A[0, 1] * v0 - A[1, 1] * z0)
+    # Lower band of the system matrix for _SOLVE_ROWS unknowns behind two
+    # known rows: the unit diagonal, a1 below it and a2 below that.
+    # ab[1, 0] = 0 keeps the second known row from coupling to the first.
+    ab = np.empty((3, min(n, _SOLVE_ROWS) + 2), order="F")
+    ab[0] = 1.0
+    ab[1] = -(A[0, 0] + A[1, 1])
+    ab[1, 0] = 0.0
+    ab[2] = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
 
     def recurrence():
-        zi = [z0, A[0, 1] * v0 - A[1, 1] * z0]
+        history = np.zeros(2)
+        e_last = 0.0  # b1 e[k-1] at the first sample of the block
         e = np.zeros(min(n, _BLOCK_SAMPLES))
         for start in range(0, n, _BLOCK_SAMPLES):
-            block = e[: min(n - start, _BLOCK_SAMPLES)]
+            size = min(n - start, _BLOCK_SAMPLES)
+            block = e[:size]
             if noisy:
                 rng.standard_normal(out=block[1:] if start == 0 else block)
-            z, zi = signal.lfilter(b, a, block, zi=zi)
-            yield z
+            # two known rows in front of the right-hand sides
+            z = np.empty(size + 2)
+            z[:2] = history
+            rhs = z[2:]
+            np.multiply(block, b0, out=rhs)
+            block *= b1
+            rhs[0] += e_last
+            rhs[1:] += block[:-1]
+            e_last = block[-1]
+            for k in range(start, min(start + size, 2)):
+                rhs[k - start] += zi[k]
+            del rhs, block
+            for row in range(0, size, _SOLVE_ROWS):
+                rows = min(size - row, _SOLVE_ROWS)
+                lapack.dtbtrs(ab[:, : rows + 2], z[row: row + rows + 2],
+                              uplo="L", diag="U", overwrite_b=1)
+            history = z[-2:].copy()
+            yield z[2:]
             del z
 
     return SeriesBlocks(sample_interval=dt, n_samples=n, blocks=recurrence(),

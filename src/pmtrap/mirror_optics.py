@@ -404,20 +404,17 @@ def collection_efficiency(kind: str, geometry: MirrorGeometry | None = None) -> 
     raise ValueError(f"kind must be 'linear' or 'circular', got {kind!r}")
 
 
-def azimuthal_average(image: ApertureImage, bin_width: float | None = None) -> RadialProfile:
-    """Mean intensity per annular bin around the image center.
+def azimuthal_average(image: ApertureImage) -> RadialProfile:
+    """Mean intensity per annular bin, one pixel pitch wide, around the center.
 
-    Bin width defaults to the pixel pitch; empty bins are omitted.  Per-bin
-    pixel counts and intensity variances are recorded on the profile.
+    Empty bins are omitted.  Per-bin pixel counts and intensity variances
+    are recorded on the profile.
     """
     ny, nx = image.pixels.shape
     cx, cy = image.center
     if not (-0.5 <= cx <= nx - 0.5 and -0.5 <= cy <= ny - 0.5):
         raise ValueError(f"center {image.center} lies off the pixel grid")
-    if bin_width is None:
-        bin_width = image.pixel_pitch
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
+    bin_width = image.pixel_pitch
 
     R = image.radius_grid().ravel()
     I = image.pixels.ravel()

@@ -2,8 +2,9 @@
 
 Everything here is derived by a different route than the package code:
 adaptive quadrature, exact enumeration, dense-grid quadrature, explicit
-stepping of matrix exponentials, and per-pulse or rejection Monte Carlo of
-the models the package evaluates exactly.  Nothing here imports ``pmtrap``.
+stepping of matrix exponentials, a recursive filter in place of a banded
+solve, and per-pulse or rejection Monte Carlo of the models the package
+evaluates exactly.  Nothing here imports ``pmtrap``.
 """
 
 import zlib
@@ -11,7 +12,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, signal
 from scipy.linalg import expm
 
 KB = 1.380649e-23
@@ -225,3 +226,26 @@ def splitting_transient(omega, gamma, dt, z0, v0, n):
         out[k] = state[0]
         state = step @ state
     return out
+
+
+# --- thermal Langevin splitting, recursive filter ---------------------------
+
+def ar2_lfilter(omega, gamma, kt_over_m, dt, z0, v0, xi):
+    """z after k = 0..n-1 steps of the thermal splitting, by ``lfilter``.
+
+    One step maps (z, v) to A (z, v) + w xi[k]: half harmonic steps (expm of
+    the generator over dt/2) around the exact velocity decay exp(-gamma dt)
+    with kick sqrt(kT/m (1 - exp(-2 gamma dt))).  By Cayley-Hamilton z obeys
+    z[k] = tr(A) z[k-1] - det(A) z[k-2] + w_z e[k] + (a12 w_v - a22 w_z) e[k-1]
+    with e[k] = xi[k-1] and e[0] = 0; the initial state enters as the filter
+    state.  ``xi`` holds the n - 1 unit normal kicks.
+    """
+    half = expm(np.array([[0.0, 1.0], [-omega**2, 0.0]]) * (dt / 2.0))
+    c1 = np.exp(-gamma * dt)
+    A = half @ np.diag([1.0, c1]) @ half
+    w = half @ np.array([0.0, np.sqrt(kt_over_m * (1.0 - c1**2))])
+    b = [w[0], A[0, 1] * w[1] - A[1, 1] * w[0]]
+    a = [1.0, -np.trace(A), np.linalg.det(A)]
+    zi = [z0, A[0, 1] * v0 - A[1, 1] * z0]
+    z, _ = signal.lfilter(b, a, np.concatenate([[0.0], xi]), zi=zi)
+    return z

@@ -123,6 +123,61 @@ class TestPowerSpectralDensity:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           segment_length=st.integers(8, 2048),
+           overlap=st.floats(0.0, 0.9),
+           extra=st.integers(0, 6),
+           tail=st.integers(0, 2047),
+           width=st.integers(1, 16),
+           offset=st.floats(-10.0, 10.0))
+    def test_parseval_property(self, seed, segment_length, overlap, extra,
+                               tail, width, offset):
+        # Parseval per segment: the estimate integrates to the mean over the
+        # segments of sum((w (x - mean))^2) / sum(w^2), for odd and even
+        # segment lengths and for white or moving-average inputs
+        hop = segment_length - int(segment_length * overlap)
+        n = segment_length + (3 + extra) * hop + tail % hop
+        noise = np.random.default_rng(seed).normal(0.0, 1.0, n + width - 1)
+        x = offset + np.convolve(noise, np.ones(width) / width, mode="valid")
+        spec = an.power_spectral_density(TimeSeries(sample_interval=1e-6, samples=x),
+                                         segment_length=segment_length,
+                                         overlap=overlap)
+        w = signal.get_window("hann", segment_length)
+        energies = [np.sum((w * (x[start: start + segment_length] - x.mean())) ** 2)
+                    for start in range(0, n - segment_length + 1, hop)]
+        assert len(energies) == spec.averages
+        assert spec.integral() == pytest.approx(np.mean(energies) / np.sum(w**2),
+                                                rel=1e-9)
+
+
+class TestHannWindow:
+    def test_matches_scipy(self):
+        for n in [*range(1, 4097), 2**16]:
+            np.testing.assert_array_equal(an._hann(n), signal.get_window("hann", n))
+
+
+# float arrays for _peaks: few levels (plateaus and maxima at the ends),
+# free floats, and integer histograms smoothed as blink_analysis smooths them
+PEAK_INPUTS = st.one_of(
+    st.lists(st.integers(0, 3), max_size=40).map(lambda v: np.array(v, float)),
+    st.lists(st.floats(-1e3, 1e3), max_size=40).map(lambda v: np.array(v, float)),
+    st.lists(st.integers(0, 50), min_size=3, max_size=120).map(
+        lambda v: np.convolve(v, np.array([1.0, 2.0, 1.0]) / 4.0, mode="same")),
+)
+
+
+class TestPeaks:
+    @settings(max_examples=300, deadline=None)
+    @given(x=PEAK_INPUTS)
+    @example(x=np.array([0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0]))
+    @example(x=np.array([3.0, 1.0, 2.0, 2.0, 0.0, 2.0, 1.0, 3.0]))
+    def test_matches_find_peaks(self, x):
+        peaks, prominences = an._peaks(x)
+        ref, props = signal.find_peaks(x, prominence=0.0)
+        np.testing.assert_array_equal(peaks, ref)
+        np.testing.assert_array_equal(prominences, props["prominences"])
+
 
 def lorentzian(f, a, f0, hw, b):
     return a * hw**2 / ((f - f0) ** 2 + hw**2) + b
@@ -285,6 +340,10 @@ class TestG2Zero:
             pulses[ch == 0] - first, pulses[ch == 1] - first, max_lag)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
+            if max_lag > pulses[-1] - first:  # lags that no pair can reach
+                with pytest.raises(InsufficientDataError):
+                    an.g2_zero(stream, 1e-6, max_lag=max_lag)
+                return
             if expected.sum() == expected[max_lag]:  # no side-peak pairs
                 with pytest.raises(UndefinedResultError):
                     an.g2_zero(stream, 1e-6, max_lag=max_lag)
@@ -300,6 +359,18 @@ class TestG2Zero:
         monkeypatch.setattr(an, "_G2_BLOCK_SLOTS", 41 * 7 + 3)
         blocked = an.g2_zero(stream, 1e-6, max_lag=20)
         assert np.array_equal(whole.coincidences, blocked.coincidences)
+
+    @pytest.mark.filterwarnings("ignore:fewer than 1e4 events")
+    def test_max_lag_beyond_span_rejected(self):
+        # 100 events over about 1e3 pulses: lags past the span hold no pair,
+        # so the call fails before sizing a histogram of 2e4 + 1 lags
+        rng = np.random.default_rng(9)
+        pulses = np.sort(rng.choice(1000, size=100, replace=False))
+        stream = pe.TimeTagStream(channels=np.arange(100) % 2,
+                                  timestamps=pulses * 1e-6, duration=1e-3)
+        with pytest.raises(InsufficientDataError, match="max_lag"):
+            an.g2_zero(stream, 1e-6, max_lag=10**4)
+        assert an.g2_zero(stream, 1e-6, max_lag=int(pulses[-1] - pulses[0])).g2 >= 0
 
     def test_memory_bounded_at_long_lag(self):
         # the default 10 s acquisition (~7e5 events); the pair expansion

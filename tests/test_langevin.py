@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmtrap import analysis, constants as const, io_formats, langevin as lv
 from pmtrap import mirror_optics as mo
+from pmtrap.seeding import rng_for
 
 import oracles
 
@@ -93,6 +96,59 @@ class TestSimulateAxialMotion:
         cfg = lv.SimConfig(time_step=1.2e-8, duration=5e-6, seed=0)
         with pytest.warns(UserWarning, match="duration"):
             lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:duration below")
+class TestRecurrenceProperties:
+    DT = 1.2e-8
+
+    # gamma and temperature include 0, where the noise input vanishes; the
+    # block and solve sizes split the trace anywhere
+    @settings(max_examples=100, deadline=None)
+    @given(gamma=st.one_of(st.just(0.0), st.floats(1e3, 5e6)),
+           temperature=st.one_of(st.just(0.0), st.floats(1.0, 1e3)),
+           z0=st.floats(-1e-8, 1e-8), v0=st.floats(-0.1, 0.1),
+           n=st.integers(1, 3000), block=st.integers(1, 3000),
+           rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_lfilter_oracle(self, gamma, temperature, z0, v0, n,
+                                    block, rows, seed):
+        cfg = lv.SimConfig(time_step=self.DT, duration=n * self.DT, seed=seed)
+
+        def run():
+            return lv.simulate_axial_motion(STIFFNESS, gamma, MASS, temperature,
+                                            cfg, initial_state=(z0, v0)).samples
+
+        whole = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lv, "_BLOCK_SAMPLES", block)
+            mp.setattr(lv, "_SOLVE_ROWS", rows)
+            split = run()
+        # the same noise: the trace's own stream after the given initial state
+        xi = rng_for(seed, "axial-motion").standard_normal(n - 1)
+        ref = oracles.ar2_lfilter(OMEGA, gamma,
+                                  const.BOLTZMANN * temperature / MASS,
+                                  self.DT, z0, v0, xi)
+        assert np.array_equal(whole, split)
+        # rms taken in units of the peak, which keeps tiny states from
+        # underflowing when squared
+        peak = np.max(np.abs(ref))
+        rms = peak * np.sqrt(np.mean((ref / peak) ** 2)) if peak > 0 else 0.0
+        assert np.max(np.abs(whole - ref)) <= 1e-10 * rms
+
+    # 40 batches of 200/Gamma each; the spread of the batch means of z^2
+    # gives the standard error
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), temperature=st.floats(1.0, 1e3))
+    def test_equipartition(self, seed, temperature):
+        batches, per_batch = 40, int(200.0 / (GAMMA * self.DT))
+        n = batches * per_batch
+        cfg = lv.SimConfig(time_step=self.DT, duration=n * self.DT, seed=seed)
+        z = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, temperature,
+                                     cfg).samples
+        means = np.mean(z.reshape(batches, per_batch) ** 2, axis=1)
+        expected = const.BOLTZMANN * temperature / STIFFNESS.k_z
+        std_error = np.std(means, ddof=1) / np.sqrt(batches)
+        assert abs(np.mean(means) - expected) < 5.0 * std_error
 
 
 BLOCK_LENGTHS = pytest.mark.parametrize("n", [5, 21, 22, 2000, 2001])

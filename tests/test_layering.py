@@ -1,8 +1,11 @@
 """Import rules that keep the checks independent of what they check."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
+import pmtrap
 from pmtrap import mirror_optics
 
 
@@ -33,3 +36,19 @@ def test_mirror_optics_has_no_quadrature():
     # collection fractions are closed-form; quadrature is the oracle's route
     names = _imported_names(Path(mirror_optics.__file__))
     assert not _within(names, "scipy.integrate")
+
+
+def test_package_does_not_import_scipy_signal():
+    # scipy.signal, and the scipy.stats it loads, double the import time;
+    # the Welch window, the peak finder and the Langevin solve use numpy and
+    # LAPACK instead
+    for path in Path(pmtrap.__file__).parent.glob("*.py"):
+        names = _imported_names(path)
+        assert not _within(names, "scipy.signal"), path.name
+    probe = ("import sys, pmtrap.cli; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         cwd=Path(pmtrap.__file__).parent.parent).stdout
+    assert out.strip() == "[]"
