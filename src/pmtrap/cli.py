@@ -75,12 +75,12 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
         configs={"a_pi": config.detection.a_pi, "n_rods": config.cluster.n_rods})
 
     # aperture images at the configured mixture, with camera noise
-    mix = mirror_optics.DipoleMix(a_pi=config.detection.a_pi)
-    total = mirror_optics.mix_image(mix, config.mirror,
+    a_pi = config.detection.a_pi
+    total = mirror_optics.mix_image(a_pi, config.mirror,
                                     n_pixels=config.image.n_pixels,
                                     half_extent=config.image.half_extent)
-    vertical = mirror_optics.polarized_projection(total, mix, "vertical")
-    horizontal = mirror_optics.polarized_projection(total, mix, "horizontal")
+    vertical = mirror_optics.polarized_projection(total, a_pi, "vertical")
+    horizontal = mirror_optics.polarized_projection(total, a_pi, "horizontal")
     if config.image.noise_rms_fraction > 0:
         rng = rng_for(config.seed, "image-noise")
         scale = config.image.noise_rms_fraction * float(total.pixels.max())
@@ -113,8 +113,7 @@ def _profile_in_aperture(image: mirror_optics.ApertureImage) -> mirror_optics.Ra
     keep = (profile.radii > bore + pitch) & (profile.radii < rim - pitch)
     return mirror_optics.RadialProfile(
         radii=profile.radii[keep], intensities=profile.intensities[keep],
-        counts=None if profile.counts is None else profile.counts[keep],
-        variances=None if profile.variances is None else profile.variances[keep])
+        counts=profile.counts[keep], variances=profile.variances[keep])
 
 
 def _write_csv(path: Path, header: str, fmt: str, *columns) -> None:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import stat
 import time
@@ -81,6 +82,8 @@ __all__ = [
     "default_config_yaml",
     "load_config",
     "dump_config",
+    "parse_config",
+    "config_hash",
     "write_manifest",
     "verify_manifest",
 ]
@@ -247,21 +250,39 @@ def _check_unknown(section: str, data: dict, allowed, errors: list) -> None:
             errors.append(f"{section}: unknown key {key!r}")
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _typed(where: str, leaf: _Leaf, value, errors: list):
-    """Check a YAML value against its field type; ints pass as floats."""
+    """Check a YAML value against its field type; ints pass as floats.
+
+    Numbers must be finite, bool leaves take only YAML booleans and str
+    leaves only strings.
+    """
     if leaf.type is int:
         if isinstance(value, bool) or not isinstance(value, int):
             errors.append(f"{where} must be an integer")
+        elif not _finite(value):
+            errors.append(f"{where} must be a finite number")
         return value
     if leaf.type in (float, float | None):
         if value is None and leaf.type is not float:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{where} must be a number")
-            return value
-        return float(value)
-    if leaf.type is str:
-        return str(value)
+        elif not _finite(value):
+            errors.append(f"{where} must be a finite number")
+        else:
+            return float(value)
+        return value
+    if leaf.type is bool and not isinstance(value, bool):
+        errors.append(f"{where} must be true or false")
+    if leaf.type is str and not isinstance(value, str):
+        errors.append(f"{where} must be a string")
     return value
 
 

@@ -36,7 +36,6 @@ from .errors import FitError, InsufficientDataError, InvalidGeometryError
 
 __all__ = [
     "MirrorGeometry",
-    "DipoleMix",
     "ApertureImage",
     "RadialProfile",
     "DipoleFitResult",
@@ -66,7 +65,7 @@ CIRCULAR = "circular"
 DEFAULT_N_PIXELS = 256
 DEFAULT_HALF_EXTENT = 5.0
 
-# Asymmetry classification thresholds (overridable per call)
+# Asymmetry classification thresholds of ``asymmetry_metric``
 SYMMETRY_SCORE_MAX = 0.02
 ASYMMETRY_SCORE_MIN = 0.1
 
@@ -121,38 +120,6 @@ class MirrorGeometry:
         return float(theta_from_R(self.bore_radius_f))
 
 
-@dataclass(frozen=True)
-class DipoleMix:
-    """Incoherent linear/circular dipole mixture.
-
-    ``a_pi`` is the linear-dipole intensity fraction I0_pi/(I0_pi+I0_sigma).
-    """
-
-    a_pi: float
-    i0_pi: float = float("nan")
-    i0_sigma: float = float("nan")
-
-    def __post_init__(self):
-        if not 0.0 <= self.a_pi <= 1.0:
-            raise ValueError(f"a_pi must be in [0, 1], got {self.a_pi}")
-        if np.isnan(self.i0_pi):
-            object.__setattr__(self, "i0_pi", self.a_pi)
-            object.__setattr__(self, "i0_sigma", 1.0 - self.a_pi)
-        else:
-            if self.i0_pi < 0 or self.i0_sigma < 0:
-                raise ValueError("amplitudes must be non-negative")
-            total = self.i0_pi + self.i0_sigma
-            if total > 0 and abs(self.a_pi - self.i0_pi / total) > 1e-9:
-                raise ValueError("a_pi inconsistent with amplitudes")
-
-    @classmethod
-    def from_amplitudes(cls, i0_pi: float, i0_sigma: float) -> "DipoleMix":
-        total = i0_pi + i0_sigma
-        if total <= 0:
-            raise ValueError("at least one amplitude must be positive")
-        return cls(a_pi=i0_pi / total, i0_pi=i0_pi, i0_sigma=i0_sigma)
-
-
 @dataclass
 class ApertureImage:
     """Pixelized intensity in the mirror output aperture.
@@ -186,11 +153,7 @@ class ApertureImage:
 
     def pixel_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) of every pixel center in units of focal length."""
-        ny, nx = self.pixels.shape
-        cx, cy = self.center
-        x = (np.arange(nx) - cx) * self.pixel_pitch
-        y = (np.arange(ny) - cy) * self.pixel_pitch
-        return np.meshgrid(x, y)
+        return _coordinates(self.pixels.shape, self.center, self.pixel_pitch)
 
     def radius_grid(self) -> np.ndarray:
         x, y = self.pixel_coordinates()
@@ -217,39 +180,43 @@ class RadialProfile:
             raise ValueError("intensities must be finite")
 
 
+def _coordinates(shape, center, pitch) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) grids of pixel centers for ``shape`` (rows, cols) about ``center``."""
+    ny, nx = shape
+    cx, cy = center
+    return np.meshgrid((np.arange(nx) - cx) * pitch, (np.arange(ny) - cy) * pitch)
+
+
+def _check_fraction(a_pi: float) -> None:
+    if not 0.0 <= a_pi <= 1.0:
+        raise ValueError(f"a_pi must be in [0, 1], got {a_pi}")
+
+
+def _radius(R) -> np.ndarray:
+    R = np.asarray(R, dtype=float)
+    if np.any(R < 0):
+        raise ValueError("R must be non-negative")
+    return R
+
+
 def theta_from_R(R):
     """Polar emission angle (rad) mapped to aperture radius R (units of f).
 
     theta = 2 * atan(R/2); monotone, theta(0) = 0, theta -> pi as R -> inf.
     """
-    R = np.asarray(R, dtype=float)
-    if np.any(R < 0):
-        raise ValueError("R must be non-negative")
-    return 2.0 * np.arctan(R / 2.0)
+    return 2.0 * np.arctan(_radius(R) / 2.0)
 
 
 def intensity_linear(R):
     """Aperture intensity of an on-axis linear dipole, unit amplitude."""
-    R = np.asarray(R, dtype=float)
-    if np.any(R < 0):
-        raise ValueError("R must be non-negative")
+    R = _radius(R)
     return R**2 / (R**2 / 4.0 + 1.0) ** 4
 
 
 def intensity_circular(R):
     """Aperture intensity of a circular dipole, unit amplitude (max 1 at R=0)."""
-    R = np.asarray(R, dtype=float)
-    if np.any(R < 0):
-        raise ValueError("R must be non-negative")
+    R = _radius(R)
     return (R**4 / 16.0 + 1.0) / (R**2 / 4.0 + 1.0) ** 4
-
-
-def _image_grid(n_pixels: int, half_extent: float):
-    pitch = 2.0 * half_extent / n_pixels
-    c = (n_pixels - 1) / 2.0
-    coords = (np.arange(n_pixels) - c) * pitch
-    x, y = np.meshgrid(coords, coords)
-    return x, y, pitch, c
 
 
 def _clip_mask(R: np.ndarray, geometry: MirrorGeometry) -> np.ndarray:
@@ -288,9 +255,11 @@ def general_dipole_image(
     """
     if geometry is None:
         geometry = MirrorGeometry()
-    x, y, pitch, c = _image_grid(n_pixels, half_extent)
+    pitch = 2.0 * half_extent / n_pixels
+    c = (n_pixels - 1) / 2.0
+    x, y = _coordinates((n_pixels, n_pixels), (c, c), pitch)
     R = np.hypot(x, y)
-    theta = 2.0 * np.arctan(R / 2.0)
+    theta = theta_from_R(R)
     envelope = 1.0 / (R**2 / 4.0 + 1.0) ** 2
 
     if isinstance(orientation, str):
@@ -334,22 +303,23 @@ def general_dipole_image(
 
 
 def mix_image(
-    mix: DipoleMix,
+    a_pi: float,
     geometry: MirrorGeometry | None = None,
     n_pixels: int = DEFAULT_N_PIXELS,
     half_extent: float = DEFAULT_HALF_EXTENT,
 ) -> ApertureImage:
-    """Aperture image of an on-axis incoherent linear/circular mixture."""
+    """Aperture image of an on-axis linear/circular mix of linear fraction ``a_pi``."""
+    _check_fraction(a_pi)
     lin = general_dipole_image(LINEAR_ON_AXIS, geometry, n_pixels, half_extent)
     cir = general_dipole_image(CIRCULAR, geometry, n_pixels, half_extent)
-    pixels = mix.a_pi * lin.pixels + (1.0 - mix.a_pi) * cir.pixels
+    pixels = a_pi * lin.pixels + (1.0 - a_pi) * cir.pixels
     return ApertureImage(pixels=pixels, pixel_pitch=lin.pixel_pitch,
                          channel="total", center=lin.center,
                          metadata=dict(lin.metadata))
 
 
-def polarized_projection(image: ApertureImage, mix: DipoleMix, axis: str) -> ApertureImage:
-    """Project a total-channel mixture image onto a linear polarizer axis.
+def polarized_projection(image: ApertureImage, a_pi: float, axis: str) -> ApertureImage:
+    """Project a total-channel image of linear fraction ``a_pi`` onto a polarizer axis.
 
     The collimated field of an on-axis linear dipole is radially polarized, so
     its intensity picks up |r_hat . u_hat|^2 (giving extinction lines
@@ -357,6 +327,7 @@ def polarized_projection(image: ApertureImage, mix: DipoleMix, axis: str) -> Ape
     azimuthally unpolarized and splits 50/50.  Vertical and horizontal outputs
     sum to the input exactly.
     """
+    _check_fraction(a_pi)
     if image.channel != "total":
         raise ValueError("projection expects the total channel")
     if axis not in ("vertical", "horizontal"):
@@ -369,8 +340,8 @@ def polarized_projection(image: ApertureImage, mix: DipoleMix, axis: str) -> Ape
         proj = np.where(R2 > 0, (y**2 if axis == "vertical" else x**2) / R2, 0.5)
 
     R = np.sqrt(R2)
-    i_pi = mix.a_pi * intensity_linear(R)
-    i_sigma = (1.0 - mix.a_pi) * intensity_circular(R)
+    i_pi = a_pi * intensity_linear(R)
+    i_sigma = (1.0 - a_pi) * intensity_circular(R)
     total_shape = i_pi + i_sigma
     with np.errstate(invalid="ignore", divide="ignore"):
         lin_frac = np.where(total_shape > 0, i_pi / total_shape, 0.0)
@@ -404,6 +375,18 @@ def collection_efficiency(kind: str, geometry: MirrorGeometry | None = None) -> 
     raise ValueError(f"kind must be 'linear' or 'circular', got {kind!r}")
 
 
+def _rings(R: np.ndarray, I: np.ndarray, pitch: float):
+    """Ring (one pitch wide) of each flat pixel; per-ring counts, occupancy, means."""
+    idx = np.floor(R / pitch).astype(np.int64)
+    n_bins = int(idx.max()) + 1
+    counts = np.bincount(idx, minlength=n_bins)
+    sums = np.bincount(idx, weights=I, minlength=n_bins)
+    occupied = counts > 0
+    means = np.zeros(n_bins)
+    means[occupied] = sums[occupied] / counts[occupied]
+    return idx, counts, occupied, means
+
+
 def azimuthal_average(image: ApertureImage) -> RadialProfile:
     """Mean intensity per annular bin, one pixel pitch wide, around the center.
 
@@ -414,24 +397,16 @@ def azimuthal_average(image: ApertureImage) -> RadialProfile:
     cx, cy = image.center
     if not (-0.5 <= cx <= nx - 0.5 and -0.5 <= cy <= ny - 0.5):
         raise ValueError(f"center {image.center} lies off the pixel grid")
-    bin_width = image.pixel_pitch
 
-    R = image.radius_grid().ravel()
     I = image.pixels.ravel()
-    idx = np.floor(R / bin_width).astype(np.int64)
-    n_bins = int(idx.max()) + 1
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=I, minlength=n_bins)
-    sq_sums = np.bincount(idx, weights=I * I, minlength=n_bins)
-
-    occupied = counts > 0
-    means = np.zeros(n_bins)
-    means[occupied] = sums[occupied] / counts[occupied]
-    variances = np.zeros(n_bins)
+    idx, counts, occupied, means = _rings(image.radius_grid().ravel(), I,
+                                          image.pixel_pitch)
+    sq_sums = np.bincount(idx, weights=I * I, minlength=len(counts))
+    variances = np.zeros(len(counts))
     variances[occupied] = np.maximum(
         sq_sums[occupied] / counts[occupied] - means[occupied] ** 2, 0.0
     )
-    centers = (np.arange(n_bins) + 0.5) * bin_width
+    centers = (np.arange(len(counts)) + 0.5) * image.pixel_pitch
     return RadialProfile(
         radii=centers[occupied],
         intensities=means[occupied],
@@ -444,13 +419,9 @@ def azimuthal_average(image: ApertureImage) -> RadialProfile:
 class DipoleFitResult:
     """Linear/circular mixture fit to a radial profile."""
 
-    mix: DipoleMix
+    a_pi: float             # I0_pi / (I0_pi + I0_sigma)
     a_pi_std_error: float
     residual_norm: float
-
-    @property
-    def a_pi(self) -> float:
-        return self.mix.a_pi
 
 
 def fit_dipole_fraction(profile: RadialProfile) -> DipoleFitResult:
@@ -489,8 +460,8 @@ def fit_dipole_fraction(profile: RadialProfile) -> DipoleFitResult:
     except linalg.LinAlgError:
         a_err = float("nan")
 
-    mix = DipoleMix.from_amplitudes(i0_pi, i0_sigma) if total > 0 else DipoleMix(0.0)
-    return DipoleFitResult(mix=mix, a_pi_std_error=a_err, residual_norm=float(residual))
+    return DipoleFitResult(a_pi=a_pi, a_pi_std_error=a_err,
+                           residual_norm=float(residual))
 
 
 @dataclass(frozen=True)
@@ -499,11 +470,7 @@ class AsymmetryResult:
     classification: str  # symmetric | asymmetric | inconclusive
 
 
-def asymmetry_metric(
-    image: ApertureImage,
-    symmetric_below: float = SYMMETRY_SCORE_MAX,
-    asymmetric_above: float = ASYMMETRY_SCORE_MIN,
-) -> AsymmetryResult:
+def asymmetry_metric(image: ApertureImage) -> AsymmetryResult:
     """Azimuthal-asymmetry score of a centered aperture image.
 
     Per radial annulus (width = pixel pitch) the energy in azimuthal Fourier
@@ -514,8 +481,8 @@ def asymmetry_metric(
     image.  m = 4 is excluded: the square pixel lattice itself carries an m = 4
     moment even for symmetric images.
 
-    Classification: symmetric below ``symmetric_below``, asymmetric above
-    ``asymmetric_above``, inconclusive in between.
+    Classification: symmetric below ``SYMMETRY_SCORE_MAX``, asymmetric above
+    ``ASYMMETRY_SCORE_MIN``, inconclusive in between.
     """
     ny, nx = image.pixels.shape
     cx, cy = image.center
@@ -534,15 +501,8 @@ def asymmetry_metric(
     c2, s2 = c1 * c1 - s1 * s1, 2.0 * c1 * s1
     harmonics = ((c1, s1), (c2, s2), (c2 * c1 - s2 * s1, s2 * c1 + c2 * s1))
 
-    bin_width = image.pixel_pitch
-    idx = np.floor(R / bin_width).astype(np.int64)
-    n_bins = int(idx.max()) + 1
-    counts = np.bincount(idx, minlength=n_bins).astype(float)
-    sums = np.bincount(idx, weights=I, minlength=n_bins)
-
-    occupied = counts > 0
-    means = np.zeros(n_bins)
-    means[occupied] = sums[occupied] / counts[occupied]
+    idx, counts, occupied, means = _rings(R, I, image.pixel_pitch)
+    n_bins = len(counts)
 
     # ring energy in m>=1 harmonics: sum over m of 2*|c_m|^2 with
     # c_m = mean(I * exp(i m phi)) over the ring
@@ -561,9 +521,9 @@ def asymmetry_metric(
     weights = counts[usable] * means[usable]
     score = float(np.sum(weights * ring_score) / np.sum(weights))
 
-    if score < symmetric_below:
+    if score < SYMMETRY_SCORE_MAX:
         cls = "symmetric"
-    elif score > asymmetric_above:
+    elif score > ASYMMETRY_SCORE_MIN:
         cls = "asymmetric"
     else:
         cls = "inconclusive"

@@ -44,7 +44,7 @@ def _write_summary(out_dir: Path, name: str, summary: dict) -> None:
 
 
 def target_appA_efficiency(config: ExperimentConfig, out_dir: Path,
-                           seed: int, threads: int = 1) -> dict:
+                           threads: int = 1) -> dict:
     geom = config.mirror
     linear = mirror_optics.collection_efficiency("linear", geom)
     circular = mirror_optics.collection_efficiency("circular", geom)
@@ -56,8 +56,7 @@ def target_appA_efficiency(config: ExperimentConfig, out_dir: Path,
     return summary
 
 
-def target_appB_pmin(config: ExperimentConfig, out_dir: Path,
-                     seed: int, threads: int = 1) -> dict:
+def target_appB_pmin(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     physics = {n: config.cluster_physics(n_rods=n)
                for n in (1, 2, 4, 8, 16, 27, 32, 64)}
     _write_csv(out_dir / "appB_pmin.csv", "n_rods,p_min_mW",
@@ -70,7 +69,7 @@ def target_appB_pmin(config: ExperimentConfig, out_dir: Path,
 
 
 def target_appC_gamma(config: ExperimentConfig, out_dir: Path,
-                      seed: int, threads: int = 1) -> dict:
+                      threads: int = 1) -> dict:
     rows = []
     for n in (1, 4, 16, 64):
         cluster = trap_mechanics.ClusterSample(n_rods=n, rod=config.rod,
@@ -88,8 +87,7 @@ def target_appC_gamma(config: ExperimentConfig, out_dir: Path,
     return summary
 
 
-def target_appE_rate(config: ExperimentConfig, out_dir: Path,
-                     seed: int, threads: int = 1) -> dict:
+def target_appE_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     emitter = photon_emitter.EmitterModel(
         n_rods=config.emitter.n_rods, quantum_yield=config.emitter.quantum_yield,
         auger_pair_prob=1.0, blink_mode="steady")
@@ -98,7 +96,7 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path,
     mc_duration = 10.0  # 1e7 pulses at the default repetition rate
     stream = photon_emitter.generate_time_tags(
         config.excitation, emitter, config.detection, mc_duration,
-        seed=int(rng_for(seed, "appE-rate").integers(2**31)))
+        seed=int(rng_for(config.seed, "appE-rate").integers(2**31)))
     mc_rate = len(stream) / mc_duration
 
     chain = config.detection
@@ -125,12 +123,11 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path,
     return summary
 
 
-def _fig1b_cell(args):
-    (n, config, seed) = args
+def _fig1b_cell(n: int, config: ExperimentConfig):
     # campaign trap width: keep the smallest clusters underdamped
     physics = config.cluster_physics(n_rods=n, w_z=120e-9)
-    cfg = langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9,
-                             seed=int(rng_for(seed, "fig1b", n).integers(2**31)))
+    seed = int(rng_for(config.seed, "fig1b", n).integers(2**31))
+    cfg = langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9, seed=seed)
     series = langevin.simulate_axial_motion(physics.stiffness, physics.gamma,
                                             physics.mass, config.gas.temperature, cfg)
     spectrum = analysis.power_spectral_density(series, segment_length=2**15)
@@ -138,11 +135,10 @@ def _fig1b_cell(args):
     return (n, physics.p_min, fit.gamma, physics.gamma, fit.width_ci95)
 
 
-def target_fig1b(config: ExperimentConfig, out_dir: Path,
-                 seed: int, threads: int = 1) -> dict:
+def target_fig1b(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     sizes = (4, 6, 8, 12, 16, 24, 32, 48, 64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_fig1b_cell, [(n, config, seed) for n in sizes]))
+        results = list(pool.map(lambda n: _fig1b_cell(n, config), sizes))
 
     rows = [(n, p * 1e3, g / (2 * np.pi), gm / (2 * np.pi),
              ci[0], ci[1]) for (n, p, g, gm, ci) in results]
@@ -163,9 +159,8 @@ def target_fig1b(config: ExperimentConfig, out_dir: Path,
     return summary
 
 
-def target_fig1a(config: ExperimentConfig, out_dir: Path,
-                 seed: int, threads: int = 1) -> dict:
-    rng = rng_for(seed, "fig1a")
+def target_fig1a(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+    rng = rng_for(config.seed, "fig1a")
     sizes = np.unique(np.round(np.exp(
         rng.uniform(np.log(2), np.log(80), 24)))).astype(int)
     rows = []
@@ -209,8 +204,7 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path,
     return summary
 
 
-def target_fig2b(config: ExperimentConfig, out_dir: Path,
-                 seed: int, threads: int = 1) -> dict:
+def target_fig2b(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     alpha1 = trap_mechanics.polarizability(config.rod, config.material)
     intrinsic = 0.9
     anisotropy_fraction = 0.5
@@ -251,13 +245,10 @@ REPRODUCE_TARGETS = {
 }
 
 
-def run_target(name: str, config: ExperimentConfig, out_dir,
-               seed: int | None = None, threads: int = 1) -> dict:
+def run_target(name: str, config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     if name not in REPRODUCE_TARGETS:
         raise KeyError(f"unknown figure id {name!r}; "
                        f"choose from {sorted(REPRODUCE_TARGETS)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return REPRODUCE_TARGETS[name](config, out_dir,
-                                   config.seed if seed is None else seed,
-                                   threads=threads)
+    return REPRODUCE_TARGETS[name](config, out_dir, threads=threads)

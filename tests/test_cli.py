@@ -92,6 +92,24 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
         assert f"{section}: unknown key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ('emitter:\n  independent_emitters: "no"\n', "independent_emitters"),
+        ("trap:\n  power_w: .nan\n", "power_w"),
+        ("gas:\n  temperature_k: .nan\n", "temperature_k"),
+        ("trap:\n  power_w: " + "1" * 401 + "\n", "power_w"),
+        ("trap:\n  power_w: .inf\n", "power_w"),
+        ("output_dir: [1, 2]\n", "output_dir"),
+        ("cluster:\n  n_rods: " + "1" * 401 + "\n", "n_rods"),
+    ], ids=["bool-as-string", "nan-power", "nan-temperature", "huge-int",
+            "inf-power", "list-as-dir", "huge-int-count"])
+    def test_wrong_kind_of_value_exits_2(self, tmp_path, capsys, text, key):
+        # each of these used to validate, then misbehaved in simulate
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert any(key in line and "must be" in line for line in err)
+
 
 class TestSimulate:
     def test_artifacts_present(self, dataset):

@@ -1,6 +1,9 @@
 """Import rules that keep the checks independent of what they check."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +55,25 @@ def test_package_does_not_import_scipy_signal():
                          text=True, check=True,
                          cwd=Path(pmtrap.__file__).parent.parent).stdout
     assert out.strip() == "[]"
+
+
+def _modules_with_all():
+    for info in pkgutil.iter_modules(pmtrap.__path__):
+        module = importlib.import_module(f"pmtrap.{info.name}")
+        if hasattr(module, "__all__"):
+            yield module
+
+
+def test_all_lists_exactly_the_public_definitions():
+    # reproduce targets are reached through REPRODUCE_TARGETS, not by name
+    for module in _modules_with_all():
+        short = module.__name__.rpartition(".")[2]
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{short}.__all__ names undefined {missing}"
+        unlisted = [
+            name for name, value in vars(module).items()
+            if (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+            and not name.startswith("_") and name not in module.__all__
+            and not (short == "reproduce" and name.startswith("target_"))]
+        assert not unlisted, f"{short}.__all__ omits {unlisted}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmtrap import mirror_optics as mo
 from pmtrap.errors import FitError, InsufficientDataError, InvalidGeometryError
@@ -108,9 +110,8 @@ class TestGeneralDipoleImage:
 
 class TestPolarizedProjection:
     def test_pure_linear_extinction(self):
-        mix = mo.DipoleMix(a_pi=1.0)
-        total = mo.mix_image(mix, GEOM)
-        vert = mo.polarized_projection(total, mix, "vertical")
+        total = mo.mix_image(1.0, GEOM)
+        vert = mo.polarized_projection(total, 1.0, "vertical")
         x, y = vert.pixel_coordinates()
         # nearest pixel rows to the horizontal axis (centers at +-pitch/2)
         on_horizontal = (np.abs(y) <= vert.pixel_pitch * 0.51) & (total.pixels > 0)
@@ -123,29 +124,31 @@ class TestPolarizedProjection:
         assert np.allclose(vert.pixels[mask], expected[mask], rtol=1e-12)
 
     def test_pure_circular_splits_evenly(self):
-        mix = mo.DipoleMix(a_pi=0.0)
-        total = mo.mix_image(mix, GEOM)
-        vert = mo.polarized_projection(total, mix, "vertical")
-        horiz = mo.polarized_projection(total, mix, "horizontal")
+        total = mo.mix_image(0.0, GEOM)
+        vert = mo.polarized_projection(total, 0.0, "vertical")
+        horiz = mo.polarized_projection(total, 0.0, "horizontal")
         assert np.allclose(vert.pixels, horiz.pixels, rtol=0, atol=0)
         assert np.allclose(vert.pixels, total.pixels / 2, rtol=1e-12)
 
-    def test_energy_split_exact(self):
-        for a_pi in (0.0, 0.31, 0.5, 1.0):
-            mix = mo.DipoleMix(a_pi=a_pi)
-            total = mo.mix_image(mix, GEOM)
-            vert = mo.polarized_projection(total, mix, "vertical")
-            horiz = mo.polarized_projection(total, mix, "horizontal")
-            recon = vert.pixels + horiz.pixels
-            mask = total.pixels > 0
-            rel = np.abs(recon[mask] / total.pixels[mask] - 1.0)
-            assert rel.max() < 1e-9
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(0.0)
+    @example(0.31)
+    @example(0.5)
+    @example(1.0)
+    def test_energy_split_exact(self, a_pi):
+        total = mo.mix_image(a_pi, GEOM)
+        vert = mo.polarized_projection(total, a_pi, "vertical")
+        horiz = mo.polarized_projection(total, a_pi, "horizontal")
+        recon = vert.pixels + horiz.pixels
+        mask = total.pixels > 0
+        rel = np.abs(recon[mask] / total.pixels[mask] - 1.0)
+        assert rel.max() < 1e-9
 
     def test_extinction_contrast_reference_mix(self):
         # ring at the linear-shape maximum R = 2/sqrt(3)
-        mix = mo.DipoleMix(a_pi=0.31)
-        total = mo.mix_image(mix, GEOM, n_pixels=512)
-        vert = mo.polarized_projection(total, mix, "vertical")
+        total = mo.mix_image(0.31, GEOM, n_pixels=512)
+        vert = mo.polarized_projection(total, 0.31, "vertical")
         R = vert.radius_grid()
         ring = np.abs(R - 2.0 / np.sqrt(3.0)) < vert.pixel_pitch / 2
         contrast = vert.pixels[ring].min() / vert.pixels[ring].max()
@@ -304,10 +307,11 @@ class TestAsymmetryMetric:
                 n_ok += 1
         assert n_ok >= 0.95 * n_seeds
 
-    def test_threshold_override(self):
+    def test_threshold_override(self, monkeypatch):
         img = mo.general_dipole_image(tilted(45.0), GEOM)
-        res = mo.asymmetry_metric(img, asymmetric_above=1e6,
-                                  symmetric_below=1e-12)
+        monkeypatch.setattr(mo, "ASYMMETRY_SCORE_MIN", 1e6)
+        monkeypatch.setattr(mo, "SYMMETRY_SCORE_MAX", 1e-12)
+        res = mo.asymmetry_metric(img)
         assert res.classification == "inconclusive"
 
     def test_off_center_rejected(self):
@@ -318,15 +322,12 @@ class TestAsymmetryMetric:
             mo.asymmetry_metric(shifted)
 
 
-class TestDipoleMix:
+class TestMixFraction:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            mo.DipoleMix(a_pi=1.2)
-
-    def test_from_amplitudes(self):
-        mix = mo.DipoleMix.from_amplitudes(0.31, 0.69)
-        assert mix.a_pi == pytest.approx(0.31, rel=1e-12)
-
-    def test_negative_amplitude_rejected(self):
+            mo.mix_image(1.2, GEOM)
         with pytest.raises(ValueError):
-            mo.DipoleMix(a_pi=0.5, i0_pi=-1.0, i0_sigma=2.0)
+            mo.mix_image(-0.1, GEOM)
+        total = mo.mix_image(0.31, GEOM)
+        with pytest.raises(ValueError):
+            mo.polarized_projection(total, 1.2, "vertical")
