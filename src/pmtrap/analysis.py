@@ -21,7 +21,7 @@ from .errors import (
     NoPeakError,
     UndefinedResultError,
 )
-from .langevin import TimeSeries
+from .langevin import SeriesBlocks, TimeSeries
 from .photon_emitter import TimeTagStream
 
 __all__ = [
@@ -69,12 +69,12 @@ class Spectrum:
 _PSD_BLOCK_SAMPLES = 1 << 20
 
 
-def _periodogram_sum(segments: np.ndarray, mean: float,
-                     window: np.ndarray) -> np.ndarray:
-    """Sum over the rows of |rfft((segment - mean) * window)|^2.
+def _periodogram_sums(segments: np.ndarray, mean: float, window: np.ndarray,
+                      power_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the rows of |X|^2 and of X, X = rfft((segment - mean) * window).
 
-    A function of its own so that its temporaries are freed on return,
-    before the caller builds the next block.
+    The |X|^2 rows are added in order onto ``power_sum``.  A function of its
+    own so that its temporaries are freed on return.
     """
     block = segments - mean
     block *= window
@@ -82,7 +82,8 @@ def _periodogram_sum(segments: np.ndarray, mean: float,
     del block
     power = spec.real**2
     power += spec.imag**2
-    return power.sum(axis=0)
+    power[0] += power_sum
+    return power.sum(axis=0), spec.sum(axis=0)
 
 
 def power_spectral_density(series: TimeSeries, segment_length: int | None = None,
@@ -94,29 +95,12 @@ def power_spectral_density(series: TimeSeries, segment_length: int | None = None
     ``segment_length`` defaults to a power of two near len/8, clipped to
     [256, 65536]; segments start every ``segment_length -
     int(segment_length * overlap)`` samples and the series must contain at
-    least 4 of them.  The periodograms are summed over blocks of about
-    2^20 samples' worth of segments, so the working memory stays fixed
-    however long the series is; the sum is scaled once at the end.
+    least 4 of them.  The samples go to ``stream_power_spectral_density``
+    as one block, so its provisional mean is the series mean.
     """
-    x = series.samples
-    return _welch(lambda start, stop: x[start:stop], lambda: np.mean(x), len(x),
-                  series.sample_interval, segment_length, overlap)
-
-
-def stream_power_spectral_density(source, segment_length: int | None = None,
-                                  overlap: float = 0.5) -> Spectrum:
-    """``power_spectral_density`` of a series read range by range.
-
-    ``source`` has ``n_samples``, ``sample_interval``, ``read(start, stop)``
-    (samples [start, stop), used before the next read) and ``mean()``, as
-    ``io_formats.TimeSeriesReader`` does.  Each block of segments is read
-    as the one sample range it covers, so only that range is held; the
-    segments and the order of the sums are those of the in-memory estimate.
-    The mean comes from ``source.mean()``, which may differ from a
-    whole-array mean in the last digit.
-    """
-    return _welch(source.read, source.mean, source.n_samples,
-                  source.sample_interval, segment_length, overlap)
+    whole = SeriesBlocks(series.sample_interval, len(series.samples),
+                         iter([series.samples]), series.units, series.seed)
+    return stream_power_spectral_density(whole, segment_length, overlap)
 
 
 def _hann(n: int) -> np.ndarray:
@@ -126,12 +110,23 @@ def _hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
-def _welch(read, series_mean, n: int, sample_interval: float,
-           segment_length: int | None, overlap: float) -> Spectrum:
-    """Welch PSD of n samples given by ``read(start, stop)``.
+def stream_power_spectral_density(series: SeriesBlocks,
+                                  segment_length: int | None = None,
+                                  overlap: float = 0.5) -> Spectrum:
+    """``power_spectral_density`` of a series delivered once, block by block.
 
-    ``series_mean()`` is called once, after the arguments are checked.
+    Segments are windowed around a provisional mean m0, the first block's
+    mean; at the end the sum of |X|^2 is shifted to the series mean m by
+    sum |X - dW|^2 = sum |X|^2 - 2d Re(conj(W) sum X) + n_seg d^2 |W|^2,
+    d = m - m0, W = rfft(window) (nonzero only at bins 0 and 1).  |X|^2 is
+    summed in runs of ``_PSD_BLOCK_SAMPLES`` samples' worth of segments, in
+    an order that does not depend on the blocks; a segment straddling two
+    blocks is carried (copied: a reader may reuse its buffer) into the
+    next.  All blocks are consumed before a series too short for 4
+    segments raises ``InsufficientDataError``, so a reader's checks run
+    first.
     """
+    n = series.n_samples
     if segment_length is None:
         target = max(n // 8, 2)
         segment_length = int(2 ** np.clip(np.floor(np.log2(target)), 8, 16))
@@ -140,20 +135,45 @@ def _welch(read, series_mean, n: int, sample_interval: float,
     hop = segment_length - int(segment_length * overlap)
     n_segments = 1 + (n - segment_length) // hop if n >= segment_length else 0
     if n_segments < 4:
+        for _ in series.blocks:
+            pass
         raise InsufficientDataError(
             f"series too short: need >= 4 segments of {segment_length} samples"
         )
 
-    fs = 1.0 / sample_interval
+    fs = 1.0 / series.sample_interval
     w = _hann(segment_length)
-    mean = series_mean()
     per_block = max(1, _PSD_BLOCK_SAMPLES // segment_length)
     psd = np.zeros(segment_length // 2 + 1)
-    for first in range(0, n_segments, per_block):
-        count = min(per_block, n_segments - first)
-        x = read(first * hop, (first + count - 1) * hop + segment_length)
-        segments = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::hop]
-        psd += _periodogram_sum(segments, mean, w)
+    spectra = np.zeros(segment_length // 2 + 1, dtype=complex)
+    run = np.zeros_like(psd)  # |X|^2 sum of the current run of per_block segments
+    total, m0 = 0.0, None
+    carry = np.empty(0)
+    done = 0  # segments summed; x and the carry start at sample done * hop
+    for block in series.blocks:
+        total += float(np.sum(block))
+        if m0 is None and len(block):
+            m0 = total / len(block)
+        x = np.concatenate((carry, block)) if len(carry) else block
+        while done < n_segments and len(x) >= segment_length:
+            count = min(per_block - done % per_block, n_segments - done,
+                        (len(x) - segment_length) // hop + 1)
+            segments = np.lib.stride_tricks.sliding_window_view(
+                x[: (count - 1) * hop + segment_length], segment_length)[::hop]
+            run, spectrum = _periodogram_sums(segments, m0, w, run)
+            spectra += spectrum
+            done += count
+            x = x[count * hop:]
+            if done % per_block == 0 or done == n_segments:
+                psd += run
+                run = np.zeros_like(psd)
+        carry = x.copy() if done < n_segments else carry[:0]
+        del block, x
+    d = total / n - m0
+    W = fft.rfft(w)
+    psd -= 2.0 * d * (W.real * spectra.real + W.imag * spectra.imag)
+    psd += n_segments * d**2 * (W.real**2 + W.imag**2)
+    np.maximum(psd, 0.0, out=psd)  # a sum of squares, whatever the rounding
     psd /= fs * np.sum(w**2) * n_segments
     # one-sided: fold the negative frequencies onto all bins but DC and,
     # for an even segment length, Nyquist

@@ -47,7 +47,7 @@ EXIT_IO = 3
 EXIT_MISSING_ARTIFACT = 4
 EXIT_ANALYSIS = 5
 
-# the artifacts analyze_dataset reads; its manifest must vouch for each
+# the artifacts analyze_dataset parses; each reader checks its manifest sha256
 ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts",
                       "image_total.csv", "image_total.csv.json")
 
@@ -131,18 +131,19 @@ def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
     dataset_dir = Path(dataset_dir)
     out_dir = dataset_dir if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    verify_manifest(dataset_dir, required=ANALYZED_ARTIFACTS)
+    artifacts = verify_manifest(dataset_dir, parsed=ANALYZED_ARTIFACTS)["artifacts"]
+    sha256 = {name: artifacts[name]["sha256"] for name in ANALYZED_ARTIFACTS}
+    stream = io_formats.read_time_tags(dataset_dir / "tags.bin", sha256["tags.bin"])
+    image = io_formats.read_image_csv(dataset_dir / "image_total.csv",
+                                      sha256["image_total.csv"],
+                                      sha256["image_total.csv.json"])
+    spectrum = analysis.stream_power_spectral_density(io_formats.read_time_series(
+        dataset_dir / "detector.ts", sha256["detector.ts"]))
 
-    stream = io_formats.read_time_tags(dataset_dir / "tags.bin")
     rep_rate = stream.metadata.get("repetition_rate", 1e6)
     g2 = analysis.g2_zero(stream, 1.0 / rep_rate, max_lag=max_lag)
     blink = analysis.blink_analysis(stream)
-
-    with io_formats.TimeSeriesReader(dataset_dir / "detector.ts") as detector:
-        spectrum = analysis.stream_power_spectral_density(detector)
     lorentzian = analysis.fit_lorentzian(spectrum)
-
-    image = io_formats.read_image_csv(dataset_dir / "image_total.csv")
     profile = _profile_in_aperture(image)
     dipole_fit = mirror_optics.fit_dipole_fraction(profile)
     asymmetry = mirror_optics.asymmetry_metric(image)

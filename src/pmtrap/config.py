@@ -14,7 +14,7 @@ chain takes its mirror reflectivity from the mirror section.
 
 Schema (defaults shown by ``default_config_yaml()``):
 
-    seed                 root RNG seed; all streams derive from it
+    seed                 root RNG seed, 0 <= seed < 2**32; streams derive from it
     output_dir           default dataset directory
     mirror               focal_length_m, aperture_radius_m, bore_radius_m,
                          reflectivity
@@ -311,6 +311,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     root = types.SimpleNamespace(**{
         leaf.field: _typed(f"{key}:", leaf, canonical[key], errors)
         for key, leaf in _ROOT.items()})
+    # seeding takes the root seed modulo 2**32: a wider one would alias
+    if type(root.seed) is int and _finite(root.seed) and not 0 <= root.seed < 2**32:
+        errors.append("seed: must be in [0, 2**32)")
     built = {}
     for name, cls in _SECTIONS.items():
         built[name] = None
@@ -420,13 +423,14 @@ def _artifact_path(directory: Path, name: str) -> Path:
     return path
 
 
-def verify_manifest(directory, required=()) -> dict:
-    """Check manifest presence, shape and artifact checksums; returns the manifest.
+def verify_manifest(directory, parsed=()) -> dict:
+    """Check manifest presence and shape; returns the manifest.
 
     The manifest must be a JSON object whose ``artifacts`` mapping gives each
-    artifact a ``sha256`` string and lists every name in ``required``.  Each
+    artifact a ``sha256`` string and lists every name in ``parsed``.  Each
     artifact name must be a plain file name of a regular file in
-    ``directory``.
+    ``directory``.  Only the artifacts not in ``parsed`` are hashed here:
+    the caller's ``io_formats`` readers hash those as they parse them.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -439,13 +443,13 @@ def verify_manifest(directory, required=()) -> dict:
     artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
     if not isinstance(artifacts, dict):
         raise MissingArtifactError("manifest.json corrupt: no artifacts mapping")
-    for name in required:
+    for name in parsed:
         if name not in artifacts:
             raise MissingArtifactError(f"manifest.json does not list {name}")
     for name, entry in artifacts.items():
         if not (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)):
             raise MissingArtifactError(f"manifest.json corrupt: no sha256 for {name}")
         artifact = _artifact_path(directory, name)
-        if sha256_file(artifact) != entry["sha256"]:
+        if name not in parsed and sha256_file(artifact) != entry["sha256"]:
             raise MissingArtifactError(f"artifact checksum mismatch: {name}")
     return manifest

@@ -4,7 +4,7 @@
   units of focal length, center, channel).
 - Radial profiles: two-column CSV (R, intensity), optional counts column.
 - Time series: little-endian binary float64 array behind an embedded JSON
-  header (sample interval, units, seed); CSV export for small runs.
+  header (sample interval, units, seed).
 - Time tags: binary record stream (u8 channel, little-endian f64 timestamp in
   seconds) behind an embedded JSON header (duration, seed, configs); CSV
   export for interoperability.
@@ -16,14 +16,16 @@ The writers of dataset artifacts return the sha256 of the bytes they wrote,
 so a manifest needs no second read.  ``write_time_series`` takes a
 ``TimeSeries`` or ``SeriesBlocks`` and writes the header (the sample count
 is known up front) and then each block as it arrives, so a trace never has
-to exist whole.  Container payloads are read in blocks of ``_BLOCK_RECORDS``
-records into bounded buffers: ``TimeSeriesReader`` serves sample ranges of
-a time series through one reused buffer, and ``read_time_tags`` fills the
-channel and timestamp arrays directly.  Payload values that the models
-cannot have produced (non-finite samples or timestamps, channels other than
-0 and 1, unsorted or out-of-window tags), and header or sidecar values of
-the wrong type or range, raise ``MissingArtifactError`` like any other
-corrupt artifact.
+to exist whole.  Each reader reads its file once, in order, hashing the
+bytes it parses, and raises ``MissingArtifactError`` if given a ``sha256``
+they do not match.  Container payloads are read in blocks of
+``_BLOCK_RECORDS`` records: ``read_time_series`` returns the one-pass
+``SeriesBlocks`` that ``write_time_series`` consumes, and ``read_time_tags``
+fills the channel and timestamp arrays directly.  Payload values that the
+models cannot have produced (non-finite samples or timestamps, channels
+other than 0 and 1, unsorted or out-of-window tags), and header or sidecar
+values of the wrong type or range, raise ``MissingArtifactError`` like any
+other corrupt artifact.
 """
 
 from __future__ import annotations
@@ -44,11 +46,9 @@ from .photon_emitter import TimeTagStream
 
 __all__ = [
     "write_image_csv", "read_image_csv",
-    "write_profile_csv", "read_profile_csv",
-    "write_time_series", "read_time_series", "TimeSeriesReader",
-    "export_time_series_csv",
+    "write_profile_csv",
+    "write_time_series", "read_time_series",
     "write_time_tags", "read_time_tags", "export_time_tags_csv",
-    "read_time_tags_csv",
     "sha256_file",
 ]
 
@@ -57,7 +57,7 @@ _TAGS_MAGIC = b"PMT1"
 _SERIES_DTYPE = np.dtype("<f8")
 _TAG_DTYPE = np.dtype([("channel", "u1"), ("time", "<f8")])
 # records per block of container payload reads and writes
-_BLOCK_RECORDS = 1 << 20
+_BLOCK_RECORDS = 1 << 18
 
 
 def _sidecar(path: Path) -> Path:
@@ -93,6 +93,12 @@ def _write_bytes(path: Path, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _check_digest(digest, sha256: str | None, path: Path) -> None:
+    """Raise unless the bytes fed to ``digest`` hash to ``sha256`` (if given)."""
+    if sha256 is not None and digest.hexdigest() != sha256:
+        raise MissingArtifactError(f"artifact checksum mismatch: {path}")
+
+
 def write_image_csv(path, image: ApertureImage) -> tuple[str, str]:
     """Pixels as CSV plus the JSON sidecar; returns the sha256 of each."""
     path = Path(path)
@@ -110,13 +116,17 @@ def write_image_csv(path, image: ApertureImage) -> tuple[str, str]:
             _write_bytes(_sidecar(path), sidecar))
 
 
-def read_image_csv(path) -> ApertureImage:
+def read_image_csv(path, sha256: str | None = None,
+                   sidecar_sha256: str | None = None) -> ApertureImage:
+    """Read an image and its sidecar once each; the bytes hashed are parsed."""
     path = Path(path)
     sidecar = _sidecar(path)
     if not path.exists() or not sidecar.exists():
         raise MissingArtifactError(f"image artifact incomplete: {path}")
-    meta = _json_header(sidecar.read_bytes(), sidecar,
-                        ("pixel_pitch_f", "channel", "center_px"))
+    raw, meta_raw = path.read_bytes(), sidecar.read_bytes()
+    _check_digest(hashlib.sha256(raw), sha256, path)
+    _check_digest(hashlib.sha256(meta_raw), sidecar_sha256, sidecar)
+    meta = _json_header(meta_raw, sidecar, ("pixel_pitch_f", "channel", "center_px"))
     center, metadata = meta["center_px"], meta.get("metadata", {})
     if not _finite_number(meta["pixel_pitch_f"]):
         raise MissingArtifactError(f"artifact corrupt (header pixel_pitch_f): {sidecar}")
@@ -129,7 +139,7 @@ def read_image_csv(path) -> ApertureImage:
             if key in metadata):
         raise MissingArtifactError(f"artifact corrupt (header metadata): {sidecar}")
     try:
-        pixels = np.loadtxt(path, delimiter=",", ndmin=2)
+        pixels = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2)
     except ValueError as exc:
         raise MissingArtifactError(f"artifact corrupt (pixels): {path}: {exc}")
     try:
@@ -149,15 +159,6 @@ def write_profile_csv(path, profile: RadialProfile) -> None:
         header += ",n_pixels"
     np.savetxt(path, np.column_stack(cols), delimiter=",", fmt="%.17g",
                header=header, comments="")
-
-
-def read_profile_csv(path) -> RadialProfile:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"profile artifact missing: {path}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    counts = data[:, 2] if data.shape[1] > 2 else None
-    return RadialProfile(radii=data[:, 0], intensities=data[:, 1], counts=counts)
 
 
 def _write_container(path: Path, magic: bytes, header: dict, blocks,
@@ -186,11 +187,11 @@ def _write_container(path: Path, magic: bytes, header: dict, blocks,
 
 
 def _read_header(fh, path: Path, magic: bytes, required: tuple[str, ...],
-                 count_key: str, dtype: np.dtype) -> tuple[dict, int]:
+                 count_key: str, dtype: np.dtype, digest) -> tuple[dict, int]:
     """Header and record count of an open container, positioned at the payload.
 
-    Only the magic and the header are read; the payload size is checked
-    against the ``count_key`` records the header announces.
+    Only the magic and the header are read (into ``digest``); the payload
+    size is checked against the ``count_key`` records the header announces.
     """
     head = fh.read(8)
     if len(head) < 8 or head[:4] != magic:
@@ -199,6 +200,8 @@ def _read_header(fh, path: Path, magic: bytes, required: tuple[str, ...],
     blob = fh.read(n)
     if len(blob) < n:
         raise MissingArtifactError(f"artifact truncated: {path}")
+    digest.update(head)
+    digest.update(blob)
     header = _json_header(blob, path, required)
     count = header[count_key]
     if type(count) is not int or count < 0:
@@ -212,11 +215,16 @@ def _read_header(fh, path: Path, magic: bytes, required: tuple[str, ...],
     return header, count
 
 
-def _read_into(fh, out: np.ndarray, path: Path) -> np.ndarray:
-    """Fill ``out`` with the next payload bytes of ``fh``."""
-    if fh.readinto(out) != out.nbytes:
-        raise MissingArtifactError(f"artifact truncated: {path}")
-    return out
+def _payload_blocks(fh, path: Path, count: int, dtype: np.dtype, digest):
+    """The next ``count`` records of ``fh``, fed to ``digest``, as blocks of
+    ``_BLOCK_RECORDS`` in one reused buffer, each valid until the next."""
+    buffer = np.empty(min(count, _BLOCK_RECORDS), dtype=dtype)
+    for start in range(0, count, _BLOCK_RECORDS):
+        block = buffer[: min(count - start, _BLOCK_RECORDS)]
+        if fh.readinto(block) != block.nbytes:
+            raise MissingArtifactError(f"artifact truncated: {path}")
+        digest.update(block)
+        yield block
 
 
 def _open(path: Path):
@@ -245,72 +253,40 @@ def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
                             series.n_samples * _SERIES_DTYPE.itemsize)
 
 
-class TimeSeriesReader:
-    """A time-series container open for reads of sample ranges.
+def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
+    """A time-series container as one in-order pass of blocks.
 
-    The magic, the header and the payload size are checked on opening.
-    Each ``read`` fills one reused buffer, which it returns and which stays
-    valid until the next read, so memory is bounded by the longest range
-    read, however long the series.  A range holding a non-finite sample
-    raises ``MissingArtifactError``.
+    The magic, the header and the payload size are checked on the call, each
+    block is checked finite as it is read and ``sha256`` after the last one;
+    a failed check raises ``MissingArtifactError``.
     """
+    path = Path(path)
 
-    def __init__(self, path):
-        self.path = Path(path)
-        self._fh = _open(self.path)
-        try:
-            header, self.n_samples = _read_header(
-                self._fh, self.path, _SERIES_MAGIC,
-                ("n_samples", "sample_interval_s"), "n_samples", _SERIES_DTYPE)
-            self.sample_interval = header["sample_interval_s"]
-            if not (_finite_number(self.sample_interval) and self.sample_interval > 0):
+    def read():  # yields the header, then the blocks
+        digest = hashlib.sha256()
+        with _open(path) as fh:
+            header, count = _read_header(fh, path, _SERIES_MAGIC,
+                                         ("n_samples", "sample_interval_s"),
+                                         "n_samples", _SERIES_DTYPE, digest)
+            interval = header["sample_interval_s"]
+            if not (_finite_number(interval) and interval > 0):
                 raise MissingArtifactError(
-                    f"artifact corrupt (header sample_interval_s): {self.path}")
-        except BaseException:
-            self._fh.close()
-            raise
-        self.units = header.get("units", "")
-        self.seed = header.get("seed")
-        self._payload_offset = self._fh.tell()
-        self._buffer = np.empty(0, dtype=_SERIES_DTYPE)
+                    f"artifact corrupt (header sample_interval_s): {path}")
+            yield header, count
+            start = 0
+            for block in _payload_blocks(fh, path, count, _SERIES_DTYPE, digest):
+                if not np.isfinite(block).all():
+                    raise MissingArtifactError(
+                        f"artifact corrupt (non-finite sample in "
+                        f"[{start}, {start + len(block)})): {path}")
+                start += len(block)
+                yield block
+        _check_digest(digest, sha256, path)
 
-    def read(self, start: int, stop: int) -> np.ndarray:
-        """Samples [start, stop), checked finite."""
-        if len(self._buffer) < stop - start:
-            self._buffer = np.empty(stop - start, dtype=_SERIES_DTYPE)
-        samples = self._buffer[: stop - start]
-        self._fh.seek(self._payload_offset + start * _SERIES_DTYPE.itemsize)
-        _read_into(self._fh, samples, self.path)
-        if not np.isfinite(samples).all():
-            raise MissingArtifactError(
-                f"artifact corrupt (non-finite sample in [{start}, {stop})): "
-                f"{self.path}")
-        return samples
-
-    def mean(self) -> float:
-        """Sample mean, summed over blocks of ``_BLOCK_RECORDS`` samples."""
-        total = 0.0
-        for start in range(0, self.n_samples, _BLOCK_RECORDS):
-            total += float(np.sum(self.read(
-                start, min(start + _BLOCK_RECORDS, self.n_samples))))
-        return total / self.n_samples
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "TimeSeriesReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_time_series(path) -> TimeSeries:
-    """The whole time series in memory, read once through ``TimeSeriesReader``."""
-    with TimeSeriesReader(path) as reader:
-        samples = reader.read(0, reader.n_samples)
-    return TimeSeries(sample_interval=reader.sample_interval, samples=samples,
-                      units=reader.units, seed=reader.seed)
+    blocks = read()
+    header, count = next(blocks)
+    return SeriesBlocks(header["sample_interval_s"], count, blocks,
+                        header.get("units", ""), header.get("seed"))
 
 
 def write_time_tags(path, stream: TimeTagStream, configs: dict | None = None) -> str:
@@ -335,24 +311,8 @@ def write_time_tags(path, stream: TimeTagStream, configs: dict | None = None) ->
                             len(stream) * _TAG_DTYPE.itemsize)
 
 
-def _unpack_tags(fh, path: Path, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channels and timestamps of the next ``count`` records of ``fh``.
-
-    Records are read block by block into one buffer, which is freed on
-    return, and unpacked straight into the two field arrays.
-    """
-    channels = np.empty(count, dtype=np.uint8)
-    timestamps = np.empty(count, dtype=np.float64)
-    buffer = np.empty(min(count, _BLOCK_RECORDS), dtype=_TAG_DTYPE)
-    for start in range(0, count, _BLOCK_RECORDS):
-        block = _read_into(fh, buffer[: min(count - start, _BLOCK_RECORDS)], path)
-        channels[start: start + len(block)] = block["channel"]
-        timestamps[start: start + len(block)] = block["time"]
-    return channels, timestamps
-
-
-def read_time_tags(path) -> TimeTagStream:
-    """Read a time-tag container.
+def read_time_tags(path, sha256: str | None = None) -> TimeTagStream:
+    """Read a time-tag container; ``sha256`` is checked before the values.
 
     A header duration_s that is not a finite number >= 0, header metadata
     that is not a mapping or whose repetition_rate is not a finite number
@@ -361,11 +321,20 @@ def read_time_tags(path) -> TimeTagStream:
     raise ``MissingArtifactError``.
     """
     path = Path(path)
+    digest = hashlib.sha256()
     with _open(path) as fh:
         header, count = _read_header(fh, path, _TAGS_MAGIC,
                                      ("n_events", "duration_s"), "n_events",
-                                     _TAG_DTYPE)
-        channels, timestamps = _unpack_tags(fh, path, count)
+                                     _TAG_DTYPE, digest)
+        # unpacked block by block straight into the two field arrays
+        channels = np.empty(count, dtype=np.uint8)
+        timestamps = np.empty(count, dtype=np.float64)
+        start = 0
+        for block in _payload_blocks(fh, path, count, _TAG_DTYPE, digest):
+            channels[start: start + len(block)] = block["channel"]
+            timestamps[start: start + len(block)] = block["time"]
+            start += len(block)
+    _check_digest(digest, sha256, path)
     duration, metadata = header["duration_s"], header.get("metadata", {})
     if not (_finite_number(duration) and duration >= 0):
         raise MissingArtifactError(f"artifact corrupt (header duration_s): {path}")
@@ -387,31 +356,6 @@ def export_time_tags_csv(path, stream: TimeTagStream) -> None:
         fh.write("channel,timestamp_s\n")
         for ch, t in zip(stream.channels, stream.timestamps):
             fh.write(f"{int(ch)},{float(t)!r}\n")
-
-
-def export_time_series_csv(path, series: TimeSeries) -> None:
-    """Two-column CSV alternative for small runs."""
-    t = np.arange(len(series.samples)) * series.sample_interval
-    np.savetxt(path, np.column_stack([t, series.samples]), delimiter=",",
-               fmt="%.17g", header=f"time_s,signal_{series.units}", comments="")
-
-
-def read_time_tags_csv(path, duration: float | None = None) -> TimeTagStream:
-    """Import externally produced channel/timestamp CSV data."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"time-tag CSV missing: {path}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    # checked before the uint8 cast, which would truncate 0.5 to 0
-    if np.any(data[:, 0] != np.round(data[:, 0])):
-        raise ValueError(f"time-tag CSV channel is not an integer 0 or 1: {path}")
-    channels = data[:, 0].astype(np.uint8)
-    timestamps = data[:, 1]
-    order = np.argsort(timestamps, kind="stable")
-    if duration is None:
-        duration = float(timestamps.max()) if len(timestamps) else 0.0
-    return TimeTagStream(channels=channels[order], timestamps=timestamps[order],
-                         duration=duration)
 
 
 def sha256_file(path) -> str:

@@ -16,7 +16,7 @@ from pmtrap.errors import (
     NoPeakError,
     UndefinedResultError,
 )
-from pmtrap.langevin import TimeSeries
+from pmtrap.langevin import SeriesBlocks, TimeSeries
 
 import oracles
 
@@ -63,6 +63,22 @@ class TestPowerSpectralDensity:
             series = TimeSeries(sample_interval=1e-6, samples=samples)
             spec = an.power_spectral_density(series)
             assert spec.integral() == pytest.approx(np.var(samples), rel=0.01)
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_streamed_periodic_series_has_no_negative_density(self, block):
+        # a period dividing the hop makes every segment's windowed mean equal
+        # to the series mean, so bin 0 is ~0; without the clamp at 0, the
+        # rounding of the mean shift left it negative in 87 of 164 such
+        # block-size/offset cases
+        samples = 5.0 + np.sin(2 * np.pi * np.arange(256 * 40) / 16)
+        series = TimeSeries(sample_interval=1.0, samples=samples)
+        blocks = SeriesBlocks(1.0, len(samples), (
+            samples[i: i + block] for i in range(0, len(samples), block)))
+        streamed = an.stream_power_spectral_density(blocks, 256)
+        whole = an.power_spectral_density(series, 256)
+        assert np.all(streamed.densities >= 0)
+        np.testing.assert_allclose(streamed.densities, whole.densities,
+                                   rtol=1e-12, atol=1e-12 * whole.densities.max())
 
     def test_too_short_rejected(self):
         series = white_noise_series(n=512)

@@ -1,3 +1,5 @@
+import builtins
+import io as stdio
 import json
 import os
 import shutil
@@ -112,6 +114,13 @@ class TestValidateConfig:
 
 
 class TestSimulate:
+    def test_seed_outside_32_bits_exits_2(self, tmp_path, capsys):
+        # seeding takes the root seed modulo 2**32: -1 would alias 4294967295
+        assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "ds")]) \
+            == EXIT_CONFIG
+        assert "seed: must be in [0, 2**32)" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
     def test_artifacts_present(self, dataset):
         _, out, _ = dataset
         for name in ("tags.bin", "detector.ts", "image_total.csv",
@@ -370,6 +379,60 @@ class TestAnalyze:
         _rehash(broken, "detector.ts")
         assert main(["analyze", str(broken)]) == EXIT_ANALYSIS
         assert "analysis error" in capsys.readouterr().err
+
+    def test_each_parsed_artifact_opened_once(self, dataset, tmp_path, monkeypatch):
+        # one read per artifact: the reader that parses it also checks its
+        # sha256, so the manifest check does not open it again
+        _, out, _ = dataset
+        opened = []
+
+        def counting(open_):
+            def wrapper(file, *args, **kwargs):
+                opened.append(Path(file).name if isinstance(file, (str, Path)) else None)
+                return open_(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(stdio, "open", counting(stdio.open))
+        analyze_dataset(out, tmp_path / "res")
+        for name in cli.ANALYZED_ARTIFACTS:
+            assert opened.count(name) == 1, name
+
+    @pytest.mark.parametrize("artifact", [*cli.ANALYZED_ARTIFACTS, "image_vertical.csv"])
+    def test_stale_manifest_exits_4(self, short_dataset, tmp_path, artifact, capsys):
+        # one changed byte that still parses: only the digest can reject it,
+        # and it does before analyze writes anything
+        _, out, _ = short_dataset
+        broken = _copy_dataset(out, tmp_path / "stale", rewrite=(artifact,))
+        path = broken / artifact
+        raw = bytearray(path.read_bytes())
+        if artifact.endswith(".json"):
+            at = raw.index(b" ")
+            raw[at: at + 1] = b"\t"  # JSON whitespace
+        elif artifact.endswith(".csv"):
+            at = raw.index(b",") - 1
+            raw[at] = raw[at] + 1 if raw[at] < ord("9") else raw[at] - 1
+        else:
+            raw[-8] ^= 1  # last value, lowest mantissa bit
+        path.write_bytes(bytes(raw))
+        res = tmp_path / "res"
+        assert main(["analyze", str(broken), "--out", str(res)]) \
+            == EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "checksum mismatch" in err and artifact in err
+        assert not (res / "results.json").exists()
+        assert not (res / "spectrum.csv").exists()
+
+    def test_short_trace_with_stale_digest_exits_4(self, dataset, tmp_path, capsys):
+        # too short for a PSD (exit 5 with a matching digest), but the
+        # digest is checked first
+        _, out, _ = dataset
+        broken = _copy_dataset(out, tmp_path / "short", rewrite=("detector.ts",))
+        io.write_time_series(broken / "detector.ts", TimeSeries(
+            sample_interval=1e-6, samples=np.random.default_rng(1).normal(size=600)))
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "checksum mismatch" in err and "detector.ts" in err
 
     def test_max_lag_sets_histogram_range(self, dataset, tmp_path, capsys):
         _, out, _ = dataset

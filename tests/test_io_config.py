@@ -75,19 +75,6 @@ class TestImageIO:
             io.read_image_csv(path)
 
 
-class TestProfileIO:
-    def test_round_trip(self, tmp_path):
-        profile = mo.RadialProfile(radii=np.linspace(0.1, 4, 30),
-                                   intensities=np.linspace(1, 0, 30),
-                                   counts=np.arange(30))
-        path = tmp_path / "profile.csv"
-        io.write_profile_csv(path, profile)
-        back = io.read_profile_csv(path)
-        assert np.array_equal(back.radii, profile.radii)
-        assert np.array_equal(back.intensities, profile.intensities)
-        assert np.array_equal(back.counts, profile.counts)
-
-
 def _replace_header(path, corrupt) -> None:
     raw = path.read_bytes()  # magic, u32 length, JSON header, payload
     (n,) = struct.unpack("<I", raw[4:8])
@@ -161,7 +148,7 @@ class TestTimeSeriesIO:
                             units="m", seed=7)
         path = tmp_path / "z.ts"
         io.write_time_series(path, series)
-        back = io.read_time_series(path)
+        back = io.read_time_series(path).collect()
         assert np.array_equal(back.samples, series.samples)
         assert back.sample_interval == series.sample_interval
         assert back.units == "m" and back.seed == 7
@@ -190,7 +177,7 @@ class TestTimeSeriesIO:
                                               samples=np.zeros(2**23)))
         tracemalloc.start()
         try:
-            back = io.read_time_series(path)
+            back = io.read_time_series(path).collect()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -200,7 +187,7 @@ class TestTimeSeriesIO:
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sample_rejected(self, tmp_path, bad):
+    def test_non_finite_sample_rejected(self, tmp_path, monkeypatch, bad):
         samples = np.arange(100.0)
         path = tmp_path / "z.ts"
         io.write_time_series(path, TimeSeries(sample_interval=1e-6, samples=samples))
@@ -208,45 +195,72 @@ class TestTimeSeriesIO:
         raw[-8 * 37: -8 * 36] = struct.pack("<d", bad)
         path.write_bytes(bytes(raw))
         with pytest.raises(MissingArtifactError, match="non-finite"):
-            io.read_time_series(path)
-        with io.TimeSeriesReader(path) as reader:
-            assert np.array_equal(reader.read(0, 60), samples[:60])
-            with pytest.raises(MissingArtifactError, match="non-finite"):
-                reader.mean()
+            io.read_time_series(path).collect()
+        # the blocks before the bad sample are served, the block holding it is not
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", 60)
+        blocks = io.read_time_series(path).blocks
+        assert np.array_equal(next(blocks), samples[:60])
+        with pytest.raises(MissingArtifactError, match="non-finite"):
+            next(blocks)
+
+    @pytest.fixture(scope="class")
+    def psd_root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("streamed_psd")
 
     @pytest.mark.parametrize("block", [1 << 20, 4096, 1000])
-    def test_streamed_psd_matches_in_memory(self, tmp_path, monkeypatch, block):
-        # blocks of the mean pass and of the Welch segments both vary; only
-        # the mean's summation order may move the last digit
-        rng = np.random.default_rng(5)
-        series = TimeSeries(sample_interval=1e-6, samples=rng.normal(3.0, 1.0, 30001))
-        path = tmp_path / "z.ts"
+    @settings(max_examples=100, deadline=None)
+    @given(read_block=st.integers(1, 5000), segment_length=st.integers(8, 4096),
+           n_segments=st.integers(4, 12), offset=st.floats(-10.0, 10.0),
+           sigma=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
+    @example(read_block=1 << 20, segment_length=1024, n_segments=58, offset=3.0,
+             sigma=1.0, seed=5)
+    @example(read_block=4096, segment_length=1024, n_segments=58, offset=3.0,
+             sigma=1.0, seed=5)
+    @example(read_block=1000, segment_length=1024, n_segments=58, offset=3.0,
+             sigma=1.0, seed=5)
+    def test_streamed_psd_matches_in_memory(self, psd_root, block,
+                                            read_block, segment_length, n_segments,
+                                            offset, sigma, seed):
+        # ``block`` sets the Welch chunk of both paths, ``read_block`` the
+        # reader's blocks, from single samples to more than a segment.  The
+        # one pass windows around the first block's mean and shifts the sums
+        # to the series mean at the end; the shift reaches bins 0 and 1 only,
+        # where the mean's summation order already moves a two-pass estimate
+        # by up to ~1e-9 when |mean| >> sigma
+        hop = segment_length - segment_length // 2
+        n = (n_segments - 1) * hop + segment_length + seed % hop
+        series = TimeSeries(sample_interval=1e-6, samples=np.random.default_rng(
+            seed).normal(offset, sigma, n))
+        path = psd_root / "z.ts"
+        path.unlink(missing_ok=True)  # a new file each example, see _replace_file
         io.write_time_series(path, series)
-        monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
-        monkeypatch.setattr(analysis, "_PSD_BLOCK_SAMPLES", block)
-        whole = analysis.power_spectral_density(series, segment_length=1024)
-        with io.TimeSeriesReader(path) as reader:
-            assert reader.mean() == pytest.approx(np.mean(series.samples), rel=1e-14)
-            streamed = analysis.stream_power_spectral_density(reader,
-                                                              segment_length=1024)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_PSD_BLOCK_SAMPLES", block)
+            patch.setattr(io, "_BLOCK_RECORDS", read_block)
+            whole = analysis.power_spectral_density(series, segment_length)
+            streamed = analysis.stream_power_spectral_density(
+                io.read_time_series(path), segment_length)
         assert np.array_equal(streamed.frequencies, whole.frequencies)
-        assert streamed.averages == whole.averages
-        np.testing.assert_allclose(streamed.densities, whole.densities, rtol=1e-12)
+        assert streamed.averages == whole.averages == n_segments
+        np.testing.assert_allclose(streamed.densities[2:], whole.densities[2:],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(streamed.densities[:2], whole.densities[:2],
+                                   rtol=1e-8)
 
     def test_reader_memory_bounded(self, tmp_path):
-        # a pass over 2^23 samples (64 MiB) holds one 2^20-sample buffer
+        # a pass over 2^23 samples (64 MiB) holds one reused block buffer
         path = tmp_path / "long.ts"
         io.write_time_series(path, TimeSeries(sample_interval=1e-9,
                                               samples=np.ones(2**23)))
         tracemalloc.start()
         try:
-            with io.TimeSeriesReader(path) as reader:
-                mean = reader.mean()
+            total = sum(float(np.sum(block))
+                        for block in io.read_time_series(path).blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             path.unlink()
-        assert mean == 1.0
+        assert total == 2**23
         assert peak < 10 * 2**20
 
 
@@ -376,11 +390,20 @@ def _replace_file(path, data: bytes) -> None:
 
 class TestReaderByteFlips:
     """One flipped byte in a small artifact: the reader either parses the
-    file or raises ``MissingArtifactError``, never another exception."""
+    file or raises ``MissingArtifactError``, never another exception, and
+    given the file's digest it always raises."""
 
-    # flipped file -> reader; the sidecar is read through its image
-    READERS = {"series.ts": io.read_time_series, "tags.bin": io.read_time_tags,
-               "image.csv": io.read_image_csv, "image.csv.json": io.read_image_csv}
+    # flipped file -> reader(root, digests by name, possibly none); the
+    # sidecar is read through its image
+    READERS = {
+        "series.ts": lambda root, sha: io.read_time_series(
+            root / "series.ts", sha.get("series.ts")).collect(),
+        "tags.bin": lambda root, sha: io.read_time_tags(root / "tags.bin",
+                                                         sha.get("tags.bin")),
+        "image.csv": lambda root, sha: io.read_image_csv(
+            root / "image.csv", sha.get("image.csv"), sha.get("image.csv.json")),
+    }
+    READERS["image.csv.json"] = READERS["image.csv"]
 
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
@@ -394,19 +417,38 @@ class TestReaderByteFlips:
             np.array([0.0, 0.0, 1.0]), n_pixels=8, half_extent=0.5))
         return root, {name: (root / name).read_bytes() for name in self.READERS}
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_parses_or_raises_missing_artifact(self, artifacts, data):
-        root, pristine = artifacts
+    @staticmethod
+    def _flip(root, pristine, data) -> str:
+        """Write one artifact with one byte flipped; returns its name."""
         name = data.draw(st.sampled_from(sorted(pristine)), label="artifact")
         raw = bytearray(pristine[name])
         raw[data.draw(st.integers(0, len(raw) - 1), label="offset")] ^= data.draw(
             st.integers(1, 255), label="xor")
         _replace_file(root / name, bytes(raw))
+        return name
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parses_or_raises_missing_artifact(self, artifacts, data):
+        root, pristine = artifacts
+        name = self._flip(root, pristine, data)
         try:
-            self.READERS[name](root / name.removesuffix(".json"))
+            self.READERS[name](root, {})
         except MissingArtifactError:
             pass
+        finally:
+            _replace_file(root / name, pristine[name])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_stale_digest_raises_missing_artifact(self, artifacts, data):
+        root, pristine = artifacts
+        digests = {name: hashlib.sha256(raw).hexdigest()
+                   for name, raw in pristine.items()}
+        name = self._flip(root, pristine, data)
+        try:
+            with pytest.raises(MissingArtifactError):
+                self.READERS[name](root, digests)
         finally:
             _replace_file(root / name, pristine[name])
 
@@ -416,7 +458,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 class TestRoundTrips:
     """Each writer's file reads back to what was written, and the digest
-    the writer returns is the sha256 of the file."""
+    the writer returns is the sha256 of the file that its reader accepts."""
 
     @pytest.fixture(scope="class")
     def root(self, tmp_path_factory):
@@ -439,8 +481,9 @@ class TestRoundTrips:
         series = TimeSeries(sample_interval=interval, samples=samples,
                             units=units, seed=seed)
         path = self._new(root, "series.ts")
-        assert io.write_time_series(path, series) == io.sha256_file(path)
-        back = io.read_time_series(path)
+        digest = io.write_time_series(path, series)
+        assert digest == io.sha256_file(path)
+        back = io.read_time_series(path, digest).collect()
         assert back.samples.tobytes() == series.samples.tobytes()
         assert (back.sample_interval, back.units, back.seed) == (interval, units, seed)
 
@@ -457,8 +500,9 @@ class TestRoundTrips:
         stream = TimeTagStream(channels=channels, timestamps=times,
                                duration=duration, seed=seed, metadata=metadata)
         path = self._new(root, "tags.bin")
-        assert io.write_time_tags(path, stream) == io.sha256_file(path)
-        back = io.read_time_tags(path)
+        digest = io.write_time_tags(path, stream)
+        assert digest == io.sha256_file(path)
+        back = io.read_time_tags(path, digest)
         assert np.array_equal(back.channels, stream.channels)
         assert back.timestamps.tobytes() == stream.timestamps.tobytes()
         assert (back.duration, back.seed, back.metadata) == (duration, seed, metadata)
@@ -476,9 +520,9 @@ class TestRoundTrips:
         image = mo.ApertureImage(pixels=pixels, pixel_pitch=pitch, channel=channel,
                                  center=center, metadata=radii)
         path = self._new(root, "image.csv", "image.csv.json")
-        assert io.write_image_csv(path, image) == (
-            io.sha256_file(path), io.sha256_file(root / "image.csv.json"))
-        back = io.read_image_csv(path)
+        digests = io.write_image_csv(path, image)
+        assert digests == (io.sha256_file(path), io.sha256_file(root / "image.csv.json"))
+        back = io.read_image_csv(path, *digests)
         assert back.pixels.tobytes() == image.pixels.tobytes()
         assert back.pixels.shape == (rows, cols)
         assert (back.pixel_pitch, back.channel, back.center, back.metadata) == (
@@ -584,14 +628,21 @@ class TestConfigLeaves:
             parse_config({"detection": {"mirror_reflectivity": 0.5}})
         assert "mirror_reflectivity" in " ".join(err.value.details)
 
-    @pytest.mark.parametrize("raw", [{"seed": True},
-                                     {"cluster": {"n_rods": True}},
-                                     {"image": {"n_pixels": True}}],
-                             ids=["seed", "cluster.n_rods", "image.n_pixels"])
-    def test_boolean_integer_rejected(self, raw):
+    @pytest.mark.parametrize("raw, message", [
+        ({"seed": True}, "seed: must be an integer"),
+        ({"cluster": {"n_rods": True}}, "cluster: n_rods must be an integer"),
+        ({"image": {"n_pixels": True}}, "image: n_pixels must be an integer"),
+        # seeding takes the root seed modulo 2**32, so these would alias
+        # 4294967295, 0 and 7
+        ({"seed": -1}, "seed: must be in [0, 2**32)"),
+        ({"seed": 2**32}, "seed: must be in [0, 2**32)"),
+        ({"seed": 4294967303}, "seed: must be in [0, 2**32)"),
+    ], ids=["seed", "cluster.n_rods", "image.n_pixels", "seed_negative",
+            "seed_2**32", "seed_4294967303"])
+    def test_boolean_integer_rejected(self, raw, message):
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
-        assert "must be an integer" in " ".join(err.value.details)
+        assert message in err.value.details
 
 
 def _optional(**leaves):
@@ -725,39 +776,8 @@ class TestSeeding:
         assert not np.allclose(a, b)
 
 
-class TestTimeSeriesCsv:
-    def test_export(self, tmp_path):
-        series = TimeSeries(sample_interval=1e-6,
-                            samples=np.array([0.5, -0.25, 1.0]), units="V")
-        path = tmp_path / "s.csv"
-        io.export_time_series_csv(path, series)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "time_s,signal_V"
-        t, v = map(float, lines[2].split(","))
-        assert t == 1e-6 and v == -0.25
-
-
 class TestTimeTagCsvImport:
-    def test_round_trip_via_csv(self, tmp_path):
-        rng = np.random.default_rng(2)
-        t = np.sort(rng.uniform(0, 1.0, 500))
-        stream = TimeTagStream(channels=rng.integers(0, 2, 500).astype(np.uint8),
-                               timestamps=t, duration=1.0)
-        path = tmp_path / "tags.csv"
-        io.export_time_tags_csv(path, stream)
-        back = io.read_time_tags_csv(path, duration=1.0)
-        assert np.array_equal(back.timestamps, stream.timestamps)
-        assert np.array_equal(back.channels, stream.channels)
-
-    @pytest.mark.parametrize("channels", [("0", "2", "1", "0.5"), ("0", "1", "-1")],
-                             ids=["two_and_half", "minus_one"])
-    def test_channel_not_0_or_1_rejected(self, tmp_path, channels):
-        # a uint8 cast would read 0.5 as 0
-        path = tmp_path / "tags.csv"
-        path.write_text("channel,timestamp_s\n" + "".join(
-            f"{ch},{0.1 * (i + 1)}\n" for i, ch in enumerate(channels)))
-        with pytest.raises(ValueError, match="0 or 1"):
-            io.read_time_tags_csv(path)
+    """Channel values that a time-tag stream, however it was produced, accepts."""
 
     @pytest.mark.parametrize("channels", [[0, 2], [0, 256], [-1, 1]])
     def test_stream_holds_channels_0_and_1(self, channels):
