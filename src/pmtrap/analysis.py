@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import fft, optimize
+from numpy.fft import rfft, rfftfreq
 
 from .errors import (
     FitError,
@@ -78,7 +79,7 @@ def _periodogram_sums(segments: np.ndarray, mean: float, window: np.ndarray,
     """
     block = segments - mean
     block *= window
-    spec = fft.rfft(block, axis=-1)
+    spec = rfft(block, axis=-1)
     del block
     power = spec.real**2
     power += spec.imag**2
@@ -170,7 +171,7 @@ def stream_power_spectral_density(series: SeriesBlocks,
         carry = x.copy() if done < n_segments else carry[:0]
         del block, x
     d = total / n - m0
-    W = fft.rfft(w)
+    W = rfft(w)
     psd -= 2.0 * d * (W.real * spectra.real + W.imag * spectra.imag)
     psd += n_segments * d**2 * (W.real**2 + W.imag**2)
     np.maximum(psd, 0.0, out=psd)  # a sum of squares, whatever the rounding
@@ -180,9 +181,91 @@ def stream_power_spectral_density(series: SeriesBlocks,
     last = -1 if segment_length % 2 == 0 else None
     psd[1:last] *= 2.0
     enbw = fs * np.sum(w**2) / np.sum(w) ** 2
-    return Spectrum(frequencies=fft.rfftfreq(segment_length, d=1.0 / fs),
+    return Spectrum(frequencies=rfftfreq(segment_length, d=1.0 / fs),
                     densities=psd, resolution_bandwidth=float(enbw),
                     averages=int(n_segments))
+
+
+class _LeastSquares(NamedTuple):
+    x: np.ndarray       # parameters at the end
+    fun: np.ndarray     # residuals at x
+    jac: np.ndarray     # Jacobian at x
+    nfev: int           # residual evaluations
+    success: bool
+    message: str
+
+
+def _least_squares(residuals: Callable, jacobian: Callable, x0, lower, upper,
+                   max_nfev: int, xtol: float, ftol: float,
+                   gtol: float) -> _LeastSquares:
+    """Bounded Levenberg-Marquardt minimum of |residuals(x)|^2 / 2.
+
+    Each step solves (J^T J + lam D^2) dx = -J^T f on the free parameters,
+    D holding the largest column norms of J met so far, which makes the
+    steps invariant to the parameters' units (More 1978, "The
+    Levenberg-Marquardt algorithm: implementation and theory").  A step is
+    taken when the cost falls by more than 1e-4 of the reduction the linear
+    model predicts, and lam follows that ratio (Nielsen's rule).  A
+    parameter on a bound whose gradient points out of the box is held for
+    the step; the step is clipped into the box.  Converged when the largest
+    cosine between f and a free column of J is <= gtol, when the actual and
+    predicted cost reductions are both <= ftol times the cost, or when
+    |dx| <= xtol (xtol + |x|); not converged after ``max_nfev`` evaluations.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f = residuals(x)
+    nfev = 1
+    J = jacobian(x)
+    cost = 0.5 * float(f @ f)
+    scale = np.zeros(len(x))
+    lam, grow = 1e-3, 2.0
+    while True:
+        norms = np.linalg.norm(J, axis=0)
+        scale = np.maximum(scale, norms)
+        d2 = np.where(scale > 0, scale, 1.0) ** 2
+        g = J.T @ f
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        f_norm = np.sqrt(2.0 * cost)
+        cosines = np.abs(g[free]) / np.where(norms[free] > 0, norms[free], np.inf)
+        if f_norm == 0 or np.max(cosines, initial=0.0) <= gtol * f_norm:
+            return _LeastSquares(x, f, J, nfev, True,
+                                 "`gtol` termination condition is satisfied.")
+        if nfev >= max_nfev:
+            return _LeastSquares(x, f, J, nfev, False, "The maximum number of "
+                                 "function evaluations is exceeded.")
+        Jf = J[:, free]
+        step = np.zeros(len(x))
+        step[free] = np.linalg.solve(Jf.T @ Jf + lam * np.diag(d2[free]),
+                                     -g[free])
+        trial = np.clip(x + step, lower, upper)
+        dx = trial - x
+        predicted = -float(g @ dx + 0.5 * np.sum((J @ dx) ** 2))
+        f_trial = residuals(trial)
+        nfev += 1
+        cost_trial = 0.5 * float(f_trial @ f_trial)
+        if not np.isfinite(cost_trial):
+            cost_trial = np.inf
+        actual = cost - cost_trial
+        ratio = actual / predicted if predicted > 0 else -np.inf
+        small_reduction = predicted <= ftol * cost and abs(actual) <= ftol * cost
+        if ratio > 1e-4:
+            x, f, cost = trial, f_trial, cost_trial
+            J = jacobian(x)
+            # floored, so that a rank-deficient J^T J stays solvable
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            lam = max(lam, 1e-15)
+            grow = 2.0
+        else:
+            lam *= grow
+            grow *= 2.0
+        if small_reduction:
+            return _LeastSquares(x, f, J, nfev, True,
+                                 "`ftol` termination condition is satisfied.")
+        if np.linalg.norm(dx) <= xtol * (xtol + np.linalg.norm(x)):
+            return _LeastSquares(x, f, J, nfev, True,
+                                 "`xtol` termination condition is satisfied.")
 
 
 @dataclass(frozen=True)
@@ -240,14 +323,15 @@ _MIN_SNR = 3.0
 
 
 def fit_lorentzian(spectrum: Spectrum) -> LorentzianFit:
-    """Trust-region least squares of a Lorentzian peak plus flat background.
+    """Bounded least squares of a Lorentzian peak plus flat background.
 
     The fit runs on the peak region (center +- 4 estimated FWHM), where the
     Lorentzian approximation of the damped-oscillator spectrum holds; the
-    Jacobian is analytic and the fit is performed in normalized units for
-    conditioning.  Raises NoPeakError when the peak does not stand above the
-    spectrum's own fluctuations (``_MIN_SNR``) and FitError on
-    non-convergence (200 iteration cap).
+    Levenberg-Marquardt iteration (``_least_squares``) takes the analytic
+    Jacobian and runs in normalized units for conditioning.  Raises
+    NoPeakError when the peak does not stand above the spectrum's own
+    fluctuations (``_MIN_SNR``) and FitError on non-convergence (200
+    evaluation cap).
     """
     f = spectrum.frequencies
     y = spectrum.densities
@@ -265,7 +349,8 @@ def fit_lorentzian(spectrum: Spectrum) -> LorentzianFit:
         f, y = f[mask], y[mask]
         peak_idx = int(np.argmax(y))
 
-    # normalized units: TRF misbehaves when parameters sit ~1e-10 from a bound
+    # normalized units: the amplitude and background of order 1, like the
+    # bounds that hold them
     y_scale = float(np.max(y))
     if y_scale <= 0:
         raise NoPeakError("spectrum is identically zero")
@@ -294,11 +379,8 @@ def fit_lorentzian(spectrum: Spectrum) -> LorentzianFit:
     p0 = np.clip([max(amplitude0, 1e-3), center0, hw0, max(background0, 0.0)],
                  lower, upper)
 
-    result = optimize.least_squares(
-        residuals, p0, jac=jacobian, bounds=(lower, upper),
-        method="trf", x_scale="jac", max_nfev=200,
-        xtol=1e-12, ftol=1e-12, gtol=1e-12,
-    )
+    result = _least_squares(residuals, jacobian, p0, lower, upper,
+                            max_nfev=200, xtol=1e-12, ftol=1e-12, gtol=1e-12)
     if not result.success:
         raise FitError(
             f"Lorentzian fit did not converge in 200 iterations: {result.message}; "
@@ -307,7 +389,7 @@ def fit_lorentzian(spectrum: Spectrum) -> LorentzianFit:
 
     a, f0, hw, b = result.x
     dof = max(len(f) - 4, 1)
-    s2 = 2.0 * result.cost / dof
+    s2 = float(result.fun @ result.fun) / dof
     JTJ = result.jac.T @ result.jac
     try:
         cov = s2 * np.linalg.inv(JTJ)
@@ -429,23 +511,39 @@ class BlinkHistogram:
 
 
 def _gaussian_peak_fit(counts: np.ndarray, hist: np.ndarray, peak: int):
-    """Gaussian fit around a histogram peak; returns (mean, sigma) in counts."""
+    """Gaussian fit around a histogram peak; returns (mean, sigma) in counts.
+
+    Unbounded ``_least_squares`` with an analytic Jacobian, at most 2000
+    evaluations; on failure the peak position and the Poisson width
+    sqrt(peak) stand in for the fit.
+    """
     sigma0 = max(np.sqrt(max(counts[peak], 1.0)), 1.0)
     lo = max(peak - int(4 * sigma0), 0)
     hi = min(peak + int(4 * sigma0) + 1, len(counts))
     xs, ys = counts[lo:hi].astype(float), hist[lo:hi].astype(float)
 
-    def model(x, a, mu, s):
-        return a * np.exp(-((x - mu) ** 2) / (2.0 * s**2))
+    def residuals(p):
+        a, mu, s = p
+        return a * np.exp(-((xs - mu) ** 2) / (2.0 * s**2)) - ys
 
-    try:
-        popt, _ = optimize.curve_fit(
-            model, xs, ys, p0=[hist[peak], counts[peak], sigma0],
-            maxfev=2000,
-        )
-        return float(popt[1]), float(abs(popt[2]))
-    except (RuntimeError, ValueError):
+    def jacobian(p):
+        a, mu, s = p
+        e = np.exp(-((xs - mu) ** 2) / (2.0 * s**2))
+        J = np.empty((len(xs), 3))
+        J[:, 0] = e
+        J[:, 1] = a * e * (xs - mu) / s**2
+        J[:, 2] = a * e * (xs - mu) ** 2 / s**3
+        return J
+
+    unbounded = np.full(3, np.inf)
+    with np.errstate(all="ignore"):
+        result = _least_squares(
+            residuals, jacobian, [hist[peak], counts[peak], sigma0],
+            -unbounded, unbounded, max_nfev=2000,
+            xtol=1.49012e-8, ftol=1.49012e-8, gtol=0.0)
+    if not (result.success and np.all(np.isfinite(result.x))):
         return float(counts[peak]), float(sigma0)
+    return float(result.x[1]), float(abs(result.x[2]))
 
 
 # blink_analysis: a histogram peak counts when its prominence exceeds this
@@ -604,18 +702,16 @@ def fit_saturation(powers, rates) -> SaturationFit:
         J[:, 1] = -c * e * P / ps**2
         return J
 
-    result = optimize.least_squares(
-        residuals, [max(c0, 1e-12), max(psat0, 1e-18)],
-        jac=jacobian, bounds=([0.0, 1e-300], [np.inf, np.inf]),
-        method="trf", x_scale="jac", max_nfev=200,
-        xtol=1e-14, ftol=1e-14, gtol=1e-14,
-    )
+    result = _least_squares(residuals, jacobian,
+                            [max(c0, 1e-12), max(psat0, 1e-18)],
+                            [0.0, 1e-300], [np.inf, np.inf], max_nfev=200,
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
     if not result.success:
         raise FitError(f"saturation fit failed: {result.message}")
 
     c, psat = result.x
     dof = max(len(P) - 2, 1)
-    s2 = 2.0 * result.cost / dof
+    s2 = float(result.fun @ result.fun) / dof
     try:
         cov = s2 * np.linalg.inv(result.jac.T @ result.jac)
         psat_err = float(np.sqrt(max(cov[1, 1], 0.0)))

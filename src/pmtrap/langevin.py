@@ -10,17 +10,21 @@ damping/noise sub-step.  Both sub-steps leave the Boltzmann distribution of
 the harmonic trap invariant, so equipartition holds without time-step bias,
 and the scheme is unconditionally stable for any damping.  The one-step map
 is linear, so its z component obeys an exact ARMA(2, 1) recurrence (by
-Cayley-Hamilton).  The recurrence is a unit lower-triangular banded linear
-system in the samples, solved in place by LAPACK's banded triangular solve
-(``dtbtrs``), with the initial state (z0, v0) folded into the first two
-right-hand sides.
+Cayley-Hamilton), with the initial state (z0, v0) folded into the first
+two inputs.  Its AR part factors over the roots r1, r2 of the one-step
+map's characteristic polynomial, and each first-order factor
+y[k] = r y[k-1] + u[k] is a scan: a cumulative sum of u r^-k per chunk of
+samples, rescaled by r^k, with one carry from chunk to chunk.  A
+well-separated conjugate pair needs one complex scan, z = Im(r1 y)/Im(r1);
+near critical damping, and for real roots, the two factors are scanned in
+turn, which divides by no root difference.
 
 Traces are produced as ``SeriesBlocks``: a sample count known up front and
 one pass over fixed-size blocks of samples.  ``axial_motion_blocks`` runs
-its argument checks and warnings before the first block; each solve takes
-the two samples before it as known rows and the noise is drawn block by
-block from one generator, so the result is bit-identical to one pass over
-the whole trace.
+its argument checks and warnings before the first block.  The noise is
+drawn in order from one generator and the scan's chunks sit on a grid
+fixed from the first sample, whatever the block size, so the result is
+bit-identical to one pass over the whole trace.
 ``detector_blocks`` is the one detector readout, a per-block transform
 (white noise drawn per block from its own generator, in sample order, plus
 gain * z); a whole trace is read out as
@@ -33,9 +37,10 @@ magnitude faster than stepping in Python.
 Rod alignment is modeled by its stationary statistics: tilt angles beta
 follow the Boltzmann weight exp(-dU sin^2(beta)/kB T) sin(beta) on
 [0, pi/2], which maps trap power onto the apparent linear-dipole fraction
-a_pi(P) = intrinsic * <cos^2 beta>, evaluated by quadrature.  The rejection
-Monte Carlo of the same distribution, which checks that quadrature, lives
-with the test oracles (``tests/oracles.py``).
+a_pi(P) = intrinsic * <cos^2 beta>, in closed form through Dawson's
+integral.  The quadrature and the rejection Monte Carlo of the same
+distribution, which check that closed form, live with the test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import lapack
 
 from . import constants as const
 from .seeding import rng_for
@@ -161,8 +164,18 @@ class SeriesBlocks:
 
 # samples per block of the Langevin recurrence and of the detector readout
 _BLOCK_SAMPLES = 1 << 20
-# rows per banded solve of the recurrence
-_SOLVE_ROWS = 1 << 16
+# samples per group of the recurrence scan; the groups sit on a grid that
+# starts at sample 0, whatever the block size
+_SCAN_SAMPLES = 1 << 16
+# bound on L |ln r| for a scan chunk of L samples, which keeps r^(+-m)
+# finite and accurate
+_SCAN_EXPONENT = 256.0
+# complex roots closer than this, in units of 1 - |r|, are scanned as a
+# cascade of two first-order recurrences
+_CASCADE_SPLIT = 1.0
+# largest input coefficient below which the trace lives among the
+# subnormal numbers and the recurrence runs sample by sample
+_SUBNORMAL_SCALE = np.ldexp(1.0, -960)
 
 
 def _one_step_map(omega: float, gamma: float, mass: float,
@@ -231,51 +244,146 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
     # z[k] + a1 z[k-1] + a2 z[k-2] = b0 e[k] + b1 e[k-1], with e = xi shifted
     # by one step (e[0] = 0) and a1 = -trA, a2 = detA, b0 = w_z,
     # b1 = a12 w_v - a22 w_z.  With zero history before z[0], adding zi to the
-    # first two right-hand sides makes z[0] = z0 and z[1] = (A (z0, v0))_z +
-    # w_z xi[0].  w = 0 without temperature or damping, so no noise is drawn.
+    # first two inputs makes z[0] = z0 and z[1] = (A (z0, v0))_z + w_z xi[0].
+    # w = 0 without temperature or damping, so no noise is drawn.
     noisy = temperature > 0 and gamma > 0
     b0, b1 = w[0], A[0, 1] * w[1] - A[1, 1] * w[0]
     zi = (z0, A[0, 1] * v0 - A[1, 1] * z0)
-    # Lower band of the system matrix for _SOLVE_ROWS unknowns behind two
-    # known rows: the unit diagonal, a1 below it and a2 below that.
-    # ab[1, 0] = 0 keeps the second known row from coupling to the first.
-    ab = np.empty((3, min(n, _SOLVE_ROWS) + 2), order="F")
-    ab[0] = 1.0
-    ab[1] = -(A[0, 0] + A[1, 1])
-    ab[1, 0] = 0.0
-    ab[2] = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    # the inputs are scanned in units of a power of two near their largest
+    # coefficient, exactly, which keeps r^-m u finite
+    scale = max(abs(b0), abs(b1), *map(abs, zi))
+    unit = (1.0 if scale < _SUBNORMAL_SCALE
+            else np.ldexp(1.0, min(int(np.frexp(scale)[1]), 1000)))
+    b0, b1, zi = b0 / unit, b1 / unit, (zi[0] / unit, zi[1] / unit)
 
-    def recurrence():
-        history = np.zeros(2)
-        e_last = 0.0  # b1 e[k-1] at the first sample of the block
-        e = np.zeros(min(n, _BLOCK_SAMPLES))
-        for start in range(0, n, _BLOCK_SAMPLES):
-            size = min(n - start, _BLOCK_SAMPLES)
-            block = e[:size]
+    def forcing():
+        e_last = 0.0  # b1 e[k-1] at the first sample of the group
+        for start in range(0, n, _SCAN_SAMPLES):
+            e = np.zeros(min(n - start, _SCAN_SAMPLES))
             if noisy:
-                rng.standard_normal(out=block[1:] if start == 0 else block)
-            # two known rows in front of the right-hand sides
-            z = np.empty(size + 2)
-            z[:2] = history
-            rhs = z[2:]
-            np.multiply(block, b0, out=rhs)
-            block *= b1
-            rhs[0] += e_last
-            rhs[1:] += block[:-1]
-            e_last = block[-1]
-            for k in range(start, min(start + size, 2)):
-                rhs[k - start] += zi[k]
-            del rhs, block
-            for row in range(0, size, _SOLVE_ROWS):
-                rows = min(size - row, _SOLVE_ROWS)
-                lapack.dtbtrs(ab[:, : rows + 2], z[row: row + rows + 2],
-                              uplo="L", diag="U", overwrite_b=1)
-            history = z[-2:].copy()
-            yield z[2:]
-            del z
+                rng.standard_normal(out=e[1:] if start == 0 else e)
+            u = e * b0
+            e *= b1
+            u[0] += e_last
+            u[1:] += e[:-1]
+            e_last = e[-1]
+            for k in range(start, min(start + len(u), 2)):
+                u[k] += zi[k]
+            yield u
 
-    return SeriesBlocks(sample_interval=dt, n_samples=n, blocks=recurrence(),
-                        units="m", seed=cfg.seed)
+    # (1 - r1 B)(1 - r2 B) z = u in the backshift B.  A trace among the
+    # subnormal numbers runs sample by sample; otherwise a well separated
+    # conjugate pair takes one complex scan and the projection
+    # z = Im(r1 y)/Im(r1), and other roots the two first-order scans in
+    # turn, which divide by no root difference
+    log_r1, log_r2 = _log_roots(gamma * dt, omega * dt)
+    if scale < _SUBNORMAL_SCALE:
+        groups = _recurrence(-(A[0, 0] + A[1, 1]),
+                             A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0], forcing())
+    elif log_r1.imag and (np.exp(log_r1).imag
+                          >= _CASCADE_SPLIT * -np.expm1(log_r1.real)):
+        groups = _scan(log_r1, forcing(), unit, project=True)
+    else:
+        groups = (y.real for y in _scan(log_r2, _scan(log_r1, forcing()), unit))
+    return SeriesBlocks(sample_interval=dt, n_samples=n,
+                        blocks=_reblock(groups, n), units="m", seed=cfg.seed)
+
+
+def _log_roots(gamma_dt: float, omega_dt: float
+               ) -> tuple[complex, complex] | tuple[float, float]:
+    """Logarithms of the roots of x^2 - (1 + c1) cos(omega dt) x + c1.
+
+    That is the characteristic polynomial of the recurrence: trace and
+    determinant of the one-step map, c1 = exp(-Gamma dt).  The discriminant
+    is taken as a product of two factors, which keeps it accurate away
+    from critical damping; complex roots come as a conjugate pair.
+    """
+    c1 = np.exp(-gamma_dt)
+    half_trace = 0.5 * (1.0 + c1) * np.cos(omega_dt)
+    spread = (1.0 + c1) * np.sin(omega_dt)
+    quarter_disc = 0.25 * (-np.expm1(-gamma_dt) - spread) * (
+        -np.expm1(-gamma_dt) + spread)
+    if quarter_disc < 0:
+        log_r = complex(-0.5 * gamma_dt,
+                        np.arctan2(np.sqrt(-quarter_disc), half_trace))
+        return log_r, log_r.conjugate()
+    r1 = half_trace + np.sqrt(quarter_disc)
+    return float(np.log(r1)), float(np.log(c1 / r1))
+
+
+def _scan(log_r: complex | float, inputs: Iterator[np.ndarray], unit: float = 1.0,
+          project: bool = False) -> Iterator[np.ndarray]:
+    """unit * y, y[k] = r y[k-1] + u[k] from y = 0, r = exp(log_r), per group.
+
+    Each group of ``inputs`` is cut into chunks of L samples, a power of two
+    with L |log_r| <= ``_SCAN_EXPONENT``; within a chunk,
+    y[m] = r^(m+1) (y_in + cumsum(u r^-(j+1))[m]), with y_in the last y of
+    the chunk before.  Every group but the last must hold ``_SCAN_SAMPLES``,
+    so that the chunks sit on a grid fixed by the first sample.  With
+    ``project``, unit * Im(r y)/Im(r) is returned instead.  The result is
+    real when log_r and the inputs are.
+    """
+    length = _SCAN_SAMPLES
+    while length > 1 and length * abs(log_r) > _SCAN_EXPONENT:
+        length //= 2
+    powers = np.arange(1, length + 1) * log_r
+    up, down = np.exp(powers), np.exp(-powers)
+    carry = np.exp(length * log_r)
+    up *= unit
+    if project:
+        r = np.exp(log_r)
+        up *= r / r.imag
+    y = 0.0
+    for u in inputs:
+        n = len(u)
+        chunks = -(-n // length)
+        if n == chunks * length:
+            q = u.reshape(chunks, length) * down
+        else:
+            q = np.zeros((chunks, length), dtype=np.result_type(u, down))
+            q.reshape(-1)[:n] = u
+            q *= down
+        for row in q:
+            row[0] += y
+            np.cumsum(row, out=row)
+            y = carry * row[-1]
+        q *= up
+        y_group = q.reshape(-1)[:n]
+        yield y_group.imag if project else y_group
+
+
+def _recurrence(a1: float, a2: float, inputs: Iterator[np.ndarray]
+                ) -> Iterator[np.ndarray]:
+    """z[k] = (u[k] - a2 z[k-2]) - a1 z[k-1] from zero history, in order.
+
+    The route for traces at the scale of the subnormal numbers, where each
+    product rounds to the subnormal grid and the scan's rescaling by r^m
+    would round differently from the recurrence itself.
+    """
+    z1 = z2 = 0.0
+    for u in inputs:
+        z = u.tolist()
+        for k, u_k in enumerate(z):
+            z1, z2 = (u_k - a2 * z2) - a1 * z1, z1
+            z[k] = z1
+        yield np.array(z)
+
+
+def _reblock(groups: Iterator[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """The ``n`` samples of ``groups`` as new arrays of ``_BLOCK_SAMPLES``."""
+    start, filled = 0, 0
+    block = np.empty(min(n, _BLOCK_SAMPLES))
+    for group in groups:
+        while len(group):
+            take = min(len(group), len(block) - filled)
+            block[filled: filled + take] = group[:take]
+            group = group[take:]
+            filled += take
+            if filled == len(block):
+                yield block
+                start += filled
+                block = np.empty(min(n - start, _BLOCK_SAMPLES))
+                filled = 0
 
 
 def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
@@ -311,9 +419,44 @@ def detector_blocks(z: SeriesBlocks, cfg: SimConfig) -> SeriesBlocks:
                         blocks=readout(), units="V", seed=z.seed)
 
 
-def mean_cos2_tilt(align_depth: float, temperature: float) -> float:
-    """<cos^2 beta> of the alignment Boltzmann distribution, by quadrature.
+# Rybicki's sum for Dawson's integral: spacing h and the weights
+# exp(-(n h)^2) of the odd n up to 33, the last above 1e-19
+_RYBICKI_H = 0.2
+_RYBICKI_N = np.arange(1, 35, 2)
+_RYBICKI_WEIGHTS = np.exp(-(_RYBICKI_N * _RYBICKI_H) ** 2)
+# s = depth / kT below which <cos^2 beta> is summed as a power series, and
+# its number of terms (s^24 / 24! < 1e-23 at s = 1)
+_SERIES_BELOW = 1.0
+_SERIES_TERMS = 24
 
+
+def _dawson(x: float) -> float:
+    """Dawson's integral F(x) = exp(-x^2) int_0^x exp(t^2) dt for x > 0.
+
+    Rybicki's sampling-theorem sum (Numerical Recipes, 6.10), with the
+    spacing cut to 0.2 for double precision: around the even multiple
+    n0 h of h nearest x, F = exp(-x'^2) / sqrt(pi) sum over odd n of
+    exp(-(n h)^2) (exp(2 x' n h) / (n0 + n) + exp(-2 x' n h) / (n0 - n)),
+    x' = x - n0 h.  Beyond x = 1e4 the asymptotic series
+    (1 + 1/(2x^2) + 3/(4x^4)) / (2x) is exact to rounding.
+    """
+    if x > 1e4:
+        return (1.0 + (0.5 + 0.75 / x**2) / x**2) / (2.0 * x)
+    n0 = 2.0 * np.round(x / (2.0 * _RYBICKI_H))
+    xp = x - n0 * _RYBICKI_H
+    grow = np.exp(2.0 * xp * _RYBICKI_H * _RYBICKI_N)
+    terms = _RYBICKI_WEIGHTS * (grow / (n0 + _RYBICKI_N)
+                                + 1.0 / (grow * (n0 - _RYBICKI_N)))
+    return float(np.exp(-xp * xp) * np.sum(terms) / np.sqrt(np.pi))
+
+
+def mean_cos2_tilt(align_depth: float, temperature: float) -> float:
+    """<cos^2 beta> of the alignment Boltzmann distribution, in closed form.
+
+    With s = depth / kT and u = cos(beta) the weight is exp(s u^2) on
+    [0, 1], and <u^2> = 1/(2 sqrt(s) F(sqrt(s))) - 1/(2s), F being Dawson's
+    integral.  Below s = 1 the two terms cancel, so there the ratio of the
+    term-by-term integrals sum s^n/(n! (2n+3)) / sum s^n/(n! (2n+1)) is used.
     1/3 for an unaligned rod (isotropic over the hemisphere), -> 1 for deep
     alignment wells; monotone increasing in the well depth.
     """
@@ -322,16 +465,12 @@ def mean_cos2_tilt(align_depth: float, temperature: float) -> float:
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     s = align_depth / (const.BOLTZMANN * temperature)
-    if s == 0:
-        return 1.0 / 3.0
-    # weight exp(s u^2 - s) stays in (0, 1]; boundary layer at u = 1
-    weight = lambda u: np.exp(-s * (1.0 - u**2))
-    knot = max(0.0, 1.0 - 20.0 / s) if s > 20 else None
-    points = [knot] if knot else None
-    num, _ = integrate.quad(lambda u: u**2 * weight(u), 0.0, 1.0,
-                            points=points, limit=200)
-    den, _ = integrate.quad(weight, 0.0, 1.0, points=points, limit=200)
-    return float(num / den)
+    if s < _SERIES_BELOW:
+        n = np.arange(_SERIES_TERMS)
+        power = np.cumprod(np.concatenate(([1.0], s / n[1:])))  # s^n / n!
+        return float(np.sum(power / (2 * n + 3)) / np.sum(power / (2 * n + 1)))
+    x = np.sqrt(s)
+    return float(0.5 / (x * _dawson(x)) - 0.5 / s)
 
 
 def apparent_a_pi(power: float, intrinsic_a_pi: float, anisotropy: float,

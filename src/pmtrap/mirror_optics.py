@@ -28,8 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
-from scipy.optimize import nnls
 
 from . import constants as const
 from .errors import FitError, InsufficientDataError, InvalidGeometryError
@@ -424,13 +422,38 @@ class DipoleFitResult:
     residual_norm: float
 
 
+def _two_column_nnls(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """min |A c - y| over c >= 0 for the two columns of A, and that norm.
+
+    The Lawson-Hanson active-set steps, written out for two columns: the
+    better of the two one-column fits, clipped at 0, stands unless its
+    residual still correlates with the other column beyond rounding; then
+    the optimum is interior and equals the unconstrained least-squares
+    solution.
+    """
+    tol = 10.0 * len(y) * np.finfo(float).eps * np.linalg.norm(y)
+    faces = []
+    for j in (0, 1):
+        coeffs = np.zeros(2)
+        coeffs[j] = max(A[:, j] @ y / (A[:, j] @ A[:, j]), 0.0)
+        faces.append((float(np.linalg.norm(A @ coeffs - y)), j, coeffs))
+    residual, j, coeffs = min(faces, key=lambda face: face[0])
+    other = A[:, 1 - j]
+    if other @ (y - A @ coeffs) <= tol * np.linalg.norm(other):
+        return coeffs, residual
+    coeffs = np.maximum(np.linalg.lstsq(A, y, rcond=None)[0], 0.0)
+    return coeffs, float(np.linalg.norm(A @ coeffs - y))
+
+
 def fit_dipole_fraction(profile: RadialProfile) -> DipoleFitResult:
     """Non-negative least squares of I0_pi*I_pi(R) + I0_sigma*I_sigma(R).
 
-    The two shapes separate only when the profile spans both the inner lobe
-    (R < 1) and the tail (R > 1.5); at least 8 samples covering both regions
-    are required.  The a_pi standard error is propagated from the
-    (unconstrained) linear-fit covariance.
+    Both amplitudes are held >= 0: the fit is the unconstrained linear least
+    squares when that has no negative amplitude, else the better of the
+    two single-shape fits.  The two shapes separate only when the profile
+    spans both the inner lobe (R < 1) and the tail (R > 1.5); at least 8
+    samples covering both regions are required.  The a_pi standard error is
+    propagated from the (unconstrained) linear-fit covariance.
     """
     R = profile.radii
     y = profile.intensities
@@ -442,7 +465,7 @@ def fit_dipole_fraction(profile: RadialProfile) -> DipoleFitResult:
         raise FitError("degenerate profile: all intensities are zero")
 
     A = np.column_stack([intensity_linear(R), intensity_circular(R)])
-    coeffs, residual = nnls(A, y)
+    coeffs, residual = _two_column_nnls(A, y)
     i0_pi, i0_sigma = coeffs
     total = i0_pi + i0_sigma
     if total <= 0:
@@ -453,11 +476,11 @@ def fit_dipole_fraction(profile: RadialProfile) -> DipoleFitResult:
     dof = max(len(y) - 2, 1)
     sigma2 = residual**2 / dof
     try:
-        cov = sigma2 * linalg.inv(A.T @ A)
+        cov = sigma2 * np.linalg.inv(A.T @ A)
         grad = np.array([i0_sigma, -i0_pi]) / total**2
         var_a = float(grad @ cov @ grad)
         a_err = float(np.sqrt(max(var_a, 0.0)))
-    except linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         a_err = float("nan")
 
     return DipoleFitResult(a_pi=a_pi, a_pi_std_error=a_err,

@@ -32,7 +32,7 @@ DIPOLE_DENSITY = {
 def collection_quad(kind, theta0, theta1):
     density = DIPOLE_DENSITY[kind]
     val, _ = integrate.quad(lambda t: density(t) * 2.0 * np.pi * np.sin(t),
-                            theta0, theta1, epsabs=1e-12, epsrel=1e-12, limit=200)
+                            theta0, theta1, epsabs=1e-12, epsrel=1e-11, limit=200)
     return val
 
 
@@ -43,7 +43,7 @@ def collection_quad(kind, theta0, theta1):
 
 def aperture_band_integral(shape, r0, r1):
     val, _ = integrate.quad(lambda r: shape(r) * 2.0 * np.pi * r, r0, r1,
-                            epsabs=1e-12, epsrel=1e-12, limit=200)
+                            epsabs=1e-12, epsrel=1e-11, limit=200)
     return val
 
 
@@ -165,6 +165,23 @@ def pulse_lag_coincidences(pulses0, pulses1, max_lag):
 
 
 # --- alignment statistics, dense-grid quadrature ----------------------------
+
+def mean_cos2_quad(depth_over_kt):
+    """<u^2> under the weight exp(-s (1 - u^2)) on [0, 1], by adaptive quadrature.
+
+    The weight stays in (0, 1]; for s > 20 its boundary layer at u = 1,
+    of width ~1/s, gets a breakpoint at 1 - 20/s.
+    """
+    s = depth_over_kt
+    if s == 0:
+        return 1.0 / 3.0
+    weight = lambda u: np.exp(-s * (1.0 - u**2))
+    points = [1.0 - 20.0 / s] if s > 20 else None
+    opts = dict(points=points, limit=200, epsabs=0.0, epsrel=1e-11)
+    num, _ = integrate.quad(lambda u: u**2 * weight(u), 0.0, 1.0, **opts)
+    den, _ = integrate.quad(weight, 0.0, 1.0, **opts)
+    return num / den
+
 
 def mean_cos2_grid(depth_over_kt, n=200001):
     u = np.linspace(0.0, 1.0, n)

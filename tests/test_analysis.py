@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import signal
+from scipy import optimize, signal
 
 from pmtrap import analysis as an
 from pmtrap import photon_emitter as pe
@@ -488,3 +488,130 @@ class TestFitSaturation:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
             an.fit_saturation([1e-6, 2e-6, 3e-6], [1.0, 2.0, 3.0])
+
+
+def _lorentzian(f, y):
+    """Residuals and Jacobian of a * hw^2 / ((f - f0)^2 + hw^2) + b - y."""
+    def residuals(p):
+        a, f0, hw, b = p
+        return a * hw**2 / ((f - f0) ** 2 + hw**2) + b - y
+
+    def jacobian(p):
+        a, f0, hw, b = p
+        d = (f - f0) ** 2 + hw**2
+        return np.column_stack([hw**2 / d, 2.0 * a * hw**2 * (f - f0) / d**2,
+                                2.0 * a * hw * (f - f0) ** 2 / d**2,
+                                np.ones_like(f)])
+
+    return residuals, jacobian
+
+
+def _saturation(P, y):
+    """Residuals and Jacobian of c (1 - exp(-P / ps)) - y."""
+    def residuals(p):
+        c, ps = p
+        return c * (1.0 - np.exp(-P / ps)) - y
+
+    def jacobian(p):
+        c, ps = p
+        e = np.exp(-P / ps)
+        return np.column_stack([1.0 - e, -c * e * P / ps**2])
+
+    return residuals, jacobian
+
+
+def _assert_same_minimum(ours, ref):
+    """Our fit reaches scipy's cost, and its parameters agree to 1e-3 of
+    their standard errors (from scipy's J^T J)."""
+    assert ours.success and ref.success
+    assert 0.5 * ours.fun @ ours.fun <= ref.cost * (1.0 + 1e-9)
+    dof = max(len(ref.fun) - len(ref.x), 1)
+    cov = 2.0 * ref.cost / dof * np.linalg.inv(ref.jac.T @ ref.jac)
+    sigma = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(ours.x - ref.x) <= 1e-3 * sigma + 1e-12 * np.abs(ref.x))
+
+
+class TestLeastSquaresOracle:
+    """``_least_squares`` against scipy's trust-region least squares, with
+    the tolerances, bounds and evaluation caps of the package's fits."""
+
+    # noisy spectra, whose standard errors scale the comparison; the
+    # background can sit below 0, where its bound at 0 holds
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hw=st.floats(2.0, 30.0),
+           f0=st.floats(60.0, 140.0), background=st.floats(-0.05, 0.3),
+           noise=st.floats(0.01, 0.1))
+    @example(seed=1, hw=10.0, f0=100.0, background=-0.05, noise=0.02)
+    def test_lorentzian_matches_scipy(self, seed, hw, f0, background, noise):
+        rng = np.random.default_rng(seed)
+        f = np.arange(1.0, 201.0)
+        y = hw**2 / ((f - f0) ** 2 + hw**2) + background
+        y = y * (1.0 + noise * rng.standard_normal(len(f)))
+        y = y / np.max(y)
+        residuals, jacobian = _lorentzian(f, y)
+        lower = [0.0, f[0], 0.1, 0.0]
+        upper = [2.0, f[-1], f[-1] - f[0], 1.0]
+        p0 = np.clip([0.8, f0 + 3.0, 1.5 * hw, max(background, 0.0)],
+                     lower, upper)
+        ours = an._least_squares(residuals, jacobian, p0, lower, upper,
+                                 max_nfev=200, xtol=1e-12, ftol=1e-12,
+                                 gtol=1e-12)
+        ref = optimize.least_squares(
+            residuals, p0, jac=jacobian, bounds=(lower, upper), method="trf",
+            x_scale="jac", max_nfev=200, xtol=1e-12, ftol=1e-12, gtol=1e-12)
+        _assert_same_minimum(ours, ref)
+        if background <= -0.03:
+            # far enough below 0 that the background's bound is active
+            assert ref.x[3] < 1e-6 and ours.x[3] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p_sat=st.floats(1e-7, 1e-4),
+           amplitude=st.floats(1e3, 1e7), noise=st.floats(0.01, 0.1),
+           span=st.floats(2.0, 20.0))
+    def test_saturation_matches_scipy(self, seed, p_sat, amplitude, noise,
+                                      span):
+        rng = np.random.default_rng(seed)
+        P = np.geomspace(p_sat / span, p_sat * span, 10)
+        y = amplitude * (1.0 - np.exp(-P / p_sat))
+        y = y * (1.0 + noise * rng.standard_normal(len(P)))
+        residuals, jacobian = _saturation(P, y)
+        p0 = [np.max(y), np.median(P)]
+        lower, upper = [0.0, 1e-300], [np.inf, np.inf]
+        ours = an._least_squares(residuals, jacobian, p0, lower, upper,
+                                 max_nfev=200, xtol=1e-14, ftol=1e-14,
+                                 gtol=1e-14)
+        ref = optimize.least_squares(
+            residuals, p0, jac=jacobian, bounds=(lower, upper), method="trf",
+            x_scale="jac", max_nfev=200, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        _assert_same_minimum(ours, ref)
+
+    def test_evaluation_cap_reported(self):
+        residuals, jacobian = _saturation(np.geomspace(1e-7, 1e-5, 10),
+                                          np.linspace(0.0, 1.0, 10))
+        ours = an._least_squares(residuals, jacobian, [1.0, 1e-6], [0.0, 1e-300],
+                                 [np.inf, np.inf], max_nfev=2, xtol=1e-14,
+                                 ftol=1e-14, gtol=1e-14)
+        assert not ours.success and ours.nfev == 2
+        assert "maximum number of function evaluations" in ours.message
+
+    # a Poisson-like count histogram; the window is +- 4 sqrt(peak) bins
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mean=st.floats(10.0, 200.0),
+           spread=st.floats(0.8, 2.0), n_bins=st.integers(2000, 20000))
+    def test_gaussian_peak_matches_curve_fit(self, seed, mean, spread, n_bins):
+        rng = np.random.default_rng(seed)
+        per_bin = np.rint(rng.normal(mean, spread * np.sqrt(mean), n_bins))
+        hist = np.bincount(np.clip(per_bin, 0, None).astype(np.int64))
+        counts = np.arange(len(hist))
+        peak = int(np.argmax(hist))
+        got = an._gaussian_peak_fit(counts, hist, peak)
+        sigma0 = max(np.sqrt(max(counts[peak], 1.0)), 1.0)
+        lo = max(peak - int(4 * sigma0), 0)
+        hi = min(peak + int(4 * sigma0) + 1, len(counts))
+        popt, pcov = optimize.curve_fit(
+            lambda x, a, mu, s: a * np.exp(-((x - mu) ** 2) / (2.0 * s**2)),
+            counts[lo:hi].astype(float), hist[lo:hi].astype(float),
+            p0=[hist[peak], counts[peak], sigma0], maxfev=2000)
+        errors = np.sqrt(np.diag(pcov))
+        assert abs(got[0] - popt[1]) <= 1e-3 * errors[1]
+        assert abs(got[1] - abs(popt[2])) <= 1e-3 * errors[2]

@@ -98,20 +98,33 @@ class TestSimulateAxialMotion:
             lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
 
 
+def _assert_matches_lfilter(z, gamma, temperature, dt, z0, v0, seed):
+    """z within 1e-10 rms of the recurrence run by ``lfilter``."""
+    # the same noise: the trace's own stream after the given initial state
+    xi = rng_for(seed, "axial-motion").standard_normal(len(z) - 1)
+    ref = oracles.ar2_lfilter(OMEGA, gamma, const.BOLTZMANN * temperature / MASS,
+                              dt, z0, v0, xi)
+    # rms taken in units of the peak, which keeps tiny states from
+    # underflowing when squared
+    peak = np.max(np.abs(ref))
+    rms = peak * np.sqrt(np.mean((ref / peak) ** 2)) if peak > 0 else 0.0
+    assert np.max(np.abs(z - ref)) <= 1e-10 * rms
+
+
 @pytest.mark.filterwarnings("ignore:duration below")
 class TestRecurrenceProperties:
     DT = 1.2e-8
 
     # gamma and temperature include 0, where the noise input vanishes; the
-    # block and solve sizes split the trace anywhere
+    # block size splits the trace anywhere
     @settings(max_examples=100, deadline=None)
     @given(gamma=st.one_of(st.just(0.0), st.floats(1e3, 5e6)),
            temperature=st.one_of(st.just(0.0), st.floats(1.0, 1e3)),
            z0=st.floats(-1e-8, 1e-8), v0=st.floats(-0.1, 0.1),
            n=st.integers(1, 3000), block=st.integers(1, 3000),
-           rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     def test_matches_lfilter_oracle(self, gamma, temperature, z0, v0, n,
-                                    block, rows, seed):
+                                    block, seed):
         cfg = lv.SimConfig(time_step=self.DT, duration=n * self.DT, seed=seed)
 
         def run():
@@ -121,19 +134,28 @@ class TestRecurrenceProperties:
         whole = run()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lv, "_BLOCK_SAMPLES", block)
-            mp.setattr(lv, "_SOLVE_ROWS", rows)
             split = run()
-        # the same noise: the trace's own stream after the given initial state
-        xi = rng_for(seed, "axial-motion").standard_normal(n - 1)
-        ref = oracles.ar2_lfilter(OMEGA, gamma,
-                                  const.BOLTZMANN * temperature / MASS,
-                                  self.DT, z0, v0, xi)
         assert np.array_equal(whole, split)
-        # rms taken in units of the peak, which keeps tiny states from
-        # underflowing when squared
-        peak = np.max(np.abs(ref))
-        rms = peak * np.sqrt(np.mean((ref / peak) ** 2)) if peak > 0 else 0.0
-        assert np.max(np.abs(whole - ref)) <= 1e-10 * rms
+        _assert_matches_lfilter(whole, gamma, temperature, self.DT, z0, v0, seed)
+
+    # the scan's three routes: a conjugate pair (projection below
+    # Gamma = 2 Omega, cascade close to it), a double root and two real
+    # roots; dt from 1/2 to all of the limit 1/(10 max(Gamma, Omega))
+    @settings(max_examples=100, deadline=None)
+    @given(ratio=st.one_of(st.floats(0.0, 3.0),
+                           st.sampled_from([2.0 - 1e-6, 2.0, 2.0 + 1e-6])),
+           step=st.floats(0.5, 0.999), temperature=st.floats(1.0, 1e3),
+           z0=st.floats(-1e-8, 1e-8), v0=st.floats(-0.1, 0.1),
+           n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_lfilter_across_damping(self, ratio, step, temperature,
+                                            z0, v0, n, seed):
+        gamma = ratio * OMEGA
+        dt = step / (10.0 * max(gamma, OMEGA))
+        cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=seed)
+        z = lv.simulate_axial_motion(STIFFNESS, gamma, MASS, temperature, cfg,
+                                     initial_state=(z0, v0)).samples
+        assert len(z) == n
+        _assert_matches_lfilter(z, gamma, temperature, dt, z0, v0, seed)
 
     # 40 batches of 200/Gamma each; the spread of the batch means of z^2
     # gives the standard error
@@ -304,6 +326,17 @@ class TestTiltStatistics:
         for depth_kt in (0.0, 0.3, 1.0, 5.0, 30.0, 300.0):
             got = lv.mean_cos2_tilt(depth_kt * KT, 296.0)
             assert got == pytest.approx(oracles.mean_cos2_grid(depth_kt), abs=1e-6)
+
+    # s = depth / kT: 0, log-uniform over [1e-10, 1e8], and both sides of
+    # the switch from the power series to Dawson's integral
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.one_of(
+        st.just(0.0), st.floats(-10.0, 8.0).map(lambda e: 10.0**e),
+        st.sampled_from([lv._SERIES_BELOW * (1.0 + d)
+                         for d in (-1e-6, -1e-15, 0.0, 1e-15, 1e-6)])))
+    def test_closed_form_matches_quad_oracle(self, s):
+        got = lv.mean_cos2_tilt(s * KT, 296.0)
+        assert got == pytest.approx(oracles.mean_cos2_quad(s * KT / KT), rel=1e-12)
 
     def test_monotone_in_depth(self):
         depths = np.linspace(0, 40, 30) * KT

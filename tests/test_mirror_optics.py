@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from pmtrap import mirror_optics as mo
 from pmtrap.errors import FitError, InsufficientDataError, InvalidGeometryError
@@ -278,6 +279,41 @@ class TestFitDipoleFraction:
         errs = np.abs(errs)
         assert np.quantile(errs, 0.95) < 0.05
         assert np.mean(errs) < 0.02
+
+
+class TestNonNegativeFitOracle:
+    """The two-column non-negative least squares against scipy's ``nnls``."""
+
+    # signs < 0 put the unconstrained optimum outside the quadrant, so
+    # one or both coefficients clip to 0
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60),
+           signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+           noise=st.floats(0.0, 1.0))
+    def test_matches_scipy_nnls(self, seed, m, signs, noise):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-0.2, 1.0, (m, 2))
+        y = A @ (np.array(signs) * rng.uniform(0.1, 2.0, 2))
+        y = y + noise * rng.standard_normal(m)
+        coeffs, residual = mo._two_column_nnls(A, y)
+        ref, ref_residual = optimize.nnls(A, y)
+        scale = np.linalg.norm(y) / np.min(np.linalg.norm(A, axis=0))
+        assert np.all(coeffs >= 0)
+        assert np.allclose(coeffs, ref, rtol=1e-9, atol=1e-12 * scale)
+        assert residual == pytest.approx(ref_residual, rel=1e-9,
+                                         abs=1e-14 * np.linalg.norm(y))
+
+    @pytest.mark.parametrize("a_pi", [-0.3, 0.0, 0.4, 1.0, 1.3])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_fit_matches_scipy_nnls(self, a_pi, noise):
+        profile = synth_profile(a_pi, noise=noise, rng=np.random.default_rng(3))
+        R = profile.radii
+        A = np.column_stack([mo.intensity_linear(R), mo.intensity_circular(R)])
+        ref, ref_residual = optimize.nnls(A, profile.intensities)
+        fit = mo.fit_dipole_fraction(profile)
+        assert fit.a_pi == pytest.approx(ref[0] / ref.sum(), rel=1e-9, abs=1e-12)
+        assert fit.residual_norm == pytest.approx(ref_residual, rel=1e-9,
+                                                  abs=1e-14)
 
 
 class TestAsymmetryMetric:
