@@ -23,13 +23,14 @@ from .errors import (
     UndefinedResultError,
 )
 from .langevin import SeriesBlocks, TimeSeries
-from .photon_emitter import TimeTagStream
+from .photon_emitter import TagBlocks, TimeTagStream
 
 __all__ = [
     "Spectrum",
     "LorentzianFit",
     "G2Result",
     "BlinkHistogram",
+    "RateBins",
     "SaturationFit",
     "power_spectral_density",
     "stream_power_spectral_density",
@@ -286,6 +287,21 @@ class LorentzianFit:
         return 2.0 * np.pi * self.width
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, bit for bit, without the
+    ``numpy.ma`` import that ``np.median`` makes.
+
+    An even length takes (a + b) / 2 of the two middle values.  np.median
+    averages them with np.mean, whose sum starts from +0.0, so a median of
+    -0.0 comes out +0.0; the trailing ``+ 0.0`` does the same.
+    """
+    k = len(x) // 2
+    if len(x) % 2:
+        return np.partition(x, k)[k] + 0.0
+    middle = np.partition(x, (k - 1, k))
+    return (middle[k - 1] + middle[k]) / 2 + 0.0
+
+
 def _peak_snr(psd: np.ndarray) -> tuple[int, float]:
     """Peak index and SNR in expected-extreme units.
 
@@ -295,9 +311,9 @@ def _peak_snr(psd: np.ndarray) -> tuple[int, float]:
     over all bins, sqrt(2 ln n), so a featureless noisy spectrum scores ~1
     regardless of length and a real peak scores >> 1.
     """
-    background = np.median(psd)
+    background = _median(psd)
     peak = int(np.argmax(psd))
-    noise = 1.4826 / np.sqrt(2.0) * np.median(np.abs(np.diff(psd)))
+    noise = 1.4826 / np.sqrt(2.0) * _median(np.abs(np.diff(psd)))
     if noise <= 0:
         return peak, np.inf if psd[peak] > background else 0.0
     expected_extreme = noise * np.sqrt(2.0 * np.log(max(len(psd), 2)))
@@ -311,7 +327,7 @@ def _fwhm_guess(f: np.ndarray, y: np.ndarray, peak_idx: int) -> float:
     is robust to single noisy dips; for a unimodal peak on a flat background
     the tails never cross the half level, so the count is unbiased.
     """
-    background = float(np.median(y))
+    background = float(_median(y))
     half = background + (float(y[peak_idx]) - background) / 2.0
     df = f[1] - f[0]
     return df * max(int(np.count_nonzero(y > half)), 1)
@@ -419,17 +435,114 @@ class G2Result:
         return int(self.coincidences[len(self.lags) // 2])
 
 
-# pulse-lag slots (channel-0 pulses x lags) expanded at once by g2_zero
-_G2_BLOCK_SLOTS = 1 << 22
+# pulse pairs expanded at once by g2_zero, or the histogram's length if larger
+_G2_BLOCK_PAIRS = 1 << 14
 
 
-def _pulse_counts(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    uniq, counts = np.unique(indices, return_counts=True)
-    return uniq, counts.astype(np.int64)
+def _pulse_counts(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a sorted array and how often each occurs."""
+    if len(pulses) == 0:
+        return pulses, np.zeros(0, dtype=np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], pulses[1:] != pulses[:-1])))
+    return pulses[starts], np.diff(starts, append=len(pulses)).astype(np.int64)
 
 
-def g2_zero(stream: TimeTagStream, pulse_period: float,
-            max_lag: int = 50) -> G2Result:
+def _join(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
+    """Two (pulses, counts) pairs, the pulses of ``b`` after those of ``a``, as one."""
+    return np.concatenate((a[0], b[0])), np.concatenate((a[1], b[1]))
+
+
+def _from(counts: tuple[np.ndarray, np.ndarray], pulse: int):
+    """The (pulses, counts) entries at or after ``pulse``."""
+    first = int(np.searchsorted(counts[0], pulse))
+    return counts[0][first:], counts[1][first:]
+
+
+def _as_blocks(stream: TimeTagStream | TagBlocks) -> TagBlocks:
+    return stream.as_blocks() if isinstance(stream, TimeTagStream) else stream
+
+
+class _PulseLagFold:
+    """Pulse-lag coincidence histogram of a time-sorted stream fed in blocks.
+
+    Events go to pulse indices rint((t - t0) / period), t0 the first
+    timestamp.  The events of a block's last pulse are held back until a
+    later pulse arrives, so every pulse is counted whole.  Each pair of a
+    channel-0 and a channel-1 pulse at most ``window`` pulses apart is
+    counted once, when its later pulse arrives: the new channel-0 pulses
+    against the channel-1 tail and against the new channel-1 pulses, and
+    the channel-0 tail against the new channel-1 pulses.  The tails keep the
+    pulses a later pulse can still reach.  The counts are integers, so the
+    histogram does not depend on where the blocks end.
+    """
+
+    def __init__(self, pulse_period: float, window: int):
+        self.period, self.window = pulse_period, window
+        self.t0 = None
+        self.coincidences = np.zeros(2 * window + 1, dtype=np.int64)
+        self.events = [0, 0]  # per channel
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        self.tails = [empty, empty]  # (pulses, counts) per channel
+        self.held = (np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64))
+        self.last_pulse = 0
+
+    def add(self, channels: np.ndarray, timestamps: np.ndarray) -> None:
+        if len(timestamps) == 0:
+            return
+        if self.t0 is None:
+            self.t0 = timestamps[0]
+        pulses = np.rint((timestamps - self.t0) / self.period).astype(np.int64)
+        if len(self.held[0]):
+            channels = np.concatenate((self.held[0], channels))
+            pulses = np.concatenate((self.held[1], pulses))
+        done = int(np.searchsorted(pulses, pulses[-1]))
+        self.held = (channels[done:].copy(), pulses[done:].copy())
+        self.last_pulse = int(pulses[-1])
+        self._count(channels[:done], pulses[:done], self.last_pulse)
+
+    def finish(self) -> np.ndarray:
+        self._count(*self.held, self.last_pulse + self.window + 1)
+        return self.coincidences
+
+    def _count(self, channels: np.ndarray, pulses: np.ndarray, next_pulse: int) -> None:
+        """Count the pairs of whole pulses, later than any counted before;
+        no pulse before ``next_pulse`` is still to come."""
+        new = [_pulse_counts(pulses[channels == c]) for c in (0, 1)]
+        for c in (0, 1):
+            self.events[c] += int(new[c][1].sum())
+        tail0, tail1 = self.tails
+        self._pairs(*new[0], *tail1)
+        self._pairs(*new[0], *new[1])
+        self._pairs(*tail0, *new[1])
+        keep = next_pulse - self.window
+        self.tails = [_join(_from(tail, keep), _from(fresh, keep))
+                      for tail, fresh in zip(self.tails, new)]
+
+    def _pairs(self, idx0, cnt0, idx1, cnt1) -> None:
+        """Add the lags idx1 - idx0 within the window, weighted cnt0 * cnt1."""
+        window = self.window
+        first = np.searchsorted(idx1, idx0 - window, side="left")
+        n_pairs = np.searchsorted(idx1, idx0 + window, side="right") - first
+        ends = np.cumsum(n_pairs)  # pairs up to each channel-0 pulse, inclusive
+        budget = max(_G2_BLOCK_PAIRS, len(self.coincidences))
+        a = 0
+        while a < len(idx0):
+            before = ends[a] - n_pairs[a]
+            b = max(a + 1, int(np.searchsorted(ends, before + budget, side="right")))
+            reps = n_pairs[a:b]
+            pair_start = ends[a:b] - reps - before  # first pair of each channel-0 pulse
+            # channel-1 position of each pair: window start plus rank in the window
+            j1 = np.arange(int(ends[b - 1] - before)) + np.repeat(
+                first[a:b] - pair_start, reps)
+            lag = idx1[j1] - np.repeat(idx0[a:b] - window, reps)
+            self.coincidences += np.bincount(
+                lag, weights=np.repeat(cnt0[a:b], reps) * cnt1[j1],
+                minlength=len(self.coincidences)).astype(np.int64)
+            a = b
+
+
+def g2_zero(stream: TimeTagStream | TagBlocks, pulse_period: float,
+            max_lag: int = 50, rates: RateBins | None = None) -> G2Result:
     """Normalized zero-delay correlation from pulse-lag coincidences.
 
     Events are assigned to pulse indices and counted per pulse and channel.
@@ -437,51 +550,45 @@ def g2_zero(stream: TimeTagStream, pulse_period: float,
     pulses apart is listed once (two ``searchsorted`` calls bound each
     channel-0 pulse's window, ``np.repeat`` expands it) and ``np.bincount``
     histograms the pair lags weighted by the product of the two counts, in
-    blocks of about 2**22 pulse-lag slots; the histogram itself holds
-    2 max_lag + 1 counts.  A ``max_lag`` beyond the stream's pulse span
+    runs of about ``_G2_BLOCK_PAIRS`` pairs, or of 2 max_lag + 1 (the
+    histogram's length) if that is more, so that neither the pairs nor the
+    histogram dominate a run.  A ``TagBlocks`` is consumed in one pass
+    (``_PulseLagFold``) that also feeds ``rates``, if given, so that one
+    read serves ``blink_analysis`` too; the histogram is the one of the
+    collected stream.  A ``max_lag`` beyond the stream's pulse span
     raises InsufficientDataError: those lags can hold no pair and would only
     dilute the side-peak mean.  g2(0) is the zero-lag count over the mean
     side-peak count at lags 1..max_lag.  The error is Poissonian,
     g2 * sqrt(1/N0 + 1/N_side); when N0 = 0 the one-count scale
-    1/mean(N_side) is reported instead.
+    1/mean(N_side) is reported instead.  Every block is consumed before a
+    statistic is found undefined, so a reader's checks run first.
     Invariant under uniform time shifts and channel swap.
     """
     if pulse_period <= 0:
         raise ValueError("pulse_period must be > 0")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    n0, n1 = stream.counts_per_channel()
+    stream = _as_blocks(stream)
+    # no pulse span exceeds the window's, so neither need the histogram
+    fold = _PulseLagFold(pulse_period, int(min(
+        max_lag, np.rint(stream.duration / pulse_period))))
+    for channels, timestamps in stream.blocks:
+        fold.add(channels, timestamps)
+        if rates is not None:
+            rates.add(timestamps)
+    coincidences = fold.finish()
+    n0, n1 = fold.events
     if n0 == 0 or n1 == 0:
         raise UndefinedResultError("both channels must contain events")
-    if len(stream) < 1e4:
+    if n0 + n1 < 1e4:
         warnings.warn("fewer than 1e4 events; g2 estimate will be noisy",
                       stacklevel=2)
-
-    t0 = stream.timestamps[0]
-    pulses = np.rint((stream.timestamps - t0) / pulse_period).astype(np.int64)
-    span = int(pulses[-1] - pulses[0])
+    span = fold.last_pulse
     if max_lag > span:
         raise InsufficientDataError(
             f"max_lag {max_lag} exceeds the stream's span of {span} pulses")
-    idx0, cnt0 = _pulse_counts(pulses[stream.channels == 0])
-    idx1, cnt1 = _pulse_counts(pulses[stream.channels == 1])
 
     lags = np.arange(-max_lag, max_lag + 1)
-    first = np.searchsorted(idx1, idx0 - max_lag, side="left")
-    n_pairs = np.searchsorted(idx1, idx0 + max_lag, side="right") - first
-    coincidences = np.zeros(len(lags), dtype=np.int64)
-    block = max(1, _G2_BLOCK_SLOTS // len(lags))
-    for a in range(0, len(idx0), block):
-        b = a + block
-        reps = n_pairs[a:b]
-        pair_start = np.cumsum(reps) - reps  # first pair of each channel-0 pulse
-        # channel-1 position of each pair: window start plus rank in the window
-        j1 = np.arange(int(reps.sum())) + np.repeat(first[a:b] - pair_start, reps)
-        lag = idx1[j1] - np.repeat(idx0[a:b] - max_lag, reps)
-        coincidences += np.bincount(
-            lag, weights=np.repeat(cnt0[a:b], reps) * cnt1[j1],
-            minlength=len(lags)).astype(np.int64)
-
     zero = int(coincidences[max_lag])
     side = np.concatenate([coincidences[:max_lag], coincidences[max_lag + 1:]])
     side_mean = float(np.mean(side))
@@ -587,30 +694,83 @@ def _peaks(x: np.ndarray) -> tuple[list[int], list[float]]:
     return peaks, prominences
 
 
-def blink_analysis(stream: TimeTagStream, bin_width: float = 500e-6) -> BlinkHistogram:
+def _add_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two histograms that may differ in length."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[: len(b)] += b
+    return out
+
+
+class RateBins:
+    """How many of the fixed time bins of an acquisition hold each event count.
+
+    Bin k covers [k, k + 1) * ``bin_width``; the ``floor(duration /
+    bin_width)`` whole bins count, events after them do not.  Timestamps
+    are fed in time order, block by block (``add``): the bins a block
+    closes go into the histogram, and the bin it leaves open carries its
+    count into the next block.  The counts are integers, so the histogram
+    does not depend on where the blocks end.
+    """
+
+    def __init__(self, duration: float, bin_width: float = 500e-6):
+        if bin_width <= 0:
+            raise ValueError("bin_width must be > 0")
+        self.bin_width = bin_width
+        self.n_bins = int(np.floor(duration / bin_width))
+        self._closed = np.zeros(0, dtype=np.int64)  # histogram of the closed bins
+        self._n_closed = 0
+        self._open_bin, self._open_count = 0, 0
+
+    def add(self, timestamps: np.ndarray) -> None:
+        bins = np.floor(timestamps / self.bin_width).astype(np.int64)
+        bins = bins[: np.searchsorted(bins, self.n_bins)]
+        if len(bins) == 0:
+            return
+        per_bin = np.bincount(bins - self._open_bin)
+        per_bin[0] += self._open_count
+        self._closed = _add_counts(self._closed, np.bincount(per_bin[:-1]))
+        self._n_closed += len(per_bin) - 1
+        self._open_bin, self._open_count = int(bins[-1]), int(per_bin[-1])
+
+    def histogram(self) -> np.ndarray:
+        """Entry k: the number of bins holding k events, over all n_bins bins."""
+        hist = _add_counts(self._closed, np.bincount([self._open_count]))
+        hist[0] += self.n_bins - self._n_closed - 1
+        return hist
+
+
+def blink_analysis(stream: TimeTagStream | TagBlocks | RateBins,
+                   bin_width: float = 500e-6) -> BlinkHistogram:
     """Bin the stream into fixed intervals and classify the rate histogram.
 
+    A stream, or the blocks of one, is binned at ``bin_width`` through
+    ``RateBins``; a ``RateBins`` already fed (see ``g2_zero``) is taken as
+    it is, with its own bin width.
     Classes: ``exponential_burst`` when the histogram decays monotonically
     from its lowest occupied bin (log-linear fit quality recorded),
     ``grey_state_peak`` for a single prominent local maximum at nonzero rate,
     ``two_state`` for two or more.  The grey-state mean rate and rms width
     come from a Gaussian fit to the (lowest nonzero) peak.  Deterministic:
-    identical streams give identical classes.
+    identical streams give identical classes.  Every block is consumed
+    before a stream is found too short, so a reader's checks run first.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
-    n_bins = int(np.floor(stream.duration / bin_width))
-    if n_bins < 1000:
+    if isinstance(stream, RateBins):
+        rates = stream
+    else:
+        stream = _as_blocks(stream)
+        rates = RateBins(stream.duration, bin_width)
+        for _, timestamps in stream.blocks:
+            rates.add(timestamps)
+    bin_width = rates.bin_width
+    if rates.n_bins < 1000:
         raise InsufficientDataError(
-            f"stream too short: {n_bins} bins < 1000 at {bin_width*1e6:.0f} us"
+            f"stream too short: {rates.n_bins} bins < 1000 at {bin_width*1e6:.0f} us"
         )
 
-    bins = np.floor(stream.timestamps / bin_width).astype(np.int64)
-    bins = bins[bins < n_bins]
-    per_bin = np.bincount(bins, minlength=n_bins)
-    max_count = int(per_bin.max())
-    hist = np.bincount(per_bin, minlength=max_count + 1)
-    counts = np.arange(max_count + 1)
+    hist = rates.histogram()
+    counts = np.arange(len(hist))
 
     # light smoothing for mode/peak finding only; fits use the raw histogram
     kernel = np.array([1.0, 2.0, 1.0]) / 4.0
@@ -688,7 +848,7 @@ def fit_saturation(powers, rates) -> SaturationFit:
         raise ValueError("powers must be >= 0")
 
     c0 = float(np.max(y))
-    psat0 = float(np.median(P[P > 0])) if np.any(P > 0) else 1.0
+    psat0 = float(_median(P[P > 0])) if np.any(P > 0) else 1.0
 
     def residuals(p):
         c, ps = p

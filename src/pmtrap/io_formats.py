@@ -12,20 +12,22 @@
 Binary container layout: 4-byte magic, u32 little-endian header length,
 UTF-8 JSON header, raw payload.
 
-The writers of dataset artifacts return the sha256 of the bytes they wrote,
-so a manifest needs no second read.  ``write_time_series`` takes a
-``TimeSeries`` or ``SeriesBlocks`` and writes the header (the sample count
-is known up front) and then each block as it arrives, so a trace never has
-to exist whole.  Each reader reads its file once, in order, hashing the
-bytes it parses, and raises ``MissingArtifactError`` if given a ``sha256``
-they do not match.  Container payloads are read in blocks of
-``_BLOCK_RECORDS`` records: ``read_time_series`` returns the one-pass
-``SeriesBlocks`` that ``write_time_series`` consumes, and ``read_time_tags``
-fills the channel and timestamp arrays directly.  Payload values that the
-models cannot have produced (non-finite samples or timestamps, channels
-other than 0 and 1, unsorted or out-of-window tags), and header or sidecar
-values of the wrong type or range, raise ``MissingArtifactError`` like any
-other corrupt artifact.
+The writers of dataset artifacts return the sha256 of the file they wrote.
+``write_time_series`` takes a ``TimeSeries`` or ``SeriesBlocks`` and writes
+the header (the sample count is known up front) and then each block as it
+arrives, hashing as it writes, so a trace never has to exist whole.
+``write_time_tags`` takes a ``TimeTagStream`` or ``TagBlocks``, whose event
+count is known only at the end: it writes a blank, fixed-width ``n_events``
+field, fills it in after the last block and hashes the file in one re-read.
+Each reader reads its file once, in order, hashing the bytes it parses, and
+raises ``MissingArtifactError`` if given a ``sha256`` they do not match.
+Container payloads are read in blocks of ``_BLOCK_RECORDS`` records:
+``read_time_series`` and ``read_time_tags`` return the one-pass
+``SeriesBlocks`` and ``TagBlocks`` that the writers consume.  Payload values
+that the models cannot have produced (non-finite samples or timestamps,
+channels other than 0 and 1, unsorted or out-of-window tags, also across
+blocks), and header or sidecar values of the wrong type or range, raise
+``MissingArtifactError`` like any other corrupt artifact.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import MissingArtifactError
 from .langevin import SeriesBlocks, TimeSeries
 from .mirror_optics import ApertureImage, RadialProfile
-from .photon_emitter import TimeTagStream
+from .photon_emitter import TagBlocks, TimeTagStream
 
 __all__ = [
     "write_image_csv", "read_image_csv",
@@ -58,6 +60,8 @@ _SERIES_DTYPE = np.dtype("<f8")
 _TAG_DTYPE = np.dtype([("channel", "u1"), ("time", "<f8")])
 # records per block of container payload reads and writes
 _BLOCK_RECORDS = 1 << 18
+# characters of the space-padded n_events field of a time-tag header
+_COUNT_WIDTH = 20
 
 
 def _sidecar(path: Path) -> Path:
@@ -289,73 +293,124 @@ def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
                         header.get("units", ""), header.get("seed"))
 
 
-def write_time_tags(path, stream: TimeTagStream, configs: dict | None = None) -> str:
-    """Write a time-tag container, packing records block by block; returns its sha256."""
+def write_time_tags(path, stream: TimeTagStream | TagBlocks,
+                    configs: dict | None = None) -> str:
+    """Write a time-tag container block by block; returns its sha256.
+
+    A ``TimeTagStream`` is written as one block, through the same path as
+    the blocks of a ``TagBlocks``, whose event count is known only when
+    they are used up: the header holds ``n_events`` as a JSON number
+    space-padded to ``_COUNT_WIDTH`` characters, written over the blank
+    field once the last block is, and recorded in ``stream.n_events``.  The
+    finished file is then hashed in one re-read of fixed-size chunks.
+    """
+    if isinstance(stream, TimeTagStream):
+        stream = stream.as_blocks()
     header = {
         "duration_s": stream.duration,
         "seed": stream.seed,
-        "n_events": len(stream),
+        "n_events": 0,
         "configs": configs or {},
         "metadata": stream.metadata,
     }
+    # json.dumps escapes non-ASCII, so string offsets are byte offsets; the
+    # top-level key sorts after every nested one and before "seed"
+    text = json.dumps(header, sort_keys=True)
+    field_at = text.rindex('"n_events": 0') + len('"n_events": ')
+    blob = (text[:field_at] + " " * _COUNT_WIDTH + text[field_at + 1:]).encode("utf-8")
+    path = Path(path)
+    count = 0
+    with open(path, "wb") as fh:
+        fh.write(_TAGS_MAGIC + struct.pack("<I", len(blob)) + blob)
+        buffer = np.empty(_BLOCK_RECORDS, dtype=_TAG_DTYPE)
+        for channels, timestamps in stream.blocks:
+            for start in range(0, len(timestamps), _BLOCK_RECORDS):
+                block = buffer[: min(len(timestamps) - start, _BLOCK_RECORDS)]
+                block["channel"] = channels[start: start + len(block)]
+                block["time"] = timestamps[start: start + len(block)]
+                fh.write(block)
+            count += len(timestamps)
+        fh.seek(8 + field_at)
+        fh.write(f"{count:>{_COUNT_WIDTH}d}".encode("ascii"))
+    if stream.n_events is not None and count != stream.n_events:
+        raise ValueError(f"{path}: {count} events, the stream promised {stream.n_events}")
+    stream.n_events = count
+    return sha256_file(path)
 
-    def records():
-        buffer = np.empty(min(len(stream), _BLOCK_RECORDS), dtype=_TAG_DTYPE)
-        for start in range(0, len(stream), _BLOCK_RECORDS):
-            block = buffer[: min(len(stream) - start, _BLOCK_RECORDS)]
-            block["channel"] = stream.channels[start: start + len(block)]
-            block["time"] = stream.timestamps[start: start + len(block)]
-            yield block
 
-    return _write_container(Path(path), _TAGS_MAGIC, header, records(),
-                            len(stream) * _TAG_DTYPE.itemsize)
+def read_time_tags(path, sha256: str | None = None) -> TagBlocks:
+    """A time-tag container as one in-order pass of blocks; ``len()`` is its
+    header ``n_events``.
 
-
-def read_time_tags(path, sha256: str | None = None) -> TimeTagStream:
-    """Read a time-tag container; ``sha256`` is checked before the values.
-
-    A header duration_s that is not a finite number >= 0, header metadata
-    that is not a mapping or whose repetition_rate is not a finite number
-    > 0, NaN or infinite timestamps, and streams that break a
-    ``TimeTagStream`` invariant (channels other than 0 and 1 among them)
-    raise ``MissingArtifactError``.
+    The magic, the header and the payload size are checked on the call: a
+    duration_s that is not a finite number >= 0, or metadata that is not a
+    mapping or whose repetition_rate is not a finite number > 0, raise.
+    Each block is checked as it is read (finite timestamps, channels 0 or
+    1, timestamps non-decreasing, also across blocks, and within [0,
+    duration_s]) and ``sha256`` after the last one; a failed check raises
+    ``MissingArtifactError``.  When a block fails and ``sha256`` is given,
+    the rest of the payload is hashed first, so that a stale digest is
+    reported as one.
     """
     path = Path(path)
-    digest = hashlib.sha256()
-    with _open(path) as fh:
-        header, count = _read_header(fh, path, _TAGS_MAGIC,
-                                     ("n_events", "duration_s"), "n_events",
-                                     _TAG_DTYPE, digest)
-        # unpacked block by block straight into the two field arrays
-        channels = np.empty(count, dtype=np.uint8)
-        timestamps = np.empty(count, dtype=np.float64)
-        start = 0
-        for block in _payload_blocks(fh, path, count, _TAG_DTYPE, digest):
-            channels[start: start + len(block)] = block["channel"]
-            timestamps[start: start + len(block)] = block["time"]
-            start += len(block)
-    _check_digest(digest, sha256, path)
-    duration, metadata = header["duration_s"], header.get("metadata", {})
-    if not (_finite_number(duration) and duration >= 0):
-        raise MissingArtifactError(f"artifact corrupt (header duration_s): {path}")
-    rate = metadata.get("repetition_rate", 1.0) if isinstance(metadata, dict) else None
-    if not (_finite_number(rate) and rate > 0):
-        raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
-    if not np.isfinite(timestamps).all():
-        raise MissingArtifactError(f"artifact corrupt (non-finite timestamp): {path}")
-    try:
-        return TimeTagStream(channels=channels, timestamps=timestamps,
-                             duration=duration, seed=header.get("seed"),
-                             metadata=metadata)
-    except ValueError as exc:
-        raise MissingArtifactError(f"artifact corrupt ({exc}): {path}")
+
+    def read():  # yields the header, then the blocks
+        digest = hashlib.sha256()
+        with _open(path) as fh:
+            header, count = _read_header(fh, path, _TAGS_MAGIC,
+                                         ("n_events", "duration_s"), "n_events",
+                                         _TAG_DTYPE, digest)
+            duration, metadata = header["duration_s"], header.get("metadata", {})
+            if not (_finite_number(duration) and duration >= 0):
+                raise MissingArtifactError(
+                    f"artifact corrupt (header duration_s): {path}")
+            rate = (metadata.get("repetition_rate", 1.0) if isinstance(metadata, dict)
+                    else None)
+            if not (_finite_number(rate) and rate > 0):
+                raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
+            yield header, count
+            previous, start = 0.0, 0
+            payload = _payload_blocks(fh, path, count, _TAG_DTYPE, digest)
+            for block in payload:
+                channels, timestamps = block["channel"].copy(), block["time"].copy()
+                defect = TimeTagStream.defect(channels, timestamps, duration,
+                                              previous)
+                if defect is not None:
+                    if sha256 is not None:
+                        for _ in payload:
+                            pass
+                        _check_digest(digest, sha256, path)
+                    raise MissingArtifactError(
+                        f"artifact corrupt ({defect}, in records "
+                        f"[{start}, {start + len(block)})): {path}")
+                previous, start = timestamps[-1], start + len(block)
+                yield channels, timestamps
+        _check_digest(digest, sha256, path)
+
+    blocks = read()
+    header, count = next(blocks)
+    return TagBlocks(duration=header["duration_s"], blocks=blocks,
+                     seed=header.get("seed"), metadata=header.get("metadata", {}),
+                     n_events=count)
 
 
-def export_time_tags_csv(path, stream: TimeTagStream) -> None:
+def export_time_tags_csv(path, stream: TimeTagStream | TagBlocks) -> None:
+    """``channel,timestamp_s`` rows, the timestamps as Python float reprs.
+
+    Each run of up to ``_BLOCK_RECORDS`` events is written with one ``%``
+    format.
+    """
+    if isinstance(stream, TimeTagStream):
+        stream = stream.as_blocks()
     with open(path, "w") as fh:
         fh.write("channel,timestamp_s\n")
-        for ch, t in zip(stream.channels, stream.timestamps):
-            fh.write(f"{int(ch)},{float(t)!r}\n")
+        for channels, timestamps in stream.blocks:
+            for start in range(0, len(timestamps), _BLOCK_RECORDS):
+                stop = start + _BLOCK_RECORDS
+                rows = [None] * (2 * len(timestamps[start:stop]))
+                rows[0::2] = channels[start:stop].tolist()
+                rows[1::2] = timestamps[start:stop].tolist()
+                fh.write("%d,%r\n" * (len(rows) // 2) % tuple(rows))
 
 
 def sha256_file(path) -> str:

@@ -9,16 +9,24 @@ and detection chain, then a 50/50 splitter onto two detector channels.
 
 Within a blink segment the attenuation is constant, so the detected-photon
 number per pulse is i.i.d. with a pmf computed exactly
-(:func:`detected_photon_pmf`).  :func:`generate_time_tags` draws only the
-pulses that give a detection, so time and memory scale with the number of
-events, not of pulses.  The per-pulse Monte Carlo of the same chain, which
-checks that pmf, lives with the test oracles (``tests/oracles.py``).  The
-result is a two-channel time-tag stream, deterministic per seed.
+(:func:`detected_photon_pmf`).  :func:`time_tag_blocks` draws only the
+pulses that give a detection, so time scales with the number of events, not
+of pulses, and it yields the two-channel stream as ``TagBlocks``: the pulse
+count and the metadata up front, then one block per ``_BLOCK_PULSES``
+pulses, so memory does not grow with the acquisition.  Each attenuation
+level carries its geometric-gap position from block to block, and the
+trajectory, each level's hits and counts, and the splitter draw from
+separate child generators, so the stream is deterministic per seed and the
+same whatever the block size.  :func:`generate_time_tags` collects the
+blocks into one ``TimeTagStream``.  The per-pulse Monte Carlo of the same
+chain, which checks that pmf, lives with the test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -30,11 +38,13 @@ __all__ = [
     "EmitterModel",
     "DetectionChain",
     "TimeTagStream",
+    "TagBlocks",
     "BlinkTrajectory",
     "RateEstimate",
     "auger_prob_for_cluster",
     "detected_photon_pmf",
     "blink_trajectory",
+    "time_tag_blocks",
     "generate_time_tags",
     "expected_count_rate",
 ]
@@ -156,19 +166,36 @@ class TimeTagStream:
 
     def __post_init__(self):
         channels = np.asarray(self.channels)
-        # checked before the uint8 cast, which would wrap 256 to 0
-        if channels.size and (channels.min() < 0 or channels.max() > 1):
-            raise ValueError("channels must be 0 or 1")
-        self.channels = channels.astype(np.uint8, copy=False)
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        if self.channels.shape != self.timestamps.shape:
+        if channels.shape != self.timestamps.shape:
             raise ValueError("channels and timestamps must align")
-        if np.any(self.timestamps[1:] < self.timestamps[:-1]):
-            raise ValueError("timestamps must be non-decreasing")
-        if len(self.timestamps) and (
-            self.timestamps[0] < 0 or self.timestamps[-1] > self.duration
-        ):
-            raise ValueError("timestamps must lie within the acquisition window")
+        # checked before the uint8 cast, which would wrap 256 to 0
+        defect = self.defect(channels, self.timestamps, self.duration)
+        if defect is not None:
+            raise ValueError(defect)
+        self.channels = channels.astype(np.uint8, copy=False)
+
+    @staticmethod
+    def defect(channels: np.ndarray, timestamps: np.ndarray, duration: float,
+               previous: float = 0.0) -> str | None:
+        """What breaks the stream invariants in a run of events, or None.
+
+        Timestamps finite, non-decreasing from ``previous`` (the timestamp
+        before the run; 0 for a whole stream) and at most ``duration``;
+        channels 0 or 1.
+        """
+        if len(timestamps) == 0:
+            return None
+        if not np.isfinite(timestamps).all():
+            return "non-finite timestamp"
+        if channels.min() < 0 or channels.max() > 1:
+            return "channels must be 0 or 1"
+        if timestamps[0] < previous or np.any(timestamps[1:] < timestamps[:-1]):
+            return ("timestamps must lie within the acquisition window"
+                    if timestamps[0] < 0 else "timestamps must be non-decreasing")
+        if timestamps[-1] > duration:
+            return "timestamps must lie within the acquisition window"
+        return None
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -176,6 +203,57 @@ class TimeTagStream:
     def counts_per_channel(self) -> tuple[int, int]:
         n1 = int(np.count_nonzero(self.channels))
         return len(self.channels) - n1, n1
+
+    def as_blocks(self) -> "TagBlocks":
+        """The stream as one block of a ``TagBlocks``."""
+        return TagBlocks(duration=self.duration,
+                         blocks=iter([(self.channels, self.timestamps)]),
+                         seed=self.seed, metadata=self.metadata,
+                         n_events=len(self))
+
+
+@dataclass
+class TagBlocks:
+    """A time-tag stream delivered once, as consecutive blocks.
+
+    Each block is a ``(channels, timestamps)`` pair of aligned arrays, and
+    the blocks in order make one time-sorted stream.  ``duration``,
+    ``seed`` and ``metadata`` are known before the first block, and so is
+    ``n_events`` when the producer knows it (a reader does, a generator
+    does not); ``len()`` is that count.  Each block's arrays are its own,
+    so a consumer may keep them.
+    """
+
+    duration: float
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]]
+    seed: int | None = None
+    metadata: dict = field(default_factory=dict)
+    n_events: int | None = None
+
+    def __len__(self) -> int:
+        if self.n_events is None:
+            raise TypeError("the event count is known once the blocks are consumed")
+        return self.n_events
+
+    def collect(self) -> TimeTagStream:
+        """All blocks in one ``TimeTagStream``, which checks its invariants."""
+        if self.n_events is None:
+            blocks = list(self.blocks)
+            channels = np.concatenate([c for c, _ in blocks] or [np.zeros(0, np.uint8)])
+            timestamps = np.concatenate([t for _, t in blocks] or [np.zeros(0)])
+        else:
+            channels = np.empty(self.n_events, dtype=np.uint8)
+            timestamps = np.empty(self.n_events)
+            start = 0
+            for c, t in self.blocks:
+                channels[start: start + len(c)] = c
+                timestamps[start: start + len(t)] = t
+                start += len(t)
+            if start != self.n_events:
+                raise ValueError(f"{start} events, the blocks promised {self.n_events}")
+        return TimeTagStream(channels=channels, timestamps=timestamps,
+                             duration=self.duration, seed=self.seed,
+                             metadata=self.metadata)
 
 
 def auger_prob_for_cluster(n_rods: int) -> float:
@@ -310,85 +388,137 @@ def blink_trajectory(duration: float, model: EmitterModel,
                            attenuations=np.array(values), duration=duration)
 
 
-def _bernoulli_hits(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices in [0, n) of a Bernoulli(p) process, via geometric gaps."""
-    chunks = []
-    last = -1
-    while last < n:
-        expected = (n - 1 - last) * p
-        gaps = rng.geometric(p, size=int(expected + 5.0 * np.sqrt(expected)) + 16)
-        # a gap beyond n leaves the window; clipping keeps the sum from overflowing
-        steps = last + np.cumsum(np.minimum(gaps, n + 1))
-        last = int(steps[-1])
-        chunks.append(steps[steps < n])
-    return np.concatenate(chunks)
+# pulses per block of ``time_tag_blocks``; the stream does not depend on it
+_BLOCK_PULSES = 1 << 18
+# most geometric gaps drawn at once for one attenuation level
+_GAP_CHUNK = 1 << 16
 
 
-def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
-                       chain: DetectionChain, duration: float,
-                       seed: int) -> TimeTagStream:
-    """Simulate the detected two-channel time-tag stream.
+class _HitLine:
+    """The pulses of one attenuation level, in pulse order, as one line of
+    i.i.d. pulses; its hits and their photon counts, block by block.
+
+    Hit positions on the line are the running sums of geometric gaps at the
+    hit probability ``cdf[-1]``, drawn from ``hits_rng`` in runs whose
+    length depends only on the position reached, and kept across blocks
+    until their pulse comes; each hit draws its count from ``counts_rng``,
+    so neither draw depends on where the blocks end.
+    """
+
+    def __init__(self, seg_first: np.ndarray, seg_len: np.ndarray, cdf: np.ndarray,
+                 hits_rng: np.random.Generator, counts_rng: np.random.Generator):
+        self.seg_first, self.seg_len = seg_first, seg_len
+        self.line_start = np.cumsum(seg_len) - seg_len
+        self.length = int(seg_len.sum())
+        self.cdf = cdf
+        self.hits_rng, self.counts_rng = hits_rng, counts_rng
+        self.pending = np.zeros(0, dtype=np.int64)  # drawn hit positions not yet placed
+        self.last = -1  # last position drawn
+
+    def _position(self, pulse: int) -> int:
+        """Line position of the first of this level's pulses at or after ``pulse``."""
+        i = int(np.searchsorted(self.seg_first, pulse, side="right")) - 1
+        if i < 0:
+            return 0
+        return int(self.line_start[i] + min(pulse - self.seg_first[i], self.seg_len[i]))
+
+    def take(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Hit pulses in [start, end), ascending, and their photon counts (>= 1)."""
+        stop = self._position(end)
+        drawn = [self.pending]
+        while self.last < stop:
+            # as many gaps as the rest of the line likely needs, at most
+            # _GAP_CHUNK: a function of the draws so far, not of ``stop``
+            expected = (self.length - 1 - self.last) * self.cdf[-1]
+            size = min(_GAP_CHUNK, int(expected + 5.0 * np.sqrt(expected)) + 16)
+            gaps = self.hits_rng.geometric(self.cdf[-1], size=size)
+            # a gap beyond the line leaves it; clipping keeps the sum from overflowing
+            steps = self.last + np.cumsum(np.minimum(gaps, self.length + 1))
+            self.last = int(steps[-1])
+            drawn.append(steps)
+        pending = np.concatenate(drawn) if len(drawn) > 1 else self.pending
+        taken = int(np.searchsorted(pending, stop))
+        hits, self.pending = pending[:taken], pending[taken:]
+        owner = np.searchsorted(self.line_start, hits, side="right") - 1
+        pulses = self.seg_first[owner] + hits - self.line_start[owner]
+        counts = 1 + np.searchsorted(
+            self.cdf, self.counts_rng.random(len(hits)) * self.cdf[-1], side="right")
+        return pulses, counts
+
+
+def time_tag_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
+                    chain: DetectionChain, duration: float, seed: int) -> TagBlocks:
+    """The detected two-channel time-tag stream, in blocks of pulses.
 
     Pulse i fires at i / repetition rate and takes the blink attenuation of
     the segment it falls in.  For each attenuation level the pulses of its
-    segments form one line of i.i.d. pulses: the pulses with at least one
-    detection are placed by geometric gaps at that level's hit probability
-    1 - pmf[0], and each draws its count from the pmf conditioned on n >= 1
-    (see :func:`detected_photon_pmf`).  Counts go through the 50/50
-    splitter, ch0 events before ch1 within a pulse.  Nothing of length
-    n_pulses is allocated.  Identical seeds give identical streams.
+    segments form one line of i.i.d. pulses (``_HitLine``): the pulses with
+    at least one detection are placed by geometric gaps at that level's hit
+    probability 1 - pmf[0], and each draws its count from the pmf
+    conditioned on n >= 1 (see :func:`detected_photon_pmf`).  Counts go
+    through the 50/50 splitter, ch0 events before ch1 within a pulse.
+
+    The blink trajectory, ``n_pulses`` and the metadata are fixed on the
+    call; each block then covers ``_BLOCK_PULSES`` pulses.  The trajectory,
+    each level's hits, each level's counts and the splitter draw from
+    separate child generators, each in pulse order, so the stream is the
+    same whatever the block size, and identical seeds give identical
+    streams.  Nothing of length n_pulses is allocated.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
     n_pulses = int(np.floor(duration * excitation.repetition_rate))
     period = 1.0 / excitation.repetition_rate
-    rng = rng_for(seed, "time-tags")
-
-    trajectory = blink_trajectory(duration, emitter, rng)
+    trajectory = blink_trajectory(duration, emitter, rng_for(seed, "time-tags"))
     first_pulse = np.minimum(
         np.ceil(trajectory.boundaries / period).astype(np.int64), n_pulses)
     lengths = np.diff(first_pulse, append=n_pulses)
 
-    hit_pulses, n_hit = [], []
-    for level in np.unique(trajectory.attenuations):
+    lines = []
+    for k, level in enumerate(sorted(set(trajectory.attenuations.tolist()))):
         pmf = detected_photon_pmf(excitation, emitter, chain, level)
         if len(pmf) == 1:  # no detection at this level
             continue
-        cdf = np.cumsum(pmf[1:])
         segments = trajectory.attenuations == level
-        seg_first, seg_len = first_pulse[segments], lengths[segments]
-        line_start = np.cumsum(seg_len) - seg_len
-        hits = _bernoulli_hits(int(seg_len.sum()), float(cdf[-1]), rng)
-        owner = np.searchsorted(line_start, hits, side="right") - 1
-        hit_pulses.append(seg_first[owner] + hits - line_start[owner])
-        n_hit.append(1 + np.searchsorted(cdf, rng.random(len(hits)) * cdf[-1],
-                                         side="right"))
-    pulses = np.concatenate(hit_pulses or [np.zeros(0, dtype=np.int64)])
-    n_per_pulse = np.concatenate(n_hit or [np.zeros(0, dtype=np.int64)])
-    if len(hit_pulses) > 1:
-        order = np.argsort(pulses)
-        pulses, n_per_pulse = pulses[order], n_per_pulse[order]
+        lines.append(_HitLine(first_pulse[segments], lengths[segments],
+                              np.cumsum(pmf[1:]), rng_for(seed, "time-tags", "hits", k),
+                              rng_for(seed, "time-tags", "counts", k)))
+    splitter = rng_for(seed, "time-tags", "splitter")
 
-    ch1 = rng.binomial(n_per_pulse, 1.0 - chain.splitter_ratio)
-    ch0 = n_per_pulse - ch1
+    def blocks():
+        for start in range(0, n_pulses, _BLOCK_PULSES):
+            taken = [line.take(start, min(start + _BLOCK_PULSES, n_pulses))
+                     for line in lines]
+            if len(taken) == 1:
+                pulses, n_per_pulse = taken[0]
+            else:  # the levels' pulses interleave; no two levels share one
+                pulses = np.concatenate([p for p, _ in taken] or [np.zeros(0, np.int64)])
+                n_per_pulse = np.concatenate([n for _, n in taken]
+                                             or [np.zeros(0, np.int64)])
+                order = np.argsort(pulses)
+                pulses, n_per_pulse = pulses[order], n_per_pulse[order]
+            ch1 = splitter.binomial(n_per_pulse, 1.0 - chain.splitter_ratio)
+            times = np.repeat(pulses * period, n_per_pulse)
+            # ch0 events first within each pulse, then ch1 (stable, deterministic)
+            offsets = np.cumsum(n_per_pulse) - n_per_pulse
+            within_pulse = np.arange(len(times)) - np.repeat(offsets, n_per_pulse)
+            channels = within_pulse >= np.repeat(n_per_pulse - ch1, n_per_pulse)
+            yield channels.astype(np.uint8), times
 
-    times = np.repeat(pulses * period, n_per_pulse)
-    # ch0 events first within each pulse, then ch1 (stable, deterministic)
-    offsets = np.concatenate(([0], np.cumsum(n_per_pulse)))
-    within_pulse = np.arange(int(n_per_pulse.sum())) - np.repeat(offsets[:-1],
-                                                                 n_per_pulse)
-    channels = (within_pulse >= np.repeat(ch0, n_per_pulse)).astype(np.uint8)
+    return TagBlocks(duration=duration, blocks=blocks(), seed=seed, metadata={
+        "repetition_rate": excitation.repetition_rate,
+        "n_pulses": n_pulses,
+        "mean_excitons": excitation.mean_excitons,
+        "auger_pair_prob": emitter.auger_pair_prob,
+        "blink_mode": emitter.blink_mode,
+    })
 
-    return TimeTagStream(
-        channels=channels, timestamps=times, duration=duration, seed=seed,
-        metadata={
-            "repetition_rate": excitation.repetition_rate,
-            "n_pulses": n_pulses,
-            "mean_excitons": excitation.mean_excitons,
-            "auger_pair_prob": emitter.auger_pair_prob,
-            "blink_mode": emitter.blink_mode,
-        },
-    )
+
+def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
+                       chain: DetectionChain, duration: float,
+                       seed: int) -> TimeTagStream:
+    """The stream of :func:`time_tag_blocks`, collected in one ``TimeTagStream``."""
+    return time_tag_blocks(excitation, emitter, chain, duration, seed).collect()
 
 
 @dataclass(frozen=True)

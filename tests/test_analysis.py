@@ -199,6 +199,19 @@ def lorentzian(f, a, f0, hw, b):
     return a * hw**2 / ((f - f0) ** 2 + hw**2) + b
 
 
+class TestMedian:
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=40))
+    @example(x=[-0.0])
+    @example(x=[-0.0, -0.0])
+    def test_equals_np_median(self, x):
+        # odd and even lengths; for an even one (a + b) / 2 of the middle two
+        x = np.array(x)
+        assert np.array_equal(an._median(x), np.median(x), equal_nan=True)
+        assert np.float64(an._median(x)).tobytes() == np.median(x).tobytes()
+
+
 class TestFitLorentzian:
     def test_noiseless_exact(self):
         f = np.linspace(1e4, 2e7, 5000)
@@ -369,10 +382,45 @@ class TestG2Zero:
         assert result.coincidences.dtype == np.int64
         assert np.array_equal(result.coincidences, expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1)),
+                           min_size=2, max_size=80),
+           max_lag=st.integers(1, 12),
+           cuts=st.lists(st.integers(0, 80), max_size=6),
+           bin_width=st.sampled_from([1e-6, 2.5e-6, 7e-6]))
+    def test_streamed_histograms_match_in_memory(self, events, max_lag, cuts,
+                                                 bin_width):
+        # any split into blocks, even inside a pulse, gives the histograms
+        # of the whole stream: the pulse-lag oracle's and a per-bin bincount
+        events.sort()
+        pulses = np.array([p for p, _ in events])
+        ch = np.array([c for _, c in events], dtype=np.uint8)
+        assume(ch.min() != ch.max() and max_lag <= pulses[-1] - pulses[0])
+        times = pulses * 1e-6
+        edges = [0, *sorted(min(c, len(times)) for c in cuts), len(times)]
+        tags = pe.TagBlocks(duration=41e-6, n_events=len(times), blocks=iter(
+            [(ch[a:b], times[a:b]) for a, b in zip(edges[:-1], edges[1:])]))
+        rates = an.RateBins(41e-6, bin_width)
+        expected = oracles.pulse_lag_coincidences(
+            pulses[ch == 0] - pulses[0], pulses[ch == 1] - pulses[0], max_lag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                streamed = an.g2_zero(tags, 1e-6, max_lag=max_lag, rates=rates)
+            except UndefinedResultError:  # no side-peak pairs
+                assert expected.sum() == expected[max_lag]
+                streamed = None
+        if streamed is not None:
+            assert np.array_equal(streamed.coincidences, expected)
+        bins = np.floor(times / bin_width).astype(np.int64)
+        n_bins = int(np.floor(41e-6 / bin_width))
+        per_bin = np.bincount(bins[bins < n_bins], minlength=n_bins)
+        assert np.array_equal(rates.histogram(), np.bincount(per_bin))
+
     def test_blocks_do_not_change_histogram(self, monkeypatch):
         stream = poisson_stream(5e4, 1.0, seed=6)
         whole = an.g2_zero(stream, 1e-6, max_lag=20)
-        monkeypatch.setattr(an, "_G2_BLOCK_SLOTS", 41 * 7 + 3)
+        monkeypatch.setattr(an, "_G2_BLOCK_PAIRS", 7)
         blocked = an.g2_zero(stream, 1e-6, max_lag=20)
         assert np.array_equal(whole.coincidences, blocked.coincidences)
 
@@ -598,6 +646,8 @@ class TestLeastSquaresOracle:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mean=st.floats(10.0, 200.0),
            spread=st.floats(0.8, 2.0), n_bins=st.integers(2000, 20000))
+    # counts clipped at 0 pile up into a peak at 0 that neither fit reaches
+    @example(seed=8, mean=10.0, spread=2.0, n_bins=2000)
     def test_gaussian_peak_matches_curve_fit(self, seed, mean, spread, n_bins):
         rng = np.random.default_rng(seed)
         per_bin = np.rint(rng.normal(mean, spread * np.sqrt(mean), n_bins))
@@ -608,10 +658,16 @@ class TestLeastSquaresOracle:
         sigma0 = max(np.sqrt(max(counts[peak], 1.0)), 1.0)
         lo = max(peak - int(4 * sigma0), 0)
         hi = min(peak + int(4 * sigma0) + 1, len(counts))
-        popt, pcov = optimize.curve_fit(
-            lambda x, a, mu, s: a * np.exp(-((x - mu) ** 2) / (2.0 * s**2)),
-            counts[lo:hi].astype(float), hist[lo:hi].astype(float),
-            p0=[hist[peak], counts[peak], sigma0], maxfev=2000)
+        try:
+            popt, pcov = optimize.curve_fit(
+                lambda x, a, mu, s: a * np.exp(-((x - mu) ** 2) / (2.0 * s**2)),
+                counts[lo:hi].astype(float), hist[lo:hi].astype(float),
+                p0=[hist[peak], counts[peak], sigma0], maxfev=2000)
+        except RuntimeError:
+            # curve_fit ran out of evaluations: the fit fails here too and
+            # the peak position and Poisson width stand in
+            assert got == (float(counts[peak]), float(sigma0))
+            return
         errors = np.sqrt(np.diag(pcov))
         assert abs(got[0] - popt[1]) <= 1e-3 * errors[1]
         assert abs(got[1] - abs(popt[2])) <= 1e-3 * errors[2]

@@ -27,6 +27,10 @@ from pmtrap.cli import (
 )
 from pmtrap.config import load_config, parse_config
 from pmtrap.langevin import TimeSeries
+from pmtrap import photon_emitter as pe
+from pmtrap.photon_emitter import TimeTagStream
+from pmtrap.reproduce import run_target
+from pmtrap.seeding import rng_for
 
 import oracles
 
@@ -434,6 +438,51 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "checksum mismatch" in err and "detector.ts" in err
 
+    @pytest.fixture(scope="class")
+    def boundary_dataset(self, short_dataset, tmp_path_factory):
+        # a tags.bin of _BLOCK_RECORDS + 1 records, one event every third
+        # pulse on alternating channels: its last record opens the reader's
+        # second block
+        _, out, _ = short_dataset
+        ds = _copy_dataset(out, tmp_path_factory.mktemp("boundary") / "ds",
+                           rewrite=("tags.bin",))
+        n = io._BLOCK_RECORDS + 1
+        io.write_time_tags(ds / "tags.bin", TimeTagStream(
+            channels=np.arange(n) % 2, timestamps=np.arange(n) * 3e-6, duration=1.0,
+            metadata={"repetition_rate": 1e6}))
+        _rehash(ds, "tags.bin")
+        return ds
+
+    def test_block_boundary_dataset_analyzes(self, boundary_dataset, tmp_path):
+        # the undamaged file, so that each defect below is what fails
+        assert main(["analyze", str(boundary_dataset), "--out",
+                     str(tmp_path / "res")]) == EXIT_OK
+
+    @pytest.mark.parametrize("defect, value", [
+        ("unsorted", struct.pack("<d", (3 * io._BLOCK_RECORDS - 4) * 1e-6)),
+        ("channel_2", b"\x02"),
+        ("after_window", struct.pack("<d", 1.5)),
+    ], ids=["unsorted", "channel_2", "after_window"])
+    def test_defect_at_block_boundary_exits_4(self, boundary_dataset, tmp_path,
+                                              defect, value, capsys):
+        # checksum updated: the only defect sits at record _BLOCK_RECORDS,
+        # which the reader checks against the block before it
+        broken = _copy_dataset(boundary_dataset, tmp_path / "ds", rewrite=("tags.bin",))
+        path = broken / "tags.bin"
+        raw = bytearray(path.read_bytes())
+        record = len(raw) - 9  # record _BLOCK_RECORDS, the last one
+        if defect == "channel_2":
+            raw[record] = value[0]
+        else:
+            raw[record + 1: record + 9] = value
+        path.write_bytes(bytes(raw))
+        _rehash(broken, "tags.bin")
+        res = tmp_path / "res"
+        assert main(["analyze", str(broken), "--out", str(res)]) == EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "tags.bin" in err and f"[{io._BLOCK_RECORDS}, " in err
+        assert not (res / "results.json").exists()
+
     def test_max_lag_sets_histogram_range(self, dataset, tmp_path, capsys):
         _, out, _ = dataset
         res = tmp_path / "lag10"
@@ -488,6 +537,32 @@ class TestBoundedMemory:
         assert peaks[2**23][stage] < peaks[2**21][stage] + 8 * 2**20
 
 
+class TestBoundedPhotonMemory:
+    # the photon path holds fixed-size blocks of pulses and of tags, never
+    # the stream: from a 10 s to a 40 s acquisition (6 to 24 MB of tags.bin)
+    # neither peak moves by more than 8 MiB; a short detector trace and
+    # small images keep the rest of the dataset small
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        peaks = {}
+        for duration in (10.0, 40.0):
+            root = tmp_path_factory.mktemp(f"acquisition{duration:g}")
+            config = parse_config({
+                "seed": 5, "acquisition": {"duration_s": duration},
+                "simulation": {"duration_s": 2e-4}, "image": {"n_pixels": 64}})
+            simulate = _traced_peak(lambda: simulate_dataset(config, root / "ds"))
+            size = (root / "ds" / "tags.bin").stat().st_size
+            analyze = _traced_peak(lambda: analyze_dataset(root / "ds", root / "res"))
+            peaks[duration] = {"simulate": simulate, "analyze": analyze, "size": size}
+            shutil.rmtree(root)
+        return peaks
+
+    @pytest.mark.parametrize("stage", ["simulate", "analyze"])
+    def test_peak_bounded(self, peaks, stage):
+        assert peaks[40.0]["size"] > 3.5 * peaks[10.0]["size"]
+        assert peaks[40.0][stage] < peaks[10.0][stage] + 8 * 2**20
+
+
 class TestReproduceCli:
     def test_unknown_figure_exits_2(self):
         assert main(["reproduce", "--figure", "fig99"]) == EXIT_CONFIG
@@ -500,6 +575,22 @@ class TestReproduceCli:
         assert summary["P_min_mW"] == pytest.approx(41.0, rel=1e-9)
         assert (tmp_path / "appB_pmin.csv").exists()
         assert (tmp_path / "appB_pmin_summary.json").exists()
+
+    def test_appE_counts_the_collected_stream(self, tmp_path):
+        # appE counts the blocks without holding them: its Monte Carlo rate
+        # is that of the collected stream on the same seed
+        config = parse_config({"seed": 31})
+        summary = run_target("appE_rate", config, tmp_path)
+        emitter = pe.EmitterModel(n_rods=config.emitter.n_rods,
+                                  quantum_yield=config.emitter.quantum_yield,
+                                  auger_pair_prob=1.0, blink_mode="steady")
+        stream = pe.generate_time_tags(
+            config.excitation, emitter, config.detection, 10.0,
+            seed=int(rng_for(config.seed, "appE-rate").integers(2**31)))
+        assert summary["monte_carlo_rate_hz"] == len(stream) / 10.0
+        assert summary["n_pulses"] == stream.metadata["n_pulses"]
+        row = (tmp_path / "appE_rate.csv").read_text().split("\n")[-2]
+        assert row == f"monte_carlo_rate_hz,{len(stream) / 10.0!r}"
 
     def test_appA_efficiency(self, tmp_path, capsys):
         code = main(["reproduce", "--figure", "appA_efficiency",

@@ -26,7 +26,7 @@ from pmtrap.config import (
 )
 from pmtrap.errors import ConfigError, MissingArtifactError
 from pmtrap.langevin import TimeSeries
-from pmtrap.photon_emitter import TimeTagStream
+from pmtrap.photon_emitter import TagBlocks, TimeTagStream
 from pmtrap.seeding import rng_for
 
 
@@ -309,7 +309,7 @@ class TestTimeTagIO:
         stream = self._stream()
         path = tmp_path / "tags.bin"
         io.write_time_tags(path, stream, configs={"note": 1})
-        back = io.read_time_tags(path)
+        back = io.read_time_tags(path).collect()
         assert np.array_equal(back.timestamps, stream.timestamps)
         assert np.array_equal(back.channels, stream.channels)
         assert back.duration == stream.duration and back.seed == 3
@@ -323,7 +323,7 @@ class TestTimeTagIO:
         monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
         io.write_time_tags(path, stream)
         assert path.read_bytes() == whole
-        back = io.read_time_tags(path)
+        back = io.read_time_tags(path).collect()
         assert np.array_equal(back.timestamps, stream.timestamps)
         assert np.array_equal(back.channels, stream.channels)
 
@@ -337,7 +337,7 @@ class TestTimeTagIO:
                                                duration=1.0))
         tracemalloc.start()
         try:
-            back = io.read_time_tags(path)
+            back = io.read_time_tags(path).collect()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,7 +361,7 @@ class TestTimeTagIO:
             raw[offset + 1: offset + 9] = struct.pack("<d", value)
         path.write_bytes(bytes(raw))
         with pytest.raises(MissingArtifactError, match="corrupt"):
-            io.read_time_tags(path)
+            io.read_time_tags(path).collect()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "tags.bin"
@@ -379,6 +379,58 @@ class TestTimeTagIO:
         ch, t = lines[1].split(",")
         assert int(ch) == int(stream.channels[0])
         assert float(t) == stream.timestamps[0]
+
+
+    @pytest.mark.parametrize("block", [1 << 18, 7])
+    def test_csv_export_bytes(self, tmp_path, monkeypatch, block):
+        # one % format per block writes what a per-event loop writes, for a
+        # stream and for the blocks of a reader
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
+        stream = self._stream()
+        oracle = "channel,timestamp_s\n" + "".join(
+            f"{int(c)},{float(t)!r}\n" for c, t in zip(stream.channels, stream.timestamps))
+        io.export_time_tags_csv(tmp_path / "a.csv", stream)
+        io.write_time_tags(tmp_path / "tags.bin", stream)
+        io.export_time_tags_csv(tmp_path / "b.csv",
+                                io.read_time_tags(tmp_path / "tags.bin"))
+        assert (tmp_path / "a.csv").read_text() == oracle
+        assert (tmp_path / "b.csv").read_text() == oracle
+
+    def test_blocks_write_the_stream_bytes(self, tmp_path):
+        # a generator's blocks, count unknown up front, give the bytes of the
+        # collected stream; n_events is a space-padded fixed-width number
+        stream = self._stream()
+        io.write_time_tags(tmp_path / "whole.bin", stream)
+        edges = [0, 1, 1, 2400, 5000]
+        tags = TagBlocks(duration=stream.duration, seed=stream.seed, blocks=iter(
+            [(stream.channels[a:b], stream.timestamps[a:b])
+             for a, b in zip(edges[:-1], edges[1:])]))
+        digest = io.write_time_tags(tmp_path / "blocks.bin", tags)
+        raw = (tmp_path / "blocks.bin").read_bytes()
+        assert raw == (tmp_path / "whole.bin").read_bytes()
+        assert digest == hashlib.sha256(raw).hexdigest()
+        assert tags.n_events == len(stream)
+        assert b'"n_events": ' + b" " * 16 + b"5000," in raw
+        assert len(io.read_time_tags(tmp_path / "blocks.bin")) == 5000
+
+    def test_blocks_that_break_their_count_raise(self, tmp_path):
+        tags = TagBlocks(duration=1.0, n_events=3,
+                         blocks=iter([(np.zeros(2, np.uint8), np.zeros(2))]))
+        with pytest.raises(ValueError, match="promised"):
+            io.write_time_tags(tmp_path / "tags.bin", tags)
+
+    def test_stale_digest_outranks_a_defect(self, tmp_path):
+        # a block that breaks an invariant still has the rest of the file
+        # hashed, so a digest that does not match is what gets reported
+        stream = self._stream()
+        digest = io.write_time_tags(tmp_path / "tags.bin", stream)
+        raw = bytearray((tmp_path / "tags.bin").read_bytes())
+        raw[len(raw) - 9 * len(stream)] = 2  # first channel byte
+        (tmp_path / "tags.bin").write_bytes(bytes(raw))
+        with pytest.raises(MissingArtifactError, match="checksum mismatch"):
+            io.read_time_tags(tmp_path / "tags.bin", digest).collect()
+        with pytest.raises(MissingArtifactError, match="channels must be 0 or 1"):
+            io.read_time_tags(tmp_path / "tags.bin").collect()
 
 
 def _replace_file(path, data: bytes) -> None:
@@ -399,7 +451,7 @@ class TestReaderByteFlips:
         "series.ts": lambda root, sha: io.read_time_series(
             root / "series.ts", sha.get("series.ts")).collect(),
         "tags.bin": lambda root, sha: io.read_time_tags(root / "tags.bin",
-                                                         sha.get("tags.bin")),
+                                                         sha.get("tags.bin")).collect(),
         "image.csv": lambda root, sha: io.read_image_csv(
             root / "image.csv", sha.get("image.csv"), sha.get("image.csv.json")),
     }
@@ -502,7 +554,7 @@ class TestRoundTrips:
         path = self._new(root, "tags.bin")
         digest = io.write_time_tags(path, stream)
         assert digest == io.sha256_file(path)
-        back = io.read_time_tags(path, digest)
+        back = io.read_time_tags(path, digest).collect()
         assert np.array_equal(back.channels, stream.channels)
         assert back.timestamps.tobytes() == stream.timestamps.tobytes()
         assert (back.duration, back.seed, back.metadata) == (duration, seed, metadata)

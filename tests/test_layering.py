@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -75,3 +76,22 @@ def test_all_lists_exactly_the_public_definitions():
             and not name.startswith("_") and name not in module.__all__
             and not (short == "reproduce" and name.startswith("target_"))]
         assert not unlisted, f"{short}.__all__ omits {unlisted}"
+
+
+def test_cli_paths_do_not_import_numpy_ma(tmp_path):
+    # np.median and np.unique without return_counts import numpy.ma (about
+    # 14 ms per process); simulate, analyze and reproduce use neither
+    probe = (
+        "import sys, yaml\n"
+        "from pmtrap import cli\n"
+        "open('short.yaml', 'w').write(yaml.safe_dump({'seed': 3, 'simulation':"
+        " {'duration_s': 2e-4}, 'acquisition': {'duration_s': 1.0}}))\n"
+        "assert cli.main(['simulate', '--config', 'short.yaml', '--out', 'ds']) == 0\n"
+        "assert cli.main(['analyze', 'ds']) == 0\n"
+        "assert cli.main(['reproduce', '--figure', 'fig1a', '--out', 'rep']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = Path(pmtrap.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip().splitlines()[-1] == "False"

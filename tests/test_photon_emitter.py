@@ -232,6 +232,39 @@ class TestGenerateTimeTags:
         assert abs(n0 - n1) < 5 * np.sqrt(len(stream))
 
 
+class TestTimeTagBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_block_size_does_not_change_stream(self, monkeypatch, block):
+        # each level's gap position is carried across blocks, and hits,
+        # counts and the splitter draw from their own generators
+        emitter = pe.EmitterModel(auger_pair_prob=0.5, blink_mode="two_state",
+                                  bright_dwell=2e-4, grey_dwell=3e-4)
+        whole = pe.generate_time_tags(EXC, emitter, CHAIN, 5e-3, seed=13)
+        monkeypatch.setattr(pe, "_BLOCK_PULSES", block)
+        blocked = pe.generate_time_tags(EXC, emitter, CHAIN, 5e-3, seed=13)
+        assert len(whole) > 200
+        assert blocked.timestamps.tobytes() == whole.timestamps.tobytes()
+        assert blocked.channels.tobytes() == whole.channels.tobytes()
+
+    def test_gap_chunk_does_not_change_stream(self, monkeypatch):
+        emitter = pe.EmitterModel(blink_mode="bursts")
+        whole = pe.generate_time_tags(EXC, emitter, CHAIN, 0.05, seed=14)
+        monkeypatch.setattr(pe, "_GAP_CHUNK", 5)
+        monkeypatch.setattr(pe, "_BLOCK_PULSES", 999)
+        blocked = pe.generate_time_tags(EXC, emitter, CHAIN, 0.05, seed=14)
+        assert blocked.timestamps.tobytes() == whole.timestamps.tobytes()
+        assert blocked.channels.tobytes() == whole.channels.tobytes()
+
+    def test_metadata_up_front_count_after(self):
+        tags = pe.time_tag_blocks(EXC, pe.EmitterModel(), CHAIN, 0.1, seed=2)
+        assert tags.metadata["n_pulses"] == 100_000
+        with pytest.raises(TypeError):
+            len(tags)
+        blocks = list(tags.blocks)
+        assert len(blocks) == 1  # 1e5 pulses fit one block
+        assert all(c.dtype == np.uint8 and t.dtype == np.float64 for c, t in blocks)
+
+
 class TestDownstreamG2:
     def test_single_photon_zero(self):
         emitter = pe.EmitterModel(auger_pair_prob=1.0)
