@@ -97,12 +97,10 @@ def power_spectral_density(series: TimeSeries, segment_length: int | None = None
     ``segment_length`` defaults to a power of two near len/8, clipped to
     [256, 65536]; segments start every ``segment_length -
     int(segment_length * overlap)`` samples and the series must contain at
-    least 4 of them.  The samples go to ``stream_power_spectral_density``
-    as one block, so its provisional mean is the series mean.
+    least 4 of them.  A ``TimeSeries`` is a stream of one block, so the
+    provisional mean of ``stream_power_spectral_density`` is the series mean.
     """
-    whole = SeriesBlocks(series.sample_interval, len(series.samples),
-                         iter([series.samples]), series.units, series.seed)
-    return stream_power_spectral_density(whole, segment_length, overlap)
+    return stream_power_spectral_density(series, segment_length, overlap)
 
 
 def _hann(n: int) -> np.ndarray:
@@ -112,7 +110,7 @@ def _hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
-def stream_power_spectral_density(series: SeriesBlocks,
+def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
                                   segment_length: int | None = None,
                                   overlap: float = 0.5) -> Spectrum:
     """``power_spectral_density`` of a series delivered once, block by block.
@@ -435,6 +433,9 @@ class G2Result:
         return int(self.coincidences[len(self.lags) // 2])
 
 
+# side-peak pulse-lag range of g2_zero, and the bin width of blink_analysis
+DEFAULT_MAX_LAG = 50
+DEFAULT_BIN_WIDTH = 500e-6
 # pulse pairs expanded at once by g2_zero, or the histogram's length if larger
 _G2_BLOCK_PAIRS = 1 << 14
 
@@ -456,10 +457,6 @@ def _from(counts: tuple[np.ndarray, np.ndarray], pulse: int):
     """The (pulses, counts) entries at or after ``pulse``."""
     first = int(np.searchsorted(counts[0], pulse))
     return counts[0][first:], counts[1][first:]
-
-
-def _as_blocks(stream: TimeTagStream | TagBlocks) -> TagBlocks:
-    return stream.as_blocks() if isinstance(stream, TimeTagStream) else stream
 
 
 class _PulseLagFold:
@@ -542,7 +539,7 @@ class _PulseLagFold:
 
 
 def g2_zero(stream: TimeTagStream | TagBlocks, pulse_period: float,
-            max_lag: int = 50, rates: RateBins | None = None) -> G2Result:
+            max_lag: int = DEFAULT_MAX_LAG, rates: RateBins | None = None) -> G2Result:
     """Normalized zero-delay correlation from pulse-lag coincidences.
 
     Events are assigned to pulse indices and counted per pulse and channel.
@@ -552,8 +549,8 @@ def g2_zero(stream: TimeTagStream | TagBlocks, pulse_period: float,
     histograms the pair lags weighted by the product of the two counts, in
     runs of about ``_G2_BLOCK_PAIRS`` pairs, or of 2 max_lag + 1 (the
     histogram's length) if that is more, so that neither the pairs nor the
-    histogram dominate a run.  A ``TagBlocks`` is consumed in one pass
-    (``_PulseLagFold``) that also feeds ``rates``, if given, so that one
+    histogram dominate a run.  The stream is consumed in one pass of its
+    blocks (``_PulseLagFold``) that also feeds ``rates``, if given, so that one
     read serves ``blink_analysis`` too; the histogram is the one of the
     collected stream.  A ``max_lag`` beyond the stream's pulse span
     raises InsufficientDataError: those lags can hold no pair and would only
@@ -568,7 +565,6 @@ def g2_zero(stream: TimeTagStream | TagBlocks, pulse_period: float,
         raise ValueError("pulse_period must be > 0")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    stream = _as_blocks(stream)
     # no pulse span exceeds the window's, so neither need the histogram
     fold = _PulseLagFold(pulse_period, int(min(
         max_lag, np.rint(stream.duration / pulse_period))))
@@ -714,7 +710,7 @@ class RateBins:
     does not depend on where the blocks end.
     """
 
-    def __init__(self, duration: float, bin_width: float = 500e-6):
+    def __init__(self, duration: float, bin_width: float = DEFAULT_BIN_WIDTH):
         if bin_width <= 0:
             raise ValueError("bin_width must be > 0")
         self.bin_width = bin_width
@@ -742,10 +738,10 @@ class RateBins:
 
 
 def blink_analysis(stream: TimeTagStream | TagBlocks | RateBins,
-                   bin_width: float = 500e-6) -> BlinkHistogram:
+                   bin_width: float = DEFAULT_BIN_WIDTH) -> BlinkHistogram:
     """Bin the stream into fixed intervals and classify the rate histogram.
 
-    A stream, or the blocks of one, is binned at ``bin_width`` through
+    A stream is binned at ``bin_width``, one block at a time, through
     ``RateBins``; a ``RateBins`` already fed (see ``g2_zero``) is taken as
     it is, with its own bin width.
     Classes: ``exponential_burst`` when the histogram decays monotonically
@@ -759,7 +755,6 @@ def blink_analysis(stream: TimeTagStream | TagBlocks | RateBins,
     if isinstance(stream, RateBins):
         rates = stream
     else:
-        stream = _as_blocks(stream)
         rates = RateBins(stream.duration, bin_width)
         for _, timestamps in stream.blocks:
             rates.add(timestamps)

@@ -123,7 +123,8 @@ def _write_csv(path: Path, header: str, fmt: str, *columns) -> None:
     path.write_text(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
 
 
-def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
+def analyze_dataset(dataset_dir, out_dir=None,
+                    max_lag: int = analysis.DEFAULT_MAX_LAG) -> dict:
     """Run the measurement pipeline on a simulated dataset directory.
 
     ``max_lag`` is the side-peak pulse-lag range that normalizes g2(0).
@@ -134,6 +135,9 @@ def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
     artifacts = verify_manifest(dataset_dir, parsed=ANALYZED_ARTIFACTS)["artifacts"]
     sha256 = {name: artifacts[name]["sha256"] for name in ANALYZED_ARTIFACTS}
     tags = io_formats.read_time_tags(dataset_dir / "tags.bin", sha256["tags.bin"])
+    if "repetition_rate" not in tags.metadata:
+        raise MissingArtifactError("artifact corrupt (header metadata lacks "
+                                   f"repetition_rate): {dataset_dir / 'tags.bin'}")
     image = io_formats.read_image_csv(dataset_dir / "image_total.csv",
                                       sha256["image_total.csv"],
                                       sha256["image_total.csv.json"])
@@ -146,9 +150,9 @@ def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
         raise
 
     # one pass over the tags feeds both the g2 histogram and the rate bins
-    rep_rate = tags.metadata.get("repetition_rate", 1e6)
     rates = analysis.RateBins(tags.duration)
-    g2 = analysis.g2_zero(tags, 1.0 / rep_rate, max_lag=max_lag, rates=rates)
+    g2 = analysis.g2_zero(tags, 1.0 / tags.metadata["repetition_rate"],
+                          max_lag=max_lag, rates=rates)
     blink = analysis.blink_analysis(rates)
     lorentzian = analysis.fit_lorentzian(spectrum)
     profile = _profile_in_aperture(image)
@@ -188,7 +192,8 @@ def analyze_dataset(dataset_dir, out_dir=None, max_lag: int = 50) -> dict:
                g2.lags, g2.coincidences)
     _write_csv(out_dir / "blink_histogram.csv", "counts_per_bin,occurrences", "%d",
                blink.count_values, blink.occurrences)
-    io_formats.write_profile_csv(out_dir / "radial_profile.csv", profile)
+    _write_csv(out_dir / "radial_profile.csv", "radius_f,intensity,n_pixels", "%.17g",
+               profile.radii, profile.intensities, profile.counts)
     return results
 
 
@@ -229,7 +234,7 @@ def main(argv=None) -> int:
     p_ana = sub.add_parser("analyze", help="run the measurement pipeline")
     p_ana.add_argument("dataset", help="dataset directory with manifest.json")
     p_ana.add_argument("--out", help="results directory (default: dataset dir)")
-    p_ana.add_argument("--max-lag", type=int, default=50,
+    p_ana.add_argument("--max-lag", type=int, default=analysis.DEFAULT_MAX_LAG,
                        help="side-peak lag range for g2 normalization")
 
     p_rep = sub.add_parser("reproduce", help="run a synthetic campaign")

@@ -2,7 +2,6 @@
 
 - Aperture images: CSV matrix plus a JSON metadata sidecar (pixel pitch in
   units of focal length, center, channel).
-- Radial profiles: two-column CSV (R, intensity), optional counts column.
 - Time series: little-endian binary float64 array behind an embedded JSON
   header (sample interval, units, seed).
 - Time tags: binary record stream (u8 channel, little-endian f64 timestamp in
@@ -13,21 +12,26 @@ Binary container layout: 4-byte magic, u32 little-endian header length,
 UTF-8 JSON header, raw payload.
 
 The writers of dataset artifacts return the sha256 of the file they wrote.
-``write_time_series`` takes a ``TimeSeries`` or ``SeriesBlocks`` and writes
-the header (the sample count is known up front) and then each block as it
-arrives, hashing as it writes, so a trace never has to exist whole.
-``write_time_tags`` takes a ``TimeTagStream`` or ``TagBlocks``, whose event
-count is known only at the end: it writes a blank, fixed-width ``n_events``
-field, fills it in after the last block and hashes the file in one re-read.
+The container writers and the CSV export read any stream the same way, one
+block at a time: a ``TimeSeries`` or ``TimeTagStream`` is a stream of one
+block, a ``SeriesBlocks`` or ``TagBlocks`` one of many, and each stream
+checks that its blocks hold the count it promised.  ``write_time_series``
+writes the header (the sample count is known up front) and then each block
+as it arrives, hashing as it writes, so a trace never has to exist whole.
+``write_time_tags`` takes a stream whose event count may be known only at
+the end: it writes a blank, fixed-width ``n_events`` field, fills it in
+after the last block and hashes the file in one re-read.
 Each reader reads its file once, in order, hashing the bytes it parses, and
 raises ``MissingArtifactError`` if given a ``sha256`` they do not match.
-Container payloads are read in blocks of ``_BLOCK_RECORDS`` records:
-``read_time_series`` and ``read_time_tags`` return the one-pass
-``SeriesBlocks`` and ``TagBlocks`` that the writers consume.  Payload values
-that the models cannot have produced (non-finite samples or timestamps,
-channels other than 0 and 1, unsorted or out-of-window tags, also across
-blocks), and header or sidecar values of the wrong type or range, raise
-``MissingArtifactError`` like any other corrupt artifact.
+``read_time_series`` and ``read_time_tags`` share one container pass
+(``_read_container``), which reads the payload in blocks of
+``_BLOCK_RECORDS`` records, and return the one-pass ``SeriesBlocks`` and
+``TagBlocks`` that the writers consume.  Payload values that the models
+cannot have produced (non-finite samples or timestamps, channels other than
+0 and 1, unsorted or out-of-window tags, also across blocks), and header or
+sidecar values of the wrong type or range, raise ``MissingArtifactError``
+like any other corrupt artifact; a reader that finds a bad block hashes the
+rest of the payload first, so that a stale ``sha256`` is reported as one.
 """
 
 from __future__ import annotations
@@ -43,12 +47,11 @@ import numpy as np
 
 from .errors import MissingArtifactError
 from .langevin import SeriesBlocks, TimeSeries
-from .mirror_optics import ApertureImage, RadialProfile
+from .mirror_optics import ApertureImage
 from .photon_emitter import TagBlocks, TimeTagStream
 
 __all__ = [
     "write_image_csv", "read_image_csv",
-    "write_profile_csv",
     "write_time_series", "read_time_series",
     "write_time_tags", "read_time_tags", "export_time_tags_csv",
     "sha256_file",
@@ -154,27 +157,13 @@ def read_image_csv(path, sha256: str | None = None,
         raise MissingArtifactError(f"artifact corrupt ({exc}): {path}")
 
 
-def write_profile_csv(path, profile: RadialProfile) -> None:
-    path = Path(path)
-    cols = [profile.radii, profile.intensities]
-    header = "radius_f,intensity"
-    if profile.counts is not None:
-        cols.append(profile.counts)
-        header += ",n_pixels"
-    np.savetxt(path, np.column_stack(cols), delimiter=",", fmt="%.17g",
-               header=header, comments="")
-
-
-def _write_container(path: Path, magic: bytes, header: dict, blocks,
-                     payload_bytes: int) -> str:
+def _write_container(path: Path, magic: bytes, header: dict, blocks) -> str:
     """Write the header, then each payload block as it arrives.
 
-    Returns the sha256 of the bytes written.  ``payload_bytes`` is what the
-    header promises; blocks that sum to anything else raise ValueError.
+    Returns the sha256 of the bytes written.
     """
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
-    written = 0
     with open(path, "wb") as fh:
         for chunk in (magic, struct.pack("<I", len(blob)), blob):
             fh.write(chunk)
@@ -182,69 +171,57 @@ def _write_container(path: Path, magic: bytes, header: dict, blocks,
         for block in blocks:
             fh.write(block)
             digest.update(block)
-            written += block.nbytes
             del block
-    if written != payload_bytes:
-        raise ValueError(f"{path}: payload of {written} bytes, header promised "
-                         f"{payload_bytes}")
     return digest.hexdigest()
 
 
-def _read_header(fh, path: Path, magic: bytes, required: tuple[str, ...],
-                 count_key: str, dtype: np.dtype, digest) -> tuple[dict, int]:
-    """Header and record count of an open container, positioned at the payload.
+def _read_container(path: Path, magic: bytes, count_key: str,
+                    required: tuple[str, ...], dtype: np.dtype, sha256: str | None):
+    """Yields the header and its ``count_key`` record count, then the payload
+    as blocks of ``_BLOCK_RECORDS`` records in one reused buffer, each valid
+    until the next.
 
-    Only the magic and the header are read (into ``digest``); the payload
-    size is checked against the ``count_key`` records the header announces.
+    The magic, the header (which must hold ``count_key`` and ``required``)
+    and the payload size are checked before the first yield.  Every byte
+    read is hashed, and the hash checked against ``sha256`` after the last
+    block; a failed check raises ``MissingArtifactError``.
     """
-    head = fh.read(8)
-    if len(head) < 8 or head[:4] != magic:
-        raise MissingArtifactError(f"artifact corrupt (bad magic): {path}")
-    (n,) = struct.unpack("<I", head[4:8])
-    blob = fh.read(n)
-    if len(blob) < n:
-        raise MissingArtifactError(f"artifact truncated: {path}")
-    digest.update(head)
-    digest.update(blob)
-    header = _json_header(blob, path, required)
-    count = header[count_key]
-    if type(count) is not int or count < 0:
-        raise MissingArtifactError(
-            f"artifact corrupt (header {count_key} is not a count): {path}")
-    payload_bytes = os.fstat(fh.fileno()).st_size - (8 + n)
-    if payload_bytes != count * dtype.itemsize:
-        raise MissingArtifactError(
-            f"artifact truncated (payload holds {payload_bytes} bytes, "
-            f"header {count_key} needs {count * dtype.itemsize}): {path}")
-    return header, count
-
-
-def _payload_blocks(fh, path: Path, count: int, dtype: np.dtype, digest):
-    """The next ``count`` records of ``fh``, fed to ``digest``, as blocks of
-    ``_BLOCK_RECORDS`` in one reused buffer, each valid until the next."""
-    buffer = np.empty(min(count, _BLOCK_RECORDS), dtype=dtype)
-    for start in range(0, count, _BLOCK_RECORDS):
-        block = buffer[: min(count - start, _BLOCK_RECORDS)]
-        if fh.readinto(block) != block.nbytes:
-            raise MissingArtifactError(f"artifact truncated: {path}")
-        digest.update(block)
-        yield block
-
-
-def _open(path: Path):
     if not path.exists():
         raise MissingArtifactError(f"artifact missing: {path}")
-    return open(path, "rb")
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != magic:
+            raise MissingArtifactError(f"artifact corrupt (bad magic): {path}")
+        (n,) = struct.unpack("<I", head[4:8])
+        blob = fh.read(n)
+        if len(blob) < n:
+            raise MissingArtifactError(f"artifact truncated: {path}")
+        digest.update(head)
+        digest.update(blob)
+        header = _json_header(blob, path, (count_key, *required))
+        count = header[count_key]
+        if type(count) is not int or count < 0:
+            raise MissingArtifactError(
+                f"artifact corrupt (header {count_key} is not a count): {path}")
+        payload_bytes = os.fstat(fh.fileno()).st_size - (8 + n)
+        if payload_bytes != count * dtype.itemsize:
+            raise MissingArtifactError(
+                f"artifact truncated (payload holds {payload_bytes} bytes, "
+                f"header {count_key} needs {count * dtype.itemsize}): {path}")
+        yield header, count
+        buffer = np.empty(min(count, _BLOCK_RECORDS), dtype=dtype)
+        for start in range(0, count, _BLOCK_RECORDS):
+            block = buffer[: min(count - start, _BLOCK_RECORDS)]
+            if fh.readinto(block) != block.nbytes:
+                raise MissingArtifactError(f"artifact truncated: {path}")
+            digest.update(block)
+            yield block
+    _check_digest(digest, sha256, path)
 
 
 def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
-    """Write a time-series container block by block; returns its sha256.
-
-    A ``TimeSeries`` is written as views of its samples, through the same
-    path as the blocks of a ``SeriesBlocks``.
-    """
-    if isinstance(series, TimeSeries):
-        series = series.as_blocks()
+    """Write a time-series container block by block; returns its sha256."""
     header = {
         "sample_interval_s": series.sample_interval,
         "units": series.units,
@@ -253,8 +230,7 @@ def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
     }
     blocks = (np.ascontiguousarray(block, dtype=_SERIES_DTYPE)
               for block in series.blocks)
-    return _write_container(Path(path), _SERIES_MAGIC, header, blocks,
-                            series.n_samples * _SERIES_DTYPE.itemsize)
+    return _write_container(Path(path), _SERIES_MAGIC, header, blocks)
 
 
 def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
@@ -262,50 +238,45 @@ def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
 
     The magic, the header and the payload size are checked on the call, each
     block is checked finite as it is read and ``sha256`` after the last one;
-    a failed check raises ``MissingArtifactError``.
+    a failed check raises ``MissingArtifactError``.  When a block fails,
+    the rest of the payload is hashed first, so that a stale digest is
+    reported as one.
     """
     path = Path(path)
+    records = _read_container(path, _SERIES_MAGIC, "n_samples", ("sample_interval_s",),
+                              _SERIES_DTYPE, sha256)
+    header, count = next(records)
+    interval = header["sample_interval_s"]
+    if not (_finite_number(interval) and interval > 0):
+        raise MissingArtifactError(
+            f"artifact corrupt (header sample_interval_s): {path}")
 
-    def read():  # yields the header, then the blocks
-        digest = hashlib.sha256()
-        with _open(path) as fh:
-            header, count = _read_header(fh, path, _SERIES_MAGIC,
-                                         ("n_samples", "sample_interval_s"),
-                                         "n_samples", _SERIES_DTYPE, digest)
-            interval = header["sample_interval_s"]
-            if not (_finite_number(interval) and interval > 0):
+    def blocks():
+        start = 0
+        for block in records:
+            if not np.isfinite(block).all():
+                for _ in records:
+                    pass
                 raise MissingArtifactError(
-                    f"artifact corrupt (header sample_interval_s): {path}")
-            yield header, count
-            start = 0
-            for block in _payload_blocks(fh, path, count, _SERIES_DTYPE, digest):
-                if not np.isfinite(block).all():
-                    raise MissingArtifactError(
-                        f"artifact corrupt (non-finite sample in "
-                        f"[{start}, {start + len(block)})): {path}")
-                start += len(block)
-                yield block
-        _check_digest(digest, sha256, path)
+                    f"artifact corrupt (non-finite sample in "
+                    f"[{start}, {start + len(block)})): {path}")
+            start += len(block)
+            yield block
 
-    blocks = read()
-    header, count = next(blocks)
-    return SeriesBlocks(header["sample_interval_s"], count, blocks,
-                        header.get("units", ""), header.get("seed"))
+    return SeriesBlocks(interval, count, blocks(), header.get("units", ""),
+                        header.get("seed"))
 
 
 def write_time_tags(path, stream: TimeTagStream | TagBlocks,
                     configs: dict | None = None) -> str:
     """Write a time-tag container block by block; returns its sha256.
 
-    A ``TimeTagStream`` is written as one block, through the same path as
-    the blocks of a ``TagBlocks``, whose event count is known only when
-    they are used up: the header holds ``n_events`` as a JSON number
-    space-padded to ``_COUNT_WIDTH`` characters, written over the blank
-    field once the last block is, and recorded in ``stream.n_events``.  The
-    finished file is then hashed in one re-read of fixed-size chunks.
+    The event count of a ``TagBlocks`` may be known only when its blocks
+    are used up: the header holds ``n_events`` as a JSON number space-padded
+    to ``_COUNT_WIDTH`` characters, written over the blank field once the
+    last block is.  The finished file is then hashed in one re-read of
+    fixed-size chunks.
     """
-    if isinstance(stream, TimeTagStream):
-        stream = stream.as_blocks()
     header = {
         "duration_s": stream.duration,
         "seed": stream.seed,
@@ -319,7 +290,6 @@ def write_time_tags(path, stream: TimeTagStream | TagBlocks,
     field_at = text.rindex('"n_events": 0') + len('"n_events": ')
     blob = (text[:field_at] + " " * _COUNT_WIDTH + text[field_at + 1:]).encode("utf-8")
     path = Path(path)
-    count = 0
     with open(path, "wb") as fh:
         fh.write(_TAGS_MAGIC + struct.pack("<I", len(blob)) + blob)
         buffer = np.empty(_BLOCK_RECORDS, dtype=_TAG_DTYPE)
@@ -329,12 +299,8 @@ def write_time_tags(path, stream: TimeTagStream | TagBlocks,
                 block["channel"] = channels[start: start + len(block)]
                 block["time"] = timestamps[start: start + len(block)]
                 fh.write(block)
-            count += len(timestamps)
         fh.seek(8 + field_at)
-        fh.write(f"{count:>{_COUNT_WIDTH}d}".encode("ascii"))
-    if stream.n_events is not None and count != stream.n_events:
-        raise ValueError(f"{path}: {count} events, the stream promised {stream.n_events}")
-    stream.n_events = count
+        fh.write(f"{stream.n_events:>{_COUNT_WIDTH}d}".encode("ascii"))
     return sha256_file(path)
 
 
@@ -348,50 +314,36 @@ def read_time_tags(path, sha256: str | None = None) -> TagBlocks:
     Each block is checked as it is read (finite timestamps, channels 0 or
     1, timestamps non-decreasing, also across blocks, and within [0,
     duration_s]) and ``sha256`` after the last one; a failed check raises
-    ``MissingArtifactError``.  When a block fails and ``sha256`` is given,
-    the rest of the payload is hashed first, so that a stale digest is
-    reported as one.
+    ``MissingArtifactError``.  When a block fails, the rest of the payload
+    is hashed first, so that a stale digest is reported as one.
     """
     path = Path(path)
+    records = _read_container(path, _TAGS_MAGIC, "n_events", ("duration_s",),
+                              _TAG_DTYPE, sha256)
+    header, count = next(records)
+    duration, metadata = header["duration_s"], header.get("metadata", {})
+    if not (_finite_number(duration) and duration >= 0):
+        raise MissingArtifactError(f"artifact corrupt (header duration_s): {path}")
+    rate = metadata.get("repetition_rate", 1.0) if isinstance(metadata, dict) else None
+    if not (_finite_number(rate) and rate > 0):
+        raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
 
-    def read():  # yields the header, then the blocks
-        digest = hashlib.sha256()
-        with _open(path) as fh:
-            header, count = _read_header(fh, path, _TAGS_MAGIC,
-                                         ("n_events", "duration_s"), "n_events",
-                                         _TAG_DTYPE, digest)
-            duration, metadata = header["duration_s"], header.get("metadata", {})
-            if not (_finite_number(duration) and duration >= 0):
+    def blocks():
+        previous, start = 0.0, 0
+        for block in records:
+            channels, timestamps = block["channel"].copy(), block["time"].copy()
+            defect = TimeTagStream.defect(channels, timestamps, duration, previous)
+            if defect is not None:
+                for _ in records:
+                    pass
                 raise MissingArtifactError(
-                    f"artifact corrupt (header duration_s): {path}")
-            rate = (metadata.get("repetition_rate", 1.0) if isinstance(metadata, dict)
-                    else None)
-            if not (_finite_number(rate) and rate > 0):
-                raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
-            yield header, count
-            previous, start = 0.0, 0
-            payload = _payload_blocks(fh, path, count, _TAG_DTYPE, digest)
-            for block in payload:
-                channels, timestamps = block["channel"].copy(), block["time"].copy()
-                defect = TimeTagStream.defect(channels, timestamps, duration,
-                                              previous)
-                if defect is not None:
-                    if sha256 is not None:
-                        for _ in payload:
-                            pass
-                        _check_digest(digest, sha256, path)
-                    raise MissingArtifactError(
-                        f"artifact corrupt ({defect}, in records "
-                        f"[{start}, {start + len(block)})): {path}")
-                previous, start = timestamps[-1], start + len(block)
-                yield channels, timestamps
-        _check_digest(digest, sha256, path)
+                    f"artifact corrupt ({defect}, in records "
+                    f"[{start}, {start + len(block)})): {path}")
+            previous, start = timestamps[-1], start + len(block)
+            yield channels, timestamps
 
-    blocks = read()
-    header, count = next(blocks)
-    return TagBlocks(duration=header["duration_s"], blocks=blocks,
-                     seed=header.get("seed"), metadata=header.get("metadata", {}),
-                     n_events=count)
+    return TagBlocks(duration=duration, blocks=blocks(), seed=header.get("seed"),
+                     metadata=metadata, n_events=count)
 
 
 def export_time_tags_csv(path, stream: TimeTagStream | TagBlocks) -> None:
@@ -400,8 +352,6 @@ def export_time_tags_csv(path, stream: TimeTagStream | TagBlocks) -> None:
     Each run of up to ``_BLOCK_RECORDS`` events is written with one ``%``
     format.
     """
-    if isinstance(stream, TimeTagStream):
-        stream = stream.as_blocks()
     with open(path, "w") as fh:
         fh.write("channel,timestamp_s\n")
         for channels, timestamps in stream.blocks:

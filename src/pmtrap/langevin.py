@@ -24,11 +24,12 @@ one pass over fixed-size blocks of samples.  ``axial_motion_blocks`` runs
 its argument checks and warnings before the first block.  The noise is
 drawn in order from one generator and the scan's chunks sit on a grid
 fixed from the first sample, whatever the block size, so the result is
-bit-identical to one pass over the whole trace.
+bit-identical to one pass over the whole trace.  A whole ``TimeSeries`` is
+a stream too, of one block, so every consumer of a stream takes either.
 ``detector_blocks`` is the one detector readout, a per-block transform
 (white noise drawn per block from its own generator, in sample order, plus
 gain * z); a whole trace is read out as
-``detector_blocks(series.as_blocks(), cfg).collect()``.  A consumer such as
+``detector_blocks(series, cfg).collect()``.  A consumer such as
 ``io_formats.write_time_series`` can therefore take a trace of any length
 in fixed memory.  ``simulate_axial_motion`` collects the same blocks into a
 ``TimeSeries``.  The recurrence is bit-deterministic per seed and orders of
@@ -126,12 +127,14 @@ class TimeSeries:
     def duration(self) -> float:
         return len(self.samples) * self.sample_interval
 
-    def as_blocks(self) -> "SeriesBlocks":
-        """The samples as consecutive views of ``_BLOCK_SAMPLES``."""
-        n = len(self.samples)
-        views = (self.samples[start: start + _BLOCK_SAMPLES]
-                 for start in range(0, n, _BLOCK_SAMPLES))
-        return SeriesBlocks(self.sample_interval, n, views, self.units, self.seed)
+    @property
+    def n_samples(self) -> int:
+        return len(self.samples)
+
+    @property
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The samples as one block, the stream protocol of ``SeriesBlocks``."""
+        return iter([self.samples])
 
 
 @dataclass
@@ -139,9 +142,11 @@ class SeriesBlocks:
     """A uniformly sampled signal delivered once, as consecutive blocks.
 
     ``n_samples`` is known before the first block; the lengths of the 1-D
-    float arrays that ``blocks`` yields sum to it.  Producers and consumers
-    drop their reference to a block before asking for the next one, so
-    that each stage holds one block at a time.
+    float arrays that ``blocks`` yields must sum to it, and the stream
+    checks that as they pass: a block beyond the count, or blocks used up
+    short of it, raise ValueError.
+    Producers and consumers drop their reference to a block before asking
+    for the next one, so that each stage holds one block at a time.
     """
 
     sample_interval: float
@@ -149,6 +154,20 @@ class SeriesBlocks:
     blocks: Iterator[np.ndarray]
     units: str = "m"
     seed: int | None = None
+
+    def __post_init__(self):
+        self.blocks = self._counted(self.blocks)
+
+    def _counted(self, blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        count = 0
+        for block in blocks:
+            count += len(block)
+            if count > self.n_samples:
+                break
+            yield block
+            del block
+        if count != self.n_samples:
+            raise ValueError(f"{count} samples, the stream promised {self.n_samples}")
 
     def collect(self) -> TimeSeries:
         """All blocks in one ``TimeSeries``."""
@@ -394,7 +413,7 @@ def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
                                initial_state).collect()
 
 
-def detector_blocks(z: SeriesBlocks, cfg: SimConfig) -> SeriesBlocks:
+def detector_blocks(z: SeriesBlocks | TimeSeries, cfg: SimConfig) -> SeriesBlocks:
     """Linearized interferometric readout s(t) = gain*z(t) + white noise.
 
     One output block per block of ``z``; the noise continues one generator's

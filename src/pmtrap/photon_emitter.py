@@ -18,7 +18,8 @@ level carries its geometric-gap position from block to block, and the
 trajectory, each level's hits and counts, and the splitter draw from
 separate child generators, so the stream is deterministic per seed and the
 same whatever the block size.  :func:`generate_time_tags` collects the
-blocks into one ``TimeTagStream``.  The per-pulse Monte Carlo of the same
+blocks into one ``TimeTagStream``, which is a stream of one block, so every
+consumer of a stream takes either.  The per-pulse Monte Carlo of the same
 chain, which checks that pmf, lives with the test oracles
 (``tests/oracles.py``).
 """
@@ -204,12 +205,14 @@ class TimeTagStream:
         n1 = int(np.count_nonzero(self.channels))
         return len(self.channels) - n1, n1
 
-    def as_blocks(self) -> "TagBlocks":
-        """The stream as one block of a ``TagBlocks``."""
-        return TagBlocks(duration=self.duration,
-                         blocks=iter([(self.channels, self.timestamps)]),
-                         seed=self.seed, metadata=self.metadata,
-                         n_events=len(self))
+    @property
+    def n_events(self) -> int:
+        return len(self.timestamps)
+
+    @property
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The stream as one block, the stream protocol of ``TagBlocks``."""
+        return iter([(self.channels, self.timestamps)])
 
 
 @dataclass
@@ -219,9 +222,12 @@ class TagBlocks:
     Each block is a ``(channels, timestamps)`` pair of aligned arrays, and
     the blocks in order make one time-sorted stream.  ``duration``,
     ``seed`` and ``metadata`` are known before the first block, and so is
-    ``n_events`` when the producer knows it (a reader does, a generator
-    does not); ``len()`` is that count.  Each block's arrays are its own,
-    so a consumer may keep them.
+    ``n_events`` when the producer knows it (a reader does; a generator
+    knows its pulses, not its events).  The stream counts the events as
+    they pass: a block beyond a known count, or blocks used up short of
+    it, raise ValueError, and an unknown count is recorded in ``n_events``
+    once the blocks are used up.  ``len()`` is that count.  Each block's
+    arrays are its own, so a consumer may keep them.
     """
 
     duration: float
@@ -229,6 +235,23 @@ class TagBlocks:
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
     n_events: int | None = None
+
+    def __post_init__(self):
+        self.blocks = self._counted(self.blocks)
+
+    def _counted(self, blocks: Iterator[tuple[np.ndarray, np.ndarray]]
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        count = 0
+        for channels, timestamps in blocks:
+            count += len(timestamps)
+            if self.n_events is not None and count > self.n_events:
+                break
+            yield channels, timestamps
+            del channels, timestamps
+        if self.n_events is None:
+            self.n_events = count
+        elif count != self.n_events:
+            raise ValueError(f"{count} events, the stream promised {self.n_events}")
 
     def __len__(self) -> int:
         if self.n_events is None:
@@ -249,8 +272,6 @@ class TagBlocks:
                 channels[start: start + len(c)] = c
                 timestamps[start: start + len(t)] = t
                 start += len(t)
-            if start != self.n_events:
-                raise ValueError(f"{start} events, the blocks promised {self.n_events}")
         return TimeTagStream(channels=channels, timestamps=timestamps,
                              duration=self.duration, seed=self.seed,
                              metadata=self.metadata)

@@ -348,6 +348,7 @@ class TestAnalyze:
             lambda h: h["metadata"].update(repetition_rate="x"))),
         ("tags.bin", _edit_tags_header(
             lambda h: h["metadata"].update(repetition_rate=0))),
+        ("tags.bin", _edit_tags_header(lambda h: h["metadata"].pop("repetition_rate"))),
         ("image_total.csv.json", _edit_sidecar(pixel_pitch_f="x")),
         ("image_total.csv.json", _edit_sidecar(pixel_pitch_f=float("nan"))),
         ("image_total.csv.json", _edit_sidecar(center_px=3)),
@@ -356,9 +357,9 @@ class TestAnalyze:
         ("image_total.csv.json", _edit_sidecar(pixel_pitch_f=-1)),
         ("image_total.csv.json", _edit_sidecar(channel="diag")),
         ("image_total.csv", lambda raw: b"-1" + raw[raw.index(b","):]),
-    ], ids=["tags_metadata_list", "rate_string", "rate_zero", "pitch_string",
-            "pitch_nan", "center_scalar", "image_metadata_list", "bore_string",
-            "pitch_negative", "channel_diag", "negative_pixel"])
+    ], ids=["tags_metadata_list", "rate_string", "rate_zero", "rate_missing",
+            "pitch_string", "pitch_nan", "center_scalar", "image_metadata_list",
+            "bore_string", "pitch_negative", "channel_diag", "negative_pixel"])
     def test_corrupt_header_value_exits_4(self, dataset, tmp_path, artifact,
                                           rewrite, capsys):
         # checksum updated: header and sidecar values of the wrong type or

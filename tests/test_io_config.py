@@ -203,6 +203,21 @@ class TestTimeSeriesIO:
         with pytest.raises(MissingArtifactError, match="non-finite"):
             next(blocks)
 
+    def test_stale_digest_outranks_a_defect(self, tmp_path, monkeypatch):
+        # a block that breaks an invariant still has the rest of the file
+        # hashed, so a digest that does not match is what gets reported
+        path = tmp_path / "z.ts"
+        digest = io.write_time_series(path, TimeSeries(sample_interval=1e-6,
+                                                       samples=np.arange(100.0)))
+        raw = bytearray(path.read_bytes())
+        raw[-8 * 97: -8 * 96] = struct.pack("<d", np.nan)  # sample 3
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", 60)
+        with pytest.raises(MissingArtifactError, match="checksum mismatch"):
+            io.read_time_series(path, digest).collect()
+        with pytest.raises(MissingArtifactError, match="non-finite"):
+            io.read_time_series(path).collect()
+
     @pytest.fixture(scope="class")
     def psd_root(self, tmp_path_factory):
         return tmp_path_factory.mktemp("streamed_psd")
@@ -273,7 +288,9 @@ class TestWriterDigests:
         series = TimeSeries(sample_interval=1e-6, samples=np.arange(100.0))
         path = tmp_path / "z.ts"
         assert io.write_time_series(path, series) == io.sha256_file(path)
-        assert io.write_time_series(path, series.as_blocks()) == io.sha256_file(path)
+        views = lv.SeriesBlocks(1e-6, 100, (series.samples[i: i + block]
+                                            for i in range(0, 100, block)))
+        assert io.write_time_series(path, views) == io.sha256_file(path)
 
     def test_time_series_block_count_must_match(self, tmp_path):
         blocks = lv.SeriesBlocks(sample_interval=1e-6, n_samples=10,
@@ -296,6 +313,47 @@ class TestWriterDigests:
         pixels, sidecar = io.write_image_csv(path, image)
         assert pixels == io.sha256_file(path)
         assert sidecar == io.sha256_file(tmp_path / "image.csv.json")
+
+
+class TestStreamCounts:
+    """A one-pass stream whose blocks hold fewer or more records than it
+    promised (4096) raises, whichever consumer uses it up."""
+
+    SERIES = {
+        "collect": lambda stream, path: stream.collect(),
+        "psd": lambda stream, path: analysis.stream_power_spectral_density(stream),
+        "write": lambda stream, path: io.write_time_series(path, stream),
+    }
+    TAGS = {
+        "collect": lambda stream, path: stream.collect(),
+        "g2_zero": lambda stream, path: analysis.g2_zero(stream, 1e-3),
+        "write": lambda stream, path: io.write_time_tags(path, stream),
+    }
+
+    @staticmethod
+    def _thirds(n: int):
+        edges = [0, n // 3, 2 * n // 3, n]
+        return zip(edges[:-1], edges[1:])
+
+    @pytest.mark.parametrize("held", [1024, 4097, 8192])
+    @pytest.mark.parametrize("consume", sorted(SERIES))
+    def test_series(self, tmp_path, consume, held):
+        samples = np.random.default_rng(0).normal(size=held)
+        stream = lv.SeriesBlocks(1e-6, 4096, iter(
+            [samples[a:b] for a, b in self._thirds(held)]))
+        with pytest.raises(ValueError, match="promised"):
+            self.SERIES[consume](stream, tmp_path / "z.ts")
+
+    @pytest.mark.filterwarnings("ignore:fewer than 1e4 events")
+    @pytest.mark.parametrize("held", [1024, 4097, 8192])
+    @pytest.mark.parametrize("consume", sorted(TAGS))
+    def test_tags(self, tmp_path, consume, held):
+        times = np.linspace(0.0, 1.0, held)
+        channels = (np.arange(held) % 2).astype(np.uint8)
+        stream = TagBlocks(duration=1.0, n_events=4096, blocks=iter(
+            [(channels[a:b], times[a:b]) for a, b in self._thirds(held)]))
+        with pytest.raises(ValueError, match="promised"):
+            self.TAGS[consume](stream, tmp_path / "tags.bin")
 
 
 class TestTimeTagIO:

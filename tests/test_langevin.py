@@ -20,7 +20,7 @@ GAMMA = 2 * np.pi * 0.62e6
 
 def _detector(z, cfg):
     """The detector readout of a whole trace."""
-    return lv.detector_blocks(z.as_blocks(), cfg).collect()
+    return lv.detector_blocks(z, cfg).collect()
 
 
 class TestSimulateAxialMotion:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmtrap import analysis, photon_emitter as pe
+from pmtrap import analysis, io_formats, photon_emitter as pe
 
 import oracles
 
@@ -263,6 +263,18 @@ class TestTimeTagBlocks:
         blocks = list(tags.blocks)
         assert len(blocks) == 1  # 1e5 pulses fit one block
         assert all(c.dtype == np.uint8 and t.dtype == np.float64 for c, t in blocks)
+
+    @pytest.mark.parametrize("consume", ["g2_zero", "export_time_tags_csv"])
+    def test_count_recorded_once_used_up(self, tmp_path, monkeypatch, consume):
+        # the stream counts its own events, whichever consumer uses it up
+        monkeypatch.setattr(pe, "_BLOCK_PULSES", 4096)
+        args = (EXC, pe.EmitterModel(), CHAIN, 0.1)
+        tags = pe.time_tag_blocks(*args, seed=2)
+        if consume == "g2_zero":
+            analysis.g2_zero(tags, 1.0 / EXC.repetition_rate)
+        else:
+            io_formats.export_time_tags_csv(tmp_path / "tags.csv", tags)
+        assert len(tags) == len(pe.generate_time_tags(*args, seed=2)) > 0
 
 
 class TestDownstreamG2:
