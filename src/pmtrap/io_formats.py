@@ -30,8 +30,9 @@ raises ``MissingArtifactError`` if given a ``sha256`` they do not match.
 cannot have produced (non-finite samples or timestamps, channels other than
 0 and 1, unsorted or out-of-window tags, also across blocks), and header or
 sidecar values of the wrong type or range, raise ``MissingArtifactError``
-like any other corrupt artifact; a reader that finds a bad block hashes the
-rest of the payload first, so that a stale ``sha256`` is reported as one.
+like any other corrupt artifact; a reader given a ``sha256`` that finds a
+bad block hashes the rest of the payload first, so that a stale digest is
+reported as one.
 """
 
 from __future__ import annotations
@@ -238,9 +239,9 @@ def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
 
     The magic, the header and the payload size are checked on the call, each
     block is checked finite as it is read and ``sha256`` after the last one;
-    a failed check raises ``MissingArtifactError``.  When a block fails,
-    the rest of the payload is hashed first, so that a stale digest is
-    reported as one.
+    a failed check raises ``MissingArtifactError``.  When a block fails and
+    ``sha256`` is given, the rest of the payload is hashed first, so that a
+    stale digest is reported as one.
     """
     path = Path(path)
     records = _read_container(path, _SERIES_MAGIC, "n_samples", ("sample_interval_s",),
@@ -255,8 +256,9 @@ def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
         start = 0
         for block in records:
             if not np.isfinite(block).all():
-                for _ in records:
-                    pass
+                if sha256 is not None:
+                    for _ in records:
+                        pass
                 raise MissingArtifactError(
                     f"artifact corrupt (non-finite sample in "
                     f"[{start}, {start + len(block)})): {path}")
@@ -314,8 +316,9 @@ def read_time_tags(path, sha256: str | None = None) -> TagBlocks:
     Each block is checked as it is read (finite timestamps, channels 0 or
     1, timestamps non-decreasing, also across blocks, and within [0,
     duration_s]) and ``sha256`` after the last one; a failed check raises
-    ``MissingArtifactError``.  When a block fails, the rest of the payload
-    is hashed first, so that a stale digest is reported as one.
+    ``MissingArtifactError``.  When a block fails and ``sha256`` is given,
+    the rest of the payload is hashed first, so that a stale digest is
+    reported as one.
     """
     path = Path(path)
     records = _read_container(path, _TAGS_MAGIC, "n_events", ("duration_s",),
@@ -334,8 +337,9 @@ def read_time_tags(path, sha256: str | None = None) -> TagBlocks:
             channels, timestamps = block["channel"].copy(), block["time"].copy()
             defect = TimeTagStream.defect(channels, timestamps, duration, previous)
             if defect is not None:
-                for _ in records:
-                    pass
+                if sha256 is not None:
+                    for _ in records:
+                        pass
                 raise MissingArtifactError(
                     f"artifact corrupt ({defect}, in records "
                     f"[{start}, {start + len(block)})): {path}")

@@ -137,6 +137,25 @@ class TimeSeries:
         return iter([self.samples])
 
 
+def _counted(blocks: Iterator, promised: int | None, length_of, unit: str):
+    """Yield ``blocks``, then return the number of records they held.
+
+    ``length_of`` gives a block's record count.  A block that takes the
+    count past a known ``promised`` count, or blocks used up short of it,
+    raise ValueError.
+    """
+    count = 0
+    for block in blocks:
+        count += length_of(block)
+        if promised is not None and count > promised:
+            break
+        yield block
+        del block
+    if promised is not None and count != promised:
+        raise ValueError(f"{count} {unit}, the stream promised {promised}")
+    return count
+
+
 @dataclass
 class SeriesBlocks:
     """A uniformly sampled signal delivered once, as consecutive blocks.
@@ -156,18 +175,7 @@ class SeriesBlocks:
     seed: int | None = None
 
     def __post_init__(self):
-        self.blocks = self._counted(self.blocks)
-
-    def _counted(self, blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        count = 0
-        for block in blocks:
-            count += len(block)
-            if count > self.n_samples:
-                break
-            yield block
-            del block
-        if count != self.n_samples:
-            raise ValueError(f"{count} samples, the stream promised {self.n_samples}")
+        self.blocks = _counted(self.blocks, self.n_samples, len, "samples")
 
     def collect(self) -> TimeSeries:
         """All blocks in one ``TimeSeries``."""

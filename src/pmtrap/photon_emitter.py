@@ -32,6 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from . import constants as const
+from .langevin import _counted
 from .seeding import rng_for
 
 __all__ = [
@@ -241,17 +242,8 @@ class TagBlocks:
 
     def _counted(self, blocks: Iterator[tuple[np.ndarray, np.ndarray]]
                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        count = 0
-        for channels, timestamps in blocks:
-            count += len(timestamps)
-            if self.n_events is not None and count > self.n_events:
-                break
-            yield channels, timestamps
-            del channels, timestamps
-        if self.n_events is None:
-            self.n_events = count
-        elif count != self.n_events:
-            raise ValueError(f"{count} events, the stream promised {self.n_events}")
+        self.n_events = yield from _counted(blocks, self.n_events,
+                                            lambda block: len(block[1]), "events")
 
     def __len__(self) -> int:
         if self.n_events is None:

@@ -19,8 +19,11 @@ GAMMA = 2 * np.pi * 0.62e6
 
 
 def _detector(z, cfg):
-    """The detector readout of a whole trace."""
-    return lv.detector_blocks(z, cfg).collect()
+    """The detector readout of a whole trace, fed as views of ``_BLOCK_SAMPLES``."""
+    n, block = len(z.samples), lv._BLOCK_SAMPLES
+    views = (z.samples[i: i + block] for i in range(0, n, block))
+    blocks = lv.SeriesBlocks(z.sample_interval, n, views, z.units, z.seed)
+    return lv.detector_blocks(blocks, cfg).collect()
 
 
 class TestSimulateAxialMotion:
