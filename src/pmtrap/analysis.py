@@ -68,7 +68,7 @@ class Spectrum:
 
 
 # samples' worth of segments windowed and transformed at once by the Welch PSD
-_PSD_BLOCK_SAMPLES = 1 << 20
+_PSD_BLOCK_SAMPLES = 1 << 18
 
 
 def _periodogram_sums(segments: np.ndarray, mean: float, window: np.ndarray,
@@ -436,41 +436,24 @@ class G2Result:
 # side-peak pulse-lag range of g2_zero, and the bin width of blink_analysis
 DEFAULT_MAX_LAG = 50
 DEFAULT_BIN_WIDTH = 500e-6
-# pulse pairs expanded at once by g2_zero, or the histogram's length if larger
+# event pairs expanded at once by g2_zero, or the histogram's length if larger
 _G2_BLOCK_PAIRS = 1 << 14
-
-
-def _pulse_counts(pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of a sorted array and how often each occurs."""
-    if len(pulses) == 0:
-        return pulses, np.zeros(0, dtype=np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], pulses[1:] != pulses[:-1])))
-    return pulses[starts], np.diff(starts, append=len(pulses)).astype(np.int64)
-
-
-def _join(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
-    """Two (pulses, counts) pairs, the pulses of ``b`` after those of ``a``, as one."""
-    return np.concatenate((a[0], b[0])), np.concatenate((a[1], b[1]))
-
-
-def _from(counts: tuple[np.ndarray, np.ndarray], pulse: int):
-    """The (pulses, counts) entries at or after ``pulse``."""
-    first = int(np.searchsorted(counts[0], pulse))
-    return counts[0][first:], counts[1][first:]
 
 
 class _PulseLagFold:
     """Pulse-lag coincidence histogram of a time-sorted stream fed in blocks.
 
     Events go to pulse indices rint((t - t0) / period), t0 the first
-    timestamp.  The events of a block's last pulse are held back until a
-    later pulse arrives, so every pulse is counted whole.  Each pair of a
-    channel-0 and a channel-1 pulse at most ``window`` pulses apart is
-    counted once, when its later pulse arrives: the new channel-0 pulses
-    against the channel-1 tail and against the new channel-1 pulses, and
-    the channel-0 tail against the new channel-1 pulses.  The tails keep the
-    pulses a later pulse can still reach.  The counts are integers, so the
-    histogram does not depend on where the blocks end.
+    timestamp, and each channel keeps its events' pulse indices, ascending,
+    one entry per event: a pulse with k events on a channel appears k
+    times, so a pair of pulses counts the product of their events.  Each
+    pair of a channel-0 and a channel-1 event at most ``window`` pulses
+    apart is counted once, when its later event arrives: the new channel-0
+    events against the channel-1 tail and the new channel-1 events, and the
+    channel-0 tail against the new channel-1 events.  The tails keep the
+    events a later event can still reach, so a pulse split between blocks
+    needs no care.  The counts are integers, so the histogram does not
+    depend on where the blocks end.
     """
 
     def __init__(self, pulse_period: float, window: int):
@@ -478,9 +461,7 @@ class _PulseLagFold:
         self.t0 = None
         self.coincidences = np.zeros(2 * window + 1, dtype=np.int64)
         self.events = [0, 0]  # per channel
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        self.tails = [empty, empty]  # (pulses, counts) per channel
-        self.held = (np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64))
+        self.tails = [np.zeros(0, dtype=np.int64)] * 2  # event pulses per channel
         self.last_pulse = 0
 
     def add(self, channels: np.ndarray, timestamps: np.ndarray) -> None:
@@ -489,52 +470,38 @@ class _PulseLagFold:
         if self.t0 is None:
             self.t0 = timestamps[0]
         pulses = np.rint((timestamps - self.t0) / self.period).astype(np.int64)
-        if len(self.held[0]):
-            channels = np.concatenate((self.held[0], channels))
-            pulses = np.concatenate((self.held[1], pulses))
-        done = int(np.searchsorted(pulses, pulses[-1]))
-        self.held = (channels[done:].copy(), pulses[done:].copy())
-        self.last_pulse = int(pulses[-1])
-        self._count(channels[:done], pulses[:done], self.last_pulse)
-
-    def finish(self) -> np.ndarray:
-        self._count(*self.held, self.last_pulse + self.window + 1)
-        return self.coincidences
-
-    def _count(self, channels: np.ndarray, pulses: np.ndarray, next_pulse: int) -> None:
-        """Count the pairs of whole pulses, later than any counted before;
-        no pulse before ``next_pulse`` is still to come."""
-        new = [_pulse_counts(pulses[channels == c]) for c in (0, 1)]
-        for c in (0, 1):
-            self.events[c] += int(new[c][1].sum())
+        on1 = channels.astype(bool)
+        new0, new1 = pulses[~on1], pulses[on1]
+        self.events[0] += len(new0)
+        self.events[1] += len(new1)
         tail0, tail1 = self.tails
-        self._pairs(*new[0], *tail1)
-        self._pairs(*new[0], *new[1])
-        self._pairs(*tail0, *new[1])
-        keep = next_pulse - self.window
-        self.tails = [_join(_from(tail, keep), _from(fresh, keep))
-                      for tail, fresh in zip(self.tails, new)]
+        all1 = np.concatenate((tail1, new1))
+        self._pairs(new0, all1)
+        self._pairs(tail0, new1)
+        # no later event comes before the last pulse
+        self.last_pulse = int(pulses[-1])
+        keep = self.last_pulse - self.window
+        all0 = np.concatenate((tail0, new0))
+        self.tails = [events[np.searchsorted(events, keep):] for events in (all0, all1)]
 
-    def _pairs(self, idx0, cnt0, idx1, cnt1) -> None:
-        """Add the lags idx1 - idx0 within the window, weighted cnt0 * cnt1."""
+    def _pairs(self, idx0: np.ndarray, idx1: np.ndarray) -> None:
+        """Add the lags idx1 - idx0 within the window, one per pair of events."""
         window = self.window
         first = np.searchsorted(idx1, idx0 - window, side="left")
         n_pairs = np.searchsorted(idx1, idx0 + window, side="right") - first
-        ends = np.cumsum(n_pairs)  # pairs up to each channel-0 pulse, inclusive
+        ends = np.cumsum(n_pairs)  # pairs up to each channel-0 event, inclusive
         budget = max(_G2_BLOCK_PAIRS, len(self.coincidences))
         a = 0
         while a < len(idx0):
             before = ends[a] - n_pairs[a]
             b = max(a + 1, int(np.searchsorted(ends, before + budget, side="right")))
             reps = n_pairs[a:b]
-            pair_start = ends[a:b] - reps - before  # first pair of each channel-0 pulse
+            pair_start = ends[a:b] - reps - before  # first pair of each channel-0 event
             # channel-1 position of each pair: window start plus rank in the window
             j1 = np.arange(int(ends[b - 1] - before)) + np.repeat(
                 first[a:b] - pair_start, reps)
             lag = idx1[j1] - np.repeat(idx0[a:b] - window, reps)
-            self.coincidences += np.bincount(
-                lag, weights=np.repeat(cnt0[a:b], reps) * cnt1[j1],
-                minlength=len(self.coincidences)).astype(np.int64)
+            self.coincidences += np.bincount(lag, minlength=len(self.coincidences))
             a = b
 
 
@@ -542,12 +509,12 @@ def g2_zero(stream: TimeTagStream | TagBlocks, pulse_period: float,
             max_lag: int = DEFAULT_MAX_LAG, rates: RateBins | None = None) -> G2Result:
     """Normalized zero-delay correlation from pulse-lag coincidences.
 
-    Events are assigned to pulse indices and counted per pulse and channel.
-    Every pair of a channel-0 pulse and a channel-1 pulse at most ``max_lag``
-    pulses apart is listed once (two ``searchsorted`` calls bound each
-    channel-0 pulse's window, ``np.repeat`` expands it) and ``np.bincount``
-    histograms the pair lags weighted by the product of the two counts, in
-    runs of about ``_G2_BLOCK_PAIRS`` pairs, or of 2 max_lag + 1 (the
+    Events are assigned to pulse indices.  Every pair of a channel-0 event
+    and a channel-1 event at most ``max_lag`` pulses apart is listed once
+    (two ``searchsorted`` calls bound each channel-0 event's window,
+    ``np.repeat`` expands it) and an unweighted ``np.bincount`` histograms
+    the pair lags, so a pair of pulses counts the product of their events,
+    in runs of about ``_G2_BLOCK_PAIRS`` pairs, or of 2 max_lag + 1 (the
     histogram's length) if that is more, so that neither the pairs nor the
     histogram dominate a run.  The stream is consumed in one pass of its
     blocks (``_PulseLagFold``) that also feeds ``rates``, if given, so that one
@@ -572,7 +539,7 @@ def g2_zero(stream: TimeTagStream | TagBlocks, pulse_period: float,
         fold.add(channels, timestamps)
         if rates is not None:
             rates.add(timestamps)
-    coincidences = fold.finish()
+    coincidences = fold.coincidences
     n0, n1 = fold.events
     if n0 == 0 or n1 == 0:
         raise UndefinedResultError("both channels must contain events")

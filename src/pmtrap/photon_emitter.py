@@ -9,10 +9,12 @@ and detection chain, then a 50/50 splitter onto two detector channels.
 
 Within a blink segment the attenuation is constant, so the detected-photon
 number per pulse is i.i.d. with a pmf computed exactly
-(:func:`detected_photon_pmf`).  :func:`time_tag_blocks` draws only the
-pulses that give a detection, so time scales with the number of events, not
-of pulses, and it yields the two-channel stream as ``TagBlocks``: the pulse
-count and the metadata up front, then one block per ``_BLOCK_PULSES``
+(:func:`detected_photon_pmf`).  :func:`detection_blocks` draws only the
+pulses that give a detection, and their photon counts, so time scales with
+the number of events, not of pulses; a count rate needs nothing more.
+:func:`time_tag_blocks` sends each of those photons through the splitter
+on its own draw and yields the two-channel stream as ``TagBlocks``: the
+pulse count and the metadata up front, then one block per ``_BLOCK_PULSES``
 pulses, so memory does not grow with the acquisition.  Each attenuation
 level carries its geometric-gap position from block to block, and the
 trajectory, each level's hits and counts, and the splitter draw from
@@ -46,6 +48,7 @@ __all__ = [
     "auger_prob_for_cluster",
     "detected_photon_pmf",
     "blink_trajectory",
+    "detection_blocks",
     "time_tag_blocks",
     "generate_time_tags",
     "expected_count_rate",
@@ -452,31 +455,38 @@ class _HitLine:
         pending = np.concatenate(drawn) if len(drawn) > 1 else self.pending
         taken = int(np.searchsorted(pending, stop))
         hits, self.pending = pending[:taken], pending[taken:]
-        owner = np.searchsorted(self.line_start, hits, side="right") - 1
-        pulses = self.seg_first[owner] + hits - self.line_start[owner]
-        counts = 1 + np.searchsorted(
-            self.cdf, self.counts_rng.random(len(hits)) * self.cdf[-1], side="right")
+        # the segments are few and the hits many: place the segment starts
+        # among the hits, not each hit among the segments
+        per_segment = np.diff(np.searchsorted(hits, self.line_start), append=len(hits))
+        pulses = hits + np.repeat(self.seg_first - self.line_start, per_segment)
+        # most hits are single photons: only the others search the cdf
+        u = self.counts_rng.random(len(hits)) * self.cdf[-1]
+        counts = np.ones(len(hits), dtype=np.int64)
+        multi = np.flatnonzero(u >= self.cdf[0])
+        counts[multi] += np.searchsorted(self.cdf, u[multi], side="right")
         return pulses, counts
 
 
-def time_tag_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
-                    chain: DetectionChain, duration: float, seed: int) -> TagBlocks:
-    """The detected two-channel time-tag stream, in blocks of pulses.
+def detection_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
+                     chain: DetectionChain, duration: float, seed: int
+                     ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The pulses that give a detection, and their photon counts, in blocks.
 
     Pulse i fires at i / repetition rate and takes the blink attenuation of
     the segment it falls in.  For each attenuation level the pulses of its
     segments form one line of i.i.d. pulses (``_HitLine``): the pulses with
     at least one detection are placed by geometric gaps at that level's hit
-    probability 1 - pmf[0], and each draws its count from the pmf
-    conditioned on n >= 1 (see :func:`detected_photon_pmf`).  Counts go
-    through the 50/50 splitter, ch0 events before ch1 within a pulse.
+    probability 1 - pmf[0], and each draws its count, both channels
+    together, from the pmf conditioned on n >= 1 (see
+    :func:`detected_photon_pmf`).
 
-    The blink trajectory, ``n_pulses`` and the metadata are fixed on the
-    call; each block then covers ``_BLOCK_PULSES`` pulses.  The trajectory,
-    each level's hits, each level's counts and the splitter draw from
-    separate child generators, each in pulse order, so the stream is the
-    same whatever the block size, and identical seeds give identical
-    streams.  Nothing of length n_pulses is allocated.
+    Returns the pulse count and a one-pass iterator of ``(pulses, counts)``
+    pairs, pulses ascending, one per ``_BLOCK_PULSES`` pulses.  The blink
+    trajectory is fixed on the call.  The trajectory, each level's hits and
+    each level's counts draw from separate child generators, each in pulse
+    order, so the blocks are the same whatever the block size, and
+    identical seeds give identical blocks.  Nothing of length n_pulses is
+    allocated.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -496,27 +506,49 @@ def time_tag_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
         lines.append(_HitLine(first_pulse[segments], lengths[segments],
                               np.cumsum(pmf[1:]), rng_for(seed, "time-tags", "hits", k),
                               rng_for(seed, "time-tags", "counts", k)))
-    splitter = rng_for(seed, "time-tags", "splitter")
 
     def blocks():
         for start in range(0, n_pulses, _BLOCK_PULSES):
             taken = [line.take(start, min(start + _BLOCK_PULSES, n_pulses))
                      for line in lines]
             if len(taken) == 1:
-                pulses, n_per_pulse = taken[0]
-            else:  # the levels' pulses interleave; no two levels share one
-                pulses = np.concatenate([p for p, _ in taken] or [np.zeros(0, np.int64)])
-                n_per_pulse = np.concatenate([n for _, n in taken]
-                                             or [np.zeros(0, np.int64)])
-                order = np.argsort(pulses)
-                pulses, n_per_pulse = pulses[order], n_per_pulse[order]
-            ch1 = splitter.binomial(n_per_pulse, 1.0 - chain.splitter_ratio)
-            times = np.repeat(pulses * period, n_per_pulse)
-            # ch0 events first within each pulse, then ch1 (stable, deterministic)
-            offsets = np.cumsum(n_per_pulse) - n_per_pulse
-            within_pulse = np.arange(len(times)) - np.repeat(offsets, n_per_pulse)
-            channels = within_pulse >= np.repeat(n_per_pulse - ch1, n_per_pulse)
-            yield channels.astype(np.uint8), times
+                yield taken[0]
+                continue
+            # the levels' pulses interleave; no two levels share one
+            pulses = np.concatenate([p for p, _ in taken] or [np.zeros(0, np.int64)])
+            counts = np.concatenate([n for _, n in taken] or [np.zeros(0, np.int64)])
+            order = np.argsort(pulses)
+            yield pulses[order], counts[order]
+
+    return n_pulses, blocks()
+
+
+def time_tag_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
+                    chain: DetectionChain, duration: float, seed: int) -> TagBlocks:
+    """The detected two-channel time-tag stream, in blocks of pulses.
+
+    The detected photons of :func:`detection_blocks` go through the 50/50
+    splitter one by one, as in a Hanbury Brown-Twiss setup: each takes one
+    uniform draw, in event order, and goes to channel 1 when the draw is
+    below 1 - ``splitter_ratio``.  Within a pulse the channel-0 events come
+    before the channel-1 events, all at the pulse time.  The splitter draws
+    from its own child generator, so the stream is the same whatever the
+    block size, and identical seeds give identical streams.  ``n_pulses``
+    and the metadata are known on the call.
+    """
+    n_pulses, detections = detection_blocks(excitation, emitter, chain, duration, seed)
+    period = 1.0 / excitation.repetition_rate
+    to_ch1 = 1.0 - chain.splitter_ratio
+    splitter = rng_for(seed, "time-tags", "splitter")
+
+    def blocks():
+        for pulses, counts in detections:
+            ends = np.cumsum(counts)
+            ch1 = splitter.random(int(ends[-1]) if len(ends) else 0) < to_ch1
+            ch1_per_pulse = np.add.reduceat(ch1, ends - counts, dtype=np.int64)
+            # each pulse's channel-0 events, then its channel-1 events
+            channels = np.arange(len(ch1)) >= np.repeat(ends - ch1_per_pulse, counts)
+            yield channels.astype(np.uint8), np.repeat(pulses * period, counts)
 
     return TagBlocks(duration=duration, blocks=blocks(), seed=seed, metadata={
         "repetition_rate": excitation.repetition_rate,

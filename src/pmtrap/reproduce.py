@@ -94,11 +94,12 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) 
     estimate = photon_emitter.expected_count_rate(config.excitation, emitter,
                                                   config.detection)
     mc_duration = 10.0  # 1e7 pulses at the default repetition rate
-    tags = photon_emitter.time_tag_blocks(
+    n_pulses, detections = photon_emitter.detection_blocks(
         config.excitation, emitter, config.detection, mc_duration,
         seed=int(rng_for(config.seed, "appE-rate").integers(2**31)))
-    # counted block by block; the stream is never held whole
-    mc_rate = sum(len(timestamps) for _, timestamps in tags.blocks) / mc_duration
+    # the detected photons counted block by block; the rate needs no channels
+    # or timestamps, and the stream is never held whole
+    mc_rate = sum(int(counts.sum()) for _, counts in detections) / mc_duration
 
     chain = config.detection
     budget = [
@@ -117,7 +118,7 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) 
         "rate_hz": estimate.rate, "uncertainty_hz": estimate.uncertainty,
         "monte_carlo_rate_hz": mc_rate,
         "relative_difference": abs(mc_rate / estimate.rate - 1.0),
-        "n_pulses": tags.metadata["n_pulses"],
+        "n_pulses": n_pulses,
         "reference_hz": 125e3, "reference_uncertainty_hz": 14e3,
     }
     _write_summary(out_dir, "appE_rate", summary)
@@ -166,6 +167,7 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> d
         rng.uniform(np.log(2), np.log(80), 24))).astype(int).tolist()))
     rows = []
     class_counts = {"symmetric": 0, "asymmetric": 0, "inconclusive": 0}
+    asymmetries = {}  # per orientation: every aligned cluster shares one image
     for n in sizes:
         p_min = config.cluster_physics(n_rods=n).p_min
         emitter = photon_emitter.EmitterModel(
@@ -184,9 +186,12 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> d
         else:
             beta = np.radians(rng.normal(35.0, 10.0))
             orientation = np.array([np.sin(beta), 0.0, np.cos(beta)])
-        image = mirror_optics.general_dipole_image(
-            orientation / np.linalg.norm(orientation), config.mirror)
-        asym = mirror_optics.asymmetry_metric(image)
+        key = tuple(orientation.tolist())
+        if key not in asymmetries:
+            asymmetries[key] = mirror_optics.asymmetry_metric(
+                mirror_optics.general_dipole_image(
+                    orientation / np.linalg.norm(orientation), config.mirror))
+        asym = asymmetries[key]
         class_counts[asym.classification] += 1
         rows.append((n, p_min * 1e3, g2.g2, g2.error,
                      asym.score, asym.classification))

@@ -417,6 +417,28 @@ class TestG2Zero:
         per_bin = np.bincount(bins[bins < n_bins], minlength=n_bins)
         assert np.array_equal(rates.histogram(), np.bincount(per_bin))
 
+    @pytest.mark.filterwarnings("ignore:fewer than 1e4 events")
+    def test_multi_event_pulses_split_between_blocks(self):
+        # pulses with up to four events per channel, their channels in random
+        # order, and blocks that end halfway through a pulse of both channels
+        rng = np.random.default_rng(10)
+        per_pulse = rng.integers(0, 5, size=(300, 2))
+        pulses = np.repeat(np.repeat(np.arange(300), 2), per_pulse.ravel())
+        ch = np.repeat(np.tile([0, 1], 300), per_pulse.ravel()).astype(np.uint8)
+        ch = ch[np.lexsort((rng.random(len(ch)), pulses))]
+        times = pulses * 1e-6
+        straddled = [p for p in range(300) if np.all(per_pulse[p] >= 2)][::10]
+        cuts = [int(np.searchsorted(pulses, p)) + int(per_pulse[p].sum()) // 2
+                for p in straddled]
+        assert len(cuts) > 5 and all(pulses[c - 1] == pulses[c] for c in cuts)
+        edges = [0, *cuts, len(times)]
+        tags = pe.TagBlocks(duration=300e-6, n_events=len(times), blocks=iter(
+            [(ch[a:b], times[a:b]) for a, b in zip(edges[:-1], edges[1:])]))
+        expected = oracles.pulse_lag_coincidences(pulses[ch == 0], pulses[ch == 1], 30)
+        assert np.array_equal(an.g2_zero(tags, 1e-6, max_lag=30).coincidences, expected)
+        whole = pe.TimeTagStream(channels=ch, timestamps=times, duration=300e-6)
+        assert np.array_equal(an.g2_zero(whole, 1e-6, max_lag=30).coincidences, expected)
+
     def test_blocks_do_not_change_histogram(self, monkeypatch):
         stream = poisson_stream(5e4, 1.0, seed=6)
         whole = an.g2_zero(stream, 1e-6, max_lag=20)

@@ -593,6 +593,42 @@ class TestReproduceCli:
         row = (tmp_path / "appE_rate.csv").read_text().split("\n")[-2]
         assert row == f"monte_carlo_rate_hz,{len(stream) / 10.0!r}"
 
+    def test_fig1a_draws_each_orientation_once(self, tmp_path, monkeypatch):
+        # the aligned clusters share one image; the table is the one of a
+        # per-row computation on the same draws
+        from pmtrap import analysis, mirror_optics, reproduce
+        config = parse_config({"seed": 31})
+        rng = rng_for(config.seed, "fig1a")
+        sizes = sorted(set(np.round(np.exp(
+            rng.uniform(np.log(2), np.log(80), 24))).astype(int).tolist()))
+        rows, orientations = [], set()
+        for n in sizes:
+            emitter = pe.EmitterModel(n_rods=n, quantum_yield=config.emitter.quantum_yield,
+                                      auger_pair_prob=None)
+            stream = pe.generate_time_tags(config.excitation, emitter, config.detection,
+                                           1.0, seed=int(rng.integers(2**31)))
+            g2 = analysis.g2_zero(stream, 1.0 / config.excitation.repetition_rate)
+            beta = 0.0 if n <= 27 else np.radians(rng.normal(35.0, 10.0))
+            orientation = np.array([np.sin(beta), 0.0, np.cos(beta)])
+            orientations.add(tuple(orientation.tolist()))
+            asym = mirror_optics.asymmetry_metric(mirror_optics.general_dipole_image(
+                orientation / np.linalg.norm(orientation), config.mirror))
+            rows.append((n, config.cluster_physics(n_rods=n).p_min * 1e3, g2.g2,
+                         g2.error, asym.score, asym.classification))
+        reproduce._write_csv(tmp_path / "expected.csv",
+                             "n_rods,p_min_mW,g2_zero,g2_error,asymmetry_score,"
+                             "classification", rows)
+        assert min(sizes) <= 27 < max(sizes)
+
+        calls = []
+        image = mirror_optics.general_dipole_image
+        monkeypatch.setattr(mirror_optics, "general_dipole_image",
+                            lambda *args: calls.append(args) or image(*args))
+        run_target("fig1a", config, tmp_path / "out")
+        assert len(calls) == len(orientations) < len(sizes)
+        assert ((tmp_path / "out" / "fig1a.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+
     def test_appA_efficiency(self, tmp_path, capsys):
         code = main(["reproduce", "--figure", "appA_efficiency",
                      "--out", str(tmp_path)])

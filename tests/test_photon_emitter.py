@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,35 @@ class TestGenerateTimeTags:
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=8)
         n0, n1 = stream.counts_per_channel()
         assert abs(n0 - n1) < 5 * np.sqrt(len(stream))
+
+
+class TestSplitter:
+    @pytest.mark.parametrize("ratio", [0.5, 0.3])
+    def test_ch1_count_is_binomial_per_photon_number(self, ratio):
+        # multi-photon pulses: no Auger annihilation, well above saturation
+        exc = pe.ExcitationConfig(average_power=20e-6)
+        chain = pe.DetectionChain(splitter_ratio=ratio)
+        stream = pe.generate_time_tags(exc, pe.EmitterModel(auger_pair_prob=0.0),
+                                       chain, 0.05, seed=17)
+        pulses = np.rint(stream.timestamps * exc.repetition_rate).astype(np.int64)
+        starts = np.flatnonzero(np.diff(pulses, prepend=-1))
+        n = np.diff(starts, append=len(pulses))
+        ch1 = np.add.reduceat(stream.channels, starts, dtype=np.int64)
+        # within a pulse the channel-0 events come first
+        assert np.all(np.diff(stream.channels.astype(np.int8))[np.diff(pulses) == 0] >= 0)
+        full = 0
+        for photons in range(1, n.max() + 1):
+            observed = np.bincount(ch1[n == photons], minlength=photons + 1)
+            total = observed.sum()
+            if total < 100:
+                continue
+            k = np.arange(photons + 1)
+            p = (np.array([math.comb(photons, j) for j in k])
+                 * (1.0 - ratio) ** k * ratio ** (photons - k))
+            se = np.sqrt(total * p * (1.0 - p))
+            assert np.all(np.abs(observed - total * p) <= 5.0 * se + 1.0), photons
+            full += observed[photons] if photons > 1 else 0
+        assert full > 0  # every photon of a pulse can go to channel 1
 
 
 class TestTimeTagBlocks:
