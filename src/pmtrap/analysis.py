@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.fft import rfft, rfftfreq
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     FitError,
@@ -71,23 +72,6 @@ class Spectrum:
 _PSD_BLOCK_SAMPLES = 1 << 18
 
 
-def _periodogram_sums(segments: np.ndarray, mean: float, window: np.ndarray,
-                      power_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over the rows of |X|^2 and of X, X = rfft((segment - mean) * window).
-
-    The |X|^2 rows are added in order onto ``power_sum``.  A function of its
-    own so that its temporaries are freed on return.
-    """
-    block = segments - mean
-    block *= window
-    spec = rfft(block, axis=-1)
-    del block
-    power = spec.real**2
-    power += spec.imag**2
-    power[0] += power_sum
-    return power.sum(axis=0), spec.sum(axis=0)
-
-
 def power_spectral_density(series: TimeSeries, segment_length: int | None = None,
                            overlap: float = 0.5) -> Spectrum:
     """Averaged-periodogram (Welch) PSD estimate of a time series, Hann window.
@@ -120,11 +104,11 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
     sum |X - dW|^2 = sum |X|^2 - 2d Re(conj(W) sum X) + n_seg d^2 |W|^2,
     d = m - m0, W = rfft(window) (nonzero only at bins 0 and 1).  |X|^2 is
     summed in runs of ``_PSD_BLOCK_SAMPLES`` samples' worth of segments, in
-    an order that does not depend on the blocks; a segment straddling two
-    blocks is carried (copied: a reader may reuse its buffer) into the
-    next.  All blocks are consumed before a series too short for 4
-    segments raises ``InsufficientDataError``, so a reader's checks run
-    first.
+    an order that does not depend on the blocks, in reused buffers; only
+    the samples left at a block's end, fewer than a segment, are copied,
+    for the segment that straddles it and the next.  All blocks are consumed
+    before a series too short for 4 segments raises ``InsufficientDataError``,
+    so a reader's checks run first.
     """
     n = series.n_samples
     if segment_length is None:
@@ -144,34 +128,56 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
     fs = 1.0 / series.sample_interval
     w = _hann(segment_length)
     per_block = max(1, _PSD_BLOCK_SAMPLES // segment_length)
-    psd = np.zeros(segment_length // 2 + 1)
-    spectra = np.zeros(segment_length // 2 + 1, dtype=complex)
-    run = np.zeros_like(psd)  # |X|^2 sum of the current run of per_block segments
+    bins = segment_length // 2 + 1
+    # reused: the segments less the mean, then their |X|^2; and their X
+    rows = np.empty(min(per_block, n_segments) * (segment_length + 2))
+    spectra = np.empty((min(per_block, n_segments), bins), dtype=complex)
+    psd, run = np.zeros(bins), np.zeros(bins)  # run: |X|^2 of this run's segments
+    x_sum, x_call = np.zeros(bins, dtype=complex), np.empty(bins, dtype=complex)
+    carry = np.empty(segment_length)  # samples from done * hop on, before the block
     total, m0 = 0.0, None
-    carry = np.empty(0)
-    done = 0  # segments summed; x and the carry start at sample done * hop
+    carried = done = 0  # done: segments summed
     for block in series.blocks:
         total += float(np.sum(block))
         if m0 is None and len(block):
             m0 = total / len(block)
-        x = np.concatenate((carry, block)) if len(carry) else block
-        while done < n_segments and len(x) >= segment_length:
+        end = carried + len(block)
+        pos = 0  # start of the next segment, counted from carry[0]
+        while done < n_segments and end - pos >= segment_length:
             count = min(per_block - done % per_block, n_segments - done,
-                        (len(x) - segment_length) // hop + 1)
-            segments = np.lib.stride_tricks.sliding_window_view(
-                x[: (count - 1) * hop + segment_length], segment_length)[::hop]
-            run, spectrum = _periodogram_sums(segments, m0, w, run)
-            spectra += spectrum
+                        (end - pos - segment_length) // hop + 1)
+            work = rows[: count * segment_length].reshape(count, segment_length)
+            straddle = min(count, len(range(pos, carried, hop)))
+            for row, start in zip(work[:straddle], range(pos, carried, hop)):
+                np.subtract(carry[start: carried], m0, out=row[: carried - start])
+                np.subtract(block[: segment_length - carried + start], m0,
+                            out=row[carried - start:])
+            if count > straddle:
+                start = pos + straddle * hop - carried
+                np.subtract(sliding_window_view(block[start: start + (
+                    count - straddle - 1) * hop + segment_length], segment_length)[::hop],
+                    m0, out=work[straddle:])
+            work *= w
+            spec = rfft(work, axis=-1, out=spectra[:count])
+            power, imag2 = rows[: 2 * spec.size].reshape(2, *spec.shape)  # work is spent
+            np.square(spec.real, out=power)
+            power += np.square(spec.imag, out=imag2)
+            power[0] += run  # |X|^2 summed in order, whatever the blocks
+            np.sum(power, axis=0, out=run)
+            x_sum += np.sum(spec, axis=0, out=x_call)
             done += count
-            x = x[count * hop:]
+            pos += count * hop
             if done % per_block == 0 or done == n_segments:
                 psd += run
-                run = np.zeros_like(psd)
-        carry = x.copy() if done < n_segments else carry[:0]
-        del block, x
+                run.fill(0.0)
+        if done < n_segments:  # carry over the samples left, fewer than a segment
+            kept = max(carried - pos, 0)
+            carry[:kept] = carry[pos: carried]
+            carry[kept: end - pos] = block[pos + kept - carried:]
+            carried = end - pos
     d = total / n - m0
     W = rfft(w)
-    psd -= 2.0 * d * (W.real * spectra.real + W.imag * spectra.imag)
+    psd -= 2.0 * d * (W.real * x_sum.real + W.imag * x_sum.imag)
     psd += n_segments * d**2 * (W.real**2 + W.imag**2)
     np.maximum(psd, 0.0, out=psd)  # a sum of squares, whatever the rounding
     psd /= fs * np.sum(w**2) * n_segments

@@ -172,7 +172,6 @@ def _write_container(path: Path, magic: bytes, header: dict, blocks) -> str:
         for block in blocks:
             fh.write(block)
             digest.update(block)
-            del block
     return digest.hexdigest()
 
 
@@ -253,9 +252,9 @@ def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
             f"artifact corrupt (header sample_interval_s): {path}")
 
     def blocks():
-        start = 0
+        start, finite = 0, np.empty(min(count, _BLOCK_RECORDS), dtype=bool)
         for block in records:
-            if not np.isfinite(block).all():
+            if not np.isfinite(block, out=finite[: len(block)]).all():
                 if sha256 is not None:
                     for _ in records:
                         pass

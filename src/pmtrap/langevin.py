@@ -20,16 +20,16 @@ near critical damping, and for real roots, the two factors are scanned in
 turn, which divides by no root difference.
 
 Traces are produced as ``SeriesBlocks``: a sample count known up front and
-one pass over fixed-size blocks of samples.  ``axial_motion_blocks`` runs
-its argument checks and warnings before the first block.  The noise is
-drawn in order from one generator and the scan's chunks sit on a grid
-fixed from the first sample, whatever the block size, so the result is
-bit-identical to one pass over the whole trace.  A whole ``TimeSeries`` is
-a stream too, of one block, so every consumer of a stream takes either.
-``detector_blocks`` is the one detector readout, a per-block transform
-(white noise drawn per block from its own generator, in sample order, plus
-gain * z); a whole trace is read out as
-``detector_blocks(series, cfg).collect()``.  A consumer such as
+one pass over blocks of ``_BLOCK_SAMPLES`` samples in reused buffers, each
+valid until the next.  ``axial_motion_blocks`` runs its argument checks and
+warnings before the first block.  The noise is drawn in order from one
+generator and the scan's chunks sit on a grid fixed from the first sample,
+a chunk that straddles two blocks carrying its running sum across, so the
+result is bit-identical to one pass over the whole trace, whatever the
+block size.  A whole ``TimeSeries`` is a stream too, of one block, so every
+consumer of a stream takes either.  ``detector_blocks`` is the one detector
+readout, a per-block transform that only reads its input; a whole trace is
+read out as ``detector_blocks(series, cfg).collect()``.  A consumer such as
 ``io_formats.write_time_series`` can therefore take a trace of any length
 in fixed memory.  ``simulate_axial_motion`` collects the same blocks into a
 ``TimeSeries``.  The recurrence is bit-deterministic per seed and orders of
@@ -164,8 +164,8 @@ class SeriesBlocks:
     float arrays that ``blocks`` yields must sum to it, and the stream
     checks that as they pass: a block beyond the count, or blocks used up
     short of it, raise ValueError.
-    Producers and consumers drop their reference to a block before asking
-    for the next one, so that each stage holds one block at a time.
+    A block is valid until the next one: producers reuse its buffer, so a
+    consumer that keeps samples copies them.
     """
 
     sample_interval: float
@@ -184,16 +184,15 @@ class SeriesBlocks:
         for block in self.blocks:
             samples[start: start + len(block)] = block
             start += len(block)
-            del block
         return TimeSeries(sample_interval=self.sample_interval, samples=samples,
                           units=self.units, seed=self.seed)
 
 
-# samples per block of the Langevin recurrence and of the detector readout
-_BLOCK_SAMPLES = 1 << 20
-# samples per group of the recurrence scan; the groups sit on a grid that
+# samples per block of the Langevin recurrence
+_BLOCK_SAMPLES = 1 << 16
+# longest chunk of the recurrence scan; the chunks sit on a grid that
 # starts at sample 0, whatever the block size
-_SCAN_SAMPLES = 1 << 16
+_CHUNK_SAMPLES = 1 << 16
 # bound on L |ln r| for a scan chunk of L samples, which keeps r^(+-m)
 # finite and accurate
 _SCAN_EXPONENT = 256.0
@@ -284,19 +283,21 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
     b0, b1, zi = b0 / unit, b1 / unit, (zi[0] / unit, zi[1] / unit)
 
     def forcing():
-        e_last = 0.0  # b1 e[k-1] at the first sample of the group
-        for start in range(0, n, _SCAN_SAMPLES):
-            e = np.zeros(min(n - start, _SCAN_SAMPLES))
+        # without noise w = 0, so b0 = b1 = +0 and e stays +0
+        e, u = np.zeros(min(n, _BLOCK_SAMPLES)), np.empty(min(n, _BLOCK_SAMPLES))
+        e_last = 0.0  # b1 e[k-1] at the first sample of the block
+        for start in range(0, n, len(e)):
+            e_k, u_k = e[: n - start], u[: n - start]
             if noisy:
-                rng.standard_normal(out=e[1:] if start == 0 else e)
-            u = e * b0
-            e *= b1
-            u[0] += e_last
-            u[1:] += e[:-1]
-            e_last = e[-1]
-            for k in range(start, min(start + len(u), 2)):
-                u[k] += zi[k]
-            yield u
+                rng.standard_normal(out=e_k[1:] if start == 0 else e_k)
+            np.multiply(e_k, b0, out=u_k)
+            e_k *= b1
+            u_k[0] += e_last
+            u_k[1:] += e_k[:-1]
+            e_last = e_k[-1]
+            for k in range(start, min(start + len(u_k), 2)):
+                u_k[k - start] += zi[k]
+            yield u_k
 
     # (1 - r1 B)(1 - r2 B) z = u in the backshift B.  A trace among the
     # subnormal numbers runs sample by sample; otherwise a well separated
@@ -305,15 +306,15 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
     # turn, which divide by no root difference
     log_r1, log_r2 = _log_roots(gamma * dt, omega * dt)
     if scale < _SUBNORMAL_SCALE:
-        groups = _recurrence(-(A[0, 0] + A[1, 1]),
+        blocks = _recurrence(-(A[0, 0] + A[1, 1]),
                              A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0], forcing())
     elif log_r1.imag and (np.exp(log_r1).imag
                           >= _CASCADE_SPLIT * -np.expm1(log_r1.real)):
-        groups = _scan(log_r1, forcing(), unit, project=True)
+        blocks = _scan(log_r1, forcing(), unit, project=True)
     else:
-        groups = (y.real for y in _scan(log_r2, _scan(log_r1, forcing()), unit))
+        blocks = (y.real for y in _scan(log_r2, _scan(log_r1, forcing()), unit))
     return SeriesBlocks(sample_interval=dt, n_samples=n,
-                        blocks=_reblock(groups, n), units="m", seed=cfg.seed)
+                        blocks=blocks, units="m", seed=cfg.seed)
 
 
 def _log_roots(gamma_dt: float, omega_dt: float
@@ -340,17 +341,20 @@ def _log_roots(gamma_dt: float, omega_dt: float
 
 def _scan(log_r: complex | float, inputs: Iterator[np.ndarray], unit: float = 1.0,
           project: bool = False) -> Iterator[np.ndarray]:
-    """unit * y, y[k] = r y[k-1] + u[k] from y = 0, r = exp(log_r), per group.
+    """unit * y, y[k] = r y[k-1] + u[k] from y = 0, r = exp(log_r), per block.
 
-    Each group of ``inputs`` is cut into chunks of L samples, a power of two
-    with L |log_r| <= ``_SCAN_EXPONENT``; within a chunk,
+    The samples are cut into chunks of L samples on a grid fixed from the
+    first one, L a power of two up to ``_CHUNK_SAMPLES`` with
+    L |log_r| <= ``_SCAN_EXPONENT``; within a chunk,
     y[m] = r^(m+1) (y_in + cumsum(u r^-(j+1))[m]), with y_in the last y of
-    the chunk before.  Every group but the last must hold ``_SCAN_SAMPLES``,
-    so that the chunks sit on a grid fixed by the first sample.  With
-    ``project``, unit * Im(r y)/Im(r) is returned instead.  The result is
-    real when log_r and the inputs are.
+    the chunk before.  A chunk that straddles two blocks of ``inputs``
+    carries its running sum and its offset into the powers across; the sum
+    is sequential, so the result does not depend on the block lengths.
+    Blocks come in one reused buffer.  With ``project``,
+    unit * Im(r y)/Im(r) is returned instead.  The result is complex when
+    log_r is, else real (as the inputs must then be).
     """
-    length = _SCAN_SAMPLES
+    length = _CHUNK_SAMPLES
     while length > 1 and length * abs(log_r) > _SCAN_EXPONENT:
         length //= 2
     powers = np.arange(1, length + 1) * log_r
@@ -360,23 +364,27 @@ def _scan(log_r: complex | float, inputs: Iterator[np.ndarray], unit: float = 1.
     if project:
         r = np.exp(log_r)
         up *= r / r.imag
-    y = 0.0
+    acc, at = 0.0, 0  # the chunk's running sum (y_in at its start), the offset in it
+    q, sums = np.empty(0, dtype=down.dtype), np.empty(length, dtype=down.dtype)
     for u in inputs:
-        n = len(u)
-        chunks = -(-n // length)
-        if n == chunks * length:
-            q = u.reshape(chunks, length) * down
-        else:
-            q = np.zeros((chunks, length), dtype=np.result_type(u, down))
-            q.reshape(-1)[:n] = u
-            q *= down
-        for row in q:
-            row[0] += y
-            np.cumsum(row, out=row)
-            y = carry * row[-1]
-        q *= up
-        y_group = q.reshape(-1)[:n]
-        yield y_group.imag if project else y_group
+        if len(u) > len(q):
+            q = np.empty(len(u), dtype=down.dtype)
+        y = q[: len(u)]
+        start = 0
+        while start < len(u):
+            # out of place: numpy's in-place complex product of some short
+            # lengths rounds differently
+            take = min(len(u) - start, length - at)
+            piece = sums[:take]
+            np.multiply(u[start: start + take], down[at: at + take], out=piece)
+            piece[0] += acc
+            np.cumsum(piece, out=piece)
+            acc = piece[-1]
+            np.multiply(piece, up[at: at + take], out=y[start: start + take])
+            at, start = at + take, start + take
+            if at == length:
+                acc, at = carry * acc, 0
+        yield y.imag if project else y
 
 
 def _recurrence(a1: float, a2: float, inputs: Iterator[np.ndarray]
@@ -396,23 +404,6 @@ def _recurrence(a1: float, a2: float, inputs: Iterator[np.ndarray]
         yield np.array(z)
 
 
-def _reblock(groups: Iterator[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """The ``n`` samples of ``groups`` as new arrays of ``_BLOCK_SAMPLES``."""
-    start, filled = 0, 0
-    block = np.empty(min(n, _BLOCK_SAMPLES))
-    for group in groups:
-        while len(group):
-            take = min(len(group), len(block) - filled)
-            block[filled: filled + take] = group[:take]
-            group = group[take:]
-            filled += take
-            if filled == len(block):
-                yield block
-                start += filled
-                block = np.empty(min(n - start, _BLOCK_SAMPLES))
-                filled = 0
-
-
 def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
                           temperature: float, cfg: SimConfig,
                           initial_state: tuple[float, float] | None = None) -> TimeSeries:
@@ -424,23 +415,25 @@ def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
 def detector_blocks(z: SeriesBlocks | TimeSeries, cfg: SimConfig) -> SeriesBlocks:
     """Linearized interferometric readout s(t) = gain*z(t) + white noise.
 
-    One output block per block of ``z``; the noise continues one generator's
-    stream in sample order.  The noise floor is the one-sided amplitude
-    spectral density in V/sqrt(Hz); per-sample sigma = floor * sqrt(fs/2).
+    One output block per block of ``z``, in a reused buffer; ``z`` is only
+    read.  The noise continues one generator's stream in sample order.  The
+    noise floor is the one-sided amplitude spectral density in V/sqrt(Hz);
+    per-sample sigma = floor * sqrt(fs/2).
     """
     fs = 1.0 / z.sample_interval
     sigma = cfg.detector_noise_floor * np.sqrt(fs / 2.0)
     rng = rng_for(cfg.seed, "detector-noise") if sigma > 0 else None
 
     def readout():
+        noise = out = np.empty(0)
         for block in z.blocks:
-            out = np.zeros(len(block))
+            if len(block) > len(out):
+                noise, out = np.zeros(len(block)), np.empty(len(block))
+            noise_k, out_k = noise[: len(block)], out[: len(block)]
             if rng is not None:
-                rng.standard_normal(out=out)
-                out *= sigma
-            out += cfg.detector_gain * block
-            del block
-            yield out
+                np.multiply(rng.standard_normal(out=noise_k), sigma, out=noise_k)
+            yield np.add(np.multiply(block, cfg.detector_gain, out=out_k), noise_k,
+                         out=out_k)
 
     return SeriesBlocks(sample_interval=z.sample_interval, n_samples=z.n_samples,
                         blocks=readout(), units="V", seed=z.seed)

@@ -256,10 +256,41 @@ class PowerLawFit(NamedTuple):
     ci95: tuple[float, float]
 
 
+def _t_quantile(p: float, dof: int) -> float:
+    """Quantile at p in [0.5, 1) of Student's t with an integer ``dof`` >= 1.
+
+    Bisects the closed-form P(|T| < t) over theta = arctan(t / sqrt(dof))
+    (Abramowitz & Stegun 26.7.3-4): with c = cos(theta), it is
+    sin(theta) (1 + c^2/2 + 1*3 c^4/(2*4) + ...) for even ``dof`` and
+    (2/pi) (theta + sin(theta) c (1 + 2 c^2/3 + 2*4 c^4/(3*5) + ...)) for
+    odd, each sum running to c^(dof - 2) or c^(dof - 3).
+    """
+    odd = dof % 2
+
+    def central(theta):
+        c2 = np.cos(theta) ** 2
+        term, total = 1.0, 0.0
+        for k in range(dof // 2):
+            if k:
+                term *= (2 * k - 1 + odd) / (2 * k + odd) * c2
+            total += term
+        if odd:
+            return 2.0 / np.pi * (theta + np.sin(theta) * np.cos(theta) * total)
+        return np.sin(theta) * total
+
+    lo, hi = 0.0, np.pi / 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return float(np.sqrt(dof) * np.tan(mid))
+        lo, hi = (mid, hi) if central(mid) < 2.0 * p - 1.0 else (lo, mid)
+
+
 def gamma_pmin_exponent(samples: Iterable[tuple[float, float]]) -> PowerLawFit:
     """Least-squares slope of log Gamma_z versus log P_min with standard error.
 
-    Requires at least 5 positive (P_min, Gamma_z) pairs.
+    Requires at least 5 positive (P_min, Gamma_z) pairs.  The 95% interval
+    is the slope -+ t(0.975, n - 2) standard errors.
     """
     data = np.asarray(list(samples), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 5:
@@ -279,5 +310,5 @@ def gamma_pmin_exponent(samples: Iterable[tuple[float, float]]) -> PowerLawFit:
     dof = max(n - 2, 1)
     sxx = float(np.sum((log_p - log_p.mean()) ** 2))
     stderr = float(np.sqrt(ssr / dof / sxx)) if sxx > 0 else float("inf")
-    ci = (slope - 1.96 * stderr, slope + 1.96 * stderr)
-    return PowerLawFit(exponent=slope, std_error=stderr, ci95=ci)
+    half = _t_quantile(0.975, dof) * stderr
+    return PowerLawFit(exponent=slope, std_error=stderr, ci95=(slope - half, slope + half))

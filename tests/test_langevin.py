@@ -176,6 +176,42 @@ class TestRecurrenceProperties:
         assert abs(np.mean(means) - expected) < 5.0 * std_error
 
 
+# (gamma / Omega, temperature, initial state) for each route of the
+# recurrence: a well separated conjugate pair (one projected complex scan),
+# a close conjugate pair and two real roots (a cascade of two scans) and a
+# trace among the subnormal numbers (sample by sample)
+ROUTES = {"projection": (0.3, 296.0, None),
+          "complex_cascade": (2.0 - 1e-6, 296.0, None),
+          "real_cascade": (3.0, 296.0, None),
+          "subnormal": (0.3, 0.0, (1e-300, 1e-294))}
+
+
+@pytest.mark.filterwarnings("ignore:duration below")
+class TestChunkStraddle:
+    # chunks of 1 to 1024 samples against blocks of 1 to 3000: a chunk
+    # straddles two blocks at every offset, or a block spans many chunks
+    @settings(max_examples=150, deadline=None)
+    @given(route=st.sampled_from(sorted(ROUTES)), n=st.integers(1, 3000),
+           block=st.integers(1, 3000), chunk=st.integers(0, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_whole_equals_split(self, route, n, block, chunk, seed):
+        ratio, temperature, initial = ROUTES[route]
+        gamma = ratio * OMEGA
+        dt = 0.5 / (10.0 * max(gamma, OMEGA))
+        cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=seed)
+
+        def run(block_samples):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lv, "_CHUNK_SAMPLES", 1 << chunk)
+                mp.setattr(lv, "_BLOCK_SAMPLES", block_samples)
+                return lv.simulate_axial_motion(STIFFNESS, gamma, MASS, temperature,
+                                                cfg, initial_state=initial).samples
+
+        whole = run(n)
+        assert len(whole) == n
+        assert np.array_equal(whole, run(block))
+
+
 BLOCK_LENGTHS = pytest.mark.parametrize("n", [5, 21, 22, 2000, 2001])
 BLOCK_SIZES = pytest.mark.parametrize("block", [1, 7, 1000, "n"])
 # (gamma, temperature, initial state): thermal noise, then T = 0 and
@@ -271,6 +307,20 @@ class TestBoundedMemory:
         assert len(z.samples) == 2**23
         assert peak < z.samples.nbytes + 24 * 2**20
 
+    def test_detector_file_and_its_psd(self, tmp_path):
+        # 2^22 samples (32 MiB) generated, read out and written in reused
+        # block buffers, then read back for the Welch PSD
+        cfg = lv.SimConfig(time_step=1.2e-8, duration=2**22 * 1.2e-8, seed=3)
+        path = tmp_path / "detector.ts"
+        _, peak = _traced_peak(lambda: io_formats.write_time_series(
+            path, lv.detector_blocks(lv.axial_motion_blocks(
+                STIFFNESS, GAMMA, MASS, 296.0, cfg), cfg)))
+        assert peak < 8 * 2**20
+        spectrum, peak = _traced_peak(lambda: analysis.stream_power_spectral_density(
+            io_formats.read_time_series(path)))
+        assert spectrum.averages == 127
+        assert peak < 10.5 * 2**20
+
 
 class TestDetectorSignal:
     def _series(self, seed=4):
@@ -289,6 +339,16 @@ class TestDetectorSignal:
         third = len(spec.densities) // 3
         assert np.mean(spec.densities[:third]) == pytest.approx(
             np.mean(spec.densities[-third:]), rel=0.05)
+
+    @pytest.mark.parametrize("noise_floor", [1e-6, 0.0])
+    def test_input_unchanged(self, noise_floor):
+        cfg, series = self._series()
+        cfg = lv.SimConfig(time_step=cfg.time_step, duration=cfg.duration,
+                           seed=cfg.seed, detector_noise_floor=noise_floor)
+        before = series.samples.copy()
+        out = lv.detector_blocks(series, cfg).collect()
+        assert np.array_equal(series.samples, before)
+        assert not np.shares_memory(out.samples, series.samples)
 
     def test_zero_noise_scales_exactly(self):
         cfg, series = self._series()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from pmtrap import constants as const
 from pmtrap import trap_mechanics as tm
@@ -179,6 +180,15 @@ class TestGammaPminExponent:
         assert fit.ci95[0] < fit.exponent < fit.ci95[1]
         assert fit.exponent == pytest.approx(0.48, abs=0.1)
 
+    def test_ci_is_t_interval(self):
+        # fig1b's nine points: 7 degrees of freedom, t(0.975, 7) = 2.3646
+        rng = np.random.default_rng(4)
+        p = np.geomspace(1e-3, 1e-2, 9)
+        fit = tm.gamma_pmin_exponent(list(zip(p, p**0.5 * np.exp(rng.normal(0, 0.05, 9)))))
+        half = 0.5 * (fit.ci95[1] - fit.ci95[0])
+        assert half == pytest.approx(stats.t.ppf(0.975, 7) * fit.std_error, rel=1e-12)
+        assert half / (1.96 * fit.std_error) == pytest.approx(1.2064, abs=1e-4)
+
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientDataError):
             tm.gamma_pmin_exponent([(1e-3, 1.0)] * 4)
@@ -186,3 +196,11 @@ class TestGammaPminExponent:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             tm.gamma_pmin_exponent([(1e-3, -1.0)] * 6)
+
+
+class TestStudentTQuantile:
+    @pytest.mark.parametrize("dof", range(1, 61))
+    def test_matches_scipy(self, dof):
+        for p in (0.5, 0.6, 0.9, 0.975, 0.995):
+            assert tm._t_quantile(p, dof) == pytest.approx(stats.t.ppf(p, dof),
+                                                           rel=1e-12, abs=1e-15)
