@@ -48,8 +48,7 @@ EXIT_MISSING_ARTIFACT = 4
 EXIT_ANALYSIS = 5
 
 # the artifacts analyze_dataset parses; each reader checks its manifest sha256
-ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts",
-                      "image_total.csv", "image_total.csv.json")
+ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts", "image_total.img")
 
 
 def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
@@ -87,10 +86,9 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
         for img in (total, vertical, horizontal):
             img.pixels = np.clip(
                 img.pixels + rng.normal(0.0, scale, img.pixels.shape), 0.0, None)
-    for name, img in (("image_total.csv", total), ("image_vertical.csv", vertical),
-                      ("image_horizontal.csv", horizontal)):
-        digests[name], digests[name + ".json"] = io_formats.write_image_csv(
-            out_dir / name, img)
+    for img in (total, vertical, horizontal):
+        name = f"image_{img.channel}.img"
+        digests[name] = io_formats.write_image(out_dir / name, img)
 
     manifest = write_manifest(out_dir, config, digests,
                               elapsed_s=time.time() - started)
@@ -138,9 +136,8 @@ def analyze_dataset(dataset_dir, out_dir=None,
     if "repetition_rate" not in tags.metadata:
         raise MissingArtifactError("artifact corrupt (header metadata lacks "
                                    f"repetition_rate): {dataset_dir / 'tags.bin'}")
-    image = io_formats.read_image_csv(dataset_dir / "image_total.csv",
-                                      sha256["image_total.csv"],
-                                      sha256["image_total.csv.json"])
+    image = io_formats.read_image(dataset_dir / "image_total.img",
+                                  sha256["image_total.img"])
     try:
         spectrum = analysis.stream_power_spectral_density(io_formats.read_time_series(
             dataset_dir / "detector.ts", sha256["detector.ts"]))

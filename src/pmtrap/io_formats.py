@@ -1,7 +1,8 @@
 """Dataset file formats.
 
-- Aperture images: CSV matrix plus a JSON metadata sidecar (pixel pitch in
-  units of focal length, center, channel).
+- Aperture images: row-major little-endian float64 pixels behind an embedded
+  JSON header (pixel pitch in units of focal length, center, channel, shape,
+  metadata).
 - Time series: little-endian binary float64 array behind an embedded JSON
   header (sample interval, units, seed).
 - Time tags: binary record stream (u8 channel, little-endian f64 timestamp in
@@ -23,22 +24,21 @@ the end: it writes a blank, fixed-width ``n_events`` field, fills it in
 after the last block and hashes the file in one re-read.
 Each reader reads its file once, in order, hashing the bytes it parses, and
 raises ``MissingArtifactError`` if given a ``sha256`` they do not match.
-``read_time_series`` and ``read_time_tags`` share one container pass
-(``_read_container``), which reads the payload in blocks of
-``_BLOCK_RECORDS`` records, and return the one-pass ``SeriesBlocks`` and
-``TagBlocks`` that the writers consume.  Payload values that the models
-cannot have produced (non-finite samples or timestamps, channels other than
-0 and 1, unsorted or out-of-window tags, also across blocks), and header or
-sidecar values of the wrong type or range, raise ``MissingArtifactError``
-like any other corrupt artifact; a reader given a ``sha256`` that finds a
-bad block hashes the rest of the payload first, so that a stale digest is
-reported as one.
+All three readers share one container pass (``_read_container``), which
+reads the payload in blocks of ``_BLOCK_RECORDS`` records; ``read_time_series``
+and ``read_time_tags`` return the one-pass ``SeriesBlocks`` and ``TagBlocks``
+that the writers consume, and ``read_image`` copies the blocks into one
+array.  Payload values that the models cannot have produced (non-finite
+samples, timestamps or pixels, negative pixels, channels other than 0 and 1,
+unsorted or out-of-window tags, also across blocks), and header values of the
+wrong type or range, raise ``MissingArtifactError`` like any other corrupt
+artifact; a reader given a ``sha256`` that finds a bad block hashes the rest
+of the payload first, so that a stale digest is reported as one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import struct
@@ -52,24 +52,21 @@ from .mirror_optics import ApertureImage
 from .photon_emitter import TagBlocks, TimeTagStream
 
 __all__ = [
-    "write_image_csv", "read_image_csv",
+    "write_image", "read_image",
     "write_time_series", "read_time_series",
     "write_time_tags", "read_time_tags", "export_time_tags_csv",
     "sha256_file",
 ]
 
+_IMAGE_MAGIC = b"PMI1"
 _SERIES_MAGIC = b"PMS1"
 _TAGS_MAGIC = b"PMT1"
-_SERIES_DTYPE = np.dtype("<f8")
+_F8_DTYPE = np.dtype("<f8")
 _TAG_DTYPE = np.dtype([("channel", "u1"), ("time", "<f8")])
 # records per block of container payload reads and writes
 _BLOCK_RECORDS = 1 << 18
 # characters of the space-padded n_events field of a time-tag header
 _COUNT_WIDTH = 20
-
-
-def _sidecar(path: Path) -> Path:
-    return path.with_suffix(path.suffix + ".json")
 
 
 def _json_header(blob: bytes, path: Path, required: tuple[str, ...]) -> dict:
@@ -95,67 +92,10 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and -np.inf < value < np.inf
 
 
-def _write_bytes(path: Path, data: bytes) -> str:
-    """Write ``data`` to ``path``; returns its sha256."""
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
-
-
 def _check_digest(digest, sha256: str | None, path: Path) -> None:
     """Raise unless the bytes fed to ``digest`` hash to ``sha256`` (if given)."""
     if sha256 is not None and digest.hexdigest() != sha256:
         raise MissingArtifactError(f"artifact checksum mismatch: {path}")
-
-
-def write_image_csv(path, image: ApertureImage) -> tuple[str, str]:
-    """Pixels as CSV plus the JSON sidecar; returns the sha256 of each."""
-    path = Path(path)
-    pixels = io.BytesIO()
-    np.savetxt(pixels, image.pixels, delimiter=",", fmt="%.17g")
-    meta = {
-        "pixel_pitch_f": image.pixel_pitch,
-        "center_px": list(image.center),
-        "channel": image.channel,
-        "shape": list(image.pixels.shape),
-        "metadata": image.metadata,
-    }
-    sidecar = (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    return (_write_bytes(path, pixels.getvalue()),
-            _write_bytes(_sidecar(path), sidecar))
-
-
-def read_image_csv(path, sha256: str | None = None,
-                   sidecar_sha256: str | None = None) -> ApertureImage:
-    """Read an image and its sidecar once each; the bytes hashed are parsed."""
-    path = Path(path)
-    sidecar = _sidecar(path)
-    if not path.exists() or not sidecar.exists():
-        raise MissingArtifactError(f"image artifact incomplete: {path}")
-    raw, meta_raw = path.read_bytes(), sidecar.read_bytes()
-    _check_digest(hashlib.sha256(raw), sha256, path)
-    _check_digest(hashlib.sha256(meta_raw), sidecar_sha256, sidecar)
-    meta = _json_header(meta_raw, sidecar, ("pixel_pitch_f", "channel", "center_px"))
-    center, metadata = meta["center_px"], meta.get("metadata", {})
-    if not _finite_number(meta["pixel_pitch_f"]):
-        raise MissingArtifactError(f"artifact corrupt (header pixel_pitch_f): {sidecar}")
-    if not (isinstance(center, list) and len(center) == 2
-            and all(map(_finite_number, center))):
-        raise MissingArtifactError(
-            f"artifact corrupt (header center_px is not two numbers): {sidecar}")
-    if not isinstance(metadata, dict) or not all(
-            _finite_number(metadata[key]) for key in ("bore_radius_f", "rim_radius_f")
-            if key in metadata):
-        raise MissingArtifactError(f"artifact corrupt (header metadata): {sidecar}")
-    try:
-        pixels = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise MissingArtifactError(f"artifact corrupt (pixels): {path}: {exc}")
-    try:
-        return ApertureImage(pixels=pixels, pixel_pitch=meta["pixel_pitch_f"],
-                             channel=meta["channel"], center=tuple(center),
-                             metadata=metadata)
-    except (ValueError, TypeError) as exc:
-        raise MissingArtifactError(f"artifact corrupt ({exc}): {path}")
 
 
 def _write_container(path: Path, magic: bytes, header: dict, blocks) -> str:
@@ -220,6 +160,66 @@ def _read_container(path: Path, magic: bytes, count_key: str,
     _check_digest(digest, sha256, path)
 
 
+def write_image(path, image: ApertureImage) -> str:
+    """Write an image container, pixels row-major; returns its sha256."""
+    header = {
+        "pixel_pitch_f": image.pixel_pitch,
+        "center_px": list(image.center),
+        "channel": image.channel,
+        "shape": list(image.pixels.shape),
+        "metadata": image.metadata,
+        "n_pixels": image.pixels.size,
+    }
+    pixels = np.ascontiguousarray(image.pixels, dtype=_F8_DTYPE)
+    return _write_container(Path(path), _IMAGE_MAGIC, header, [pixels])
+
+
+def read_image(path, sha256: str | None = None) -> ApertureImage:
+    """An image container, read and hashed once, its blocks copied into one
+    array.
+
+    ``sha256`` is checked first; then the header (a finite pixel_pitch_f > 0,
+    a known channel, center_px as two finite numbers, a metadata mapping
+    whose bore and rim radii are finite numbers, and a shape of two positive
+    ints whose product is n_pixels) and the pixels (finite and >= 0).  A
+    failed check raises ``MissingArtifactError``.
+    """
+    path = Path(path)
+    records = _read_container(path, _IMAGE_MAGIC, "n_pixels",
+                              ("pixel_pitch_f", "channel", "center_px", "shape"),
+                              _F8_DTYPE, sha256)
+    header, count = next(records)
+    pixels, start = np.empty(count, dtype=_F8_DTYPE), 0
+    for block in records:
+        pixels[start: start + len(block)] = block
+        start += len(block)
+    shape, center = header["shape"], header["center_px"]
+    metadata = header.get("metadata", {})
+    if not _finite_number(header["pixel_pitch_f"]):
+        raise MissingArtifactError(f"artifact corrupt (header pixel_pitch_f): {path}")
+    if not (isinstance(center, list) and len(center) == 2
+            and all(map(_finite_number, center))):
+        raise MissingArtifactError(
+            f"artifact corrupt (header center_px is not two numbers): {path}")
+    if not isinstance(metadata, dict) or not all(
+            _finite_number(metadata[key]) for key in ("bore_radius_f", "rim_radius_f")
+            if key in metadata):
+        raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n > 0 for n in shape)
+            and shape[0] * shape[1] == count):
+        raise MissingArtifactError(
+            f"artifact corrupt (header shape is not two positive counts "
+            f"of n_pixels): {path}")
+    try:
+        return ApertureImage(pixels=pixels.reshape(shape),
+                             pixel_pitch=header["pixel_pitch_f"],
+                             channel=header["channel"], center=tuple(center),
+                             metadata=metadata)
+    except (ValueError, TypeError) as exc:
+        raise MissingArtifactError(f"artifact corrupt ({exc}): {path}")
+
+
 def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
     """Write a time-series container block by block; returns its sha256."""
     header = {
@@ -228,7 +228,7 @@ def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
         "seed": series.seed,
         "n_samples": series.n_samples,
     }
-    blocks = (np.ascontiguousarray(block, dtype=_SERIES_DTYPE)
+    blocks = (np.ascontiguousarray(block, dtype=_F8_DTYPE)
               for block in series.blocks)
     return _write_container(Path(path), _SERIES_MAGIC, header, blocks)
 
@@ -244,7 +244,7 @@ def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
     """
     path = Path(path)
     records = _read_container(path, _SERIES_MAGIC, "n_samples", ("sample_interval_s",),
-                              _SERIES_DTYPE, sha256)
+                              _F8_DTYPE, sha256)
     header, count = next(records)
     interval = header["sample_interval_s"]
     if not (_finite_number(interval) and interval > 0):

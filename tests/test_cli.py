@@ -126,10 +126,13 @@ class TestSimulate:
         assert not (tmp_path / "ds").exists()
 
     def test_artifacts_present(self, dataset):
+        # exactly these files: one container per image, no sidecars
         _, out, _ = dataset
-        for name in ("tags.bin", "detector.ts", "image_total.csv",
-                     "manifest.json"):
-            assert (out / name).exists()
+        artifacts = {"tags.bin", "detector.ts", "image_total.img",
+                     "image_vertical.img", "image_horizontal.img"}
+        assert {p.name for p in out.iterdir()} == artifacts | {"manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == artifacts
 
     def test_manifest_checksums(self, dataset):
         _, out, _ = dataset
@@ -188,8 +191,8 @@ def _rehash(dataset_dir: Path, artifact: str) -> None:
     (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
-def _edit_tags_header(edit):
-    """A rewrite of tags.bin that passes its JSON header through ``edit``."""
+def _edit_header(edit):
+    """A rewrite of a container that passes its JSON header through ``edit``."""
     def rewrite(raw: bytes) -> bytes:
         (n,) = struct.unpack("<I", raw[4:8])
         header = json.loads(raw[8: 8 + n])
@@ -197,11 +200,6 @@ def _edit_tags_header(edit):
         blob = json.dumps(header).encode()
         return raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + n:]
     return rewrite
-
-
-def _edit_sidecar(**values):
-    """A rewrite of an image sidecar with ``values`` set."""
-    return lambda raw: json.dumps({**json.loads(raw), **values}).encode()
 
 
 class TestAnalyze:
@@ -268,6 +266,19 @@ class TestAnalyze:
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_csv_image_dataset_exits_4(self, dataset, tmp_path, capsys):
+        # a dataset of the earlier format lists image_total.csv, not .img
+        _, out, _ = dataset
+        old = _copy_dataset(out, tmp_path / "old")
+        manifest = json.loads((old / "manifest.json").read_text())
+        (old / "image_total.img").rename(old / "image_total.csv")
+        artifacts = manifest["artifacts"]
+        artifacts["image_total.csv"] = artifacts.pop("image_total.img")
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(old)]) == EXIT_MISSING_ARTIFACT
+        assert ("manifest.json does not list image_total.img"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("entry", ["absolute", "parent", "subdirectory",
                                        "symlink", "dot"])
     def test_artifact_outside_dataset_exits_4(self, dataset, tmp_path, entry,
@@ -292,17 +303,17 @@ class TestAnalyze:
         assert name in capsys.readouterr().err
 
     def test_corrupt_image_exits_4(self, dataset, tmp_path, capsys):
-        # checksum updated, so the pixel parser itself must reject the file
+        # checksum updated, so the container reader itself must reject the file
         _, out, _ = dataset
-        broken = _copy_dataset(out, tmp_path / "pixels", rewrite=("image_total.csv",))
-        image = broken / "image_total.csv"
+        broken = _copy_dataset(out, tmp_path / "magic", rewrite=("image_total.img",))
+        image = broken / "image_total.img"
         image.write_bytes(b"zz" + image.read_bytes()[2:])
-        _rehash(broken, "image_total.csv")
+        _rehash(broken, "image_total.img")
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
-        assert "image_total.csv" in capsys.readouterr().err
+        assert "image_total.img" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cut", [*range(1, 10), "header"])
-    @pytest.mark.parametrize("artifact", ["detector.ts", "tags.bin"])
+    @pytest.mark.parametrize("artifact", ["detector.ts", "tags.bin", "image_total.img"])
     def test_truncated_container_exits_4(self, short_dataset, tmp_path, artifact,
                                          cut, capsys):
         # checksum updated, so the container reader itself must reject the
@@ -325,8 +336,10 @@ class TestAnalyze:
         ("tags.bin", 9 * 10 + 1, struct.pack("<d", 0.0)),
         ("tags.bin", 1, struct.pack("<d", -1.0)),
         ("tags.bin", -8, struct.pack("<d", 1e9)),
+        ("image_total.img", 0, struct.pack("<d", -1.0)),
+        ("image_total.img", -8, struct.pack("<d", np.nan)),
     ], ids=["nan_sample", "inf_sample", "nan_timestamp", "channel_2", "unsorted",
-            "negative_timestamp", "after_window"])
+            "negative_timestamp", "after_window", "negative_pixel", "nan_pixel"])
     def test_corrupt_payload_exits_4(self, short_dataset, tmp_path, artifact, at,
                                      value, capsys):
         # checksum updated: values the simulator cannot produce are a corrupt
@@ -343,34 +356,35 @@ class TestAnalyze:
         assert artifact in capsys.readouterr().err
 
     @pytest.mark.parametrize("artifact, rewrite", [
-        ("tags.bin", _edit_tags_header(lambda h: h.update(metadata=[]))),
-        ("tags.bin", _edit_tags_header(
+        ("tags.bin", _edit_header(lambda h: h.update(metadata=[]))),
+        ("tags.bin", _edit_header(
             lambda h: h["metadata"].update(repetition_rate="x"))),
-        ("tags.bin", _edit_tags_header(
+        ("tags.bin", _edit_header(
             lambda h: h["metadata"].update(repetition_rate=0))),
-        ("tags.bin", _edit_tags_header(lambda h: h["metadata"].pop("repetition_rate"))),
-        ("image_total.csv.json", _edit_sidecar(pixel_pitch_f="x")),
-        ("image_total.csv.json", _edit_sidecar(pixel_pitch_f=float("nan"))),
-        ("image_total.csv.json", _edit_sidecar(center_px=3)),
-        ("image_total.csv.json", _edit_sidecar(metadata=[])),
-        ("image_total.csv.json", _edit_sidecar(metadata={"bore_radius_f": "x"})),
-        ("image_total.csv.json", _edit_sidecar(pixel_pitch_f=-1)),
-        ("image_total.csv.json", _edit_sidecar(channel="diag")),
-        ("image_total.csv", lambda raw: b"-1" + raw[raw.index(b","):]),
+        ("tags.bin", _edit_header(lambda h: h["metadata"].pop("repetition_rate"))),
+        ("image_total.img", _edit_header(lambda h: h.update(pixel_pitch_f="x"))),
+        ("image_total.img", _edit_header(lambda h: h.update(pixel_pitch_f=float("nan")))),
+        ("image_total.img", _edit_header(lambda h: h.update(center_px=3))),
+        ("image_total.img", _edit_header(lambda h: h.update(metadata=[]))),
+        ("image_total.img", _edit_header(
+            lambda h: h.update(metadata={"bore_radius_f": "x"}))),
+        ("image_total.img", _edit_header(lambda h: h.update(pixel_pitch_f=-1))),
+        ("image_total.img", _edit_header(lambda h: h.update(channel="diag"))),
+        ("image_total.img", _edit_header(lambda h: h.update(shape=[128, 256]))),
     ], ids=["tags_metadata_list", "rate_string", "rate_zero", "rate_missing",
             "pitch_string", "pitch_nan", "center_scalar", "image_metadata_list",
-            "bore_string", "pitch_negative", "channel_diag", "negative_pixel"])
+            "bore_string", "pitch_negative", "channel_diag", "shape_mismatch"])
     def test_corrupt_header_value_exits_4(self, dataset, tmp_path, artifact,
                                           rewrite, capsys):
-        # checksum updated: header and sidecar values of the wrong type or
-        # range are a corrupt artifact, not a traceback or a config error
+        # checksum updated: header values of the wrong type or range are a
+        # corrupt artifact, not a traceback or a config error
         _, out, _ = dataset
         broken = _copy_dataset(out, tmp_path / "header", rewrite=(artifact,))
         path = broken / artifact
         path.write_bytes(rewrite(path.read_bytes()))
         _rehash(broken, artifact)
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
-        assert artifact.removesuffix(".json") in capsys.readouterr().err
+        assert artifact in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", [
         np.random.default_rng(1).normal(size=600),
@@ -403,7 +417,7 @@ class TestAnalyze:
         for name in cli.ANALYZED_ARTIFACTS:
             assert opened.count(name) == 1, name
 
-    @pytest.mark.parametrize("artifact", [*cli.ANALYZED_ARTIFACTS, "image_vertical.csv"])
+    @pytest.mark.parametrize("artifact", [*cli.ANALYZED_ARTIFACTS, "image_vertical.img"])
     def test_stale_manifest_exits_4(self, short_dataset, tmp_path, artifact, capsys):
         # one changed byte that still parses: only the digest can reject it,
         # and it does before analyze writes anything
@@ -411,14 +425,7 @@ class TestAnalyze:
         broken = _copy_dataset(out, tmp_path / "stale", rewrite=(artifact,))
         path = broken / artifact
         raw = bytearray(path.read_bytes())
-        if artifact.endswith(".json"):
-            at = raw.index(b" ")
-            raw[at: at + 1] = b"\t"  # JSON whitespace
-        elif artifact.endswith(".csv"):
-            at = raw.index(b",") - 1
-            raw[at] = raw[at] + 1 if raw[at] < ord("9") else raw[at] - 1
-        else:
-            raw[-8] ^= 1  # last value, lowest mantissa bit
+        raw[-8] ^= 1  # last value, lowest mantissa bit
         path.write_bytes(bytes(raw))
         res = tmp_path / "res"
         assert main(["analyze", str(broken), "--out", str(res)]) \

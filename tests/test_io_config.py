@@ -40,39 +40,36 @@ CORRUPT_IDS = ["non_utf8", "non_json", "empty_mapping"]
 class TestImageIO:
     def test_round_trip(self, tmp_path):
         img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]))
-        path = tmp_path / "img.csv"
-        io.write_image_csv(path, img)
-        back = io.read_image_csv(path)
+        path = tmp_path / "img.img"
+        back = io.read_image(path, io.write_image(path, img))
         assert np.array_equal(back.pixels, img.pixels)
         assert back.pixel_pitch == img.pixel_pitch
         assert back.channel == img.channel
         assert back.center == img.center
+        assert back.metadata == img.metadata
 
-    @pytest.mark.parametrize("corrupt", CORRUPT_HEADERS, ids=CORRUPT_IDS)
-    def test_corrupt_sidecar(self, tmp_path, corrupt):
-        img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
-        path = tmp_path / "img.csv"
-        io.write_image_csv(path, img)
-        sidecar = tmp_path / "img.csv.json"
-        sidecar.write_bytes(corrupt(sidecar.read_bytes()))
-        with pytest.raises(MissingArtifactError, match="header"):
-            io.read_image_csv(path)
+    @pytest.mark.parametrize("block", [7, 9])
+    def test_round_trip_across_blocks(self, tmp_path, monkeypatch, block):
+        # 45 pixels: several reader blocks, the last one partial (7) or full (9)
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
+        img = mo.ApertureImage(pixels=np.arange(45.0).reshape(5, 9) / 7,
+                               pixel_pitch=0.1, channel="vertical")
+        path = tmp_path / "img.img"
+        back = io.read_image(path, io.write_image(path, img))
+        assert back.pixels.tobytes() == img.pixels.tobytes()
+        assert back.pixels.shape == (5, 9)
 
     def test_corrupt_pixels(self, tmp_path):
         img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
-        path = tmp_path / "img.csv"
-        io.write_image_csv(path, img)
-        path.write_bytes(b"zz" + path.read_bytes()[2:])
-        with pytest.raises(MissingArtifactError, match="pixels"):
-            io.read_image_csv(path)
+        path = tmp_path / "img.img"
+        io.write_image(path, img)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", np.inf))
+        with pytest.raises(MissingArtifactError, match="finite"):
+            io.read_image(path)
 
-    def test_missing_sidecar(self, tmp_path):
-        img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
-        path = tmp_path / "img.csv"
-        io.write_image_csv(path, img)
-        (tmp_path / "img.csv.json").unlink()
-        with pytest.raises(MissingArtifactError):
-            io.read_image_csv(path)
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingArtifactError, match="missing"):
+            io.read_image(tmp_path / "img.img")
 
 
 def _replace_header(path, corrupt) -> None:
@@ -82,16 +79,23 @@ def _replace_header(path, corrupt) -> None:
     path.write_bytes(raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + n:])
 
 
-@pytest.mark.parametrize("corrupt", CORRUPT_HEADERS, ids=CORRUPT_IDS)
-@pytest.mark.parametrize("kind", ["time_series", "time_tags"])
-def test_corrupt_container_header(tmp_path, kind, corrupt):
-    path = tmp_path / "artifact.bin"
+def _write_two_records(kind, path) -> None:
+    """A container of ``kind`` whose payload holds two records."""
     if kind == "time_series":
         io.write_time_series(path, TimeSeries(sample_interval=1e-6,
-                                              samples=np.arange(100.0)))
-    else:
+                                              samples=np.arange(2.0)))
+    elif kind == "time_tags":
         io.write_time_tags(path, TimeTagStream(channels=[0, 1],
                                                timestamps=[0.1, 0.2], duration=1.0))
+    else:
+        io.write_image(path, mo.ApertureImage(pixels=[[0.0, 1.0]], pixel_pitch=0.1))
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_HEADERS, ids=CORRUPT_IDS)
+@pytest.mark.parametrize("kind", ["time_series", "time_tags", "image"])
+def test_corrupt_container_header(tmp_path, kind, corrupt):
+    path = tmp_path / "artifact.bin"
+    _write_two_records(kind, path)
     _replace_header(path, corrupt)
     with pytest.raises(MissingArtifactError, match="header"):
         getattr(io, f"read_{kind}")(path)
@@ -100,16 +104,12 @@ def test_corrupt_container_header(tmp_path, kind, corrupt):
 @pytest.mark.parametrize("count", ["2", 2.0, True, -1, None],
                          ids=["string", "float", "boolean", "negative", "null"])
 @pytest.mark.parametrize("kind, key", [("time_series", "n_samples"),
-                                       ("time_tags", "n_events")])
+                                       ("time_tags", "n_events"),
+                                       ("image", "n_pixels")])
 def test_container_count_not_a_count(tmp_path, kind, key, count):
     # the reader sizes the payload from this field, so it must be an int >= 0
     path = tmp_path / "artifact.bin"
-    if kind == "time_series":
-        io.write_time_series(path, TimeSeries(sample_interval=1e-6,
-                                              samples=np.arange(2.0)))
-    else:
-        io.write_time_tags(path, TimeTagStream(channels=[0, 1],
-                                               timestamps=[0.1, 0.2], duration=1.0))
+    _write_two_records(kind, path)
     _replace_header(path, lambda blob: json.dumps(
         {**json.loads(blob), key: count}).encode())
     with pytest.raises(MissingArtifactError, match=f"{key} is not a count"):
@@ -124,16 +124,17 @@ def test_container_count_not_a_count(tmp_path, kind, key, count):
     ("time_tags", "duration_s", None),
     ("time_tags", "duration_s", float("nan")),
     ("time_tags", "duration_s", -1.0),
+    ("image", "shape", [1, 3]),
+    ("image", "shape", [2]),
+    ("image", "shape", [1.0, 2]),
+    ("image", "shape", [-1, -2]),
+    ("image", "shape", "1x2"),
 ], ids=["interval_string", "interval_zero", "interval_null", "duration_string",
-        "duration_null", "duration_nan", "duration_negative"])
+        "duration_null", "duration_nan", "duration_negative", "shape_mismatch",
+        "shape_rank_1", "shape_float", "shape_negative", "shape_string"])
 def test_container_header_value_rejected(tmp_path, kind, key, value):
     path = tmp_path / "artifact.bin"
-    if kind == "time_series":
-        io.write_time_series(path, TimeSeries(sample_interval=1e-6,
-                                              samples=np.arange(2.0)))
-    else:
-        io.write_time_tags(path, TimeTagStream(channels=[0, 1],
-                                               timestamps=[0.1, 0.2], duration=1.0))
+    _write_two_records(kind, path)
     _replace_header(path, lambda blob: json.dumps(
         {**json.loads(blob), key: value}).encode())
     with pytest.raises(MissingArtifactError, match="corrupt"):
@@ -306,13 +307,11 @@ class TestWriterDigests:
         path = tmp_path / "tags.bin"
         assert io.write_time_tags(path, stream) == io.sha256_file(path)
 
-    def test_image_csv(self, tmp_path):
+    def test_image(self, tmp_path):
         image = mo.ApertureImage(pixels=np.arange(12.0).reshape(3, 4) / 7,
                                  pixel_pitch=0.1, channel="total")
-        path = tmp_path / "image.csv"
-        pixels, sidecar = io.write_image_csv(path, image)
-        assert pixels == io.sha256_file(path)
-        assert sidecar == io.sha256_file(tmp_path / "image.csv.json")
+        path = tmp_path / "image.img"
+        assert io.write_image(path, image) == io.sha256_file(path)
 
 
 class TestStreamCounts:
@@ -503,17 +502,15 @@ class TestReaderByteFlips:
     file or raises ``MissingArtifactError``, never another exception, and
     given the file's digest it always raises."""
 
-    # flipped file -> reader(root, digests by name, possibly none); the
-    # sidecar is read through its image
+    # flipped file -> reader(root, digests by name, possibly none)
     READERS = {
         "series.ts": lambda root, sha: io.read_time_series(
             root / "series.ts", sha.get("series.ts")).collect(),
         "tags.bin": lambda root, sha: io.read_time_tags(root / "tags.bin",
                                                          sha.get("tags.bin")).collect(),
-        "image.csv": lambda root, sha: io.read_image_csv(
-            root / "image.csv", sha.get("image.csv"), sha.get("image.csv.json")),
+        "image.img": lambda root, sha: io.read_image(root / "image.img",
+                                                      sha.get("image.img")),
     }
-    READERS["image.csv.json"] = READERS["image.csv"]
 
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
@@ -523,7 +520,7 @@ class TestReaderByteFlips:
         io.write_time_tags(root / "tags.bin", TimeTagStream(
             channels=[0, 1, 1, 0, 1], timestamps=[0.1, 0.2, 0.2, 0.5, 0.9],
             duration=1.0, seed=4, metadata={"repetition_rate": 1e6}))
-        io.write_image_csv(root / "image.csv", mo.general_dipole_image(
+        io.write_image(root / "image.img", mo.general_dipole_image(
             np.array([0.0, 0.0, 1.0]), n_pixels=8, half_extent=0.5))
         return root, {name: (root / name).read_bytes() for name in self.READERS}
 
@@ -623,16 +620,16 @@ class TestRoundTrips:
            channel=st.sampled_from(["total", "vertical", "horizontal"]),
            radii=st.fixed_dictionaries({}, optional={"bore_radius_f": FINITE,
                                                      "rim_radius_f": FINITE}))
-    def test_image_csv(self, root, data, rows, cols, pitch, center, channel, radii):
+    def test_image(self, root, data, rows, cols, pitch, center, channel, radii):
         pixels = data.draw(st.lists(st.lists(st.floats(0.0, 1e300), min_size=cols,
                                              max_size=cols),
                                     min_size=rows, max_size=rows), label="pixels")
         image = mo.ApertureImage(pixels=pixels, pixel_pitch=pitch, channel=channel,
                                  center=center, metadata=radii)
-        path = self._new(root, "image.csv", "image.csv.json")
-        digests = io.write_image_csv(path, image)
-        assert digests == (io.sha256_file(path), io.sha256_file(root / "image.csv.json"))
-        back = io.read_image_csv(path, *digests)
+        path = self._new(root, "image.img")
+        digest = io.write_image(path, image)
+        assert digest == io.sha256_file(path)
+        back = io.read_image(path, digest)
         assert back.pixels.tobytes() == image.pixels.tobytes()
         assert back.pixels.shape == (rows, cols)
         assert (back.pixel_pitch, back.channel, back.center, back.metadata) == (
