@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import analysis, io_formats, langevin, mirror_optics, photon_emitter
 from .config import (
@@ -198,7 +197,7 @@ def _load_config_arg(args) -> ExperimentConfig:
     if args.config is not None:
         config = load_config(args.config)
     else:
-        config = parse_config(yaml.safe_load(default_config_yaml()))
+        config = parse_config({})
     if getattr(args, "seed", None) is not None:
         raw = dict(config.raw)
         raw["seed"] = args.seed

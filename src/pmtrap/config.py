@@ -352,7 +352,7 @@ def load_config(path) -> ExperimentConfig:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}",
                           [f"path: {path} does not exist"])
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}",
                           [f"yaml: {exc}"])
     if raw is None:
@@ -438,7 +438,7 @@ def verify_manifest(directory, parsed=()) -> dict:
         raise MissingArtifactError(f"manifest.json missing in {directory}")
     try:
         manifest = json.loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise MissingArtifactError(f"manifest.json corrupt: {exc}")
     artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
     if not isinstance(artifacts, dict):

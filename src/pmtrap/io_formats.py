@@ -10,30 +10,28 @@
   export for interoperability.
 
 Binary container layout: 4-byte magic, u32 little-endian header length,
-UTF-8 JSON header, raw payload.
+UTF-8 JSON header, payload records, then a u64 little-endian trailer, the
+bitwise complement of the record count.  The count comes last because a
+stream may learn it only at its end; the complement keeps a cut file from
+ending in a valid trailer (the eight bytes before a cut of a series or an
+image read as a NaN, never as a count, and those of a tag stream start with
+a channel, 0 or 1, the low byte of no complemented count below 254).
 
-The writers of dataset artifacts return the sha256 of the file they wrote.
-The container writers and the CSV export read any stream the same way, one
-block at a time: a ``TimeSeries`` or ``TimeTagStream`` is a stream of one
-block, a ``SeriesBlocks`` or ``TagBlocks`` one of many, and each stream
-checks that its blocks hold the count it promised.  ``write_time_series``
-writes the header (the sample count is known up front) and then each block
-as it arrives, hashing as it writes, so a trace never has to exist whole.
-``write_time_tags`` takes a stream whose event count may be known only at
-the end: it writes a blank, fixed-width ``n_events`` field, fills it in
-after the last block and hashes the file in one re-read.
-Each reader reads its file once, in order, hashing the bytes it parses, and
-raises ``MissingArtifactError`` if given a ``sha256`` they do not match.
-All three readers share one container pass (``_read_container``), which
-reads the payload in blocks of ``_BLOCK_RECORDS`` records; ``read_time_series``
-and ``read_time_tags`` return the one-pass ``SeriesBlocks`` and ``TagBlocks``
-that the writers consume, and ``read_image`` copies the blocks into one
-array.  Payload values that the models cannot have produced (non-finite
-samples, timestamps or pixels, negative pixels, channels other than 0 and 1,
-unsorted or out-of-window tags, also across blocks), and header values of the
-wrong type or range, raise ``MissingArtifactError`` like any other corrupt
-artifact; a reader given a ``sha256`` that finds a bad block hashes the rest
-of the payload first, so that a stale digest is reported as one.
+Each writer hands its records, block by block, to ``_write_container``,
+which writes, counts and hashes them as they arrive and returns the sha256
+of the file; nothing is read back.  A ``TimeSeries`` or ``TimeTagStream``
+is a stream of one block, a ``SeriesBlocks`` or ``TagBlocks`` one of many,
+and each checks that its blocks hold the count it promised.  Each reader
+reads its file once, in order, through ``_read_container``: the magic, the
+header and the file size on the call, then one pass over blocks of
+``_BLOCK_RECORDS`` records that applies the reader's block check and checks
+``sha256``.  ``read_time_series`` and ``read_time_tags`` return that pass as
+``SeriesBlocks`` and ``TagBlocks``; ``read_image`` copies it into one array.
+Payload values that the models cannot have produced (non-finite samples,
+timestamps or pixels, negative pixels, channels other than 0 and 1, unsorted
+or out-of-window tags, also across blocks), and header values of the wrong
+type or range, raise ``MissingArtifactError`` like any other corrupt
+artifact.
 """
 
 from __future__ import annotations
@@ -58,15 +56,15 @@ __all__ = [
     "sha256_file",
 ]
 
-_IMAGE_MAGIC = b"PMI1"
-_SERIES_MAGIC = b"PMS1"
-_TAGS_MAGIC = b"PMT1"
+_IMAGE_MAGIC = b"PMI2"
+_SERIES_MAGIC = b"PMS2"
+_TAGS_MAGIC = b"PMT2"
 _F8_DTYPE = np.dtype("<f8")
 _TAG_DTYPE = np.dtype([("channel", "u1"), ("time", "<f8")])
 # records per block of container payload reads and writes
 _BLOCK_RECORDS = 1 << 18
-# characters of the space-padded n_events field of a time-tag header
-_COUNT_WIDTH = 20
+# the trailer holds count ^ _NOT_COUNT
+_NOT_COUNT = (1 << 64) - 1
 
 
 def _json_header(blob: bytes, path: Path, required: tuple[str, ...]) -> dict:
@@ -76,7 +74,7 @@ def _json_header(blob: bytes, path: Path, required: tuple[str, ...]) -> dict:
     """
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MissingArtifactError(f"artifact corrupt (bad header): {path}: {exc}")
     if not isinstance(header, dict):
         raise MissingArtifactError(f"artifact corrupt (header not a mapping): {path}")
@@ -92,72 +90,99 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and -np.inf < value < np.inf
 
 
-def _check_digest(digest, sha256: str | None, path: Path) -> None:
-    """Raise unless the bytes fed to ``digest`` hash to ``sha256`` (if given)."""
-    if sha256 is not None and digest.hexdigest() != sha256:
-        raise MissingArtifactError(f"artifact checksum mismatch: {path}")
-
-
 def _write_container(path: Path, magic: bytes, header: dict, blocks) -> str:
-    """Write the header, then each payload block as it arrives.
+    """Write the header, then each block of records as it arrives, then the
+    trailer of their count.
 
-    Returns the sha256 of the bytes written.
+    Each block is a contiguous array of records.  Returns the sha256 of the
+    bytes written.
     """
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256()
+    head = magic + struct.pack("<I", len(blob)) + blob
+    digest, count = hashlib.sha256(head), 0
     with open(path, "wb") as fh:
-        for chunk in (magic, struct.pack("<I", len(blob)), blob):
-            fh.write(chunk)
-            digest.update(chunk)
+        fh.write(head)
         for block in blocks:
             fh.write(block)
             digest.update(block)
+            count += block.size
+        trailer = struct.pack("<Q", count ^ _NOT_COUNT)
+        fh.write(trailer)
+    digest.update(trailer)
     return digest.hexdigest()
 
 
-def _read_container(path: Path, magic: bytes, count_key: str,
-                    required: tuple[str, ...], dtype: np.dtype, sha256: str | None):
-    """Yields the header and its ``count_key`` record count, then the payload
-    as blocks of ``_BLOCK_RECORDS`` records in one reused buffer, each valid
-    until the next.
+def _read_container(path: Path, magic: bytes, required: tuple[str, ...],
+                    dtype: np.dtype, sha256: str | None):
+    """Open a container: returns its header, its record count and
+    ``blocks(check)``, the one pass over its payload.
 
-    The magic, the header (which must hold ``count_key`` and ``required``)
-    and the payload size are checked before the first yield.  Every byte
-    read is hashed, and the hash checked against ``sha256`` after the last
-    block; a failed check raises ``MissingArtifactError``.
+    The magic, the header (which must hold ``required``) and the file size,
+    which must be the header's and the trailer's plus the trailer count's
+    records, are checked on the call.  ``blocks`` yields the payload as
+    blocks of ``_BLOCK_RECORDS`` records in one reused buffer, each valid
+    until the next; ``check`` gives the defect of a block, or None.  Every
+    byte is hashed, and the hash checked against ``sha256`` after the
+    trailer; a block with a defect has the rest of the file hashed first,
+    so that a stale digest is reported as one.  A failed check raises
+    ``MissingArtifactError``.
     """
     if not path.exists():
         raise MissingArtifactError(f"artifact missing: {path}")
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != magic:
-            raise MissingArtifactError(f"artifact corrupt (bad magic): {path}")
-        (n,) = struct.unpack("<I", head[4:8])
-        blob = fh.read(n)
-        if len(blob) < n:
-            raise MissingArtifactError(f"artifact truncated: {path}")
-        digest.update(head)
-        digest.update(blob)
-        header = _json_header(blob, path, (count_key, *required))
-        count = header[count_key]
-        if type(count) is not int or count < 0:
-            raise MissingArtifactError(
-                f"artifact corrupt (header {count_key} is not a count): {path}")
-        payload_bytes = os.fstat(fh.fileno()).st_size - (8 + n)
-        if payload_bytes != count * dtype.itemsize:
-            raise MissingArtifactError(
-                f"artifact truncated (payload holds {payload_bytes} bytes, "
-                f"header {count_key} needs {count * dtype.itemsize}): {path}")
-        yield header, count
-        buffer = np.empty(min(count, _BLOCK_RECORDS), dtype=dtype)
-        for start in range(0, count, _BLOCK_RECORDS):
-            block = buffer[: min(count - start, _BLOCK_RECORDS)]
-            if fh.readinto(block) != block.nbytes:
-                raise MissingArtifactError(f"artifact truncated: {path}")
-            digest.update(block)
+
+    def records():
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(8)
+            if len(head) < 8 or head[:4] != magic:
+                raise MissingArtifactError(f"artifact corrupt (bad magic): {path}")
+            (n,) = struct.unpack("<I", head[4:])
+            payload_bytes = size - (8 + n + 8)
+            if payload_bytes < 0:
+                raise MissingArtifactError(
+                    f"artifact truncated (header of {n} bytes): {path}")
+            blob = fh.read(n)
+            header = _json_header(blob, path, required)
+            fh.seek(size - 8)
+            trailer = fh.read(8)
+            count = struct.unpack("<Q", trailer)[0] ^ _NOT_COUNT
+            if payload_bytes != count * dtype.itemsize:
+                raise MissingArtifactError(
+                    f"artifact truncated (payload holds {payload_bytes} bytes, "
+                    f"trailer count needs {count * dtype.itemsize}): {path}")
+            fh.seek(8 + n)
+            digest = hashlib.sha256(head + blob)
+            yield header, count
+            buffer = np.empty(min(count, _BLOCK_RECORDS), dtype=dtype)
+            for start in range(0, count, _BLOCK_RECORDS):
+                block = buffer[: min(count - start, _BLOCK_RECORDS)]
+                if fh.readinto(block) != block.nbytes:
+                    raise MissingArtifactError(f"artifact truncated: {path}")
+                digest.update(block)
+                yield block
+            digest.update(trailer)
+        if sha256 is not None and digest.hexdigest() != sha256:
+            raise MissingArtifactError(f"artifact checksum mismatch: {path}")
+
+    # started, so that the file is closed when the pass is, used up or not
+    payload = records()
+    header, count = next(payload)
+
+    def blocks(check):
+        start = 0
+        for block in payload:
+            defect = check(block)
+            if defect is not None:
+                if sha256 is not None:
+                    for _ in payload:
+                        pass
+                raise MissingArtifactError(
+                    f"artifact corrupt ({defect}, in records "
+                    f"[{start}, {start + len(block)})): {path}")
+            start += len(block)
             yield block
-    _check_digest(digest, sha256, path)
+
+    return header, count, blocks
 
 
 def write_image(path, image: ApertureImage) -> str:
@@ -168,7 +193,6 @@ def write_image(path, image: ApertureImage) -> str:
         "channel": image.channel,
         "shape": list(image.pixels.shape),
         "metadata": image.metadata,
-        "n_pixels": image.pixels.size,
     }
     pixels = np.ascontiguousarray(image.pixels, dtype=_F8_DTYPE)
     return _write_container(Path(path), _IMAGE_MAGIC, header, [pixels])
@@ -181,16 +205,15 @@ def read_image(path, sha256: str | None = None) -> ApertureImage:
     ``sha256`` is checked first; then the header (a finite pixel_pitch_f > 0,
     a known channel, center_px as two finite numbers, a metadata mapping
     whose bore and rim radii are finite numbers, and a shape of two positive
-    ints whose product is n_pixels) and the pixels (finite and >= 0).  A
-    failed check raises ``MissingArtifactError``.
+    ints whose product is the pixel count) and the pixels (finite and >= 0).
+    A failed check raises ``MissingArtifactError``.
     """
     path = Path(path)
-    records = _read_container(path, _IMAGE_MAGIC, "n_pixels",
-                              ("pixel_pitch_f", "channel", "center_px", "shape"),
-                              _F8_DTYPE, sha256)
-    header, count = next(records)
+    header, count, blocks = _read_container(
+        path, _IMAGE_MAGIC, ("pixel_pitch_f", "channel", "center_px", "shape"),
+        _F8_DTYPE, sha256)
     pixels, start = np.empty(count, dtype=_F8_DTYPE), 0
-    for block in records:
+    for block in blocks(lambda block: None):  # ApertureImage checks the pixels
         pixels[start: start + len(block)] = block
         start += len(block)
     shape, center = header["shape"], header["center_px"]
@@ -210,7 +233,7 @@ def read_image(path, sha256: str | None = None) -> ApertureImage:
             and shape[0] * shape[1] == count):
         raise MissingArtifactError(
             f"artifact corrupt (header shape is not two positive counts "
-            f"of n_pixels): {path}")
+            f"of the {count} pixels): {path}")
     try:
         return ApertureImage(pixels=pixels.reshape(shape),
                              pixel_pitch=header["pixel_pitch_f"],
@@ -226,7 +249,6 @@ def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
         "sample_interval_s": series.sample_interval,
         "units": series.units,
         "seed": series.seed,
-        "n_samples": series.n_samples,
     }
     blocks = (np.ascontiguousarray(block, dtype=_F8_DTYPE)
               for block in series.blocks)
@@ -236,117 +258,81 @@ def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
 def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
     """A time-series container as one in-order pass of blocks.
 
-    The magic, the header and the payload size are checked on the call, each
+    The magic, the header and the file size are checked on the call, each
     block is checked finite as it is read and ``sha256`` after the last one;
-    a failed check raises ``MissingArtifactError``.  When a block fails and
-    ``sha256`` is given, the rest of the payload is hashed first, so that a
-    stale digest is reported as one.
+    a failed check raises ``MissingArtifactError``.
     """
     path = Path(path)
-    records = _read_container(path, _SERIES_MAGIC, "n_samples", ("sample_interval_s",),
-                              _F8_DTYPE, sha256)
-    header, count = next(records)
+    header, count, blocks = _read_container(path, _SERIES_MAGIC, ("sample_interval_s",),
+                                            _F8_DTYPE, sha256)
     interval = header["sample_interval_s"]
     if not (_finite_number(interval) and interval > 0):
         raise MissingArtifactError(
             f"artifact corrupt (header sample_interval_s): {path}")
-
-    def blocks():
-        start, finite = 0, np.empty(min(count, _BLOCK_RECORDS), dtype=bool)
-        for block in records:
-            if not np.isfinite(block, out=finite[: len(block)]).all():
-                if sha256 is not None:
-                    for _ in records:
-                        pass
-                raise MissingArtifactError(
-                    f"artifact corrupt (non-finite sample in "
-                    f"[{start}, {start + len(block)})): {path}")
-            start += len(block)
-            yield block
-
-    return SeriesBlocks(interval, count, blocks(), header.get("units", ""),
-                        header.get("seed"))
+    finite = np.empty(min(count, _BLOCK_RECORDS), dtype=bool)
+    return SeriesBlocks(interval, count, blocks(
+        lambda block: None if np.isfinite(block, out=finite[: len(block)]).all()
+        else "non-finite sample"), header.get("units", ""), header.get("seed"))
 
 
 def write_time_tags(path, stream: TimeTagStream | TagBlocks,
                     configs: dict | None = None) -> str:
     """Write a time-tag container block by block; returns its sha256.
 
-    The event count of a ``TagBlocks`` may be known only when its blocks
-    are used up: the header holds ``n_events`` as a JSON number space-padded
-    to ``_COUNT_WIDTH`` characters, written over the blank field once the
-    last block is.  The finished file is then hashed in one re-read of
-    fixed-size chunks.
+    The event count of a ``TagBlocks`` may be known only when its blocks are
+    used up; it goes in the trailer, after the last record.
     """
     header = {
         "duration_s": stream.duration,
         "seed": stream.seed,
-        "n_events": 0,
         "configs": configs or {},
         "metadata": stream.metadata,
     }
-    # json.dumps escapes non-ASCII, so string offsets are byte offsets; the
-    # top-level key sorts after every nested one and before "seed"
-    text = json.dumps(header, sort_keys=True)
-    field_at = text.rindex('"n_events": 0') + len('"n_events": ')
-    blob = (text[:field_at] + " " * _COUNT_WIDTH + text[field_at + 1:]).encode("utf-8")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_TAGS_MAGIC + struct.pack("<I", len(blob)) + blob)
+
+    def records():
         buffer = np.empty(_BLOCK_RECORDS, dtype=_TAG_DTYPE)
         for channels, timestamps in stream.blocks:
             for start in range(0, len(timestamps), _BLOCK_RECORDS):
                 block = buffer[: min(len(timestamps) - start, _BLOCK_RECORDS)]
                 block["channel"] = channels[start: start + len(block)]
                 block["time"] = timestamps[start: start + len(block)]
-                fh.write(block)
-        fh.seek(8 + field_at)
-        fh.write(f"{stream.n_events:>{_COUNT_WIDTH}d}".encode("ascii"))
-    return sha256_file(path)
+                yield block
+
+    return _write_container(Path(path), _TAGS_MAGIC, header, records())
 
 
 def read_time_tags(path, sha256: str | None = None) -> TagBlocks:
     """A time-tag container as one in-order pass of blocks; ``len()`` is its
-    header ``n_events``.
+    trailer's record count.
 
-    The magic, the header and the payload size are checked on the call: a
+    The magic, the header and the file size are checked on the call: a
     duration_s that is not a finite number >= 0, or metadata that is not a
     mapping or whose repetition_rate is not a finite number > 0, raise.
     Each block is checked as it is read (finite timestamps, channels 0 or
     1, timestamps non-decreasing, also across blocks, and within [0,
     duration_s]) and ``sha256`` after the last one; a failed check raises
-    ``MissingArtifactError``.  When a block fails and ``sha256`` is given,
-    the rest of the payload is hashed first, so that a stale digest is
-    reported as one.
+    ``MissingArtifactError``.  The blocks are views of the reader's buffer.
     """
     path = Path(path)
-    records = _read_container(path, _TAGS_MAGIC, "n_events", ("duration_s",),
-                              _TAG_DTYPE, sha256)
-    header, count = next(records)
+    header, count, blocks = _read_container(path, _TAGS_MAGIC, ("duration_s",),
+                                            _TAG_DTYPE, sha256)
     duration, metadata = header["duration_s"], header.get("metadata", {})
     if not (_finite_number(duration) and duration >= 0):
         raise MissingArtifactError(f"artifact corrupt (header duration_s): {path}")
     rate = metadata.get("repetition_rate", 1.0) if isinstance(metadata, dict) else None
     if not (_finite_number(rate) and rate > 0):
         raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
+    previous = 0.0  # the timestamp before the block
 
-    def blocks():
-        previous, start = 0.0, 0
-        for block in records:
-            channels, timestamps = block["channel"].copy(), block["time"].copy()
-            defect = TimeTagStream.defect(channels, timestamps, duration, previous)
-            if defect is not None:
-                if sha256 is not None:
-                    for _ in records:
-                        pass
-                raise MissingArtifactError(
-                    f"artifact corrupt ({defect}, in records "
-                    f"[{start}, {start + len(block)})): {path}")
-            previous, start = timestamps[-1], start + len(block)
-            yield channels, timestamps
+    def defect(block):
+        nonlocal previous
+        found = TimeTagStream.defect(block["channel"], block["time"], duration, previous)
+        previous = block["time"][-1]
+        return found
 
-    return TagBlocks(duration=duration, blocks=blocks(), seed=header.get("seed"),
-                     metadata=metadata, n_events=count)
+    return TagBlocks(duration=duration, seed=header.get("seed"), metadata=metadata,
+                     n_events=count, blocks=((block["channel"], block["time"])
+                                             for block in blocks(defect)))
 
 
 def export_time_tags_csv(path, stream: TimeTagStream | TagBlocks) -> None:

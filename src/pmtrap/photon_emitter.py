@@ -230,8 +230,9 @@ class TagBlocks:
     knows its pulses, not its events).  The stream counts the events as
     they pass: a block beyond a known count, or blocks used up short of
     it, raise ValueError, and an unknown count is recorded in ``n_events``
-    once the blocks are used up.  ``len()`` is that count.  Each block's
-    arrays are its own, so a consumer may keep them.
+    once the blocks are used up.  ``len()`` is that count.  A block is
+    valid until the next one: a reader's blocks are views of its reused
+    buffer, so a consumer that keeps events copies them.
     """
 
     duration: float
@@ -256,7 +257,7 @@ class TagBlocks:
     def collect(self) -> TimeTagStream:
         """All blocks in one ``TimeTagStream``, which checks its invariants."""
         if self.n_events is None:
-            blocks = list(self.blocks)
+            blocks = [(c.copy(), t.copy()) for c, t in self.blocks]
             channels = np.concatenate([c for c, _ in blocks] or [np.zeros(0, np.uint8)])
             timestamps = np.concatenate([t for _, t in blocks] or [np.zeros(0)])
         else:

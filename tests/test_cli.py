@@ -87,6 +87,13 @@ class TestValidateConfig:
         assert main(["validate-config", "--config",
                      str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
 
+    def test_deeply_nested_yaml_exits_2(self, tmp_path, capsys):
+        # past the parser's recursion limit: invalid YAML, not a crash
+        path = tmp_path / "deep.yaml"
+        path.write_text("seed: " + "[" * 10**5 + "]" * 10**5 + "\n")
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "not valid YAML" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("rod", "core_diameter_m", 2.7e-9), ("trap", "wavelength_m", 1064e-9),
         ("cluster", "packing", "parallel_close_packed"),
@@ -312,18 +319,64 @@ class TestAnalyze:
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert "image_total.img" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cut", [*range(1, 10), "header"])
+    @pytest.mark.parametrize("artifact, key, record", [
+        ("detector.ts", "n_samples", 8), ("tags.bin", "n_events", 9),
+        ("image_total.img", "n_pixels", 8)])
+    def test_earlier_container_layout_exits_4(self, short_dataset, tmp_path, artifact,
+                                              key, record, capsys):
+        # checksum updated: the layout before the trailer (magic ending in 1,
+        # the record count in the header, no trailer) is not read
+        _, out, _ = short_dataset
+        broken = _copy_dataset(out, tmp_path / "v1", rewrite=(artifact,))
+        path = broken / artifact
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8: 8 + n])
+        header[key] = (len(raw) - 16 - n) // record
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:3] + b"1" + struct.pack("<I", len(blob)) + blob
+                         + raw[8 + n: -8])
+        _rehash(broken, artifact)
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "bad magic" in err and artifact in err
+
+    @pytest.mark.parametrize("artifact", ["manifest.json", "image_total.img"])
+    def test_deeply_nested_json_exits_4(self, short_dataset, tmp_path, artifact,
+                                        capsys):
+        # past the parser's recursion limit: a corrupt artifact, not a crash
+        nested = b"[" * 10**5 + b"]" * 10**5
+        _, out, _ = short_dataset
+        broken = _copy_dataset(out, tmp_path / "deep", rewrite=(artifact,))
+        path = broken / artifact
+        if artifact == "manifest.json":
+            path.write_bytes(nested)
+        else:
+            raw = path.read_bytes()
+            (n,) = struct.unpack("<I", raw[4:8])
+            path.write_bytes(raw[:4] + struct.pack("<I", len(nested)) + nested
+                             + raw[8 + n:])
+            _rehash(broken, artifact)
+        assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
+        assert artifact in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [*range(1, 10), "header", "trailer"])
     @pytest.mark.parametrize("artifact", ["detector.ts", "tags.bin", "image_total.img"])
     def test_truncated_container_exits_4(self, short_dataset, tmp_path, artifact,
                                          cut, capsys):
         # checksum updated, so the container reader itself must reject the
-        # payload; "header" cuts inside the JSON header
+        # payload; a number cuts that many bytes off the payload's end and
+        # keeps the trailer, "header" cuts inside the JSON header and
+        # "trailer" the file's last byte
         _, out, _ = short_dataset
         broken = _copy_dataset(out, tmp_path / "cut", rewrite=(artifact,))
         path = broken / artifact
         raw = path.read_bytes()
-        end = 8 + int.from_bytes(raw[4:8], "little") // 2 if cut == "header" else -cut
-        path.write_bytes(raw[:end])
+        if cut == "header":
+            raw = raw[: 8 + int.from_bytes(raw[4:8], "little") // 2]
+        else:
+            raw = raw[:-1] if cut == "trailer" else raw[: -8 - cut] + raw[-8:]
+        path.write_bytes(raw)
         _rehash(broken, artifact)
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert artifact in capsys.readouterr().err
@@ -343,12 +396,14 @@ class TestAnalyze:
     def test_corrupt_payload_exits_4(self, short_dataset, tmp_path, artifact, at,
                                      value, capsys):
         # checksum updated: values the simulator cannot produce are a corrupt
-        # artifact; ``at`` is a byte offset into the payload, or from its end
+        # artifact; ``at`` is a byte offset into the payload, or back from its
+        # end, the 8-byte trailer
         _, out, _ = short_dataset
         broken = _copy_dataset(out, tmp_path / "payload", rewrite=(artifact,))
         path = broken / artifact
         raw = bytearray(path.read_bytes())
-        start = 8 + int.from_bytes(raw[4:8], "little") + at if at >= 0 else len(raw) + at
+        start = (8 + int.from_bytes(raw[4:8], "little") + at if at >= 0
+                 else len(raw) - 8 + at)
         raw[start: start + len(value)] = value
         path.write_bytes(bytes(raw))
         _rehash(broken, artifact)
@@ -425,7 +480,7 @@ class TestAnalyze:
         broken = _copy_dataset(out, tmp_path / "stale", rewrite=(artifact,))
         path = broken / artifact
         raw = bytearray(path.read_bytes())
-        raw[-8] ^= 1  # last value, lowest mantissa bit
+        raw[-16] ^= 1  # last value, lowest mantissa bit, before the trailer
         path.write_bytes(bytes(raw))
         res = tmp_path / "res"
         assert main(["analyze", str(broken), "--out", str(res)]) \
@@ -478,7 +533,7 @@ class TestAnalyze:
         broken = _copy_dataset(boundary_dataset, tmp_path / "ds", rewrite=("tags.bin",))
         path = broken / "tags.bin"
         raw = bytearray(path.read_bytes())
-        record = len(raw) - 9  # record _BLOCK_RECORDS, the last one
+        record = len(raw) - 8 - 9  # record _BLOCK_RECORDS, the last one
         if defect == "channel_2":
             raw[record] = value[0]
         else:

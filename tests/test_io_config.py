@@ -63,7 +63,8 @@ class TestImageIO:
         img = mo.general_dipole_image(np.array([0.0, 0.0, 1.0]), n_pixels=64)
         path = tmp_path / "img.img"
         io.write_image(path, img)
-        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", np.inf))
+        raw = path.read_bytes()  # the last pixel, then the trailer
+        path.write_bytes(raw[:-16] + struct.pack("<d", np.inf) + raw[-8:])
         with pytest.raises(MissingArtifactError, match="finite"):
             io.read_image(path)
 
@@ -73,7 +74,7 @@ class TestImageIO:
 
 
 def _replace_header(path, corrupt) -> None:
-    raw = path.read_bytes()  # magic, u32 length, JSON header, payload
+    raw = path.read_bytes()  # magic, u32 length, JSON header, payload, trailer
     (n,) = struct.unpack("<I", raw[4:8])
     header = corrupt(raw[8: 8 + n])
     path.write_bytes(raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + n:])
@@ -101,19 +102,73 @@ def test_corrupt_container_header(tmp_path, kind, corrupt):
         getattr(io, f"read_{kind}")(path)
 
 
+@pytest.mark.parametrize("kind, magic, record", [("time_series", b"PMS2", 8),
+                                                 ("time_tags", b"PMT2", 9),
+                                                 ("image", b"PMI2", 8)])
+def test_container_layout(tmp_path, kind, magic, record):
+    # magic, u32 header length, a header that holds no record count, the
+    # records, then the complement of their count as a u64
+    path = tmp_path / "artifact.bin"
+    _write_two_records(kind, path)
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[4:8])
+    assert raw[:4] == magic
+    assert not {"n_samples", "n_events", "n_pixels"} & set(json.loads(raw[8: 8 + n]))
+    assert len(raw) == 8 + n + 2 * record + 8
+    assert raw[-8:] == struct.pack("<Q", 2**64 - 1 - 2)
+
+
+# the records a reader of each kind returns
+RECORDS = {"time_series": lambda back: back.collect().samples.size,
+           "time_tags": lambda back: len(back.collect()),
+           "image": lambda back: back.pixels.size}
+
+
 @pytest.mark.parametrize("count", ["2", 2.0, True, -1, None],
                          ids=["string", "float", "boolean", "negative", "null"])
 @pytest.mark.parametrize("kind, key", [("time_series", "n_samples"),
                                        ("time_tags", "n_events"),
                                        ("image", "n_pixels")])
 def test_container_count_not_a_count(tmp_path, kind, key, count):
-    # the reader sizes the payload from this field, so it must be an int >= 0
+    # the record count is the trailer's: a header key that held it in the
+    # earlier layout is not read, whatever its value
     path = tmp_path / "artifact.bin"
     _write_two_records(kind, path)
     _replace_header(path, lambda blob: json.dumps(
         {**json.loads(blob), key: count}).encode())
-    with pytest.raises(MissingArtifactError, match=f"{key} is not a count"):
+    assert RECORDS[kind](getattr(io, f"read_{kind}")(path)) == 2
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 2**64 - 1],
+                         ids=["zero", "one_short", "one_more", "largest"])
+@pytest.mark.parametrize("kind", ["time_series", "time_tags", "image"])
+def test_container_trailer_count_mismatch(tmp_path, kind, count):
+    # the reader sizes the payload from the trailer, so it must count the
+    # two records the file holds
+    path = tmp_path / "artifact.bin"
+    _write_two_records(kind, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + struct.pack("<Q", count ^ (2**64 - 1)))
+    with pytest.raises(MissingArtifactError, match="trailer count"):
         getattr(io, f"read_{kind}")(path)
+
+
+@pytest.mark.parametrize("kind", ["time_series", "time_tags", "image"])
+def test_header_length_beyond_the_file(tmp_path, kind):
+    # a u32 header length past the end of the file is rejected before the
+    # header is read, so nothing near its 4 GiB is allocated
+    path = tmp_path / "artifact.bin"
+    _write_two_records(kind, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 0xFFFFFFF0) + raw[8:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingArtifactError, match="truncated"):
+            getattr(io, f"read_{kind}")(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -193,7 +248,7 @@ class TestTimeSeriesIO:
         path = tmp_path / "z.ts"
         io.write_time_series(path, TimeSeries(sample_interval=1e-6, samples=samples))
         raw = bytearray(path.read_bytes())
-        raw[-8 * 37: -8 * 36] = struct.pack("<d", bad)
+        raw[-8 * 38: -8 * 37] = struct.pack("<d", bad)  # sample 63, before the trailer
         path.write_bytes(bytes(raw))
         with pytest.raises(MissingArtifactError, match="non-finite"):
             io.read_time_series(path).collect()
@@ -211,7 +266,7 @@ class TestTimeSeriesIO:
         digest = io.write_time_series(path, TimeSeries(sample_interval=1e-6,
                                                        samples=np.arange(100.0)))
         raw = bytearray(path.read_bytes())
-        raw[-8 * 97: -8 * 96] = struct.pack("<d", np.nan)  # sample 3
+        raw[-8 * 98: -8 * 97] = struct.pack("<d", np.nan)  # sample 3
         path.write_bytes(bytes(raw))
         monkeypatch.setattr(io, "_BLOCK_RECORDS", 60)
         with pytest.raises(MissingArtifactError, match="checksum mismatch"):
@@ -301,11 +356,17 @@ class TestWriterDigests:
 
     @pytest.mark.parametrize("block", [1 << 20, 7])
     def test_time_tags(self, tmp_path, monkeypatch, block):
+        # hashed as it is written, not read back
+        def reread(path):
+            raise AssertionError(f"{path} read back")
+
         monkeypatch.setattr(io, "_BLOCK_RECORDS", block)
+        monkeypatch.setattr(io, "sha256_file", reread)
         stream = TimeTagStream(channels=np.arange(100) % 2,
                                timestamps=np.linspace(0.0, 1.0, 100), duration=1.0)
         path = tmp_path / "tags.bin"
-        assert io.write_time_tags(path, stream) == io.sha256_file(path)
+        digest = io.write_time_tags(path, stream)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_image(self, tmp_path):
         image = mo.ApertureImage(pixels=np.arange(12.0).reshape(3, 4) / 7,
@@ -411,7 +472,7 @@ class TestTimeTagIO:
         path = tmp_path / "tags.bin"
         io.write_time_tags(path, stream)
         raw = bytearray(path.read_bytes())
-        offset = len(raw) - 9 * len(stream) + 9 * index
+        offset = len(raw) - 8 - 9 * len(stream) + 9 * index
         if field == "channel":
             raw[offset] = value
         else:
@@ -455,7 +516,7 @@ class TestTimeTagIO:
 
     def test_blocks_write_the_stream_bytes(self, tmp_path):
         # a generator's blocks, count unknown up front, give the bytes of the
-        # collected stream; n_events is a space-padded fixed-width number
+        # collected stream; the count goes in the trailer
         stream = self._stream()
         io.write_time_tags(tmp_path / "whole.bin", stream)
         edges = [0, 1, 1, 2400, 5000]
@@ -467,7 +528,7 @@ class TestTimeTagIO:
         assert raw == (tmp_path / "whole.bin").read_bytes()
         assert digest == hashlib.sha256(raw).hexdigest()
         assert tags.n_events == len(stream)
-        assert b'"n_events": ' + b" " * 16 + b"5000," in raw
+        assert raw[-8:] == struct.pack("<Q", (2**64 - 1) ^ 5000)
         assert len(io.read_time_tags(tmp_path / "blocks.bin")) == 5000
 
     def test_blocks_that_break_their_count_raise(self, tmp_path):
@@ -482,12 +543,30 @@ class TestTimeTagIO:
         stream = self._stream()
         digest = io.write_time_tags(tmp_path / "tags.bin", stream)
         raw = bytearray((tmp_path / "tags.bin").read_bytes())
-        raw[len(raw) - 9 * len(stream)] = 2  # first channel byte
+        raw[len(raw) - 8 - 9 * len(stream)] = 2  # first channel byte
         (tmp_path / "tags.bin").write_bytes(bytes(raw))
         with pytest.raises(MissingArtifactError, match="checksum mismatch"):
             io.read_time_tags(tmp_path / "tags.bin", digest).collect()
         with pytest.raises(MissingArtifactError, match="channels must be 0 or 1"):
             io.read_time_tags(tmp_path / "tags.bin").collect()
+
+    @pytest.mark.filterwarnings("ignore:fewer than 1e4 events")
+    def test_consumers_of_reader_blocks(self, tmp_path, monkeypatch):
+        # the blocks are views of one reused 7-record buffer: the histograms
+        # over them, and a collect that does not know the count, are those of
+        # the stream in memory
+        stream = self._stream()
+        path = tmp_path / "tags.bin"
+        io.write_time_tags(path, stream)
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", 7)
+        rates, whole_rates = analysis.RateBins(1.0, 1e-3), analysis.RateBins(1.0, 1e-3)
+        g2 = analysis.g2_zero(io.read_time_tags(path), 1e-4, rates=rates)
+        whole = analysis.g2_zero(stream, 1e-4, rates=whole_rates)
+        assert np.array_equal(g2.coincidences, whole.coincidences)
+        assert np.array_equal(rates.histogram(), whole_rates.histogram())
+        back = TagBlocks(duration=1.0, blocks=io.read_time_tags(path).blocks).collect()
+        assert np.array_equal(back.timestamps, stream.timestamps)
+        assert np.array_equal(back.channels, stream.channels)
 
 
 def _replace_file(path, data: bytes) -> None:
@@ -561,6 +640,74 @@ class TestReaderByteFlips:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCutOrExtended:
+    """A container cut short anywhere, or extended by 1-16 bytes, raises
+    ``MissingArtifactError`` from its reader, with no digest to check."""
+
+    READERS = {
+        "time_series": lambda path: io.read_time_series(path).collect(),
+        "time_tags": lambda path: io.read_time_tags(path).collect(),
+        "image": io.read_image,
+    }
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cut")
+
+    @staticmethod
+    def _write(kind, path, data) -> bytes:
+        """A small container of ``kind`` with drawn records; returns its bytes."""
+        if kind == "time_series":
+            io.write_time_series(path, TimeSeries(sample_interval=1e-6, samples=data.draw(
+                st.lists(FINITE, max_size=40), label="samples")))
+        elif kind == "time_tags":
+            times = sorted(data.draw(st.lists(st.floats(0.0, 1.0), max_size=40),
+                                     label="timestamps"))
+            io.write_time_tags(path, TimeTagStream(channels=data.draw(st.lists(
+                st.integers(0, 1), min_size=len(times), max_size=len(times)),
+                label="channels"), timestamps=times, duration=1.0))
+        else:
+            rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+            io.write_image(path, mo.ApertureImage(pixel_pitch=0.1, pixels=data.draw(
+                st.lists(st.lists(st.floats(0.0, 1e300), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows), label="pixels")))
+        return path.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(READERS)), cut=st.booleans())
+    def test_cut_or_extended_raises(self, root, data, kind, cut):
+        path = root / "artifact.bin"
+        path.unlink(missing_ok=True)  # a new file each example, see _replace_file
+        raw = self._write(kind, path, data)
+        if cut:
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="end")]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=16), label="extension")
+        _replace_file(path, raw)
+        with pytest.raises(MissingArtifactError):
+            self.READERS[kind](path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_every_cut_of_zero_records_raises(self, tmp_path, kind):
+        # zero records end every cut in zero bytes, which as a plain count
+        # would make the cut just after the header an empty container
+        path = tmp_path / "artifact.bin"
+        if kind == "time_series":
+            io.write_time_series(path, TimeSeries(sample_interval=1e-6,
+                                                  samples=np.zeros(3)))
+        elif kind == "time_tags":
+            io.write_time_tags(path, TimeTagStream(channels=[0, 0, 0],
+                                                   timestamps=np.zeros(3), duration=1.0))
+        else:
+            io.write_image(path, mo.ApertureImage(pixels=np.zeros((1, 3)),
+                                                  pixel_pitch=0.1))
+        raw = path.read_bytes()
+        for end in range(len(raw)):
+            _replace_file(path, raw[:end])
+            with pytest.raises(MissingArtifactError):
+                self.READERS[kind](path)
 
 
 class TestRoundTrips:
