@@ -247,6 +247,14 @@ def splitting_transient(omega, gamma, dt, z0, v0, n):
 
 # --- thermal Langevin splitting, recursive filter ---------------------------
 
+def _splitting_map(omega, gamma, kt_over_m, dt):
+    """One step's (A, w): half harmonic steps around the velocity decay."""
+    half = expm(np.array([[0.0, 1.0], [-omega**2, 0.0]]) * (dt / 2.0))
+    c1 = np.exp(-gamma * dt)
+    return (half @ np.diag([1.0, c1]) @ half,
+            half @ np.array([0.0, np.sqrt(kt_over_m * (1.0 - c1**2))]))
+
+
 def ar2_lfilter(omega, gamma, kt_over_m, dt, z0, v0, xi):
     """z after k = 0..n-1 steps of the thermal splitting, by ``lfilter``.
 
@@ -257,12 +265,16 @@ def ar2_lfilter(omega, gamma, kt_over_m, dt, z0, v0, xi):
     with e[k] = xi[k-1] and e[0] = 0; the initial state enters as the filter
     state.  ``xi`` holds the n - 1 unit normal kicks.
     """
-    half = expm(np.array([[0.0, 1.0], [-omega**2, 0.0]]) * (dt / 2.0))
-    c1 = np.exp(-gamma * dt)
-    A = half @ np.diag([1.0, c1]) @ half
-    w = half @ np.array([0.0, np.sqrt(kt_over_m * (1.0 - c1**2))])
+    A, w = _splitting_map(omega, gamma, kt_over_m, dt)
     b = [w[0], A[0, 1] * w[1] - A[1, 1] * w[0]]
     a = [1.0, -np.trace(A), np.linalg.det(A)]
     zi = [z0, A[0, 1] * v0 - A[1, 1] * z0]
     z, _ = signal.lfilter(b, a, np.concatenate([[0.0], xi]), zi=zi)
     return z
+
+
+def ar2_impulse_response(omega, gamma, dt, n):
+    """The first n samples of h = 1 / (1 - tr(A) B + det(A) B^2), B the lag."""
+    A, _ = _splitting_map(omega, gamma, 0.0, dt)
+    return signal.lfilter([1.0], [1.0, -np.trace(A), np.linalg.det(A)],
+                          np.eye(1, n)[0])

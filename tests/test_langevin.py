@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmtrap import analysis, constants as const, io_formats, langevin as lv
@@ -101,8 +101,19 @@ class TestSimulateAxialMotion:
             lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
 
 
+# the spacing of the subnormal numbers
+GRID = 2.0**-1074
+
+
 def _assert_matches_lfilter(z, gamma, temperature, dt, z0, v0, seed):
-    """z within 1e-10 rms of the recurrence run by ``lfilter``."""
+    """z within 1e-10 rms of the recurrence run by ``lfilter``.
+
+    Among the subnormal numbers a rounding error is absolute, up to half a
+    GRID step.  The two recurrences round at most a dozen times a step
+    between them and a few times more for the initial state, and each such
+    error reaches z through the impulse response h, so there they may also
+    differ by 8 GRID sum |h|.
+    """
     # the same noise: the trace's own stream after the given initial state
     xi = rng_for(seed, "axial-motion").standard_normal(len(z) - 1)
     ref = oracles.ar2_lfilter(OMEGA, gamma, const.BOLTZMANN * temperature / MASS,
@@ -111,7 +122,9 @@ def _assert_matches_lfilter(z, gamma, temperature, dt, z0, v0, seed):
     # underflowing when squared
     peak = np.max(np.abs(ref))
     rms = peak * np.sqrt(np.mean((ref / peak) ** 2)) if peak > 0 else 0.0
-    assert np.max(np.abs(z - ref)) <= 1e-10 * rms
+    grid = 8.0 * GRID * np.sum(np.abs(oracles.ar2_impulse_response(
+        OMEGA, gamma, dt, len(z))))
+    assert np.max(np.abs(z - ref)) <= 1e-10 * rms + grid
 
 
 @pytest.mark.filterwarnings("ignore:duration below")
@@ -119,18 +132,14 @@ class TestRecurrenceProperties:
     DT = 1.2e-8
 
     # gamma and temperature include 0, where the noise input vanishes; the
-    # block size splits the trace anywhere.  A nonzero initial coordinate is
-    # at least 1e-30 in size: at T = 0 a subnormal state decays on the
-    # 4.9e-324 grid, where lfilter itself is off by a few grid steps, more
-    # than 1e-10 of the trace's rms; from 1e-30 the trace stays normal
-    # (decay at most e^-90 over 3000 steps)
+    # block size splits the trace anywhere.  The example is a trace about
+    # 4.5e10 GRID steps high, where the two recurrences round apart by 3
     @settings(max_examples=100, deadline=None)
+    @example(gamma=449831.97471380164, temperature=0.0, z0=-2.2250738585e-313,
+             v0=-2.2250738585072014e-308, n=676, block=1, seed=0)
     @given(gamma=st.one_of(st.just(0.0), st.floats(1e3, 5e6)),
            temperature=st.one_of(st.just(0.0), st.floats(1.0, 1e3)),
-           z0=st.one_of(st.just(0.0), st.floats(1e-30, 1e-8),
-                        st.floats(-1e-8, -1e-30)),
-           v0=st.one_of(st.just(0.0), st.floats(1e-30, 0.1),
-                        st.floats(-0.1, -1e-30)),
+           z0=st.floats(-1e-8, 1e-8), v0=st.floats(-0.1, 0.1),
            n=st.integers(1, 3000), block=st.integers(1, 3000),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_lfilter_oracle(self, gamma, temperature, z0, v0, n,
