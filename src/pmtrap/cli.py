@@ -7,6 +7,14 @@ not converge).  The default output root comes from
 the PMTRAP_OUTPUT_ROOT environment variable (falling back to the current
 directory); dataset directories default to the config's ``output_dir``
 underneath it.
+
+``simulate`` and ``analyze`` run the photon stream (the time tags, and
+``g2_zero`` over them) on one helper thread beside the motion stream (the
+detector trace, and its spectrum), which stays on the calling thread.  The
+two streams share no generator, so the data are those of a serial run, and
+a failure is reported as a serial run would report it, once both streams
+are done.  There is no setting for this.  A failed ``simulate`` may leave
+``tags.bin`` beside a partial ``detector.ts``, but never ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,26 +60,34 @@ ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts", "image_total.img")
 
 
 def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
-    """Generate the full synthetic dataset; manifest.json is written last."""
+    """Generate the full synthetic dataset; manifest.json is written last.
+
+    The motion readout and the photon stream are built here, then written
+    at once: the readout on this thread, the photon stream on a helper.
+    Their generators share nothing.  A failure of either is raised once
+    both are done, the readout's first.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     physics = config.cluster_physics()
-
-    # motion readout, written block by block as it is integrated
     motion = langevin.axial_motion_blocks(physics.stiffness, physics.gamma,
                                           physics.mass, config.gas.temperature,
                                           config.simulation)
-    digests = {"detector.ts": io_formats.write_time_series(
-        out_dir / "detector.ts", langevin.detector_blocks(motion, config.simulation))}
-
-    # photon stream, written block by block as it is generated
     tags = photon_emitter.time_tag_blocks(
         config.excitation, config.emitter, config.detection,
         config.acquisition.duration, seed=config.seed)
-    digests["tags.bin"] = io_formats.write_time_tags(
-        out_dir / "tags.bin", tags,
-        configs={"a_pi": config.detection.a_pi, "n_rods": config.cluster.n_rods})
+
+    # both streams are written block by block as they are generated; they
+    # are built above, so that each thread then makes one call into the
+    # package (perfbench's tracer keeps one span stack for all threads)
+    with ThreadPoolExecutor(1) as helper:
+        photons = helper.submit(
+            io_formats.write_time_tags, out_dir / "tags.bin", tags,
+            configs={"a_pi": config.detection.a_pi, "n_rods": config.cluster.n_rods})
+        digests = {"detector.ts": io_formats.write_time_series(
+            out_dir / "detector.ts", langevin.detector_blocks(motion, config.simulation))}
+    digests["tags.bin"] = photons.result()
 
     # aperture images at the configured mixture, with camera noise
     a_pi = config.detection.a_pi
@@ -125,6 +142,11 @@ def analyze_dataset(dataset_dir, out_dir=None,
     """Run the measurement pipeline on a simulated dataset directory.
 
     ``max_lag`` is the side-peak pulse-lag range that normalizes g2(0).
+    The headers are checked here; then ``g2_zero`` reads the tags on a
+    helper thread while this one reads the detector trace into its
+    spectrum.  A failure is raised once both are done, in the order of a
+    serial run: a corrupt ``detector.ts``, then a corrupt ``tags.bin``, a
+    trace too short for the spectrum, and last ``g2_zero``'s own errors.
     """
     dataset_dir = Path(dataset_dir)
     out_dir = dataset_dir if out_dir is None else Path(out_dir)
@@ -137,18 +159,29 @@ def analyze_dataset(dataset_dir, out_dir=None,
                                    f"repetition_rate): {dataset_dir / 'tags.bin'}")
     image = io_formats.read_image(dataset_dir / "image_total.img",
                                   sha256["image_total.img"])
-    try:
-        spectrum = analysis.stream_power_spectral_density(io_formats.read_time_series(
-            dataset_dir / "detector.ts", sha256["detector.ts"]))
-    except InsufficientDataError:
-        for _ in tags.blocks:  # a corrupt tags.bin outranks a short trace
-            pass
-        raise
+    series = io_formats.read_time_series(dataset_dir / "detector.ts",
+                                         sha256["detector.ts"])
 
-    # one pass over the tags feeds both the g2 histogram and the rate bins
+    # one pass over the tags feeds both the g2 histogram and the rate bins;
+    # as in simulate_dataset, each thread makes one call into the package
     rates = analysis.RateBins(tags.duration)
-    g2 = analysis.g2_zero(tags, 1.0 / tags.metadata["repetition_rate"],
-                          max_lag=max_lag, rates=rates)
+    with ThreadPoolExecutor(1) as helper:
+        photons = helper.submit(analysis.g2_zero, tags,
+                                1.0 / tags.metadata["repetition_rate"],
+                                max_lag=max_lag, rates=rates)
+        try:
+            spectrum = analysis.stream_power_spectral_density(series)
+        except InsufficientDataError:
+            # a tags.bin that fails to read (an OSError) outranks a short
+            # trace; g2_zero's own errors (ValueErrors) do not, so the tags
+            # they left unread are read and checked
+            try:
+                photons.result()
+            except ValueError:
+                for _ in tags.blocks:
+                    pass
+            raise
+    g2 = photons.result()
     blink = analysis.blink_analysis(rates)
     lorentzian = analysis.fit_lorentzian(spectrum)
     profile = _profile_in_aperture(image)

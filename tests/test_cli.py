@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +27,8 @@ from pmtrap.cli import (
     simulate_dataset,
 )
 from pmtrap.config import load_config, parse_config
-from pmtrap.langevin import TimeSeries
+from pmtrap.errors import MissingArtifactError
+from pmtrap.langevin import SeriesBlocks, TimeSeries
 from pmtrap import photon_emitter as pe
 from pmtrap.photon_emitter import TimeTagStream
 from pmtrap.reproduce import run_target
@@ -207,6 +209,42 @@ def _edit_header(edit):
         blob = json.dumps(header).encode()
         return raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + n:]
     return rewrite
+
+
+def _rewrite_payload(path: Path, at: int, value: bytes) -> None:
+    """Overwrite a container's bytes ``at`` a byte offset into its payload,
+    or back from its end, the 8-byte trailer."""
+    raw = bytearray(path.read_bytes())
+    start = (8 + int.from_bytes(raw[4:8], "little") + at if at >= 0
+             else len(raw) - 8 + at)
+    raw[start: start + len(value)] = value
+    path.write_bytes(bytes(raw))
+
+
+def _short_trace(path: Path) -> None:
+    """A detector trace too short for the spectrum's 4 segments."""
+    io.write_time_series(path, TimeSeries(
+        sample_interval=1e-6, samples=np.random.default_rng(1).normal(size=600)))
+
+
+def _pulse_tags(path: Path, pulses, channels) -> None:
+    """A 1 s tag stream at 1 MHz, one event at each of ``pulses``."""
+    io.write_time_tags(path, TimeTagStream(
+        channels=np.asarray(channels), timestamps=np.asarray(pulses) * 1e-6,
+        duration=1.0, metadata={"repetition_rate": 1e6}))
+
+
+# the defects of test_failure_precedence, each a rewrite of one artifact
+_DEFECTS = {
+    "short_trace": _short_trace,
+    "nan_sample": lambda path: _rewrite_payload(path, 8 * 1000,
+                                                struct.pack("<d", np.nan)),
+    "tag_after_window": lambda path: _rewrite_payload(path, -8,
+                                                      struct.pack("<d", 1e9)),
+    # g2_zero finds no channel-1 event, after reading every tag
+    "one_channel": lambda path: _pulse_tags(path, np.arange(0, 10**6, 50),
+                                            np.zeros(2 * 10**4, np.uint8)),
+}
 
 
 class TestAnalyze:
@@ -400,12 +438,7 @@ class TestAnalyze:
         # end, the 8-byte trailer
         _, out, _ = short_dataset
         broken = _copy_dataset(out, tmp_path / "payload", rewrite=(artifact,))
-        path = broken / artifact
-        raw = bytearray(path.read_bytes())
-        start = (8 + int.from_bytes(raw[4:8], "little") + at if at >= 0
-                 else len(raw) - 8 + at)
-        raw[start: start + len(value)] = value
-        path.write_bytes(bytes(raw))
+        _rewrite_payload(broken / artifact, at, value)
         _rehash(broken, artifact)
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert artifact in capsys.readouterr().err
@@ -495,11 +528,42 @@ class TestAnalyze:
         # digest is checked first
         _, out, _ = dataset
         broken = _copy_dataset(out, tmp_path / "short", rewrite=("detector.ts",))
-        io.write_time_series(broken / "detector.ts", TimeSeries(
-            sample_interval=1e-6, samples=np.random.default_rng(1).normal(size=600)))
+        _short_trace(broken / "detector.ts")
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         err = capsys.readouterr().err
         assert "checksum mismatch" in err and "detector.ts" in err
+
+    @pytest.mark.parametrize("trace, tags, max_lag, code, named", [
+        ("short_trace", "tag_after_window", "50", EXIT_MISSING_ARTIFACT, "tags.bin"),
+        ("nan_sample", "tag_after_window", "50", EXIT_MISSING_ARTIFACT, "detector.ts"),
+        ("short_trace", "one_channel", "50", EXIT_ANALYSIS, None),
+        ("short_trace", "tag_after_window", "0", EXIT_MISSING_ARTIFACT, "tags.bin"),
+        ("short_trace", None, "0", EXIT_ANALYSIS, None),
+    ], ids=["corrupt_tags_over_short_trace", "corrupt_trace_over_corrupt_tags",
+            "short_trace_over_g2_failure", "corrupt_tags_unread_by_g2",
+            "short_trace_over_max_lag_0"])
+    def test_failure_precedence(self, short_dataset, tmp_path, trace, tags, max_lag,
+                                code, named, capsys):
+        # checksums updated: of several failures, the one a serial read
+        # meets first wins, a corrupt detector.ts, then a corrupt tags.bin
+        # (also where g2_zero fails before reading it, as at --max-lag 0),
+        # then a trace too short for the spectrum, then g2_zero's own errors
+        _, out, _ = short_dataset
+        broken = _copy_dataset(out, tmp_path / "ds", rewrite=("detector.ts", "tags.bin"))
+        for artifact, defect in (("detector.ts", trace), ("tags.bin", tags)):
+            if defect is not None:
+                _DEFECTS[defect](broken / artifact)
+                _rehash(broken, artifact)
+        res = tmp_path / "res"
+        assert main(["analyze", str(broken), "--out", str(res),
+                     "--max-lag", max_lag]) == code
+        err = capsys.readouterr().err
+        if named is None:
+            assert err.startswith("analysis error: series too short")
+        else:
+            other = {"tags.bin": "detector.ts", "detector.ts": "tags.bin"}[named]
+            assert "artifact corrupt" in err and named in err and other not in err
+        assert not (res / "results.json").exists()
 
     @pytest.fixture(scope="class")
     def boundary_dataset(self, short_dataset, tmp_path_factory):
@@ -767,3 +831,67 @@ class TestSimulateErrors:
         assert main(["simulate", "--config", str(path),
                      "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "manifest.json").exists()
+
+
+class TestHelperThread:
+    # simulate and analyze run the photon stream on one helper thread,
+    # which has ended whenever they return or raise
+    def test_simulate(self, tmp_path):
+        before = threading.active_count()
+        simulate_dataset(parse_config(SHORT_CONFIG), tmp_path / "ds")
+        assert threading.active_count() == before
+
+    def test_simulate_unstable_step(self, tmp_path):
+        before = threading.active_count()
+        config = parse_config({"simulation": {"time_step_s": 1.0e-6}})
+        with pytest.raises(ValueError):
+            simulate_dataset(config, tmp_path / "ds")
+        assert threading.active_count() == before
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+
+    def test_simulate_failed_motion_stream(self, tmp_path, monkeypatch):
+        # the photon stream runs to its end beside a motion stream that
+        # fails after its first block; the run leaves no manifest
+        detector_blocks = cli.langevin.detector_blocks
+
+        def failing(motion, simulation):
+            series = detector_blocks(motion, simulation)
+
+            def blocks():
+                yield next(series.blocks)
+                raise OSError("disk full")
+            return SeriesBlocks(series.sample_interval, series.n_samples, blocks())
+        monkeypatch.setattr(cli.langevin, "detector_blocks", failing)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="disk full"):
+            simulate_dataset(parse_config(SHORT_CONFIG), tmp_path / "ds")
+        assert threading.active_count() == before
+        assert len(io.read_time_tags(tmp_path / "ds" / "tags.bin").collect()) > 0
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+
+    def test_analyze(self, short_dataset, tmp_path):
+        _, out, _ = short_dataset
+        before = threading.active_count()
+        analyze_dataset(out, tmp_path / "res")
+        assert threading.active_count() == before
+
+    def test_analyze_corrupt_tags(self, short_dataset, tmp_path):
+        _, out, _ = short_dataset
+        broken = _copy_dataset(out, tmp_path / "ds", rewrite=("tags.bin",))
+        _DEFECTS["tag_after_window"](broken / "tags.bin")
+        _rehash(broken, "tags.bin")
+        before = threading.active_count()
+        with pytest.raises(MissingArtifactError, match="tags.bin"):
+            analyze_dataset(broken, tmp_path / "res")
+        assert threading.active_count() == before
+
+    def test_sparse_stream_warns(self, short_dataset, tmp_path):
+        # g2_zero warns on the helper thread; the warning reaches the caller
+        _, out, _ = short_dataset
+        sparse = _copy_dataset(out, tmp_path / "ds", rewrite=("tags.bin",))
+        pulses = np.arange(0, 10**6, 400)
+        _pulse_tags(sparse / "tags.bin", np.repeat(pulses, 2) + np.tile([0, 1], len(pulses)),
+                    np.tile(np.array([0, 1], np.uint8), len(pulses)))
+        _rehash(sparse, "tags.bin")
+        with pytest.warns(UserWarning, match="fewer than 1e4 events"):
+            analyze_dataset(sparse, tmp_path / "res")
