@@ -13,8 +13,10 @@ underneath it.
 detector trace, and its spectrum), which stays on the calling thread.  The
 two streams share no generator, so the data are those of a serial run, and
 a failure is reported as a serial run would report it, once both streams
-are done.  There is no setting for this.  A failed ``simulate`` may leave
-``tags.bin`` beside a partial ``detector.ts``, but never ``manifest.json``.
+are done.  ``reproduce`` runs fig1a's photon streams and fig1b's Langevin
+traces the same way, two at a time (see ``reproduce``).  There is no
+setting for either.  A failed ``simulate`` may leave ``tags.bin`` beside a
+partial ``detector.ts``, but never ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -272,7 +274,6 @@ def main(argv=None) -> int:
     p_rep.add_argument("--config", help="YAML config file (default: built-in)")
     p_rep.add_argument("--seed", type=int)
     p_rep.add_argument("--out", help="output directory")
-    p_rep.add_argument("--threads", type=int, default=1)
 
     p_val = sub.add_parser("validate-config", help="check a config file")
     p_val.add_argument("--config", required=True)
@@ -294,15 +295,12 @@ def main(argv=None) -> int:
             results = analyze_dataset(args.dataset, args.out, args.max_lag)
             print(json.dumps(results, sort_keys=True, indent=2))
         elif args.command == "reproduce":
-            if args.threads < 1:
-                raise ValueError("--threads must be >= 1")
             config = _load_config_arg(args)
             out_dir = Path(args.out) if args.out else (_output_root() / "reproduce")
             names = sorted(REPRODUCE_TARGETS) if args.figure == "all" else [args.figure]
             summaries = {}
             for name in names:
-                summaries[name] = run_target(name, config, out_dir,
-                                             threads=args.threads)
+                summaries[name] = run_target(name, config, out_dir)
             print(json.dumps(summaries if len(names) > 1 else summaries[names[0]],
                              sort_keys=True, indent=2))
         elif args.command == "validate-config":

@@ -10,6 +10,14 @@ directory and returns the summary dict.  Targets:
     fig1a            g2(0) versus escape power with pattern classification
     fig1b            damping rate versus escape power and its power-law exponent
     fig2b            apparent linear-dipole fraction versus trap power
+
+fig1a's photon streams (one per cluster size, into ``g2_zero``) and fig1b's
+Langevin traces (one per size, into the streamed Welch PSD) are consumed
+two at a time, on this thread and one helper (``_two_at_a_time``).  Each
+stream has its own generator, so the tables are those of a serial run; a
+failure is the one a serial run would raise first.  fig1b's spectra are
+streamed, never collected: their window mean is the first block's, which
+moves its digits by about one ulp from the collected trace's.
 """
 
 from __future__ import annotations
@@ -43,8 +51,7 @@ def _write_summary(out_dir: Path, name: str, summary: dict) -> None:
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def target_appA_efficiency(config: ExperimentConfig, out_dir: Path,
-                           threads: int = 1) -> dict:
+def target_appA_efficiency(config: ExperimentConfig, out_dir: Path) -> dict:
     geom = config.mirror
     linear = mirror_optics.collection_efficiency("linear", geom)
     circular = mirror_optics.collection_efficiency("circular", geom)
@@ -56,7 +63,7 @@ def target_appA_efficiency(config: ExperimentConfig, out_dir: Path,
     return summary
 
 
-def target_appB_pmin(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def target_appB_pmin(config: ExperimentConfig, out_dir: Path) -> dict:
     physics = {n: config.cluster_physics(n_rods=n)
                for n in (1, 2, 4, 8, 16, 27, 32, 64)}
     _write_csv(out_dir / "appB_pmin.csv", "n_rods,p_min_mW",
@@ -68,8 +75,7 @@ def target_appB_pmin(config: ExperimentConfig, out_dir: Path, threads: int = 1) 
     return summary
 
 
-def target_appC_gamma(config: ExperimentConfig, out_dir: Path,
-                      threads: int = 1) -> dict:
+def target_appC_gamma(config: ExperimentConfig, out_dir: Path) -> dict:
     rows = []
     for n in (1, 4, 16, 64):
         cluster = trap_mechanics.ClusterSample(n_rods=n, rod=config.rod,
@@ -87,7 +93,7 @@ def target_appC_gamma(config: ExperimentConfig, out_dir: Path,
     return summary
 
 
-def target_appE_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def target_appE_rate(config: ExperimentConfig, out_dir: Path) -> dict:
     emitter = photon_emitter.EmitterModel(
         n_rods=config.emitter.n_rods, quantum_yield=config.emitter.quantum_yield,
         auger_pair_prob=1.0, blink_mode="steady")
@@ -125,31 +131,49 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path, threads: int = 1) 
     return summary
 
 
-def _fig1b_cell(n: int, config: ExperimentConfig):
-    # campaign trap width: keep the smallest clusters underdamped
-    physics = config.cluster_physics(n_rods=n, w_z=120e-9)
-    seed = int(rng_for(config.seed, "fig1b", n).integers(2**31))
-    cfg = langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9, seed=seed)
-    series = langevin.simulate_axial_motion(physics.stiffness, physics.gamma,
-                                            physics.mass, config.gas.temperature, cfg)
-    spectrum = analysis.power_spectral_density(series, segment_length=2**15)
-    fit = analysis.fit_lorentzian(spectrum)
-    return (n, physics.p_min, fit.gamma, physics.gamma, fit.width_ci95)
+def _two_at_a_time(consume, streams: list) -> list:
+    """``[consume(s) for s in streams]``, two calls at a time.
+
+    Of each pair of consecutive streams, a helper thread consumes the
+    second while this thread consumes the first.  A failure is raised once
+    both calls of its pair are done, the first stream's before the second's,
+    and no later pair starts; the helper thread ends before the return.
+    The streams are built before the call and ``consume`` makes one call
+    into the package, so that at most two package calls run at once, none
+    nested in the other (perfbench's tracer keeps one span stack for all
+    threads).
+    """
+    results = []
+    with ThreadPoolExecutor(1) as helper:
+        for i in range(0, len(streams), 2):
+            second = [helper.submit(consume, s) for s in streams[i + 1: i + 2]]
+            # on a failure here, leaving the block waits for the helper
+            results.append(consume(streams[i]))
+            results += [future.result() for future in second]
+    return results
 
 
-def target_fig1b(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def target_fig1b(config: ExperimentConfig, out_dir: Path) -> dict:
     sizes = (4, 6, 8, 12, 16, 24, 32, 48, 64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda n: _fig1b_cell(n, config), sizes))
+    # campaign trap width: keep the smallest clusters underdamped
+    physics = [config.cluster_physics(n_rods=n, w_z=120e-9) for n in sizes]
+    traces = [langevin.axial_motion_blocks(
+        ph.stiffness, ph.gamma, ph.mass, config.gas.temperature,
+        langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9,
+                           seed=int(rng_for(config.seed, "fig1b", n).integers(2**31))))
+        for n, ph in zip(sizes, physics)]
+    spectra = _two_at_a_time(
+        lambda z: analysis.stream_power_spectral_density(z, segment_length=2**15), traces)
+    fits = [analysis.fit_lorentzian(spectrum) for spectrum in spectra]
 
-    rows = [(n, p * 1e3, g / (2 * np.pi), gm / (2 * np.pi),
-             ci[0], ci[1]) for (n, p, g, gm, ci) in results]
+    rows = [(n, ph.p_min * 1e3, fit.gamma / (2 * np.pi), ph.gamma / (2 * np.pi),
+             *fit.width_ci95) for n, ph, fit in zip(sizes, physics, fits)]
     _write_csv(out_dir / "fig1b.csv",
                "n_rods,p_min_mW,gamma_fit_over_2pi_hz,gamma_model_over_2pi_hz,"
                "width_ci95_low_hz,width_ci95_high_hz", rows)
 
     fit = trap_mechanics.gamma_pmin_exponent(
-        [(p, g) for (_, p, g, _, _) in results])
+        [(ph.p_min, cell.gamma) for ph, cell in zip(physics, fits)])
     summary = {
         "exponent": fit.exponent, "std_error": fit.std_error,
         "ci95": list(fit.ci95),
@@ -161,31 +185,30 @@ def target_fig1b(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> d
     return summary
 
 
-def target_fig1a(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def target_fig1a(config: ExperimentConfig, out_dir: Path) -> dict:
     rng = rng_for(config.seed, "fig1a")
     sizes = sorted(set(np.round(np.exp(
         rng.uniform(np.log(2), np.log(80), 24))).astype(int).tolist()))
-    rows = []
-    class_counts = {"symmetric": 0, "asymmetric": 0, "inconclusive": 0}
-    asymmetries = {}  # per orientation: every aligned cluster shares one image
+    period = 1.0 / config.excitation.repetition_rate
+    streams, orientations = [], []
     for n in sizes:
-        p_min = config.cluster_physics(n_rods=n).p_min
         emitter = photon_emitter.EmitterModel(
             n_rods=n, quantum_yield=config.emitter.quantum_yield,
             auger_pair_prob=None,
             blink_mode="steady")
-        stream = photon_emitter.generate_time_tags(
+        streams.append(photon_emitter.time_tag_blocks(
             config.excitation, emitter, config.detection, duration=1.0,
-            seed=int(rng.integers(2**31)))
-        g2 = analysis.g2_zero(stream, 1.0 / config.excitation.repetition_rate)
-
+            seed=int(rng.integers(2**31))))
         # alignment model: small clusters align with the axial field, large
-        # clusters freeze in with a random tilt
-        if n <= 27:
-            orientation = np.array([0.0, 0.0, 1.0])
-        else:
-            beta = np.radians(rng.normal(35.0, 10.0))
-            orientation = np.array([np.sin(beta), 0.0, np.cos(beta)])
+        # clusters freeze in with a random tilt, drawn after the size's seed
+        beta = 0.0 if n <= 27 else np.radians(rng.normal(35.0, 10.0))
+        orientations.append(np.array([np.sin(beta), 0.0, np.cos(beta)]))
+    g2s = _two_at_a_time(lambda tags: analysis.g2_zero(tags, period), streams)
+
+    rows = []
+    class_counts = {"symmetric": 0, "asymmetric": 0, "inconclusive": 0}
+    asymmetries = {}  # per orientation: every aligned cluster shares one image
+    for n, orientation, g2 in zip(sizes, orientations, g2s):
         key = tuple(orientation.tolist())
         if key not in asymmetries:
             asymmetries[key] = mirror_optics.asymmetry_metric(
@@ -193,7 +216,7 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> d
                     orientation / np.linalg.norm(orientation), config.mirror))
         asym = asymmetries[key]
         class_counts[asym.classification] += 1
-        rows.append((n, p_min * 1e3, g2.g2, g2.error,
+        rows.append((n, config.cluster_physics(n_rods=n).p_min * 1e3, g2.g2, g2.error,
                      asym.score, asym.classification))
 
     _write_csv(out_dir / "fig1a.csv",
@@ -210,7 +233,7 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> d
     return summary
 
 
-def target_fig2b(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
+def target_fig2b(config: ExperimentConfig, out_dir: Path) -> dict:
     alpha1 = trap_mechanics.polarizability(config.rod, config.material)
     intrinsic = 0.9
     anisotropy_fraction = 0.5
@@ -251,10 +274,10 @@ REPRODUCE_TARGETS = {
 }
 
 
-def run_target(name: str, config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def run_target(name: str, config: ExperimentConfig, out_dir) -> dict:
     if name not in REPRODUCE_TARGETS:
         raise KeyError(f"unknown figure id {name!r}; "
                        f"choose from {sorted(REPRODUCE_TARGETS)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return REPRODUCE_TARGETS[name](config, out_dir, threads=threads)
+    return REPRODUCE_TARGETS[name](config, out_dir)

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import pmtrap
-from pmtrap import cli
+from pmtrap import analysis, cli, langevin, reproduce, trap_mechanics
 from pmtrap import io_formats as io
 from pmtrap.cli import (
     EXIT_ANALYSIS,
@@ -775,6 +775,11 @@ class TestReproduceCli:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    def test_threads_flag_removed(self, tmp_path):
+        assert main(["reproduce", "--figure", "appB_pmin", "--threads", "2",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PMTRAP_OUTPUT_ROOT", str(tmp_path))
         code = main(["reproduce", "--figure", "appB_pmin"])
@@ -895,3 +900,80 @@ class TestHelperThread:
         _rehash(sparse, "tags.bin")
         with pytest.warns(UserWarning, match="fewer than 1e4 events"):
             analyze_dataset(sparse, tmp_path / "res")
+
+
+class TestCampaignPairs:
+    # fig1a and fig1b consume their streams two at a time, the second of a
+    # pair on one helper thread, which has ended whenever the pair helper
+    # returns or raises
+
+    def test_results_in_list_order(self):
+        threads = {}
+
+        def consume(stream):
+            threads[stream] = threading.current_thread()
+            return stream * stream
+        before = threading.active_count()
+        assert reproduce._two_at_a_time(consume, [1, 2, 3, 4, 5]) == [1, 4, 9, 16, 25]
+        assert threading.active_count() == before
+        assert threads[1] is threads[3] is threads[5] is threading.current_thread()
+        assert threads[2] is threads[4] is not threading.current_thread()
+        assert not threads[2].is_alive()
+
+    def test_first_stream_failure_outranks_second(self):
+        # the second stream fails first; the first's failure is raised, and
+        # the next pair never starts
+        second_failed = threading.Event()
+        consumed = []
+
+        def consume(stream):
+            consumed.append(stream)
+            if stream == "second":
+                second_failed.set()
+                raise OSError("second")
+            assert second_failed.wait(60)
+            raise ValueError("first")
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="first"):
+            reproduce._two_at_a_time(consume, ["first", "second", "third", "fourth"])
+        assert threading.active_count() == before
+        assert sorted(consumed) == ["first", "second"]
+
+    def test_second_stream_failure_waits_for_the_first(self):
+        second_failed = threading.Event()
+        consumed = []
+
+        def consume(stream):
+            if stream == "second":
+                second_failed.set()
+                raise OSError("second")
+            assert second_failed.wait(60)
+            consumed.append(stream)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="second"):
+            reproduce._two_at_a_time(consume, ["first", "second", "third"])
+        assert threading.active_count() == before
+        assert consumed == ["first"]
+
+    def test_fig1b_streamed_cells_match_collected_traces(self, tmp_path):
+        # the streamed spectra window around the first block's mean, not
+        # the trace's; the widths agree with a collected trace's to rounding
+        config = parse_config({"seed": 31})
+        summary = run_target("fig1b", config, tmp_path)
+        table = np.loadtxt(tmp_path / "fig1b.csv", delimiter=",", skiprows=1)
+        points = []
+        for n, _, width, _, low, high in table:
+            physics = config.cluster_physics(n_rods=int(n), w_z=120e-9)
+            series = langevin.simulate_axial_motion(
+                physics.stiffness, physics.gamma, physics.mass, config.gas.temperature,
+                langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9, seed=int(
+                    rng_for(config.seed, "fig1b", int(n)).integers(2**31))))
+            fit = analysis.fit_lorentzian(
+                analysis.power_spectral_density(series, segment_length=2**15))
+            assert [width, low, high] == pytest.approx(
+                [fit.gamma / (2 * np.pi), *fit.width_ci95], rel=1e-12, abs=0)
+            points.append((physics.p_min, fit.gamma))
+        assert len(points) == 9
+        expected = trap_mechanics.gamma_pmin_exponent(points)
+        assert [summary["exponent"], *summary["ci95"]] == pytest.approx(
+            [expected.exponent, *expected.ci95], rel=1e-12, abs=0)
