@@ -295,15 +295,17 @@ def _median(x: np.ndarray) -> float:
     """``np.median`` of a 1-D float array, bit for bit, without the
     ``numpy.ma`` import that ``np.median`` makes.
 
-    An even length takes (a + b) / 2 of the two middle values.  np.median
-    averages them with np.mean, whose sum starts from +0.0, so a median of
-    -0.0 comes out +0.0; the trailing ``+ 0.0`` does the same.
+    An even length averages the two middle values as np.median does, with
+    np.mean: their sum starts from +0.0 and is halved afterwards, so
+    (a + b + 0.0) / 2.  Two -0.0 then give +0.0, while a sum of -5e-324
+    halves (ties to even) to -0.0, which is kept.  An odd length adds 0.0
+    to its middle value, which turns -0.0 into +0.0 as well.
     """
     k = len(x) // 2
     if len(x) % 2:
         return np.partition(x, k)[k] + 0.0
     middle = np.partition(x, (k - 1, k))
-    return (middle[k - 1] + middle[k]) / 2 + 0.0
+    return (middle[k - 1] + middle[k] + 0.0) / 2
 
 
 def _peak_snr(psd: np.ndarray) -> tuple[int, float]:

@@ -13,10 +13,15 @@ underneath it.
 detector trace, and its spectrum), which stays on the calling thread.  The
 two streams share no generator, so the data are those of a serial run, and
 a failure is reported as a serial run would report it, once both streams
-are done.  ``reproduce`` runs fig1a's photon streams and fig1b's Langevin
-traces the same way, two at a time (see ``reproduce``).  There is no
-setting for either.  A failed ``simulate`` may leave ``tags.bin`` beside a
-partial ``detector.ts``, but never ``manifest.json``.
+are done.  ``simulate`` splits its motion stream once more: a second
+helper (``_ahead``) runs the Langevin recurrence one block ahead, while
+the calling thread adds the detector noise and writes and hashes the
+trace.  The recurrence's generator is drawn only on that helper and the
+noise generator only on the calling thread, each in order, so the trace is
+bit for bit that of a serial run.  ``reproduce`` runs fig1a's photon
+streams and fig1b's Langevin traces two at a time (see ``reproduce``).
+There is no setting for any of them.  A failed ``simulate`` may leave
+``tags.bin`` beside a partial ``detector.ts``, but never ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -24,10 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import queue
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -61,13 +70,76 @@ EXIT_ANALYSIS = 5
 ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts", "image_total.img")
 
 
+# buffers in the ring of ``_ahead``: the block the consumer holds, the one
+# waiting in the queue and the one being filled
+_AHEAD_RING = 3
+
+
+@contextmanager
+def _ahead(series: langevin.SeriesBlocks) -> Iterator[langevin.SeriesBlocks]:
+    """``series`` generated one block ahead on a helper thread.
+
+    The helper copies each block into a ring of ``_AHEAD_RING`` buffers and
+    hands it over through a queue of ``_AHEAD_RING - 2``, so a block stays
+    valid until the next, as ``SeriesBlocks`` promises.  An exception of
+    ``series`` is raised on the consuming thread at the block where it
+    occurred.  Only the helper draws from ``series``, in order, and it
+    calls no public function of the package.  On exit, whatever the path,
+    the helper is stopped, unblocked and joined.
+    """
+    handover = queue.Queue(_AHEAD_RING - 2)
+    stop = threading.Event()
+    end = object()
+
+    def produce():
+        ring = [np.empty(0)] * _AHEAD_RING
+        try:
+            with closing(series.blocks) as blocks:
+                for i, block in enumerate(blocks):
+                    slot = i % _AHEAD_RING
+                    if len(ring[slot]) < len(block):
+                        ring[slot] = np.empty(len(block))
+                    copy = ring[slot][: len(block)]
+                    copy[:] = block
+                    handover.put(copy)
+                    if stop.is_set():
+                        return
+            handover.put(end)
+        except BaseException as exc:
+            handover.put(exc)
+
+    def consume():
+        while (item := handover.get()) is not end:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+
+    helper = threading.Thread(target=produce, name="pmtrap-ahead")
+    helper.start()
+    try:
+        yield langevin.SeriesBlocks(series.sample_interval, series.n_samples,
+                                    consume(), series.units, series.seed)
+    finally:
+        # the helper looks at ``stop`` between any two of its puts, so after
+        # this drain it makes at most one more, which the drained queue takes
+        stop.set()
+        try:
+            handover.get_nowait()
+        except queue.Empty:
+            pass
+        helper.join()
+
+
 def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
     """Generate the full synthetic dataset; manifest.json is written last.
 
     The motion readout and the photon stream are built here, then written
     at once: the readout on this thread, the photon stream on a helper.
-    Their generators share nothing.  A failure of either is raised once
-    both are done, the readout's first.
+    The readout's Langevin trace is generated one block ahead on a second
+    helper (``_ahead``).  Each generator is drawn in order on one thread,
+    so the data are those of a serial run.  A failure of either stream is
+    raised once both are done, the readout's first; neither helper
+    outlives the call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -81,14 +153,16 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
         config.acquisition.duration, seed=config.seed)
 
     # both streams are written block by block as they are generated; they
-    # are built above, so that each thread then makes one call into the
-    # package (perfbench's tracer keeps one span stack for all threads)
-    with ThreadPoolExecutor(1) as helper:
+    # are built before the photon helper starts, so that each thread then
+    # makes one call into the package and the trace's helper none
+    # (perfbench's tracer keeps one span stack for all threads)
+    with ThreadPoolExecutor(1) as helper, _ahead(motion) as trace:
+        readout = langevin.detector_blocks(trace, config.simulation)
         photons = helper.submit(
             io_formats.write_time_tags, out_dir / "tags.bin", tags,
             configs={"a_pi": config.detection.a_pi, "n_rods": config.cluster.n_rods})
         digests = {"detector.ts": io_formats.write_time_series(
-            out_dir / "detector.ts", langevin.detector_blocks(motion, config.simulation))}
+            out_dir / "detector.ts", readout)}
     digests["tags.bin"] = photons.result()
 
     # aperture images at the configured mixture, with camera noise

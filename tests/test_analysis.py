@@ -205,6 +205,7 @@ class TestMedian:
                       min_size=1, max_size=40))
     @example(x=[-0.0])
     @example(x=[-0.0, -0.0])
+    @example(x=[0.0, -5e-324])
     def test_equals_np_median(self, x):
         # odd and even lengths; for an even one (a + b) / 2 of the middle two
         x = np.array(x)

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -71,6 +72,16 @@ def short_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("short") / "ds"
     config = parse_config(SHORT_CONFIG)
     return config, out, simulate_dataset(config, out)
+
+
+def _long_trace_config(n_samples: int = 8 * langevin._BLOCK_SAMPLES + 12345):
+    """SHORT_CONFIG with a detector trace of ``n_samples`` samples (9 blocks
+    by default) and 10 ms of time tags."""
+    raw = dict(SHORT_CONFIG, simulation={"duration_s": n_samples * 4e-9},
+               acquisition={"duration_s": 0.01})
+    config = parse_config(raw)
+    assert config.simulation.time_step == 4e-9
+    return config
 
 
 class TestValidateConfig:
@@ -856,7 +867,8 @@ class TestHelperThread:
 
     def test_simulate_failed_motion_stream(self, tmp_path, monkeypatch):
         # the photon stream runs to its end beside a motion stream that
-        # fails after its first block; the run leaves no manifest
+        # fails after its first block of nine, while the Langevin helper
+        # waits on a full queue; the run leaves no manifest
         detector_blocks = cli.langevin.detector_blocks
 
         def failing(motion, simulation):
@@ -869,9 +881,46 @@ class TestHelperThread:
         monkeypatch.setattr(cli.langevin, "detector_blocks", failing)
         before = threading.active_count()
         with pytest.raises(OSError, match="disk full"):
-            simulate_dataset(parse_config(SHORT_CONFIG), tmp_path / "ds")
+            simulate_dataset(_long_trace_config(), tmp_path / "ds")
         assert threading.active_count() == before
         assert len(io.read_time_tags(tmp_path / "ds" / "tags.bin").collect()) > 0
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+
+    def test_producer_fails_mid_stream(self, tmp_path, monkeypatch):
+        # the recurrence fails at its fourth block on the Langevin helper;
+        # the calling thread raises that exception after the first three
+        axial_motion_blocks = cli.langevin.axial_motion_blocks
+        detector_blocks = cli.langevin.detector_blocks
+        diverged = ArithmeticError("recurrence diverged")
+        read_out = []
+
+        def failing(*args):
+            motion = axial_motion_blocks(*args)
+
+            def blocks():
+                for k, block in enumerate(motion.blocks):
+                    if k == 3:
+                        raise diverged
+                    yield block
+            return SeriesBlocks(motion.sample_interval, motion.n_samples, blocks(),
+                                motion.units, motion.seed)
+
+        def counting(motion, simulation):
+            series = detector_blocks(motion, simulation)
+
+            def blocks():
+                for block in series.blocks:
+                    read_out.append(len(block))
+                    yield block
+            return SeriesBlocks(series.sample_interval, series.n_samples, blocks())
+        monkeypatch.setattr(cli.langevin, "axial_motion_blocks", failing)
+        monkeypatch.setattr(cli.langevin, "detector_blocks", counting)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            simulate_dataset(_long_trace_config(), tmp_path / "ds")
+        assert raised.value is diverged
+        assert read_out == [langevin._BLOCK_SAMPLES] * 3
+        assert threading.active_count() == before
         assert not (tmp_path / "ds" / "manifest.json").exists()
 
     def test_analyze(self, short_dataset, tmp_path):
@@ -900,6 +949,97 @@ class TestHelperThread:
         _rehash(sparse, "tags.bin")
         with pytest.warns(UserWarning, match="fewer than 1e4 events"):
             analyze_dataset(sparse, tmp_path / "res")
+
+
+class TestAhead:
+    # simulate_dataset generates its Langevin trace one block ahead on a
+    # second helper thread; the trace is that of a serial run
+
+    @pytest.mark.parametrize("n_samples", [
+        50_000,                                   # shorter than one block
+        2 * langevin._BLOCK_SAMPLES,              # whole blocks
+        3 * langevin._BLOCK_SAMPLES + 1000,       # a partial last block
+        8 * langevin._BLOCK_SAMPLES + 12345,      # at least 8 blocks
+    ])
+    def test_trace_bit_identical_to_serial(self, tmp_path, n_samples):
+        config = _long_trace_config(n_samples)
+        simulate_dataset(config, tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        physics = config.cluster_physics()
+        serial = io.write_time_series(tmp_path / "serial.ts", langevin.detector_blocks(
+            langevin.axial_motion_blocks(physics.stiffness, physics.gamma, physics.mass,
+                                         config.gas.temperature, config.simulation),
+            config.simulation))
+        assert manifest["artifacts"]["detector.ts"]["sha256"] == serial
+        assert io.read_time_series(tmp_path / "ds" / "detector.ts").n_samples == n_samples
+
+    @staticmethod
+    def _stream(n_blocks, fail_at=None, closed=None):
+        # blocks k = 0, 1, ... of 4 samples, all in one reused buffer
+        def blocks():
+            buf = np.empty(4)
+            try:
+                for k in range(n_blocks):
+                    if k == fail_at:
+                        raise ArithmeticError(f"block {k}")
+                    buf[:] = k
+                    yield buf
+            finally:
+                if closed is not None:
+                    closed.append(threading.current_thread())
+        return SeriesBlocks(1.0, 4 * n_blocks, blocks())
+
+    def test_block_valid_until_next(self):
+        # the helper runs ahead while a block is held; the block keeps its
+        # samples, and the helper has ended when the with statement is left
+        before = threading.active_count()
+        with cli._ahead(self._stream(10)) as ahead:
+            assert (ahead.n_samples, ahead.sample_interval) == (40, 1.0)
+            for k, block in enumerate(ahead.blocks):
+                time.sleep(0.01)
+                assert (block == k).all()
+        assert k == 9
+        assert threading.active_count() == before
+
+    def test_stress_more_threads_than_cores(self):
+        # four streams ahead at once, threads switching every microsecond:
+        # each consumer sees every block in order, intact while it holds it
+        def consume(k):
+            with cli._ahead(self._stream(2000)) as ahead:
+                intact[k] = [bool((block == i).all()) for i, block in enumerate(ahead.blocks)]
+        intact = [None] * 4
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consume, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert intact == [[True] * 2000] * 4
+        assert threading.active_count() == before
+
+    def test_failure_raised_at_its_block(self):
+        seen = []
+        with pytest.raises(ArithmeticError, match="block 3"):
+            with cli._ahead(self._stream(10, fail_at=3)) as ahead:
+                for block in ahead.blocks:
+                    seen.append(block[0])
+        assert seen == [0, 1, 2]
+
+    def test_early_exit_stops_and_joins(self):
+        # the consumer leaves after one block: the helper, blocked on the
+        # full queue, is unblocked and joined, and closes the stream itself
+        closed = []
+        before = threading.active_count()
+        with cli._ahead(self._stream(10**6, closed=closed)) as ahead:
+            assert next(ahead.blocks)[0] == 0
+        assert threading.active_count() == before
+        assert len(closed) == 1 and closed[0] is not threading.current_thread()
 
 
 class TestCampaignPairs:
