@@ -9,19 +9,14 @@ directory); dataset directories default to the config's ``output_dir``
 underneath it.
 
 ``simulate`` and ``analyze`` run the photon stream (the time tags, and
-``g2_zero`` over them) on one helper thread beside the motion stream (the
-detector trace, and its spectrum), which stays on the calling thread.  The
-two streams share no generator, so the data are those of a serial run, and
-a failure is reported as a serial run would report it, once both streams
-are done.  ``simulate`` splits its motion stream once more: a second
-helper (``_ahead``) runs the Langevin recurrence one block ahead, while
-the calling thread adds the detector noise and writes and hashes the
-trace.  The recurrence's generator is drawn only on that helper and the
-noise generator only on the calling thread, each in order, so the trace is
-bit for bit that of a serial run.  ``reproduce`` runs fig1a's photon
-streams and fig1b's Langevin traces two at a time (see ``reproduce``).
-There is no setting for any of them.  A failed ``simulate`` may leave
-``tags.bin`` beside a partial ``detector.ts``, but never ``manifest.json``.
+``g2_zero`` over them) on a helper thread beside the motion stream (the
+detector trace, and its spectrum); ``simulate`` also generates the
+Langevin trace one block ahead on a second helper, and ``reproduce`` runs
+fig1a's and fig1b's cells two at a time.  All of it goes through
+``_threads``, which has no setting: the data are those of a serial run,
+and of two failures a corrupt artifact is raised first, then the motion
+stream's.  A failed ``simulate`` may leave ``tags.bin`` beside a partial
+``detector.ts``, but never ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -29,18 +24,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from . import analysis, io_formats, langevin, mirror_optics, photon_emitter
+from . import _threads, analysis, io_formats, langevin, mirror_optics, photon_emitter
 from .config import (
     ExperimentConfig,
     default_config_yaml,
@@ -70,76 +61,13 @@ EXIT_ANALYSIS = 5
 ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts", "image_total.img")
 
 
-# buffers in the ring of ``_ahead``: the block the consumer holds, the one
-# waiting in the queue and the one being filled
-_AHEAD_RING = 3
-
-
-@contextmanager
-def _ahead(series: langevin.SeriesBlocks) -> Iterator[langevin.SeriesBlocks]:
-    """``series`` generated one block ahead on a helper thread.
-
-    The helper copies each block into a ring of ``_AHEAD_RING`` buffers and
-    hands it over through a queue of ``_AHEAD_RING - 2``, so a block stays
-    valid until the next, as ``SeriesBlocks`` promises.  An exception of
-    ``series`` is raised on the consuming thread at the block where it
-    occurred.  Only the helper draws from ``series``, in order, and it
-    calls no public function of the package.  On exit, whatever the path,
-    the helper is stopped, unblocked and joined.
-    """
-    handover = queue.Queue(_AHEAD_RING - 2)
-    stop = threading.Event()
-    end = object()
-
-    def produce():
-        ring = [np.empty(0)] * _AHEAD_RING
-        try:
-            with closing(series.blocks) as blocks:
-                for i, block in enumerate(blocks):
-                    slot = i % _AHEAD_RING
-                    if len(ring[slot]) < len(block):
-                        ring[slot] = np.empty(len(block))
-                    copy = ring[slot][: len(block)]
-                    copy[:] = block
-                    handover.put(copy)
-                    if stop.is_set():
-                        return
-            handover.put(end)
-        except BaseException as exc:
-            handover.put(exc)
-
-    def consume():
-        while (item := handover.get()) is not end:
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-
-    helper = threading.Thread(target=produce, name="pmtrap-ahead")
-    helper.start()
-    try:
-        yield langevin.SeriesBlocks(series.sample_interval, series.n_samples,
-                                    consume(), series.units, series.seed)
-    finally:
-        # the helper looks at ``stop`` between any two of its puts, so after
-        # this drain it makes at most one more, which the drained queue takes
-        stop.set()
-        try:
-            handover.get_nowait()
-        except queue.Empty:
-            pass
-        helper.join()
-
-
 def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
     """Generate the full synthetic dataset; manifest.json is written last.
 
-    The motion readout and the photon stream are built here, then written
-    at once: the readout on this thread, the photon stream on a helper.
-    The readout's Langevin trace is generated one block ahead on a second
-    helper (``_ahead``).  Each generator is drawn in order on one thread,
-    so the data are those of a serial run.  A failure of either stream is
-    raised once both are done, the readout's first; neither helper
-    outlives the call.
+    The readout is written on this thread while its Langevin trace is
+    generated one block ahead on a helper (``_threads.ahead``) and the
+    photon stream is written on another (``_threads.both``); a failure of
+    either stream is raised once both are done, the readout's first.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,17 +81,14 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
         config.acquisition.duration, seed=config.seed)
 
     # both streams are written block by block as they are generated; they
-    # are built before the photon helper starts, so that each thread then
-    # makes one call into the package and the trace's helper none
-    # (perfbench's tracer keeps one span stack for all threads)
-    with ThreadPoolExecutor(1) as helper, _ahead(motion) as trace:
+    # are built before a helper starts (see ``_threads``)
+    with _threads.ahead(motion) as trace:
         readout = langevin.detector_blocks(trace, config.simulation)
-        photons = helper.submit(
-            io_formats.write_time_tags, out_dir / "tags.bin", tags,
-            configs={"a_pi": config.detection.a_pi, "n_rods": config.cluster.n_rods})
-        digests = {"detector.ts": io_formats.write_time_series(
-            out_dir / "detector.ts", readout)}
-    digests["tags.bin"] = photons.result()
+        digests = dict(zip(("detector.ts", "tags.bin"), _threads.both(
+            partial(io_formats.write_time_series, out_dir / "detector.ts", readout),
+            partial(io_formats.write_time_tags, out_dir / "tags.bin", tags,
+                    configs={"a_pi": config.detection.a_pi,
+                             "n_rods": config.cluster.n_rods}))))
 
     # aperture images at the configured mixture, with camera noise
     a_pi = config.detection.a_pi
@@ -220,9 +145,10 @@ def analyze_dataset(dataset_dir, out_dir=None,
     ``max_lag`` is the side-peak pulse-lag range that normalizes g2(0).
     The headers are checked here; then ``g2_zero`` reads the tags on a
     helper thread while this one reads the detector trace into its
-    spectrum.  A failure is raised once both are done, in the order of a
-    serial run: a corrupt ``detector.ts``, then a corrupt ``tags.bin``, a
-    trace too short for the spectrum, and last ``g2_zero``'s own errors.
+    spectrum (``_threads.both``).  The tags are read to their end whatever
+    ``g2_zero`` does, so of two failures a corrupt ``detector.ts``, then a
+    corrupt ``tags.bin``, outranks a trace too short for the spectrum,
+    which outranks ``g2_zero``'s own errors.
     """
     dataset_dir = Path(dataset_dir)
     out_dir = dataset_dir if out_dir is None else Path(out_dir)
@@ -239,25 +165,19 @@ def analyze_dataset(dataset_dir, out_dir=None,
                                          sha256["detector.ts"])
 
     # one pass over the tags feeds both the g2 histogram and the rate bins;
-    # as in simulate_dataset, each thread makes one call into the package
+    # the pass reaches the end of tags.bin, and so its checks, whatever
+    # g2_zero does (at --max-lag 0 it fails before reading)
     rates = analysis.RateBins(tags.duration)
-    with ThreadPoolExecutor(1) as helper:
-        photons = helper.submit(analysis.g2_zero, tags,
-                                1.0 / tags.metadata["repetition_rate"],
-                                max_lag=max_lag, rates=rates)
+
+    def photons():
         try:
-            spectrum = analysis.stream_power_spectral_density(series)
-        except InsufficientDataError:
-            # a tags.bin that fails to read (an OSError) outranks a short
-            # trace; g2_zero's own errors (ValueErrors) do not, so the tags
-            # they left unread are read and checked
-            try:
-                photons.result()
-            except ValueError:
-                for _ in tags.blocks:
-                    pass
-            raise
-    g2 = photons.result()
+            return analysis.g2_zero(tags, 1.0 / tags.metadata["repetition_rate"],
+                                    max_lag=max_lag, rates=rates)
+        finally:
+            for _ in tags.blocks:
+                pass
+    spectrum, g2 = _threads.both(
+        partial(analysis.stream_power_spectral_density, series), photons)
     blink = analysis.blink_analysis(rates)
     lorentzian = analysis.fit_lorentzian(spectrum)
     profile = _profile_in_aperture(image)

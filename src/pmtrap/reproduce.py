@@ -13,7 +13,7 @@ directory and returns the summary dict.  Targets:
 
 fig1a's photon streams (one per cluster size, into ``g2_zero``) and fig1b's
 Langevin traces (one per size, into the streamed Welch PSD) are consumed
-two at a time, on this thread and one helper (``_two_at_a_time``).  Each
+two at a time, on this thread and a helper (``_threads.pairs``).  Each
 stream has its own generator, so the tables are those of a serial run; a
 failure is the one a serial run would raise first.  fig1b's spectra are
 streamed, never collected: their window mean is the first block's, which
@@ -23,12 +23,11 @@ moves its digits by about one ulp from the collected trace's.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, langevin, mirror_optics, photon_emitter, trap_mechanics
+from . import _threads, analysis, langevin, mirror_optics, photon_emitter, trap_mechanics
 from .config import ExperimentConfig
 from .seeding import rng_for
 
@@ -131,28 +130,6 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path) -> dict:
     return summary
 
 
-def _two_at_a_time(consume, streams: list) -> list:
-    """``[consume(s) for s in streams]``, two calls at a time.
-
-    Of each pair of consecutive streams, a helper thread consumes the
-    second while this thread consumes the first.  A failure is raised once
-    both calls of its pair are done, the first stream's before the second's,
-    and no later pair starts; the helper thread ends before the return.
-    The streams are built before the call and ``consume`` makes one call
-    into the package, so that at most two package calls run at once, none
-    nested in the other (perfbench's tracer keeps one span stack for all
-    threads).
-    """
-    results = []
-    with ThreadPoolExecutor(1) as helper:
-        for i in range(0, len(streams), 2):
-            second = [helper.submit(consume, s) for s in streams[i + 1: i + 2]]
-            # on a failure here, leaving the block waits for the helper
-            results.append(consume(streams[i]))
-            results += [future.result() for future in second]
-    return results
-
-
 def target_fig1b(config: ExperimentConfig, out_dir: Path) -> dict:
     sizes = (4, 6, 8, 12, 16, 24, 32, 48, 64)
     # campaign trap width: keep the smallest clusters underdamped
@@ -162,7 +139,7 @@ def target_fig1b(config: ExperimentConfig, out_dir: Path) -> dict:
         langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9,
                            seed=int(rng_for(config.seed, "fig1b", n).integers(2**31))))
         for n, ph in zip(sizes, physics)]
-    spectra = _two_at_a_time(
+    spectra = _threads.pairs(
         lambda z: analysis.stream_power_spectral_density(z, segment_length=2**15), traces)
     fits = [analysis.fit_lorentzian(spectrum) for spectrum in spectra]
 
@@ -203,7 +180,7 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path) -> dict:
         # clusters freeze in with a random tilt, drawn after the size's seed
         beta = 0.0 if n <= 27 else np.radians(rng.normal(35.0, 10.0))
         orientations.append(np.array([np.sin(beta), 0.0, np.cos(beta)]))
-    g2s = _two_at_a_time(lambda tags: analysis.g2_zero(tags, period), streams)
+    g2s = _threads.pairs(lambda tags: analysis.g2_zero(tags, period), streams)
 
     rows = []
     class_counts = {"symmetric": 0, "asymmetric": 0, "inconclusive": 0}

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 import pmtrap
-from pmtrap import analysis, cli, langevin, reproduce, trap_mechanics
+from pmtrap import _threads, analysis, cli, langevin, reproduce, trap_mechanics
 from pmtrap import io_formats as io
 from pmtrap.cli import (
     EXIT_ANALYSIS,
@@ -550,9 +550,10 @@ class TestAnalyze:
         ("short_trace", "one_channel", "50", EXIT_ANALYSIS, None),
         ("short_trace", "tag_after_window", "0", EXIT_MISSING_ARTIFACT, "tags.bin"),
         ("short_trace", None, "0", EXIT_ANALYSIS, None),
+        (None, "tag_after_window", "0", EXIT_MISSING_ARTIFACT, "tags.bin"),
     ], ids=["corrupt_tags_over_short_trace", "corrupt_trace_over_corrupt_tags",
             "short_trace_over_g2_failure", "corrupt_tags_unread_by_g2",
-            "short_trace_over_max_lag_0"])
+            "short_trace_over_max_lag_0", "corrupt_tags_over_max_lag_0"])
     def test_failure_precedence(self, short_dataset, tmp_path, trace, tags, max_lag,
                                 code, named, capsys):
         # checksums updated: of several failures, the one a serial read
@@ -868,7 +869,7 @@ class TestHelperThread:
     def test_simulate_failed_motion_stream(self, tmp_path, monkeypatch):
         # the photon stream runs to its end beside a motion stream that
         # fails after its first block of nine, while the Langevin helper
-        # waits on a full queue; the run leaves no manifest
+        # has the next two in flight; the run leaves no manifest
         detector_blocks = cli.langevin.detector_blocks
 
         def failing(motion, simulation):
@@ -993,7 +994,7 @@ class TestAhead:
         # the helper runs ahead while a block is held; the block keeps its
         # samples, and the helper has ended when the with statement is left
         before = threading.active_count()
-        with cli._ahead(self._stream(10)) as ahead:
+        with _threads.ahead(self._stream(10)) as ahead:
             assert (ahead.n_samples, ahead.sample_interval) == (40, 1.0)
             for k, block in enumerate(ahead.blocks):
                 time.sleep(0.01)
@@ -1005,7 +1006,7 @@ class TestAhead:
         # four streams ahead at once, threads switching every microsecond:
         # each consumer sees every block in order, intact while it holds it
         def consume(k):
-            with cli._ahead(self._stream(2000)) as ahead:
+            with _threads.ahead(self._stream(2000)) as ahead:
                 intact[k] = [bool((block == i).all()) for i, block in enumerate(ahead.blocks)]
         intact = [None] * 4
         before = threading.active_count()
@@ -1026,25 +1027,67 @@ class TestAhead:
     def test_failure_raised_at_its_block(self):
         seen = []
         with pytest.raises(ArithmeticError, match="block 3"):
-            with cli._ahead(self._stream(10, fail_at=3)) as ahead:
+            with _threads.ahead(self._stream(10, fail_at=3)) as ahead:
                 for block in ahead.blocks:
                     seen.append(block[0])
         assert seen == [0, 1, 2]
 
     def test_early_exit_stops_and_joins(self):
-        # the consumer leaves after one block: the helper, blocked on the
-        # full queue, is unblocked and joined, and closes the stream itself
+        # the consumer leaves after one block: the fills in flight finish,
+        # and the helper closes the stream itself and ends
         closed = []
         before = threading.active_count()
-        with cli._ahead(self._stream(10**6, closed=closed)) as ahead:
+        with _threads.ahead(self._stream(10**6, closed=closed)) as ahead:
             assert next(ahead.blocks)[0] == 0
         assert threading.active_count() == before
         assert len(closed) == 1 and closed[0] is not threading.current_thread()
 
 
+class TestBoth:
+    # the one failure rule of the helper threads: a corrupt artifact
+    # outranks any other failure, and otherwise the first call's failure
+    # outranks the second's; the helper has ended whenever both returns or
+    # raises
+
+    def test_results_in_order(self):
+        threads = {}
+
+        def call(value):
+            threads[value] = threading.current_thread()
+            return value
+        before = threading.active_count()
+        assert _threads.both(lambda: call(1), lambda: call(2)) == (1, 2)
+        assert threading.active_count() == before
+        assert threads[1] is threading.current_thread() is not threads[2]
+        assert not threads[2].is_alive()
+
+    @pytest.mark.parametrize("first, second, raised", [
+        (OSError, MissingArtifactError, "second"),
+        (MissingArtifactError, MissingArtifactError, "first"),
+        (OSError, ValueError, "first"),
+        (MissingArtifactError, OSError, "first"),
+        (None, ValueError, "second"),
+        (ValueError, None, "first"),
+    ], ids=["corrupt_second_over_first", "corrupt_first_over_corrupt_second",
+            "first_over_second", "corrupt_first_over_second", "second_alone",
+            "first_alone"])
+    def test_failure_rule(self, first, second, raised):
+        # each call fails only once both have started, so that both fail
+        started = threading.Barrier(2)
+
+        def call(name, failure):
+            started.wait(60)
+            if failure is not None:
+                raise failure(name)
+        before = threading.active_count()
+        with pytest.raises(first if raised == "first" else second, match=raised):
+            _threads.both(lambda: call("first", first), lambda: call("second", second))
+        assert threading.active_count() == before
+
+
 class TestCampaignPairs:
     # fig1a and fig1b consume their streams two at a time, the second of a
-    # pair on one helper thread, which has ended whenever the pair helper
+    # pair on a helper thread, which has ended whenever the pair helper
     # returns or raises
 
     def test_results_in_list_order(self):
@@ -1054,11 +1097,12 @@ class TestCampaignPairs:
             threads[stream] = threading.current_thread()
             return stream * stream
         before = threading.active_count()
-        assert reproduce._two_at_a_time(consume, [1, 2, 3, 4, 5]) == [1, 4, 9, 16, 25]
+        assert _threads.pairs(consume, [1, 2, 3, 4, 5]) == [1, 4, 9, 16, 25]
         assert threading.active_count() == before
         assert threads[1] is threads[3] is threads[5] is threading.current_thread()
-        assert threads[2] is threads[4] is not threading.current_thread()
-        assert not threads[2].is_alive()
+        for helper in (threads[2], threads[4]):
+            assert helper is not threading.current_thread()
+            assert not helper.is_alive()
 
     def test_first_stream_failure_outranks_second(self):
         # the second stream fails first; the first's failure is raised, and
@@ -1075,7 +1119,7 @@ class TestCampaignPairs:
             raise ValueError("first")
         before = threading.active_count()
         with pytest.raises(ValueError, match="first"):
-            reproduce._two_at_a_time(consume, ["first", "second", "third", "fourth"])
+            _threads.pairs(consume, ["first", "second", "third", "fourth"])
         assert threading.active_count() == before
         assert sorted(consumed) == ["first", "second"]
 
@@ -1091,7 +1135,7 @@ class TestCampaignPairs:
             consumed.append(stream)
         before = threading.active_count()
         with pytest.raises(OSError, match="second"):
-            reproduce._two_at_a_time(consume, ["first", "second", "third"])
+            _threads.pairs(consume, ["first", "second", "third"])
         assert threading.active_count() == before
         assert consumed == ["first"]
 

@@ -56,6 +56,16 @@ def test_package_does_not_import_scipy():
     assert out.strip() == "[]"
 
 
+def test_only_the_helper_module_imports_threads():
+    # every helper thread of the package, and the rule for its failures,
+    # lives in _threads
+    for path in Path(pmtrap.__file__).parent.glob("*.py"):
+        if path.name != "_threads.py":
+            names = _imported_names(path)
+            for module in ("threading", "queue", "concurrent.futures"):
+                assert not _within(names, module), f"{path.name} imports {module}"
+
+
 def _modules_with_all():
     for info in pkgutil.iter_modules(pmtrap.__path__):
         module = importlib.import_module(f"pmtrap.{info.name}")
