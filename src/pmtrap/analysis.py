@@ -81,8 +81,11 @@ def power_spectral_density(series: TimeSeries, segment_length: int | None = None
     ``segment_length`` defaults to a power of two near len/8, clipped to
     [256, 65536]; segments start every ``segment_length -
     int(segment_length * overlap)`` samples and the series must contain at
-    least 4 of them.  A ``TimeSeries`` is a stream of one block, so the
-    provisional mean of ``stream_power_spectral_density`` is the series mean.
+    least 4 of them; ``segment_length`` below 1 or ``overlap`` outside
+    [0, 1) raise ``ValueError``.  A ``TimeSeries`` is a stream of one block,
+    so the provisional mean of ``stream_power_spectral_density`` is the
+    series mean, and its staging buffer holds the same runs of segments as
+    for any other blocking of the series.
     """
     return stream_power_spectral_density(series, segment_length, overlap)
 
@@ -102,18 +105,25 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
     Segments are windowed around a provisional mean m0, the first block's
     mean; at the end the sum of |X|^2 is shifted to the series mean m by
     sum |X - dW|^2 = sum |X|^2 - 2d Re(conj(W) sum X) + n_seg d^2 |W|^2,
-    d = m - m0, W = rfft(window) (nonzero only at bins 0 and 1).  |X|^2 is
-    summed in runs of ``_PSD_BLOCK_SAMPLES`` samples' worth of segments, in
-    an order that does not depend on the blocks, in reused buffers; only
-    the samples left at a block's end, fewer than a segment, are copied,
-    for the segment that straddles it and the next.  All blocks are consumed
-    before a series too short for 4 segments raises ``InsufficientDataError``,
-    so a reader's checks run first.
+    d = m - m0, W = rfft(window) (nonzero only at bins 0 and 1).
+
+    The segments are taken in runs of ``_PSD_BLOCK_SAMPLES`` samples' worth
+    (at least one segment).  Every sample is copied once, less m0, into one
+    reused staging buffer that holds a run's span, (per_run - 1) * hop +
+    segment_length samples; when it is full, the run's segments are windowed
+    into reused rows, transformed, and their |X|^2 and X summed, and the
+    segment_length - hop samples the next run shares move to the buffer's
+    front.  A block's end only pauses the filling, so the runs, and the
+    order of every sum, are the same however the series is blocked.  All
+    blocks are consumed before a series too short for 4 segments raises
+    ``InsufficientDataError``, so a reader's checks run first.
     """
     n = series.n_samples
     if segment_length is None:
         target = max(n // 8, 2)
         segment_length = int(2 ** np.clip(np.floor(np.log2(target)), 8, 16))
+    if segment_length < 1:
+        raise ValueError("segment_length must be >= 1")
     if not 0 <= overlap < 1:
         raise ValueError("overlap must be in [0, 1)")
     hop = segment_length - int(segment_length * overlap)
@@ -127,54 +137,41 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
 
     fs = 1.0 / series.sample_interval
     w = _hann(segment_length)
-    per_block = max(1, _PSD_BLOCK_SAMPLES // segment_length)
+    per_run = min(max(1, _PSD_BLOCK_SAMPLES // segment_length), n_segments)
     bins = segment_length // 2 + 1
-    # reused: the segments less the mean, then their |X|^2; and their X
-    rows = np.empty(min(per_block, n_segments) * (segment_length + 2))
-    spectra = np.empty((min(per_block, n_segments), bins), dtype=complex)
-    psd, run = np.zeros(bins), np.zeros(bins)  # run: |X|^2 of this run's segments
-    x_sum, x_call = np.zeros(bins, dtype=complex), np.empty(bins, dtype=complex)
-    carry = np.empty(segment_length)  # samples from done * hop on, before the block
+    # reused: a run's samples less m0; its windowed segments, then their
+    # |X|^2; their X, and its sum over the run
+    stage = np.empty((per_run - 1) * hop + segment_length)
+    rows = np.empty(per_run * (segment_length + 2))
+    spectra = np.empty((per_run, bins), dtype=complex)
+    psd, x_sum = np.zeros(bins), np.zeros(bins, dtype=complex)
+    x_run = np.empty(bins, dtype=complex)
     total, m0 = 0.0, None
-    carried = done = 0  # done: segments summed
+    staged = done = 0  # staged: samples in stage; done: segments summed
     for block in series.blocks:
         total += float(np.sum(block))
         if m0 is None and len(block):
             m0 = total / len(block)
-        end = carried + len(block)
-        pos = 0  # start of the next segment, counted from carry[0]
-        while done < n_segments and end - pos >= segment_length:
-            count = min(per_block - done % per_block, n_segments - done,
-                        (end - pos - segment_length) // hop + 1)
+        while done < n_segments and len(block):
+            count = min(per_run, n_segments - done)
+            size = (count - 1) * hop + segment_length
+            take = min(size - staged, len(block))
+            np.subtract(block[:take], m0, out=stage[staged: staged + take])
+            block, staged = block[take:], staged + take
+            if staged < size:
+                break  # the block is spent before the run is staged
             work = rows[: count * segment_length].reshape(count, segment_length)
-            straddle = min(count, len(range(pos, carried, hop)))
-            for row, start in zip(work[:straddle], range(pos, carried, hop)):
-                np.subtract(carry[start: carried], m0, out=row[: carried - start])
-                np.subtract(block[: segment_length - carried + start], m0,
-                            out=row[carried - start:])
-            if count > straddle:
-                start = pos + straddle * hop - carried
-                np.subtract(sliding_window_view(block[start: start + (
-                    count - straddle - 1) * hop + segment_length], segment_length)[::hop],
-                    m0, out=work[straddle:])
-            work *= w
+            np.multiply(sliding_window_view(stage[:size], segment_length)[::hop], w,
+                        out=work)
             spec = rfft(work, axis=-1, out=spectra[:count])
             power, imag2 = rows[: 2 * spec.size].reshape(2, *spec.shape)  # work is spent
             np.square(spec.real, out=power)
             power += np.square(spec.imag, out=imag2)
-            power[0] += run  # |X|^2 summed in order, whatever the blocks
-            np.sum(power, axis=0, out=run)
-            x_sum += np.sum(spec, axis=0, out=x_call)
+            psd += np.sum(power, axis=0, out=imag2[0])  # imag2 is spent
+            x_sum += np.sum(spec, axis=0, out=x_run)
             done += count
-            pos += count * hop
-            if done % per_block == 0 or done == n_segments:
-                psd += run
-                run.fill(0.0)
-        if done < n_segments:  # carry over the samples left, fewer than a segment
-            kept = max(carried - pos, 0)
-            carry[:kept] = carry[pos: carried]
-            carry[kept: end - pos] = block[pos + kept - carried:]
-            carried = end - pos
+            staged = segment_length - hop  # the next run's first samples, to the front
+            stage[:staged] = stage[count * hop: size]
     d = total / n - m0
     W = rfft(w)
     psd -= 2.0 * d * (W.real * x_sum.real + W.imag * x_sum.imag)

@@ -80,6 +80,17 @@ class TestPowerSpectralDensity:
         np.testing.assert_allclose(streamed.densities, whole.densities,
                                    rtol=1e-12, atol=1e-12 * whole.densities.max())
 
+    @pytest.mark.parametrize("segment_length, overlap",
+                             [(0, 0.5), (-8, 0.5), (256, 1.0), (256, -0.1)])
+    def test_invalid_segmentation_rejected_before_reading(self, segment_length,
+                                                          overlap):
+        def blocks():
+            raise AssertionError("a block was read")
+            yield
+        series = SeriesBlocks(1e-6, 2**12, blocks())
+        with pytest.raises(ValueError):
+            an.stream_power_spectral_density(series, segment_length, overlap)
+
     def test_too_short_rejected(self):
         series = white_noise_series(n=512)
         with pytest.raises(InsufficientDataError):

@@ -21,6 +21,7 @@ from pmtrap import io_formats as io
 from pmtrap.cli import (
     EXIT_ANALYSIS,
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_MISSING_ARTIFACT,
     EXIT_OK,
     analyze_dataset,
@@ -848,6 +849,20 @@ class TestSimulateErrors:
         assert main(["simulate", "--config", str(path),
                      "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "manifest.json").exists()
+
+
+class TestOutputNotADirectory:
+    # an --out path that is an existing file cannot take the outputs: I/O error
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["reproduce", "--figure", "appA_efficiency"], ["analyze"]])
+    def test_exits_3(self, short_dataset, tmp_path, command, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        if command == ["analyze"]:
+            command = ["analyze", str(short_dataset[1])]
+        assert main(command + ["--out", str(out)]) == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+        assert out.read_text() == ""
 
 
 class TestHelperThread:

@@ -281,24 +281,30 @@ class TestTimeSeriesIO:
     @pytest.mark.parametrize("block", [1 << 20, 4096, 1000])
     @settings(max_examples=100, deadline=None)
     @given(read_block=st.integers(1, 5000), segment_length=st.integers(8, 4096),
-           n_segments=st.integers(4, 12), offset=st.floats(-10.0, 10.0),
-           sigma=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
-    @example(read_block=1 << 20, segment_length=1024, n_segments=58, offset=3.0,
-             sigma=1.0, seed=5)
-    @example(read_block=4096, segment_length=1024, n_segments=58, offset=3.0,
-             sigma=1.0, seed=5)
-    @example(read_block=1000, segment_length=1024, n_segments=58, offset=3.0,
-             sigma=1.0, seed=5)
+           n_segments=st.integers(4, 12),
+           overlap=st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.9]),
+           offset=st.floats(-10.0, 10.0), sigma=st.floats(0.01, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(read_block=1 << 20, segment_length=1024, n_segments=58, overlap=0.5,
+             offset=3.0, sigma=1.0, seed=5)
+    @example(read_block=4096, segment_length=1024, n_segments=58, overlap=0.5,
+             offset=3.0, sigma=1.0, seed=5)
+    @example(read_block=1000, segment_length=1024, n_segments=58, overlap=0.5,
+             offset=3.0, sigma=1.0, seed=5)
+    @example(read_block=7, segment_length=1024, n_segments=12, overlap=0.9,
+             offset=3.0, sigma=1.0, seed=5)
     def test_streamed_psd_matches_in_memory(self, psd_root, block,
                                             read_block, segment_length, n_segments,
-                                            offset, sigma, seed):
+                                            overlap, offset, sigma, seed):
         # ``block`` sets the Welch chunk of both paths, ``read_block`` the
-        # reader's blocks, from single samples to more than a segment.  The
-        # one pass windows around the first block's mean and shifts the sums
-        # to the series mean at the end; the shift reaches bins 0 and 1 only,
-        # where the mean's summation order already moves a two-pass estimate
-        # by up to ~1e-9 when |mean| >> sigma
-        hop = segment_length - segment_length // 2
+        # reader's blocks, from single samples to more than a segment.  When
+        # a chunk of few segments advances by less than the samples the next
+        # chunk shares (overlap above 0.5), those are moved over themselves.
+        # The one pass windows around the first block's mean and shifts the
+        # sums to the series mean at the end; the shift reaches bins 0 and 1
+        # only, where the mean's summation order already moves a two-pass
+        # estimate by up to ~1e-9 when |mean| >> sigma
+        hop = segment_length - int(segment_length * overlap)
         n = (n_segments - 1) * hop + segment_length + seed % hop
         series = TimeSeries(sample_interval=1e-6, samples=np.random.default_rng(
             seed).normal(offset, sigma, n))
@@ -308,9 +314,9 @@ class TestTimeSeriesIO:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "_PSD_BLOCK_SAMPLES", block)
             patch.setattr(io, "_BLOCK_RECORDS", read_block)
-            whole = analysis.power_spectral_density(series, segment_length)
+            whole = analysis.power_spectral_density(series, segment_length, overlap)
             streamed = analysis.stream_power_spectral_density(
-                io.read_time_series(path), segment_length)
+                io.read_time_series(path), segment_length, overlap)
         assert np.array_equal(streamed.frequencies, whole.frequencies)
         assert streamed.averages == whole.averages == n_segments
         np.testing.assert_allclose(streamed.densities[2:], whole.densities[2:],
