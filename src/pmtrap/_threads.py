@@ -5,17 +5,20 @@ time and ``ahead`` a block stream one block ahead, each on a
 ``ThreadPoolExecutor(1)`` that has ended when it returns or raises.  When
 both sides fail, a ``MissingArtifactError`` (a corrupt input) outranks any
 other failure, and otherwise the first call's failure outranks the
-second's.  Each generator is drawn in order on one thread, so the data are
-those of a serial run.  perfbench's tracer keeps one span stack for all
-threads: callers build their streams before a helper starts, each side of
-``both`` and ``pairs`` makes one call into the package, and ``ahead``'s
-helper makes none.
+second's.  ``both`` can lend its helper to the first call (``Lent``) for
+pieces of work queued behind the second; a piece the helper has not
+started when it is claimed runs on the claiming thread.  Each generator is
+drawn in order on one thread, so the data are those of a serial run.
+perfbench's tracer keeps one span stack for all threads: callers build
+their streams before a helper starts, each side of ``both`` and ``pairs``
+makes one call into the package, and neither ``ahead``'s helper nor a lent
+piece makes any.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from itertools import count
@@ -31,16 +34,51 @@ from .langevin import SeriesBlocks
 _AHEAD_RING = 3
 
 
-def both(first: Callable, second: Callable) -> tuple:
+class Lent:
+    """The helper of ``both``, lent to its first call for pieces of work.
+
+    ``submit(work, *args)`` queues ``work(*args)`` behind what the helper
+    is doing and returns the piece's claim.  Calling the claim returns the
+    piece's result: if the helper has not started the piece, the claim
+    cancels it and runs it on the claiming thread, else it waits for the
+    helper's.  Either way the piece runs once, and its exception is raised
+    by the claim alone.
+    """
+
+    def __init__(self, helper: ThreadPoolExecutor):
+        self._helper = helper
+        self._unclaimed: set[Future] = set()
+
+    def submit(self, work: Callable, *args) -> Callable:
+        future = self._helper.submit(work, *args)
+        self._unclaimed.add(future)
+
+        def claim():
+            self._unclaimed.discard(future)
+            return work(*args) if future.cancel() else future.result()
+        return claim
+
+    def _withdraw(self) -> None:
+        """Cancel the pieces not claimed that the helper has not started."""
+        for future in self._unclaimed:
+            future.cancel()
+
+
+def both(first: Callable, second: Callable, lend: bool = False) -> tuple:
     """``(first(), second())``, ``second`` on a helper thread.
 
-    A failure is raised once both calls are done, ranked by the rule above.
+    With ``lend``, ``first`` is called with a ``Lent`` handle on the helper
+    and claims every piece it submits; if it raises, the pieces it left
+    unclaimed are withdrawn.  A failure is raised once both calls are done,
+    ranked by the rule above.
     """
     with ThreadPoolExecutor(1) as helper:
         result = helper.submit(second)
+        lent = Lent(helper)
         try:
-            value = first()
+            value = first(lent) if lend else first()
         except Exception as failed:
+            lent._withdraw()
             corrupt = result.exception()
             if isinstance(corrupt, MissingArtifactError) \
                     and not isinstance(failed, MissingArtifactError):

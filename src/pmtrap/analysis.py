@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 from numpy.fft import rfft, rfftfreq
@@ -25,6 +25,9 @@ from .errors import (
 )
 from .langevin import SeriesBlocks, TimeSeries
 from .photon_emitter import TagBlocks, TimeTagStream
+
+if TYPE_CHECKING:
+    from ._threads import Lent
 
 __all__ = [
     "Spectrum",
@@ -97,9 +100,33 @@ def _hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
+class _Lane(NamedTuple):
+    """The reused buffers of one run of segments."""
+
+    stage: np.ndarray    # the run's samples less m0
+    rows: np.ndarray     # its windowed segments, then their |X|^2 and its sum
+    spectra: np.ndarray  # their X
+    x_run: np.ndarray    # the sum of X over the run
+
+
+def _welch_run(lane: _Lane, window: np.ndarray, hop: int, count: int,
+               size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window and transform the ``count`` segments that ``lane`` stages in
+    ``size`` samples; the run's sums of |X|^2 and of X, views into ``lane``."""
+    n = len(window)
+    work = lane.rows[: count * n].reshape(count, n)
+    np.multiply(sliding_window_view(lane.stage[:size], n)[::hop], window, out=work)
+    spec = rfft(work, axis=-1, out=lane.spectra[:count])
+    power, imag2 = lane.rows[: 2 * spec.size].reshape(2, *spec.shape)  # work is spent
+    np.square(spec.real, out=power)
+    power += np.square(spec.imag, out=imag2)
+    return np.sum(power, axis=0, out=imag2[0]), np.sum(spec, axis=0, out=lane.x_run)
+
+
 def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
                                   segment_length: int | None = None,
-                                  overlap: float = 0.5) -> Spectrum:
+                                  overlap: float = 0.5,
+                                  helper: Lent | None = None) -> Spectrum:
     """``power_spectral_density`` of a series delivered once, block by block.
 
     Segments are windowed around a provisional mean m0, the first block's
@@ -108,15 +135,24 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
     d = m - m0, W = rfft(window) (nonzero only at bins 0 and 1).
 
     The segments are taken in runs of ``_PSD_BLOCK_SAMPLES`` samples' worth
-    (at least one segment).  Every sample is copied once, less m0, into one
+    (at least one segment).  Every sample is copied once, less m0, into a
     reused staging buffer that holds a run's span, (per_run - 1) * hop +
     segment_length samples; when it is full, the run's segments are windowed
     into reused rows, transformed, and their |X|^2 and X summed, and the
-    segment_length - hop samples the next run shares move to the buffer's
-    front.  A block's end only pauses the filling, so the runs, and the
-    order of every sum, are the same however the series is blocked.  All
-    blocks are consumed before a series too short for 4 segments raises
-    ``InsufficientDataError``, so a reader's checks run first.
+    segment_length - hop samples the next run shares are copied to the
+    front of the next run's staging buffer.  A block's end only pauses the
+    filling, so the runs, and the order of every sum, are the same however
+    the series is blocked.  All blocks are consumed before a series too
+    short for 4 segments raises ``InsufficientDataError``, so a reader's
+    checks run first.
+
+    Without ``helper`` every run is transformed on this thread in one lane
+    of buffers.  ``helper``, a thread lent by ``_threads.both``, gives the
+    runs two lanes: even runs are transformed here, odd runs are submitted
+    to the helper and claimed when the next run has been transformed here,
+    or at the end; a run the helper has not started by then is transformed
+    here instead.  Each run's sums are added here, in run order, so the
+    spectrum is bit-identical with or without a helper.
     """
     n = series.n_samples
     if segment_length is None:
@@ -139,15 +175,22 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
     w = _hann(segment_length)
     per_run = min(max(1, _PSD_BLOCK_SAMPLES // segment_length), n_segments)
     bins = segment_length // 2 + 1
-    # reused: a run's samples less m0; its windowed segments, then their
-    # |X|^2; their X, and its sum over the run
-    stage = np.empty((per_run - 1) * hop + segment_length)
-    rows = np.empty(per_run * (segment_length + 2))
-    spectra = np.empty((per_run, bins), dtype=complex)
+    lanes = [_Lane(np.empty((per_run - 1) * hop + segment_length),
+                   np.empty(per_run * (segment_length + 2)),
+                   np.empty((per_run, bins), dtype=complex),
+                   np.empty(bins, dtype=complex))
+             for _ in range(1 if helper is None else 2)]
     psd, x_sum = np.zeros(bins), np.zeros(bins, dtype=complex)
-    x_run = np.empty(bins, dtype=complex)
+
+    def add(sums: tuple[np.ndarray, np.ndarray]) -> None:
+        np.add(psd, sums[0], out=psd)
+        np.add(x_sum, sums[1], out=x_sum)
+
+    lent = None  # the claim of the odd run on the helper
+    stage = lanes[0].stage
     total, m0 = 0.0, None
-    staged = done = 0  # staged: samples in stage; done: segments summed
+    # runs: runs staged; staged: samples in stage; done: segments in those runs
+    runs = staged = done = 0
     for block in series.blocks:
         total += float(np.sum(block))
         if m0 is None and len(block):
@@ -160,18 +203,21 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
             block, staged = block[take:], staged + take
             if staged < size:
                 break  # the block is spent before the run is staged
-            work = rows[: count * segment_length].reshape(count, segment_length)
-            np.multiply(sliding_window_view(stage[:size], segment_length)[::hop], w,
-                        out=work)
-            spec = rfft(work, axis=-1, out=spectra[:count])
-            power, imag2 = rows[: 2 * spec.size].reshape(2, *spec.shape)  # work is spent
-            np.square(spec.real, out=power)
-            power += np.square(spec.imag, out=imag2)
-            psd += np.sum(power, axis=0, out=imag2[0])  # imag2 is spent
-            x_sum += np.sum(spec, axis=0, out=x_run)
-            done += count
+            lane = lanes[runs % len(lanes)]
+            if runs % len(lanes):
+                lent = helper.submit(_welch_run, lane, w, hop, count, size)
+            else:
+                sums = _welch_run(lane, w, hop, count, size)
+                if lent is not None:
+                    add(lent())  # the run before this one
+                    lent = None
+                add(sums)
+            runs, done = runs + 1, done + count
             staged = segment_length - hop  # the next run's first samples, to the front
-            stage[:staged] = stage[count * hop: size]
+            stage = lanes[runs % len(lanes)].stage
+            stage[:staged] = lane.stage[count * hop: size]
+    if lent is not None:
+        add(lent())
     d = total / n - m0
     W = rfft(w)
     psd -= 2.0 * d * (W.real * x_sum.real + W.imag * x_sum.imag)

@@ -10,9 +10,10 @@ underneath it.
 
 ``simulate`` and ``analyze`` run the photon stream (the time tags, and
 ``g2_zero`` over them) on a helper thread beside the motion stream (the
-detector trace, and its spectrum); ``simulate`` also generates the
-Langevin trace one block ahead on a second helper, and ``reproduce`` runs
-fig1a's and fig1b's cells two at a time.  All of it goes through
+detector trace, and its spectrum); ``analyze`` lends that helper to the
+spectrum once ``g2_zero`` is done, ``simulate`` generates the Langevin
+trace one block ahead on a second helper, and ``reproduce`` runs fig1a's
+and fig1b's cells two at a time.  All of it goes through
 ``_threads``, which has no setting: the data are those of a serial run,
 and of two failures a corrupt artifact is raised first, then the motion
 stream's.  A failed ``simulate`` may leave ``tags.bin`` beside a partial
@@ -145,10 +146,15 @@ def analyze_dataset(dataset_dir, out_dir=None,
     ``max_lag`` is the side-peak pulse-lag range that normalizes g2(0).
     The headers are checked here; then ``g2_zero`` reads the tags on a
     helper thread while this one reads the detector trace into its
-    spectrum (``_threads.both``).  The tags are read to their end whatever
-    ``g2_zero`` does, so of two failures a corrupt ``detector.ts``, then a
-    corrupt ``tags.bin``, outranks a trace too short for the spectrum,
-    which outranks ``g2_zero``'s own errors.
+    spectrum (``_threads.both``).  The helper is lent to the spectrum: of
+    its runs of segments, this thread transforms the even ones, and the
+    helper the odd ones once ``g2_zero`` is done (this thread takes back
+    any the helper has not started when it needs them).  The runs' sums
+    are added here in run order, so the spectrum is bit-identical to a
+    serial one.  The tags are read to their end whatever ``g2_zero`` does,
+    so of two failures a corrupt ``detector.ts``, then a corrupt
+    ``tags.bin``, outranks a trace too short for the spectrum, which
+    outranks ``g2_zero``'s own errors.
     """
     dataset_dir = Path(dataset_dir)
     out_dir = dataset_dir if out_dir is None else Path(out_dir)
@@ -177,7 +183,8 @@ def analyze_dataset(dataset_dir, out_dir=None,
             for _ in tags.blocks:
                 pass
     spectrum, g2 = _threads.both(
-        partial(analysis.stream_power_spectral_density, series), photons)
+        lambda helper: analysis.stream_power_spectral_density(series, helper=helper),
+        photons, lend=True)
     blink = analysis.blink_analysis(rates)
     lorentzian = analysis.fit_lorentzian(spectrum)
     profile = _profile_in_aperture(image)

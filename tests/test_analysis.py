@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, signal
 
+from pmtrap import _threads
 from pmtrap import analysis as an
 from pmtrap import photon_emitter as pe
 from pmtrap.config import default_config_yaml, parse_config
@@ -176,6 +179,138 @@ class TestPowerSpectralDensity:
         assert len(energies) == spec.averages
         assert spec.integral() == pytest.approx(np.mean(energies) / np.sum(w**2),
                                                 rel=1e-9)
+
+
+def _series_blocks(x: np.ndarray, size: int) -> SeriesBlocks:
+    """``x`` delivered in blocks of ``size`` samples, in one reused buffer."""
+    def blocks():
+        buffer = np.empty(size)
+        for start in range(0, len(x), size):
+            block = buffer[: len(x[start: start + size])]
+            block[:] = x[start: start + size]
+            yield block
+    return SeriesBlocks(1e-6, len(x), blocks())
+
+
+class _Recorded:
+    """A lent helper that records the thread of each piece; with ``settle``,
+    ``submit`` returns once the helper has done the piece."""
+
+    def __init__(self, lent: _threads.Lent, settle: bool):
+        self.lent, self.settle, self.threads = lent, settle, []
+
+    def submit(self, work, *args):
+        done = threading.Event()
+
+        def piece(*args):
+            self.threads.append(threading.current_thread())
+            try:
+                return work(*args)
+            finally:
+                done.set()
+        claim = self.lent.submit(piece, *args)
+        if self.settle:
+            assert done.wait(60)
+        return claim
+
+
+class TestLentHelper:
+    # with a helper lent by _threads.both, the odd runs of segments are
+    # transformed on the helper, or here when the helper is busy and the
+    # claim cancels them; the sums are added in run order either way, so
+    # the spectrum is bit-identical to the one without a helper
+
+    @staticmethod
+    def _lent(x, read_block, segment_length, overlap, busy):
+        # busy: the helper's own call holds it until the spectrum is done
+        released = threading.Event()
+        recorded = []
+
+        def spectrum(lent):
+            recorded.append(_Recorded(lent, settle=not busy))
+            try:
+                return an.stream_power_spectral_density(
+                    _series_blocks(x, read_block), segment_length, overlap,
+                    helper=recorded[0])
+            finally:
+                released.set()
+        second = (lambda: released.wait(60)) if busy else (lambda: None)
+        return _threads.both(spectrum, second, lend=True)[0], recorded[0].threads
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           segment_length=st.integers(8, 512),
+           overlap=st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.9]),
+           run_segments=st.integers(1, 6),
+           n_runs=st.integers(1, 7),
+           last_run=st.integers(1, 6),
+           tail=st.integers(0, 511),
+           read_block=st.integers(1, 3000),
+           offset=st.floats(-10.0, 10.0))
+    @example(seed=3, segment_length=256, overlap=0.5, run_segments=4, n_runs=1,
+             last_run=4, tail=0, read_block=100, offset=1.0)
+    @example(seed=3, segment_length=256, overlap=0.5, run_segments=4, n_runs=2,
+             last_run=1, tail=0, read_block=100, offset=1.0)
+    @example(seed=3, segment_length=256, overlap=0.5, run_segments=4, n_runs=5,
+             last_run=3, tail=7, read_block=1000, offset=1.0)
+    def test_bit_identical_to_inline(self, seed, segment_length, overlap,
+                                     run_segments, n_runs, last_run, tail,
+                                     read_block, offset):
+        # n_runs runs of run_segments segments, the last of last_run; a
+        # single run holds all segments (at least 4)
+        last_run = min(last_run, run_segments)
+        n_segments = (n_runs - 1) * run_segments + last_run
+        assume(n_segments >= 4)
+        hop = segment_length - int(segment_length * overlap)
+        n = (n_segments - 1) * hop + segment_length + tail % hop
+        x = np.random.default_rng(seed).normal(offset, 1.0, n)
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(an, "_PSD_BLOCK_SAMPLES", run_segments * segment_length)
+            inline = an.stream_power_spectral_density(_series_blocks(x, read_block),
+                                                      segment_length, overlap)
+            on_helper, helper_threads = self._lent(x, read_block, segment_length,
+                                                   overlap, busy=False)
+            cancelled, cancel_threads = self._lent(x, read_block, segment_length,
+                                                   overlap, busy=True)
+        assert threading.active_count() == before
+        assert len(helper_threads) == len(cancel_threads) == n_runs // 2  # odd runs
+        assert all(t is not threading.current_thread() for t in helper_threads)
+        assert all(t is threading.current_thread() for t in cancel_threads)
+        assert inline.averages == on_helper.averages == cancelled.averages == n_segments
+        for spectrum in (on_helper, cancelled):
+            assert np.array_equal(spectrum.frequencies, inline.frequencies)
+            assert np.array_equal(spectrum.densities, inline.densities)
+
+    def test_stress_more_threads_than_cores(self):
+        # four lent spectra at once, threads switching every microsecond:
+        # a lane reused before its run is claimed would change the sums
+        x = np.random.default_rng(11).normal(1.0, 1.0, 256 * 400)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(an, "_PSD_BLOCK_SAMPLES", 512)  # one segment a run, 399 runs
+            inline = an.stream_power_spectral_density(_series_blocks(x, 1000), 512)
+
+            def lent(k):
+                spectra[k] = _threads.both(
+                    lambda helper: an.stream_power_spectral_density(
+                        _series_blocks(x, 1000), 512, helper=helper),
+                    lambda: None, lend=True)[0]
+            spectra = [None] * 4
+            before = threading.active_count()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=lent, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threading.active_count() == before
+        assert all(np.array_equal(spectrum.densities, inline.densities)
+                   for spectrum in spectra)
 
 
 class TestHannWindow:

@@ -75,11 +75,12 @@ def short_dataset(tmp_path_factory):
     return config, out, simulate_dataset(config, out)
 
 
-def _long_trace_config(n_samples: int = 8 * langevin._BLOCK_SAMPLES + 12345):
+def _long_trace_config(n_samples: int = 8 * langevin._BLOCK_SAMPLES + 12345,
+                       acquisition_s: float = 0.01):
     """SHORT_CONFIG with a detector trace of ``n_samples`` samples (9 blocks
-    by default) and 10 ms of time tags."""
+    by default) and ``acquisition_s`` of time tags."""
     raw = dict(SHORT_CONFIG, simulation={"duration_s": n_samples * 4e-9},
-               acquisition={"duration_s": 0.01})
+               acquisition={"duration_s": acquisition_s})
     config = parse_config(raw)
     assert config.simulation.time_step == 4e-9
     return config
@@ -967,6 +968,95 @@ class TestHelperThread:
             analyze_dataset(sparse, tmp_path / "res")
 
 
+class TestLentSpectrum:
+    # analyze lends its photon helper to the spectrum: the helper transforms
+    # the odd runs of segments once g2_zero is done.  The trace here has
+    # 2.1e6 samples, in runs of 4 segments of 2^16, beside the 0.5 s of tags
+    # that blink_analysis needs; the reader delivers 300 000 samples first
+    # (runs 0 and 1), then waits until the helper holds run 1
+
+    @pytest.fixture(scope="class")
+    def long_dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("long") / "ds"
+        simulate_dataset(_long_trace_config(acquisition_s=0.5), out)
+        return out
+
+    @staticmethod
+    def _hold_run_1(monkeypatch, on_helper):
+        """Route the trace so that the helper calls ``on_helper(failed)`` as
+        it starts run 1, before the reader goes on; ``failed`` is set when
+        the reader raises.  The event set by the helper is returned."""
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", 300_000)
+        held, failed = threading.Event(), threading.Event()
+        caller = threading.current_thread()
+        welch_run, read_time_series = analysis._welch_run, cli.io_formats.read_time_series
+
+        def transform(*args):
+            if threading.current_thread() is not caller:
+                held.set()
+                on_helper(failed)
+            return welch_run(*args)
+
+        def reading(path, sha256=None):
+            series = read_time_series(path, sha256)
+
+            def blocks():
+                yield next(series.blocks)
+                assert held.wait(60)
+                try:
+                    yield from series.blocks
+                except MissingArtifactError:
+                    failed.set()
+                    raise
+            return SeriesBlocks(series.sample_interval, series.n_samples, blocks(),
+                                series.units, series.seed)
+        monkeypatch.setattr(analysis, "_welch_run", transform)
+        monkeypatch.setattr(cli.io_formats, "read_time_series", reading)
+        return held
+
+    def test_spectrum_as_without_helper(self, long_dataset, tmp_path, monkeypatch):
+        # the same reader blocks (and so the same provisional mean) for both
+        held = self._hold_run_1(monkeypatch, lambda failed: None)
+        analyze_dataset(long_dataset, tmp_path / "res")
+        assert held.is_set()
+        written = np.loadtxt(tmp_path / "res" / "spectrum.csv", delimiter=",", skiprows=1)
+        inline = analysis.stream_power_spectral_density(
+            io.read_time_series(long_dataset / "detector.ts"))
+        assert np.array_equal(written[:, 1], inline.densities)
+
+    def test_corrupt_trace_exits_4_while_helper_holds_a_run(self, long_dataset, tmp_path,
+                                                            monkeypatch):
+        # a NaN in run 2's samples: the reader raises while run 1 is on the
+        # helper, which finishes it before the command returns
+        broken = _copy_dataset(long_dataset, tmp_path / "ds", rewrite=("detector.ts",))
+        _rewrite_payload(broken / "detector.ts", 8 * 400_000, struct.pack("<d", np.nan))
+        waited = []
+        held = self._hold_run_1(monkeypatch, lambda failed: waited.append(failed.wait(60)))
+        before = threading.active_count()
+        assert main(["analyze", str(broken), "--out", str(tmp_path / "res")]) \
+            == EXIT_MISSING_ARTIFACT
+        assert held.is_set() and waited == [True]
+        assert threading.active_count() == before
+        assert not (tmp_path / "res" / "results.json").exists()
+
+    def test_lent_transform_failure_raised_once_here(self, long_dataset, tmp_path,
+                                                     monkeypatch):
+        error = ArithmeticError("lent run")
+        raised_on = []
+
+        def fail(failed):
+            raised_on.append(threading.current_thread())
+            raise error
+        self._hold_run_1(monkeypatch, fail)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            analyze_dataset(long_dataset, tmp_path / "res")
+        assert raised.value is error
+        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
+        assert threading.active_count() == before
+        assert not (tmp_path / "res" / "results.json").exists()
+
+
 class TestAhead:
     # simulate_dataset generates its Langevin trace one block ahead on a
     # second helper thread; the trace is that of a serial run
@@ -1098,6 +1188,59 @@ class TestBoth:
         with pytest.raises(first if raised == "first" else second, match=raised):
             _threads.both(lambda: call("first", first), lambda: call("second", second))
         assert threading.active_count() == before
+
+    def test_lent_piece_on_free_helper(self):
+        # the helper's own call is done: the helper runs the piece, and the
+        # claim returns its result
+        ran, done = [], threading.Event()
+
+        def piece(x):
+            ran.append(threading.current_thread())
+            done.set()
+            return 2 * x
+
+        def first(lent):
+            claim = lent.submit(piece, 21)
+            assert done.wait(60)
+            return claim()
+        before = threading.active_count()
+        assert _threads.both(first, lambda: None, lend=True) == (42, None)
+        assert threading.active_count() == before
+        assert len(ran) == 1 and ran[0] is not threading.current_thread()
+
+    def test_lent_piece_on_busy_helper_runs_here(self):
+        # the helper's own call holds it: the claim cancels the piece and
+        # runs it on the claiming thread, once
+        ran, released = [], threading.Event()
+
+        def first(lent):
+            claim = lent.submit(lambda x: ran.append(threading.current_thread()) or 2 * x, 21)
+            try:
+                return claim()
+            finally:
+                released.set()
+        assert _threads.both(first, lambda: released.wait(60), lend=True) == (42, True)
+        assert ran == [threading.current_thread()]
+
+    def test_unclaimed_piece_withdrawn(self, monkeypatch):
+        # the first call fails with a piece queued behind the helper's own
+        # call, which ends only once the piece is withdrawn: it never runs
+        ran, withdrawn = [], threading.Event()
+        withdraw = _threads.Lent._withdraw
+
+        def withdrawing(lent):
+            withdraw(lent)
+            withdrawn.set()
+        monkeypatch.setattr(_threads.Lent, "_withdraw", withdrawing)
+
+        def first(lent):
+            lent.submit(ran.append, "piece")
+            raise ValueError("first")
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="first"):
+            _threads.both(first, lambda: withdrawn.wait(60), lend=True)
+        assert threading.active_count() == before
+        assert ran == []
 
 
 class TestCampaignPairs:
