@@ -132,13 +132,6 @@ def _profile_in_aperture(image: mirror_optics.ApertureImage) -> mirror_optics.Ra
         counts=profile.counts[keep], variances=profile.variances[keep])
 
 
-def _write_csv(path: Path, header: str, fmt: str, *columns) -> None:
-    """The bytes np.savetxt writes, from one ``%`` format over the whole table."""
-    table = np.column_stack(columns)
-    row = ",".join([fmt] * table.shape[1]) + "\n"
-    path.write_text(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
-
-
 def analyze_dataset(dataset_dir, out_dir=None,
                     max_lag: int = analysis.DEFAULT_MAX_LAG) -> dict:
     """Run the measurement pipeline on a simulated dataset directory.
@@ -215,17 +208,18 @@ def analyze_dataset(dataset_dir, out_dir=None,
         "asymmetry": {"score": asymmetry.score,
                       "classification": asymmetry.classification},
     }
-    (out_dir / "results.json").write_text(
-        json.dumps(results, sort_keys=True, indent=2) + "\n")
+    io_formats.write_json(out_dir / "results.json", results)
 
-    _write_csv(out_dir / "spectrum.csv", "frequency_hz,psd", "%.18e",
-               spectrum.frequencies, spectrum.densities)
-    _write_csv(out_dir / "g2_histogram.csv", "pulse_lag,coincidences", "%d",
-               g2.lags, g2.coincidences)
-    _write_csv(out_dir / "blink_histogram.csv", "counts_per_bin,occurrences", "%d",
-               blink.count_values, blink.occurrences)
-    _write_csv(out_dir / "radial_profile.csv", "radius_f,intensity,n_pixels", "%.17g",
-               profile.radii, profile.intensities, profile.counts)
+    # the bytes np.savetxt writes
+    io_formats.write_csv(out_dir / "spectrum.csv", "frequency_hz,psd", np.column_stack(
+        (spectrum.frequencies, spectrum.densities)), "%.18e")
+    io_formats.write_csv(out_dir / "g2_histogram.csv", "pulse_lag,coincidences",
+                         np.column_stack((g2.lags, g2.coincidences)), "%d")
+    io_formats.write_csv(out_dir / "blink_histogram.csv", "counts_per_bin,occurrences",
+                         np.column_stack((blink.count_values, blink.occurrences)), "%d")
+    io_formats.write_csv(out_dir / "radial_profile.csv", "radius_f,intensity,n_pixels",
+                         np.column_stack((profile.radii, profile.intensities,
+                                          profile.counts)), "%.17g")
     return results
 
 

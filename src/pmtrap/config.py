@@ -42,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import stat
 import time
@@ -56,7 +55,7 @@ import yaml
 
 from . import __version__
 from .errors import ConfigError, MissingArtifactError
-from .io_formats import sha256_file
+from .io_formats import _finite_number, sha256_file, write_json
 from .langevin import SimConfig, TrapStiffness
 from .mirror_optics import DEFAULT_HALF_EXTENT, DEFAULT_N_PIXELS, MirrorGeometry
 from .photon_emitter import DetectionChain, EmitterModel, ExcitationConfig
@@ -250,13 +249,6 @@ def _check_unknown(section: str, data: dict, allowed, errors: list) -> None:
             errors.append(f"{section}: unknown key {key!r}")
 
 
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _typed(where: str, leaf: _Leaf, value, errors: list):
     """Check a YAML value against its field type; ints pass as floats.
 
@@ -266,7 +258,7 @@ def _typed(where: str, leaf: _Leaf, value, errors: list):
     if leaf.type is int:
         if isinstance(value, bool) or not isinstance(value, int):
             errors.append(f"{where} must be an integer")
-        elif not _finite(value):
+        elif not _finite_number(value):
             errors.append(f"{where} must be a finite number")
         return value
     if leaf.type in (float, float | None):
@@ -274,7 +266,7 @@ def _typed(where: str, leaf: _Leaf, value, errors: list):
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{where} must be a number")
-        elif not _finite(value):
+        elif not _finite_number(value):
             errors.append(f"{where} must be a finite number")
         else:
             return float(value)
@@ -312,7 +304,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         leaf.field: _typed(f"{key}:", leaf, canonical[key], errors)
         for key, leaf in _ROOT.items()})
     # seeding takes the root seed modulo 2**32: a wider one would alias
-    if type(root.seed) is int and _finite(root.seed) and not 0 <= root.seed < 2**32:
+    if (type(root.seed) is int and _finite_number(root.seed)
+            and not 0 <= root.seed < 2**32):
         errors.append("seed: must be in [0, 2**32)")
     built = {}
     for name, cls in _SECTIONS.items():
@@ -399,8 +392,7 @@ def write_manifest(directory, config: ExperimentConfig, digests,
         seed=config.seed, artifacts=artifacts,
         wall_clock_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         elapsed_s=elapsed_s)
-    (directory / "manifest.json").write_text(
-        json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n")
+    write_json(directory / "manifest.json", dataclasses.asdict(manifest))
     return manifest
 
 

@@ -1,4 +1,4 @@
-"""Dataset file formats.
+"""Dataset and output file formats: every file the package writes.
 
 - Aperture images: row-major little-endian float64 pixels behind an embedded
   JSON header (pixel pitch in units of focal length, center, channel, shape,
@@ -32,12 +32,17 @@ timestamps or pixels, negative pixels, channels other than 0 and 1, unsorted
 or out-of-window tags, also across blocks), and header values of the wrong
 type or range, raise ``MissingArtifactError`` like any other corrupt
 artifact.
+
+Text outputs: ``write_csv`` writes each table (``analyze``'s four and each
+``reproduce`` target's, which ``reproduce.run_target`` writes) and
+``write_json`` ``results.json``, ``manifest.json`` and each target's summary.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -53,7 +58,7 @@ __all__ = [
     "write_image", "read_image",
     "write_time_series", "read_time_series",
     "write_time_tags", "read_time_tags", "export_time_tags_csv",
-    "sha256_file",
+    "write_csv", "write_json", "sha256_file",
 ]
 
 _IMAGE_MAGIC = b"PMI2"
@@ -86,8 +91,13 @@ def _json_header(blob: bytes, path: Path, required: tuple[str, ...]) -> dict:
 
 
 def _finite_number(value) -> bool:
-    """Whether a decoded JSON value is a finite number (not a bool)."""
-    return type(value) in (int, float) and -np.inf < value < np.inf
+    """Whether a header or config value is a finite number, not a bool; an
+    int beyond the float range is not."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def _write_container(path: Path, magic: bytes, header: dict, blocks) -> str:
@@ -350,6 +360,23 @@ def export_time_tags_csv(path, stream: TimeTagStream | TagBlocks) -> None:
                 rows[0::2] = channels[start:stop].tolist()
                 rows[1::2] = timestamps[start:stop].tolist()
                 fh.write("%d,%r\n" * (len(rows) // 2) % tuple(rows))
+
+
+def write_csv(path, header: str, rows, fmt: str) -> None:
+    """``header``, then the rows of a 2-d array or a list of equal-length
+    tuples, formatted with one ``%`` of ``fmt`` per cell over the whole
+    table.  numpy scalars become Python ones: ``"%s"`` writes a float's repr.
+    """
+    cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray) else
+             [cell.item() if isinstance(cell, np.generic) else cell
+              for row in rows for cell in row])
+    line = ",".join([fmt] * (len(rows[0]) if len(rows) else 0)) + "\n"
+    Path(path).write_text(header + "\n" + line * len(rows) % tuple(cells))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with sorted keys, indented by two, and a final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def sha256_file(path) -> str:

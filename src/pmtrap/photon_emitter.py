@@ -515,10 +515,11 @@ def detection_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
             if len(taken) == 1:
                 yield taken[0]
                 continue
-            # the levels' pulses interleave; no two levels share one
+            # the levels' pulses interleave; no two levels share one, so the
+            # stable sort, a merge of their sorted runs, gives the one order
             pulses = np.concatenate([p for p, _ in taken] or [np.zeros(0, np.int64)])
             counts = np.concatenate([n for _, n in taken] or [np.zeros(0, np.int64)])
-            order = np.argsort(pulses)
+            order = np.argsort(pulses, kind="stable")
             yield pulses[order], counts[order]
 
     return n_pulses, blocks()

@@ -1,7 +1,8 @@
 """Self-contained synthetic campaigns for the headline quantities.
 
-Each target writes a CSV data table plus a JSON summary into the output
-directory and returns the summary dict.  Targets:
+Each target computes a CSV data table (its header and rows) and a JSON
+summary; ``run_target`` writes them as ``{name}.csv`` and
+``{name}_summary.json`` and returns the summary dict.  Targets:
 
     appA_efficiency  mirror collection fractions for linear/circular dipoles
     appB_pmin        single-rod escape power from the field-factor calibration
@@ -22,12 +23,12 @@ moves its digits by about one ulp from the collected trace's.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from . import _threads, analysis, langevin, mirror_optics, photon_emitter, trap_mechanics
+from . import (_threads, analysis, io_formats, langevin, mirror_optics, photon_emitter,
+               trap_mechanics)
 from .config import ExperimentConfig
 from .seeding import rng_for
 
@@ -37,44 +38,27 @@ __all__ = ["REPRODUCE_TARGETS", "run_target"]
 EXPONENT_BAND = (0.45, 0.51)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
-
-
-def _write_summary(out_dir: Path, name: str, summary: dict) -> None:
-    (out_dir / f"{name}_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
-
-
-def target_appA_efficiency(config: ExperimentConfig, out_dir: Path) -> dict:
+def target_appA_efficiency(config: ExperimentConfig) -> tuple[str, list, dict]:
     geom = config.mirror
     linear = mirror_optics.collection_efficiency("linear", geom)
     circular = mirror_optics.collection_efficiency("circular", geom)
-    _write_csv(out_dir / "appA_efficiency.csv", "dipole_kind,collection_fraction",
-               [("linear", linear), ("circular", circular)])
     summary = {"linear": linear, "circular": circular,
                "reference": {"linear": 0.94, "circular": 0.76}}
-    _write_summary(out_dir, "appA_efficiency", summary)
-    return summary
+    return ("dipole_kind,collection_fraction",
+            [("linear", linear), ("circular", circular)], summary)
 
 
-def target_appB_pmin(config: ExperimentConfig, out_dir: Path) -> dict:
+def target_appB_pmin(config: ExperimentConfig) -> tuple[str, list, dict]:
     physics = {n: config.cluster_physics(n_rods=n)
                for n in (1, 2, 4, 8, 16, 27, 32, 64)}
-    _write_csv(out_dir / "appB_pmin.csv", "n_rods,p_min_mW",
-               [(n, ph.p_min * 1e3) for n, ph in physics.items()])
     summary = {"P_min_mW": physics[1].p_min * 1e3,
                "P_min_mW_16_rods": physics[16].p_min * 1e3,
                "polarizability_Cm2_per_V": physics[1].alpha}
-    _write_summary(out_dir, "appB_pmin", summary)
-    return summary
+    return ("n_rods,p_min_mW", [(n, ph.p_min * 1e3) for n, ph in physics.items()],
+            summary)
 
 
-def target_appC_gamma(config: ExperimentConfig, out_dir: Path) -> dict:
+def target_appC_gamma(config: ExperimentConfig) -> tuple[str, list, dict]:
     rows = []
     for n in (1, 4, 16, 64):
         cluster = trap_mechanics.ClusterSample(n_rods=n, rod=config.rod,
@@ -83,16 +67,14 @@ def target_appC_gamma(config: ExperimentConfig, out_dir: Path) -> dict:
         full = trap_mechanics.cluster_damping_rate(cluster, config.gas,
                                                    slip_at_single_rod=False)
         rows.append((n, geo.hz, full.hz))
-    _write_csv(out_dir / "appC_gamma.csv",
-               "n_rods,gamma_over_2pi_hz_geometric,gamma_over_2pi_hz_full_slip", rows)
     gamma = config.cluster_physics(n_rods=1).gamma
     summary = {"gamma_over_2pi_hz": gamma / (2.0 * np.pi), "gamma_rad_per_s": gamma,
                "reference_hz": 2.0e6}
-    _write_summary(out_dir, "appC_gamma", summary)
-    return summary
+    return ("n_rods,gamma_over_2pi_hz_geometric,gamma_over_2pi_hz_full_slip", rows,
+            summary)
 
 
-def target_appE_rate(config: ExperimentConfig, out_dir: Path) -> dict:
+def target_appE_rate(config: ExperimentConfig) -> tuple[str, list, dict]:
     emitter = photon_emitter.EmitterModel(
         n_rods=config.emitter.n_rods, quantum_yield=config.emitter.quantum_yield,
         auger_pair_prob=1.0, blink_mode="steady")
@@ -118,7 +100,6 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path) -> dict:
         ("closed_form_rate_hz", estimate.rate),
         ("monte_carlo_rate_hz", mc_rate),
     ]
-    _write_csv(out_dir / "appE_rate.csv", "factor,value", budget)
     summary = {
         "rate_hz": estimate.rate, "uncertainty_hz": estimate.uncertainty,
         "monte_carlo_rate_hz": mc_rate,
@@ -126,11 +107,10 @@ def target_appE_rate(config: ExperimentConfig, out_dir: Path) -> dict:
         "n_pulses": n_pulses,
         "reference_hz": 125e3, "reference_uncertainty_hz": 14e3,
     }
-    _write_summary(out_dir, "appE_rate", summary)
-    return summary
+    return "factor,value", budget, summary
 
 
-def target_fig1b(config: ExperimentConfig, out_dir: Path) -> dict:
+def target_fig1b(config: ExperimentConfig) -> tuple[str, list, dict]:
     sizes = (4, 6, 8, 12, 16, 24, 32, 48, 64)
     # campaign trap width: keep the smallest clusters underdamped
     physics = [config.cluster_physics(n_rods=n, w_z=120e-9) for n in sizes]
@@ -145,9 +125,6 @@ def target_fig1b(config: ExperimentConfig, out_dir: Path) -> dict:
 
     rows = [(n, ph.p_min * 1e3, fit.gamma / (2 * np.pi), ph.gamma / (2 * np.pi),
              *fit.width_ci95) for n, ph, fit in zip(sizes, physics, fits)]
-    _write_csv(out_dir / "fig1b.csv",
-               "n_rods,p_min_mW,gamma_fit_over_2pi_hz,gamma_model_over_2pi_hz,"
-               "width_ci95_low_hz,width_ci95_high_hz", rows)
 
     fit = trap_mechanics.gamma_pmin_exponent(
         [(ph.p_min, cell.gamma) for ph, cell in zip(physics, fits)])
@@ -158,11 +135,11 @@ def target_fig1b(config: ExperimentConfig, out_dir: Path) -> dict:
         "within_or_adjacent": bool(
             fit.ci95[1] >= EXPONENT_BAND[0] and fit.ci95[0] <= EXPONENT_BAND[1]),
     }
-    _write_summary(out_dir, "fig1b", summary)
-    return summary
+    return ("n_rods,p_min_mW,gamma_fit_over_2pi_hz,gamma_model_over_2pi_hz,"
+            "width_ci95_low_hz,width_ci95_high_hz", rows, summary)
 
 
-def target_fig1a(config: ExperimentConfig, out_dir: Path) -> dict:
+def target_fig1a(config: ExperimentConfig) -> tuple[str, list, dict]:
     rng = rng_for(config.seed, "fig1a")
     sizes = sorted(set(np.round(np.exp(
         rng.uniform(np.log(2), np.log(80), 24))).astype(int).tolist()))
@@ -196,9 +173,6 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path) -> dict:
         rows.append((n, config.cluster_physics(n_rods=n).p_min * 1e3, g2.g2, g2.error,
                      asym.score, asym.classification))
 
-    _write_csv(out_dir / "fig1a.csv",
-               "n_rods,p_min_mW,g2_zero,g2_error,asymmetry_score,classification",
-               rows)
     g2_values = [r[2] for r in rows]
     summary = {
         "n_samples": len(rows),
@@ -206,11 +180,11 @@ def target_fig1a(config: ExperimentConfig, out_dir: Path) -> dict:
         "class_counts": class_counts,
         "reference_band": [0.15, 0.44],
     }
-    _write_summary(out_dir, "fig1a", summary)
-    return summary
+    return ("n_rods,p_min_mW,g2_zero,g2_error,asymmetry_score,classification", rows,
+            summary)
 
 
-def target_fig2b(config: ExperimentConfig, out_dir: Path) -> dict:
+def target_fig2b(config: ExperimentConfig) -> tuple[str, list, dict]:
     alpha1 = trap_mechanics.polarizability(config.rod, config.material)
     intrinsic = 0.9
     anisotropy_fraction = 0.5
@@ -224,8 +198,6 @@ def target_fig2b(config: ExperimentConfig, out_dir: Path) -> dict:
                 float(p), intrinsic, anisotropy_fraction * n * alpha1,
                 config.gas.temperature, config.trap.field_factor))
         rows.append(tuple(row))
-    header = "power_mW," + ",".join(f"a_pi_n{n}" for n in sizes)
-    _write_csv(out_dir / "fig2b.csv", header, rows)
 
     first = [r[1] for r in rows]
     summary = {
@@ -236,8 +208,7 @@ def target_fig2b(config: ExperimentConfig, out_dir: Path) -> dict:
                              for i in range(1, len(sizes) + 1))),
         "a_pi_range_smallest_cluster": [min(first), max(first)],
     }
-    _write_summary(out_dir, "fig2b", summary)
-    return summary
+    return "power_mW," + ",".join(f"a_pi_n{n}" for n in sizes), rows, summary
 
 
 REPRODUCE_TARGETS = {
@@ -257,4 +228,7 @@ def run_target(name: str, config: ExperimentConfig, out_dir) -> dict:
                        f"choose from {sorted(REPRODUCE_TARGETS)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return REPRODUCE_TARGETS[name](config, out_dir)
+    header, rows, summary = REPRODUCE_TARGETS[name](config)
+    io_formats.write_csv(out_dir / f"{name}.csv", header, rows, "%s")
+    io_formats.write_json(out_dir / f"{name}_summary.json", summary)
+    return summary
