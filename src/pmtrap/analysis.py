@@ -390,10 +390,12 @@ _MIN_SNR = 3.0
 def fit_lorentzian(spectrum: Spectrum) -> LorentzianFit:
     """Bounded least squares of a Lorentzian peak plus flat background.
 
-    The fit runs on the peak region (center +- 4 estimated FWHM), where the
-    Lorentzian approximation of the damped-oscillator spectrum holds; the
-    Levenberg-Marquardt iteration (``_least_squares``) takes the analytic
-    Jacobian and runs in normalized units for conditioning.  Raises
+    The fit runs on the peak region (center +- 4 estimated FWHM).  There the
+    Lorentzian approximates the damped-oscillator spectrum only for damping
+    well below the trap frequency (Gamma << Omega); the fitted width is
+    biased when they are comparable.  The Levenberg-Marquardt iteration
+    (``_least_squares``) takes the analytic Jacobian and runs in normalized
+    units for conditioning.  Raises
     NoPeakError when the peak does not stand above the spectrum's own
     fluctuations (``_MIN_SNR``) and FitError on non-convergence (200
     evaluation cap).

@@ -160,6 +160,9 @@ def analyze_dataset(dataset_dir, out_dir=None,
                                    f"repetition_rate): {dataset_dir / 'tags.bin'}")
     image = io_formats.read_image(dataset_dir / "image_total.img",
                                   sha256["image_total.img"])
+    if image.channel != "total":
+        raise MissingArtifactError(f"artifact corrupt (header channel {image.channel!r}, "
+                                   f"not 'total'): {dataset_dir / 'image_total.img'}")
     series = io_formats.read_time_series(dataset_dir / "detector.ts",
                                          sha256["detector.ts"])
 

@@ -1,8 +1,9 @@
 """Dataset and output file formats: every file the package writes.
 
 - Aperture images: row-major little-endian float64 pixels behind an embedded
-  JSON header (pixel pitch in units of focal length, center, channel, shape,
-  metadata).
+  JSON header (pixel pitch in units of focal length, channel, shape,
+  metadata).  The optical axis is the grid's centre, so the header holds
+  no position for it.
 - Time series: little-endian binary float64 array behind an embedded JSON
   header (sample interval, units, seed).
 - Time tags: binary record stream (u8 channel, little-endian f64 timestamp in
@@ -70,6 +71,8 @@ _TAG_DTYPE = np.dtype([("channel", "u1"), ("time", "<f8")])
 _BLOCK_RECORDS = 1 << 18
 # the trailer holds count ^ _NOT_COUNT
 _NOT_COUNT = (1 << 64) - 1
+# the most pulses, and microseconds, a tag stream may span (read_time_tags)
+_MAX_SPAN = 2.0**53
 
 
 def _json_header(blob: bytes, path: Path, required: tuple[str, ...]) -> dict:
@@ -199,7 +202,6 @@ def write_image(path, image: ApertureImage) -> str:
     """Write an image container, pixels row-major; returns its sha256."""
     header = {
         "pixel_pitch_f": image.pixel_pitch,
-        "center_px": list(image.center),
         "channel": image.channel,
         "shape": list(image.pixels.shape),
         "metadata": image.metadata,
@@ -213,27 +215,22 @@ def read_image(path, sha256: str | None = None) -> ApertureImage:
     array.
 
     ``sha256`` is checked first; then the header (a finite pixel_pitch_f > 0,
-    a known channel, center_px as two finite numbers, a metadata mapping
-    whose bore and rim radii are finite numbers, and a shape of two positive
-    ints whose product is the pixel count) and the pixels (finite and >= 0).
+    a known channel, a metadata mapping whose bore and rim radii are finite
+    numbers, and a shape of two positive ints whose product is the pixel
+    count) and the pixels (finite and >= 0).
     A failed check raises ``MissingArtifactError``.
     """
     path = Path(path)
     header, count, blocks = _read_container(
-        path, _IMAGE_MAGIC, ("pixel_pitch_f", "channel", "center_px", "shape"),
+        path, _IMAGE_MAGIC, ("pixel_pitch_f", "channel", "shape"),
         _F8_DTYPE, sha256)
     pixels, start = np.empty(count, dtype=_F8_DTYPE), 0
     for block in blocks(lambda block: None):  # ApertureImage checks the pixels
         pixels[start: start + len(block)] = block
         start += len(block)
-    shape, center = header["shape"], header["center_px"]
-    metadata = header.get("metadata", {})
+    shape, metadata = header["shape"], header.get("metadata", {})
     if not _finite_number(header["pixel_pitch_f"]):
         raise MissingArtifactError(f"artifact corrupt (header pixel_pitch_f): {path}")
-    if not (isinstance(center, list) and len(center) == 2
-            and all(map(_finite_number, center))):
-        raise MissingArtifactError(
-            f"artifact corrupt (header center_px is not two numbers): {path}")
     if not isinstance(metadata, dict) or not all(
             _finite_number(metadata[key]) for key in ("bore_radius_f", "rim_radius_f")
             if key in metadata):
@@ -247,8 +244,7 @@ def read_image(path, sha256: str | None = None) -> ApertureImage:
     try:
         return ApertureImage(pixels=pixels.reshape(shape),
                              pixel_pitch=header["pixel_pitch_f"],
-                             channel=header["channel"], center=tuple(center),
-                             metadata=metadata)
+                             channel=header["channel"], metadata=metadata)
     except (ValueError, TypeError) as exc:
         raise MissingArtifactError(f"artifact corrupt ({exc}): {path}")
 
@@ -268,15 +264,17 @@ def write_time_series(path, series: TimeSeries | SeriesBlocks) -> str:
 def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
     """A time-series container as one in-order pass of blocks.
 
-    The magic, the header and the file size are checked on the call, each
-    block is checked finite as it is read and ``sha256`` after the last one;
-    a failed check raises ``MissingArtifactError``.
+    The magic, the header (a sample_interval_s > 0 whose reciprocal, the
+    sampling rate, is finite) and the file size are checked on the call,
+    each block is checked finite as it is read and ``sha256`` after the last
+    one; a failed check raises ``MissingArtifactError``.
     """
     path = Path(path)
     header, count, blocks = _read_container(path, _SERIES_MAGIC, ("sample_interval_s",),
                                             _F8_DTYPE, sha256)
     interval = header["sample_interval_s"]
-    if not (_finite_number(interval) and interval > 0):
+    if not (_finite_number(interval) and interval > 0
+            and math.isfinite(1.0 / interval)):
         raise MissingArtifactError(
             f"artifact corrupt (header sample_interval_s): {path}")
     finite = np.empty(min(count, _BLOCK_RECORDS), dtype=bool)
@@ -316,8 +314,11 @@ def read_time_tags(path, sha256: str | None = None) -> TagBlocks:
     trailer's record count.
 
     The magic, the header and the file size are checked on the call: a
-    duration_s that is not a finite number >= 0, or metadata that is not a
-    mapping or whose repetition_rate is not a finite number > 0, raise.
+    duration_s that is not a finite number >= 0, metadata that is not a
+    mapping or whose repetition_rate is not a finite number > 0, or a
+    stream that spans more than 2**53 pulses (duration_s * repetition_rate)
+    or 2**53 microseconds, raise: the pulse indices of ``g2_zero`` and the
+    bin indices of ``RateBins`` (bins 1 us or wider) must fit int64.
     Each block is checked as it is read (finite timestamps, channels 0 or
     1, timestamps non-decreasing, also across blocks, and within [0,
     duration_s]) and ``sha256`` after the last one; a failed check raises
@@ -332,6 +333,9 @@ def read_time_tags(path, sha256: str | None = None) -> TagBlocks:
     rate = metadata.get("repetition_rate", 1.0) if isinstance(metadata, dict) else None
     if not (_finite_number(rate) and rate > 0):
         raise MissingArtifactError(f"artifact corrupt (header metadata): {path}")
+    if not max(duration * rate, duration * 1e6) <= _MAX_SPAN:
+        raise MissingArtifactError(f"artifact corrupt (header: the stream spans more "
+                                   f"than 2**53 pulses or microseconds): {path}")
     previous = 0.0  # the timestamp before the block
 
     def defect(block):

@@ -123,14 +123,14 @@ class ApertureImage:
     """Pixelized intensity in the mirror output aperture.
 
     ``pixels[row, col]`` with row -> y, col -> x; ``pixel_pitch`` in units of
-    the focal length; ``center`` is the optical-axis position in (col, row)
-    pixel coordinates.  ``channel`` is one of total/vertical/horizontal.
+    the focal length.  The optical axis passes through the grid's geometric
+    centre, ((nx - 1) / 2, (ny - 1) / 2) in (col, row) pixel coordinates.
+    ``channel`` is one of total/vertical/horizontal.
     """
 
     pixels: np.ndarray
     pixel_pitch: float
     channel: str = "total"
-    center: tuple[float, float] | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -145,13 +145,10 @@ class ApertureImage:
             raise ValueError("intensities must be non-negative")
         if not np.all(np.isfinite(self.pixels)):
             raise ValueError("intensities must be finite")
-        if self.center is None:
-            ny, nx = self.pixels.shape
-            self.center = ((nx - 1) / 2.0, (ny - 1) / 2.0)
 
     def pixel_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) of every pixel center in units of focal length."""
-        return _coordinates(self.pixels.shape, self.center, self.pixel_pitch)
+        return _coordinates(self.pixels.shape, self.pixel_pitch)
 
     def radius_grid(self) -> np.ndarray:
         x, y = self.pixel_coordinates()
@@ -178,11 +175,12 @@ class RadialProfile:
             raise ValueError("intensities must be finite")
 
 
-def _coordinates(shape, center, pitch) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) grids of pixel centers for ``shape`` (rows, cols) about ``center``."""
+def _coordinates(shape, pitch) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) grids of pixel centers for ``shape`` (rows, cols) about the
+    grid's geometric centre."""
     ny, nx = shape
-    cx, cy = center
-    return np.meshgrid((np.arange(nx) - cx) * pitch, (np.arange(ny) - cy) * pitch)
+    return np.meshgrid((np.arange(nx) - (nx - 1) / 2.0) * pitch,
+                       (np.arange(ny) - (ny - 1) / 2.0) * pitch)
 
 
 def _check_fraction(a_pi: float) -> None:
@@ -254,8 +252,7 @@ def general_dipole_image(
     if geometry is None:
         geometry = MirrorGeometry()
     pitch = 2.0 * half_extent / n_pixels
-    c = (n_pixels - 1) / 2.0
-    x, y = _coordinates((n_pixels, n_pixels), (c, c), pitch)
+    x, y = _coordinates((n_pixels, n_pixels), pitch)
     R = np.hypot(x, y)
     theta = theta_from_R(R)
     envelope = 1.0 / (R**2 / 4.0 + 1.0) ** 2
@@ -297,7 +294,7 @@ def general_dipole_image(
             stacklevel=2,
         )
     return ApertureImage(pixels=pixels, pixel_pitch=pitch, channel="total",
-                         center=(c, c), metadata=metadata)
+                         metadata=metadata)
 
 
 def mix_image(
@@ -312,8 +309,7 @@ def mix_image(
     cir = general_dipole_image(CIRCULAR, geometry, n_pixels, half_extent)
     pixels = a_pi * lin.pixels + (1.0 - a_pi) * cir.pixels
     return ApertureImage(pixels=pixels, pixel_pitch=lin.pixel_pitch,
-                         channel="total", center=lin.center,
-                         metadata=dict(lin.metadata))
+                         channel="total", metadata=dict(lin.metadata))
 
 
 def polarized_projection(image: ApertureImage, a_pi: float, axis: str) -> ApertureImage:
@@ -346,8 +342,7 @@ def polarized_projection(image: ApertureImage, a_pi: float, axis: str) -> Apertu
 
     pixels = image.pixels * (lin_frac * proj + (1.0 - lin_frac) * 0.5)
     return ApertureImage(pixels=pixels, pixel_pitch=image.pixel_pitch,
-                         channel=axis, center=image.center,
-                         metadata=dict(image.metadata))
+                         channel=axis, metadata=dict(image.metadata))
 
 
 def collection_efficiency(kind: str, geometry: MirrorGeometry | None = None) -> float:
@@ -386,16 +381,11 @@ def _rings(R: np.ndarray, I: np.ndarray, pitch: float):
 
 
 def azimuthal_average(image: ApertureImage) -> RadialProfile:
-    """Mean intensity per annular bin, one pixel pitch wide, around the center.
+    """Mean intensity per annular bin, one pixel pitch wide, around the axis.
 
     Empty bins are omitted.  Per-bin pixel counts and intensity variances
     are recorded on the profile.
     """
-    ny, nx = image.pixels.shape
-    cx, cy = image.center
-    if not (-0.5 <= cx <= nx - 0.5 and -0.5 <= cy <= ny - 0.5):
-        raise ValueError(f"center {image.center} lies off the pixel grid")
-
     I = image.pixels.ravel()
     idx, counts, occupied, means = _rings(image.radius_grid().ravel(), I,
                                           image.pixel_pitch)
@@ -494,26 +484,20 @@ class AsymmetryResult:
 
 
 def asymmetry_metric(image: ApertureImage) -> AsymmetryResult:
-    """Azimuthal-asymmetry score of a centered aperture image.
+    """Azimuthal-asymmetry score of an aperture image about the optical axis.
 
     Per radial annulus (width = pixel pitch) the energy in azimuthal Fourier
     components m = 1..3 is computed relative to the m = 0 power and
     averaged over annuli weighted by their total intensity.  The trigonometric
     moments are evaluated from pixel coordinates, so on the fourfold-symmetric
-    pixel grid they cancel exactly (to rounding) for any radially symmetric
-    image.  m = 4 is excluded: the square pixel lattice itself carries an m = 4
-    moment even for symmetric images.
+    pixel grid, whose symmetry point is the axis, they cancel exactly (to
+    rounding) for any radially symmetric image.  m = 4 is excluded: the
+    square pixel lattice itself carries an m = 4 moment even for symmetric
+    images.
 
     Classification: symmetric below ``SYMMETRY_SCORE_MAX``, asymmetric above
     ``ASYMMETRY_SCORE_MIN``, inconclusive in between.
     """
-    ny, nx = image.pixels.shape
-    cx, cy = image.center
-    # The exact-cancellation argument needs the center on the grid's symmetry
-    # point; require it within a small tolerance of the geometric center.
-    if abs(cx - (nx - 1) / 2) > 1e-9 or abs(cy - (ny - 1) / 2) > 1e-9:
-        raise ValueError("asymmetry metric requires a centered image")
-
     x, y = image.pixel_coordinates()
     R = np.hypot(x, y).ravel()
     I = image.pixels.ravel()

@@ -277,8 +277,9 @@ def auger_prob_for_cluster(n_rods: int) -> float:
     """Empirical size law p_A(N) = 0.97 * exp(-(N-1)/400).
 
     Larger clusters annihilate less efficiently, raising g2(0) with cluster
-    size; 0.97 and 400 are fitted to the observed g2(0) band, not
-    first-principles values.
+    size.  0.97 and 400 are neither first-principles values nor fitted to
+    the observed g2(0) band of 0.15-0.44: at the default excitation the law
+    gives g2(0) = 0.07 at N = 2 and reaches the band only at N = 18.
     """
     if n_rods < 1:
         raise ValueError("n_rods must be >= 1")

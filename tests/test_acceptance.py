@@ -182,7 +182,7 @@ def test_criterion_07_fit_round_trips():
                 img.pixels + rng.normal(0, img.pixels.max() / 10,
                                         img.pixels.shape), 0, None)
             img_n = mo.ApertureImage(pixels=noisy, pixel_pitch=img.pixel_pitch,
-                                     center=img.center, metadata=img.metadata)
+                                     metadata=img.metadata)
             profile = mo.azimuthal_average(img_n)
             keep = ((profile.radii > geom.bore_radius_f + img.pixel_pitch)
                     & (profile.radii < geom.rim_radius_f - img.pixel_pitch))

@@ -465,7 +465,6 @@ class TestAnalyze:
         ("tags.bin", _edit_header(lambda h: h["metadata"].pop("repetition_rate"))),
         ("image_total.img", _edit_header(lambda h: h.update(pixel_pitch_f="x"))),
         ("image_total.img", _edit_header(lambda h: h.update(pixel_pitch_f=float("nan")))),
-        ("image_total.img", _edit_header(lambda h: h.update(center_px=3))),
         ("image_total.img", _edit_header(lambda h: h.update(metadata=[]))),
         ("image_total.img", _edit_header(
             lambda h: h.update(metadata={"bore_radius_f": "x"}))),
@@ -479,11 +478,19 @@ class TestAnalyze:
         ("image_total.img", _edit_header(lambda h: h.update(pixel_pitch_f=10**400))),
         ("image_total.img", _edit_header(
             lambda h: h["metadata"].update(bore_radius_f=10**400))),
+        # a sampling rate beyond the float range
+        ("detector.ts", _edit_header(lambda h: h.update(sample_interval_s=1e-320))),
+        # pulse and bin indices beyond int64
+        ("tags.bin", _edit_header(lambda h: h.update(duration_s=1e300))),
+        ("tags.bin", _edit_header(lambda h: h["metadata"].update(repetition_rate=1e300))),
+        # a known channel, but not the one analyze fits
+        ("image_total.img", _edit_header(lambda h: h.update(channel="vertical"))),
     ], ids=["tags_metadata_list", "rate_string", "rate_zero", "rate_missing",
-            "pitch_string", "pitch_nan", "center_scalar", "image_metadata_list",
+            "pitch_string", "pitch_nan", "image_metadata_list",
             "bore_string", "pitch_negative", "channel_diag", "shape_mismatch",
             "interval_huge_int", "duration_huge_int", "rate_huge_int", "pitch_huge_int",
-            "bore_huge_int"])
+            "bore_huge_int", "interval_subnormal", "duration_huge", "rate_huge",
+            "channel_vertical"])
     def test_corrupt_header_value_exits_4(self, dataset, tmp_path, artifact,
                                           rewrite, capsys):
         # checksum updated: header values of the wrong type or range are a
@@ -495,6 +502,21 @@ class TestAnalyze:
         _rehash(broken, artifact)
         assert main(["analyze", str(broken)]) == EXIT_MISSING_ARTIFACT
         assert artifact in capsys.readouterr().err
+
+    def test_image_header_center_px_ignored(self, dataset, tmp_path):
+        # images written before the optical axis was fixed at the grid's
+        # centre carry it as center_px; the reader ignores the extra key
+        _, out, _ = dataset
+        older = _copy_dataset(out, tmp_path / "older", rewrite=("image_total.img",))
+        path = older / "image_total.img"
+        path.write_bytes(_edit_header(lambda h: h.update(center_px=[
+            (h["shape"][1] - 1) / 2, (h["shape"][0] - 1) / 2]))(path.read_bytes()))
+        _rehash(older, "image_total.img")
+        assert b'"center_px": [' in path.read_bytes()
+        for ds, res in ((older, "older_res"), (out, "res")):
+            assert main(["analyze", str(ds), "--out", str(tmp_path / res)]) == EXIT_OK
+        assert ((tmp_path / "older_res" / "results.json").read_bytes()
+                == (tmp_path / "res" / "results.json").read_bytes())
 
     @pytest.mark.parametrize("samples", [
         np.random.default_rng(1).normal(size=600),

@@ -45,7 +45,6 @@ class TestImageIO:
         assert np.array_equal(back.pixels, img.pixels)
         assert back.pixel_pitch == img.pixel_pitch
         assert back.channel == img.channel
-        assert back.center == img.center
         assert back.metadata == img.metadata
 
     @pytest.mark.parametrize("block", [7, 9])
@@ -769,24 +768,24 @@ class TestRoundTrips:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
-           pitch=st.floats(1e-6, 1e3), center=st.tuples(FINITE, FINITE),
+           pitch=st.floats(1e-6, 1e3),
            channel=st.sampled_from(["total", "vertical", "horizontal"]),
            radii=st.fixed_dictionaries({}, optional={"bore_radius_f": FINITE,
                                                      "rim_radius_f": FINITE}))
-    def test_image(self, root, data, rows, cols, pitch, center, channel, radii):
+    def test_image(self, root, data, rows, cols, pitch, channel, radii):
         pixels = data.draw(st.lists(st.lists(st.floats(0.0, 1e300), min_size=cols,
                                              max_size=cols),
                                     min_size=rows, max_size=rows), label="pixels")
         image = mo.ApertureImage(pixels=pixels, pixel_pitch=pitch, channel=channel,
-                                 center=center, metadata=radii)
+                                 metadata=radii)
         path = self._new(root, "image.img")
         digest = io.write_image(path, image)
         assert digest == io.sha256_file(path)
         back = io.read_image(path, digest)
         assert back.pixels.tobytes() == image.pixels.tobytes()
         assert back.pixels.shape == (rows, cols)
-        assert (back.pixel_pitch, back.channel, back.center, back.metadata) == (
-            pitch, channel, center, radii)
+        assert (back.pixel_pitch, back.channel, back.metadata) == (
+            pitch, channel, radii)
 
 
 def _yaml_leaves(tree: dict, prefix: str = ""):

@@ -228,12 +228,6 @@ class TestAzimuthalAverage:
                     & (profile.radii < GEOM.rim_radius_f - img.pixel_pitch))
         assert np.all(profile.variances[interior] > 0)
 
-    def test_off_grid_center_rejected(self):
-        img = mo.ApertureImage(pixels=np.ones((32, 32)), pixel_pitch=0.1,
-                               center=(100.0, 15.5))
-        with pytest.raises(ValueError):
-            mo.azimuthal_average(img)
-
 
 def synth_profile(a_pi, n=60, noise=0.0, rng=None):
     radii = np.linspace(0.05, 4.7, n)
@@ -343,7 +337,7 @@ class TestAsymmetryMetric:
             noisy = np.clip(base.pixels + rng.normal(0, sigma, base.pixels.shape),
                             0, None)
             img = mo.ApertureImage(pixels=noisy, pixel_pitch=base.pixel_pitch,
-                                   center=base.center, metadata=base.metadata)
+                                   metadata=base.metadata)
             if mo.asymmetry_metric(img).classification == "symmetric":
                 n_ok += 1
         assert n_ok >= 0.95 * n_seeds
@@ -354,13 +348,6 @@ class TestAsymmetryMetric:
         monkeypatch.setattr(mo, "SYMMETRY_SCORE_MAX", 1e-12)
         res = mo.asymmetry_metric(img)
         assert res.classification == "inconclusive"
-
-    def test_off_center_rejected(self):
-        img = mo.general_dipole_image(Z_AXIS, GEOM)
-        shifted = mo.ApertureImage(pixels=img.pixels, pixel_pitch=img.pixel_pitch,
-                                   center=(10.0, 10.0))
-        with pytest.raises(ValueError):
-            mo.asymmetry_metric(shifted)
 
 
 class TestMixFraction:
