@@ -4,13 +4,13 @@ The config file is a nested key-value YAML document (comments allowed).  The
 domain dataclasses are the single source of the schema: each section is one
 dataclass, its keys are the dataclass fields renamed only by the unit suffix
 in ``_UNIT_SUFFIX`` (``focal_length`` -> ``focal_length_m``), and its defaults
-are the dataclass defaults except for the experiment-level values in
-``_EXPERIMENT_DEFAULTS``.  Every section is validated by its type's own
-invariants; unknown keys are rejected with field-level diagnostics.
-``field_factor: null`` selects the calibrated value (a single bare rod
-escapes at 41 mW and 296 K) and ``auger_pair_prob: null`` the cluster-size
-law.  ``mirror.reflectivity`` is the only reflectivity knob; the detection
-chain takes its mirror reflectivity from the mirror section.
+are the dataclass defaults, with no table of values here.  Every section is
+validated by its type's own invariants; unknown keys are rejected with
+field-level diagnostics.  ``field_factor: null`` selects the calibrated value
+(a single bare rod escapes at 41 mW and 296 K) and ``auger_pair_prob: null``
+the cluster-size law.  Fields in ``_LINKED`` take another section's value:
+the detection chain takes the mirror section, so ``mirror.reflectivity`` is
+the only reflectivity knob, and the emitter takes ``cluster.n_rods``.
 
 Schema (defaults shown by ``default_config_yaml()``):
 
@@ -182,13 +182,6 @@ _UNIT_SUFFIX = {
     "half_extent": "_f",
 }
 
-# Where the modeled experiment differs from the library defaults.
-_EXPERIMENT_DEFAULTS = {
-    ("cluster", "n_rods"): 64,
-    ("emitter", "auger_pair_prob"): None,  # cluster-size law
-    ("emitter", "blink_mode"): "two_state",
-}
-
 # Fields set from another section instead of a YAML key of their own:
 # (section, field) -> (source section or None for the root, attribute or
 # None for the whole section).
@@ -196,13 +189,9 @@ _LINKED = {
     ("cluster", "rod"): ("rod", None),
     ("cluster", "material"): ("material", None),
     ("emitter", "n_rods"): ("cluster", "n_rods"),
-    ("detection", "mirror_reflectivity"): ("mirror", "reflectivity"),
+    ("detection", "mirror"): ("mirror", None),
     ("simulation", "seed"): (None, "seed"),
 }
-
-# Library-only fields: always their dataclass default, no YAML key.
-_LIBRARY_ONLY = {("detection", "collection_linear"),
-                 ("detection", "collection_circular")}
 
 
 class _Leaf(typing.NamedTuple):
@@ -216,12 +205,10 @@ def _leaves(section: str | None, cls) -> dict:
     hints = typing.get_type_hints(cls)
     leaves = {}
     for f in dataclasses.fields(cls):
-        key = (section, f.name)
-        if (key in _LINKED or key in _LIBRARY_ONLY or f.name in _SECTIONS
-                or f.name == "raw"):
+        if (section, f.name) in _LINKED or f.name in _SECTIONS or f.name == "raw":
             continue
         leaves[f.name + _UNIT_SUFFIX.get(f.name, "")] = _Leaf(
-            f.name, hints[f.name], _EXPERIMENT_DEFAULTS.get(key, f.default))
+            f.name, hints[f.name], f.default)
     return leaves
 
 

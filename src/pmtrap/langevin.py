@@ -54,6 +54,7 @@ import numpy as np
 
 from . import constants as const
 from .seeding import rng_for
+from .trap_mechanics import GasParams, calibrated_field_factor
 
 __all__ = [
     "TrapStiffness",
@@ -494,7 +495,7 @@ def mean_cos2_tilt(align_depth: float, temperature: float) -> float:
 
 
 def apparent_a_pi(power: float, intrinsic_a_pi: float, anisotropy: float,
-                  temperature: float = const.ROOM_TEMPERATURE,
+                  temperature: float = GasParams.temperature,
                   field_factor: float | None = None) -> float:
     """Apparent linear-dipole fraction after thermal tilt averaging.
 
@@ -515,7 +516,6 @@ def apparent_a_pi(power: float, intrinsic_a_pi: float, anisotropy: float,
     if power < 0 or anisotropy < 0:
         raise ValueError("power and anisotropy must be >= 0")
     if field_factor is None:
-        from .trap_mechanics import calibrated_field_factor
         field_factor = calibrated_field_factor()
     align_depth = 0.5 * anisotropy * field_factor * power
     return intrinsic_a_pi * mean_cos2_tilt(align_depth, temperature)

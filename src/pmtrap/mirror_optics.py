@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constants as const
 from .errors import FitError, InsufficientDataError, InvalidGeometryError
 
 __all__ = [
@@ -79,7 +78,7 @@ class MirrorGeometry:
     focal_length: float = 2.1e-3
     aperture_radius: float = 10e-3
     bore_radius: float = 0.75e-3
-    reflectivity: float = const.MIRROR_REFLECTIVITY
+    reflectivity: float = 0.72
 
     def __post_init__(self):
         if self.focal_length <= 0:

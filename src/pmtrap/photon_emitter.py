@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from . import constants as const
 from .langevin import _counted
+from .mirror_optics import MirrorGeometry
 from .seeding import rng_for
 
 __all__ = [
@@ -91,11 +91,11 @@ class EmitterModel:
     histogram).
     """
 
-    n_rods: int = 1
+    n_rods: int
     quantum_yield: float = 0.7
-    auger_pair_prob: float | None = 1.0  # None -> auger_prob_for_cluster
+    auger_pair_prob: float | None = None  # None -> auger_prob_for_cluster
     independent_emitters: bool = False
-    blink_mode: str = "steady"
+    blink_mode: str = "two_state"
     grey_attenuation: float = 3.0
     bright_dwell: float = 5e-3    # s
     grey_dwell: float = 15e-3     # s
@@ -123,22 +123,24 @@ class EmitterModel:
             raise ValueError("dark_attenuation must be in [0, 1]")
 
 
+# Mirror collection fractions of an on-axis linear and a circular dipole: the
+# paper's values, which do not yet follow ``DetectionChain.mirror``
+COLLECTION_LINEAR = 0.94
+COLLECTION_CIRCULAR = 0.76
+
+
 @dataclass(frozen=True)
 class DetectionChain:
     """Multiplicative detection budget from emitter to APD click."""
 
     apd_quantum_efficiency: float = 0.69
-    mirror_reflectivity: float = const.MIRROR_REFLECTIVITY
     setup_transmission: float = 0.83
     a_pi: float = 0.31
     splitter_ratio: float = 0.5
-    collection_linear: float = 0.94    # mirror collection, on-axis linear dipole
-    collection_circular: float = 0.76  # mirror collection, circular dipole
+    mirror: MirrorGeometry = MirrorGeometry()  # its reflectivity is the mirror loss
 
     def __post_init__(self):
-        for name in ("apd_quantum_efficiency", "mirror_reflectivity",
-                     "setup_transmission", "collection_linear",
-                     "collection_circular"):
+        for name in ("apd_quantum_efficiency", "setup_transmission"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
         if not 0.0 <= self.a_pi <= 1.0:
@@ -149,13 +151,13 @@ class DetectionChain:
     @property
     def collection_efficiency(self) -> float:
         """Mirror collection for the a_pi linear/circular mixture."""
-        return (self.collection_linear * self.a_pi
-                + self.collection_circular * (1.0 - self.a_pi))
+        return (COLLECTION_LINEAR * self.a_pi
+                + COLLECTION_CIRCULAR * (1.0 - self.a_pi))
 
     @property
     def detection_probability(self) -> float:
         """Per emitted photon: collection * reflectivity * transmission * QE."""
-        return (self.collection_efficiency * self.mirror_reflectivity
+        return (self.collection_efficiency * self.mirror.reflectivity
                 * self.setup_transmission * self.apd_quantum_efficiency)
 
 
@@ -600,7 +602,7 @@ def expected_count_rate(excitation: ExcitationConfig, emitter: EmitterModel,
     if saturated > 0:
         d_sat = np.exp(-x) * x * (_SATURATION_POWER_ERROR / excitation.saturation_power)
         rel_psat = d_sat / saturated
-    rel_api = ((chain.collection_linear - chain.collection_circular) * _A_PI_ERROR
+    rel_api = ((COLLECTION_LINEAR - COLLECTION_CIRCULAR) * _A_PI_ERROR
                / chain.collection_efficiency)
     err = rate * float(np.hypot(rel_psat, rel_api))
     return RateEstimate(rate=float(rate), uncertainty=err)

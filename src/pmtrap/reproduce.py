@@ -30,6 +30,7 @@ import numpy as np
 from . import (_threads, analysis, io_formats, langevin, mirror_optics, photon_emitter,
                trap_mechanics)
 from .config import ExperimentConfig
+from .errors import UndefinedResultError
 from .seeding import rng_for
 
 __all__ = ["REPRODUCE_TARGETS", "run_target"]
@@ -80,6 +81,9 @@ def target_appE_rate(config: ExperimentConfig) -> tuple[str, list, dict]:
         auger_pair_prob=1.0, blink_mode="steady")
     estimate = photon_emitter.expected_count_rate(config.excitation, emitter,
                                                   config.detection)
+    if estimate.rate == 0:
+        raise UndefinedResultError("appE_rate: the closed-form rate is 0, so the "
+                                   "Monte Carlo rate has no relative difference")
     mc_duration = 10.0  # 1e7 pulses at the default repetition rate
     n_pulses, detections = photon_emitter.detection_blocks(
         config.excitation, emitter, config.detection, mc_duration,
@@ -93,7 +97,7 @@ def target_appE_rate(config: ExperimentConfig) -> tuple[str, list, dict]:
         ("repetition_rate_hz", config.excitation.repetition_rate),
         ("apd_quantum_efficiency", chain.apd_quantum_efficiency),
         ("setup_transmission", chain.setup_transmission),
-        ("mirror_reflectivity", chain.mirror_reflectivity),
+        ("mirror_reflectivity", chain.mirror.reflectivity),
         ("saturation_factor", 1.0 - np.exp(-config.excitation.mean_excitons)),
         ("quantum_yield", emitter.quantum_yield),
         ("collection_for_a_pi", chain.collection_efficiency),

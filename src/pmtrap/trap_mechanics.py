@@ -85,7 +85,7 @@ class MaterialParams:
 class GasParams:
     viscosity: float = 1.82e-5                   # Pa s, air
     mean_free_path: float = 68e-9                # m, air
-    temperature: float = const.ROOM_TEMPERATURE  # K
+    temperature: float = 296.0                   # K
 
     def __post_init__(self):
         for name in ("viscosity", "mean_free_path", "temperature"):
@@ -101,8 +101,8 @@ class TrapParams:
     field_factor: float | None = None          # V^2 m^-2 W^-1; None -> calibrated
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ValueError("power must be >= 0")
+        if self.power <= 0:
+            raise ValueError("power must be > 0")
         if self.field_factor is None:
             object.__setattr__(self, "field_factor", calibrated_field_factor())
         if self.field_factor <= 0:
@@ -113,7 +113,7 @@ class TrapParams:
 class ClusterSample:
     """N parallel rods in close packing, aligned along the optical axis."""
 
-    n_rods: int = 1
+    n_rods: int = 64
     rod: RodGeometry = RodGeometry()
     material: MaterialParams = MaterialParams()
 
@@ -136,15 +136,21 @@ def polarizability(rod: RodGeometry | None = None,
     return n_rods * alpha1
 
 
+# Calibration datum of the field factor, not a default: the single-rod escape.
+_CALIBRATION_POWER = 0.041  # W
+_CALIBRATION_TEMPERATURE = 296.0  # K
+
+
 def calibrated_field_factor() -> float:
     """Field factor kappa fixed so the reference bare rod has U0 = kB*T at
-    the single-rod escape power (41 mW) and room temperature (296 K).
+    the calibration datum above: escape at 41 mW and 296 K, whatever the
+    configured gas temperature.
 
     This is a calibration standing in for the focal-field computation, not a
     first-principles constant; kappa ~ 3.7e15 V^2 m^-2 W^-1.
     """
-    return (2.0 * const.BOLTZMANN * const.ROOM_TEMPERATURE
-            / (polarizability() * const.SINGLE_ROD_ESCAPE_POWER))
+    return (2.0 * const.BOLTZMANN * _CALIBRATION_TEMPERATURE
+            / (polarizability() * _CALIBRATION_POWER))
 
 
 def trap_depth(alpha: float, trap: TrapParams) -> float:
@@ -155,7 +161,7 @@ def trap_depth(alpha: float, trap: TrapParams) -> float:
 
 
 def min_power(alpha: float,
-              temperature: float = const.ROOM_TEMPERATURE,
+              temperature: float = GasParams.temperature,
               field_factor: float | None = None) -> float:
     """Escape power P_min = 2*kB*T/(alpha*kappa), inverse in alpha.
 

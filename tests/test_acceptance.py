@@ -5,6 +5,7 @@ report.  Tolerances are fixed here, not calibrated elsewhere.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from pmtrap.config import default_config_yaml, parse_config
 from pmtrap.reproduce import run_target
 
 import oracles
+
+# a steady single rod with p_A = 1; a keyword overrides any of the three
+steady_rod = partial(pe.EmitterModel, n_rods=1, auger_pair_prob=1.0,
+                     blink_mode="steady")
 
 KT = const.BOLTZMANN * 296.0
 
@@ -68,7 +73,7 @@ def test_criterion_02_minimum_trapping_power():
 
 def test_criterion_03_single_rod_damping():
     rod = tm.RodGeometry()
-    cluster = tm.ClusterSample()
+    cluster = tm.ClusterSample(n_rods=1)
     rate = tm.damping_rate(rod.padded_radius, tm.cluster_mass(cluster))
     assert rate.hz == pytest.approx(2.0e6, rel=0.10)
     _report(3, f"Gamma/2pi = {rate.hz/1e6:.3f} MHz within 2.0 MHz +/- 10%")
@@ -78,7 +83,7 @@ def test_criterion_04_count_rate():
     with Timer() as t:
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
+        emitter = steady_rod(auger_pair_prob=1.0)
         est = pe.expected_count_rate(exc, emitter, chain)
         # Monte Carlo over 1e7 pulses
         duration = 1e7 / exc.repetition_rate
@@ -114,13 +119,13 @@ def test_criterion_06_g2_suite():
         period = 1.0 / exc.repetition_rate
 
         # p_A = 1: perfect antibunching
-        s1 = pe.generate_time_tags(exc, pe.EmitterModel(auger_pair_prob=1.0),
+        s1 = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=1.0),
                                    chain, 1.0, seed=601)
         g1 = analysis.g2_zero(s1, period)
         assert g1.g2 == 0.0
 
         # p_A = 0: Poissonian
-        s0 = pe.generate_time_tags(exc, pe.EmitterModel(auger_pair_prob=0.0),
+        s0 = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=0.0),
                                    chain, 2.0, seed=602)
         g0 = analysis.g2_zero(s0, period)
         assert abs(g0.g2 - 1.0) < 3 * g0.error
@@ -129,8 +134,8 @@ def test_criterion_06_g2_suite():
         results_n = {}
         for n in (2, 4):
             sn = pe.generate_time_tags(
-                exc, pe.EmitterModel(n_rods=n, auger_pair_prob=1.0,
-                                     independent_emitters=True),
+                exc, steady_rod(n_rods=n, auger_pair_prob=1.0,
+                                independent_emitters=True),
                 chain, 1.5, seed=600 + n)
             gn = analysis.g2_zero(sn, period)
             expected = oracles.independent_emitters_g2(n)
@@ -138,14 +143,14 @@ def test_criterion_06_g2_suite():
             results_n[n] = gn.g2
 
         # documented band setting: shared pool with p_A = 0.9
-        sb = pe.generate_time_tags(exc, pe.EmitterModel(auger_pair_prob=0.9),
+        sb = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=0.9),
                                    chain, 2.0, seed=606)
         gb = analysis.g2_zero(sb, period)
         assert 0.15 <= gb.g2 <= 0.44
 
         # Monte Carlo matches the brute-force enumeration oracle within 3 sigma
         for p_a, seed in ((0.9, 607), (0.6, 608), (0.3, 609)):
-            s = pe.generate_time_tags(exc, pe.EmitterModel(auger_pair_prob=p_a),
+            s = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=p_a),
                                       chain, 2.0, seed=seed)
             g = analysis.g2_zero(s, period)
             expected = oracles.pulsed_g2_expected(exc.mean_excitons, p_a)
@@ -275,14 +280,14 @@ def test_criterion_10_blinking_pipeline():
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
         grey_factor = 3.0
-        emitter = pe.EmitterModel(auger_pair_prob=1.0, blink_mode="two_state",
-                                  grey_attenuation=grey_factor)
+        emitter = steady_rod(auger_pair_prob=1.0, blink_mode="two_state",
+                             grey_attenuation=grey_factor)
         stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=1001)
         hist = analysis.blink_analysis(stream, bin_width=500e-6)
         bright = pe.expected_count_rate(exc, emitter, chain).rate
         assert hist.grey_mean_rate == pytest.approx(bright / grey_factor, rel=0.10)
 
-        burst = pe.EmitterModel(auger_pair_prob=1.0, blink_mode="bursts")
+        burst = steady_rod(auger_pair_prob=1.0, blink_mode="bursts")
         bstream = pe.generate_time_tags(exc, burst, chain, 10.0, seed=1002)
         bhist = analysis.blink_analysis(bstream, bin_width=500e-6)
         assert bhist.classification == "exponential_burst"

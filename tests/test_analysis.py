@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,10 @@ from pmtrap.errors import (
 from pmtrap.langevin import SeriesBlocks, TimeSeries
 
 import oracles
+
+# a steady single rod with p_A = 1; a keyword overrides any of the three
+steady_rod = partial(pe.EmitterModel, n_rods=1, auger_pair_prob=1.0,
+                     blink_mode="steady")
 
 
 def white_noise_series(sigma=1.0, n=2**17, dt=1e-6, seed=0):
@@ -468,7 +473,7 @@ class TestG2Zero:
     def test_merged_single_photon_streams(self):
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
+        emitter = steady_rod(auger_pair_prob=1.0)
         s1 = pe.generate_time_tags(exc, emitter, chain, 1.0, seed=40)
         s2 = pe.generate_time_tags(exc, emitter, chain, 1.0, seed=41)
         t = np.concatenate([s1.timestamps, s2.timestamps])
@@ -632,8 +637,8 @@ class TestBlinkAnalysis:
     def test_two_state_grey_level(self):
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
-        emitter = pe.EmitterModel(auger_pair_prob=1.0, blink_mode="two_state",
-                                  grey_attenuation=3.0)
+        emitter = steady_rod(auger_pair_prob=1.0, blink_mode="two_state",
+                             grey_attenuation=3.0)
         stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=50)
         hist = an.blink_analysis(stream)
         bright = pe.expected_count_rate(exc, emitter, chain).rate
@@ -643,7 +648,7 @@ class TestBlinkAnalysis:
     def test_burst_classification(self):
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
-        emitter = pe.EmitterModel(auger_pair_prob=1.0, blink_mode="bursts")
+        emitter = steady_rod(auger_pair_prob=1.0, blink_mode="bursts")
         stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=51)
         hist = an.blink_analysis(stream)
         assert hist.classification == "exponential_burst"

@@ -128,8 +128,9 @@ class TestValidateConfig:
         ("trap:\n  power_w: .inf\n", "power_w"),
         ("output_dir: [1, 2]\n", "output_dir"),
         ("cluster:\n  n_rods: " + "1" * 401 + "\n", "n_rods"),
+        ("trap:\n  power_w: 0\n", "trap: power"),
     ], ids=["bool-as-string", "nan-power", "nan-temperature", "huge-int",
-            "inf-power", "list-as-dir", "huge-int-count"])
+            "inf-power", "list-as-dir", "huge-int-count", "zero-power"])
     def test_wrong_kind_of_value_exits_2(self, tmp_path, capsys, text, key):
         # each of these used to validate, then misbehaved in simulate
         path = tmp_path / "bad.yaml"
@@ -775,7 +776,7 @@ class TestReproduceCli:
         rows, orientations = [], set()
         for n in sizes:
             emitter = pe.EmitterModel(n_rods=n, quantum_yield=config.emitter.quantum_yield,
-                                      auger_pair_prob=None)
+                                      auger_pair_prob=None, blink_mode="steady")
             stream = pe.generate_time_tags(config.excitation, emitter, config.detection,
                                            1.0, seed=int(rng.integers(2**31)))
             g2 = analysis.g2_zero(stream, 1.0 / config.excitation.repetition_rate)
@@ -800,6 +801,17 @@ class TestReproduceCli:
         assert len(calls) == len(orientations) < len(sizes)
         assert ((tmp_path / "out" / "fig1a.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())
+
+    @pytest.mark.parametrize("text", ["excitation:\n  average_power_w: 0\n",
+                                      "emitter:\n  quantum_yield: 0\n"],
+                             ids=["zero-power", "zero-quantum-yield"])
+    def test_appE_rate_at_zero_rate_exits_5(self, tmp_path, capsys, text):
+        # nothing is detected, so the Monte Carlo rate has no relative error
+        path = tmp_path / "dark.yaml"
+        path.write_text(text)
+        assert main(["reproduce", "--figure", "appE_rate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_ANALYSIS
+        assert "analysis error: appE_rate" in capsys.readouterr().err
 
     def test_appA_efficiency(self, tmp_path, capsys):
         code = main(["reproduce", "--figure", "appA_efficiency",

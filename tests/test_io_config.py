@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -17,6 +18,7 @@ from pmtrap import langevin as lv
 from pmtrap import mirror_optics as mo
 from pmtrap.cli import simulate_dataset
 from pmtrap.config import (
+    ExperimentConfig,
     default_config_yaml,
     dump_config,
     load_config,
@@ -878,7 +880,7 @@ class TestConfigLeaves:
     def test_reflectivity_reaches_detection(self):
         default = parse_config({})
         dimmer = parse_config({"mirror": {"reflectivity": 0.36}})
-        assert dimmer.detection.mirror_reflectivity == 0.36
+        assert dimmer.detection.mirror.reflectivity == 0.36
         assert dimmer.detection.detection_probability == pytest.approx(
             default.detection.detection_probability / 2)
 
@@ -914,7 +916,7 @@ PARTIAL_OVERRIDES = _optional(
     mirror=_optional(reflectivity=st.floats(0.05, 1.0),
                      bore_radius_m=st.floats(0.1e-3, 2e-3)),
     gas=_optional(temperature_k=st.floats(100.0, 400.0)),
-    trap=_optional(power_w=st.floats(0.0, 1.0),
+    trap=_optional(power_w=st.floats(0.0, 1.0, exclude_min=True),
                    field_factor=st.none() | st.floats(1e14, 1e16)),
     cluster=_optional(n_rods=st.integers(1, 500)),
     emitter=_optional(auger_pair_prob=st.none() | st.floats(0.0, 1.0),
@@ -936,6 +938,21 @@ class TestConfig:
         assert config.cluster.n_rods == 64
         assert config.trap.field_factor == pytest.approx(3.73e15, rel=0.01)
         assert config.emitter.auger_pair_prob < 1.0  # size law applied
+
+    def test_config_adds_no_default_of_its_own(self):
+        # each section is its dataclass built from the dataclass defaults,
+        # plus the fields it takes from another section
+        config = parse_config({})
+        linked = {"cluster": {"rod": config.rod, "material": config.material},
+                  "emitter": {"n_rods": config.cluster.n_rods},
+                  "detection": {"mirror": config.mirror},
+                  "simulation": {"seed": config.seed}}
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                assert value == type(value)(**linked.get(f.name, {})), f.name
+            elif f.name != "raw":
+                assert value == f.default, f.name
 
     def test_unknown_keys_rejected(self):
         raw = yaml.safe_load(default_config_yaml())

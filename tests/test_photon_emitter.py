@@ -1,12 +1,18 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pmtrap import analysis, io_formats, photon_emitter as pe
+from pmtrap.mirror_optics import MirrorGeometry
 
 import oracles
+
+# a steady single rod with p_A = 1; a keyword overrides any of the three
+steady_rod = partial(pe.EmitterModel, n_rods=1, auger_pair_prob=1.0,
+                     blink_mode="steady")
 
 
 EXC = pe.ExcitationConfig()
@@ -100,9 +106,9 @@ def pmf_g2(pmf):
 
 class TestDetectedPhotonPmf:
     @pytest.mark.parametrize("emitter", [
-        pe.EmitterModel(auger_pair_prob=0.0),
-        pe.EmitterModel(n_rods=64, auger_pair_prob=None),
-        pe.EmitterModel(n_rods=16, auger_pair_prob=0.4, independent_emitters=True),
+        steady_rod(auger_pair_prob=0.0),
+        steady_rod(n_rods=64, auger_pair_prob=None),
+        steady_rod(n_rods=16, auger_pair_prob=0.4, independent_emitters=True),
     ], ids=["poisson", "shared_pool", "independent"])
     def test_normalized(self, emitter):
         for exc in (EXC, pe.ExcitationConfig(average_power=2e-9),
@@ -114,28 +120,28 @@ class TestDetectedPhotonPmf:
     @pytest.mark.parametrize("pair_prob", [0.0, 0.3, 0.83, 1.0])
     def test_g2_matches_enumeration_oracle(self, pair_prob):
         pmf = pe.detected_photon_pmf(
-            EXC, pe.EmitterModel(auger_pair_prob=pair_prob), CHAIN)
+            EXC, steady_rod(auger_pair_prob=pair_prob), CHAIN)
         expected = oracles.pulsed_g2_expected(EXC.mean_excitons, pair_prob)
         assert abs(pmf_g2(pmf) - expected) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_independent_emitters_g2(self, n):
-        emitter = pe.EmitterModel(n_rods=n, auger_pair_prob=1.0,
-                                  independent_emitters=True)
+        emitter = steady_rod(n_rods=n, auger_pair_prob=1.0,
+                             independent_emitters=True)
         pmf = pe.detected_photon_pmf(EXC, emitter, CHAIN)
         assert abs(pmf_g2(pmf) - oracles.independent_emitters_g2(n)) < 1e-12
 
     def test_no_detection_without_light(self):
-        dark = pe.detected_photon_pmf(EXC, pe.EmitterModel(), CHAIN, 0.0)
+        dark = pe.detected_photon_pmf(EXC, steady_rod(), CHAIN, 0.0)
         assert np.array_equal(dark, [1.0])
         off = pe.detected_photon_pmf(pe.ExcitationConfig(average_power=0.0),
-                                     pe.EmitterModel(), CHAIN)
+                                     steady_rod(), CHAIN)
         assert np.array_equal(off, [1.0])
 
     @pytest.mark.parametrize("emitter,attenuation", [
-        (pe.EmitterModel(auger_pair_prob=0.5), 1.0),
-        (pe.EmitterModel(n_rods=3, auger_pair_prob=0.3,
-                         independent_emitters=True), 1.0 / 3.0),
+        (steady_rod(auger_pair_prob=0.5), 1.0),
+        (steady_rod(n_rods=3, auger_pair_prob=0.3,
+                    independent_emitters=True), 1.0 / 3.0),
     ], ids=["shared_pool", "independent_grey"])
     def test_matches_per_pulse_monte_carlo(self, emitter, attenuation):
         n = 1_000_000
@@ -158,13 +164,13 @@ class TestDetectedPhotonPmf:
 class TestBlinkTrajectory:
     def test_steady(self):
         rng = np.random.default_rng(0)
-        traj = pe.blink_trajectory(1.0, pe.EmitterModel(), rng)
+        traj = pe.blink_trajectory(1.0, steady_rod(), rng)
         assert np.all(traj.attenuation_at(np.linspace(0, 1, 100)) == 1.0)
 
     def test_vanishing_grey_dwell_mostly_bright(self):
         rng = np.random.default_rng(1)
-        model = pe.EmitterModel(blink_mode="two_state", grey_dwell=1e-7,
-                                bright_dwell=1e-2)
+        model = steady_rod(blink_mode="two_state", grey_dwell=1e-7,
+                           bright_dwell=1e-2)
         traj = pe.blink_trajectory(2.0, model, rng)
         att = traj.attenuation_at(np.linspace(0, 2, 100_000))
         assert np.mean(att) > 0.999
@@ -173,8 +179,8 @@ class TestBlinkTrajectory:
         # bright:grey dwell 1:4, attenuation 3 -> mean attenuation
         # 0.2 * 1 + 0.8 / 3
         rng = np.random.default_rng(2)
-        model = pe.EmitterModel(blink_mode="two_state", grey_attenuation=3.0,
-                                bright_dwell=1e-3, grey_dwell=4e-3)
+        model = steady_rod(blink_mode="two_state", grey_attenuation=3.0,
+                           bright_dwell=1e-3, grey_dwell=4e-3)
         traj = pe.blink_trajectory(100.0, model, rng)
         att = traj.attenuation_at(np.linspace(0, 100, 1_000_000))
         expected = 0.2 + 0.8 / 3.0
@@ -183,30 +189,30 @@ class TestBlinkTrajectory:
 
 class TestGenerateTimeTags:
     def test_reference_rate(self):
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
+        emitter = steady_rod(auger_pair_prob=1.0)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=11)
         rate = len(stream) / 1.0
         assert 125e3 - 14e3 < rate < 125e3 + 14e3
 
     def test_zero_yield_empty(self):
-        emitter = pe.EmitterModel(quantum_yield=0.0)
+        emitter = steady_rod(quantum_yield=0.0)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 0.1, seed=1)
         assert len(stream) == 0
 
     def test_zero_excitation_empty(self):
         exc = pe.ExcitationConfig(average_power=0.0)
-        stream = pe.generate_time_tags(exc, pe.EmitterModel(), CHAIN, 0.1, seed=1)
+        stream = pe.generate_time_tags(exc, steady_rod(), CHAIN, 0.1, seed=1)
         assert len(stream) == 0
 
     def test_deterministic(self):
-        emitter = pe.EmitterModel(auger_pair_prob=0.8)
+        emitter = steady_rod(auger_pair_prob=0.8)
         a = pe.generate_time_tags(EXC, emitter, CHAIN, 0.3, seed=5)
         b = pe.generate_time_tags(EXC, emitter, CHAIN, 0.3, seed=5)
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.channels, b.channels)
 
     def test_sorted_within_window(self):
-        emitter = pe.EmitterModel(auger_pair_prob=0.5)
+        emitter = steady_rod(auger_pair_prob=0.5)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 0.2, seed=6)
         assert np.all(np.diff(stream.timestamps) >= 0)
         assert stream.timestamps[-1] <= 0.2
@@ -214,8 +220,7 @@ class TestGenerateTimeTags:
     def test_memory_scales_with_events(self):
         # 1e7 pulses but only ~1e3 detections: nothing per pulse is allocated
         exc = pe.ExcitationConfig(average_power=2e-9)
-        emitter = pe.EmitterModel(n_rods=64, auger_pair_prob=None,
-                                  blink_mode="two_state")
+        emitter = pe.EmitterModel(n_rods=64)  # the experiment's emitter
         tracemalloc.start()
         try:
             stream = pe.generate_time_tags(exc, emitter, CHAIN, 10.0, seed=3)
@@ -227,7 +232,7 @@ class TestGenerateTimeTags:
         assert peak < 5e6
 
     def test_channels_balanced(self):
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
+        emitter = steady_rod(auger_pair_prob=1.0)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=8)
         n0, n1 = stream.counts_per_channel()
         assert abs(n0 - n1) < 5 * np.sqrt(len(stream))
@@ -239,7 +244,7 @@ class TestSplitter:
         # multi-photon pulses: no Auger annihilation, well above saturation
         exc = pe.ExcitationConfig(average_power=20e-6)
         chain = pe.DetectionChain(splitter_ratio=ratio)
-        stream = pe.generate_time_tags(exc, pe.EmitterModel(auger_pair_prob=0.0),
+        stream = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=0.0),
                                        chain, 0.05, seed=17)
         pulses = np.rint(stream.timestamps * exc.repetition_rate).astype(np.int64)
         starts = np.flatnonzero(np.diff(pulses, prepend=-1))
@@ -267,8 +272,8 @@ class TestTimeTagBlocks:
     def test_block_size_does_not_change_stream(self, monkeypatch, block):
         # each level's gap position is carried across blocks, and hits,
         # counts and the splitter draw from their own generators
-        emitter = pe.EmitterModel(auger_pair_prob=0.5, blink_mode="two_state",
-                                  bright_dwell=2e-4, grey_dwell=3e-4)
+        emitter = steady_rod(auger_pair_prob=0.5, blink_mode="two_state",
+                             bright_dwell=2e-4, grey_dwell=3e-4)
         whole = pe.generate_time_tags(EXC, emitter, CHAIN, 5e-3, seed=13)
         monkeypatch.setattr(pe, "_BLOCK_PULSES", block)
         blocked = pe.generate_time_tags(EXC, emitter, CHAIN, 5e-3, seed=13)
@@ -277,7 +282,7 @@ class TestTimeTagBlocks:
         assert blocked.channels.tobytes() == whole.channels.tobytes()
 
     def test_gap_chunk_does_not_change_stream(self, monkeypatch):
-        emitter = pe.EmitterModel(blink_mode="bursts")
+        emitter = steady_rod(blink_mode="bursts")
         whole = pe.generate_time_tags(EXC, emitter, CHAIN, 0.05, seed=14)
         monkeypatch.setattr(pe, "_GAP_CHUNK", 5)
         monkeypatch.setattr(pe, "_BLOCK_PULSES", 999)
@@ -286,7 +291,7 @@ class TestTimeTagBlocks:
         assert blocked.channels.tobytes() == whole.channels.tobytes()
 
     def test_metadata_up_front_count_after(self):
-        tags = pe.time_tag_blocks(EXC, pe.EmitterModel(), CHAIN, 0.1, seed=2)
+        tags = pe.time_tag_blocks(EXC, steady_rod(), CHAIN, 0.1, seed=2)
         assert tags.metadata["n_pulses"] == 100_000
         with pytest.raises(TypeError):
             len(tags)
@@ -298,7 +303,7 @@ class TestTimeTagBlocks:
     def test_count_recorded_once_used_up(self, tmp_path, monkeypatch, consume):
         # the stream counts its own events, whichever consumer uses it up
         monkeypatch.setattr(pe, "_BLOCK_PULSES", 4096)
-        args = (EXC, pe.EmitterModel(), CHAIN, 0.1)
+        args = (EXC, steady_rod(), CHAIN, 0.1)
         tags = pe.time_tag_blocks(*args, seed=2)
         if consume == "g2_zero":
             analysis.g2_zero(tags, 1.0 / EXC.repetition_rate)
@@ -309,22 +314,22 @@ class TestTimeTagBlocks:
 
 class TestDownstreamG2:
     def test_single_photon_zero(self):
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
+        emitter = steady_rod(auger_pair_prob=1.0)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=20)
         assert len(stream) > 1e5
         result = analysis.g2_zero(stream, 1e-6)
         assert result.g2 == 0.0
 
     def test_poissonian_unity(self):
-        emitter = pe.EmitterModel(auger_pair_prob=0.0)
+        emitter = steady_rod(auger_pair_prob=0.0)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 2.0, seed=21)
         result = analysis.g2_zero(stream, 1e-6)
         assert abs(result.g2 - 1.0) < 3 * result.error
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_independent_emitters(self, n):
-        emitter = pe.EmitterModel(n_rods=n, auger_pair_prob=1.0,
-                                  independent_emitters=True)
+        emitter = steady_rod(n_rods=n, auger_pair_prob=1.0,
+                             independent_emitters=True)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=22 + n)
         result = analysis.g2_zero(stream, 1e-6)
         expected = oracles.independent_emitters_g2(n)
@@ -333,7 +338,7 @@ class TestDownstreamG2:
     def test_band_setting(self):
         # the documented (p_A = 0.9, shared pool) point sits in the
         # observed antibunching band
-        emitter = pe.EmitterModel(auger_pair_prob=0.9)
+        emitter = steady_rod(auger_pair_prob=0.9)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 2.0, seed=25)
         result = analysis.g2_zero(stream, 1e-6)
         assert 0.15 <= result.g2 <= 0.44
@@ -343,7 +348,7 @@ class TestDownstreamG2:
     def test_monotone_in_pair_prob(self):
         values = []
         for p in (0.2, 0.5, 0.8, 1.0):
-            emitter = pe.EmitterModel(auger_pair_prob=p)
+            emitter = steady_rod(auger_pair_prob=p)
             stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=30)
             values.append(analysis.g2_zero(stream, 1e-6).g2)
         oracle = [oracles.pulsed_g2_expected(EXC.mean_excitons, p)
@@ -354,7 +359,7 @@ class TestDownstreamG2:
 
 class TestExpectedCountRate:
     def test_reference_budget(self):
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
+        emitter = steady_rod(auger_pair_prob=1.0)
         est = pe.expected_count_rate(EXC, emitter, CHAIN)
         assert est.rate == pytest.approx(125.4e3, rel=0.01)
         assert est.uncertainty == pytest.approx(13.7e3, rel=0.05)
@@ -363,14 +368,14 @@ class TestExpectedCountRate:
         # a_pi = 1, all other factors unity, far above saturation
         exc = pe.ExcitationConfig(average_power=1.0, saturation_power=2.63e-6)
         chain = pe.DetectionChain(apd_quantum_efficiency=1.0,
-                                  mirror_reflectivity=1.0,
+                                  mirror=MirrorGeometry(reflectivity=1.0),
                                   setup_transmission=1.0, a_pi=1.0)
-        emitter = pe.EmitterModel(quantum_yield=1.0)
+        emitter = steady_rod(quantum_yield=1.0)
         est = pe.expected_count_rate(exc, emitter, chain)
         assert est.rate == pytest.approx(1e6 * 0.94, rel=1e-6)
 
     def test_monotone_in_factors(self):
-        emitter = pe.EmitterModel()
+        emitter = steady_rod()
         base = pe.expected_count_rate(EXC, emitter, CHAIN).rate
         better = pe.DetectionChain(apd_quantum_efficiency=0.8)
         assert pe.expected_count_rate(EXC, emitter, better).rate > base
@@ -378,7 +383,7 @@ class TestExpectedCountRate:
         assert pe.expected_count_rate(stronger, emitter, CHAIN).rate > base
 
     def test_monte_carlo_agreement(self):
-        emitter = pe.EmitterModel(auger_pair_prob=1.0)
+        emitter = steady_rod(auger_pair_prob=1.0)
         stream = pe.generate_time_tags(EXC, emitter, CHAIN, 2.0, seed=31)
         est = pe.expected_count_rate(EXC, emitter, CHAIN)
         assert len(stream) / 2.0 == pytest.approx(est.rate, rel=0.02)
@@ -409,9 +414,9 @@ class TestValidation:
 
     def test_model_bounds(self):
         with pytest.raises(ValueError):
-            pe.EmitterModel(auger_pair_prob=1.5)
+            steady_rod(auger_pair_prob=1.5)
         with pytest.raises(ValueError):
-            pe.EmitterModel(grey_attenuation=0.5)
+            steady_rod(grey_attenuation=0.5)
         with pytest.raises(ValueError):
             pe.DetectionChain(apd_quantum_efficiency=0.0)
         with pytest.raises(ValueError):
