@@ -298,7 +298,14 @@ def main(argv=None) -> int:
             names = sorted(REPRODUCE_TARGETS) if args.figure == "all" else [args.figure]
             summaries = {}
             for name in names:
-                summaries[name] = run_target(name, config, out_dir)
+                # a target whose statistic cannot be computed is reported by
+                # name, and the others still run
+                try:
+                    summaries[name] = run_target(name, config, out_dir)
+                except (FitError, InsufficientDataError, UndefinedResultError) as exc:
+                    print(f"analysis error: {name}: {exc}", file=sys.stderr)
+            if len(summaries) < len(names):
+                return EXIT_ANALYSIS
             print(json.dumps(summaries if len(names) > 1 else summaries[names[0]],
                              sort_keys=True, indent=2))
         elif args.command == "validate-config":

@@ -43,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import stat
 import time
 import types
@@ -306,11 +307,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
         try:
             built[name] = cls(**values, **linked)
         except (ValueError, TypeError) as exc:
-            errors.append(f"{name}: {exc}")
+            errors.append(f"{name}: {_keyed(name, str(exc))}")
 
     if errors:
         raise ConfigError(f"{len(errors)} config error(s)", errors)
     return ExperimentConfig(**built, **vars(root), raw=canonical)
+
+
+def _keyed(name: str, message: str) -> str:
+    """``message`` of section ``name``'s dataclass, its field names as YAML keys.
+
+    Whole words only: ``power`` becomes ``power_w``, but ``powers`` stays.
+    """
+    keys = {leaf.field: key for key, leaf in _SCHEMA[name].items()}
+    return re.sub(r"\w+", lambda word: keys.get(word[0], word[0]), message)
 
 
 def _linked(name: str, built: dict, root) -> dict | None:

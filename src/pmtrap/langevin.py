@@ -17,7 +17,8 @@ y[k] = r y[k-1] + u[k] is a scan: a cumulative sum of u r^-k per chunk of
 samples, rescaled by r^k, with one carry from chunk to chunk.  A
 well-separated conjugate pair needs one complex scan, z = Im(r1 y)/Im(r1);
 near critical damping, and for real roots, the two factors are scanned in
-turn, which divides by no root difference.
+turn, which divides by no root difference.  Traces at every scale take
+the scan; a tiny one rounds onto the subnormal grid in its product by r^k.
 
 Traces are produced as ``SeriesBlocks``: a sample count known up front and
 one pass over blocks of ``_BLOCK_SAMPLES`` samples in reused buffers, each
@@ -200,9 +201,6 @@ _SCAN_EXPONENT = 256.0
 # complex roots closer than this, in units of 1 - |r|, are scanned as a
 # cascade of two first-order recurrences
 _CASCADE_SPLIT = 1.0
-# largest input coefficient below which the trace lives among the
-# subnormal numbers and the recurrence runs sample by sample
-_SUBNORMAL_SCALE = np.ldexp(1.0, -960)
 
 
 def _one_step_map(omega: float, gamma: float, mass: float,
@@ -276,11 +274,11 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
     noisy = temperature > 0 and gamma > 0
     b0, b1 = w[0], A[0, 1] * w[1] - A[1, 1] * w[0]
     zi = (z0, A[0, 1] * v0 - A[1, 1] * z0)
-    # the inputs are scanned in units of a power of two near their largest
-    # coefficient, exactly, which keeps r^-m u finite
+    # inputs above 1 are scanned in units of a power of two near their
+    # largest coefficient, exactly, which keeps r^-m u finite; smaller
+    # ones as they are, even among the subnormal numbers
     scale = max(abs(b0), abs(b1), *map(abs, zi))
-    unit = (1.0 if scale < _SUBNORMAL_SCALE
-            else np.ldexp(1.0, min(int(np.frexp(scale)[1]), 1000)))
+    unit = np.ldexp(1.0, min(max(int(np.frexp(scale)[1]), 0), 1000))
     b0, b1, zi = b0 / unit, b1 / unit, (zi[0] / unit, zi[1] / unit)
 
     def forcing():
@@ -300,15 +298,14 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
                 u_k[k - start] += zi[k]
             yield u_k
 
-    # (1 - r1 B)(1 - r2 B) z = u in the backshift B.  A trace among the
-    # subnormal numbers runs sample by sample; otherwise a well separated
-    # conjugate pair takes one complex scan and the projection
+    # (1 - r1 B)(1 - r2 B) z = u in the backshift B.  Without input z is the
+    # +0 of u (the projection would sign a zero by the phase of r^m); a well
+    # separated conjugate pair takes one complex scan and the projection
     # z = Im(r1 y)/Im(r1), and other roots the two first-order scans in
     # turn, which divide by no root difference
     log_r1, log_r2 = _log_roots(gamma * dt, omega * dt)
-    if scale < _SUBNORMAL_SCALE:
-        blocks = _recurrence(-(A[0, 0] + A[1, 1]),
-                             A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0], forcing())
+    if not scale:
+        blocks = forcing()
     elif log_r1.imag and (np.exp(log_r1).imag
                           >= _CASCADE_SPLIT * -np.expm1(log_r1.real)):
         blocks = _scan(log_r1, forcing(), unit, project=True)
@@ -386,23 +383,6 @@ def _scan(log_r: complex | float, inputs: Iterator[np.ndarray], unit: float = 1.
             if at == length:
                 acc, at = carry * acc, 0
         yield y.imag if project else y
-
-
-def _recurrence(a1: float, a2: float, inputs: Iterator[np.ndarray]
-                ) -> Iterator[np.ndarray]:
-    """z[k] = (u[k] - a2 z[k-2]) - a1 z[k-1] from zero history, in order.
-
-    The route for traces at the scale of the subnormal numbers, where each
-    product rounds to the subnormal grid and the scan's rescaling by r^m
-    would round differently from the recurrence itself.
-    """
-    z1 = z2 = 0.0
-    for u in inputs:
-        z = u.tolist()
-        for k, u_k in enumerate(z):
-            z1, z2 = (u_k - a2 * z2) - a1 * z1, z1
-            z[k] = z1
-        yield np.array(z)
 
 
 def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,

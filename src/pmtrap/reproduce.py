@@ -82,7 +82,7 @@ def target_appE_rate(config: ExperimentConfig) -> tuple[str, list, dict]:
     estimate = photon_emitter.expected_count_rate(config.excitation, emitter,
                                                   config.detection)
     if estimate.rate == 0:
-        raise UndefinedResultError("appE_rate: the closed-form rate is 0, so the "
+        raise UndefinedResultError("the closed-form rate is 0, so the "
                                    "Monte Carlo rate has no relative difference")
     mc_duration = 10.0  # 1e7 pulses at the default repetition rate
     n_pulses, detections = photon_emitter.detection_blocks(

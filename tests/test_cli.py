@@ -120,24 +120,31 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
         assert f"{section}: unknown key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, key", [
-        ('emitter:\n  independent_emitters: "no"\n', "independent_emitters"),
-        ("trap:\n  power_w: .nan\n", "power_w"),
-        ("gas:\n  temperature_k: .nan\n", "temperature_k"),
-        ("trap:\n  power_w: " + "1" * 401 + "\n", "power_w"),
-        ("trap:\n  power_w: .inf\n", "power_w"),
-        ("output_dir: [1, 2]\n", "output_dir"),
-        ("cluster:\n  n_rods: " + "1" * 401 + "\n", "n_rods"),
-        ("trap:\n  power_w: 0\n", "trap: power"),
+    # each diagnostic names the YAML key, also where it comes from the
+    # section dataclass's own checks (the last three cases)
+    @pytest.mark.parametrize("text, diagnostic", [
+        ('emitter:\n  independent_emitters: "no"\n',
+         "emitter: independent_emitters must be true or false"),
+        ("trap:\n  power_w: .nan\n", "trap: power_w must be a finite number"),
+        ("gas:\n  temperature_k: .nan\n", "gas: temperature_k must be a finite number"),
+        ("trap:\n  power_w: " + "1" * 401 + "\n", "trap: power_w must be a finite number"),
+        ("trap:\n  power_w: .inf\n", "trap: power_w must be a finite number"),
+        ("output_dir: [1, 2]\n", "output_dir: must be a string"),
+        ("cluster:\n  n_rods: " + "1" * 401 + "\n",
+         "cluster: n_rods must be a finite number"),
+        ("trap:\n  power_w: 0\n", "trap: power_w must be > 0"),
+        ("gas:\n  temperature_k: -5\n", "gas: temperature_k must be > 0"),
+        ("mirror:\n  bore_radius_m: 0.02\n",
+         "mirror: require 0 < bore_radius_m < aperture_radius_m, got 0.02 vs 0.01"),
     ], ids=["bool-as-string", "nan-power", "nan-temperature", "huge-int",
-            "inf-power", "list-as-dir", "huge-int-count", "zero-power"])
-    def test_wrong_kind_of_value_exits_2(self, tmp_path, capsys, text, key):
-        # each of these used to validate, then misbehaved in simulate
+            "inf-power", "list-as-dir", "huge-int-count", "zero-power",
+            "negative-temperature", "bore-past-aperture"])
+    def test_wrong_kind_of_value_exits_2(self, tmp_path, capsys, text, diagnostic):
+        # the first eight used to validate, then misbehaved in simulate
         path = tmp_path / "bad.yaml"
         path.write_text(text)
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert any(key in line and "must be" in line for line in err)
+        assert f"  - {diagnostic}" in capsys.readouterr().err.splitlines()
 
 
 class TestSimulate:
@@ -812,6 +819,19 @@ class TestReproduceCli:
         assert main(["reproduce", "--figure", "appE_rate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_ANALYSIS
         assert "analysis error: appE_rate" in capsys.readouterr().err
+
+    def test_all_runs_every_target_past_a_failure(self, tmp_path, capsys):
+        # appE_rate (and fig1a) have nothing detected to measure, but fig1b
+        # and fig2b do not read the quantum yield and are still written
+        path = tmp_path / "dark.yaml"
+        path.write_text("emitter:\n  quantum_yield: 0\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "--figure", "all", "--config", str(path),
+                     "--out", str(out)]) == EXIT_ANALYSIS
+        assert "analysis error: appE_rate: " in capsys.readouterr().err
+        for name in ("fig1b", "fig2b"):
+            assert (out / f"{name}.csv").exists()
+            assert (out / f"{name}_summary.json").exists()
 
     def test_appA_efficiency(self, tmp_path, capsys):
         code = main(["reproduce", "--figure", "appA_efficiency",

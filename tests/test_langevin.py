@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pmtrap import analysis, constants as const, io_formats, langevin as lv
@@ -133,7 +133,7 @@ class TestRecurrenceProperties:
 
     # gamma and temperature include 0, where the noise input vanishes; the
     # block size splits the trace anywhere.  The example is a trace about
-    # 4.5e10 GRID steps high, where the two recurrences round apart by 3
+    # 4.5e10 GRID steps high, where the scan and ``lfilter`` round apart by 94
     @settings(max_examples=100, deadline=None)
     @example(gamma=449831.97471380164, temperature=0.0, z0=-2.2250738585e-313,
              v0=-2.2250738585072014e-308, n=676, block=1, seed=0)
@@ -160,7 +160,11 @@ class TestRecurrenceProperties:
     # the scan's three routes: a conjugate pair (projection below
     # Gamma = 2 Omega, cascade close to it), a double root and two real
     # roots; dt from 1/2 to all of the limit 1/(10 max(Gamma, Omega))
+    # the example is a real cascade at T = 0 whose trace ends among the
+    # subnormal numbers
     @settings(max_examples=100, deadline=None)
+    @example(ratio=3.0, step=0.5, temperature=0.0, z0=1e-300, v0=1e-294,
+             n=3000, seed=0)
     @given(ratio=st.one_of(st.floats(0.0, 3.0),
                            st.sampled_from([2.0 - 1e-6, 2.0, 2.0 + 1e-6])),
            step=st.floats(0.5, 0.999), temperature=st.floats(1.0, 1e3),
@@ -192,10 +196,58 @@ class TestRecurrenceProperties:
         assert abs(np.mean(means) - expected) < 5.0 * std_error
 
 
+# gamma / Omega for each shape of the roots: a well separated conjugate
+# pair (one projected complex scan), a close conjugate pair, a double root
+# and two real roots (a cascade of two scans)
+ROOT_SHAPES = {"projection": 0.3, "complex_cascade": 2.0 - 1e-6,
+               "double_root": 2.0, "real_cascade": 3.0}
+
+
+@pytest.mark.filterwarnings("ignore:duration below")
+class TestScale:
+    """At T = 0 a trace is linear in its initial state, at any scale."""
+
+    @staticmethod
+    def _trace(ratio, n, state):
+        gamma = ratio * OMEGA
+        dt = 0.5 / (10.0 * max(gamma, OMEGA))
+        cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=0)
+        return lv.simulate_axial_motion(STIFFNESS, gamma, MASS, 0.0, cfg,
+                                        initial_state=state).samples
+
+    # scaling (z0, v0) by 2^k scales every sample by exactly 2^k, from
+    # below 1 (scanned as they are) to above it (scanned in units of a
+    # power of two), as long as the state and the trace stay normal, 64
+    # bits clear of the subnormal numbers
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.sampled_from(sorted(ROOT_SHAPES)), n=st.integers(1, 3000),
+           z0=st.floats(-1e-8, 1e-8), v0=st.floats(-0.1, 0.1), data=st.data())
+    def test_scaling_the_state_scales_the_trace(self, shape, n, z0, v0, data):
+        assume(z0 or v0)
+        ratio = ROOT_SHAPES[shape]
+        # the sizes of the state and its trace, taken with the state scaled
+        # up to about 1 (exactly), where no sample underflows to zero
+        shift = -int(np.frexp(max(abs(z0), abs(v0)))[1])
+        z0, v0 = np.ldexp(z0, shift), np.ldexp(v0, shift)
+        sizes = np.abs(np.concatenate(([z0, v0], self._trace(ratio, n, (z0, v0)))))
+        sizes = np.frexp(sizes[sizes > 0])[1]
+        k_range = st.integers(-1021 + 64 - int(sizes.min()), 1020 - int(sizes.max()))
+        k, j = data.draw(k_range, label="k"), data.draw(k_range, label="j")
+        z_k = self._trace(ratio, n, (np.ldexp(z0, k), np.ldexp(v0, k)))
+        z_j = self._trace(ratio, n, (np.ldexp(z0, j), np.ldexp(v0, j)))
+        assert np.array_equal(z_k, np.ldexp(z_j, k - j))
+
+    @pytest.mark.parametrize("shape", sorted(ROOT_SHAPES))
+    def test_zero_state_stays_positive_zero(self, shape):
+        z = self._trace(ROOT_SHAPES[shape], 3 * 2**16 + 5, (0.0, 0.0))
+        assert len(z) == 3 * 2**16 + 5
+        assert not np.any(z) and not np.any(np.signbit(z))
+
+
 # (gamma / Omega, temperature, initial state) for each route of the
 # recurrence: a well separated conjugate pair (one projected complex scan),
-# a close conjugate pair and two real roots (a cascade of two scans) and a
-# trace among the subnormal numbers (sample by sample)
+# a close conjugate pair and two real roots (a cascade of two scans), and a
+# trace among the subnormal numbers, which is scanned like any other
 ROUTES = {"projection": (0.3, 296.0, None),
           "complex_cascade": (2.0 - 1e-6, 296.0, None),
           "real_cascade": (3.0, 296.0, None),
