@@ -37,10 +37,15 @@ artifact.
 Text outputs: ``write_csv`` writes each table (``analyze``'s four and each
 ``reproduce`` target's, which ``reproduce.run_target`` writes) and
 ``write_json`` ``results.json``, ``manifest.json`` and each target's summary.
+A table is one ``%`` per cell, except a float64 table in ``"%.18e"``
+(``spectrum.csv``): an exact vectorized kernel writes the same bytes, and
+falls back to ``%`` for a cell near a rounding tie, or for the whole table
+if a cell is non-finite, negative or of a 3-digit exponent.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -366,11 +371,191 @@ def export_time_tags_csv(path, stream: TimeTagStream | TagBlocks) -> None:
                 fh.write("%d,%r\n" * (len(rows) // 2) % tuple(rows))
 
 
+# the powers of ten 10**j, j in [_LOW_POWER, _HIGH_POWER], that scale a
+# value in (1e-100, 1e100), of exponent k in [-101, 100], to its 19
+# significant digits: j = 18 - k
+_LOW_POWER, _HIGH_POWER = -82, 119
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+# a digit product whose low part lies this near a half goes to ``%``; the
+# double-double product is off by less than 1e-12
+_TIE_MARGIN = 1e-9
+# one "%.18e" cell and its separator: "d.dddddddddddddddddde+xx,"
+_E18_CELL = np.dtype({"names": ["head", "middle", "tail", "sep"],
+                      "formats": ["<u8", "<u8", "<u8", "u1"],
+                      "offsets": [0, 8, 16, 24], "itemsize": 25})
+# cells per block of _format_e18: a block's temporaries stay in cache
+_E18_BLOCK = 4096
+
+
+@functools.cache
+def _e18_tables() -> tuple[np.ndarray, ...]:
+    """The read-only tables of ``_format_e18``, built on first use.
+
+    ``high[j] + low[j]`` is 10**(j + _LOW_POWER) to about 2**-106: CPython
+    rounds int -> float and int / int correctly, so ``high`` is the nearest
+    double and ``low`` the nearest double to the remainder.  ``four[v]``
+    holds the four ASCII digits of v < 10**4 in its low bytes, first digit
+    first, and ``four_up`` them shifted to the high half; ``lead[v]`` is
+    "d.dd" for v < 10**3; ``exponent[k + 99]`` is "e+kk" in the high half.
+    """
+    high, low = [], []
+    for j in range(_LOW_POWER, _HIGH_POWER + 1):
+        if j >= 0:
+            hi = float(10**j)
+            lo = float(10**j - int(hi))
+        else:
+            den = 10**-j
+            hi = 1 / den
+            num, twos = hi.as_integer_ratio()
+            lo = (twos - num * den) / (twos * den)
+        high.append(hi)
+        low.append(lo)
+    v = np.arange(10**4, dtype=np.uint64)
+    four = sum((v // 10**(3 - i) % 10 + ord("0")) << np.uint64(8 * i) for i in range(4))
+    first = four[:1000]
+    lead = ((first >> np.uint64(8)) & np.uint64(0xFF)) | np.uint64(ord(".") << 8) \
+        | (first & np.uint64(0xFFFF0000))
+    k = np.arange(-99, 100)
+    exponent = (np.uint64(ord("e"))
+                | np.where(k < 0, np.uint64(ord("-") << 8), np.uint64(ord("+") << 8))
+                | (four[np.abs(k)] >> np.uint64(16) << np.uint64(16))) << np.uint64(32)
+    tables = (np.array(high), np.array(low), four, four << np.uint64(32), lead, exponent)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as two halves of at most 26 bits each that sum to it exactly."""
+    high = _VELTKAMP * a
+    high -= high - a
+    return high, a - high
+
+
+def _scaled(x: np.ndarray, k: np.ndarray, high: np.ndarray, low: np.ndarray):
+    """x * 10**(18 - k) as the sum of a rounded product and its low part.
+
+    The product by ``high`` is split exactly (Dekker); the low part adds its
+    error and the product by ``low``.
+    """
+    power = 18 - _LOW_POWER - k
+    ph, pl = high[power], low[power]
+    product = x * ph
+    xh, xl = _veltkamp(x)
+    bh, bl = _veltkamp(ph)
+    error = xh * bh
+    error -= product
+    error += xh * bl
+    error += xl * bh
+    error += xl * bl
+    error += x * pl
+    return product, error
+
+
+def _divmod(a: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+    """``a // d`` and ``a % d`` for a >= 0: numpy divides by a scalar fast in
+    ``//`` but not in ``%`` or ``np.divmod``."""
+    quotient = a // d
+    return quotient, a - quotient * d
+
+
+def _format_e18(rows: np.ndarray) -> np.ndarray | None:
+    """The bytes ``%`` writes for a 2-d float64 table in ``"%.18e"``, one
+    line per row, or None if a cell lies outside the fixed-width domain:
+    non-finite, negative (-0.0 included) or a 3-digit exponent.
+
+    The cells go through ``_e18_block`` ``_E18_BLOCK`` at a time, so that
+    the temporaries of a block stay in cache.
+    """
+    x = rows.ravel()
+    cells = np.empty(x.size, dtype=_E18_CELL)
+    for start in range(0, x.size, _E18_BLOCK):
+        stop = start + _E18_BLOCK
+        if not _e18_block(x[start:stop], cells[start:stop]):
+            return None
+    cells["sep"].reshape(rows.shape)[:] = np.frombuffer(
+        b"," * (rows.shape[1] - 1) + b"\n", np.uint8)
+    return cells.view(np.uint8)
+
+
+def _e18_block(x: np.ndarray, cells: np.ndarray) -> bool:
+    """Write the ``"%.18e"`` digits and exponent of each of ``x`` into
+    ``cells``; False, with ``cells`` part written, if one of ``x`` lies
+    outside ``_format_e18``'s domain.
+
+    A cell x > 0 of exponent k prints the 19 digits of the integer nearest
+    x * 10**(18 - k), ties to even.  k is floor(log10 x), stepped by one where
+    the product falls outside [1e18, 1e19); the integer is the product's
+    rounded part plus the floor of its low part, and the low part's
+    fraction rounds it.  A cell whose fraction lies within ``_TIE_MARGIN``
+    of a half (exact ties occur), or whose integer falls outside [1e18,
+    1e19), is formatted with ``%``.
+    """
+    if not np.isfinite(x).all() or np.signbit(x).any():
+        return False
+    zero = x == 0
+    if not (zero | ((x > 1e-100) & (x < 1e100))).all():
+        return False
+    high, low, four, four_up, lead, exponent = _e18_tables()
+    scaled = x + zero  # a zero cell is scaled as 1.0, then given digits 0
+    k = np.log10(scaled)
+    k = np.floor(k, out=k).astype(np.int64)
+    product, error = _scaled(scaled, k, high, low)
+    step = (product >= 1e19).astype(np.int64) - (product < 1e18)
+    off = np.flatnonzero(step)
+    if off.size:
+        k[off] += step[off]
+        product[off], error[off] = _scaled(scaled[off], k[off], high, low)
+    whole = np.floor(error)
+    past_half = error - whole - 0.5
+    digits = product.astype(np.uint64)
+    digits += whole.astype(np.int64).view(np.uint64)
+    slow = (digits < 10**18) | (np.abs(past_half) < _TIE_MARGIN)
+    digits += past_half > 0
+    # no double rounds up to 10**19 (a carry into the exponent); one that
+    # would, like a product past it, goes to ``%``
+    slow |= digits >= 10**19
+    # a zero cell prints digits and exponent 0; a slow one is rewritten below
+    blank = zero | slow
+    digits[blank] = 0
+    k[blank] = 0
+    if k.min() < -99 or k.max() > 99:
+        return False
+    k += 99
+    # 19 digits: the first three, then four groups of four
+    first, rest = _divmod(digits, np.uint64(10**16))
+    upper, lower = _divmod(rest.view(np.int64), 10**8)
+    g1, g2 = _divmod(upper, 10**4)
+    g3, g4 = _divmod(lower, 10**4)
+    cells["head"] = lead[first.view(np.int64)] | four_up[g1]
+    cells["middle"] = four[g2] | four_up[g3]
+    cells["tail"] = four[g4] | exponent[k]
+    text = cells.view(np.uint8).reshape(x.size, _E18_CELL.itemsize)
+    for i in np.flatnonzero(slow):
+        cell = ("%.18e" % x[i]).encode()
+        if len(cell) != _E18_CELL.itemsize - 1:
+            return False
+        text[i, :-1] = np.frombuffer(cell, np.uint8)
+    return True
+
+
 def write_csv(path, header: str, rows, fmt: str) -> None:
     """``header``, then the rows of a 2-d array or a list of equal-length
     tuples, formatted with one ``%`` of ``fmt`` per cell over the whole
     table.  numpy scalars become Python ones: ``"%s"`` writes a float's repr.
+
+    A non-empty 2-d float64 array in ``"%.18e"`` (``analyze``'s
+    ``spectrum.csv``) goes through ``_format_e18``, which writes the same
+    bytes; ``%`` formats the table if a cell lies outside its domain.
     """
+    if (fmt == "%.18e" and isinstance(rows, np.ndarray) and rows.ndim == 2
+            and rows.dtype == np.float64 and rows.size):
+        text = _format_e18(rows)
+        if text is not None:
+            with open(path, "wb") as fh:
+                fh.write((header + "\n").encode())
+                fh.write(text)
+            return
     cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray) else
              [cell.item() if isinstance(cell, np.generic) else cell
               for row in rows for cell in row])

@@ -103,8 +103,10 @@ class SimConfig:
             raise ValueError("axial_width must be > 0")
         if self.duration < self.time_step:
             raise ValueError("duration shorter than one step")
-        if self.detector_gain < 0 or self.detector_noise_floor < 0:
-            raise ValueError("detector parameters must be >= 0")
+        if self.detector_gain < 0:
+            raise ValueError("detector_gain must be >= 0")
+        if self.detector_noise_floor < 0:
+            raise ValueError("detector_noise_floor must be >= 0")
 
 
 @dataclass

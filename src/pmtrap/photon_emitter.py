@@ -66,8 +66,10 @@ class ExcitationConfig:
     def __post_init__(self):
         if self.repetition_rate <= 0:
             raise ValueError("repetition_rate must be > 0")
-        if self.average_power < 0 or self.saturation_power <= 0:
-            raise ValueError("powers must be positive (P >= 0, P_sat > 0)")
+        if self.average_power < 0:
+            raise ValueError("average_power must be >= 0")
+        if self.saturation_power <= 0:
+            raise ValueError("saturation_power must be > 0")
 
     @property
     def mean_excitons(self) -> float:

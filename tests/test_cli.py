@@ -121,7 +121,7 @@ class TestValidateConfig:
         assert f"{section}: unknown key {key!r}" in capsys.readouterr().err
 
     # each diagnostic names the YAML key, also where it comes from the
-    # section dataclass's own checks (the last three cases)
+    # section dataclass's own checks (the last seven cases)
     @pytest.mark.parametrize("text, diagnostic", [
         ('emitter:\n  independent_emitters: "no"\n',
          "emitter: independent_emitters must be true or false"),
@@ -136,9 +136,18 @@ class TestValidateConfig:
         ("gas:\n  temperature_k: -5\n", "gas: temperature_k must be > 0"),
         ("mirror:\n  bore_radius_m: 0.02\n",
          "mirror: require 0 < bore_radius_m < aperture_radius_m, got 0.02 vs 0.01"),
+        ("excitation:\n  average_power_w: -1\n",
+         "excitation: average_power_w must be >= 0"),
+        ("excitation:\n  saturation_power_w: 0\n",
+         "excitation: saturation_power_w must be > 0"),
+        ("simulation:\n  detector_gain_v_per_m: -1\n",
+         "simulation: detector_gain_v_per_m must be >= 0"),
+        ("simulation:\n  detector_noise_floor: -1\n",
+         "simulation: detector_noise_floor must be >= 0"),
     ], ids=["bool-as-string", "nan-power", "nan-temperature", "huge-int",
             "inf-power", "list-as-dir", "huge-int-count", "zero-power",
-            "negative-temperature", "bore-past-aperture"])
+            "negative-temperature", "bore-past-aperture", "negative-power",
+            "zero-saturation-power", "negative-gain", "negative-noise-floor"])
     def test_wrong_kind_of_value_exits_2(self, tmp_path, capsys, text, diagnostic):
         # the first eight used to validate, then misbehaved in simulate
         path = tmp_path / "bad.yaml"
@@ -298,6 +307,16 @@ class TestAnalyze:
         for name in ("results.json", "spectrum.csv", "g2_histogram.csv",
                      "blink_histogram.csv", "radial_profile.csv"):
             assert (res_dir / name).exists()
+
+    def test_spectrum_csv_is_percent_of_its_values(self, dataset, tmp_path):
+        # "%.18e" round-trips a double, so the file is one % per cell of the
+        # values parsed from it, whatever formatted them
+        _, out, _ = dataset
+        assert main(["analyze", str(out), "--out", str(tmp_path / "res")]) == EXIT_OK
+        header, _, body = (tmp_path / "res" / "spectrum.csv").read_text().partition("\n")
+        cells = [float(cell) for line in body.splitlines() for cell in line.split(",")]
+        assert header == "frequency_hz,psd" and len(cells) > 2
+        assert body == "%.18e,%.18e\n" * (len(cells) // 2) % tuple(cells)
 
     def test_missing_artifact_exits_4(self, dataset, tmp_path, capsys):
         _, out, _ = dataset

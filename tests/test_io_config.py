@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 import struct
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pmtrap import analysis
 from pmtrap import io_formats as io
@@ -380,6 +382,83 @@ class TestWriterDigests:
                                  pixel_pitch=0.1, channel="total")
         path = tmp_path / "image.img"
         assert io.write_image(path, image) == io.sha256_file(path)
+
+
+def _power_of_ten(k: int) -> float:
+    """The double nearest 10**k (int -> float and int / int round correctly)."""
+    return float(10**k) if k >= 0 else 1 / 10**-k
+
+
+def _stepped(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` doubles up (or down, if negative)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# "%.18e" cells: exact ties of the 19th digit (k/64 in [1e13, 1e15)) and
+# their neighbours, powers of ten and theirs (across the 1e+-99/1e+-100
+# edge of the two-digit exponents; the doubles just below a power are the
+# nearest any double comes to rounding up into the next exponent), then
+# any double
+E18_TIES = st.builds(_stepped, st.integers(64 * 10**13, 64 * 10**15 - 1).map(
+    lambda m: m / 64), st.integers(-1, 1))
+E18_POWERS = st.builds(_stepped, st.integers(-101, 101).map(_power_of_ten),
+                       st.integers(-2, 2))
+E18_CELLS = st.one_of(
+    st.just(0.0), E18_TIES, E18_POWERS,
+    st.floats(min_value=1e-99, max_value=9.9e99),
+    st.integers(0, 2**53).map(float),
+    st.builds(math.ldexp, st.integers(1, 2**20), st.integers(-60, 60)))
+E18_ANY = st.one_of(
+    E18_CELLS, st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    E18_CELLS.map(lambda x: -x))
+
+
+def _percent_e18(header: str, rows: np.ndarray) -> bytes:
+    """The table as one ``%`` of ``"%.18e"`` per cell writes it."""
+    line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+    return (header + "\n" + line * len(rows) % tuple(rows.ravel().tolist())).encode()
+
+
+class TestCsvWriter:
+    """``write_csv`` writes a float64 table in ``"%.18e"`` through an exact
+    vectorized kernel: the bytes of one ``%`` per cell, whatever the cells."""
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv") / "table.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.one_of(
+        arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+               elements=E18_CELLS),
+        arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+               elements=E18_ANY)))
+    @example(rows=np.array([[30855461794682.953125, 0.0]]))
+    @example(rows=np.array([[1e-99], [9.999999999999999e-100]]))
+    @example(rows=np.array([[_stepped(1e100, -1), -0.0, 5e-324]]))
+    def test_e18_equals_percent(self, csv_path, rows):
+        io.write_csv(csv_path, "a,b", rows, "%.18e")
+        assert csv_path.read_bytes() == _percent_e18("a,b", rows)
+
+    @pytest.mark.parametrize("last", [None, -0.0, math.nan, 1e-100])
+    def test_e18_across_blocks(self, tmp_path, last):
+        # three kernel blocks, the last one short; a cell outside the
+        # kernel's domain in the last block sends the whole table to %
+        rng = np.random.default_rng(5)
+        cells = np.concatenate([
+            10.0 ** rng.uniform(-99, 99, 4000),
+            rng.integers(64 * 10**13, 64 * 10**15, 4000) / 64,
+            rng.integers(0, 2**53, 999).astype(float), [0.0]])
+        rng.shuffle(cells)
+        if last is not None:
+            cells[-1] = last
+        rows = cells.reshape(-1, 3)
+        path = tmp_path / "spectrum.csv"
+        io.write_csv(path, "f,p,q", rows, "%.18e")
+        assert path.read_bytes() == _percent_e18("f,p,q", rows)
 
 
 class TestStreamCounts:

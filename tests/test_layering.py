@@ -42,18 +42,30 @@ def test_mirror_optics_has_no_quadrature():
     assert not _within(names, "scipy.integrate")
 
 
+def _modules_of_cli_import() -> set[str]:
+    """The modules a fresh ``import pmtrap.cli`` loads."""
+    probe = "import sys, pmtrap.cli; print('\\n'.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         cwd=Path(pmtrap.__file__).parent.parent).stdout
+    return set(out.split())
+
+
 def test_package_does_not_import_scipy():
     # scipy costs two thirds of the process start-up; the FFT, the
     # recurrence scan, Dawson's integral and the fits use numpy alone, and
     # scipy stays the oracles' route
     for path in Path(pmtrap.__file__).parent.glob("*.py"):
         assert not _within(_imported_names(path), "scipy"), path.name
-    probe = ("import sys, pmtrap.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         cwd=Path(pmtrap.__file__).parent.parent).stdout
-    assert out.strip() == "[]"
+    assert not _within(_modules_of_cli_import(), "scipy")
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the "%.18e" kernel of io_formats.write_csv builds its power-of-ten
+    # tables from ints on first use: importing either module would add to
+    # the start-up of every command
+    loaded = _modules_of_cli_import()
+    assert not _within(loaded, "fractions") | _within(loaded, "decimal")
 
 
 def test_only_the_helper_module_imports_threads():
