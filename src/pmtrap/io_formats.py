@@ -383,8 +383,6 @@ _TIE_MARGIN = 1e-9
 _E18_CELL = np.dtype({"names": ["head", "middle", "tail", "sep"],
                       "formats": ["<u8", "<u8", "<u8", "u1"],
                       "offsets": [0, 8, 16, 24], "itemsize": 25})
-# cells per block of _format_e18: a block's temporaries stay in cache
-_E18_BLOCK = 4096
 
 
 @functools.cache
@@ -464,79 +462,61 @@ def _format_e18(rows: np.ndarray) -> np.ndarray | None:
     line per row, or None if a cell lies outside the fixed-width domain:
     non-finite, negative (-0.0 included) or a 3-digit exponent.
 
-    The cells go through ``_e18_block`` ``_E18_BLOCK`` at a time, so that
-    the temporaries of a block stay in cache.
+    A cell x > 0 of exponent k prints the 19 digits of the integer nearest
+    x * 10**(18 - k), ties to even.  k is taken as floor(log10 x); the
+    integer is the product's rounded part plus the floor of its low part,
+    and the low part's fraction rounds it.  A cell whose fraction lies
+    within ``_TIE_MARGIN`` of a half (exact ties occur), or whose integer
+    falls outside [1e18, 1e19) (k one off, as near a power of ten), is
+    formatted with ``%``.
     """
     x = rows.ravel()
-    cells = np.empty(x.size, dtype=_E18_CELL)
-    for start in range(0, x.size, _E18_BLOCK):
-        stop = start + _E18_BLOCK
-        if not _e18_block(x[start:stop], cells[start:stop]):
-            return None
-    cells["sep"].reshape(rows.shape)[:] = np.frombuffer(
-        b"," * (rows.shape[1] - 1) + b"\n", np.uint8)
-    return cells.view(np.uint8)
-
-
-def _e18_block(x: np.ndarray, cells: np.ndarray) -> bool:
-    """Write the ``"%.18e"`` digits and exponent of each of ``x`` into
-    ``cells``; False, with ``cells`` part written, if one of ``x`` lies
-    outside ``_format_e18``'s domain.
-
-    A cell x > 0 of exponent k prints the 19 digits of the integer nearest
-    x * 10**(18 - k), ties to even.  k is floor(log10 x), stepped by one where
-    the product falls outside [1e18, 1e19); the integer is the product's
-    rounded part plus the floor of its low part, and the low part's
-    fraction rounds it.  A cell whose fraction lies within ``_TIE_MARGIN``
-    of a half (exact ties occur), or whose integer falls outside [1e18,
-    1e19), is formatted with ``%``.
-    """
     if not np.isfinite(x).all() or np.signbit(x).any():
-        return False
+        return None
     zero = x == 0
     if not (zero | ((x > 1e-100) & (x < 1e100))).all():
-        return False
+        return None
     high, low, four, four_up, lead, exponent = _e18_tables()
     scaled = x + zero  # a zero cell is scaled as 1.0, then given digits 0
     k = np.log10(scaled)
     k = np.floor(k, out=k).astype(np.int64)
     product, error = _scaled(scaled, k, high, low)
-    step = (product >= 1e19).astype(np.int64) - (product < 1e18)
-    off = np.flatnonzero(step)
-    if off.size:
-        k[off] += step[off]
-        product[off], error[off] = _scaled(scaled[off], k[off], high, low)
     whole = np.floor(error)
     past_half = error - whole - 0.5
-    digits = product.astype(np.uint64)
+    # a product of a k one too small reaches 1e20, past uint64; capped at
+    # 1.8e19, its integer still lies past 10**19
+    digits = np.minimum(product, 1.8e19).astype(np.uint64)
     digits += whole.astype(np.int64).view(np.uint64)
     slow = (digits < 10**18) | (np.abs(past_half) < _TIE_MARGIN)
     digits += past_half > 0
-    # no double rounds up to 10**19 (a carry into the exponent); one that
-    # would, like a product past it, goes to ``%``
+    # no double rounds up to 10**19 (a carry into the exponent): only the
+    # product of a k one too small gets there
     slow |= digits >= 10**19
     # a zero cell prints digits and exponent 0; a slow one is rewritten below
     blank = zero | slow
     digits[blank] = 0
     k[blank] = 0
     if k.min() < -99 or k.max() > 99:
-        return False
+        return None
     k += 99
     # 19 digits: the first three, then four groups of four
     first, rest = _divmod(digits, np.uint64(10**16))
     upper, lower = _divmod(rest.view(np.int64), 10**8)
     g1, g2 = _divmod(upper, 10**4)
     g3, g4 = _divmod(lower, 10**4)
+    cells = np.empty(x.size, dtype=_E18_CELL)
     cells["head"] = lead[first.view(np.int64)] | four_up[g1]
     cells["middle"] = four[g2] | four_up[g3]
     cells["tail"] = four[g4] | exponent[k]
+    cells["sep"].reshape(rows.shape)[:] = np.frombuffer(
+        b"," * (rows.shape[1] - 1) + b"\n", np.uint8)
     text = cells.view(np.uint8).reshape(x.size, _E18_CELL.itemsize)
     for i in np.flatnonzero(slow):
         cell = ("%.18e" % x[i]).encode()
         if len(cell) != _E18_CELL.itemsize - 1:
-            return False
+            return None
         text[i, :-1] = np.frombuffer(cell, np.uint8)
-    return True
+    return cells.view(np.uint8)
 
 
 def write_csv(path, header: str, rows, fmt: str) -> None:

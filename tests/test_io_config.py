@@ -438,15 +438,33 @@ class TestCsvWriter:
                elements=E18_ANY)))
     @example(rows=np.array([[30855461794682.953125, 0.0]]))
     @example(rows=np.array([[1e-99], [9.999999999999999e-100]]))
+    @example(rows=np.array([[1.0], [5e-100]]))
     @example(rows=np.array([[_stepped(1e100, -1), -0.0, 5e-324]]))
     def test_e18_equals_percent(self, csv_path, rows):
         io.write_csv(csv_path, "a,b", rows, "%.18e")
         assert csv_path.read_bytes() == _percent_e18("a,b", rows)
 
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_e18_exponent_estimate_off_by_one(self, tmp_path, monkeypatch, off):
+        # the kernel takes floor(log10 x) as a cell's exponent; near a power
+        # of ten that estimate is one too large, and a log10 that rounded
+        # below an integer would make it one too small: such a cell goes to
+        # %, here every cell, products up to 1e20 included (off the
+        # 1e+-99 edge, where a 3-digit k would send the whole table to %)
+        cells = np.concatenate([10.0 ** np.linspace(-97.9, 97.9, 1999), [0.0]])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + off)
+        rows = cells.reshape(-1, 2)
+        path = tmp_path / "spectrum.csv"
+        with np.errstate(invalid="raise"):  # no product overflows its cast
+            io.write_csv(path, "f,p", rows, "%.18e")
+        monkeypatch.undo()
+        assert path.read_bytes() == _percent_e18("f,p", rows)
+
     @pytest.mark.parametrize("last", [None, -0.0, math.nan, 1e-100])
-    def test_e18_across_blocks(self, tmp_path, last):
-        # three kernel blocks, the last one short; a cell outside the
-        # kernel's domain in the last block sends the whole table to %
+    def test_e18_large_table(self, tmp_path, last):
+        # 9000 cells, about a seventh of spectrum.csv's; one cell outside
+        # the kernel's domain, the table's last, sends the whole table to %
         rng = np.random.default_rng(5)
         cells = np.concatenate([
             10.0 ** rng.uniform(-99, 99, 4000),
