@@ -5,10 +5,11 @@ domain dataclasses are the single source of the schema: each section is one
 dataclass, its keys are the dataclass fields renamed only by the unit suffix
 in ``_UNIT_SUFFIX`` (``focal_length`` -> ``focal_length_m``), and its defaults
 are the dataclass defaults, with no table of values here.  Every section is
-validated by its type's own invariants; unknown keys are rejected with
-field-level diagnostics.  ``field_factor: null`` selects the calibrated value
-(a single bare rod escapes at 41 mW and 296 K) and ``auger_pair_prob: null``
-the cluster-size law.  Fields in ``_LINKED`` take another section's value:
+validated by its type's own invariants, and the time step must resolve the
+configured cluster's motion (``langevin.check_time_step``); unknown keys are
+rejected with field-level diagnostics.  ``field_factor: null`` selects the
+calibrated value (a single bare rod escapes at 41 mW and 296 K) and
+``auger_pair_prob: null`` the cluster-size law.  Fields in ``_LINKED`` take another section's value:
 the detection chain takes the mirror section, so ``mirror.reflectivity`` is
 the only reflectivity knob, and the emitter takes ``cluster.n_rods``.
 
@@ -24,9 +25,9 @@ Schema (defaults shown by ``default_config_yaml()``):
     trap                 power_w, field_factor (null=calibrated)
     cluster              n_rods
     emitter              quantum_yield, auger_pair_prob (null=size law),
-                         independent_emitters, blink_mode, grey_attenuation,
-                         bright_dwell_s, grey_dwell_s, dark_attenuation,
-                         burst_dwell_s, dark_dwell_s
+                         independent_emitters, grey_level (grey state's
+                         emission relative to the bright one; 1 = steady,
+                         0 = dark-state bursts), bright_dwell_s, grey_dwell_s
     excitation           repetition_rate_hz, average_power_w,
                          saturation_power_w
     detection            apd_quantum_efficiency, setup_transmission, a_pi,
@@ -57,7 +58,7 @@ import yaml
 from . import __version__
 from .errors import ConfigError, MissingArtifactError
 from .io_formats import _finite_number, sha256_file, write_json
-from .langevin import SimConfig, TrapStiffness
+from .langevin import SimConfig, TrapStiffness, check_time_step
 from .mirror_optics import DEFAULT_HALF_EXTENT, DEFAULT_N_PIXELS, MirrorGeometry
 from .photon_emitter import DetectionChain, EmitterModel, ExcitationConfig
 from .trap_mechanics import (
@@ -177,8 +178,7 @@ _UNIT_SUFFIX = {
     "density": "_kg_m3", "viscosity": "_pa_s", "temperature": "_k",
     "power": "_w", "average_power": "_w", "saturation_power": "_w",
     "repetition_rate": "_hz", "detector_gain": "_v_per_m",
-    "bright_dwell": "_s", "grey_dwell": "_s",
-    "burst_dwell": "_s", "dark_dwell": "_s", "time_step": "_s",
+    "bright_dwell": "_s", "grey_dwell": "_s", "time_step": "_s",
     "duration": "_s",
     "half_extent": "_f",
 }
@@ -309,9 +309,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             errors.append(f"{name}: {_keyed(name, str(exc))}")
 
+    if not errors:  # across sections: a time step that resolves the cluster's motion
+        config = ExperimentConfig(**built, **vars(root), raw=canonical)
+        section = "cluster"  # whose physics fails if k_z or the mass underflows
+        try:
+            physics = config.cluster_physics()
+            section = "simulation"
+            check_time_step(config.simulation.time_step, physics.gamma, physics.omega)
+        except ValueError as exc:
+            errors.append(f"{section}: {_keyed(section, str(exc))}")
     if errors:
         raise ConfigError(f"{len(errors)} config error(s)", errors)
-    return ExperimentConfig(**built, **vars(root), raw=canonical)
+    return config
 
 
 def _keyed(name: str, message: str) -> str:

@@ -62,6 +62,7 @@ __all__ = [
     "SimConfig",
     "TimeSeries",
     "SeriesBlocks",
+    "check_time_step",
     "axial_motion_blocks",
     "simulate_axial_motion",
     "detector_blocks",
@@ -97,8 +98,10 @@ class SimConfig:
     axial_width: float = 532e-9      # m, trap width w_z setting the stiffness
 
     def __post_init__(self):
-        if self.time_step <= 0 or self.duration <= 0:
-            raise ValueError("time_step and duration must be > 0")
+        if self.time_step <= 0:
+            raise ValueError("time_step must be > 0")
+        if self.duration <= 0:
+            raise ValueError("duration must be > 0")
         if self.axial_width <= 0:
             raise ValueError("axial_width must be > 0")
         if self.duration < self.time_step:
@@ -219,6 +222,16 @@ def _one_step_map(omega: float, gamma: float, mass: float,
     return A, w
 
 
+def check_time_step(time_step: float, gamma: float, omega: float) -> None:
+    """Raise ValueError unless dt < 1/(10 max(Gamma, Omega)), both in rad/s."""
+    fastest = max(gamma, omega)
+    if time_step >= 1.0 / (10.0 * fastest):
+        raise ValueError(
+            f"time_step {time_step:.3g} s too coarse for max(Gamma, Omega) = "
+            f"{fastest:.3g} rad/s; require time_step < {1/(10*fastest):.3g} s"
+        )
+
+
 def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
                         temperature: float, cfg: SimConfig,
                         initial_state: tuple[float, float] | None = None
@@ -234,9 +247,8 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
     gamma : velocity damping rate Gamma (rad/s); the PSD peak has FWHM Gamma.
     mass : particle mass (kg)
     temperature : bath temperature (K); 0 disables thermal noise
-    cfg : SimConfig; ``cfg.time_step`` must resolve both Omega and Gamma
-        (dt < 1/(10 max(Gamma, Omega))), otherwise a ValueError is raised
-        before integration.
+    cfg : SimConfig; ``cfg.time_step`` must pass :func:`check_time_step`,
+        otherwise a ValueError is raised before integration.
     initial_state : optional (z0, v0); default draws from the stationary
         Boltzmann distribution (zeros when temperature is 0).
     """
@@ -244,12 +256,7 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
         raise ValueError("require gamma >= 0, mass > 0, temperature >= 0")
     omega = np.sqrt(stiffness.k_z / mass)
     dt = cfg.time_step
-    fastest = max(gamma, omega)
-    if dt >= 1.0 / (10.0 * fastest):
-        raise ValueError(
-            f"time step {dt:.3g} s too coarse for max(Gamma, Omega) = "
-            f"{fastest:.3g} rad/s; require dt < {1/(10*fastest):.3g} s"
-        )
+    check_time_step(dt, gamma, omega)
     if gamma > 0 and cfg.duration < 100.0 / gamma:
         warnings.warn(
             "duration below 100/Gamma; spectral estimates will be poor",

@@ -92,8 +92,8 @@ class MirrorGeometry:
             raise InvalidGeometryError("reflectivity must be in (0, 1]")
         if not np.pi / 2 < self.rim_angle < np.pi:
             raise InvalidGeometryError(
-                "rim half-angle must lie in (90, 180) deg; got "
-                f"{np.degrees(self.rim_angle):.1f} deg"
+                "rim half-angle must lie in (90, 180) deg, so aperture_radius "
+                f"> 2 focal_length; got {np.degrees(self.rim_angle):.1f} deg"
             )
 
     @property

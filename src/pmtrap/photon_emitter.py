@@ -86,24 +86,21 @@ class EmitterModel:
     n_rods non-interacting emitters (each with its own exciton pool and Auger
     chain) instead of one shared pool -- the model for uncoupled rods.
 
-    Blinking: ``blink_mode`` is "steady" (always bright), "two_state"
-    (bright/grey alternating with exponential dwells, grey attenuates emission
-    by 1/grey_attenuation), or "bursts" (dark baseline at ``dark_attenuation``
-    with short bright bursts, giving an exponential-like count-rate
-    histogram).
+    Blinking: a two-level telegraph process, bright and grey states
+    alternating with exponential dwells of mean ``bright_dwell`` and
+    ``grey_dwell`` from a random first state.  ``grey_level`` is the grey
+    state's emission relative to the bright one: 1 is a steady emitter, 0 a
+    dark state that leaves short bright bursts when ``bright_dwell`` is
+    short, with an exponential-like count-rate histogram.
     """
 
     n_rods: int
     quantum_yield: float = 0.7
     auger_pair_prob: float | None = None  # None -> auger_prob_for_cluster
     independent_emitters: bool = False
-    blink_mode: str = "two_state"
-    grey_attenuation: float = 3.0
+    grey_level: float = 1.0 / 3.0
     bright_dwell: float = 5e-3    # s
     grey_dwell: float = 15e-3     # s
-    dark_attenuation: float = 0.0
-    burst_dwell: float = 1.67e-4  # s, bright-burst duration in "bursts" mode
-    dark_dwell: float = 5e-3      # s
 
     def __post_init__(self):
         if self.n_rods < 1:
@@ -111,18 +108,12 @@ class EmitterModel:
         if self.auger_pair_prob is None:
             object.__setattr__(self, "auger_pair_prob",
                                auger_prob_for_cluster(self.n_rods))
-        for name in ("quantum_yield", "auger_pair_prob"):
+        for name in ("quantum_yield", "auger_pair_prob", "grey_level"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.grey_attenuation < 1:
-            raise ValueError("grey_attenuation must be >= 1")
-        if self.blink_mode not in ("steady", "two_state", "bursts"):
-            raise ValueError(f"unknown blink_mode {self.blink_mode!r}")
-        for name in ("bright_dwell", "grey_dwell", "burst_dwell", "dark_dwell"):
+        for name in ("bright_dwell", "grey_dwell"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if not 0.0 <= self.dark_attenuation <= 1.0:
-            raise ValueError("dark_attenuation must be in [0, 1]")
 
 
 # Mirror collection fractions of an on-axis linear and a circular dipole: the
@@ -382,21 +373,14 @@ def blink_trajectory(duration: float, model: EmitterModel,
                      rng: np.random.Generator) -> BlinkTrajectory:
     """Alternating exponential dwell times between the model's two states.
 
-    two_state: bright (1) / grey (1/g); bursts: bright (1) / dark baseline.
-    steady: a single bright segment.
+    Bright (1) for a mean ``bright_dwell``, grey (``grey_level``) for a mean
+    ``grey_dwell``, starting in either with probability 1/2.  At
+    ``grey_level`` 1 both levels are bright and the emitter is steady.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
-    if model.blink_mode == "steady":
-        return BlinkTrajectory(boundaries=np.array([0.0]),
-                               attenuations=np.array([1.0]), duration=duration)
-    if model.blink_mode == "two_state":
-        dwells = (model.bright_dwell, model.grey_dwell)
-        levels = (1.0, 1.0 / model.grey_attenuation)
-    else:  # bursts
-        dwells = (model.burst_dwell, model.dark_dwell)
-        levels = (1.0, model.dark_attenuation)
-
+    dwells = (model.bright_dwell, model.grey_dwell)
+    levels = (1.0, model.grey_level)
     starts = [0.0]
     values = []
     state = int(rng.random() < 0.5)  # random initial state
@@ -562,7 +546,6 @@ def time_tag_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
         "n_pulses": n_pulses,
         "mean_excitons": excitation.mean_excitons,
         "auger_pair_prob": emitter.auger_pair_prob,
-        "blink_mode": emitter.blink_mode,
     })
 
 

@@ -78,7 +78,7 @@ def target_appC_gamma(config: ExperimentConfig) -> tuple[str, list, dict]:
 def target_appE_rate(config: ExperimentConfig) -> tuple[str, list, dict]:
     emitter = photon_emitter.EmitterModel(
         n_rods=config.emitter.n_rods, quantum_yield=config.emitter.quantum_yield,
-        auger_pair_prob=1.0, blink_mode="steady")
+        auger_pair_prob=1.0, grey_level=1.0)
     estimate = photon_emitter.expected_count_rate(config.excitation, emitter,
                                                   config.detection)
     if estimate.rate == 0:
@@ -152,8 +152,7 @@ def target_fig1a(config: ExperimentConfig) -> tuple[str, list, dict]:
     for n in sizes:
         emitter = photon_emitter.EmitterModel(
             n_rods=n, quantum_yield=config.emitter.quantum_yield,
-            auger_pair_prob=None,
-            blink_mode="steady")
+            auger_pair_prob=None, grey_level=1.0)
         streams.append(photon_emitter.time_tag_blocks(
             config.excitation, emitter, config.detection, duration=1.0,
             seed=int(rng.integers(2**31))))

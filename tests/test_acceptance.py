@@ -22,7 +22,7 @@ import oracles
 
 # a steady single rod with p_A = 1; a keyword overrides any of the three
 steady_rod = partial(pe.EmitterModel, n_rods=1, auger_pair_prob=1.0,
-                     blink_mode="steady")
+                     grey_level=1.0)
 
 KT = const.BOLTZMANN * 296.0
 
@@ -280,14 +280,14 @@ def test_criterion_10_blinking_pipeline():
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
         grey_factor = 3.0
-        emitter = steady_rod(auger_pair_prob=1.0, blink_mode="two_state",
-                             grey_attenuation=grey_factor)
+        emitter = steady_rod(auger_pair_prob=1.0, grey_level=1.0 / grey_factor)
         stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=1001)
         hist = analysis.blink_analysis(stream, bin_width=500e-6)
         bright = pe.expected_count_rate(exc, emitter, chain).rate
         assert hist.grey_mean_rate == pytest.approx(bright / grey_factor, rel=0.10)
 
-        burst = steady_rod(auger_pair_prob=1.0, blink_mode="bursts")
+        burst = steady_rod(auger_pair_prob=1.0, grey_level=0.0,
+                           bright_dwell=1.67e-4, grey_dwell=5e-3)
         bstream = pe.generate_time_tags(exc, burst, chain, 10.0, seed=1002)
         bhist = analysis.blink_analysis(bstream, bin_width=500e-6)
         assert bhist.classification == "exponential_burst"

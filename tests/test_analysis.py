@@ -26,7 +26,7 @@ import oracles
 
 # a steady single rod with p_A = 1; a keyword overrides any of the three
 steady_rod = partial(pe.EmitterModel, n_rods=1, auger_pair_prob=1.0,
-                     blink_mode="steady")
+                     grey_level=1.0)
 
 
 def white_noise_series(sigma=1.0, n=2**17, dt=1e-6, seed=0):
@@ -637,8 +637,7 @@ class TestBlinkAnalysis:
     def test_two_state_grey_level(self):
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
-        emitter = steady_rod(auger_pair_prob=1.0, blink_mode="two_state",
-                             grey_attenuation=3.0)
+        emitter = steady_rod(auger_pair_prob=1.0, grey_level=1.0 / 3.0)
         stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=50)
         hist = an.blink_analysis(stream)
         bright = pe.expected_count_rate(exc, emitter, chain).rate
@@ -648,7 +647,8 @@ class TestBlinkAnalysis:
     def test_burst_classification(self):
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
-        emitter = steady_rod(auger_pair_prob=1.0, blink_mode="bursts")
+        emitter = steady_rod(auger_pair_prob=1.0, grey_level=0.0,
+                             bright_dwell=1.67e-4, grey_dwell=5e-3)
         stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=51)
         hist = an.blink_analysis(stream)
         assert hist.classification == "exponential_burst"

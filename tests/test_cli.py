@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import io as stdio
 import json
 import os
@@ -121,7 +122,9 @@ class TestValidateConfig:
         assert f"{section}: unknown key {key!r}" in capsys.readouterr().err
 
     # each diagnostic names the YAML key, also where it comes from the
-    # section dataclass's own checks (the last seven cases)
+    # time-step check across sections (the eighth case) or from the section
+    # dataclass's own checks (the last nine cases); the ninth names the
+    # cluster's physics, whose stiffness underflows
     @pytest.mark.parametrize("text, diagnostic", [
         ('emitter:\n  independent_emitters: "no"\n',
          "emitter: independent_emitters must be true or false"),
@@ -132,6 +135,10 @@ class TestValidateConfig:
         ("output_dir: [1, 2]\n", "output_dir: must be a string"),
         ("cluster:\n  n_rods: " + "1" * 401 + "\n",
          "cluster: n_rods must be a finite number"),
+        ("simulation:\n  time_step_s: 1.0e-7\n",
+         "simulation: time_step_s 1e-07 s too coarse for max(Gamma, Omega) = "
+         "6.25e+06 rad/s; require time_step_s < 1.6e-08 s"),
+        ("trap:\n  power_w: 5.0e-324\n", "cluster: k_z must be > 0"),
         ("trap:\n  power_w: 0\n", "trap: power_w must be > 0"),
         ("gas:\n  temperature_k: -5\n", "gas: temperature_k must be > 0"),
         ("mirror:\n  bore_radius_m: 0.02\n",
@@ -144,12 +151,18 @@ class TestValidateConfig:
          "simulation: detector_gain_v_per_m must be >= 0"),
         ("simulation:\n  detector_noise_floor: -1\n",
          "simulation: detector_noise_floor must be >= 0"),
+        ("simulation:\n  duration_s: -1\n", "simulation: duration_s must be > 0"),
+        ("mirror:\n  aperture_radius_m: 0.002\n",
+         "mirror: rim half-angle must lie in (90, 180) deg, so aperture_radius_m "
+         "> 2 focal_length_m; got 50.9 deg"),
     ], ids=["bool-as-string", "nan-power", "nan-temperature", "huge-int",
-            "inf-power", "list-as-dir", "huge-int-count", "zero-power",
-            "negative-temperature", "bore-past-aperture", "negative-power",
-            "zero-saturation-power", "negative-gain", "negative-noise-floor"])
+            "inf-power", "list-as-dir", "huge-int-count", "coarse-time-step",
+            "underflowing-trap", "zero-power", "negative-temperature",
+            "bore-past-aperture", "negative-power", "zero-saturation-power",
+            "negative-gain", "negative-noise-floor", "negative-duration",
+            "shallow-mirror"])
     def test_wrong_kind_of_value_exits_2(self, tmp_path, capsys, text, diagnostic):
-        # the first eight used to validate, then misbehaved in simulate
+        # the first ten used to validate, then misbehaved in simulate
         path = tmp_path / "bad.yaml"
         path.write_text(text)
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
@@ -782,7 +795,7 @@ class TestReproduceCli:
         summary = run_target("appE_rate", config, tmp_path)
         emitter = pe.EmitterModel(n_rods=config.emitter.n_rods,
                                   quantum_yield=config.emitter.quantum_yield,
-                                  auger_pair_prob=1.0, blink_mode="steady")
+                                  auger_pair_prob=1.0, grey_level=1.0)
         stream = pe.generate_time_tags(
             config.excitation, emitter, config.detection, 10.0,
             seed=int(rng_for(config.seed, "appE-rate").integers(2**31)))
@@ -802,7 +815,7 @@ class TestReproduceCli:
         rows, orientations = [], set()
         for n in sizes:
             emitter = pe.EmitterModel(n_rods=n, quantum_yield=config.emitter.quantum_yield,
-                                      auger_pair_prob=None, blink_mode="steady")
+                                      auger_pair_prob=None, grey_level=1.0)
             stream = pe.generate_time_tags(config.excitation, emitter, config.detection,
                                            1.0, seed=int(rng.integers(2**31)))
             g2 = analysis.g2_zero(stream, 1.0 / config.excitation.repetition_rate)
@@ -932,7 +945,7 @@ class TestSimulateErrors:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path),
                      "--out", str(out)]) == EXIT_CONFIG
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()  # rejected with the config, before any output
 
 
 class TestOutputNotADirectory:
@@ -956,8 +969,11 @@ class TestHelperThread:
         simulate_dataset(parse_config(SHORT_CONFIG), tmp_path / "ds")
 
     def test_simulate_unstable_step(self, tmp_path):
-        config = parse_config({"simulation": {"time_step_s": 1.0e-6}})
-        with pytest.raises(ValueError):
+        # parse_config rejects the step; the Langevin layer checks it again
+        config = parse_config({})
+        config = dataclasses.replace(config, simulation=dataclasses.replace(
+            config.simulation, time_step=1.0e-6))
+        with pytest.raises(ValueError, match="time_step"):
             simulate_dataset(config, tmp_path / "ds")
         assert not (tmp_path / "ds" / "manifest.json").exists()
 

@@ -4,15 +4,18 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmtrap import analysis, io_formats, photon_emitter as pe
 from pmtrap.mirror_optics import MirrorGeometry
+from pmtrap.seeding import rng_for
 
 import oracles
 
 # a steady single rod with p_A = 1; a keyword overrides any of the three
 steady_rod = partial(pe.EmitterModel, n_rods=1, auger_pair_prob=1.0,
-                     blink_mode="steady")
+                     grey_level=1.0)
 
 
 EXC = pe.ExcitationConfig()
@@ -169,22 +172,46 @@ class TestBlinkTrajectory:
 
     def test_vanishing_grey_dwell_mostly_bright(self):
         rng = np.random.default_rng(1)
-        model = steady_rod(blink_mode="two_state", grey_dwell=1e-7,
-                           bright_dwell=1e-2)
+        model = steady_rod(grey_level=1.0 / 3.0, grey_dwell=1e-7, bright_dwell=1e-2)
         traj = pe.blink_trajectory(2.0, model, rng)
         att = traj.attenuation_at(np.linspace(0, 2, 100_000))
         assert np.mean(att) > 0.999
 
     def test_occupancy_one_to_four(self):
-        # bright:grey dwell 1:4, attenuation 3 -> mean attenuation
+        # bright:grey dwell 1:4, grey level 1/3 -> mean attenuation
         # 0.2 * 1 + 0.8 / 3
         rng = np.random.default_rng(2)
-        model = steady_rod(blink_mode="two_state", grey_attenuation=3.0,
-                           bright_dwell=1e-3, grey_dwell=4e-3)
+        model = steady_rod(grey_level=1.0 / 3.0, bright_dwell=1e-3, grey_dwell=4e-3)
         traj = pe.blink_trajectory(100.0, model, rng)
         att = traj.attenuation_at(np.linspace(0, 100, 1_000_000))
         expected = 0.2 + 0.8 / 3.0
         assert np.mean(att) == pytest.approx(expected, rel=0.05)
+
+
+DWELLS = st.floats(1e-4, 1e-2)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestGreyLevel:
+    # one two-level model spans the steady emitter and the dark-state bursts
+    @settings(max_examples=20, deadline=None)
+    @given(bright=DWELLS, grey=DWELLS, seed=SEEDS)
+    def test_one_is_steady_whatever_the_dwells(self, bright, grey, seed):
+        steady = pe.generate_time_tags(EXC, steady_rod(), CHAIN, 0.05, seed=seed)
+        stream = pe.generate_time_tags(
+            EXC, steady_rod(bright_dwell=bright, grey_dwell=grey), CHAIN, 0.05, seed=seed)
+        assert stream.timestamps.tobytes() == steady.timestamps.tobytes()
+        assert stream.channels.tobytes() == steady.channels.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(bright=DWELLS, grey=DWELLS, seed=SEEDS)
+    @example(bright=1.67e-4, grey=5e-3, seed=7)
+    def test_zero_is_dark(self, bright, grey, seed):
+        # no event's pulse falls in a grey segment of the stream's trajectory
+        model = steady_rod(grey_level=0.0, bright_dwell=bright, grey_dwell=grey)
+        stream = pe.generate_time_tags(EXC, model, CHAIN, 0.05, seed=seed)
+        trajectory = pe.blink_trajectory(0.05, model, rng_for(seed, "time-tags"))
+        assert np.all(trajectory.attenuation_at(stream.timestamps) == 1.0)
 
 
 class TestGenerateTimeTags:
@@ -272,7 +299,7 @@ class TestTimeTagBlocks:
     def test_block_size_does_not_change_stream(self, monkeypatch, block):
         # each level's gap position is carried across blocks, and hits,
         # counts and the splitter draw from their own generators
-        emitter = steady_rod(auger_pair_prob=0.5, blink_mode="two_state",
+        emitter = steady_rod(auger_pair_prob=0.5, grey_level=1.0 / 3.0,
                              bright_dwell=2e-4, grey_dwell=3e-4)
         whole = pe.generate_time_tags(EXC, emitter, CHAIN, 5e-3, seed=13)
         monkeypatch.setattr(pe, "_BLOCK_PULSES", block)
@@ -282,7 +309,7 @@ class TestTimeTagBlocks:
         assert blocked.channels.tobytes() == whole.channels.tobytes()
 
     def test_gap_chunk_does_not_change_stream(self, monkeypatch):
-        emitter = steady_rod(blink_mode="bursts")
+        emitter = steady_rod(grey_level=0.0, bright_dwell=1.67e-4, grey_dwell=5e-3)
         whole = pe.generate_time_tags(EXC, emitter, CHAIN, 0.05, seed=14)
         monkeypatch.setattr(pe, "_GAP_CHUNK", 5)
         monkeypatch.setattr(pe, "_BLOCK_PULSES", 999)
@@ -416,7 +443,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             steady_rod(auger_pair_prob=1.5)
         with pytest.raises(ValueError):
-            steady_rod(grey_attenuation=0.5)
+            steady_rod(grey_level=2.0)
         with pytest.raises(ValueError):
             pe.DetectionChain(apd_quantum_efficiency=0.0)
         with pytest.raises(ValueError):
