@@ -16,8 +16,11 @@ trace one block ahead on a second helper, and ``reproduce`` runs fig1a's
 and fig1b's cells two at a time.  All of it goes through
 ``_threads``, which has no setting: the data are those of a serial run,
 and of two failures a corrupt artifact is raised first, then the motion
-stream's.  A failed ``simulate`` may leave ``tags.bin`` beside a partial
-``detector.ts``, but never ``manifest.json``.
+stream's.  ``simulate`` writes the three aperture images of one
+``mirror_optics.aperture_images`` call.  A failed ``simulate`` may leave
+``tags.bin`` beside a partial ``detector.ts``, but never ``manifest.json``;
+``analyze`` and ``reproduce`` create their output directory at their first
+write, so one that fails before it leaves none.
 """
 
 from __future__ import annotations
@@ -87,24 +90,20 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
         readout = langevin.detector_blocks(trace, config.simulation)
         digests = dict(zip(("detector.ts", "tags.bin"), _threads.both(
             partial(io_formats.write_time_series, out_dir / "detector.ts", readout),
-            partial(io_formats.write_time_tags, out_dir / "tags.bin", tags,
-                    configs={"a_pi": config.detection.a_pi,
-                             "n_rods": config.cluster.n_rods}))))
+            partial(io_formats.write_time_tags, out_dir / "tags.bin", tags))))
 
-    # aperture images at the configured mixture, with camera noise
-    a_pi = config.detection.a_pi
-    total = mirror_optics.mix_image(a_pi, config.mirror,
-                                    n_pixels=config.image.n_pixels,
-                                    half_extent=config.image.half_extent)
-    vertical = mirror_optics.polarized_projection(total, a_pi, "vertical")
-    horizontal = mirror_optics.polarized_projection(total, a_pi, "horizontal")
+    # aperture images at the configured mixture, with camera noise scaled to
+    # the noiseless total's maximum
+    images = mirror_optics.aperture_images(config.detection.a_pi, config.mirror,
+                                           n_pixels=config.image.n_pixels,
+                                           half_extent=config.image.half_extent)
     if config.image.noise_rms_fraction > 0:
         rng = rng_for(config.seed, "image-noise")
-        scale = config.image.noise_rms_fraction * float(total.pixels.max())
-        for img in (total, vertical, horizontal):
+        scale = config.image.noise_rms_fraction * float(images[0].pixels.max())
+        for img in images:
             img.pixels = np.clip(
                 img.pixels + rng.normal(0.0, scale, img.pixels.shape), 0.0, None)
-    for img in (total, vertical, horizontal):
+    for img in images:
         name = f"image_{img.channel}.img"
         digests[name] = io_formats.write_image(out_dir / name, img)
 
@@ -151,7 +150,6 @@ def analyze_dataset(dataset_dir, out_dir=None,
     """
     dataset_dir = Path(dataset_dir)
     out_dir = dataset_dir if out_dir is None else Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = verify_manifest(dataset_dir, parsed=ANALYZED_ARTIFACTS)["artifacts"]
     sha256 = {name: artifacts[name]["sha256"] for name in ANALYZED_ARTIFACTS}
     tags = io_formats.read_time_tags(dataset_dir / "tags.bin", sha256["tags.bin"])
@@ -211,6 +209,7 @@ def analyze_dataset(dataset_dir, out_dir=None,
         "asymmetry": {"score": asymmetry.score,
                       "classification": asymmetry.classification},
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     io_formats.write_json(out_dir / "results.json", results)
 
     # the bytes np.savetxt writes

@@ -7,7 +7,7 @@
 - Time series: little-endian binary float64 array behind an embedded JSON
   header (sample interval, units, seed).
 - Time tags: binary record stream (u8 channel, little-endian f64 timestamp in
-  seconds) behind an embedded JSON header (duration, seed, configs); CSV
+  seconds) behind an embedded JSON header (duration, seed, metadata); CSV
   export for interoperability.
 
 Binary container layout: 4-byte magic, u32 little-endian header length,
@@ -288,8 +288,7 @@ def read_time_series(path, sha256: str | None = None) -> SeriesBlocks:
         else "non-finite sample"), header.get("units", ""), header.get("seed"))
 
 
-def write_time_tags(path, stream: TimeTagStream | TagBlocks,
-                    configs: dict | None = None) -> str:
+def write_time_tags(path, stream: TimeTagStream | TagBlocks) -> str:
     """Write a time-tag container block by block; returns its sha256.
 
     The event count of a ``TagBlocks`` may be known only when its blocks are
@@ -298,7 +297,6 @@ def write_time_tags(path, stream: TimeTagStream | TagBlocks,
     header = {
         "duration_s": stream.duration,
         "seed": stream.seed,
-        "configs": configs or {},
         "metadata": stream.metadata,
     }
 

@@ -15,11 +15,12 @@ dipoles) produces
 
     I_sigma(R) = (R^4/16 + 1) / (R^2/4 + 1)^4.
 
-This module synthesizes aperture images for arbitrary dipole orientations,
-projects them onto linear polarization states, gives the collection
-efficiencies over the mirror's solid angle in closed form, azimuthally
-averages images into radial profiles, and fits the linear/circular mixture
-fraction to profiles.
+This module synthesizes the aperture image of a dipole of any orientation,
+and the total, vertical and horizontal images of a linear/circular mixture
+from the two closed forms (the circular part split evenly between the
+polarizers); it gives the collection efficiencies over the mirror's solid
+angle in closed form, azimuthally averages images into radial profiles, and
+fits the linear/circular mixture fraction to profiles.
 """
 
 from __future__ import annotations
@@ -37,24 +38,16 @@ __all__ = [
     "RadialProfile",
     "DipoleFitResult",
     "AsymmetryResult",
-    "LINEAR_ON_AXIS",
-    "CIRCULAR",
     "theta_from_R",
     "intensity_linear",
     "intensity_circular",
     "general_dipole_image",
-    "mix_image",
-    "polarized_projection",
+    "aperture_images",
     "collection_efficiency",
     "azimuthal_average",
     "fit_dipole_fraction",
     "asymmetry_metric",
 ]
-
-# Dipole orientation sentinels; an orientation is either one of these or a
-# 3-vector of unit length.
-LINEAR_ON_AXIS = "linear_on_axis"
-CIRCULAR = "circular"
 
 # Default synthesis grid: 256 x 256 pixels covering R in [-5, 5]^2 (units of
 # focal length).  Pixel centers sit at half-integer offsets so the grid is
@@ -182,11 +175,6 @@ def _coordinates(shape, pitch) -> tuple[np.ndarray, np.ndarray]:
                        (np.arange(ny) - (ny - 1) / 2.0) * pitch)
 
 
-def _check_fraction(a_pi: float) -> None:
-    if not 0.0 <= a_pi <= 1.0:
-        raise ValueError(f"a_pi must be in [0, 1], got {a_pi}")
-
-
 def _radius(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if np.any(R < 0):
@@ -214,8 +202,32 @@ def intensity_circular(R):
     return (R**4 / 16.0 + 1.0) / (R**2 / 4.0 + 1.0) ** 4
 
 
-def _clip_mask(R: np.ndarray, geometry: MirrorGeometry) -> np.ndarray:
-    return (R >= geometry.bore_radius_f) & (R <= geometry.rim_radius_f)
+def _grid(geometry: MirrorGeometry | None, n_pixels: int, half_extent: float):
+    """Pitch, pixel (x, y), radius, the mask of pixels in the bore or beyond
+    the rim, and the image metadata of a synthesis grid.
+
+    Pixel centers are placed symmetrically about the axis.  When the pitch is
+    too coarse to resolve the bore hole, ``metadata["bore_resolved"]`` is
+    False and a warning names the caller of the public function.
+    """
+    if geometry is None:
+        geometry = MirrorGeometry()
+    pitch = 2.0 * half_extent / n_pixels
+    x, y = _coordinates((n_pixels, n_pixels), pitch)
+    R = np.hypot(x, y)
+    outside = (R < geometry.bore_radius_f) | (R > geometry.rim_radius_f)
+    metadata = {
+        "bore_radius_f": geometry.bore_radius_f,
+        "rim_radius_f": geometry.rim_radius_f,
+        "bore_resolved": bool(geometry.bore_radius_f >= 2.0 * pitch),
+    }
+    if not metadata["bore_resolved"]:
+        warnings.warn(
+            f"pixel pitch {pitch:.3g} f too coarse to resolve the bore hole "
+            f"(R_bore = {geometry.bore_radius_f:.3g} f)",
+            stacklevel=3,
+        )
+    return pitch, x, y, R, outside, metadata
 
 
 def general_dipole_image(
@@ -228,15 +240,14 @@ def general_dipole_image(
 
     Pixel intensity is (1 - |d.k|^2) / (R^2/4 + 1)^2 with k the emission
     direction mapped from the pixel via theta = 2*atan(R/2), so an on-axis
-    dipole reduces exactly to ``intensity_linear`` and the circular case to
-    ``intensity_circular``.  Pixels inside the vertex bore or beyond the
-    aperture rim are zeroed.
+    dipole reduces exactly to ``intensity_linear`` and the equal-weight mix
+    of the two in-plane dipoles to ``intensity_circular``.  Pixels inside the
+    vertex bore or beyond the aperture rim are zeroed.
 
     Parameters
     ----------
-    orientation : array_like of shape (3,), or LINEAR_ON_AXIS / CIRCULAR
-        Dipole axis unit vector (|d| = 1 within 1e-12).  CIRCULAR denotes the
-        incoherent equal-weight mix of the two in-plane linear dipoles.
+    orientation : array_like of shape (3,)
+        Dipole axis unit vector (|d| = 1 within 1e-12).
     geometry : MirrorGeometry, optional
         Defaults to the reference mirror.  Sets the bore/rim clip radii.
     n_pixels, half_extent : grid specification; pixel centers are placed
@@ -248,100 +259,61 @@ def general_dipole_image(
     False (with a warning) when the pixel pitch is too coarse to resolve the
     bore hole.
     """
-    if geometry is None:
-        geometry = MirrorGeometry()
-    pitch = 2.0 * half_extent / n_pixels
-    x, y = _coordinates((n_pixels, n_pixels), pitch)
-    R = np.hypot(x, y)
+    d = np.asarray(orientation, dtype=float)
+    if d.shape != (3,):
+        raise ValueError("orientation must be a 3-vector")
+    if abs(np.dot(d, d) - 1.0) > 1e-12:
+        raise ValueError("orientation must be a unit vector (|d|=1 within 1e-12)")
+    pitch, x, y, R, outside, metadata = _grid(geometry, n_pixels, half_extent)
     theta = theta_from_R(R)
     envelope = 1.0 / (R**2 / 4.0 + 1.0) ** 2
-
-    if isinstance(orientation, str):
-        if orientation == LINEAR_ON_AXIS:
-            pattern = np.sin(theta) ** 2
-        elif orientation == CIRCULAR:
-            pattern = (1.0 + np.cos(theta) ** 2) / 2.0
-        else:
-            raise ValueError(f"unknown orientation {orientation!r}")
-    else:
-        d = np.asarray(orientation, dtype=float)
-        if d.shape != (3,):
-            raise ValueError("orientation must be a 3-vector or a named case")
-        if abs(np.dot(d, d) - 1.0) > 1e-12:
-            raise ValueError("orientation must be a unit vector (|d|=1 within 1e-12)")
-        sin_t = np.sin(theta)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_phi = np.where(R > 0, x / R, 1.0)
-            sin_phi = np.where(R > 0, y / R, 0.0)
-        kx = sin_t * cos_phi
-        ky = sin_t * sin_phi
-        kz = np.cos(theta)
-        pattern = 1.0 - (d[0] * kx + d[1] * ky + d[2] * kz) ** 2
-
-    pixels = pattern * envelope
-    pixels[~_clip_mask(R, geometry)] = 0.0
-
-    metadata = {
-        "bore_radius_f": geometry.bore_radius_f,
-        "rim_radius_f": geometry.rim_radius_f,
-        "bore_resolved": bool(geometry.bore_radius_f >= 2.0 * pitch),
-    }
-    if not metadata["bore_resolved"]:
-        warnings.warn(
-            f"pixel pitch {pitch:.3g} f too coarse to resolve the bore hole "
-            f"(R_bore = {geometry.bore_radius_f:.3g} f)",
-            stacklevel=2,
-        )
+    sin_t = np.sin(theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_phi = np.where(R > 0, x / R, 1.0)
+        sin_phi = np.where(R > 0, y / R, 0.0)
+    kx = sin_t * cos_phi
+    ky = sin_t * sin_phi
+    kz = np.cos(theta)
+    pixels = (1.0 - (d[0] * kx + d[1] * ky + d[2] * kz) ** 2) * envelope
+    pixels[outside] = 0.0
     return ApertureImage(pixels=pixels, pixel_pitch=pitch, channel="total",
                          metadata=metadata)
 
 
-def mix_image(
+def aperture_images(
     a_pi: float,
     geometry: MirrorGeometry | None = None,
     n_pixels: int = DEFAULT_N_PIXELS,
     half_extent: float = DEFAULT_HALF_EXTENT,
-) -> ApertureImage:
-    """Aperture image of an on-axis linear/circular mix of linear fraction ``a_pi``."""
-    _check_fraction(a_pi)
-    lin = general_dipole_image(LINEAR_ON_AXIS, geometry, n_pixels, half_extent)
-    cir = general_dipole_image(CIRCULAR, geometry, n_pixels, half_extent)
-    pixels = a_pi * lin.pixels + (1.0 - a_pi) * cir.pixels
-    return ApertureImage(pixels=pixels, pixel_pitch=lin.pixel_pitch,
-                         channel="total", metadata=dict(lin.metadata))
+) -> tuple[ApertureImage, ApertureImage, ApertureImage]:
+    """The total, vertical and horizontal images of an on-axis mixture of
+    linear fraction ``a_pi``, from one grid (see ``general_dipole_image``
+    for the grid, its clipping and its metadata).
 
+    The collimated field of the on-axis linear dipole is radial, so a
+    polarizer passes its |r_hat . u_hat|^2 share: sin^2(phi) vertical,
+    cos^2(phi) horizontal.  The circular part is taken as unpolarized and
+    splits 50/50:
 
-def polarized_projection(image: ApertureImage, a_pi: float, axis: str) -> ApertureImage:
-    """Project a total-channel image of linear fraction ``a_pi`` onto a polarizer axis.
-
-    The collimated field of an on-axis linear dipole is radially polarized, so
-    its intensity picks up |r_hat . u_hat|^2 (giving extinction lines
-    perpendicular to the polarizer axis); the circular component is treated as
-    azimuthally unpolarized and splits 50/50.  Vertical and horizontal outputs
-    sum to the input exactly.
+        total      = a I_pi(R)              + (1 - a) I_sigma(R)
+        vertical   = a I_pi(R) sin^2(phi)   + (1 - a) I_sigma(R) / 2
+        horizontal = a I_pi(R) cos^2(phi)   + (1 - a) I_sigma(R) / 2
     """
-    _check_fraction(a_pi)
-    if image.channel != "total":
-        raise ValueError("projection expects the total channel")
-    if axis not in ("vertical", "horizontal"):
-        raise ValueError(f"axis must be vertical or horizontal, got {axis!r}")
-
-    x, y = image.pixel_coordinates()
-    R2 = x**2 + y**2
-    # |r_hat . y_hat|^2 = sin^2(phi), |r_hat . x_hat|^2 = cos^2(phi)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        proj = np.where(R2 > 0, (y**2 if axis == "vertical" else x**2) / R2, 0.5)
-
-    R = np.sqrt(R2)
+    if not 0.0 <= a_pi <= 1.0:
+        raise ValueError(f"a_pi must be in [0, 1], got {a_pi}")
+    pitch, x, y, R, outside, metadata = _grid(geometry, n_pixels, half_extent)
     i_pi = a_pi * intensity_linear(R)
-    i_sigma = (1.0 - a_pi) * intensity_circular(R)
-    total_shape = i_pi + i_sigma
+    half_sigma = 0.5 * (1.0 - a_pi) * intensity_circular(R)
     with np.errstate(invalid="ignore", divide="ignore"):
-        lin_frac = np.where(total_shape > 0, i_pi / total_shape, 0.0)
-
-    pixels = image.pixels * (lin_frac * proj + (1.0 - lin_frac) * 0.5)
-    return ApertureImage(pixels=pixels, pixel_pitch=image.pixel_pitch,
-                         channel=axis, metadata=dict(image.metadata))
+        sin2_phi = np.where(R > 0, y**2 / R**2, 0.5)
+    images = []
+    for channel, pixels in (("total", i_pi + 2.0 * half_sigma),
+                            ("vertical", i_pi * sin2_phi + half_sigma),
+                            ("horizontal", i_pi * (1.0 - sin2_phi) + half_sigma)):
+        pixels[outside] = 0.0
+        images.append(ApertureImage(pixels=pixels, pixel_pitch=pitch,
+                                    channel=channel, metadata=dict(metadata)))
+    return tuple(images)
 
 
 def collection_efficiency(kind: str, geometry: MirrorGeometry | None = None) -> float:

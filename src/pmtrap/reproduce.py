@@ -229,9 +229,9 @@ def run_target(name: str, config: ExperimentConfig, out_dir) -> dict:
     if name not in REPRODUCE_TARGETS:
         raise KeyError(f"unknown figure id {name!r}; "
                        f"choose from {sorted(REPRODUCE_TARGETS)}")
+    header, rows, summary = REPRODUCE_TARGETS[name](config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows, summary = REPRODUCE_TARGETS[name](config)
     io_formats.write_csv(out_dir / f"{name}.csv", header, rows, "%s")
     io_formats.write_json(out_dir / f"{name}_summary.json", summary)
     return summary

@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 import pmtrap
-from pmtrap import _threads, analysis, cli, langevin, trap_mechanics
+from pmtrap import _threads, analysis, cli, langevin, mirror_optics, trap_mechanics
 from pmtrap import io_formats as io
 from pmtrap.cli import (
     EXIT_ANALYSIS,
@@ -924,6 +924,27 @@ class TestDefaultConfig:
         assert run.stdout == capsys.readouterr().out
 
 
+class TestSimulateImages:
+    def test_noiseless_images_are_aperture_images(self, tmp_path):
+        # without camera noise the three images on disk are those of one
+        # aperture_images call, and the two polarizers split the total
+        config = parse_config(dict(SHORT_CONFIG, image={"noise_rms_fraction": 0.0}))
+        simulate_dataset(config, tmp_path / "ds")
+        back = {}
+        for img in mirror_optics.aperture_images(
+                config.detection.a_pi, config.mirror, n_pixels=config.image.n_pixels,
+                half_extent=config.image.half_extent):
+            back[img.channel] = io.read_image(tmp_path / "ds" / f"image_{img.channel}.img")
+            assert back[img.channel].channel == img.channel
+            assert back[img.channel].pixel_pitch == img.pixel_pitch
+            assert np.array_equal(back[img.channel].pixels, img.pixels)
+        total = back["total"].pixels
+        split = back["vertical"].pixels + back["horizontal"].pixels
+        inside = total > 0
+        assert np.all(split[~inside] == 0)
+        assert np.max(np.abs(split[inside] / total[inside] - 1.0)) < 1e-12
+
+
 class TestSimulateErrors:
     def test_threads_flag_removed(self, tmp_path):
         assert main(["simulate", "--threads", "2",
@@ -946,6 +967,37 @@ class TestSimulateErrors:
         assert main(["simulate", "--config", str(path),
                      "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()  # rejected with the config, before any output
+
+
+class TestFailedRunLeavesNoOutput:
+    # analyze and reproduce create their output directory at the first write
+    def test_analyze_missing_dataset(self, tmp_path):
+        typo = tmp_path / "typo_dir"
+        assert main(["analyze", str(typo)]) == EXIT_MISSING_ARTIFACT
+        assert not typo.exists()
+
+    def test_analyze_missing_dataset_with_out(self, tmp_path):
+        res = tmp_path / "res_dir"
+        assert main(["analyze", str(tmp_path / "typo_dir"),
+                     "--out", str(res)]) == EXIT_MISSING_ARTIFACT
+        assert not res.exists() and not (tmp_path / "typo_dir").exists()
+
+    def test_analysis_failure_with_out(self, dataset, tmp_path):
+        _, out, _ = dataset
+        broken = _copy_dataset(out, tmp_path / "motion", rewrite=("detector.ts",))
+        _short_trace(broken / "detector.ts")
+        _rehash(broken, "detector.ts")
+        res = tmp_path / "res_dir"
+        assert main(["analyze", str(broken), "--out", str(res)]) == EXIT_ANALYSIS
+        assert not res.exists()
+
+    def test_reproduce_failed_target(self, tmp_path):
+        path = tmp_path / "dark.yaml"
+        path.write_text("emitter:\n  quantum_yield: 0\n")
+        out = tmp_path / "newdir"
+        assert main(["reproduce", "--figure", "appE_rate", "--config", str(path),
+                     "--out", str(out)]) == EXIT_ANALYSIS
+        assert not out.exists()
 
 
 class TestOutputNotADirectory:

@@ -530,11 +530,32 @@ class TestTimeTagIO:
     def test_round_trip(self, tmp_path):
         stream = self._stream()
         path = tmp_path / "tags.bin"
-        io.write_time_tags(path, stream, configs={"note": 1})
+        io.write_time_tags(path, stream)
         back = io.read_time_tags(path).collect()
         assert np.array_equal(back.timestamps, stream.timestamps)
         assert np.array_equal(back.channels, stream.channels)
         assert back.duration == stream.duration and back.seed == 3
+
+    def test_header_without_configs(self, tmp_path):
+        path = tmp_path / "tags.bin"
+        io.write_time_tags(path, self._stream())
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[4:8])
+        assert set(json.loads(raw[8: 8 + n])) == {"duration_s", "seed", "metadata"}
+
+    def test_older_header_with_configs_reads_back(self, tmp_path):
+        # files written before the write-only configs key was dropped
+        stream = self._stream()
+        path = tmp_path / "tags.bin"
+        io.write_time_tags(path, stream)
+        _replace_header(path, lambda blob: json.dumps(
+            dict(json.loads(blob), configs={"a_pi": 0.31, "n_rods": 64}),
+            sort_keys=True).encode())
+        back = io.read_time_tags(path, io.sha256_file(path)).collect()
+        assert np.array_equal(back.timestamps, stream.timestamps)
+        assert np.array_equal(back.channels, stream.channels)
+        assert (back.duration, back.seed, back.metadata) == (
+            stream.duration, stream.seed, stream.metadata)
 
     @pytest.mark.parametrize("block", [1, 7, 4999, 5000])
     def test_round_trip_in_blocks(self, tmp_path, monkeypatch, block):

@@ -11,6 +11,8 @@ import oracles
 
 GEOM = mo.MirrorGeometry()
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+X_AXIS = np.array([1.0, 0.0, 0.0])
+Y_AXIS = np.array([0.0, 1.0, 0.0])
 
 
 def tilted(beta_deg):
@@ -75,15 +77,16 @@ class TestGeneralDipoleImage:
         assert rel.max() < 1e-9
 
     def test_named_linear_matches_vector(self):
-        a = mo.general_dipole_image(mo.LINEAR_ON_AXIS, GEOM)
+        # the closed-form linear image (a_pi = 1) against the on-axis vector
+        a, _, _ = mo.aperture_images(1.0, GEOM)
         b = mo.general_dipole_image(Z_AXIS, GEOM)
         assert np.allclose(a.pixels, b.pixels, rtol=1e-12, atol=0)
 
     def test_inplane_mix_reduces_to_circular(self):
-        x = mo.general_dipole_image(np.array([1.0, 0.0, 0.0]), GEOM)
-        y = mo.general_dipole_image(np.array([0.0, 1.0, 0.0]), GEOM)
+        x = mo.general_dipole_image(X_AXIS, GEOM)
+        y = mo.general_dipole_image(Y_AXIS, GEOM)
         mix = 0.5 * (x.pixels + y.pixels)
-        ref = mo.general_dipole_image(mo.CIRCULAR, GEOM)
+        ref, _, _ = mo.aperture_images(0.0, GEOM)
         mask = ref.pixels > 0
         rel = np.abs(mix[mask] / ref.pixels[mask] - 1.0)
         assert rel.max() < 1e-9
@@ -100,19 +103,50 @@ class TestGeneralDipoleImage:
         assert np.all(img.pixels[R > GEOM.rim_radius_f] == 0)
 
     def test_coarse_grid_warns(self):
-        with pytest.warns(UserWarning, match="bore"):
+        # the warning names the caller of either synthesis function
+        with pytest.warns(UserWarning, match="bore") as record:
             img = mo.general_dipole_image(Z_AXIS, GEOM, n_pixels=16)
+            images = mo.aperture_images(0.31, GEOM, n_pixels=16)
+        assert [w.filename for w in record] == [__file__, __file__]
         assert img.metadata["bore_resolved"] is False
+        assert all(i.metadata["bore_resolved"] is False for i in images)
 
     def test_non_unit_vector_rejected(self):
-        with pytest.raises(ValueError):
-            mo.general_dipole_image(np.array([0.0, 0.0, 1.1]), GEOM)
+        # and the named cases of earlier versions, which are gone
+        for orientation in (np.array([0.0, 0.0, 1.1]), "circular", "linear_on_axis"):
+            with pytest.raises(ValueError):
+                mo.general_dipole_image(orientation, GEOM)
+
+
+class TestApertureImages:
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(0.0)
+    @example(0.31)
+    @example(1.0)
+    def test_total_matches_vector_dipoles(self, a_pi):
+        # the closed forms against the incoherent sum of vector dipoles:
+        # a * image(z) + (1 - a) * (image(x) + image(y)) / 2
+        total, _, _ = mo.aperture_images(a_pi, GEOM)
+        x, y, z = (mo.general_dipole_image(d, GEOM).pixels
+                   for d in (X_AXIS, Y_AXIS, Z_AXIS))
+        mix = a_pi * z + (1.0 - a_pi) * 0.5 * (x + y)
+        assert np.allclose(total.pixels, mix, rtol=1e-12, atol=0)
+
+    def test_channels_share_grid_and_clip(self):
+        images = mo.aperture_images(0.31, GEOM)
+        assert [img.channel for img in images] == ["total", "vertical", "horizontal"]
+        R = images[0].radius_grid()
+        outside = (R < GEOM.bore_radius_f) | (R > GEOM.rim_radius_f)
+        for img in images:
+            assert img.pixel_pitch == images[0].pixel_pitch
+            assert img.metadata == images[0].metadata
+            assert np.all(img.pixels[outside] == 0) and np.all(img.pixels[~outside] > 0)
 
 
 class TestPolarizedProjection:
     def test_pure_linear_extinction(self):
-        total = mo.mix_image(1.0, GEOM)
-        vert = mo.polarized_projection(total, 1.0, "vertical")
+        total, vert, _ = mo.aperture_images(1.0, GEOM)
         x, y = vert.pixel_coordinates()
         # nearest pixel rows to the horizontal axis (centers at +-pitch/2)
         on_horizontal = (np.abs(y) <= vert.pixel_pitch * 0.51) & (total.pixels > 0)
@@ -125,9 +159,7 @@ class TestPolarizedProjection:
         assert np.allclose(vert.pixels[mask], expected[mask], rtol=1e-12)
 
     def test_pure_circular_splits_evenly(self):
-        total = mo.mix_image(0.0, GEOM)
-        vert = mo.polarized_projection(total, 0.0, "vertical")
-        horiz = mo.polarized_projection(total, 0.0, "horizontal")
+        total, vert, horiz = mo.aperture_images(0.0, GEOM)
         assert np.allclose(vert.pixels, horiz.pixels, rtol=0, atol=0)
         assert np.allclose(vert.pixels, total.pixels / 2, rtol=1e-12)
 
@@ -138,9 +170,7 @@ class TestPolarizedProjection:
     @example(0.5)
     @example(1.0)
     def test_energy_split_exact(self, a_pi):
-        total = mo.mix_image(a_pi, GEOM)
-        vert = mo.polarized_projection(total, a_pi, "vertical")
-        horiz = mo.polarized_projection(total, a_pi, "horizontal")
+        total, vert, horiz = mo.aperture_images(a_pi, GEOM)
         recon = vert.pixels + horiz.pixels
         mask = total.pixels > 0
         rel = np.abs(recon[mask] / total.pixels[mask] - 1.0)
@@ -148,8 +178,7 @@ class TestPolarizedProjection:
 
     def test_extinction_contrast_reference_mix(self):
         # ring at the linear-shape maximum R = 2/sqrt(3)
-        total = mo.mix_image(0.31, GEOM, n_pixels=512)
-        vert = mo.polarized_projection(total, 0.31, "vertical")
+        _, vert, _ = mo.aperture_images(0.31, GEOM, n_pixels=512)
         R = vert.radius_grid()
         ring = np.abs(R - 2.0 / np.sqrt(3.0)) < vert.pixel_pitch / 2
         contrast = vert.pixels[ring].min() / vert.pixels[ring].max()
@@ -352,10 +381,6 @@ class TestAsymmetryMetric:
 
 class TestMixFraction:
     def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            mo.mix_image(1.2, GEOM)
-        with pytest.raises(ValueError):
-            mo.mix_image(-0.1, GEOM)
-        total = mo.mix_image(0.31, GEOM)
-        with pytest.raises(ValueError):
-            mo.polarized_projection(total, 1.2, "vertical")
+        for a_pi in (1.2, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                mo.aperture_images(a_pi, GEOM)
