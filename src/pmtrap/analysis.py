@@ -5,6 +5,11 @@ The damping rate enters as a Lorentzian of half-width Gamma/(4 pi) in Hz,
 so the fitted width parameter reported here (Gamma/2 pi, the FWHM in Hz)
 matches the angular damping rate of the mechanics module after multiplying
 by 2 pi; the Langevin round trip pins this convention.
+
+Each stage reads a stream in one pass over its blocks, as the producers and
+readers yield them: ``stream_power_spectral_density`` a ``SeriesBlocks``,
+``g2_zero`` and ``blink_analysis`` a ``TagBlocks``; a collected
+``TimeSeries`` or ``TimeTagStream`` is a stream of one block.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "BlinkHistogram",
     "RateBins",
     "SaturationFit",
-    "power_spectral_density",
     "stream_power_spectral_density",
     "fit_lorentzian",
     "g2_zero",
@@ -75,24 +79,6 @@ class Spectrum:
 _PSD_BLOCK_SAMPLES = 1 << 18
 
 
-def power_spectral_density(series: TimeSeries, segment_length: int | None = None,
-                           overlap: float = 0.5) -> Spectrum:
-    """Averaged-periodogram (Welch) PSD estimate of a time series, Hann window.
-
-    The series mean is removed once, globally; with density scaling the
-    spectrum then integrates to the series variance (Parseval, ~1%).
-    ``segment_length`` defaults to a power of two near len/8, clipped to
-    [256, 65536]; segments start every ``segment_length -
-    int(segment_length * overlap)`` samples and the series must contain at
-    least 4 of them; ``segment_length`` below 1 or ``overlap`` outside
-    [0, 1) raise ``ValueError``.  A ``TimeSeries`` is a stream of one block,
-    so the provisional mean of ``stream_power_spectral_density`` is the
-    series mean, and its staging buffer holds the same runs of segments as
-    for any other blocking of the series.
-    """
-    return stream_power_spectral_density(series, segment_length, overlap)
-
-
 def _hann(n: int) -> np.ndarray:
     """Periodic Hann window of n samples (``[1.0]`` for n = 1)."""
     if n == 1:
@@ -127,10 +113,19 @@ def stream_power_spectral_density(series: SeriesBlocks | TimeSeries,
                                   segment_length: int | None = None,
                                   overlap: float = 0.5,
                                   helper: Lent | None = None) -> Spectrum:
-    """``power_spectral_density`` of a series delivered once, block by block.
+    """Welch PSD, Hann window, of a series delivered once, block by block.
+
+    The series mean is removed once, globally; with density scaling the
+    spectrum then integrates to the series variance (Parseval, ~1%).
+    ``segment_length`` defaults to a power of two near len/8, clipped to
+    [256, 65536]; segments start every ``segment_length -
+    int(segment_length * overlap)`` samples and the series must contain at
+    least 4 of them; ``segment_length`` below 1 or ``overlap`` outside
+    [0, 1) raise ``ValueError``.
 
     Segments are windowed around a provisional mean m0, the first block's
-    mean; at the end the sum of |X|^2 is shifted to the series mean m by
+    mean (the series mean for a ``TimeSeries``, a stream of one block); at
+    the end the sum of |X|^2 is shifted to the series mean m by
     sum |X - dW|^2 = sum |X|^2 - 2d Re(conj(W) sum X) + n_seg d^2 |W|^2,
     d = m - m0, W = rfft(window) (nonzero only at bins 0 and 1).
 
@@ -757,13 +752,13 @@ class RateBins:
         return hist
 
 
-def blink_analysis(stream: TimeTagStream | TagBlocks | RateBins,
-                   bin_width: float = DEFAULT_BIN_WIDTH) -> BlinkHistogram:
+def blink_analysis(stream: TimeTagStream | TagBlocks | RateBins) -> BlinkHistogram:
     """Bin the stream into fixed intervals and classify the rate histogram.
 
-    A stream is binned at ``bin_width``, one block at a time, through
-    ``RateBins``; a ``RateBins`` already fed (see ``g2_zero``) is taken as
-    it is, with its own bin width.
+    A stream is binned at ``DEFAULT_BIN_WIDTH``, one block at a time,
+    through ``RateBins``; a ``RateBins`` already fed (see ``g2_zero``) is
+    taken as it is, with its own bin width, so any other width goes through
+    ``RateBins(duration, bin_width)``.
     Classes: ``exponential_burst`` when the histogram decays monotonically
     from its lowest occupied bin (log-linear fit quality recorded),
     ``grey_state_peak`` for a single prominent local maximum at nonzero rate,
@@ -775,7 +770,7 @@ def blink_analysis(stream: TimeTagStream | TagBlocks | RateBins,
     if isinstance(stream, RateBins):
         rates = stream
     else:
-        rates = RateBins(stream.duration, bin_width)
+        rates = RateBins(stream.duration)
         for _, timestamps in stream.blocks:
             rates.add(timestamps)
     bin_width = rates.bin_width

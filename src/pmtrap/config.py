@@ -219,16 +219,9 @@ _ROOT = _leaves(None, ExperimentConfig)
 _SCHEMA = {name: _leaves(name, cls) for name, cls in _SECTIONS.items()}
 
 
-def _defaults() -> dict:
-    defaults = {key: leaf.default for key, leaf in _ROOT.items()}
-    for name, leaves in _SCHEMA.items():
-        defaults[name] = {key: leaf.default for key, leaf in leaves.items()}
-    return defaults
-
-
 def default_config_yaml() -> str:
     """The documented default configuration, serialized to YAML."""
-    return yaml.safe_dump(_defaults(), sort_keys=True, default_flow_style=False)
+    return dump_config(parse_config({}))
 
 
 def _check_unknown(section: str, data: dict, allowed, errors: list) -> None:
@@ -274,10 +267,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping", ["root: not a mapping"])
     errors: list[str] = []
-    canonical = _defaults()
-    _check_unknown("root", raw, set(canonical), errors)
-    for name in _ROOT:
-        canonical[name] = raw.get(name, canonical[name])
+    _check_unknown("root", raw, {*_ROOT, *_SECTIONS}, errors)
+    given = dict.fromkeys(_SECTIONS, {})
     for name in _SECTIONS:
         value = raw.get(name)
         if value is None:
@@ -286,11 +277,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             errors.append(f"{name}: expected a mapping")
             continue
         _check_unknown(name, value, set(_SCHEMA[name]), errors)
-        canonical[name].update({k: v for k, v in value.items() if k in _SCHEMA[name]})
+        given[name] = value
 
-    root = types.SimpleNamespace(**{
-        leaf.field: _typed(f"{key}:", leaf, canonical[key], errors)
-        for key, leaf in _ROOT.items()})
+    # the typed values, so that the hash and the dump do not depend on
+    # whether a number is spelled as an int or a float
+    canonical = {key: _typed(f"{key}:", leaf, raw.get(key, leaf.default), errors)
+                 for key, leaf in _ROOT.items()}
+    root = types.SimpleNamespace(**{leaf.field: canonical[key]
+                                    for key, leaf in _ROOT.items()})
     # seeding takes the root seed modulo 2**32: a wider one would alias
     if (type(root.seed) is int and _finite_number(root.seed)
             and not 0 <= root.seed < 2**32):
@@ -299,8 +293,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for name, cls in _SECTIONS.items():
         built[name] = None
         n_errors = len(errors)
-        values = {leaf.field: _typed(f"{name}: {key}", leaf, canonical[name][key], errors)
-                  for key, leaf in _SCHEMA[name].items()}
+        canonical[name] = {
+            key: _typed(f"{name}: {key}", leaf, given[name].get(key, leaf.default), errors)
+            for key, leaf in _SCHEMA[name].items()}
+        values = {leaf.field: canonical[name][key] for key, leaf in _SCHEMA[name].items()}
         linked = _linked(name, built, root)
         if linked is None or len(errors) > n_errors:
             continue  # already diagnosed here or in a source section

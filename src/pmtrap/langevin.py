@@ -27,13 +27,13 @@ warnings before the first block.  The noise is drawn in order from one
 generator and the scan's chunks sit on a grid fixed from the first sample,
 a chunk that straddles two blocks carrying its running sum across, so the
 result is bit-identical to one pass over the whole trace, whatever the
-block size.  A whole ``TimeSeries`` is a stream too, of one block, so every
-consumer of a stream takes either.  ``detector_blocks`` is the one detector
-readout, a per-block transform that only reads its input; a whole trace is
-read out as ``detector_blocks(series, cfg).collect()``.  A consumer such as
+block size.  A whole trace is ``axial_motion_blocks(...).collect()``, a
+``TimeSeries``, which is a stream too, of one block, so every consumer of a
+stream takes either.  ``detector_blocks`` is the one detector readout, a
+per-block transform that only reads its input; a whole trace is read out
+as ``detector_blocks(series, cfg).collect()``.  A consumer such as
 ``io_formats.write_time_series`` can therefore take a trace of any length
-in fixed memory.  ``simulate_axial_motion`` collects the same blocks into a
-``TimeSeries``.  The recurrence is bit-deterministic per seed and orders of
+in fixed memory.  The recurrence is bit-deterministic per seed and orders of
 magnitude faster than stepping in Python.
 
 Rod alignment is modeled by its stationary statistics: tilt angles beta
@@ -64,7 +64,6 @@ __all__ = [
     "SeriesBlocks",
     "check_time_step",
     "axial_motion_blocks",
-    "simulate_axial_motion",
     "detector_blocks",
     "mean_cos2_tilt",
     "apparent_a_pi",
@@ -392,14 +391,6 @@ def _scan(log_r: complex | float, inputs: Iterator[np.ndarray], unit: float = 1.
             if at == length:
                 acc, at = carry * acc, 0
         yield y.imag if project else y
-
-
-def simulate_axial_motion(stiffness: TrapStiffness, gamma: float, mass: float,
-                          temperature: float, cfg: SimConfig,
-                          initial_state: tuple[float, float] | None = None) -> TimeSeries:
-    """``axial_motion_blocks`` collected into one trace of z(t) in meters."""
-    return axial_motion_blocks(stiffness, gamma, mass, temperature, cfg,
-                               initial_state).collect()
 
 
 def detector_blocks(z: SeriesBlocks | TimeSeries, cfg: SimConfig) -> SeriesBlocks:

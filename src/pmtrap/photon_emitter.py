@@ -19,11 +19,11 @@ pulses, so memory does not grow with the acquisition.  Each attenuation
 level carries its geometric-gap position from block to block, and the
 trajectory, each level's hits and counts, and the splitter draw from
 separate child generators, so the stream is deterministic per seed and the
-same whatever the block size.  :func:`generate_time_tags` collects the
-blocks into one ``TimeTagStream``, which is a stream of one block, so every
-consumer of a stream takes either.  The per-pulse Monte Carlo of the same
-chain, which checks that pmf, lives with the test oracles
-(``tests/oracles.py``).
+same whatever the block size.  A whole acquisition is
+``time_tag_blocks(...).collect()``, a ``TimeTagStream``, which is a stream
+of one block, so every consumer of a stream takes either.  The per-pulse
+Monte Carlo of the same chain, which checks that pmf, lives with the test
+oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "blink_trajectory",
     "detection_blocks",
     "time_tag_blocks",
-    "generate_time_tags",
     "expected_count_rate",
 ]
 
@@ -547,13 +546,6 @@ def time_tag_blocks(excitation: ExcitationConfig, emitter: EmitterModel,
         "mean_excitons": excitation.mean_excitons,
         "auger_pair_prob": emitter.auger_pair_prob,
     })
-
-
-def generate_time_tags(excitation: ExcitationConfig, emitter: EmitterModel,
-                       chain: DetectionChain, duration: float,
-                       seed: int) -> TimeTagStream:
-    """The stream of :func:`time_tag_blocks`, collected in one ``TimeTagStream``."""
-    return time_tag_blocks(excitation, emitter, chain, duration, seed).collect()
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_criterion_04_count_rate():
         est = pe.expected_count_rate(exc, emitter, chain)
         # Monte Carlo over 1e7 pulses
         duration = 1e7 / exc.repetition_rate
-        stream = pe.generate_time_tags(exc, emitter, chain, duration, seed=404)
+        stream = pe.time_tag_blocks(exc, emitter, chain, duration, seed=404).collect()
         mc_rate = len(stream) / duration
     assert est.rate == pytest.approx(125e3, abs=14e3)
     assert est.uncertainty == pytest.approx(14e3, abs=3e3)
@@ -119,21 +119,21 @@ def test_criterion_06_g2_suite():
         period = 1.0 / exc.repetition_rate
 
         # p_A = 1: perfect antibunching
-        s1 = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=1.0),
-                                   chain, 1.0, seed=601)
+        s1 = pe.time_tag_blocks(exc, steady_rod(auger_pair_prob=1.0),
+                                chain, 1.0, seed=601)
         g1 = analysis.g2_zero(s1, period)
         assert g1.g2 == 0.0
 
         # p_A = 0: Poissonian
-        s0 = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=0.0),
-                                   chain, 2.0, seed=602)
+        s0 = pe.time_tag_blocks(exc, steady_rod(auger_pair_prob=0.0),
+                                chain, 2.0, seed=602)
         g0 = analysis.g2_zero(s0, period)
         assert abs(g0.g2 - 1.0) < 3 * g0.error
 
         # N independent single-photon emitters: 1 - 1/N
         results_n = {}
         for n in (2, 4):
-            sn = pe.generate_time_tags(
+            sn = pe.time_tag_blocks(
                 exc, steady_rod(n_rods=n, auger_pair_prob=1.0,
                                 independent_emitters=True),
                 chain, 1.5, seed=600 + n)
@@ -143,15 +143,15 @@ def test_criterion_06_g2_suite():
             results_n[n] = gn.g2
 
         # documented band setting: shared pool with p_A = 0.9
-        sb = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=0.9),
-                                   chain, 2.0, seed=606)
+        sb = pe.time_tag_blocks(exc, steady_rod(auger_pair_prob=0.9),
+                                chain, 2.0, seed=606)
         gb = analysis.g2_zero(sb, period)
         assert 0.15 <= gb.g2 <= 0.44
 
         # Monte Carlo matches the brute-force enumeration oracle within 3 sigma
         for p_a, seed in ((0.9, 607), (0.6, 608), (0.3, 609)):
-            s = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=p_a),
-                                      chain, 2.0, seed=seed)
+            s = pe.time_tag_blocks(exc, steady_rod(auger_pair_prob=p_a),
+                                   chain, 2.0, seed=seed)
             g = analysis.g2_zero(s, period)
             expected = oracles.pulsed_g2_expected(exc.mean_excitons, p_a)
             assert abs(g.g2 - expected) < 3 * g.error
@@ -171,8 +171,8 @@ def test_criterion_07_fit_round_trips():
         widths = []
         for seed in range(20):
             cfg = lv.SimConfig(time_step=1.9e-9, duration=8e-3, seed=seed)
-            series = lv.simulate_axial_motion(stiffness, gamma, mass, 296.0, cfg)
-            spec = analysis.power_spectral_density(series, segment_length=2**16)
+            series = lv.axial_motion_blocks(stiffness, gamma, mass, 296.0, cfg).collect()
+            spec = analysis.stream_power_spectral_density(series, segment_length=2**16)
             widths.append(analysis.fit_lorentzian(spec).gamma)
         width_err = abs(np.median(widths) / gamma - 1.0)
         assert width_err < 0.05
@@ -257,7 +257,7 @@ def test_criterion_09_equipartition_and_parseval():
         stiffness = lv.TrapStiffness(k_z=mass * omega**2)
         gamma = 2 * np.pi * 0.62e6
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1.2e-8 * 1_000_000, seed=2)
-        series = lv.simulate_axial_motion(stiffness, gamma, mass, 296.0, cfg)
+        series = lv.axial_motion_blocks(stiffness, gamma, mass, 296.0, cfg).collect()
         ratio = np.var(series.samples) * stiffness.k_z / KT
         assert ratio == pytest.approx(1.0, abs=0.03)
 
@@ -266,7 +266,7 @@ def test_criterion_09_equipartition_and_parseval():
         white = lv.TimeSeries(sample_interval=1e-6,
                               samples=rng.normal(0, 1.7, 2**17))
         for s in (series, white):
-            spec = analysis.power_spectral_density(s)
+            spec = analysis.stream_power_spectral_density(s)
             parseval.append(spec.integral() / np.var(s.samples))
             assert parseval[-1] == pytest.approx(1.0, abs=0.01)
     assert t.elapsed < 60.0
@@ -280,19 +280,19 @@ def test_criterion_10_blinking_pipeline():
         chain = pe.DetectionChain()
         grey_factor = 3.0
         emitter = steady_rod(auger_pair_prob=1.0, grey_level=1.0 / grey_factor)
-        stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=1001)
-        hist = analysis.blink_analysis(stream, bin_width=500e-6)
+        stream = pe.time_tag_blocks(exc, emitter, chain, 10.0, seed=1001).collect()
+        hist = analysis.blink_analysis(stream)
         bright = pe.expected_count_rate(exc, emitter, chain).rate
         assert hist.grey_mean_rate == pytest.approx(bright / grey_factor, rel=0.10)
 
         burst = steady_rod(auger_pair_prob=1.0, grey_level=0.0,
                            bright_dwell=1.67e-4, grey_dwell=5e-3)
-        bstream = pe.generate_time_tags(exc, burst, chain, 10.0, seed=1002)
-        bhist = analysis.blink_analysis(bstream, bin_width=500e-6)
+        bstream = pe.time_tag_blocks(exc, burst, chain, 10.0, seed=1002).collect()
+        bhist = analysis.blink_analysis(bstream)
         assert bhist.classification == "exponential_burst"
 
         # deterministic classification on identical input
-        again = analysis.blink_analysis(bstream, bin_width=500e-6)
+        again = analysis.blink_analysis(bstream)
         assert again.classification == bhist.classification
         assert analysis.blink_analysis(stream).classification == hist.classification
     assert t.elapsed < 120.0

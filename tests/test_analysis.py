@@ -37,12 +37,12 @@ def white_noise_series(sigma=1.0, n=2**17, dt=1e-6, seed=0):
 class TestPowerSpectralDensity:
     def test_parseval_white_noise(self):
         series = white_noise_series(sigma=2.5)
-        spec = an.power_spectral_density(series)
+        spec = an.stream_power_spectral_density(series)
         assert spec.integral() == pytest.approx(np.var(series.samples), rel=0.01)
 
     def test_flat_for_white_noise(self):
         series = white_noise_series()
-        spec = an.power_spectral_density(series)
+        spec = an.stream_power_spectral_density(series)
         half = len(spec.densities) // 2
         assert np.mean(spec.densities[:half]) == pytest.approx(
             np.mean(spec.densities[half:]), rel=0.03)
@@ -53,7 +53,7 @@ class TestPowerSpectralDensity:
         f0 = 1.234e5
         series = TimeSeries(sample_interval=dt,
                             samples=np.sin(2 * np.pi * f0 * t))
-        spec = an.power_spectral_density(series, segment_length=8192)
+        spec = an.stream_power_spectral_density(series, segment_length=8192)
         peak = spec.frequencies[np.argmax(spec.densities)]
         df = spec.frequencies[1] - spec.frequencies[0]
         assert abs(peak - f0) <= df
@@ -69,7 +69,7 @@ class TestPowerSpectralDensity:
         corr = np.convolve(base, np.ones(8) / 8, mode="same")
         for samples in (corr, base + np.sin(np.arange(2**16) * 0.05)):
             series = TimeSeries(sample_interval=1e-6, samples=samples)
-            spec = an.power_spectral_density(series)
+            spec = an.stream_power_spectral_density(series)
             assert spec.integral() == pytest.approx(np.var(samples), rel=0.01)
 
     @pytest.mark.parametrize("block", [7, 1000])
@@ -83,7 +83,7 @@ class TestPowerSpectralDensity:
         blocks = SeriesBlocks(1.0, len(samples), (
             samples[i: i + block] for i in range(0, len(samples), block)))
         streamed = an.stream_power_spectral_density(blocks, 256)
-        whole = an.power_spectral_density(series, 256)
+        whole = an.stream_power_spectral_density(series, 256)
         assert np.all(streamed.densities >= 0)
         np.testing.assert_allclose(streamed.densities, whole.densities,
                                    rtol=1e-12, atol=1e-12 * whole.densities.max())
@@ -102,13 +102,13 @@ class TestPowerSpectralDensity:
     def test_too_short_rejected(self):
         series = white_noise_series(n=512)
         with pytest.raises(InsufficientDataError):
-            an.power_spectral_density(series, segment_length=512)
+            an.stream_power_spectral_density(series, segment_length=512)
 
     def test_averages_count_segments_used(self):
         # hop 256 - int(25.6) = 231 fits 5 segments in 1406 samples, while
         # int(256 * 0.9) = 230 would claim 6
         series = white_noise_series(n=1406)
-        spec = an.power_spectral_density(series, segment_length=256, overlap=0.1)
+        spec = an.stream_power_spectral_density(series, segment_length=256, overlap=0.1)
         assert spec.averages == 5
         _, ref = signal.welch(series.samples - series.samples.mean(), fs=1e6,
                               window="hann", nperseg=256, noverlap=25,
@@ -116,8 +116,8 @@ class TestPowerSpectralDensity:
         np.testing.assert_allclose(spec.densities, ref, rtol=1e-12)
         # three segments of the same hop are too few
         with pytest.raises(InsufficientDataError):
-            an.power_spectral_density(white_noise_series(n=256 + 2 * 231 + 230),
-                                      segment_length=256, overlap=0.1)
+            an.stream_power_spectral_density(white_noise_series(n=256 + 2 * 231 + 230),
+                                             segment_length=256, overlap=0.1)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -136,8 +136,8 @@ class TestPowerSpectralDensity:
         series = TimeSeries(sample_interval=1e-6, samples=x)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(an, "_PSD_BLOCK_SAMPLES", block_segments * segment_length)
-            spec = an.power_spectral_density(series, segment_length=segment_length,
-                                             overlap=overlap)
+            spec = an.stream_power_spectral_density(series, segment_length=segment_length,
+                                                    overlap=overlap)
         freqs, ref = signal.welch(x - x.mean(), fs=1e6, window="hann",
                                   nperseg=segment_length,
                                   noverlap=segment_length - hop, detrend=False)
@@ -152,7 +152,7 @@ class TestPowerSpectralDensity:
         series = white_noise_series(n=n)
         tracemalloc.start()
         try:
-            an.power_spectral_density(series)
+            an.stream_power_spectral_density(series)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -175,9 +175,9 @@ class TestPowerSpectralDensity:
         n = segment_length + (3 + extra) * hop + tail % hop
         noise = np.random.default_rng(seed).normal(0.0, 1.0, n + width - 1)
         x = offset + np.convolve(noise, np.ones(width) / width, mode="valid")
-        spec = an.power_spectral_density(TimeSeries(sample_interval=1e-6, samples=x),
-                                         segment_length=segment_length,
-                                         overlap=overlap)
+        spec = an.stream_power_spectral_density(TimeSeries(sample_interval=1e-6, samples=x),
+                                                segment_length=segment_length,
+                                                overlap=overlap)
         w = signal.get_window("hann", segment_length)
         energies = [np.sum((w * (x[start: start + segment_length] - x.mean())) ** 2)
                     for start in range(0, n - segment_length + 1, hop)]
@@ -408,7 +408,7 @@ class TestFitLorentzian:
 
     def test_flat_spectrum_rejected(self):
         series = white_noise_series(seed=11)
-        spec = an.power_spectral_density(series)
+        spec = an.stream_power_spectral_density(series)
         with pytest.raises(NoPeakError):
             an.fit_lorentzian(spec)
 
@@ -474,8 +474,8 @@ class TestG2Zero:
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
         emitter = steady_rod(auger_pair_prob=1.0)
-        s1 = pe.generate_time_tags(exc, emitter, chain, 1.0, seed=40)
-        s2 = pe.generate_time_tags(exc, emitter, chain, 1.0, seed=41)
+        s1 = pe.time_tag_blocks(exc, emitter, chain, 1.0, seed=40).collect()
+        s2 = pe.time_tag_blocks(exc, emitter, chain, 1.0, seed=41).collect()
         t = np.concatenate([s1.timestamps, s2.timestamps])
         ch = np.concatenate([s1.channels, s2.channels])
         order = np.argsort(t, kind="stable")
@@ -612,9 +612,9 @@ class TestG2Zero:
         # the default 10 s acquisition (~7e5 events); the pair expansion
         # runs in blocks, so even max_lag 2000 stays small
         config = parse_config(yaml.safe_load(default_config_yaml()))
-        stream = pe.generate_time_tags(
+        stream = pe.time_tag_blocks(
             config.excitation, config.emitter, config.detection,
-            config.acquisition.duration, seed=config.seed)
+            config.acquisition.duration, seed=config.seed).collect()
         tracemalloc.start()
         try:
             result = an.g2_zero(stream, 1.0 / config.excitation.repetition_rate,
@@ -638,7 +638,7 @@ class TestBlinkAnalysis:
         exc = pe.ExcitationConfig()
         chain = pe.DetectionChain()
         emitter = steady_rod(auger_pair_prob=1.0, grey_level=1.0 / 3.0)
-        stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=50)
+        stream = pe.time_tag_blocks(exc, emitter, chain, 10.0, seed=50)
         hist = an.blink_analysis(stream)
         bright = pe.expected_count_rate(exc, emitter, chain).rate
         assert hist.classification in ("two_state", "grey_state_peak")
@@ -649,7 +649,7 @@ class TestBlinkAnalysis:
         chain = pe.DetectionChain()
         emitter = steady_rod(auger_pair_prob=1.0, grey_level=0.0,
                              bright_dwell=1.67e-4, grey_dwell=5e-3)
-        stream = pe.generate_time_tags(exc, emitter, chain, 10.0, seed=51)
+        stream = pe.time_tag_blocks(exc, emitter, chain, 10.0, seed=51)
         hist = an.blink_analysis(stream)
         assert hist.classification == "exponential_burst"
 
@@ -665,6 +665,17 @@ class TestBlinkAnalysis:
         stream = poisson_stream(20e3, 0.2, seed=7)
         with pytest.raises(InsufficientDataError):
             an.blink_analysis(stream)
+
+    def test_other_widths_go_through_rate_bins(self):
+        # a stream is binned at the default width; a fed RateBins keeps its own
+        stream = poisson_stream(20e3, 5.0, seed=8)
+        rates = an.RateBins(stream.duration, 1e-3)
+        for _, timestamps in stream.blocks:
+            rates.add(timestamps)
+        assert an.blink_analysis(rates).bin_width == 0.001
+        assert an.blink_analysis(stream).bin_width == an.DEFAULT_BIN_WIDTH
+        with pytest.raises(TypeError):
+            an.blink_analysis(stream, bin_width=1e-3)
 
 
 class TestFitSaturation:

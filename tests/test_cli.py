@@ -796,9 +796,9 @@ class TestReproduceCli:
         emitter = pe.EmitterModel(n_rods=config.emitter.n_rods,
                                   quantum_yield=config.emitter.quantum_yield,
                                   auger_pair_prob=1.0, grey_level=1.0)
-        stream = pe.generate_time_tags(
+        stream = pe.time_tag_blocks(
             config.excitation, emitter, config.detection, 10.0,
-            seed=int(rng_for(config.seed, "appE-rate").integers(2**31)))
+            seed=int(rng_for(config.seed, "appE-rate").integers(2**31))).collect()
         assert summary["monte_carlo_rate_hz"] == len(stream) / 10.0
         assert summary["n_pulses"] == stream.metadata["n_pulses"]
         row = (tmp_path / "appE_rate.csv").read_text().split("\n")[-2]
@@ -816,8 +816,8 @@ class TestReproduceCli:
         for n in sizes:
             emitter = pe.EmitterModel(n_rods=n, quantum_yield=config.emitter.quantum_yield,
                                       auger_pair_prob=None, grey_level=1.0)
-            stream = pe.generate_time_tags(config.excitation, emitter, config.detection,
-                                           1.0, seed=int(rng.integers(2**31)))
+            stream = pe.time_tag_blocks(config.excitation, emitter, config.detection,
+                                        1.0, seed=int(rng.integers(2**31)))
             g2 = analysis.g2_zero(stream, 1.0 / config.excitation.repetition_rate)
             beta = 0.0 if n <= 27 else np.radians(rng.normal(35.0, 10.0))
             orientation = np.array([np.sin(beta), 0.0, np.cos(beta)])
@@ -1421,12 +1421,12 @@ class TestCampaignPairs:
         points = []
         for n, _, width, _, low, high in table:
             physics = config.cluster_physics(n_rods=int(n), w_z=120e-9)
-            series = langevin.simulate_axial_motion(
+            series = langevin.axial_motion_blocks(
                 physics.stiffness, physics.gamma, physics.mass, config.gas.temperature,
                 langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9, seed=int(
-                    rng_for(config.seed, "fig1b", int(n)).integers(2**31))))
+                    rng_for(config.seed, "fig1b", int(n)).integers(2**31)))).collect()
             fit = analysis.fit_lorentzian(
-                analysis.power_spectral_density(series, segment_length=2**15))
+                analysis.stream_power_spectral_density(series, segment_length=2**15))
             assert [width, low, high] == pytest.approx(
                 [fit.gamma / (2 * np.pi), *fit.width_ci95], rel=1e-12, abs=0)
             points.append((physics.p_min, fit.gamma))

@@ -21,6 +21,7 @@ from pmtrap import mirror_optics as mo
 from pmtrap.cli import simulate_dataset
 from pmtrap.config import (
     ExperimentConfig,
+    config_hash,
     default_config_yaml,
     dump_config,
     load_config,
@@ -317,7 +318,7 @@ class TestTimeSeriesIO:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "_PSD_BLOCK_SAMPLES", block)
             patch.setattr(io, "_BLOCK_RECORDS", read_block)
-            whole = analysis.power_spectral_density(series, segment_length, overlap)
+            whole = analysis.stream_power_spectral_density(series, segment_length, overlap)
             streamed = analysis.stream_power_spectral_density(
                 io.read_time_series(path), segment_length, overlap)
         assert np.array_equal(streamed.frequencies, whole.frequencies)
@@ -934,6 +935,11 @@ CHANGED = {
 }
 
 
+# Leaves of a float field; a null default takes its CHANGED value's type.
+FLOAT_LEAVES = sorted(name for name, value in {**DEFAULT_LEAVES, **CHANGED}.items()
+                      if type(value) is float)
+
+
 def _leaf_base() -> dict:
     raw = yaml.safe_load(default_config_yaml())
     for section, values in LEAF_BASE.items():
@@ -1098,6 +1104,28 @@ class TestConfig:
         config2 = parse_config(yaml.safe_load(dump_config(config)))
         assert config2 == config
         assert dump_config(config2) == dump_config(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(FLOAT_LEAVES),
+           value=st.integers(-2, 1000) | st.integers(0, 10**17))
+    @example(name="gas.temperature_k", value=296)
+    @example(name="trap.power_w", value=1)
+    @example(name="trap.field_factor", value=4 * 10**15)
+    def test_int_spelling_is_the_float_spelling(self, name, value):
+        # the hash and the dump depend on the value, not on its spelling;
+        # an invalid value gives the same diagnostics either way
+        spelled = []
+        for number in (value, float(value)):
+            raw = yaml.safe_load(default_config_yaml())
+            node, key = _leaf_node(raw, name)
+            node[key] = number
+            try:
+                config = parse_config(raw)
+            except ConfigError as err:
+                spelled.append(err.details)
+            else:
+                spelled.append((config_hash(config), dump_config(config)))
+        assert spelled[0] == spelled[1]
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -29,7 +29,7 @@ def _detector(z, cfg):
 class TestSimulateAxialMotion:
     def test_equipartition(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1.2e-8 * 1_000_000, seed=2)
-        series = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        series = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
         ratio = np.var(series.samples) * STIFFNESS.k_z / KT
         assert ratio == pytest.approx(1.0, abs=0.03)
 
@@ -38,8 +38,8 @@ class TestSimulateAxialMotion:
         # below 1e-6 over 1e3 periods (200 samples per period)
         period = 2 * np.pi / OMEGA
         cfg = lv.SimConfig(time_step=period / 200, duration=1000 * period, seed=0)
-        series = lv.simulate_axial_motion(STIFFNESS, 0.0, MASS, 0.0, cfg,
-                                          initial_state=(1e-9, 0.0))
+        series = lv.axial_motion_blocks(STIFFNESS, 0.0, MASS, 0.0, cfg,
+                                        initial_state=(1e-9, 0.0)).collect()
         per_period = series.samples.reshape(1000, 200)
         amplitudes = np.max(np.abs(per_period), axis=1)
         assert abs(amplitudes[-1] / amplitudes[0] - 1.0) < 1e-6
@@ -47,9 +47,9 @@ class TestSimulateAxialMotion:
     def test_oscillation_frequency(self):
         period = 2 * np.pi / OMEGA
         cfg = lv.SimConfig(time_step=period / 200, duration=500 * period, seed=0)
-        series = lv.simulate_axial_motion(STIFFNESS, 0.0, MASS, 0.0, cfg,
-                                          initial_state=(1e-9, 0.0))
-        spec = analysis.power_spectral_density(series, segment_length=8192)
+        series = lv.axial_motion_blocks(STIFFNESS, 0.0, MASS, 0.0, cfg,
+                                        initial_state=(1e-9, 0.0)).collect()
+        spec = analysis.stream_power_spectral_density(series, segment_length=8192)
         f_peak = spec.frequencies[np.argmax(spec.densities)]
         assert f_peak == pytest.approx(OMEGA / (2 * np.pi),
                                        abs=2 * spec.frequencies[1])
@@ -64,8 +64,8 @@ class TestSimulateAxialMotion:
         widths = []
         for seed in range(5):
             cfg = lv.SimConfig(time_step=1.9e-9, duration=8e-3, seed=seed)
-            series = lv.simulate_axial_motion(stiffness, gamma, MASS, 296.0, cfg)
-            spec = analysis.power_spectral_density(series, segment_length=2**16)
+            series = lv.axial_motion_blocks(stiffness, gamma, MASS, 296.0, cfg).collect()
+            spec = analysis.stream_power_spectral_density(series, segment_length=2**16)
             widths.append(analysis.fit_lorentzian(spec).gamma)
         assert np.median(widths) == pytest.approx(gamma, rel=0.05)
 
@@ -78,27 +78,27 @@ class TestSimulateAxialMotion:
         dt = 1.0 / (20.0 * max(gamma, OMEGA))
         n = 8000
         cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=0)
-        series = lv.simulate_axial_motion(STIFFNESS, gamma, MASS, 0.0, cfg,
-                                          initial_state=(1e-9, 2e-3))
+        series = lv.axial_motion_blocks(STIFFNESS, gamma, MASS, 0.0, cfg,
+                                        initial_state=(1e-9, 2e-3)).collect()
         ref = oracles.splitting_transient(OMEGA, gamma, dt, 1e-9, 2e-3, n)
         assert len(series.samples) == n
         assert np.max(np.abs(series.samples - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_deterministic(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1e-3, seed=99)
-        a = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
-        b = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        a = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
+        b = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
         assert np.array_equal(a.samples, b.samples)
 
     def test_unstable_step_rejected(self):
         cfg = lv.SimConfig(time_step=1e-6, duration=1e-2, seed=0)
         with pytest.raises(ValueError, match="time_step .* too coarse"):
-            lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
 
     def test_short_duration_warns(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=5e-6, seed=0)
         with pytest.warns(UserWarning, match="duration"):
-            lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
 
 
 # the spacing of the subnormal numbers
@@ -147,8 +147,8 @@ class TestRecurrenceProperties:
         cfg = lv.SimConfig(time_step=self.DT, duration=n * self.DT, seed=seed)
 
         def run():
-            return lv.simulate_axial_motion(STIFFNESS, gamma, MASS, temperature,
-                                            cfg, initial_state=(z0, v0)).samples
+            return lv.axial_motion_blocks(STIFFNESS, gamma, MASS, temperature,
+                                          cfg, initial_state=(z0, v0)).collect().samples
 
         whole = run()
         with pytest.MonkeyPatch.context() as mp:
@@ -175,8 +175,8 @@ class TestRecurrenceProperties:
         gamma = ratio * OMEGA
         dt = step / (10.0 * max(gamma, OMEGA))
         cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=seed)
-        z = lv.simulate_axial_motion(STIFFNESS, gamma, MASS, temperature, cfg,
-                                     initial_state=(z0, v0)).samples
+        z = lv.axial_motion_blocks(STIFFNESS, gamma, MASS, temperature, cfg,
+                                   initial_state=(z0, v0)).collect().samples
         assert len(z) == n
         _assert_matches_lfilter(z, gamma, temperature, dt, z0, v0, seed)
 
@@ -188,8 +188,8 @@ class TestRecurrenceProperties:
         batches, per_batch = 40, int(200.0 / (GAMMA * self.DT))
         n = batches * per_batch
         cfg = lv.SimConfig(time_step=self.DT, duration=n * self.DT, seed=seed)
-        z = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, temperature,
-                                     cfg).samples
+        z = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, temperature,
+                                   cfg).collect().samples
         means = np.mean(z.reshape(batches, per_batch) ** 2, axis=1)
         expected = const.BOLTZMANN * temperature / STIFFNESS.k_z
         std_error = np.std(means, ddof=1) / np.sqrt(batches)
@@ -212,8 +212,8 @@ class TestScale:
         gamma = ratio * OMEGA
         dt = 0.5 / (10.0 * max(gamma, OMEGA))
         cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=0)
-        return lv.simulate_axial_motion(STIFFNESS, gamma, MASS, 0.0, cfg,
-                                        initial_state=state).samples
+        return lv.axial_motion_blocks(STIFFNESS, gamma, MASS, 0.0, cfg,
+                                      initial_state=state).collect().samples
 
     # scaling (z0, v0) by 2^k scales every sample by exactly 2^k, from
     # below 1 (scanned as they are) to above it (scanned in units of a
@@ -272,8 +272,8 @@ class TestChunkStraddle:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(lv, "_CHUNK_SAMPLES", 1 << chunk)
                 mp.setattr(lv, "_BLOCK_SAMPLES", block_samples)
-                return lv.simulate_axial_motion(STIFFNESS, gamma, MASS, temperature,
-                                                cfg, initial_state=initial).samples
+                return lv.axial_motion_blocks(STIFFNESS, gamma, MASS, temperature,
+                                              cfg, initial_state=initial).collect().samples
 
         whole = run(n)
         assert len(whole) == n
@@ -305,8 +305,8 @@ class TestBlockInvariance:
                                         temperature, initial):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=n * 1.2e-8, seed=8)
         whole, blocked = _blocked(
-            monkeypatch, block, n, lambda: lv.simulate_axial_motion(
-                STIFFNESS, gamma, MASS, temperature, cfg, initial_state=initial))
+            monkeypatch, block, n, lambda: lv.axial_motion_blocks(
+                STIFFNESS, gamma, MASS, temperature, cfg, initial_state=initial).collect())
         assert len(whole.samples) == n
         assert np.array_equal(whole.samples, blocked.samples)
 
@@ -316,7 +316,7 @@ class TestBlockInvariance:
     def test_detector_bit_identical(self, monkeypatch, n, block, noise_floor):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=n * 1.2e-8, seed=8,
                            detector_noise_floor=noise_floor)
-        z = lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        z = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
         whole, blocked = _blocked(monkeypatch, block, n,
                                   lambda: _detector(z, cfg))
         assert np.array_equal(whole.samples, blocked.samples)
@@ -338,7 +338,7 @@ class TestStreamedDetectorFile:
         args = (STIFFNESS, GAMMA, MASS, 296.0, cfg)
         collected = tmp_path / "collected.ts"
         io_formats.write_time_series(collected, _detector(
-            lv.simulate_axial_motion(*args), cfg))
+            lv.axial_motion_blocks(*args).collect(), cfg))
         monkeypatch.setattr(lv, "_BLOCK_SAMPLES", block)
         streamed = tmp_path / "streamed.ts"
         io_formats.write_time_series(streamed, lv.detector_blocks(
@@ -370,8 +370,8 @@ class TestBoundedMemory:
     CFG = lv.SimConfig(time_step=1.2e-8, duration=2**23 * 1.2e-8, seed=3)
 
     def test_axial_motion(self):
-        z, peak = _traced_peak(lambda: lv.simulate_axial_motion(
-            STIFFNESS, GAMMA, MASS, 296.0, self.CFG))
+        z, peak = _traced_peak(lambda: lv.axial_motion_blocks(
+            STIFFNESS, GAMMA, MASS, 296.0, self.CFG).collect())
         assert len(z.samples) == 2**23
         assert peak < z.samples.nbytes + 24 * 2**20
 
@@ -393,7 +393,7 @@ class TestBoundedMemory:
 class TestDetectorSignal:
     def _series(self, seed=4):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=6e-3, seed=seed)
-        return cfg, lv.simulate_axial_motion(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        return cfg, lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
 
     def test_zero_gain_pure_noise(self):
         cfg, series = self._series()
@@ -401,7 +401,7 @@ class TestDetectorSignal:
                               seed=cfg.seed, detector_gain=0.0,
                               detector_noise_floor=1e-6)
         out = _detector(series, cfg_ng)
-        spec = analysis.power_spectral_density(out, segment_length=4096)
+        spec = analysis.stream_power_spectral_density(out, segment_length=4096)
         # flat at the configured one-sided floor
         assert np.median(spec.densities) == pytest.approx(1e-12, rel=0.05)
         third = len(spec.densities) // 3
@@ -429,7 +429,7 @@ class TestDetectorSignal:
     def test_peak_visible_with_defaults(self):
         cfg, series = self._series()
         out = _detector(series, cfg)
-        spec = analysis.power_spectral_density(out, segment_length=2**13)
+        spec = analysis.stream_power_spectral_density(out, segment_length=2**13)
         peak = spec.densities.max()
         floor = np.median(spec.densities[spec.frequencies > 3e6])
         assert peak / floor > 10

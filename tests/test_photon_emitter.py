@@ -197,9 +197,9 @@ class TestGreyLevel:
     @settings(max_examples=20, deadline=None)
     @given(bright=DWELLS, grey=DWELLS, seed=SEEDS)
     def test_one_is_steady_whatever_the_dwells(self, bright, grey, seed):
-        steady = pe.generate_time_tags(EXC, steady_rod(), CHAIN, 0.05, seed=seed)
-        stream = pe.generate_time_tags(
-            EXC, steady_rod(bright_dwell=bright, grey_dwell=grey), CHAIN, 0.05, seed=seed)
+        steady = pe.time_tag_blocks(EXC, steady_rod(), CHAIN, 0.05, seed=seed).collect()
+        stream = pe.time_tag_blocks(EXC, steady_rod(bright_dwell=bright, grey_dwell=grey),
+                                    CHAIN, 0.05, seed=seed).collect()
         assert stream.timestamps.tobytes() == steady.timestamps.tobytes()
         assert stream.channels.tobytes() == steady.channels.tobytes()
 
@@ -209,7 +209,7 @@ class TestGreyLevel:
     def test_zero_is_dark(self, bright, grey, seed):
         # no event's pulse falls in a grey segment of the stream's trajectory
         model = steady_rod(grey_level=0.0, bright_dwell=bright, grey_dwell=grey)
-        stream = pe.generate_time_tags(EXC, model, CHAIN, 0.05, seed=seed)
+        stream = pe.time_tag_blocks(EXC, model, CHAIN, 0.05, seed=seed).collect()
         trajectory = pe.blink_trajectory(0.05, model, rng_for(seed, "time-tags"))
         assert np.all(trajectory.attenuation_at(stream.timestamps) == 1.0)
 
@@ -217,30 +217,30 @@ class TestGreyLevel:
 class TestGenerateTimeTags:
     def test_reference_rate(self):
         emitter = steady_rod(auger_pair_prob=1.0)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=11)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 1.0, seed=11).collect()
         rate = len(stream) / 1.0
         assert 125e3 - 14e3 < rate < 125e3 + 14e3
 
     def test_zero_yield_empty(self):
         emitter = steady_rod(quantum_yield=0.0)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 0.1, seed=1)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 0.1, seed=1).collect()
         assert len(stream) == 0
 
     def test_zero_excitation_empty(self):
         exc = pe.ExcitationConfig(average_power=0.0)
-        stream = pe.generate_time_tags(exc, steady_rod(), CHAIN, 0.1, seed=1)
+        stream = pe.time_tag_blocks(exc, steady_rod(), CHAIN, 0.1, seed=1).collect()
         assert len(stream) == 0
 
     def test_deterministic(self):
         emitter = steady_rod(auger_pair_prob=0.8)
-        a = pe.generate_time_tags(EXC, emitter, CHAIN, 0.3, seed=5)
-        b = pe.generate_time_tags(EXC, emitter, CHAIN, 0.3, seed=5)
+        a = pe.time_tag_blocks(EXC, emitter, CHAIN, 0.3, seed=5).collect()
+        b = pe.time_tag_blocks(EXC, emitter, CHAIN, 0.3, seed=5).collect()
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.channels, b.channels)
 
     def test_sorted_within_window(self):
         emitter = steady_rod(auger_pair_prob=0.5)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 0.2, seed=6)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 0.2, seed=6).collect()
         assert np.all(np.diff(stream.timestamps) >= 0)
         assert stream.timestamps[-1] <= 0.2
 
@@ -250,7 +250,7 @@ class TestGenerateTimeTags:
         emitter = pe.EmitterModel(n_rods=64)  # the experiment's emitter
         tracemalloc.start()
         try:
-            stream = pe.generate_time_tags(exc, emitter, CHAIN, 10.0, seed=3)
+            stream = pe.time_tag_blocks(exc, emitter, CHAIN, 10.0, seed=3).collect()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,7 +260,7 @@ class TestGenerateTimeTags:
 
     def test_channels_balanced(self):
         emitter = steady_rod(auger_pair_prob=1.0)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=8)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 1.0, seed=8).collect()
         n0, n1 = stream.counts_per_channel()
         assert abs(n0 - n1) < 5 * np.sqrt(len(stream))
 
@@ -271,8 +271,8 @@ class TestSplitter:
         # multi-photon pulses: no Auger annihilation, well above saturation
         exc = pe.ExcitationConfig(average_power=20e-6)
         chain = pe.DetectionChain(splitter_ratio=ratio)
-        stream = pe.generate_time_tags(exc, steady_rod(auger_pair_prob=0.0),
-                                       chain, 0.05, seed=17)
+        stream = pe.time_tag_blocks(exc, steady_rod(auger_pair_prob=0.0),
+                                    chain, 0.05, seed=17).collect()
         pulses = np.rint(stream.timestamps * exc.repetition_rate).astype(np.int64)
         starts = np.flatnonzero(np.diff(pulses, prepend=-1))
         n = np.diff(starts, append=len(pulses))
@@ -301,19 +301,19 @@ class TestTimeTagBlocks:
         # counts and the splitter draw from their own generators
         emitter = steady_rod(auger_pair_prob=0.5, grey_level=1.0 / 3.0,
                              bright_dwell=2e-4, grey_dwell=3e-4)
-        whole = pe.generate_time_tags(EXC, emitter, CHAIN, 5e-3, seed=13)
+        whole = pe.time_tag_blocks(EXC, emitter, CHAIN, 5e-3, seed=13).collect()
         monkeypatch.setattr(pe, "_BLOCK_PULSES", block)
-        blocked = pe.generate_time_tags(EXC, emitter, CHAIN, 5e-3, seed=13)
+        blocked = pe.time_tag_blocks(EXC, emitter, CHAIN, 5e-3, seed=13).collect()
         assert len(whole) > 200
         assert blocked.timestamps.tobytes() == whole.timestamps.tobytes()
         assert blocked.channels.tobytes() == whole.channels.tobytes()
 
     def test_gap_chunk_does_not_change_stream(self, monkeypatch):
         emitter = steady_rod(grey_level=0.0, bright_dwell=1.67e-4, grey_dwell=5e-3)
-        whole = pe.generate_time_tags(EXC, emitter, CHAIN, 0.05, seed=14)
+        whole = pe.time_tag_blocks(EXC, emitter, CHAIN, 0.05, seed=14).collect()
         monkeypatch.setattr(pe, "_GAP_CHUNK", 5)
         monkeypatch.setattr(pe, "_BLOCK_PULSES", 999)
-        blocked = pe.generate_time_tags(EXC, emitter, CHAIN, 0.05, seed=14)
+        blocked = pe.time_tag_blocks(EXC, emitter, CHAIN, 0.05, seed=14).collect()
         assert blocked.timestamps.tobytes() == whole.timestamps.tobytes()
         assert blocked.channels.tobytes() == whole.channels.tobytes()
 
@@ -336,20 +336,20 @@ class TestTimeTagBlocks:
             analysis.g2_zero(tags, 1.0 / EXC.repetition_rate)
         else:
             io_formats.export_time_tags_csv(tmp_path / "tags.csv", tags)
-        assert len(tags) == len(pe.generate_time_tags(*args, seed=2)) > 0
+        assert len(tags) == len(pe.time_tag_blocks(*args, seed=2).collect()) > 0
 
 
 class TestDownstreamG2:
     def test_single_photon_zero(self):
         emitter = steady_rod(auger_pair_prob=1.0)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=20)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 1.0, seed=20).collect()
         assert len(stream) > 1e5
         result = analysis.g2_zero(stream, 1e-6)
         assert result.g2 == 0.0
 
     def test_poissonian_unity(self):
         emitter = steady_rod(auger_pair_prob=0.0)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 2.0, seed=21)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 2.0, seed=21)
         result = analysis.g2_zero(stream, 1e-6)
         assert abs(result.g2 - 1.0) < 3 * result.error
 
@@ -357,7 +357,7 @@ class TestDownstreamG2:
     def test_independent_emitters(self, n):
         emitter = steady_rod(n_rods=n, auger_pair_prob=1.0,
                              independent_emitters=True)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=22 + n)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 1.0, seed=22 + n)
         result = analysis.g2_zero(stream, 1e-6)
         expected = oracles.independent_emitters_g2(n)
         assert abs(result.g2 - expected) < 3 * result.error
@@ -366,7 +366,7 @@ class TestDownstreamG2:
         # the documented (p_A = 0.9, shared pool) point sits in the
         # observed antibunching band
         emitter = steady_rod(auger_pair_prob=0.9)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 2.0, seed=25)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 2.0, seed=25)
         result = analysis.g2_zero(stream, 1e-6)
         assert 0.15 <= result.g2 <= 0.44
         expected = oracles.pulsed_g2_expected(EXC.mean_excitons, 0.9)
@@ -376,7 +376,7 @@ class TestDownstreamG2:
         values = []
         for p in (0.2, 0.5, 0.8, 1.0):
             emitter = steady_rod(auger_pair_prob=p)
-            stream = pe.generate_time_tags(EXC, emitter, CHAIN, 1.0, seed=30)
+            stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 1.0, seed=30)
             values.append(analysis.g2_zero(stream, 1e-6).g2)
         oracle = [oracles.pulsed_g2_expected(EXC.mean_excitons, p)
                   for p in (0.2, 0.5, 0.8, 1.0)]
@@ -411,7 +411,7 @@ class TestExpectedCountRate:
 
     def test_monte_carlo_agreement(self):
         emitter = steady_rod(auger_pair_prob=1.0)
-        stream = pe.generate_time_tags(EXC, emitter, CHAIN, 2.0, seed=31)
+        stream = pe.time_tag_blocks(EXC, emitter, CHAIN, 2.0, seed=31).collect()
         est = pe.expected_count_rate(EXC, emitter, CHAIN)
         assert len(stream) / 2.0 == pytest.approx(est.rate, rel=0.02)
 

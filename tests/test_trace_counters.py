@@ -1,12 +1,10 @@
 """The benchmark's traced spans count what they are meant to count.
 
 A traced benchmark run (``perfbench/run.py --trace 1``) is marked incorrect
-when a span's counter raises.  The counters of these four functions read
-the length or the samples of a stream argument or result, so the stream
-types they are called with must keep serving them.  The CLI calls only
-``g2_zero`` of them (``reproduce`` streams its tags and traces), so the
-other three counters are applied to a direct call here, as the tracer
-applies them.
+when a span's counter raises.  The counter of ``g2_zero`` reads the length
+of its stream argument, so the stream types it is called with must keep
+serving it; it is applied to a direct call here too, as the tracer applies
+it.
 
 ``reproduce`` runs two package calls at once, one per thread, while the
 tracer keeps one span stack for the process; a memory-traced run of every
@@ -22,13 +20,12 @@ from pathlib import Path
 
 import yaml
 
-from pmtrap import analysis, langevin
+from pmtrap import analysis
 from pmtrap import photon_emitter as pe
 from pmtrap.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
-COUNTED = ("photon_emitter.generate_time_tags", "analysis.g2_zero",
-           "langevin.simulate_axial_motion", "analysis.power_spectral_density")
+COUNTED = ("analysis.g2_zero",)
 
 
 def _worker():
@@ -74,26 +71,12 @@ def test_counters_read_direct_calls():
     assert set(COUNTED) <= set(counters)
     config = parse_config({"seed": 2024})
 
-    args = (config.excitation, config.emitter, config.detection, 0.2, 17)
-    tags = pe.generate_time_tags(*args)
-    assert counters["photon_emitter.generate_time_tags"](args, {}, tags) == {
-        "pulses": 200_000, "events": len(tags)}
+    tags = pe.time_tag_blocks(config.excitation, config.emitter, config.detection,
+                              0.2, 17).collect()
     assert len(tags) > 0
     g2 = analysis.g2_zero(tags, 1.0 / config.excitation.repetition_rate, max_lag=20)
     assert counters["analysis.g2_zero"]((tags,), {}, g2) == {
         "events": len(tags), "coincidences": int(g2.coincidences.sum())}
-
-    physics = config.cluster_physics()
-    args = (physics.stiffness, physics.gamma, physics.mass, config.gas.temperature,
-            langevin.SimConfig(time_step=config.simulation.time_step,
-                               duration=2**15 * config.simulation.time_step, seed=17))
-    series = langevin.simulate_axial_motion(*args)
-    assert counters["langevin.simulate_axial_motion"](args, {}, series) == {
-        "samples": 2**15}
-    kwargs = {"segment_length": 4096}
-    spectrum = analysis.power_spectral_density(series, **kwargs)
-    assert counters["analysis.power_spectral_density"]((series,), kwargs, spectrum) == {
-        "samples": 2**15}
 
 
 def test_memory_traced_campaign_runs_clean(tmp_path):
