@@ -49,7 +49,6 @@ from .errors import (
     FitError,
     InsufficientDataError,
     MissingArtifactError,
-    PmtrapError,
     UndefinedResultError,
 )
 from .reproduce import REPRODUCE_TARGETS, run_target
@@ -60,6 +59,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MISSING_ARTIFACT = 4
 EXIT_ANALYSIS = 5
+# a statistic that cannot be computed from the data: exit 5
+_ANALYSIS_ERRORS = (FitError, InsufficientDataError, UndefinedResultError)
 
 # the artifacts analyze_dataset parses; each reader checks its manifest sha256
 ANALYZED_ARTIFACTS = ("tags.bin", "detector.ts", "image_total.img")
@@ -77,7 +78,7 @@ def simulate_dataset(config: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     physics = config.cluster_physics()
-    motion = langevin.axial_motion_blocks(physics.stiffness, physics.gamma,
+    motion = langevin.axial_motion_blocks(physics.k_z, physics.gamma,
                                           physics.mass, config.gas.temperature,
                                           config.simulation)
     tags = photon_emitter.time_tag_blocks(
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
                 # name, and the others still run
                 try:
                     summaries[name] = run_target(name, config, out_dir)
-                except (FitError, InsufficientDataError, UndefinedResultError) as exc:
+                except _ANALYSIS_ERRORS as exc:
                     print(f"analysis error: {name}: {exc}", file=sys.stderr)
             if len(summaries) < len(names):
                 return EXIT_ANALYSIS
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
         for detail in exc.details:
             print(f"  - {detail}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitError, InsufficientDataError, UndefinedResultError) as exc:
+    except _ANALYSIS_ERRORS as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except ValueError as exc:
@@ -329,9 +330,6 @@ def main(argv=None) -> int:
         return EXIT_MISSING_ARTIFACT
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PmtrapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

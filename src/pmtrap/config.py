@@ -11,7 +11,8 @@ rejected with field-level diagnostics.  ``field_factor: null`` selects the
 calibrated value (a single bare rod escapes at 41 mW and 296 K) and
 ``auger_pair_prob: null`` the cluster-size law.  Fields in ``_LINKED`` take another section's value:
 the detection chain takes the mirror section, so ``mirror.reflectivity`` is
-the only reflectivity knob, and the emitter takes ``cluster.n_rods``.
+the only reflectivity knob, and the emitter takes ``cluster.n_rods``.  The
+cluster's trap physics is composed by ``trap_mechanics.cluster_physics``.
 
 Schema (defaults shown by ``default_config_yaml()``):
 
@@ -52,31 +53,19 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import __version__
 from .errors import ConfigError, MissingArtifactError
 from .io_formats import _finite_number, sha256_file, write_json
-from .langevin import SimConfig, TrapStiffness, check_time_step
+from . import trap_mechanics
+from .langevin import SimConfig, check_time_step
 from .mirror_optics import DEFAULT_HALF_EXTENT, DEFAULT_N_PIXELS, MirrorGeometry
 from .photon_emitter import DetectionChain, EmitterModel, ExcitationConfig
-from .trap_mechanics import (
-    ClusterSample,
-    GasParams,
-    MaterialParams,
-    RodGeometry,
-    TrapParams,
-    cluster_damping_rate,
-    cluster_mass,
-    min_power,
-    polarizability,
-    trap_depth,
-)
+from .trap_mechanics import ClusterSample, GasParams, MaterialParams, RodGeometry, TrapParams
 
 __all__ = [
     "AcquisitionConfig",
-    "ClusterPhysics",
     "ExperimentConfig",
     "ImageConfig",
     "RunManifest",
@@ -118,17 +107,6 @@ class ImageConfig:
             raise ValueError("noise_rms_fraction must be in [0, 1)")
 
 
-class ClusterPhysics(typing.NamedTuple):
-    """Trap physics of one cluster at the configured trap and gas."""
-
-    alpha: float                # polarizability, C m^2 / V
-    mass: float                 # kg
-    gamma: float                # gas damping rate, rad/s
-    p_min: float                # escape power, W
-    stiffness: TrapStiffness
-    omega: float                # axial trap frequency, rad/s
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment configuration; fields mirror the YAML sections."""
@@ -150,24 +128,17 @@ class ExperimentConfig:
     raw: dict = field(compare=False, repr=False, default_factory=dict)
 
     def cluster_physics(self, n_rods: int | None = None,
-                        w_z: float | None = None) -> ClusterPhysics:
-        """Polarizability -> escape power, damping and stiffness of a cluster.
+                        w_z: float | None = None) -> trap_mechanics.ClusterPhysics:
+        """``trap_mechanics.cluster_physics`` at the configured gas and trap.
 
         ``n_rods`` defaults to the configured cluster and ``w_z`` to
         ``simulation.axial_width``.
         """
         cluster = (self.cluster if n_rods is None
                    else dataclasses.replace(self.cluster, n_rods=n_rods))
-        alpha = polarizability(self.rod, self.material, n_rods=cluster.n_rods)
-        mass = cluster_mass(cluster)
-        stiffness = TrapStiffness.from_trap_depth(
-            trap_depth(alpha, self.trap),
-            w_z=self.simulation.axial_width if w_z is None else w_z)
-        return ClusterPhysics(
-            alpha=alpha, mass=mass,
-            gamma=cluster_damping_rate(cluster, self.gas).rad_per_s,
-            p_min=min_power(alpha, self.gas.temperature, self.trap.field_factor),
-            stiffness=stiffness, omega=float(np.sqrt(stiffness.k_z / mass)))
+        return trap_mechanics.cluster_physics(
+            cluster, self.gas, self.trap,
+            self.simulation.axial_width if w_z is None else w_z)
 
 
 # YAML key = dataclass field name + unit suffix; the only renaming rule.

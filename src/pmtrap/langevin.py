@@ -4,8 +4,10 @@ Axial translation is modeled as a damped harmonic Langevin equation
 
     m z'' = -k_z z - m Gamma z' + sqrt(2 m Gamma kB T) xi(t)
 
-integrated with a Strang splitting: exact harmonic rotation half-steps (the
-exact Hamiltonian flow, hence symplectic) around an exact Ornstein-Uhlenbeck
+with the trap in plain floats k_z, Gamma and m (from the trap-mechanics
+layer's ``cluster_physics``, which this module does not import), integrated
+with a Strang splitting: exact harmonic rotation half-steps (the exact
+Hamiltonian flow, hence symplectic) around an exact Ornstein-Uhlenbeck
 damping/noise sub-step.  Both sub-steps leave the Boltzmann distribution of
 the harmonic trap invariant, so equipartition holds without time-step bias,
 and the scheme is unconditionally stable for any damping.  The one-step map
@@ -40,9 +42,9 @@ Rod alignment is modeled by its stationary statistics: tilt angles beta
 follow the Boltzmann weight exp(-dU sin^2(beta)/kB T) sin(beta) on
 [0, pi/2], which maps trap power onto the apparent linear-dipole fraction
 a_pi(P) = intrinsic * <cos^2 beta>, in closed form through Dawson's
-integral.  The quadrature and the rejection Monte Carlo of the same
-distribution, which check that closed form, live with the test oracles
-(``tests/oracles.py``).
+integral, at a passed-in gas temperature and field factor kappa.  The
+quadrature and the rejection Monte Carlo of the same distribution, which
+check that closed form, live with the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -55,10 +57,8 @@ import numpy as np
 
 from . import constants as const
 from .seeding import rng_for
-from .trap_mechanics import GasParams, calibrated_field_factor
 
 __all__ = [
-    "TrapStiffness",
     "SimConfig",
     "TimeSeries",
     "SeriesBlocks",
@@ -68,23 +68,6 @@ __all__ = [
     "mean_cos2_tilt",
     "apparent_a_pi",
 ]
-
-
-@dataclass(frozen=True)
-class TrapStiffness:
-    """Harmonic trap stiffness k_z = 2 U0 / w_z^2 with axial width w_z."""
-
-    k_z: float
-
-    def __post_init__(self):
-        if self.k_z <= 0:
-            raise ValueError("k_z must be > 0")
-
-    @classmethod
-    def from_trap_depth(cls, trap_depth: float, w_z: float) -> "TrapStiffness":
-        if w_z <= 0:
-            raise ValueError("w_z must be > 0")
-        return cls(k_z=2.0 * trap_depth / w_z**2)
 
 
 @dataclass(frozen=True)
@@ -231,7 +214,7 @@ def check_time_step(time_step: float, gamma: float, omega: float) -> None:
         )
 
 
-def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
+def axial_motion_blocks(k_z: float, gamma: float, mass: float,
                         temperature: float, cfg: SimConfig,
                         initial_state: tuple[float, float] | None = None
                         ) -> SeriesBlocks:
@@ -242,7 +225,7 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
 
     Parameters
     ----------
-    stiffness : TrapStiffness
+    k_z : axial trap stiffness (N/m), > 0
     gamma : velocity damping rate Gamma (rad/s); the PSD peak has FWHM Gamma.
     mass : particle mass (kg)
     temperature : bath temperature (K); 0 disables thermal noise
@@ -251,9 +234,9 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
     initial_state : optional (z0, v0); default draws from the stationary
         Boltzmann distribution (zeros when temperature is 0).
     """
-    if gamma < 0 or mass <= 0 or temperature < 0:
-        raise ValueError("require gamma >= 0, mass > 0, temperature >= 0")
-    omega = np.sqrt(stiffness.k_z / mass)
+    if k_z <= 0 or gamma < 0 or mass <= 0 or temperature < 0:
+        raise ValueError("require k_z > 0, gamma >= 0, mass > 0, temperature >= 0")
+    omega = np.sqrt(k_z / mass)
     dt = cfg.time_step
     check_time_step(dt, gamma, omega)
     if gamma > 0 and cfg.duration < 100.0 / gamma:
@@ -266,7 +249,7 @@ def axial_motion_blocks(stiffness: TrapStiffness, gamma: float, mass: float,
     rng = rng_for(cfg.seed, "axial-motion")
     if initial_state is None:
         if temperature > 0:
-            z0 = rng.normal(0.0, np.sqrt(const.BOLTZMANN * temperature / stiffness.k_z))
+            z0 = rng.normal(0.0, np.sqrt(const.BOLTZMANN * temperature / k_z))
             v0 = rng.normal(0.0, np.sqrt(const.BOLTZMANN * temperature / mass))
         else:
             z0, v0 = 0.0, 0.0
@@ -475,8 +458,7 @@ def mean_cos2_tilt(align_depth: float, temperature: float) -> float:
 
 
 def apparent_a_pi(power: float, intrinsic_a_pi: float, anisotropy: float,
-                  temperature: float = GasParams.temperature,
-                  field_factor: float | None = None) -> float:
+                  temperature: float, field_factor: float) -> float:
     """Apparent linear-dipole fraction after thermal tilt averaging.
 
     A rod tilted by beta contributes cos^2(beta) to the on-axis linear pattern
@@ -490,12 +472,11 @@ def apparent_a_pi(power: float, intrinsic_a_pi: float, anisotropy: float,
     power : trap beam power (W)
     intrinsic_a_pi : linear fraction of the emitter itself, in [0, 1]
     anisotropy : polarizability anisotropy d_alpha (C m^2/V)
+    temperature, field_factor : gas temperature (K) and kappa (V^2 m^-2 W^-1)
     """
     if not 0 <= intrinsic_a_pi <= 1:
         raise ValueError("intrinsic_a_pi must be in [0, 1]")
     if power < 0 or anisotropy < 0:
         raise ValueError("power and anisotropy must be >= 0")
-    if field_factor is None:
-        field_factor = calibrated_field_factor()
     align_depth = 0.5 * anisotropy * field_factor * power
     return intrinsic_a_pi * mean_cos2_tilt(align_depth, temperature)

@@ -67,7 +67,7 @@ def target_appC_gamma(config: ExperimentConfig) -> tuple[str, list, dict]:
         geo = trap_mechanics.cluster_damping_rate(cluster, config.gas)
         full = trap_mechanics.cluster_damping_rate(cluster, config.gas,
                                                    slip_at_single_rod=False)
-        rows.append((n, geo.hz, full.hz))
+        rows.append((n, geo / (2.0 * np.pi), full / (2.0 * np.pi)))
     gamma = config.cluster_physics(n_rods=1).gamma
     summary = {"gamma_over_2pi_hz": gamma / (2.0 * np.pi), "gamma_rad_per_s": gamma,
                "reference_hz": 2.0e6}
@@ -119,7 +119,7 @@ def target_fig1b(config: ExperimentConfig) -> tuple[str, list, dict]:
     # campaign trap width: keep the smallest clusters underdamped
     physics = [config.cluster_physics(n_rods=n, w_z=120e-9) for n in sizes]
     traces = [langevin.axial_motion_blocks(
-        ph.stiffness, ph.gamma, ph.mass, config.gas.temperature,
+        ph.k_z, ph.gamma, ph.mass, config.gas.temperature,
         langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9,
                            seed=int(rng_for(config.seed, "fig1b", n).integers(2**31))))
         for n, ph in zip(sizes, physics)]

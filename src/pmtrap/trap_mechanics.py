@@ -11,6 +11,11 @@ rate
 
     Gamma = 6*pi*eta*r/m * 0.619/(0.619 + Kn) * (1 + c_K),
     c_K = 0.31*Kn / (0.785 + 1.152*Kn + Kn^2),   Kn = Lambda/r.
+
+With axial trap width w_z, k_z = 2*U0/w_z^2 and Omega = sqrt(k_z/m).
+``cluster_physics`` alone composes this chain, in plain floats (rates in
+rad/s).  kappa and T are passed in; only ``TrapParams`` resolves the
+calibrated kappa (``field_factor=None``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ __all__ = [
     "GasParams",
     "TrapParams",
     "ClusterSample",
-    "DampingRate",
+    "ClusterPhysics",
     "PowerLawFit",
     "polarizability",
     "calibrated_field_factor",
@@ -41,6 +46,7 @@ __all__ = [
     "cluster_mass",
     "damping_rate",
     "cluster_damping_rate",
+    "cluster_physics",
     "gamma_pmin_exponent",
 ]
 
@@ -160,31 +166,29 @@ def trap_depth(alpha: float, trap: TrapParams) -> float:
     return 0.5 * alpha * trap.field_factor * trap.power
 
 
-def min_power(alpha: float,
-              temperature: float = GasParams.temperature,
-              field_factor: float | None = None) -> float:
+def min_power(alpha: float, temperature: float, field_factor: float) -> float:
     """Escape power P_min = 2*kB*T/(alpha*kappa), inverse in alpha.
 
     The particle is lost when the trap depth falls to kB*T.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    kappa = field_factor if field_factor is not None else calibrated_field_factor()
-    return 2.0 * const.BOLTZMANN * temperature / (alpha * kappa)
+    return 2.0 * const.BOLTZMANN * temperature / (alpha * field_factor)
 
 
 def rods_from_pmin(p_min: float) -> float:
-    """Cluster size inferred from the escape power: N = P_min(1 rod)/P_min.
+    """Cluster size inferred from the escape power: N = 41 mW / P_min.
 
-    Exact inverse of ``min_power`` under the volume-additive polarizability
-    model.  Values below 1 (escape power above the single-rod point) are
-    reported as-is with an out-of-model warning.  Note the model is naive: a
-    measured escape at 22 mW maps to N ~ 1.9 even where independent evidence
-    may demand a larger cluster.
+    Exact inverse of ``min_power`` at the calibration, where a single rod
+    escapes at 41 mW, under the volume-additive polarizability model.
+    Values below 1 (escape power above the single-rod point) are reported
+    as-is with an out-of-model warning.  Note the model is naive: a measured
+    escape at 22 mW maps to N ~ 1.9 even where independent evidence may
+    demand a larger cluster.
     """
     if p_min <= 0:
         raise ValueError("p_min must be > 0")
-    n_est = min_power(polarizability()) / p_min
+    n_est = _CALIBRATION_POWER / p_min
     if n_est < 1.0:
         warnings.warn(
             f"P_min = {p_min:.3g} W exceeds the single-rod escape power; "
@@ -208,34 +212,25 @@ def cluster_mass(cluster: ClusterSample) -> float:
     return cluster.n_rods * cluster.material.density * cluster.rod.volume
 
 
-class DampingRate(NamedTuple):
-    rad_per_s: float
-    hz: float  # Gamma / 2 pi
-
-
 def _slip_factor(knudsen: float) -> float:
     c_k = 0.31 * knudsen / (0.785 + 1.152 * knudsen + knudsen**2)
     return 0.619 / (0.619 + knudsen) * (1.0 + c_k)
 
 
-def damping_rate(radius: float, mass: float,
-                 gas: GasParams | None = None) -> DampingRate:
-    """Slip-corrected Stokes damping rate for cross-section radius and mass.
+def damping_rate(radius: float, mass: float, gas: GasParams) -> float:
+    """Slip-corrected Stokes damping rate (rad/s) for cross-section radius and mass.
 
     Kn -> 0 recovers the continuum Stokes limit 6*pi*eta*r/m.
     """
     if radius <= 0 or mass <= 0:
         raise ValueError("radius and mass must be > 0")
-    gas = gas or GasParams()
     knudsen = gas.mean_free_path / radius
-    gamma = 6.0 * np.pi * gas.viscosity * radius / mass * _slip_factor(knudsen)
-    return DampingRate(rad_per_s=float(gamma), hz=float(gamma / (2.0 * np.pi)))
+    return float(6.0 * np.pi * gas.viscosity * radius / mass * _slip_factor(knudsen))
 
 
-def cluster_damping_rate(cluster: ClusterSample,
-                         gas: GasParams | None = None,
-                         slip_at_single_rod: bool = True) -> DampingRate:
-    """Axial damping rate of an N-rod cluster.
+def cluster_damping_rate(cluster: ClusterSample, gas: GasParams,
+                         slip_at_single_rod: bool = True) -> float:
+    """Axial damping rate Gamma (rad/s) of an N-rod cluster.
 
     With ``slip_at_single_rod`` (default) the Knudsen slip factor is held at
     its single-rod value, so the rate follows the pure geometric law
@@ -245,15 +240,42 @@ def cluster_damping_rate(cluster: ClusterSample,
     free-molecular regime of these particles that nearly cancels the geometric
     scaling and is kept only for comparison.
     """
-    gas = gas or GasParams()
-    r_z = effective_radius(cluster)
-    m = cluster_mass(cluster)
     if slip_at_single_rod:
-        single = ClusterSample(n_rods=1, rod=cluster.rod, material=cluster.material)
-        base = damping_rate(single.rod.padded_radius, cluster_mass(single), gas)
-        gamma = base.rad_per_s / np.sqrt(cluster.n_rods)
-        return DampingRate(rad_per_s=float(gamma), hz=float(gamma / (2.0 * np.pi)))
-    return damping_rate(r_z, m, gas)
+        rod = cluster.rod
+        single = damping_rate(rod.padded_radius, cluster.material.density * rod.volume, gas)
+        return float(single / np.sqrt(cluster.n_rods))
+    return damping_rate(effective_radius(cluster), cluster_mass(cluster), gas)
+
+
+class ClusterPhysics(NamedTuple):
+    """Trap physics of one cluster at a given trap and gas."""
+
+    alpha: float                # polarizability, C m^2 / V
+    mass: float                 # kg
+    gamma: float                # gas damping rate, rad/s
+    p_min: float                # escape power, W
+    k_z: float                  # axial stiffness 2 U0 / w_z^2, N/m
+    omega: float                # axial trap frequency, rad/s
+
+
+def cluster_physics(cluster: ClusterSample, gas: GasParams, trap: TrapParams,
+                    w_z: float) -> ClusterPhysics:
+    """Polarizability -> escape power, damping, stiffness and trap frequency.
+
+    ``w_z`` is the axial trap width of k_z = 2 U0 / w_z^2.  Raises
+    ValueError unless w_z > 0 and k_z > 0 (the depth can underflow).
+    """
+    if w_z <= 0:
+        raise ValueError("w_z must be > 0")
+    alpha = polarizability(cluster.rod, cluster.material, n_rods=cluster.n_rods)
+    mass = cluster_mass(cluster)
+    k_z = 2.0 * trap_depth(alpha, trap) / w_z**2
+    if k_z <= 0:
+        raise ValueError("k_z must be > 0")
+    return ClusterPhysics(
+        alpha=alpha, mass=mass, gamma=cluster_damping_rate(cluster, gas),
+        p_min=min_power(alpha, gas.temperature, trap.field_factor),
+        k_z=k_z, omega=float(np.sqrt(k_z / mass)))
 
 
 class PowerLawFit(NamedTuple):

@@ -58,9 +58,9 @@ def test_criterion_01_collection_efficiencies():
 
 def test_criterion_02_minimum_trapping_power():
     with Timer() as t:
-        alpha1 = tm.polarizability()
-        p1 = tm.min_power(alpha1)
-        p16 = tm.min_power(16 * alpha1)
+        alpha1, trap = tm.polarizability(), tm.TrapParams()
+        p1 = tm.min_power(alpha1, 296.0, trap.field_factor)
+        p16 = tm.min_power(16 * alpha1, 296.0, trap.field_factor)
     assert p1 == pytest.approx(41e-3, rel=1e-12)  # exact by calibration
     assert p16 == pytest.approx(41e-3 / 16, rel=1e-12)
     assert p16 * 1e3 == pytest.approx(2.56, abs=0.01)
@@ -74,9 +74,9 @@ def test_criterion_02_minimum_trapping_power():
 def test_criterion_03_single_rod_damping():
     rod = tm.RodGeometry()
     cluster = tm.ClusterSample(n_rods=1)
-    rate = tm.damping_rate(rod.padded_radius, tm.cluster_mass(cluster))
-    assert rate.hz == pytest.approx(2.0e6, rel=0.10)
-    _report(3, f"Gamma/2pi = {rate.hz/1e6:.3f} MHz within 2.0 MHz +/- 10%")
+    rate = tm.damping_rate(rod.padded_radius, tm.cluster_mass(cluster), tm.GasParams())
+    assert rate / (2 * np.pi) == pytest.approx(2.0e6, rel=0.10)
+    _report(3, f"Gamma/2pi = {rate/(2*np.pi)/1e6:.3f} MHz within 2.0 MHz +/- 10%")
 
 
 def test_criterion_04_count_rate():
@@ -166,12 +166,12 @@ def test_criterion_07_fit_round_trips():
         # Lorentzian width at the observed mean damping, 20 seeds
         mass = 6.5e-21
         omega = 2 * np.pi * 8e6
-        stiffness = lv.TrapStiffness(k_z=mass * omega**2)
+        k_z = mass * omega**2
         gamma = 2 * np.pi * 0.62e6
         widths = []
         for seed in range(20):
             cfg = lv.SimConfig(time_step=1.9e-9, duration=8e-3, seed=seed)
-            series = lv.axial_motion_blocks(stiffness, gamma, mass, 296.0, cfg).collect()
+            series = lv.axial_motion_blocks(k_z, gamma, mass, 296.0, cfg).collect()
             spec = analysis.stream_power_spectral_density(series, segment_length=2**16)
             widths.append(analysis.fit_lorentzian(spec).gamma)
         width_err = abs(np.median(widths) / gamma - 1.0)
@@ -236,11 +236,11 @@ def test_criterion_08_optics_reductions():
         assert dev_tilt < 0.01
 
         # apparent fraction versus power: monotone, correct limits
-        anisotropy = 0.5 * tm.polarizability()
-        a0 = lv.apparent_a_pi(0.0, 0.9, anisotropy)
-        a_inf = lv.apparent_a_pi(1e3, 0.9, anisotropy)
+        anisotropy, kappa = 0.5 * tm.polarizability(), tm.TrapParams().field_factor
+        a0 = lv.apparent_a_pi(0.0, 0.9, anisotropy, 296.0, kappa)
+        a_inf = lv.apparent_a_pi(1e3, 0.9, anisotropy, 296.0, kappa)
         powers = np.geomspace(1e-4, 1.0, 30)
-        curve = [lv.apparent_a_pi(p, 0.9, anisotropy) for p in powers]
+        curve = [lv.apparent_a_pi(p, 0.9, anisotropy, 296.0, kappa) for p in powers]
         assert a0 == pytest.approx(0.3, rel=1e-9)
         assert a_inf == pytest.approx(0.9, abs=1e-3)
         assert np.all(np.diff(curve) > 0)
@@ -254,11 +254,11 @@ def test_criterion_09_equipartition_and_parseval():
     with Timer() as t:
         mass = 6.5e-21
         omega = 2 * np.pi * 1e6
-        stiffness = lv.TrapStiffness(k_z=mass * omega**2)
+        k_z = mass * omega**2
         gamma = 2 * np.pi * 0.62e6
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1.2e-8 * 1_000_000, seed=2)
-        series = lv.axial_motion_blocks(stiffness, gamma, mass, 296.0, cfg).collect()
-        ratio = np.var(series.samples) * stiffness.k_z / KT
+        series = lv.axial_motion_blocks(k_z, gamma, mass, 296.0, cfg).collect()
+        ratio = np.var(series.samples) * k_z / KT
         assert ratio == pytest.approx(1.0, abs=0.03)
 
         parseval = []

@@ -30,7 +30,7 @@ from pmtrap.cli import (
     simulate_dataset,
 )
 from pmtrap.config import load_config, parse_config
-from pmtrap.errors import MissingArtifactError
+from pmtrap.errors import MissingArtifactError, PmtrapError
 from pmtrap.langevin import SeriesBlocks, TimeSeries
 from pmtrap import photon_emitter as pe
 from pmtrap.photon_emitter import TimeTagStream
@@ -880,6 +880,30 @@ class TestReproduceCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["gamma_over_2pi_hz"] == pytest.approx(2.0e6, rel=0.10)
 
+    def test_appC_gamma_rows(self, tmp_path):
+        # both damping columns against the slip-corrected Stokes rate
+        # 6 pi eta r/m * 0.619/(0.619 + Kn) * (1 + c_K) of the default gas and
+        # rod: the geometric column is Gamma(1)/(2 pi sqrt(N)), the full-slip
+        # one re-evaluates it at r_z = (d/2 + shell) sqrt(N) and mass N m1
+        viscosity, mean_free_path = 1.82e-5, 68e-9
+        r1 = 7e-9 / 2 + 1.6e-9
+        m1 = 4826.0 * np.pi * (7e-9 / 2) ** 2 * 35e-9
+
+        def stokes(r, m):
+            kn = mean_free_path / r
+            c_k = 0.31 * kn / (0.785 + 1.152 * kn + kn**2)
+            return 6 * np.pi * viscosity * r / m * 0.619 / (0.619 + kn) * (1 + c_k)
+
+        assert main(["reproduce", "--figure", "appC_gamma",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        table = np.loadtxt(tmp_path / "appC_gamma.csv", delimiter=",", skiprows=1)
+        assert table[:, 0].tolist() == [1, 4, 16, 64]
+        for n, geometric, full_slip in table:
+            assert geometric == pytest.approx(
+                stokes(r1, m1) / (2 * np.pi * np.sqrt(n)), rel=1e-12)
+            assert full_slip == pytest.approx(
+                stokes(r1 * np.sqrt(n), n * m1) / (2 * np.pi), rel=1e-12)
+
     def test_threads_below_one_exits_2(self, tmp_path):
         assert main(["reproduce", "--figure", "appB_pmin", "--threads", "0",
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -905,6 +929,15 @@ class TestInternalErrors:
             raise KeyError("internal")
         monkeypatch.setattr(cli, "default_config_yaml", broken)
         with pytest.raises(KeyError, match="internal"):
+            main(["default-config"])
+
+    def test_bare_toolkit_error_propagates(self, monkeypatch):
+        # each error kind with an exit code subclasses PmtrapError; a bare
+        # one is a bug and propagates
+        def broken():
+            raise PmtrapError("internal")
+        monkeypatch.setattr(cli, "default_config_yaml", broken)
+        with pytest.raises(PmtrapError, match="internal"):
             main(["default-config"])
 
 
@@ -1208,7 +1241,7 @@ class TestAhead:
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         physics = config.cluster_physics()
         serial = io.write_time_series(tmp_path / "serial.ts", langevin.detector_blocks(
-            langevin.axial_motion_blocks(physics.stiffness, physics.gamma, physics.mass,
+            langevin.axial_motion_blocks(physics.k_z, physics.gamma, physics.mass,
                                          config.gas.temperature, config.simulation),
             config.simulation))
         assert manifest["artifacts"]["detector.ts"]["sha256"] == serial
@@ -1422,7 +1455,7 @@ class TestCampaignPairs:
         for n, _, width, _, low, high in table:
             physics = config.cluster_physics(n_rods=int(n), w_z=120e-9)
             series = langevin.axial_motion_blocks(
-                physics.stiffness, physics.gamma, physics.mass, config.gas.temperature,
+                physics.k_z, physics.gamma, physics.mass, config.gas.temperature,
                 langevin.SimConfig(time_step=3e-9, duration=2**21 * 3e-9, seed=int(
                     rng_for(config.seed, "fig1b", int(n)).integers(2**31)))).collect()
             fit = analysis.fit_lorentzian(

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pmtrap import analysis, constants as const, io_formats, langevin as lv
-from pmtrap import mirror_optics as mo
+from pmtrap import mirror_optics as mo, trap_mechanics as tm
 from pmtrap.seeding import rng_for
 
 import oracles
@@ -14,7 +14,7 @@ import oracles
 KT = const.BOLTZMANN * 296.0
 MASS = 6.5e-21
 OMEGA = 2 * np.pi * 1.0e6
-STIFFNESS = lv.TrapStiffness(k_z=MASS * OMEGA**2)
+K_Z = MASS * OMEGA**2
 GAMMA = 2 * np.pi * 0.62e6
 
 
@@ -29,8 +29,8 @@ def _detector(z, cfg):
 class TestSimulateAxialMotion:
     def test_equipartition(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1.2e-8 * 1_000_000, seed=2)
-        series = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
-        ratio = np.var(series.samples) * STIFFNESS.k_z / KT
+        series = lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg).collect()
+        ratio = np.var(series.samples) * K_Z / KT
         assert ratio == pytest.approx(1.0, abs=0.03)
 
     def test_undamped_amplitude_conserved(self):
@@ -38,7 +38,7 @@ class TestSimulateAxialMotion:
         # below 1e-6 over 1e3 periods (200 samples per period)
         period = 2 * np.pi / OMEGA
         cfg = lv.SimConfig(time_step=period / 200, duration=1000 * period, seed=0)
-        series = lv.axial_motion_blocks(STIFFNESS, 0.0, MASS, 0.0, cfg,
+        series = lv.axial_motion_blocks(K_Z, 0.0, MASS, 0.0, cfg,
                                         initial_state=(1e-9, 0.0)).collect()
         per_period = series.samples.reshape(1000, 200)
         amplitudes = np.max(np.abs(per_period), axis=1)
@@ -47,7 +47,7 @@ class TestSimulateAxialMotion:
     def test_oscillation_frequency(self):
         period = 2 * np.pi / OMEGA
         cfg = lv.SimConfig(time_step=period / 200, duration=500 * period, seed=0)
-        series = lv.axial_motion_blocks(STIFFNESS, 0.0, MASS, 0.0, cfg,
+        series = lv.axial_motion_blocks(K_Z, 0.0, MASS, 0.0, cfg,
                                         initial_state=(1e-9, 0.0)).collect()
         spec = analysis.stream_power_spectral_density(series, segment_length=8192)
         f_peak = spec.frequencies[np.argmax(spec.densities)]
@@ -59,12 +59,12 @@ class TestSimulateAxialMotion:
         # injected width recovered within 5% (median over seeds) across the
         # relevant damping range; stiff trap keeps the peak Lorentzian-like
         omega = 2 * np.pi * 8e6
-        stiffness = lv.TrapStiffness(k_z=MASS * omega**2)
+        k_z = MASS * omega**2
         gamma = 2 * np.pi * gamma_hz
         widths = []
         for seed in range(5):
             cfg = lv.SimConfig(time_step=1.9e-9, duration=8e-3, seed=seed)
-            series = lv.axial_motion_blocks(stiffness, gamma, MASS, 296.0, cfg).collect()
+            series = lv.axial_motion_blocks(k_z, gamma, MASS, 296.0, cfg).collect()
             spec = analysis.stream_power_spectral_density(series, segment_length=2**16)
             widths.append(analysis.fit_lorentzian(spec).gamma)
         assert np.median(widths) == pytest.approx(gamma, rel=0.05)
@@ -78,7 +78,7 @@ class TestSimulateAxialMotion:
         dt = 1.0 / (20.0 * max(gamma, OMEGA))
         n = 8000
         cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=0)
-        series = lv.axial_motion_blocks(STIFFNESS, gamma, MASS, 0.0, cfg,
+        series = lv.axial_motion_blocks(K_Z, gamma, MASS, 0.0, cfg,
                                         initial_state=(1e-9, 2e-3)).collect()
         ref = oracles.splitting_transient(OMEGA, gamma, dt, 1e-9, 2e-3, n)
         assert len(series.samples) == n
@@ -86,19 +86,25 @@ class TestSimulateAxialMotion:
 
     def test_deterministic(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=1e-3, seed=99)
-        a = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
-        b = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
+        a = lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg).collect()
+        b = lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg).collect()
         assert np.array_equal(a.samples, b.samples)
 
     def test_unstable_step_rejected(self):
         cfg = lv.SimConfig(time_step=1e-6, duration=1e-2, seed=0)
         with pytest.raises(ValueError, match="time_step .* too coarse"):
-            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+            lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg)
 
     def test_short_duration_warns(self):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=5e-6, seed=0)
         with pytest.warns(UserWarning, match="duration"):
-            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+            lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg)
+
+    @pytest.mark.parametrize("k_z", [0.0, -1.0])
+    def test_nonpositive_stiffness_rejected(self, k_z):
+        cfg = lv.SimConfig(time_step=1.2e-8, duration=1e-3, seed=0)
+        with pytest.raises(ValueError, match="k_z > 0"):
+            lv.axial_motion_blocks(k_z, GAMMA, MASS, 296.0, cfg)
 
 
 # the spacing of the subnormal numbers
@@ -147,7 +153,7 @@ class TestRecurrenceProperties:
         cfg = lv.SimConfig(time_step=self.DT, duration=n * self.DT, seed=seed)
 
         def run():
-            return lv.axial_motion_blocks(STIFFNESS, gamma, MASS, temperature,
+            return lv.axial_motion_blocks(K_Z, gamma, MASS, temperature,
                                           cfg, initial_state=(z0, v0)).collect().samples
 
         whole = run()
@@ -175,7 +181,7 @@ class TestRecurrenceProperties:
         gamma = ratio * OMEGA
         dt = step / (10.0 * max(gamma, OMEGA))
         cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=seed)
-        z = lv.axial_motion_blocks(STIFFNESS, gamma, MASS, temperature, cfg,
+        z = lv.axial_motion_blocks(K_Z, gamma, MASS, temperature, cfg,
                                    initial_state=(z0, v0)).collect().samples
         assert len(z) == n
         _assert_matches_lfilter(z, gamma, temperature, dt, z0, v0, seed)
@@ -188,10 +194,10 @@ class TestRecurrenceProperties:
         batches, per_batch = 40, int(200.0 / (GAMMA * self.DT))
         n = batches * per_batch
         cfg = lv.SimConfig(time_step=self.DT, duration=n * self.DT, seed=seed)
-        z = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, temperature,
+        z = lv.axial_motion_blocks(K_Z, GAMMA, MASS, temperature,
                                    cfg).collect().samples
         means = np.mean(z.reshape(batches, per_batch) ** 2, axis=1)
-        expected = const.BOLTZMANN * temperature / STIFFNESS.k_z
+        expected = const.BOLTZMANN * temperature / K_Z
         std_error = np.std(means, ddof=1) / np.sqrt(batches)
         assert abs(np.mean(means) - expected) < 5.0 * std_error
 
@@ -212,7 +218,7 @@ class TestScale:
         gamma = ratio * OMEGA
         dt = 0.5 / (10.0 * max(gamma, OMEGA))
         cfg = lv.SimConfig(time_step=dt, duration=n * dt, seed=0)
-        return lv.axial_motion_blocks(STIFFNESS, gamma, MASS, 0.0, cfg,
+        return lv.axial_motion_blocks(K_Z, gamma, MASS, 0.0, cfg,
                                       initial_state=state).collect().samples
 
     # scaling (z0, v0) by 2^k scales every sample by exactly 2^k, from
@@ -272,7 +278,7 @@ class TestChunkStraddle:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(lv, "_CHUNK_SAMPLES", 1 << chunk)
                 mp.setattr(lv, "_BLOCK_SAMPLES", block_samples)
-                return lv.axial_motion_blocks(STIFFNESS, gamma, MASS, temperature,
+                return lv.axial_motion_blocks(K_Z, gamma, MASS, temperature,
                                               cfg, initial_state=initial).collect().samples
 
         whole = run(n)
@@ -306,7 +312,7 @@ class TestBlockInvariance:
         cfg = lv.SimConfig(time_step=1.2e-8, duration=n * 1.2e-8, seed=8)
         whole, blocked = _blocked(
             monkeypatch, block, n, lambda: lv.axial_motion_blocks(
-                STIFFNESS, gamma, MASS, temperature, cfg, initial_state=initial).collect())
+                K_Z, gamma, MASS, temperature, cfg, initial_state=initial).collect())
         assert len(whole.samples) == n
         assert np.array_equal(whole.samples, blocked.samples)
 
@@ -316,7 +322,7 @@ class TestBlockInvariance:
     def test_detector_bit_identical(self, monkeypatch, n, block, noise_floor):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=n * 1.2e-8, seed=8,
                            detector_noise_floor=noise_floor)
-        z = lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
+        z = lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg).collect()
         whole, blocked = _blocked(monkeypatch, block, n,
                                   lambda: _detector(z, cfg))
         assert np.array_equal(whole.samples, blocked.samples)
@@ -335,7 +341,7 @@ class TestStreamedDetectorFile:
         # file of the collected traces, made with the default (one) block
         cfg = lv.SimConfig(time_step=1.2e-8, duration=2001 * 1.2e-8, seed=8,
                            detector_noise_floor=noise_floor)
-        args = (STIFFNESS, GAMMA, MASS, 296.0, cfg)
+        args = (K_Z, GAMMA, MASS, 296.0, cfg)
         collected = tmp_path / "collected.ts"
         io_formats.write_time_series(collected, _detector(
             lv.axial_motion_blocks(*args).collect(), cfg))
@@ -348,10 +354,10 @@ class TestStreamedDetectorFile:
     def test_checks_run_before_first_block(self):
         cfg = lv.SimConfig(time_step=1e-6, duration=1e-2, seed=0)
         with pytest.raises(ValueError, match="time_step .* too coarse"):
-            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+            lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg)
         cfg = lv.SimConfig(time_step=1.2e-8, duration=5e-6, seed=0)
         with pytest.warns(UserWarning, match="duration"):
-            lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg)
+            lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg)
 
 
 def _traced_peak(run):
@@ -371,7 +377,7 @@ class TestBoundedMemory:
 
     def test_axial_motion(self):
         z, peak = _traced_peak(lambda: lv.axial_motion_blocks(
-            STIFFNESS, GAMMA, MASS, 296.0, self.CFG).collect())
+            K_Z, GAMMA, MASS, 296.0, self.CFG).collect())
         assert len(z.samples) == 2**23
         assert peak < z.samples.nbytes + 24 * 2**20
 
@@ -382,7 +388,7 @@ class TestBoundedMemory:
         path = tmp_path / "detector.ts"
         _, peak = _traced_peak(lambda: io_formats.write_time_series(
             path, lv.detector_blocks(lv.axial_motion_blocks(
-                STIFFNESS, GAMMA, MASS, 296.0, cfg), cfg)))
+                K_Z, GAMMA, MASS, 296.0, cfg), cfg)))
         assert peak < 8 * 2**20
         spectrum, peak = _traced_peak(lambda: analysis.stream_power_spectral_density(
             io_formats.read_time_series(path)))
@@ -393,7 +399,7 @@ class TestBoundedMemory:
 class TestDetectorSignal:
     def _series(self, seed=4):
         cfg = lv.SimConfig(time_step=1.2e-8, duration=6e-3, seed=seed)
-        return cfg, lv.axial_motion_blocks(STIFFNESS, GAMMA, MASS, 296.0, cfg).collect()
+        return cfg, lv.axial_motion_blocks(K_Z, GAMMA, MASS, 296.0, cfg).collect()
 
     def test_zero_gain_pure_noise(self):
         cfg, series = self._series()
@@ -481,25 +487,27 @@ class TestTiltStatistics:
 
 class TestApparentAPi:
     ANISOTROPY = 2.7e-35  # about half the single-rod polarizability
+    KAPPA = tm.TrapParams().field_factor  # the calibrated field factor
 
     def test_zero_power_limit(self):
-        got = lv.apparent_a_pi(0.0, 0.9, self.ANISOTROPY)
+        got = lv.apparent_a_pi(0.0, 0.9, self.ANISOTROPY, 296.0, self.KAPPA)
         assert got == pytest.approx(0.3, rel=1e-9)
 
     def test_high_power_limit(self):
-        got = lv.apparent_a_pi(1e3, 0.9, self.ANISOTROPY)
+        got = lv.apparent_a_pi(1e3, 0.9, self.ANISOTROPY, 296.0, self.KAPPA)
         assert got == pytest.approx(0.9, abs=1e-3)
 
     def test_strictly_increasing(self):
         powers = np.geomspace(1e-4, 1.0, 40)
-        values = [lv.apparent_a_pi(p, 0.9, self.ANISOTROPY) for p in powers]
+        values = [lv.apparent_a_pi(p, 0.9, self.ANISOTROPY, 296.0, self.KAPPA)
+                  for p in powers]
         assert np.all(np.diff(values) > 0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            lv.apparent_a_pi(0.1, 1.5, self.ANISOTROPY)
+            lv.apparent_a_pi(0.1, 1.5, self.ANISOTROPY, 296.0, self.KAPPA)
         with pytest.raises(ValueError):
-            lv.apparent_a_pi(-0.1, 0.5, self.ANISOTROPY)
+            lv.apparent_a_pi(-0.1, 0.5, self.ANISOTROPY, 296.0, self.KAPPA)
 
 
 class TestTiltedImageDecomposition:
@@ -519,13 +527,3 @@ class TestTiltedImageDecomposition:
         expected = (np.cos(beta) ** 2 * mo.intensity_linear(r)
                     + np.sin(beta) ** 2 * mo.intensity_circular(r))
         assert np.max(np.abs(profile.intensities[inside] / expected - 1.0)) < 0.01
-
-
-class TestTrapStiffness:
-    def test_from_trap_depth(self):
-        stiff = lv.TrapStiffness.from_trap_depth(KT, w_z=532e-9)
-        assert stiff.k_z == pytest.approx(2 * KT / 532e-9**2, rel=1e-12)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            lv.TrapStiffness(k_z=-1.0)

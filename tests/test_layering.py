@@ -10,11 +10,12 @@ import sys
 from pathlib import Path
 
 import pmtrap
-from pmtrap import mirror_optics
+from pmtrap import langevin, mirror_optics
 
 
 def _imported_names(path: Path) -> set[str]:
-    """Every module and ``module.name`` that the file imports."""
+    """Every module and ``module.name`` that the file imports; a relative
+    import is named without its leading dots (``from . import x`` is ``x``)."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -22,6 +23,8 @@ def _imported_names(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module:
             names.add(node.module)
             names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
     return names
 
 
@@ -40,6 +43,13 @@ def test_mirror_optics_has_no_quadrature():
     # collection fractions are closed-form; quadrature is the oracle's route
     names = _imported_names(Path(mirror_optics.__file__))
     assert not _within(names, "scipy.integrate")
+
+
+def test_langevin_does_not_import_trap_mechanics():
+    # the Langevin layer takes the trap as plain floats (k_z, Gamma, m, T,
+    # kappa); the cluster's trap physics is composed in trap_mechanics alone
+    names = _imported_names(Path(langevin.__file__))
+    assert not _within(names, "trap_mechanics") | _within(names, "pmtrap.trap_mechanics")
 
 
 def _modules_of_cli_import() -> set[str]:

@@ -8,6 +8,8 @@ from pmtrap.errors import InsufficientDataError
 
 
 KT = const.BOLTZMANN * 296.0
+KAPPA = tm.calibrated_field_factor()
+GAS = tm.GasParams()
 
 
 class TestPolarizability:
@@ -46,21 +48,22 @@ class TestFieldFactorAndDepth:
 
 class TestMinPower:
     def test_single_rod_calibration_point(self):
-        assert tm.min_power(tm.polarizability()) == pytest.approx(0.041, rel=1e-12)
+        p = tm.min_power(tm.polarizability(), 296.0, KAPPA)
+        assert p == pytest.approx(0.041, rel=1e-12)
 
     def test_sixteen_rods(self):
-        p = tm.min_power(tm.polarizability(n_rods=16))
+        p = tm.min_power(tm.polarizability(n_rods=16), 296.0, KAPPA)
         assert p == pytest.approx(0.041 / 16, rel=1e-12)
         assert p * 1e3 == pytest.approx(2.56, abs=0.01)
 
     def test_inverse_proportionality_exact(self):
         alpha = tm.polarizability()
         for n in (2, 3, 10, 100):
-            assert tm.min_power(n * alpha) * n == pytest.approx(
-                tm.min_power(alpha), rel=1e-12)
+            assert tm.min_power(n * alpha, 296.0, KAPPA) * n == pytest.approx(
+                tm.min_power(alpha, 296.0, KAPPA), rel=1e-12)
 
     def test_large_cluster_limit(self):
-        assert tm.min_power(tm.polarizability(n_rods=10**6)) < 1e-7
+        assert tm.min_power(tm.polarizability(n_rods=10**6), 296.0, KAPPA) < 1e-7
 
 
 class TestRodsFromPmin:
@@ -76,7 +79,7 @@ class TestRodsFromPmin:
     def test_round_trip_identity(self):
         alpha1 = tm.polarizability()
         for n in (1, 4, 16, 64):
-            p = tm.min_power(n * alpha1)
+            p = tm.min_power(n * alpha1, 296.0, KAPPA)
             assert tm.rods_from_pmin(p) == pytest.approx(n, rel=1e-9)
 
     def test_out_of_model_warning(self):
@@ -111,26 +114,26 @@ class TestClusterGeometry:
 class TestDampingRate:
     def test_single_rod_reference(self):
         cluster = tm.ClusterSample(n_rods=1)
-        rate = tm.damping_rate(cluster.rod.padded_radius, tm.cluster_mass(cluster))
-        assert rate.hz == pytest.approx(2.0e6, rel=0.10)
-        assert rate.rad_per_s == pytest.approx(2 * np.pi * rate.hz, rel=1e-12)
+        rate = tm.damping_rate(cluster.rod.padded_radius, tm.cluster_mass(cluster), GAS)
+        assert rate / (2 * np.pi) == pytest.approx(2.0e6, rel=0.10)
+        assert type(rate) is float  # rad/s, a plain float
 
     def test_continuum_stokes_limit(self):
         gas = tm.GasParams(mean_free_path=1e-15)
         r, m = 5.1e-9, 6.5e-21
         rate = tm.damping_rate(r, m, gas)
         stokes = 6 * np.pi * gas.viscosity * r / m
-        assert rate.rad_per_s == pytest.approx(stokes, rel=1e-4)
+        assert rate == pytest.approx(stokes, rel=1e-4)
 
     def test_decreasing_in_mass(self):
         masses = np.geomspace(1e-21, 1e-18, 8)
-        rates = [tm.damping_rate(5.1e-9, m).rad_per_s for m in masses]
+        rates = [tm.damping_rate(5.1e-9, m, GAS) for m in masses]
         assert np.all(np.diff(rates) < 0)
 
     def test_geometric_cluster_law_exact(self):
-        base = tm.cluster_damping_rate(tm.ClusterSample(n_rods=1)).rad_per_s
+        base = tm.cluster_damping_rate(tm.ClusterSample(n_rods=1), GAS)
         for n in (4, 9, 16, 64):
-            got = tm.cluster_damping_rate(tm.ClusterSample(n_rods=n)).rad_per_s
+            got = tm.cluster_damping_rate(tm.ClusterSample(n_rods=n), GAS)
             assert got == pytest.approx(base / np.sqrt(n), rel=1e-12)
 
     def test_full_slip_mode_identity(self):
@@ -138,12 +141,12 @@ class TestDampingRate:
         # law times the slip-factor ratio, exactly
         gas = tm.GasParams()
         base = tm.cluster_damping_rate(tm.ClusterSample(n_rods=1), gas,
-                                       slip_at_single_rod=False).rad_per_s
+                                       slip_at_single_rod=False)
         r1 = tm.RodGeometry().padded_radius
         for n in (4, 16, 64):
             cluster = tm.ClusterSample(n_rods=n)
             got = tm.cluster_damping_rate(cluster, gas,
-                                          slip_at_single_rod=False).rad_per_s
+                                          slip_at_single_rod=False)
             s1 = tm._slip_factor(gas.mean_free_path / r1)
             sn = tm._slip_factor(gas.mean_free_path / (r1 * np.sqrt(n)))
             assert got / base == pytest.approx((sn / s1) / np.sqrt(n), rel=1e-12)
@@ -151,8 +154,42 @@ class TestDampingRate:
     def test_positive_finite(self):
         for n in (1, 5, 50):
             cluster = tm.ClusterSample(n_rods=n)
-            rate = tm.cluster_damping_rate(cluster)
-            assert np.isfinite(rate.rad_per_s) and rate.rad_per_s > 0
+            rate = tm.cluster_damping_rate(cluster, GAS)
+            assert np.isfinite(rate) and rate > 0
+
+
+class TestClusterPhysics:
+    W_Z = 532e-9
+
+    def test_stiffness_from_trap_depth(self):
+        # at the escape power a single rod's depth is kB*T: k_z = 2 kB T / w_z^2
+        trap = tm.TrapParams(power=0.041)
+        physics = tm.cluster_physics(tm.ClusterSample(n_rods=1), GAS, trap, self.W_Z)
+        assert physics.k_z == pytest.approx(2 * KT / self.W_Z**2, rel=1e-9)
+
+    def test_composes_the_chain(self):
+        cluster, trap = tm.ClusterSample(n_rods=16), tm.TrapParams()
+        physics = tm.cluster_physics(cluster, GAS, trap, self.W_Z)
+        alpha = tm.polarizability(n_rods=16)
+        assert physics.alpha == alpha
+        assert physics.mass == tm.cluster_mass(cluster)
+        assert physics.gamma == tm.cluster_damping_rate(cluster, GAS)
+        assert physics.p_min == tm.min_power(alpha, GAS.temperature, trap.field_factor)
+        depth = 0.5 * alpha * trap.field_factor * trap.power
+        assert physics.k_z == pytest.approx(2 * depth / self.W_Z**2, rel=1e-12)
+        assert physics.omega == pytest.approx(np.sqrt(physics.k_z / physics.mass),
+                                              rel=1e-12)
+        assert all(type(value) is float for value in physics)
+
+    def test_nonpositive_width_rejected(self):
+        with pytest.raises(ValueError, match="w_z must be > 0"):
+            tm.cluster_physics(tm.ClusterSample(), GAS, tm.TrapParams(), 0.0)
+
+    def test_underflowing_stiffness_rejected(self):
+        # the depth at the smallest positive power rounds to zero
+        trap = tm.TrapParams(power=5e-324)
+        with pytest.raises(ValueError, match="k_z must be > 0"):
+            tm.cluster_physics(tm.ClusterSample(), GAS, trap, self.W_Z)
 
 
 class TestGammaPminExponent:
@@ -161,8 +198,8 @@ class TestGammaPminExponent:
         alpha1 = tm.polarizability()
         samples = []
         for n in (4, 8, 16, 32, 64):
-            p = tm.min_power(n * alpha1)
-            g = tm.cluster_damping_rate(tm.ClusterSample(n_rods=n)).rad_per_s
+            p = tm.min_power(n * alpha1, 296.0, KAPPA)
+            g = tm.cluster_damping_rate(tm.ClusterSample(n_rods=n), GAS)
             samples.append((p, g))
         fit = tm.gamma_pmin_exponent(samples)
         assert fit.exponent == pytest.approx(0.5, abs=1e-9)
